@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <sstream>
+#include <string>
+
 #include "compiler/compiler.hh"
 #include "sim/machine.hh"
 #include "support/rng.hh"
 #include "workloads/pc_generator.hh"
+#include "workloads/suite.hh"
 
 namespace dpu {
 namespace {
@@ -232,6 +237,151 @@ TEST(Sim, DecodedProgramRunsIdentically)
     ASSERT_EQ(a.outputs.size(), b.outputs.size());
     for (size_t i = 0; i < a.outputs.size(); ++i)
         EXPECT_DOUBLE_EQ(a.outputs[i], b.outputs[i]);
+}
+
+/**
+ * Every SimStats field and every output bit pattern of one traced run,
+ * as one line of exact integers. Outputs and the occupancy trace are
+ * folded into FNV-1a hashes so a golden stays one line.
+ */
+std::string
+goldenDigest(const SimResult &res)
+{
+    auto fnv = [](uint64_t h, uint64_t v) {
+        for (int k = 0; k < 8; ++k)
+            h = (h ^ ((v >> (8 * k)) & 0xff)) * 0x100000001b3ull;
+        return h;
+    };
+    const SimStats &s = res.stats;
+    uint64_t trace_hash = 0xcbf29ce484222325ull;
+    for (const auto &row : s.occupancyTrace)
+        for (uint32_t v : row)
+            trace_hash = fnv(trace_hash, v);
+    uint64_t out_hash = 0xcbf29ce484222325ull;
+    for (double v : res.outputs)
+        out_hash = fnv(out_hash, std::bit_cast<uint64_t>(v));
+
+    std::ostringstream os;
+    os << "cycles=" << s.cycles << " kinds=";
+    for (size_t k = 0; k < s.kindCount.size(); ++k)
+        os << (k ? "," : "") << s.kindCount[k];
+    os << " bankReads=" << s.bankReads << " bankWrites=" << s.bankWrites
+       << " peOps=" << s.peOperations << " passes=" << s.pePassThroughs
+       << " xbar=" << s.crossbarTransfers << " memReads=" << s.memReads
+       << " memWrites=" << s.memWrites << " bits=" << s.instrBitsFetched
+       << " peak=" << s.peakLiveRegisters << " stride=" << s.traceStride
+       << " trace=" << s.occupancyTrace.size() << "/" << std::hex
+       << trace_hash << std::dec << " transfer=" << s.transferCycles
+       << " outputs=" << res.outputs.size() << "/" << std::hex << out_hash;
+    return os.str();
+}
+
+struct GoldenCase
+{
+    const char *workload;
+    const char *config;
+    const char *digest;
+};
+
+ArchConfig
+goldenConfig(const std::string &name)
+{
+    if (name == "minEdp")
+        return minEdpConfig();
+    if (name == "large")
+        return largeConfig();
+    ArchConfig c = cfgOf(2, 8, 16);
+    if (name == "R20") {
+        c = minEdpConfig();
+        c.regsPerBank = 20;
+    } else if (name == "xbar") {
+        c.outputNet = OutputInterconnect::Crossbar;
+    } else if (name == "onePerPe") {
+        c.outputNet = OutputInterconnect::OnePerPe;
+    } else {
+        ADD_FAILURE() << "unknown golden config " << name;
+    }
+    return c;
+}
+
+/**
+ * Pinned simulator output: three small suite workloads on five
+ * configurations that cover one and several 64-bit register-mask
+ * words per bank (R=32, R=256), a partial word (R=20), and the
+ * crossbar and one-per-PE output nets. Tracing is on with a small
+ * sample cap so stride-doubling decimation runs, and a non-free
+ * transfer model makes transferCycles non-zero. Any change to the
+ * simulator's semantics or event accounting shows up here.
+ */
+const std::vector<GoldenCase> kGolden = {
+    {"tretail", "minEdp",
+     "cycles=712 kinds=440,28,2,1,68,169 bankReads=5867 bankWrites=3831 peOps=4510 passes=3252 xbar=6335 memReads=28 memWrites=3 bits=215484 peak=271 stride=192 trace=4/962bf9cce283256f transfer=3803 outputs=387/9146ba69d6bd3f5b"},
+    {"tretail", "large",
+     "cycles=712 kinds=440,28,2,1,68,169 bankReads=5867 bankWrites=3831 peOps=4510 passes=3252 xbar=6335 memReads=28 memWrites=3 bits=249144 peak=271 stride=192 trace=4/962bf9cce283256f transfer=3803 outputs=387/9146ba69d6bd3f5b"},
+    {"tretail", "R20",
+     "cycles=712 kinds=440,28,2,1,68,169 bankReads=5867 bankWrites=3831 peOps=4510 passes=3252 xbar=6335 memReads=28 memWrites=3 bits=215484 peak=271 stride=192 trace=4/962bf9cce283256f transfer=3803 outputs=387/9146ba69d6bd3f5b"},
+    {"tretail", "xbar",
+     "cycles=3823 kinds=636,1096,7,1028,0,1053 bankReads=7484 bankWrites=4845 peOps=4500 passes=1802 xbar=6620 memReads=1096 memWrites=1035 bits=231216 peak=127 stride=768 trace=5/198895883a8dddc6 transfer=3803 outputs=387/9146ba69d6bd3f5b"},
+    {"tretail", "onePerPe",
+     "cycles=4772 kinds=458,1201,6,1134,917,1053 bankReads=8830 bankWrites=6191 peOps=4500 passes=1802 xbar=7861 memReads=1201 memWrites=1140 bits=270972 peak=126 stride=768 trace=7/d10def903192a448 transfer=3803 outputs=387/9146ba69d6bd3f5b"},
+    {"mnist", "minEdp",
+     "cycles=709 kinds=393,39,4,2,90,177 bankReads=6590 bankWrites=4322 peOps=5001 passes=3597 xbar=6857 memReads=39 memWrites=6 bits=229796 peak=515 stride=192 trace=4/1bbf5fafa99bbb20 transfer=3723 outputs=304/b298dff655066aa"},
+    {"mnist", "large",
+     "cycles=709 kinds=393,39,4,2,90,177 bankReads=6590 bankWrites=4322 peOps=5001 passes=3597 xbar=6857 memReads=39 memWrites=6 bits=265652 peak=515 stride=192 trace=4/1bbf5fafa99bbb20 transfer=3723 outputs=304/b298dff655066aa"},
+    {"mnist", "R20",
+     "cycles=709 kinds=393,39,4,2,90,177 bankReads=6590 bankWrites=4322 peOps=5001 passes=3597 xbar=6857 memReads=39 memWrites=6 bits=229796 peak=515 stride=192 trace=4/1bbf5fafa99bbb20 transfer=3723 outputs=304/b298dff655066aa"},
+    {"mnist", "xbar",
+     "cycles=6374 kinds=497,2407,15,2291,0,1161 bankReads=9549 bankWrites=6696 peOps=5000 passes=1939 xbar=7345 memReads=2407 memWrites=2306 bits=362968 peak=128 stride=1536 trace=5/98f15f409c545d5f transfer=3723 outputs=304/7e698239f2a38e36"},
+    {"mnist", "onePerPe",
+     "cycles=7481 kinds=408,2498,12,2388,1011,1161 bankReads=11061 bankWrites=8208 peOps=5000 passes=1939 xbar=8766 memReads=2498 memWrites=2400 bits=405040 peak=128 stride=1536 trace=5/73dc394d9f1a82e4 transfer=3723 outputs=304/4dab067e72f78d76"},
+    {"bp_200", "minEdp",
+     "cycles=604 kinds=294,149,2,1,5,149 bankReads=4955 bankWrites=4432 peOps=4018 passes=2468 xbar=5567 memReads=149 memWrites=3 bits=194672 peak=1048 stride=96 trace=7/460f4eda3d8f294c transfer=10507 outputs=35/b959b0ede564879d"},
+    {"bp_200", "large",
+     "cycles=604 kinds=294,149,2,1,5,149 bankReads=4955 bankWrites=4432 peOps=4018 passes=2468 xbar=5567 memReads=149 memWrites=3 bits=223736 peak=1696 stride=96 trace=7/8d3162b2a49b67ba transfer=10507 outputs=35/b959b0ede564879d"},
+    {"bp_200", "R20",
+     "cycles=608 kinds=294,151,2,3,5,149 bankReads=4957 bankWrites=4434 peOps=4018 passes=2468 xbar=5567 memReads=151 memWrites=5 bits=195000 peak=659 stride=96 trace=7/4c88c1ac7bc4e965 transfer=10507 outputs=35/b959b0ede564879d"},
+    {"bp_200", "xbar",
+     "cycles=1979 kinds=141,913,5,87,0,830 bankReads=5548 bankWrites=4520 peOps=4018 passes=940 xbar=5694 memReads=913 memWrites=92 bits=148212 peak=116 stride=384 trace=6/65defa21a801a891 transfer=10507 outputs=35/4e063d86b83f7519"},
+    {"bp_200", "onePerPe",
+     "cycles=2553 kinds=177,1033,4,208,298,830 bankReads=6037 bankWrites=5009 peOps=4018 passes=940 xbar=6063 memReads=1033 memWrites=212 bits=161584 peak=85 stride=384 trace=7/d20fdb03f9d0a72a transfer=10507 outputs=35/31672abfa5ccbf01"},
+};
+
+TEST(SimGolden, StatsAndOutputsArePinned)
+{
+    const char *workloads[] = {"tretail", "mnist", "bp_200"};
+    const char *configs[] = {"minEdp", "large", "R20", "xbar",
+                             "onePerPe"};
+    size_t next = 0;
+    uint64_t seed = 500;
+    for (const char *w : workloads) {
+        Dag d = buildWorkloadDag(findWorkload(w), 0.5);
+        Rng rng(++seed);
+        std::vector<double> in(d.numInputs());
+        for (auto &x : in)
+            x = rng.uniform() + 0.5;
+        for (const char *c : configs) {
+            SCOPED_TRACE(std::string(w) + " on " + c);
+            auto prog = compile(d, goldenConfig(c));
+            SimOptions opts;
+            opts.traceOccupancy = true;
+            opts.traceInterval = 3;
+            opts.maxTraceSamples = 8;
+            opts.transfer.cyclesPerByte = 0.5;
+            opts.transfer.dispatchCycles = 7;
+            std::string got = goldenDigest(Machine(prog, opts).run(in));
+            if (next >= kGolden.size()) {
+                ADD_FAILURE() << "missing golden:\n    {\"" << w
+                              << "\", \"" << c << "\",\n     \"" << got
+                              << "\"},";
+                continue;
+            }
+            const GoldenCase &g = kGolden[next++];
+            EXPECT_STREQ(g.workload, w);
+            EXPECT_STREQ(g.config, c);
+            EXPECT_EQ(got, g.digest);
+        }
+    }
+    EXPECT_EQ(next, kGolden.size());
 }
 
 } // namespace
