@@ -8,13 +8,15 @@
  * The main() accepts three harness-style flags so tools/run_benches
  * can drive this binary alongside the paper benches: `--quick`
  * (shrink the fixture DAG for a smoke pass), `--threads=N` (workers
- * for the parallel-compile benchmark) and `--json=<file>` (alias for
- * --benchmark_out=<file> --benchmark_out_format=json). Everything
+ * for the parallel-compile benchmark; junk, zero or trailing
+ * characters exit 2 like every other tool) and `--json=<file>` (alias
+ * for --benchmark_out=<file> --benchmark_out_format=json). Everything
  * else is passed to google-benchmark untouched.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "compiler/compiler.hh"
 #include "dag/eval.hh"
 #include "sim/machine.hh"
+#include "support/cli.hh"
 #include "support/rng.hh"
 #include "workloads/pc_generator.hh"
 
@@ -162,8 +165,14 @@ main(int argc, char **argv)
         if (std::strcmp(a, "--quick") == 0) {
             dpu::g_quick = true;
         } else if (std::strncmp(a, "--threads=", 10) == 0) {
-            int n = std::atoi(a + 10);
-            dpu::g_threads = n < 1 ? 1 : static_cast<uint32_t>(n);
+            if (!dpu::parseUint32Arg(a + 10, dpu::g_threads) ||
+                dpu::g_threads < 1) {
+                std::fprintf(stderr,
+                             "invalid value '%s' for --threads "
+                             "(expected an integer >= 1)\n",
+                             a + 10);
+                return 2;
+            }
         } else if (std::strncmp(a, "--json=", 7) == 0) {
             storage.push_back(std::string("--benchmark_out=") +
                               (a + 7));

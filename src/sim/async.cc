@@ -611,15 +611,6 @@ AsyncBatchServer::workerMain()
                 completion - service_start)
                 .count();
 
-        if (error) {
-            for (Request &rq : batch.requests)
-                rq.promise.set_exception(error);
-        } else {
-            for (size_t k = 0; k < batch.requests.size(); ++k)
-                batch.requests[k].promise.set_value(
-                    std::move(br.runs[k]));
-        }
-
         lock.lock();
         releaseCoresLocked(granted);
         if (!error) {
@@ -673,6 +664,17 @@ AsyncBatchServer::workerMain()
                 else
                     ++cs.deadlineMisses;
             }
+        }
+        // Fulfil only after the accounting above, still under the
+        // lock: a client returning from future.get() must find its
+        // own completion in stats().
+        if (error) {
+            for (Request &rq : batch.requests)
+                rq.promise.set_exception(error);
+        } else {
+            for (size_t k = 0; k < batch.requests.size(); ++k)
+                batch.requests[k].promise.set_value(
+                    std::move(br.runs[k]));
         }
         outstanding -= batch.requests.size();
         if (outstanding == 0)

@@ -47,8 +47,8 @@
  * is charged the HostTransferModel's serialization + dispatch cost,
  * accounted per rank in Stats (never touching per-request results).
  *
- * Determinism: a request's SimResult is produced by a private Machine
- * running the resident program on that request's input — nothing about
+ * Determinism: a request's SimResult is produced by a Machine run of
+ * the resident program on that request's input — nothing about
  * batch composition, arrival interleaving, window length, deadlines,
  * priorities, core reservations, or host thread counts reaches the
  * simulation. Per-request results are therefore byte-identical across

@@ -41,13 +41,17 @@ BatchMachine::run(const std::vector<std::vector<double>> &inputs)
     BatchResult out;
     out.runs.resize(inputs.size());
 
-    // Simulate every input into its submission-order slot. Machine
-    // runs are independent (a Machine holds no cross-run state), so
-    // the per-slot results — and everything folded from them below —
-    // are identical for any host thread count.
-    parallelFor(inputs.size(), threads, [&](size_t k) {
-        out.runs[k] = Machine(prog).run(inputs[k]);
-    });
+    // Simulate every input into its submission-order slot. The
+    // program is decoded once and the Machine shared by the host
+    // threads: runs keep their state local, so the per-slot results —
+    // and everything folded from them below — are identical for any
+    // host thread count.
+    if (!inputs.empty()) {
+        const Machine machine(prog);
+        parallelFor(inputs.size(), threads, [&](size_t k) {
+            out.runs[k] = machine.run(inputs[k]);
+        });
+    }
 
     // Fold the model-core accounting in submission order: each model
     // core executes ceil(batch/cores) back-to-back programs and the

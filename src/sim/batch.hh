@@ -10,10 +10,11 @@
  * clock of the simulated machine; independently, the per-input
  * simulations can be spread over a pool of *host* std::thread
  * workers (`threads`). Host threading changes only how fast the
- * simulation itself runs: every input is simulated by a private
- * Machine whose result lands in its submission-order slot, and the
- * cycle accounting is folded afterwards in that order, so the
- * BatchResult is byte-identical for any thread count.
+ * simulation itself runs: the program is decoded once per run() into
+ * one Machine that the host threads share, each input's result lands
+ * in its submission-order slot, and the cycle accounting is folded
+ * afterwards in that order, so the BatchResult is byte-identical for
+ * any thread count.
  */
 
 #ifndef DPU_SIM_BATCH_HH

@@ -15,6 +15,16 @@
  * register, or writing a full bank is a panic — the compiler is
  * required to produce hazard-free code, and the simulator is the
  * instrument that proves it.
+ *
+ * A Machine decodes its program once, at construction, into flat
+ * records with pre-resolved register reads, PE steps, frees and
+ * writes; checks that depend only on the instruction are decided then
+ * and reported when the run reaches them. Machine::run is const and
+ * keeps all run state local, so one Machine may run many inputs,
+ * concurrently from several threads. Per instruction the run costs
+ * O(its active fields): valid bits are 64-bit words per bank (the
+ * lowest free address is a count-trailing-zeros), the live-register
+ * count is kept incrementally, and every hazard check is O(1).
  */
 
 #ifndef DPU_SIM_MACHINE_HH
@@ -22,6 +32,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "arch/config.hh"
@@ -153,22 +164,29 @@ struct RankSet
     void validate() const { cores.validate(); }
 };
 
+namespace detail {
+struct DecodedProgram;
+} // namespace detail
+
 /** The machine. */
 class Machine
 {
   public:
+    /** Decode `program` for its configuration. The Machine keeps no
+     *  reference to `program`. */
     explicit Machine(const CompiledProgram &program,
                      SimOptions options = {});
 
     /**
      * Execute the program on one input vector (one value per DAG
      * input, in input-id order — same convention as dpu::evaluate).
+     * Safe to call concurrently on one Machine.
      */
-    SimResult run(const std::vector<double> &input_values);
+    SimResult run(const std::vector<double> &input_values) const;
 
   private:
-    const CompiledProgram &prog;
     SimOptions opts;
+    std::shared_ptr<const detail::DecodedProgram> code;
 };
 
 /**

@@ -2,19 +2,22 @@
 # CTest smoke test for the CLI exit-code contract:
 #   0 = success, 1 = user error, 2 = invalid option value.
 # Usage: dpuc_smoke.sh <path-to-dpuc> [path-to-dse_sweep] \
-#                      [path-to-dpulint] [path-to-serve_latency]
+#                      [path-to-dpulint] [path-to-serve_latency] \
+#                      [path-to-micro_benchmarks]
 # The optional second binary gets the DSE driver checks (strict
 # --axes/--shards/--threads validation, journal + resume round); the
 # optional third gets the verifier-CLI checks (clean program -> 0,
 # corrupt file -> 1, bad flag -> 2); the optional fourth gets the
 # serving-bench QoS flag checks (--priority-mix/--deadline-us/
-# --queue-depth strict validation).
+# --queue-depth strict validation); the optional fifth gets the
+# micro_benchmarks --threads checks.
 set -u
 
-DPUC="${1:?usage: dpuc_smoke.sh <path-to-dpuc> [path-to-dse_sweep] [path-to-dpulint] [path-to-serve_latency]}"
+DPUC="${1:?usage: dpuc_smoke.sh <path-to-dpuc> [path-to-dse_sweep] [path-to-dpulint] [path-to-serve_latency] [path-to-micro_benchmarks]}"
 DSE="${2:-}"
 DPULINT="${3:-}"
 SERVE="${4:-}"
+MICRO="${5:-}"
 TMP=$(mktemp -d) || exit 125
 trap 'rm -rf "$TMP"' EXIT
 fails=0
@@ -294,6 +297,16 @@ if [ -n "$SERVE" ]; then
         "$SERVE" --quick --placement=bogus
     check 2 "serve --placement empty" \
         "$SERVE" --quick --placement=
+fi
+
+if [ -n "$MICRO" ]; then
+    # --benchmark_list_tests parses every flag but runs nothing.
+    check 0 "micro --threads=2" \
+        "$MICRO" --quick --threads=2 --benchmark_list_tests=true
+    check 2 "micro --threads=0" "$MICRO" --quick --threads=0
+    check 2 "micro --threads non-numeric" "$MICRO" --quick --threads=abc
+    check 2 "micro --threads trailing junk" "$MICRO" --quick --threads=2x
+    check 2 "micro --threads empty" "$MICRO" --quick --threads=
 fi
 
 if [ "$fails" -ne 0 ]; then

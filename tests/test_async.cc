@@ -11,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <future>
 #include <numeric>
 #include <random>
+#include <thread>
 
 #include "compiler/compiler.hh"
 #include "sim/async.hh"
@@ -426,6 +428,59 @@ TEST(AsyncServer, PastDeadlineSubmissionRejected)
     EXPECT_EQ(cs.deadlineHits, 1u);
     EXPECT_EQ(cs.deadlineMisses, 0u);
     EXPECT_DOUBLE_EQ(cs.deadlineHitRate(), 1.0);
+}
+
+TEST(AsyncServer, StatsIncludeEveryCompletionAClientObserved)
+{
+    // Regression: promises used to be fulfilled before the per-class
+    // and per-rank counters were updated, so a client returning from
+    // get() could read stats() without its own completion. Widen that
+    // window with concurrent submitters: every completion any client
+    // has observed must already be counted when it reads stats().
+    Dag d = generateRandomDag(10, 200, 75);
+    auto prog = compile(d, smallConfig());
+    auto inputs = makeInputs(d, 4, 76);
+
+    AsyncServerConfig cfg;
+    cfg.workers = 2;
+    cfg.batchWindow = std::chrono::microseconds(0);
+    AsyncBatchServer server(cfg);
+    auto h = server.addProgram(prog);
+
+    constexpr size_t kSubmitters = 4;
+    constexpr size_t kIterations = 200;
+    std::atomic<uint64_t> observed{0};
+    std::atomic<uint64_t> stale{0};
+    std::vector<std::thread> submitters;
+    for (size_t t = 0; t < kSubmitters; ++t) {
+        submitters.emplace_back([&, t] {
+            SubmitOptions opts;
+            opts.deadline = std::chrono::seconds(10);
+            for (size_t i = t; i < kIterations; i += kSubmitters) {
+                auto r = server.trySubmit(h, inputs[i % inputs.size()],
+                                          opts);
+                if (!r.accepted()) {
+                    ++stale;
+                    continue;
+                }
+                r.future.get();
+                uint64_t seen = ++observed;
+                auto st = server.stats();
+                const auto &cs = st.forClass(Priority::Batch);
+                if (cs.completed < seen || cs.deadlineHits < seen ||
+                    st.completions < seen || st.perRank.empty() ||
+                    st.perRank[0].requests < seen)
+                    ++stale;
+            }
+        });
+    }
+    for (auto &th : submitters)
+        th.join();
+    EXPECT_EQ(stale.load(), 0u);
+    EXPECT_EQ(observed.load(), kIterations);
+    server.drain();
+    EXPECT_EQ(server.stats().forClass(Priority::Batch).completed,
+              kIterations);
 }
 
 TEST(AsyncServer, QosSpecValidatesCoreBounds)

@@ -297,11 +297,7 @@ TEST(MachineIsa, RstWithoutReadPanics)
 TEST(MachineIsa, DeepTreeComputesBalancedReduction)
 {
     // D=2, one tree, 4 ports: ((a+b) * (c+d)).
-    ArchConfig c;
-    c.depth = 2;
-    c.banks = 4;
-    c.regsPerBank = 4;
-    c.check();
+    ArchConfig c = deepCfg();
     std::vector<Instruction> prog;
     prog.push_back(load(0, {0, 1, 2, 3}, c.banks));
     prog.push_back(NopInstr{});

@@ -8,6 +8,7 @@
 #include <bit>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "compiler/compiler.hh"
 #include "sim/machine.hh"
@@ -382,6 +383,44 @@ TEST(SimGolden, StatsAndOutputsArePinned)
         }
     }
     EXPECT_EQ(next, kGolden.size());
+}
+
+TEST(Sim, OneMachineRunsConcurrently)
+{
+    // Machine::run is const and keeps its state local: four threads
+    // sharing one decoded Machine must each get exactly the serial
+    // result for their input, trace included.
+    Dag d = buildWorkloadDag(findWorkload("bp_200"), 0.2);
+    auto prog = compile(d, minEdpConfig());
+    SimOptions opts;
+    opts.traceOccupancy = true;
+    opts.traceInterval = 5;
+    const Machine m(prog, opts);
+
+    constexpr size_t kThreads = 4, kPerThread = 6;
+    std::vector<std::vector<double>> inputs;
+    Rng rng(77);
+    for (size_t k = 0; k < kThreads * kPerThread; ++k) {
+        std::vector<double> in(d.numInputs());
+        for (auto &x : in)
+            x = rng.uniform() * 2 - 1;
+        inputs.push_back(std::move(in));
+    }
+    std::vector<std::string> serial;
+    for (const auto &in : inputs)
+        serial.push_back(goldenDigest(m.run(in)));
+
+    std::vector<std::string> shared(inputs.size());
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (size_t k = t; k < inputs.size(); k += kThreads)
+                shared[k] = goldenDigest(m.run(inputs[k]));
+        });
+    for (auto &th : threads)
+        th.join();
+    for (size_t k = 0; k < inputs.size(); ++k)
+        EXPECT_EQ(shared[k], serial[k]) << "input " << k;
 }
 
 } // namespace
