@@ -405,6 +405,19 @@ TEST(PcGenerator, DefaultInputCountHasAFloorOfEight)
     EXPECT_EQ(generatePc(pinned).numInputs(), 3u);
 }
 
+} // namespace
+
+/** Print a spec by name. Without this GoogleTest dumps its bytes,
+ *  which hold heap pointers, so the discovered CTest names would
+ *  change from build to build. Lives in `dpu` so ADL finds it. */
+void
+PrintTo(const WorkloadSpec &spec, std::ostream *os)
+{
+    *os << spec.name;
+}
+
+namespace {
+
 class SuiteTwinTest : public ::testing::TestWithParam<WorkloadSpec>
 {};
 
