@@ -64,13 +64,28 @@ writingPes(const ArchConfig &cfg, uint32_t bank)
     return out;
 }
 
-uint32_t
-outputSelectFor(const ArchConfig &cfg, uint32_t bank, uint32_t pe)
+namespace {
+constexpr uint32_t kNoSelect = ~0u;
+} // namespace
+
+OutputSelectTable::OutputSelectTable(const ArchConfig &cfg)
+    : banks(cfg.banks), pes(cfg.numPes()),
+      select(size_t(banks) * pes, kNoSelect)
 {
-    auto writers = writingPes(cfg, bank);
-    auto it = std::find(writers.begin(), writers.end(), pe);
-    dpu_assert(it != writers.end(), "PE cannot write this bank");
-    return static_cast<uint32_t>(it - writers.begin());
+    for (uint32_t b = 0; b < banks; ++b) {
+        std::vector<uint32_t> writers = writingPes(cfg, b);
+        for (size_t k = writers.size(); k-- > 0;)
+            select[size_t(b) * pes + writers[k]] = static_cast<uint32_t>(k);
+    }
+}
+
+uint32_t
+OutputSelectTable::operator()(uint32_t bank, uint32_t pe) const
+{
+    dpu_assert(bank < banks, "bad bank");
+    uint32_t sel = pe < pes ? select[size_t(bank) * pes + pe] : kNoSelect;
+    dpu_assert(sel != kNoSelect, "PE cannot write this bank");
+    return sel;
 }
 
 uint32_t

@@ -37,11 +37,25 @@ std::vector<uint32_t> writableBanks(const ArchConfig &cfg, uint32_t pe);
 std::vector<uint32_t> writingPes(const ArchConfig &cfg, uint32_t bank);
 
 /**
- * Mux-select value identifying `pe` among writingPes(cfg, bank), i.e.
- * what the exec instruction's per-bank output-select field stores.
- * Panics if the PE cannot write the bank.
+ * Mux-select values of every (bank, PE) pair for one configuration:
+ * the position of PE `pe` in writingPes(cfg, bank), i.e. what the exec
+ * instruction's per-bank output-select field stores. Built once per
+ * configuration, so a per-write lookup allocates nothing.
  */
-uint32_t outputSelectFor(const ArchConfig &cfg, uint32_t bank, uint32_t pe);
+class OutputSelectTable
+{
+  public:
+    explicit OutputSelectTable(const ArchConfig &cfg);
+
+    /** The select of `pe` on `bank`. Panics if the PE cannot write
+     *  the bank. */
+    uint32_t operator()(uint32_t bank, uint32_t pe) const;
+
+  private:
+    uint32_t banks;
+    uint32_t pes;
+    std::vector<uint32_t> select; ///< [bank * pes + pe]
+};
 
 /** Widest per-bank writer set, determines the output-select width. */
 uint32_t maxWritersPerBank(const ArchConfig &cfg);

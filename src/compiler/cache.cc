@@ -166,10 +166,17 @@ std::string
 programCacheKey(const Dag &dag, const ArchConfig &cfg,
                 const CompileOptions &options)
 {
+    return programCacheKey(dagStructuralHash(dag), cfg, options);
+}
+
+std::string
+programCacheKey(uint64_t sourceHash, const ArchConfig &cfg,
+                const CompileOptions &options)
+{
     char suffix[160];
     std::snprintf(suffix, sizeof(suffix),
                   "%016llx-D%u.B%u.R%u-n%d-m%u-b%d-a%d-w%u-p%u-s%llu",
-                  static_cast<unsigned long long>(dagStructuralHash(dag)),
+                  static_cast<unsigned long long>(sourceHash),
                   cfg.depth, cfg.banks, cfg.regsPerBank,
                   static_cast<int>(cfg.outputNet), cfg.dataMemRows,
                   static_cast<int>(options.bankPolicy),
@@ -401,13 +408,34 @@ CompiledProgram
 ProgramCache::compile(const Dag &dag, const ArchConfig &cfg,
                       const CompileOptions &options)
 {
+    return lookupOrCompile(programCacheKey(dag, cfg, options), options,
+                           [&](const CompileOptions &opts) {
+                               return dpu::compile(dag, cfg, opts);
+                           });
+}
+
+CompiledProgram
+ProgramCache::compile(const PreparedDag &prepared, const ArchConfig &cfg,
+                      const CompileOptions &options)
+{
+    return lookupOrCompile(
+        programCacheKey(prepared.sourceHash, cfg, options), options,
+        [&](const CompileOptions &opts) {
+            return dpu::compile(prepared, cfg, opts);
+        });
+}
+
+CompiledProgram
+ProgramCache::lookupOrCompile(
+    const std::string &key, const CompileOptions &options,
+    const std::function<CompiledProgram(const CompileOptions &)> &miss)
+{
     auto t0 = std::chrono::steady_clock::now();
     auto fetch_seconds = [&] {
         return std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - t0)
             .count();
     };
-    std::string key = programCacheKey(dag, cfg, options);
 
     std::shared_ptr<const CompiledProgram> resident;
     {
@@ -449,7 +477,7 @@ ProgramCache::compile(const Dag &dag, const ArchConfig &cfg,
     // compiles (e.g. a DSE neighbor differing only in regsPerBank).
     CompileOptions opts = options;
     opts.fragmentCache = &fragments;
-    CompiledProgram prog = dpu::compile(dag, cfg, opts);
+    CompiledProgram prog = miss(opts);
     auto shared = std::make_shared<const CompiledProgram>(prog);
     {
         std::lock_guard<std::mutex> lock(mutex);

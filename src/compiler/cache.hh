@@ -27,6 +27,7 @@
 #define DPU_COMPILER_CACHE_HH
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -53,7 +54,11 @@ uint64_t dagStructuralHash(const Dag &dag);
  */
 uint64_t rangeStructuralHash(const Dag &dag, NodeId lo, NodeId hi);
 
-/** The cache key as a printable token (also the spill file stem). */
+/** The cache key as a printable token (also the spill file stem).
+ *  `sourceHash` is dagStructuralHash of the DAG as handed to compile()
+ *  (PreparedDag::sourceHash); the Dag overload hashes it first. */
+std::string programCacheKey(uint64_t sourceHash, const ArchConfig &cfg,
+                            const CompileOptions &options);
 std::string programCacheKey(const Dag &dag, const ArchConfig &cfg,
                             const CompileOptions &options);
 
@@ -170,8 +175,15 @@ class ProgramCache
   public:
     explicit ProgramCache(ProgramCacheConfig config = {});
 
-    /** Compile through the cache. */
+    /** Compile through the cache. A hit only hashes `dag`; the
+     *  compiler front end (binarization) runs on a miss alone. */
     CompiledProgram compile(const Dag &dag, const ArchConfig &cfg,
+                            const CompileOptions &options = {});
+
+    /** Compile an already-prepared DAG through the cache. Same key,
+     *  so this and the Dag overload share entries. */
+    CompiledProgram compile(const PreparedDag &prepared,
+                            const ArchConfig &cfg,
                             const CompileOptions &options = {});
 
     /** Insert a program compiled outside the cache (e.g. by a bench
@@ -247,6 +259,14 @@ class ProgramCache
         std::string key;
         std::shared_ptr<const CompiledProgram> prog;
     };
+
+    /** The shared body of both compile() overloads: serve `key` from
+     *  memory or disk, else call `miss` with this cache's fragment
+     *  cache wired into the options and remember its program. */
+    CompiledProgram
+    lookupOrCompile(const std::string &key, const CompileOptions &options,
+                    const std::function<CompiledProgram(
+                        const CompileOptions &)> &miss);
 
     bool loadFromDisk(const std::string &key, CompiledProgram &out);
     void storeToDisk(const std::string &key, const CompiledProgram &prog);

@@ -77,8 +77,55 @@ csrFootprintBits(const Dag &dag)
     return bits;
 }
 
+namespace {
+
+/** prepareDag without the structural hashes: only cache keys read
+ *  them, so a compile without a cache skips both. */
+PreparedDag
+prepareUnhashed(const Dag &input)
+{
+    PreparedDag p;
+    p.numInputs = input.numInputs();
+    p.dag = binarize(input).dag;
+    dpu_assert(p.dag.isBinary(), "compile needs a binarized DAG");
+    p.dfsPositions = dfsPreorderPositions(p.dag);
+    return p;
+}
+
+} // namespace
+
+PreparedDag
+prepareDag(const Dag &input)
+{
+    PreparedDag p = prepareUnhashed(input);
+    p.sourceHash = dagStructuralHash(input);
+    p.binarizedHash = dagStructuralHash(p.dag);
+    return p;
+}
+
 CompiledProgram
 compile(const Dag &input, const ArchConfig &cfg,
+        const CompileOptions &options)
+{
+    cfg.check();
+    auto t0 = std::chrono::steady_clock::now();
+    // compile() never reads sourceHash and reads binarizedHash only
+    // for fragment keys, so a compile without a fragment cache hashes
+    // nothing.
+    PreparedDag prepared = prepareUnhashed(input);
+    if (options.fragmentCache)
+        prepared.binarizedHash = dagStructuralHash(prepared.dag);
+    const double prepare_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      t0)
+            .count();
+    CompiledProgram prog = compile(prepared, cfg, options);
+    prog.stats.compileSeconds += prepare_seconds;
+    return prog;
+}
+
+CompiledProgram
+compile(const PreparedDag &prepared, const ArchConfig &cfg,
         const CompileOptions &options)
 {
     cfg.check();
@@ -96,8 +143,7 @@ compile(const Dag &input, const ArchConfig &cfg,
                               .count();
     };
 
-    BinarizeResult bin = binarize(input);
-    const Dag &dag = bin.dag;
+    const Dag &dag = prepared.dag;
 
     std::vector<std::pair<NodeId, NodeId>> parts;
     if (options.partitionNodes)
@@ -107,8 +153,7 @@ compile(const Dag &input, const ArchConfig &cfg,
     const size_t num_parts = parts.size();
 
     // Shared read-only precompute for the range-scoped steps.
-    dpu_assert(dag.isBinary(), "compile needs a binarized DAG");
-    std::vector<uint32_t> dfs_positions = dfsPreorderPositions(dag);
+    const std::vector<uint32_t> &dfs_positions = prepared.dfsPositions;
 
     // Fragment-cache probe: a partition's steps 1-2 + codegen depend
     // only on what fragmentCacheKey captures, so a hit skips all
@@ -117,9 +162,8 @@ compile(const Dag &input, const ArchConfig &cfg,
     std::vector<std::shared_ptr<const CompiledFragment>> hit(num_parts);
     std::vector<std::string> fkeys(num_parts);
     if (fcache) {
-        const uint64_t whole_hash = dagStructuralHash(dag);
         for (size_t p = 0; p < num_parts; ++p) {
-            fkeys[p] = fragmentCacheKey(whole_hash, parts[p],
+            fkeys[p] = fragmentCacheKey(prepared.binarizedHash, parts[p],
                                         static_cast<uint32_t>(p), dag,
                                         cfg, options);
             hit[p] = fcache->lookup(fkeys[p]);

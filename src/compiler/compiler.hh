@@ -2,7 +2,8 @@
  * @file
  * The DPU-v2 compiler driver (paper §IV, fig. 8).
  *
- * Pipeline: binarize -> (optional coarse partitioning) ->
+ * Pipeline: binarize (prepareDag, configuration-independent) ->
+ * (optional coarse partitioning) ->
  * step 1 block decomposition -> step 2 PE/bank mapping ->
  * IR codegen -> step 3 pipeline-aware reordering ->
  * step 4 spilling + address resolution -> executable program.
@@ -77,11 +78,59 @@ struct CompileOptions
 };
 
 /**
+ * The configuration-independent front end of a compile: everything
+ * compile() derives from the DAG alone, before it looks at an
+ * ArchConfig or CompileOptions. A sweep that compiles one DAG for
+ * many configurations (the DSE) prepares it once and hands the same
+ * read-only PreparedDag to every compile, which skips binarization,
+ * the DFS preorder and the structural hashes on each of them.
+ *
+ * Immutable once built; compiles on several threads may share one.
+ */
+struct PreparedDag
+{
+    /** The binarized DAG that every later step compiles. */
+    Dag dag;
+
+    /** dfsPreorderPositions(dag), shared by the block decomposition
+     *  of every partition. */
+    std::vector<uint32_t> dfsPositions;
+
+    /** dagStructuralHash of the *input* DAG: what programCacheKey
+     *  keys on, so a cache lookup by the unprepared DAG and one by its
+     *  PreparedDag find the same entry. */
+    uint64_t sourceHash = 0;
+
+    /** dagStructuralHash of the binarized DAG: the whole-DAG term of
+     *  every fragment cache key (compile reads it only when
+     *  CompileOptions::fragmentCache is set). */
+    uint64_t binarizedHash = 0;
+
+    /** Input count of the input DAG (one value per input per run). */
+    size_t numInputs = 0;
+};
+
+/** Run the configuration-independent front end (binarize, DFS
+ *  preorder, structural hashes) on `dag`. */
+PreparedDag prepareDag(const Dag &dag);
+
+/**
+ * Compile a prepared DAG for a DPU-v2 configuration: partitioning,
+ * steps 1-4 and finalization. The one compile path —
+ * compile(const Dag &) is this applied to prepareDag(dag), and emits
+ * the same bytes.
+ *
+ * Throws FatalError for impossible configurations (e.g. a register
+ * file too small to hold any schedule).
+ */
+CompiledProgram compile(const PreparedDag &prepared, const ArchConfig &cfg,
+                        const CompileOptions &options = {});
+
+/**
  * Compile a DAG for a DPU-v2 configuration.
  *
  * The input DAG may contain multi-input nodes; it is binarized first.
- * Throws FatalError for impossible configurations (e.g. a register
- * file too small to hold any schedule).
+ * stats.compileSeconds includes the front end (prepareDag).
  */
 CompiledProgram compile(const Dag &dag, const ArchConfig &cfg,
                         const CompileOptions &options = {});

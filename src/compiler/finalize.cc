@@ -26,7 +26,7 @@ class FinalizerImpl
   public:
     FinalizerImpl(const ArchConfig &cfg,
                   ProgramFinalizer::BlockResolver blocks)
-        : cfg(cfg), blockAt(std::move(blocks))
+        : cfg(cfg), blockAt(std::move(blocks)), outputSelect(cfg)
     {
         occupant.assign(cfg.banks,
                         std::vector<InstanceId>(cfg.regsPerBank,
@@ -346,7 +346,7 @@ class FinalizerImpl
                 place(w.inst, InstrKind::Exec, in);
                 ex.writeEnable[inst.bank] = true;
                 ex.outputSel[inst.bank] = static_cast<uint16_t>(
-                    outputSelectFor(cfg, inst.bank, inst.writerPe));
+                    outputSelect(inst.bank, inst.writerPe));
             }
             for (PeOp op : ex.peOp)
                 if (op == PeOp::Add || op == PeOp::Mul)
@@ -400,6 +400,7 @@ class FinalizerImpl
     std::vector<BitVec> valid;
     uint32_t relSpillRows = 0;
     std::vector<uint32_t> spillCount;
+    OutputSelectTable outputSelect; ///< built once per config
     std::vector<size_t> spillStoreFixups;
     std::vector<size_t> reloadFixups;
     const IrProgram *curIr = nullptr;

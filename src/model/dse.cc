@@ -27,13 +27,39 @@ namespace dpu {
 // Point evaluation.                                                //
 // ---------------------------------------------------------------- //
 
+namespace {
+
+/** One suite workload at one scale, through the compiler front end:
+ *  the configuration-independent part of every point's compile. */
+struct PreparedWorkload
+{
+    uint64_t seed = 0; ///< WorkloadSpec::seed (input generation).
+    PreparedDag prepared;
+};
+
+/** Build and prepare every workload of `suite` at `scale`, in
+ *  parallel. */
+std::vector<PreparedWorkload>
+prepareSuite(const std::vector<WorkloadSpec> &suite, double scale,
+             uint32_t threads)
+{
+    std::vector<PreparedWorkload> out(suite.size());
+    parallelFor(out.size(), threads, [&](size_t k) {
+        out[k].seed = suite[k].seed;
+        out[k].prepared = prepareDag(buildWorkloadDag(suite[k], scale));
+    });
+    return out;
+}
+
+/** The point evaluator behind evaluateDesign and runDseSweep:
+ *  evaluateDesign's contract over an already-prepared suite. */
 DsePoint
-evaluateDesign(const ArchConfig &cfg,
-               const std::vector<WorkloadSpec> &suite, double scale,
-               uint64_t seed, uint32_t cores, ProgramCache *cache,
-               DseEvalCost *cost, const Evaluator *evaluator,
-               uint32_t fleet_ranks, const HostTransferModel &transfer,
-               bool verify)
+evaluatePrepared(const ArchConfig &cfg,
+                 const std::vector<PreparedWorkload> &suite, double scale,
+                 uint64_t seed, uint32_t cores, ProgramCache *cache,
+                 DseEvalCost *cost, const Evaluator *evaluator,
+                 uint32_t fleet_ranks, const HostTransferModel &transfer,
+                 bool verify)
 {
     const EvalFidelity fid =
         evaluator ? evaluator->fidelity() : EvalFidelity::Cycle;
@@ -49,8 +75,8 @@ evaluateDesign(const ArchConfig &cfg,
     point.fleetRanks = fleet_ranks;
 
     Summary lat, epo, gops, watts, xfer_ns;
-    for (const WorkloadSpec &spec : suite) {
-        Dag dag = buildWorkloadDag(spec, scale);
+    for (const PreparedWorkload &w : suite) {
+        const PreparedDag &dag = w.prepared;
         CompileOptions opt;
         opt.seed = seed;
         if (verify) // explicit opt-in only; keep the default build-set
@@ -81,7 +107,7 @@ evaluateDesign(const ArchConfig &cfg,
         std::string memo_key;
         bool memoized = false;
         if (cache) {
-            memo_key = programCacheKey(dag, cfg, opt);
+            memo_key = programCacheKey(dag.sourceHash, cfg, opt);
             memoized = cache->lookupEvalStats(
                 memo_key, static_cast<uint8_t>(fid), cores, stats);
         }
@@ -90,8 +116,8 @@ evaluateDesign(const ArchConfig &cfg,
                         ? evaluator->estimate(prog)
                         : evaluator->estimateBatch(prog, cores, cores);
         } else if (!memoized && cores <= 1) {
-            Rng rng(seed + spec.seed);
-            std::vector<double> inputs(dag.numInputs());
+            Rng rng(seed + w.seed);
+            std::vector<double> inputs(dag.numInputs);
             for (double &x : inputs)
                 x = 0.5 + rng.uniform();
             stats = Machine(prog).run(inputs).stats;
@@ -99,10 +125,10 @@ evaluateDesign(const ArchConfig &cfg,
             // Multi-core axis: a `cores`-input batch on a
             // BatchMachine; wall cycles set the latency, the summed
             // event counts set the energy.
-            Rng rng(seed + spec.seed);
+            Rng rng(seed + w.seed);
             std::vector<std::vector<double>> batch(cores);
             for (auto &inputs : batch) {
-                inputs.resize(dag.numInputs());
+                inputs.resize(dag.numInputs);
                 for (double &x : inputs)
                     x = 0.5 + rng.uniform();
             }
@@ -160,6 +186,21 @@ evaluateDesign(const ArchConfig &cfg,
     point.powerWatts = watts.mean();
     point.transferPerOpNs = xfer_ns.mean();
     return point;
+}
+
+} // namespace
+
+DsePoint
+evaluateDesign(const ArchConfig &cfg,
+               const std::vector<WorkloadSpec> &suite, double scale,
+               uint64_t seed, uint32_t cores, ProgramCache *cache,
+               DseEvalCost *cost, const Evaluator *evaluator,
+               uint32_t fleet_ranks, const HostTransferModel &transfer,
+               bool verify)
+{
+    return evaluatePrepared(cfg, prepareSuite(suite, scale, 1), scale,
+                            seed, cores, cache, cost, evaluator,
+                            fleet_ranks, transfer, verify);
 }
 
 // ---------------------------------------------------------------- //
@@ -566,46 +607,90 @@ runDseSweep(const DseSweepOptions &options)
                       options.journalPath + "'");
     }
 
+    // Front end, once per sweep: each scale's suite is built and run
+    // through prepareDag, in parallel, right before the points at that
+    // scale are evaluated, and every point there compiles from those
+    // read-only DAGs. Points are evaluated one scale at a time, so
+    // only one scale's DAGs are resident; a scale with nothing left to
+    // evaluate (a resumed sweep) is never prepared. Refinement walks
+    // the scales again, so a multi-scale refined sweep prepares all
+    // but its last scale twice.
+    // Distinct values only: a repeated scale must not evaluate its
+    // points twice.
+    std::vector<double> scales = effectiveScales(space);
+    std::sort(scales.begin(), scales.end());
+    scales.erase(std::unique(scales.begin(), scales.end()), scales.end());
+    std::vector<PreparedWorkload> prepared; // the current scale's suite
+    double prepared_scale = 0;              // scales are > 0
+    auto prepare = [&](double scale) {
+        if (scale == prepared_scale)
+            return;
+        auto start = std::chrono::steady_clock::now();
+        prepared.clear(); // release the previous scale first
+        prepared = prepareSuite(suite, scale, options.threads);
+        prepared_scale = scale;
+        result.prepareSeconds +=
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - start)
+                .count();
+    };
+    auto evaluate = [&](size_t i, DseEvalCost *cost,
+                        const Evaluator *tier) {
+        return evaluatePrepared(grid[i].cfg, prepared, grid[i].scale,
+                                space.seed, grid[i].cores, options.cache,
+                                cost, tier, space.fleetRanks,
+                                space.transfer, options.verify);
+    };
+
     const std::vector<DseShard> shards =
         planDseShards(grid.size(), options.shards);
     result.shardReports.resize(shards.size());
+    for (size_t s = 0; s < shards.size(); ++s)
+        result.shardReports[s].points = shards[s].end - shards[s].begin;
     std::mutex journal_mutex;
 
-    parallelFor(shards.size(), options.threads, [&](size_t s) {
-        auto start = std::chrono::steady_clock::now();
-        DseShardReport report;
-        report.points = shards[s].end - shards[s].begin;
-        for (size_t i = shards[s].begin; i < shards[s].end; ++i) {
-            if (have[i])
-                continue;
-            DseEvalCost cost;
-            // Each slot is written by exactly one shard, so the
-            // grid-order merge needs no synchronization.
-            result.points[i] = evaluateDesign(
-                grid[i].cfg, suite, grid[i].scale, space.seed,
-                grid[i].cores, options.cache, &cost, &evaluator,
-                space.fleetRanks, space.transfer, options.verify);
-            ++report.evaluated;
-            report.compiles += cost.compiles;
-            report.cacheHits += cost.cacheHits;
-            report.compileSeconds += cost.compileSeconds;
-            if (journaling) {
-                std::lock_guard<std::mutex> lock(journal_mutex);
-                journal << dseJournalPointLine(i, result.points[i])
-                        << "\n";
-                journal.flush(); // checkpoint survives a kill
-                if (!journal)
-                    dpu_fatal("failed writing DSE journal '" +
-                              options.journalPath +
-                              "' (disk full?); checkpoints would be "
-                              "silently lost");
+    for (double scale : scales) {
+        auto pending = [&](size_t i) {
+            return !have[i] && grid[i].scale == scale;
+        };
+        bool any = false;
+        for (size_t i = 0; i < grid.size() && !any; ++i)
+            any = pending(i);
+        if (!any)
+            continue;
+        prepare(scale);
+        parallelFor(shards.size(), options.threads, [&](size_t s) {
+            auto start = std::chrono::steady_clock::now();
+            DseShardReport &report = result.shardReports[s];
+            for (size_t i = shards[s].begin; i < shards[s].end; ++i) {
+                if (!pending(i))
+                    continue;
+                DseEvalCost cost;
+                // Each slot is written by exactly one shard, so the
+                // grid-order merge needs no synchronization.
+                result.points[i] = evaluate(i, &cost, &evaluator);
+                ++report.evaluated;
+                report.compiles += cost.compiles;
+                report.cacheHits += cost.cacheHits;
+                report.compileSeconds += cost.compileSeconds;
+                if (journaling) {
+                    std::lock_guard<std::mutex> lock(journal_mutex);
+                    journal << dseJournalPointLine(i, result.points[i])
+                            << "\n";
+                    journal.flush(); // checkpoint survives a kill
+                    if (!journal)
+                        dpu_fatal("failed writing DSE journal '" +
+                                  options.journalPath +
+                                  "' (disk full?); checkpoints would "
+                                  "be silently lost");
+                }
             }
-        }
-        report.seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-        result.shardReports[s] = report;
-    });
+            report.seconds += std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() -
+                                  start)
+                                  .count();
+        });
+    }
 
     size_t phase1_evaluated = 0;
     for (const DseShardReport &r : result.shardReports)
@@ -625,32 +710,41 @@ runDseSweep(const DseSweepOptions &options)
         result.refineSurvivors = survivors.size();
         std::atomic<size_t> cycle_evals{0};
         std::atomic<size_t> cycle_resumed{0};
-        parallelFor(survivors.size(), options.threads, [&](size_t k) {
-            size_t i = survivors[k];
-            if (have_cycle[i]) {
-                result.points[i] = cycle_resume[i];
-                ++cycle_resumed;
-            } else {
-                DseEvalCost cost;
-                result.points[i] = evaluateDesign(
-                    grid[i].cfg, suite, grid[i].scale, space.seed,
-                    grid[i].cores, options.cache, &cost,
-                    &cycle_evaluator, space.fleetRanks,
-                    space.transfer, options.verify);
-                ++cycle_evals;
-            }
-            if (journaling) {
-                std::lock_guard<std::mutex> lock(journal_mutex);
-                journal << dseJournalPointLine(i, result.points[i])
-                        << "\n";
-                journal.flush();
-                if (!journal)
-                    dpu_fatal("failed writing DSE journal '" +
-                              options.journalPath +
-                              "' (disk full?); checkpoints would be "
-                              "silently lost");
-            }
-        });
+        // Last scale first: phase 1 left its suite prepared.
+        for (size_t at = scales.size(); at-- > 0;) {
+            const double scale = scales[at];
+            std::vector<size_t> todo;
+            bool compiles = false;
+            for (size_t i : survivors)
+                if (grid[i].scale == scale) {
+                    todo.push_back(i);
+                    compiles = compiles || !have_cycle[i];
+                }
+            if (compiles)
+                prepare(scale);
+            parallelFor(todo.size(), options.threads, [&](size_t k) {
+                size_t i = todo[k];
+                if (have_cycle[i]) {
+                    result.points[i] = cycle_resume[i];
+                    ++cycle_resumed;
+                } else {
+                    result.points[i] =
+                        evaluate(i, nullptr, &cycle_evaluator);
+                    ++cycle_evals;
+                }
+                if (journaling) {
+                    std::lock_guard<std::mutex> lock(journal_mutex);
+                    journal << dseJournalPointLine(i, result.points[i])
+                            << "\n";
+                    journal.flush();
+                    if (!journal)
+                        dpu_fatal("failed writing DSE journal '" +
+                                  options.journalPath +
+                                  "' (disk full?); checkpoints would "
+                                  "be silently lost");
+                }
+            });
+        }
         result.cycleEvaluatedPoints += cycle_evals;
         result.resumedPoints += cycle_resumed;
     }

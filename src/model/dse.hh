@@ -12,9 +12,13 @@
  *     into a deterministic, grid-ordered point list;
  *   - planDseShards() cuts the grid into contiguous, near-equal
  *     shards;
- *   - runDseSweep() executes the shards on a work-stealing pool
- *     (support/parallel.hh), compiling each point through an optional
- *     ProgramCache, and merges results in grid order — the returned
+ *   - runDseSweep() works one workload scale at a time: it builds the
+ *     suite at that scale once and runs the configuration-independent
+ *     compiler front end on it (prepareDag), in parallel; then it
+ *     executes the shards' points at that scale on a work-stealing
+ *     pool (support/parallel.hh), compiling each from those shared
+ *     prepared DAGs through an optional ProgramCache. Results merge
+ *     in grid order — the returned
  *     point vector is byte-identical for every thread/shard count
  *     (pinned by the DseStress suite);
  *   - completed points are checkpointed to a JSON-lines journal so a
@@ -167,6 +171,10 @@ struct DseEvalCost
  * memoizes per-tier evaluation stats; `cost`, when given,
  * accumulates compile/cache counters. `evaluator` selects the
  * evaluation tier (nullptr = cycle-accurate).
+ *
+ * Builds and prepares the suite at `scale` itself, then runs the same
+ * point evaluator runDseSweep runs against its once-per-sweep suite,
+ * so a sweep point equals evaluateDesign of its coordinates.
  */
 DsePoint evaluateDesign(const ArchConfig &cfg,
                         const std::vector<WorkloadSpec> &suite,
@@ -300,6 +308,12 @@ struct DseSweepResult
 
     /** One report per planned shard. */
     std::vector<DseShardReport> shardReports;
+
+    /** Wall time of the front end: building and preparing the suite
+     *  at each scale, once per sweep, before that scale's points are
+     *  evaluated. Not part of any shard's seconds. 0 when a fully
+     *  resumed sweep had nothing to prepare. */
+    double prepareSeconds = 0;
 
     /** Points loaded from the journal instead of recomputed. */
     size_t resumedPoints = 0;

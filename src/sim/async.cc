@@ -112,6 +112,9 @@ AsyncBatchServer::addProgram(CompiledProgram program, QosSpec qos,
 {
     if (operations == 0)
         operations = program.stats.numOperations;
+    // Decode once, outside the lock: every batch of this program runs
+    // this one const Machine, shared by the workers.
+    Machine machine(program);
 
     std::lock_guard<std::mutex> lock(mutex);
     if (qos.minCores > config.cores)
@@ -159,6 +162,7 @@ AsyncBatchServer::addProgram(CompiledProgram program, QosSpec qos,
     programs.push_back(Resident{});
     Resident &r = programs.back();
     r.prog = std::move(program);
+    r.machine.emplace(std::move(machine));
     r.qos = qos;
     r.index = static_cast<uint32_t>(programs.size() - 1);
     r.operations = operations;
@@ -575,7 +579,7 @@ AsyncBatchServer::workerMain()
         ready.erase(ready.begin() + static_cast<ptrdiff_t>(idx));
         CoreSet granted = acquireCoresLocked(batch);
         Resident *resident = batch.resident;
-        const CompiledProgram &prog = resident->prog;
+        const Machine &machine = *resident->machine;
         uint64_t operations = resident->operations;
         // Predict this batch's service time with the calibration as
         // of dispatch: the predicted-vs-actual pair is the
@@ -598,7 +602,7 @@ AsyncBatchServer::workerMain()
         BatchResult br;
         std::exception_ptr error;
         try {
-            br = BatchMachine(prog, RankSet{batch.rank, granted},
+            br = BatchMachine(machine, RankSet{batch.rank, granted},
                               operations, config.hostThreadsPerBatch,
                               config.transfer)
                      .run(inputs);

@@ -437,6 +437,9 @@ class AsyncBatchServer
     struct Resident
     {
         CompiledProgram prog;
+        /** prog, decoded once at addProgram; every batch of this
+         *  program runs it (Machine::run is const and thread-safe). */
+        std::optional<Machine> machine;
         QosSpec qos;
         uint32_t index = 0;       ///< Position in `programs`.
         uint64_t operations = 0;

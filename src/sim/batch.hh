@@ -10,8 +10,9 @@
  * clock of the simulated machine; independently, the per-input
  * simulations can be spread over a pool of *host* std::thread
  * workers (`threads`). Host threading changes only how fast the
- * simulation itself runs: the program is decoded once per run() into
- * one Machine that the host threads share, each input's result lands
+ * simulation itself runs: the program is decoded once, into one
+ * Machine that the host threads share (or not at all, when the
+ * caller hands over an already-decoded Machine), each input's result lands
  * in its submission-order slot, and the cycle accounting is folded
  * afterwards in that order, so the BatchResult is byte-identical for
  * any thread count.
@@ -112,11 +113,23 @@ class BatchMachine
                  uint64_t operations, uint32_t threads = 1,
                  HostTransferModel transfer_model = {});
 
+    /**
+     * Pre-decoded fleet dispatch: run a copy of an already-decoded
+     * Machine (cheap: the decoded code is shared), so a caller that
+     * runs one program many times (the serving side keeps one Machine
+     * per resident program) decodes it once. The BatchResult is
+     * byte-identical to the CompiledProgram form's for a Machine built
+     * with the default SimOptions.
+     */
+    BatchMachine(const Machine &machine, RankSet rank_set,
+                 uint64_t operations, uint32_t threads = 1,
+                 HostTransferModel transfer_model = {});
+
     /** Run every input vector; inputs are dealt round-robin. */
     BatchResult run(const std::vector<std::vector<double>> &inputs);
 
   private:
-    const CompiledProgram &prog;
+    Machine machine;
     CoreSet cores;
     uint32_t rank = 0;
     HostTransferModel transfer{};

@@ -717,6 +717,12 @@ Machine::run(const std::vector<double> &input_values) const
     return Engine(*code, opts).run(input_values);
 }
 
+uint64_t
+Machine::transferBytes() const
+{
+    return code->transferBytes;
+}
+
 SimResult
 runAndCheck(const CompiledProgram &program, const Dag &dag,
             const std::vector<double> &input_values, SimOptions options)

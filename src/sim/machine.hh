@@ -184,6 +184,9 @@ class Machine
      */
     SimResult run(const std::vector<double> &input_values) const;
 
+    /** hostTransferBytes() of the decoded program. */
+    uint64_t transferBytes() const;
+
   private:
     SimOptions opts;
     std::shared_ptr<const detail::DecodedProgram> code;

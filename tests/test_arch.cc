@@ -141,12 +141,15 @@ TEST(Interconnect, OnePerPeIsNearlyOneToOne)
 TEST(Interconnect, OutputSelectIdentifiesPe)
 {
     ArchConfig c = minEdpConfig();
+    OutputSelectTable select(c);
     for (uint32_t b = 0; b < c.banks; ++b) {
         auto pes = writingPes(c, b);
         for (uint32_t i = 0; i < pes.size(); ++i)
-            EXPECT_EQ(outputSelectFor(c, b, pes[i]), i);
+            EXPECT_EQ(select(b, pes[i]), i);
     }
-    EXPECT_THROW(outputSelectFor(c, 0, c.peId({1, 1, 0})), PanicError);
+    EXPECT_THROW(select(0, c.peId({1, 1, 0})), PanicError);
+    EXPECT_THROW(select(0, c.numPes()), PanicError);
+    EXPECT_THROW(select(c.banks, 0), PanicError);
 }
 
 /** The paper's example lengths: D=3, B=16, R=32 (fig. 7(a)). */

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
 #include "compiler/compiler.hh"
 #include "sim/batch.hh"
@@ -231,6 +232,47 @@ TEST(BatchMachine, PerCoreCyclesFoldToWallClock)
     EXPECT_EQ(r.wallCycles,
               *std::max_element(r.perCoreCycles.begin(),
                                 r.perCoreCycles.end()));
+}
+
+TEST(BatchMachine, PreDecodedMachineMatchesProgramForm)
+{
+    // The serving side decodes each resident program once and hands
+    // the Machine to every batch. Several batches share that one
+    // Machine concurrently (host threads inside each batch, plus two
+    // batches at once); each must equal a BatchMachine built from
+    // the program, transfer accounting included.
+    Dag d = generateRandomDag(16, 600, 47);
+    auto prog = compile(d, smallConfig());
+    auto batch = makeBatch(d, 9, 48);
+    HostTransferModel link;
+    link.cyclesPerByte = 0.5;
+    link.dispatchCycles = 7;
+    RankSet target{1, CoreSet{{2, 0, 3}}};
+
+    BatchResult reference =
+        BatchMachine(prog, target, prog.stats.numOperations, 1, link)
+            .run(batch);
+    const Machine machine(prog);
+    BatchResult shared[2];
+    std::thread other([&] {
+        shared[1] = BatchMachine(machine, target,
+                                 prog.stats.numOperations, 3, link)
+                        .run(batch);
+    });
+    shared[0] =
+        BatchMachine(machine, target, prog.stats.numOperations, 4, link)
+            .run(batch);
+    other.join();
+
+    for (const BatchResult &r : shared) {
+        expectIdenticalResults(reference, r);
+        EXPECT_EQ(r.rank, 1u);
+        EXPECT_EQ(r.coreIds, reference.coreIds);
+        EXPECT_EQ(r.perCoreCycles, reference.perCoreCycles);
+        EXPECT_EQ(r.transferCycles, reference.transferCycles);
+        EXPECT_GT(r.transferCycles, 0u);
+    }
+    EXPECT_EQ(machine.transferBytes(), hostTransferBytes(prog));
 }
 
 TEST(BatchMachine, EmptyCoreSetRejected)

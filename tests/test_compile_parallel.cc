@@ -4,13 +4,16 @@
  * be byte-identical for every --threads value (and across repeated
  * runs), partitioned compiles must stay functionally correct, and the
  * partitioner edge cases feeding the parallel pipeline must hold.
+ * Compiling a PreparedDag must emit the bytes compiling its DAG does.
  */
 
 #include <gtest/gtest.h>
 
 #include "arch/isa.hh"
+#include "compiler/cache.hh"
 #include "compiler/compiler.hh"
 #include "sim/machine.hh"
+#include "support/logging.hh"
 #include "support/rng.hh"
 #include "workloads/pc_generator.hh"
 #include "workloads/suite.hh"
@@ -211,6 +214,95 @@ TEST(ParallelCompile, CompileStatsStillConsistent)
     EXPECT_EQ(prog.stats.numOperations, 2000u);
     EXPECT_GT(prog.stats.blocks, 0u);
     EXPECT_EQ(prog.stats.cacheHits, 0u);
+}
+
+/** The serialized program with the wall-clock stats cleared: equal
+ *  exactly when two compiles emitted the same program. */
+std::vector<uint8_t>
+programBytes(CompiledProgram prog)
+{
+    prog.stats.compileSeconds = 0;
+    prog.stats.verifySeconds = 0;
+    prog.stats.cacheHits = 0;
+    return serializeProgram(prog);
+}
+
+/** Compile through `fn`; empty when the configuration cannot fit the
+ *  DAG (FatalError), so infeasibility must agree too. */
+template <typename Fn>
+std::vector<uint8_t>
+bytesOrInfeasible(Fn &&fn)
+{
+    try {
+        return programBytes(fn());
+    } catch (const FatalError &) {
+        return {};
+    }
+}
+
+TEST(ParallelCompile, PreparedDagCompilesToTheSameBytes)
+{
+    // compile(prepareDag(d)) is the one compile path: it must emit the
+    // bytes compile(d) emits, directly and through a ProgramCache.
+    const ArchConfig minEdp = minEdpConfig();
+    const ArchConfig configs[] = {minEdp, cfgOf(1, 8, 16),
+                                  cfgOf(2, 16, 32)};
+    struct Variant
+    {
+        uint32_t partitionNodes, threads;
+    };
+    const Variant variants[] = {{0, 1}, {512, 1}, {512, 4}};
+    ProgramCache by_prepared;
+    size_t compared = 0, partitioned = 0;
+    for (const WorkloadSpec &spec : smallSuite()) {
+        Dag d = buildWorkloadDag(spec, 0.02);
+        PreparedDag p = prepareDag(d);
+        EXPECT_EQ(p.numInputs, d.numInputs());
+        partitioned += p.dag.numOperations() > 512;
+        for (const ArchConfig &cfg : configs)
+            for (const Variant &v : variants) {
+                CompileOptions opt;
+                opt.partitionNodes = v.partitionNodes;
+                opt.threads = v.threads;
+                SCOPED_TRACE(spec.name + " " + cfg.label() + " p" +
+                             std::to_string(v.partitionNodes) + " t" +
+                             std::to_string(v.threads));
+                auto ref =
+                    bytesOrInfeasible([&] { return compile(d, cfg, opt); });
+                EXPECT_EQ(ref, bytesOrInfeasible(
+                                   [&] { return compile(p, cfg, opt); }));
+                EXPECT_EQ(ref, bytesOrInfeasible([&] {
+                              return by_prepared.compile(p, cfg, opt);
+                          }));
+                compared += !ref.empty();
+            }
+    }
+    EXPECT_GT(compared, 0u);
+    EXPECT_GT(partitioned, 0u); // the multi-partition path ran
+    // The thread count is not in the key: the threads=4 variant hits.
+    EXPECT_GT(by_prepared.stats().hits, 0u);
+}
+
+TEST(ParallelCompile, PreparedDagSharesProgramCacheKeys)
+{
+    Dag d = generateRandomDag(24, 800, 71);
+    PreparedDag p = prepareDag(d);
+    ArchConfig cfg = cfgOf(2, 16, 32);
+    CompileOptions opt;
+    opt.partitionNodes = 300;
+    EXPECT_EQ(p.sourceHash, dagStructuralHash(d));
+    EXPECT_EQ(programCacheKey(p.sourceHash, cfg, opt),
+              programCacheKey(d, cfg, opt));
+
+    // One entry serves both overloads.
+    ProgramCache cache;
+    auto cold = cache.compile(d, cfg, opt);
+    auto warm = cache.compile(p, cfg, opt);
+    EXPECT_EQ(cold.stats.cacheHits, 0u);
+    EXPECT_EQ(warm.stats.cacheHits, 1u);
+    EXPECT_EQ(programBytes(cold), programBytes(warm));
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 } // namespace

@@ -617,6 +617,72 @@ TEST(DseSweep, EvaluateSingleDesignTracksCost)
     EXPECT_EQ(cache.stats().hitRate(), 0.5);
 }
 
+TEST(DseSweep, SweepPointsEqualPerPointEvaluation)
+{
+    // runDseSweep prepares each (workload, scale) pair once, one scale
+    // at a time; every point must still equal evaluateDesign of its
+    // coordinates, which prepares on its own. Two scales cover the
+    // per-scale preparation of both the sweep and its refinement.
+    DseSweepOptions o;
+    o.space.depths = {1, 2};
+    o.space.banks = {8};
+    o.space.regs = {16, 32};
+    o.space.scales = {0.03, 0.05};
+    o.space.suite = {pcSuite()[0], sptrsvSuite()[0]};
+    o.threads = 2;
+    o.shards = 3;
+    ProgramCache cache;
+    o.cache = &cache;
+    std::string path = ::testing::TempDir() + "dse_prepared.jsonl";
+    std::remove(path.c_str());
+    o.journalPath = path;
+
+    DseSweepResult swept = runDseSweep(o);
+    std::vector<DseGridPoint> grid = expandDseGrid(o.space);
+    ASSERT_EQ(swept.points.size(), 8u);
+    EXPECT_GT(swept.prepareSeconds, 0.0);
+    size_t feasible = 0;
+    for (size_t i = 0; i < grid.size(); ++i) {
+        SCOPED_TRACE(i);
+        DsePoint single =
+            evaluateDesign(grid[i].cfg, o.space.suite, grid[i].scale,
+                           o.space.seed, grid[i].cores);
+        expectIdentical(swept.points[i], single);
+        feasible += single.feasible;
+    }
+    EXPECT_GT(feasible, 0u);
+
+    // A fully resumed sweep evaluates nothing, so prepares nothing.
+    o.resume = true;
+    DseSweepResult resumed = runDseSweep(o);
+    EXPECT_EQ(resumed.resumedPoints, grid.size());
+    EXPECT_EQ(resumed.prepareSeconds, 0.0);
+    for (size_t i = 0; i < grid.size(); ++i)
+        expectIdentical(resumed.points[i], swept.points[i]);
+    std::remove(path.c_str());
+
+    // Refinement walks the scales again: each cycle re-evaluated
+    // survivor equals the cycle sweep's point.
+    DseSweepOptions r = o;
+    r.journalPath.clear();
+    r.resume = false;
+    r.fidelity = EvalFidelity::Table;
+    r.refine = true;
+    DseSweepResult refined = runDseSweep(r);
+    std::vector<char> refined_at(o.space.scales.size(), 0);
+    size_t survivors = 0;
+    for (size_t i = 0; i < grid.size(); ++i) {
+        if (refined.points[i].fidelity != EvalFidelity::Cycle)
+            continue;
+        SCOPED_TRACE(i);
+        expectIdentical(refined.points[i], swept.points[i]);
+        refined_at[grid[i].scale == o.space.scales[1]] = 1;
+        ++survivors;
+    }
+    EXPECT_EQ(survivors, refined.refineSurvivors);
+    EXPECT_EQ(refined_at, std::vector<char>(2, 1)); // at both scales
+}
+
 TEST(DseSweep, CoresAxisScalesThroughputAndStaysFeasible)
 {
     std::vector<WorkloadSpec> suite = {pcSuite()[0]};

@@ -369,15 +369,16 @@ main(int argc, char **argv)
         shard_table.print();
 
         if (args.noCache) {
-            std::printf("\ndse_sweep: %zu points in %.3fs (program "
-                        "cache disabled)\n",
-                        pts.size(), seconds);
+            std::printf("\ndse_sweep: %zu points in %.3fs (%.3fs "
+                        "preparing the suite; program cache "
+                        "disabled)\n",
+                        pts.size(), seconds, sweep.prepareSeconds);
         } else {
             ProgramCache::Stats cs = cache.stats();
-            std::printf("\ndse_sweep: %zu points in %.3fs; program "
-                        "cache %llu/%llu lookups served (hit rate "
-                        "%.2f)\n",
-                        pts.size(), seconds,
+            std::printf("\ndse_sweep: %zu points in %.3fs (%.3fs "
+                        "preparing the suite); program cache "
+                        "%llu/%llu lookups served (hit rate %.2f)\n",
+                        pts.size(), seconds, sweep.prepareSeconds,
                         static_cast<unsigned long long>(cs.hits +
                                                         cs.diskHits),
                         static_cast<unsigned long long>(cs.lookups()),
