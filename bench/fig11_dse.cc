@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
 #include "harness.hh"
 #include "model/dse.hh"
@@ -30,7 +29,6 @@ main(int argc, char **argv)
     sopt.threads = ctx.threads();
     sopt.shards = std::max(4u, ctx.threads());
     sopt.cache = ctx.cache();
-    sopt.fidelity = ctx.options().fidelity;
     auto start = std::chrono::steady_clock::now();
     DseSweepResult sweep = runDseSweep(sopt);
     double sweep_seconds = std::chrono::duration<double>(
@@ -79,46 +77,6 @@ main(int argc, char **argv)
     ctx.metric("sweep_host_seconds", sweep_seconds);
     ctx.metric("sweep_shards",
                static_cast<double>(sweep.shardReports.size()));
-
-    // Tier-error audit: with a fast --fidelity, re-evaluate only the
-    // frontier points cycle-accurately and record the relative error
-    // per metric (latency must come out exactly 0 — the fast tiers
-    // are exact in latency; the energy series is the real envelope).
-    if (ctx.options().fidelity != EvalFidelity::Cycle) {
-        std::vector<size_t> frontier = paretoFrontier(pts);
-        std::vector<WorkloadSpec> suite = sopt.space.suite.empty()
-                                              ? smallSuite()
-                                              : sopt.space.suite;
-        std::vector<double> lat_err, energy_err;
-        for (size_t i : frontier) {
-            const DsePoint &fast = pts[i];
-            DsePoint exact = evaluateDesign(
-                fast.cfg, suite, fast.workloadScale, sopt.space.seed,
-                fast.cores, ctx.cache());
-            if (!exact.feasible)
-                continue;
-            lat_err.push_back(exact.latencyPerOpNs > 0
-                                  ? std::abs(fast.latencyPerOpNs -
-                                             exact.latencyPerOpNs) /
-                                        exact.latencyPerOpNs
-                                  : 0.0);
-            energy_err.push_back(exact.energyPerOpPj > 0
-                                     ? std::abs(fast.energyPerOpPj -
-                                                exact.energyPerOpPj) /
-                                           exact.energyPerOpPj
-                                     : 0.0);
-        }
-        ctx.series("frontier_latency_rel_error", lat_err);
-        ctx.series("frontier_energy_rel_error", energy_err);
-        double worst = 0;
-        for (double e : energy_err)
-            worst = std::max(worst, e);
-        ctx.metric("frontier_energy_rel_error_max", worst);
-        std::printf("\ntier %s: worst frontier energy error %.4f "
-                    "(declared envelope %.2f)\n",
-                    fidelityName(ctx.options().fidelity), worst,
-                    evalErrorBounds(ctx.options().fidelity).energyRel);
-    }
 
     size_t min_latency = minLatencyIndex(pts);
     size_t min_energy = minEnergyIndex(pts);

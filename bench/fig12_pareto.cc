@@ -7,7 +7,6 @@
  */
 
 #include <algorithm>
-#include <cmath>
 
 #include "harness.hh"
 #include "model/dse.hh"
@@ -28,12 +27,6 @@ main(int argc, char **argv)
     sopt.threads = ctx.threads();
     sopt.shards = std::max(4u, ctx.threads());
     sopt.cache = ctx.cache();
-    sopt.fidelity = ctx.options().fidelity;
-    // A fast tier turns this bench into the adaptive-refinement
-    // pipeline: coarse sweep, then cycle re-evaluation of only the
-    // margin-undominated neighborhood — the frontier below is then
-    // cycle-exact either way.
-    sopt.refine = sopt.fidelity != EvalFidelity::Cycle;
     DseSweepResult sweep = runDseSweep(sopt);
     const std::vector<DsePoint> &pts = sweep.points;
 
@@ -78,42 +71,6 @@ main(int argc, char **argv)
     ctx.series("shard_seconds", shard_seconds);
     ctx.series("shard_cache_hit_rate", shard_hit_rate);
     ctx.metric("frontier_size", static_cast<double>(frontier.size()));
-
-    if (sopt.refine) {
-        ctx.metric("cycle_evaluated_points",
-                   static_cast<double>(sweep.cycleEvaluatedPoints));
-        ctx.metric("refine_survivors",
-                   static_cast<double>(sweep.refineSurvivors));
-        double reduction = sweep.cycleEvaluatedPoints
-                               ? static_cast<double>(pts.size()) /
-                                     static_cast<double>(
-                                         sweep.cycleEvaluatedPoints)
-                               : static_cast<double>(pts.size());
-        ctx.metric("cycle_eval_reduction_x", reduction);
-        std::printf("\nrefinement (%s tier): %zu of %zu points "
-                    "cycle-evaluated (%.1fx reduction)\n",
-                    fidelityName(sopt.fidelity),
-                    sweep.cycleEvaluatedPoints, pts.size(), reduction);
-
-        // Tier-error series over the (cycle-exact) frontier: the fast
-        // tiers are static estimates, so re-estimating each frontier
-        // point costs one compile-cache hit, not a simulation.
-        Evaluator fast(sopt.fidelity);
-        std::vector<WorkloadSpec> suite = smallSuite();
-        std::vector<double> energy_err;
-        for (size_t i : frontier) {
-            const DsePoint &exact = pts[i];
-            DsePoint est = evaluateDesign(
-                exact.cfg, suite, exact.workloadScale,
-                sopt.space.seed, exact.cores, ctx.cache(), nullptr,
-                &fast);
-            if (est.feasible && exact.energyPerOpPj > 0)
-                energy_err.push_back(
-                    std::abs(est.energyPerOpPj - exact.energyPerOpPj) /
-                    exact.energyPerOpPj);
-        }
-        ctx.series("frontier_energy_rel_error", energy_err);
-    }
 
     if (min_edp == kDseNpos) {
         std::printf("\nno feasible design point in the sweep\n");

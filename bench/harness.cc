@@ -145,14 +145,6 @@ parseOptions(int argc, char **argv, double default_scale)
             o.cacheDir = a + 12;
         } else if (std::strcmp(a, "--no-cache") == 0) {
             o.noCache = true;
-        } else if (std::strncmp(a, "--fidelity=", 11) == 0) {
-            if (!parseFidelityName(a + 11, o.fidelity)) {
-                std::fprintf(stderr,
-                             "invalid value '%s' for --fidelity "
-                             "(expected %s)\n",
-                             a + 11, kFidelityChoicesHelp);
-                std::exit(2);
-            }
         } else if (std::strncmp(a, "--ranks=", 8) == 0) {
             if (!parseUint32Arg(a + 8, o.ranks) || o.ranks < 1) {
                 std::fprintf(stderr,
@@ -206,7 +198,7 @@ parseOptions(int argc, char **argv, double default_scale)
                          "usage: bench [--scale=<f>] [--full] "
                          "[--quick] [--json=<file>] [--threads=N] "
                          "[--cache-dir=<dir>] [--no-cache] "
-                         "[--fidelity=<tier>] [--ranks=N] "
+                         "[--ranks=N] "
                          "[--xfer-gbps=<v|inf>] "
                          "[--placement=<policy>] "
                          "[--matrix=<file.mtx>] "

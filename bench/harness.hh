@@ -32,7 +32,6 @@
 #include "compiler/cache.hh"
 #include "compiler/compiler.hh"
 #include "model/energy.hh"
-#include "model/evaluator.hh"
 #include "sim/machine.hh"
 #include "support/table.hh"
 #include "workloads/suite.hh"
@@ -102,11 +101,6 @@ struct Options
     std::string cacheDir;  ///< --cache-dir=<dir>: on-disk spill.
     bool noCache = false;  ///< --no-cache: disable the program cache.
 
-    /** --fidelity=<tier>: evaluation tier for benches that honor it
-     *  (fig11_dse, fig12_pareto, serve_latency); others accept and
-     *  ignore the flag so sweep scripts can pass it uniformly. */
-    EvalFidelity fidelity = EvalFidelity::Cycle;
-
     /** Fleet flags, honored by the benches that model a fleet
      *  (serve_latency); others accept and ignore them. The defaults
      *  (--ranks=1 --xfer-gbps=inf) reproduce pre-fleet behavior
@@ -128,14 +122,13 @@ struct Options
 
 /**
  * Parse `--scale=<f> --full --quick --json=<file> --threads=N
- * --cache-dir=<dir> --no-cache --fidelity=<tier> --ranks=N
- * --xfer-gbps=<v|inf> --placement=<policy>`. `--quick` divides
- * the default scale by 10 unless an explicit `--scale`/`--full`
- * overrides it. Unknown flags are fatal (exit 1) so CI catches typos;
- * invalid values (`--threads=0`, `--threads=abc`, `--scale=x`,
- * `--fidelity=bogus`, `--ranks=0`, `--xfer-gbps=junk`,
- * `--placement=bogus`) are rejected with exit 2 instead of being
- * silently clamped.
+ * --cache-dir=<dir> --no-cache --ranks=N --xfer-gbps=<v|inf>
+ * --placement=<policy>`. `--quick` divides the default scale by 10
+ * unless an explicit `--scale`/`--full` overrides it. Unknown flags
+ * are fatal (exit 1) so CI catches typos; invalid values
+ * (`--threads=0`, `--threads=abc`, `--scale=x`, `--ranks=0`,
+ * `--xfer-gbps=junk`, `--placement=bogus`) are rejected with exit 2
+ * instead of being silently clamped.
  */
 Options parseOptions(int argc, char **argv, double default_scale);
 

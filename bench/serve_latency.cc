@@ -101,8 +101,7 @@ struct FleetSettings
 FleetSettings fleetSettings;
 
 AsyncServerConfig
-serverConfig(uint32_t workers, size_t queue_depth = 0,
-             EvalFidelity fidelity = EvalFidelity::Analytic)
+serverConfig(uint32_t workers, size_t queue_depth = 0)
 {
     AsyncServerConfig cfg;
     cfg.cores = 4; // the paper's deployed system (per rank)
@@ -110,7 +109,6 @@ serverConfig(uint32_t workers, size_t queue_depth = 0,
     cfg.batchWindow = std::chrono::microseconds(200);
     cfg.workers = workers;
     cfg.queueDepth = queue_depth;
-    cfg.admissionFidelity = fidelity;
     cfg.ranks = fleetSettings.ranks;
     cfg.transfer = fleetSettings.transfer;
     cfg.placement = fleetSettings.placement;
@@ -247,11 +245,10 @@ openLoopDrive(size_t n_requests, double arrival_rate_hz, uint64_t seed,
  *  accepted (unbounded queue). */
 ModeResult
 runOpenLoop(std::vector<ResidentWorkload> &wl, uint32_t workers,
-            size_t n_requests, double arrival_rate_hz,
-            EvalFidelity fidelity)
+            size_t n_requests, double arrival_rate_hz)
 {
     ModeResult out;
-    AsyncBatchServer server(serverConfig(workers, 0, fidelity));
+    AsyncBatchServer server(serverConfig(workers));
     for (auto &w : wl)
         w.handle = server.addProgram(w.prog);
 
@@ -337,16 +334,14 @@ struct MixedResult
 MixedResult
 runMixedOpenLoop(std::vector<ResidentWorkload> &wl, uint32_t workers,
                  size_t n_requests, double arrival_rate_hz,
-                 const QosFlags &flags, bool qos,
-                 EvalFidelity fidelity)
+                 const QosFlags &flags, bool qos)
 {
     MixedResult out;
-    AsyncServerConfig scfg =
-        serverConfig(workers, flags.queueDepth, fidelity);
-    // Under a fast tier the QoS run also gates admission on the
-    // model's service-time prediction (reject what cannot make its
-    // deadline even on an empty server).
-    scfg.predictiveAdmission = qos && fidelity != EvalFidelity::Cycle;
+    AsyncServerConfig scfg = serverConfig(workers, flags.queueDepth);
+    // The QoS run also gates admission on the model's service-time
+    // prediction (reject what cannot make its deadline even on an
+    // empty server).
+    scfg.predictiveAdmission = qos;
     AsyncBatchServer server(scfg);
     for (size_t i = 0; i < wl.size(); ++i) {
         QosSpec spec; // default: batch class, shared cores
@@ -674,9 +669,7 @@ main(int argc, char **argv)
         48, static_cast<size_t>(600.0 * ctx.scale()));
     size_t clients = std::max<size_t>(2, 2 * workers);
 
-    EvalFidelity fidelity = ctx.options().fidelity;
-    ModeResult open =
-        runOpenLoop(wl, workers, n_requests, arrival_rate, fidelity);
+    ModeResult open = runOpenLoop(wl, workers, n_requests, arrival_rate);
     ModeResult closed =
         runClosedLoop(wl, workers, n_requests, clients);
 
@@ -693,11 +686,9 @@ main(int argc, char **argv)
     double mixed_rate = 2.0 * capacity_rps;
     size_t mixed_requests = std::max<size_t>(n_requests, 400);
     MixedResult mixed_qos = runMixedOpenLoop(
-        wl, workers, mixed_requests, mixed_rate, qflags, true,
-        fidelity);
+        wl, workers, mixed_requests, mixed_rate, qflags, true);
     MixedResult mixed_fifo = runMixedOpenLoop(
-        wl, workers, mixed_requests, mixed_rate, qflags, false,
-        fidelity);
+        wl, workers, mixed_requests, mixed_rate, qflags, false);
 
     TablePrinter t({"mode", "requests", "req/s", "p50 us", "p95 us",
                     "p99 us", "mean batch"});
@@ -716,7 +707,7 @@ main(int argc, char **argv)
     ctx.metric("qos_deadline_dispatches",
                static_cast<double>(mixed_qos.stats.deadlineDispatches));
 
-    // Admission-estimate error: fast-tier predicted vs actual batch
+    // Admission-estimate error: static predicted vs actual batch
     // service time, from the open-loop run (the clean, unsaturated
     // service measurement). Predictions start once the server has
     // calibrated its cycle->microsecond rate on the first batch.
@@ -743,11 +734,10 @@ main(int argc, char **argv)
         ctx.metric("qos_predicted_deadline_rejections",
                    static_cast<double>(
                        mixed_qos.stats.predictedDeadlineRejections));
-        ctx.note("fidelity", fidelityName(fidelity));
-        std::printf("\nAdmission estimates (%s tier): %zu samples, "
+        std::printf("\nAdmission estimates: %zu samples, "
                     "mean |rel error| %.3f; predictive rejections "
                     "%llu.\n",
-                    fidelityName(fidelity), rel_err.size(), mean_err,
+                    rel_err.size(), mean_err,
                     static_cast<unsigned long long>(
                         mixed_qos.stats.predictedDeadlineRejections));
     }

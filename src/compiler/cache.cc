@@ -509,27 +509,26 @@ ProgramCache::insert(const Dag &dag, const ArchConfig &cfg,
 
 namespace {
 
-/** Memo key: program key + tier tag + core count. */
+/** Memo key: program key + core count. */
 std::string
-evalMemoKey(const std::string &key, uint8_t fidelity, uint32_t cores)
+evalMemoKey(const std::string &key, uint32_t cores)
 {
-    return key + "|f" + std::to_string(fidelity) + "|c" +
-           std::to_string(cores);
+    return key + "|c" + std::to_string(cores);
 }
 
-/** Memo growth bound: far above any sweep's (points x workloads x
- *  tiers) footprint, small enough that a runaway caller cannot eat
- *  the heap. */
+/** Memo growth bound: far above any sweep's (points x workloads)
+ *  footprint, small enough that a runaway caller cannot eat the
+ *  heap. */
 constexpr size_t kMaxEvalMemoEntries = 1 << 16;
 
 } // namespace
 
 bool
-ProgramCache::lookupEvalStats(const std::string &key, uint8_t fidelity,
-                              uint32_t cores, SimStats &out) const
+ProgramCache::lookupEvalStats(const std::string &key, uint32_t cores,
+                              SimStats &out) const
 {
     std::lock_guard<std::mutex> lock(mutex);
-    auto it = evalMemo.find(evalMemoKey(key, fidelity, cores));
+    auto it = evalMemo.find(evalMemoKey(key, cores));
     // The counters are logically mutable cache bookkeeping.
     auto &c = const_cast<ProgramCache *>(this)->counters;
     if (it == evalMemo.end()) {
@@ -542,13 +541,13 @@ ProgramCache::lookupEvalStats(const std::string &key, uint8_t fidelity,
 }
 
 void
-ProgramCache::storeEvalStats(const std::string &key, uint8_t fidelity,
-                             uint32_t cores, const SimStats &stats)
+ProgramCache::storeEvalStats(const std::string &key, uint32_t cores,
+                             const SimStats &stats)
 {
     std::lock_guard<std::mutex> lock(mutex);
     if (evalMemo.size() >= kMaxEvalMemoEntries)
         return;
-    evalMemo[evalMemoKey(key, fidelity, cores)] = stats;
+    evalMemo[evalMemoKey(key, cores)] = stats;
 }
 
 ProgramCache::Stats

@@ -195,21 +195,19 @@ class ProgramCache
                 const CompiledProgram &prog);
 
     /**
-     * Memoized per-tier evaluation results. Simulated (or estimated)
-     * event counts are input-value-independent, so a (program key,
-     * fidelity tier, core count) triple pins the SimStats exactly;
-     * the DSE engine uses this to skip re-simulating a design point
-     * it has already evaluated at the same tier. The tier is a plain
-     * numeric tag (EvalFidelity's underlying value) so this layer
-     * stays below model/evaluator.
+     * Memoized evaluation results. Simulated event counts do not
+     * depend on input values (Sim.StatsDoNotDependOnInputValues pins
+     * it), so a (program key, core count) pair pins the SimStats
+     * exactly; the DSE engine uses this to skip re-simulating a
+     * design point it has already evaluated.
      */
-    bool lookupEvalStats(const std::string &key, uint8_t fidelity,
-                         uint32_t cores, SimStats &out) const;
+    bool lookupEvalStats(const std::string &key, uint32_t cores,
+                         SimStats &out) const;
 
     /** Memoize an evaluation result (bounded; silently drops new
      *  entries once the memo is full). */
-    void storeEvalStats(const std::string &key, uint8_t fidelity,
-                        uint32_t cores, const SimStats &stats);
+    void storeEvalStats(const std::string &key, uint32_t cores,
+                        const SimStats &stats);
 
     /** Aggregate counters since construction. */
     struct Stats

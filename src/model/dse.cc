@@ -1,7 +1,6 @@
 #include "model/dse.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -57,12 +56,9 @@ DsePoint
 evaluatePrepared(const ArchConfig &cfg,
                  const std::vector<PreparedWorkload> &suite, double scale,
                  uint64_t seed, uint32_t cores, ProgramCache *cache,
-                 DseEvalCost *cost, const Evaluator *evaluator,
-                 uint32_t fleet_ranks, const HostTransferModel &transfer,
-                 bool verify)
+                 DseEvalCost *cost, uint32_t fleet_ranks,
+                 const HostTransferModel &transfer, bool verify)
 {
-    const EvalFidelity fid =
-        evaluator ? evaluator->fidelity() : EvalFidelity::Cycle;
     if (fleet_ranks < 1)
         fleet_ranks = 1;
 
@@ -71,7 +67,6 @@ evaluatePrepared(const ArchConfig &cfg,
     point.workloadScale = scale;
     point.cores = cores;
     point.areaMm2 = areaOf(cfg).total;
-    point.fidelity = fid;
     point.fleetRanks = fleet_ranks;
 
     Summary lat, epo, gops, watts, xfer_ns;
@@ -87,8 +82,7 @@ evaluatePrepared(const ArchConfig &cfg,
                          : compile(dag, cfg, opt);
         } catch (const FatalError &) {
             // Register file too small for this workload: the design
-            // point cannot run the suite. Tier-independent: the
-            // compile, not the evaluation, makes this call.
+            // point cannot run the suite.
             point.feasible = false;
             return point;
         }
@@ -99,72 +93,51 @@ evaluatePrepared(const ArchConfig &cfg,
         }
 
         SimStats stats;
-        uint64_t operations = prog.stats.numOperations;
-
-        // Event counts are input-value-independent, so a (program,
-        // tier, cores) triple pins them exactly and the cache can
-        // memoize across repeated evaluations of the same point.
+        // Event counts do not depend on input values
+        // (Sim.StatsDoNotDependOnInputValues), so a (program, cores)
+        // pair pins them exactly and the cache can memoize across
+        // repeated evaluations of the same point.
         std::string memo_key;
         bool memoized = false;
         if (cache) {
             memo_key = programCacheKey(dag.sourceHash, cfg, opt);
-            memoized = cache->lookupEvalStats(
-                memo_key, static_cast<uint8_t>(fid), cores, stats);
+            memoized = cache->lookupEvalStats(memo_key, cores, stats);
         }
-        if (!memoized && fid != EvalFidelity::Cycle) {
-            stats = cores <= 1
-                        ? evaluator->estimate(prog)
-                        : evaluator->estimateBatch(prog, cores, cores);
-        } else if (!memoized && cores <= 1) {
+        if (!memoized) {
             Rng rng(seed + w.seed);
             std::vector<double> inputs(dag.numInputs);
             for (double &x : inputs)
                 x = 0.5 + rng.uniform();
             stats = Machine(prog).run(inputs).stats;
-        } else if (!memoized) {
-            // Multi-core axis: a `cores`-input batch on a
-            // BatchMachine; wall cycles set the latency, the summed
-            // event counts set the energy.
-            Rng rng(seed + w.seed);
-            std::vector<std::vector<double>> batch(cores);
-            for (auto &inputs : batch) {
-                inputs.resize(dag.numInputs);
-                for (double &x : inputs)
-                    x = 0.5 + rng.uniform();
+            if (cores > 1) {
+                // Multi-core axis: a `cores`-input batch, one run per
+                // core. Every run counts the same events, and the
+                // batch's wall cycles set the latency.
+                stats.cycles = batchWallCycles(prog, cores, cores);
+                for (uint64_t &k : stats.kindCount)
+                    k *= cores;
+                stats.bankReads *= cores;
+                stats.bankWrites *= cores;
+                stats.peOperations *= cores;
+                stats.pePassThroughs *= cores;
+                stats.crossbarTransfers *= cores;
+                stats.memReads *= cores;
+                stats.memWrites *= cores;
+                stats.instrBitsFetched *= cores;
             }
-            BatchResult br =
-                BatchMachine(prog, cores, operations, 1).run(batch);
-            stats.cycles = br.wallCycles;
-            for (const SimResult &run : br.runs) {
-                const SimStats &s = run.stats;
-                for (size_t k = 0; k < s.kindCount.size(); ++k)
-                    stats.kindCount[k] += s.kindCount[k];
-                stats.bankReads += s.bankReads;
-                stats.bankWrites += s.bankWrites;
-                stats.peOperations += s.peOperations;
-                stats.pePassThroughs += s.pePassThroughs;
-                stats.crossbarTransfers += s.crossbarTransfers;
-                stats.memReads += s.memReads;
-                stats.memWrites += s.memWrites;
-                stats.instrBitsFetched += s.instrBitsFetched;
-                stats.peakLiveRegisters = std::max(
-                    stats.peakLiveRegisters, s.peakLiveRegisters);
-            }
+            if (cache)
+                cache->storeEvalStats(memo_key, cores, stats);
         }
-        if (cache && !memoized)
-            cache->storeEvalStats(memo_key, static_cast<uint8_t>(fid),
-                                  cores, stats);
-        if (cores > 1)
-            operations *= cores;
+        const uint64_t runs = cores > 1 ? cores : 1;
+        const uint64_t operations = prog.stats.numOperations * runs;
 
         // Host↔rank transfer: the link serializes the dispatch's
         // input/output payload before the cores compute, extending
-        // the wall clock identically at every tier (the cost is
-        // static — see HostTransferModel). The memoized stats above
-        // stay transfer-free, so one cache entry serves any model.
-        uint64_t runs = cores > 1 ? cores : 1;
+        // the wall clock (the cost is static — see
+        // HostTransferModel). The memoized stats above stay
+        // transfer-free, so one cache entry serves any model.
         uint64_t xfer =
-            Evaluator::batchTransferCycles(prog, runs, transfer);
+            transfer.batchCycles(hostTransferBytes(prog), runs);
         stats.transferCycles = xfer;
         stats.cycles += xfer;
 
@@ -194,13 +167,12 @@ DsePoint
 evaluateDesign(const ArchConfig &cfg,
                const std::vector<WorkloadSpec> &suite, double scale,
                uint64_t seed, uint32_t cores, ProgramCache *cache,
-               DseEvalCost *cost, const Evaluator *evaluator,
-               uint32_t fleet_ranks, const HostTransferModel &transfer,
-               bool verify)
+               DseEvalCost *cost, uint32_t fleet_ranks,
+               const HostTransferModel &transfer, bool verify)
 {
     return evaluatePrepared(cfg, prepareSuite(suite, scale, 1), scale,
-                            seed, cores, cache, cost, evaluator,
-                            fleet_ranks, transfer, verify);
+                            seed, cores, cache, cost, fleet_ranks,
+                            transfer, verify);
 }
 
 // ---------------------------------------------------------------- //
@@ -364,7 +336,7 @@ dseJournalPointLine(size_t index, const DsePoint &p)
        << ", \"area_mm2\": " << jsonDouble(p.areaMm2)
        << ", \"power_watts\": " << jsonDouble(p.powerWatts)
        << ", \"throughput_gops\": " << jsonDouble(p.throughputGops)
-       << ", \"fidelity\": " << jsonString(fidelityName(p.fidelity));
+       << ", \"fidelity\": \"cycle\"";
     // Fleet fields only when non-default: pre-fleet sweeps keep
     // emitting byte-identical lines (golden-pinned in test_dse.cc).
     if (p.fleetRanks != 1)
@@ -397,14 +369,14 @@ parseDseJournalPointLine(const std::string &line, size_t &index,
         !obj.getDouble("power_watts", p.powerWatts) ||
         !obj.getDouble("throughput_gops", p.throughputGops))
         return false;
-    // Journals written before the tiered evaluator carry no fidelity
-    // field: those lines are cycle-accurate by construction, so the
-    // absent field reads as Cycle. A *present but unknown* tier name
-    // is a torn/foreign line, not a default.
+    // Every point is simulated, and its line says so with "cycle".
+    // Journals from before the tag existed carry none; their points
+    // were simulated too. Any other tag (the estimated "table" and
+    // "analytic" points of older sweeps, or a torn or foreign line)
+    // is not a point this sweep would produce, so it is recomputed.
     if (obj.has("fidelity")) {
-        std::string name;
-        if (!obj.getString("fidelity", name) ||
-            !parseFidelityName(name.c_str(), p.fidelity))
+        std::string tag;
+        if (!obj.getString("fidelity", tag) || tag != "cycle")
             return false;
     }
     // Fleet fields are optional (emitted only when non-default);
@@ -511,37 +483,10 @@ runDseSweep(const DseSweepOptions &options)
         space.suite.empty() ? smallSuite() : space.suite;
     const std::vector<DseGridPoint> grid = expandDseGrid(space);
     const std::string signature = dseSpaceSignature(space);
-    const EvalFidelity fid = options.fidelity;
-
-    if (options.refine && fid == EvalFidelity::Cycle)
-        dpu_fatal("DSE refinement sweeps coarse with a fast tier "
-                  "first; --fidelity=cycle leaves nothing to refine "
-                  "(drop refinement or pick table/analytic)");
-    const double refine_err = options.refineErrorBound >= 0
-                                  ? options.refineErrorBound
-                                  : dseDefaultRefineError(fid);
-    if (options.refine && refine_err >= 1.0)
-        dpu_fatal("DSE refinement error bound must be < 1 (a relative "
-                  "energy error that large leaves no interval to "
-                  "decide with)");
-
-    const Evaluator evaluator = options.table
-                                    ? Evaluator(fid, *options.table)
-                                    : Evaluator(fid);
-    const Evaluator cycle_evaluator{EvalFidelity::Cycle};
 
     DseSweepResult result;
     result.points.resize(grid.size());
     std::vector<char> have(grid.size(), 0);
-
-    // Cycle-tier journal entries held back for the refinement phase:
-    // phase 1 always works with fast-tier values (so the survivor
-    // selection is identical with or without a resume), but a
-    // survivor whose cycle re-evaluation is already journaled is not
-    // recomputed.
-    std::vector<char> have_cycle(grid.size(), 0);
-    std::vector<DsePoint> cycle_resume(
-        options.refine ? grid.size() : 0);
 
     const bool journaling = !options.journalPath.empty();
     if (options.resume && !journaling)
@@ -559,18 +504,10 @@ runDseSweep(const DseSweepOptions &options)
                 if (index >= grid.size() ||
                     !matchesGridPoint(p, grid[index]))
                     continue;
-                if (p.fidelity == fid) {
-                    if (!have[index])
-                        ++result.resumedPoints;
-                    result.points[index] = p;
-                    have[index] = 1;
-                } else if (options.refine &&
-                           p.fidelity == EvalFidelity::Cycle) {
-                    cycle_resume[index] = p;
-                    have_cycle[index] = 1;
-                }
-                // Entries at any other tier belong to a different
-                // run mode; recomputing is always safe.
+                if (!have[index])
+                    ++result.resumedPoints;
+                result.points[index] = p;
+                have[index] = 1;
             }
         } else if (std::ifstream(options.journalPath)) {
             // The path exists but is not a journal (bad header):
@@ -591,15 +528,9 @@ runDseSweep(const DseSweepOptions &options)
         // before we start appending.
         std::ostringstream os;
         os << dseJournalHeaderLine(signature, grid.size()) << "\n";
-        for (size_t i = 0; i < grid.size(); ++i) {
+        for (size_t i = 0; i < grid.size(); ++i)
             if (have[i])
                 os << dseJournalPointLine(i, result.points[i]) << "\n";
-            // Keep resumed cycle refinements too: if this run is
-            // killed before its own refinement phase re-appends
-            // them, the next resume can still reuse them.
-            if (i < have_cycle.size() && have_cycle[i])
-                os << dseJournalPointLine(i, cycle_resume[i]) << "\n";
-        }
         writeFileAtomically(options.journalPath, os.str());
         journal.open(options.journalPath, std::ios::app);
         if (!journal)
@@ -612,35 +543,13 @@ runDseSweep(const DseSweepOptions &options)
     // scale are evaluated, and every point there compiles from those
     // read-only DAGs. Points are evaluated one scale at a time, so
     // only one scale's DAGs are resident; a scale with nothing left to
-    // evaluate (a resumed sweep) is never prepared. Refinement walks
-    // the scales again, so a multi-scale refined sweep prepares all
-    // but its last scale twice.
+    // evaluate (a resumed sweep) is never prepared.
     // Distinct values only: a repeated scale must not evaluate its
     // points twice.
     std::vector<double> scales = effectiveScales(space);
     std::sort(scales.begin(), scales.end());
     scales.erase(std::unique(scales.begin(), scales.end()), scales.end());
     std::vector<PreparedWorkload> prepared; // the current scale's suite
-    double prepared_scale = 0;              // scales are > 0
-    auto prepare = [&](double scale) {
-        if (scale == prepared_scale)
-            return;
-        auto start = std::chrono::steady_clock::now();
-        prepared.clear(); // release the previous scale first
-        prepared = prepareSuite(suite, scale, options.threads);
-        prepared_scale = scale;
-        result.prepareSeconds +=
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-    };
-    auto evaluate = [&](size_t i, DseEvalCost *cost,
-                        const Evaluator *tier) {
-        return evaluatePrepared(grid[i].cfg, prepared, grid[i].scale,
-                                space.seed, grid[i].cores, options.cache,
-                                cost, tier, space.fleetRanks,
-                                space.transfer, options.verify);
-    };
 
     const std::vector<DseShard> shards =
         planDseShards(grid.size(), options.shards);
@@ -658,7 +567,13 @@ runDseSweep(const DseSweepOptions &options)
             any = pending(i);
         if (!any)
             continue;
-        prepare(scale);
+        auto prepare_start = std::chrono::steady_clock::now();
+        prepared.clear(); // release the previous scale first
+        prepared = prepareSuite(suite, scale, options.threads);
+        result.prepareSeconds +=
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - prepare_start)
+                .count();
         parallelFor(shards.size(), options.threads, [&](size_t s) {
             auto start = std::chrono::steady_clock::now();
             DseShardReport &report = result.shardReports[s];
@@ -668,7 +583,10 @@ runDseSweep(const DseSweepOptions &options)
                 DseEvalCost cost;
                 // Each slot is written by exactly one shard, so the
                 // grid-order merge needs no synchronization.
-                result.points[i] = evaluate(i, &cost, &evaluator);
+                result.points[i] = evaluatePrepared(
+                    grid[i].cfg, prepared, scale, space.seed,
+                    grid[i].cores, options.cache, &cost,
+                    space.fleetRanks, space.transfer, options.verify);
                 ++report.evaluated;
                 report.compiles += cost.compiles;
                 report.cacheHits += cost.cacheHits;
@@ -690,63 +608,6 @@ runDseSweep(const DseSweepOptions &options)
                                   start)
                                   .count();
         });
-    }
-
-    size_t phase1_evaluated = 0;
-    for (const DseShardReport &r : result.shardReports)
-        phase1_evaluated += r.evaluated;
-    if (fid == EvalFidelity::Cycle)
-        result.cycleEvaluatedPoints += phase1_evaluated;
-    else
-        result.fastEvaluatedPoints += phase1_evaluated;
-
-    if (options.refine) {
-        // Phase 2: cycle re-evaluation of the Pareto neighborhood.
-        // The survivor set is computed from the (deterministic)
-        // fast-tier points, so it is identical for every thread /
-        // shard count and across resume boundaries.
-        std::vector<size_t> survivors =
-            dseRefineSurvivors(result.points, refine_err);
-        result.refineSurvivors = survivors.size();
-        std::atomic<size_t> cycle_evals{0};
-        std::atomic<size_t> cycle_resumed{0};
-        // Last scale first: phase 1 left its suite prepared.
-        for (size_t at = scales.size(); at-- > 0;) {
-            const double scale = scales[at];
-            std::vector<size_t> todo;
-            bool compiles = false;
-            for (size_t i : survivors)
-                if (grid[i].scale == scale) {
-                    todo.push_back(i);
-                    compiles = compiles || !have_cycle[i];
-                }
-            if (compiles)
-                prepare(scale);
-            parallelFor(todo.size(), options.threads, [&](size_t k) {
-                size_t i = todo[k];
-                if (have_cycle[i]) {
-                    result.points[i] = cycle_resume[i];
-                    ++cycle_resumed;
-                } else {
-                    result.points[i] =
-                        evaluate(i, nullptr, &cycle_evaluator);
-                    ++cycle_evals;
-                }
-                if (journaling) {
-                    std::lock_guard<std::mutex> lock(journal_mutex);
-                    journal << dseJournalPointLine(i, result.points[i])
-                            << "\n";
-                    journal.flush();
-                    if (!journal)
-                        dpu_fatal("failed writing DSE journal '" +
-                                  options.journalPath +
-                                  "' (disk full?); checkpoints would "
-                                  "be silently lost");
-                }
-            });
-        }
-        result.cycleEvaluatedPoints += cycle_evals;
-        result.resumedPoints += cycle_resumed;
     }
 
     if (journaling) {
@@ -787,67 +648,6 @@ dseDominates(const DsePoint &a, const DsePoint &b)
                   a.energyPerOpPj < b.energyPerOpPj ||
                   a.areaMm2 < b.areaMm2;
     return no_worse && better;
-}
-
-bool
-dseMaybeDominates(const DsePoint &a, const DsePoint &b, double err)
-{
-    if (!a.feasible || !b.feasible)
-        return false;
-    if (a.latencyPerOpNs > b.latencyPerOpNs || a.areaMm2 > b.areaMm2)
-        return false;
-    // Best case for a: its energy at the interval floor, b's at the
-    // ceiling. The strictness clause matters only for exact ties in
-    // all three metrics (then no energy assignment dominates).
-    double a_lo = a.energyPerOpPj / (1.0 + err);
-    double b_hi = b.energyPerOpPj / (1.0 - err);
-    if (a_lo > b_hi)
-        return false;
-    return a.latencyPerOpNs < b.latencyPerOpNs ||
-           a.areaMm2 < b.areaMm2 || a_lo < b_hi;
-}
-
-bool
-dseCertainlyDominates(const DsePoint &a, const DsePoint &b, double err)
-{
-    if (!a.feasible || !b.feasible)
-        return false;
-    if (a.latencyPerOpNs > b.latencyPerOpNs || a.areaMm2 > b.areaMm2)
-        return false;
-    // Worst case for a: its energy at the interval ceiling, b's at
-    // the floor. a_hi <= b_lo is a.energy <= (1-m) * b.energy with
-    // m = 2*err/(1+err).
-    double a_hi = a.energyPerOpPj / (1.0 - err);
-    double b_lo = b.energyPerOpPj / (1.0 + err);
-    if (a_hi > b_lo)
-        return false;
-    return a.latencyPerOpNs < b.latencyPerOpNs ||
-           a.areaMm2 < b.areaMm2 || a_hi < b_lo;
-}
-
-std::vector<size_t>
-dseRefineSurvivors(const std::vector<DsePoint> &points, double err)
-{
-    // A pair the intervals cannot decide contaminates both ends:
-    // resolving b's membership needs the true energy of every a that
-    // might dominate it, and vice versa.
-    std::vector<uint8_t> uncertain(points.size(), 0);
-    for (size_t i = 0; i < points.size(); ++i)
-        for (size_t j = 0; j < points.size(); ++j)
-            if (i != j && dseMaybeDominates(points[i], points[j], err) &&
-                !dseCertainlyDominates(points[i], points[j], err))
-                uncertain[i] = uncertain[j] = 1;
-    std::vector<size_t> survivors;
-    for (size_t i = 0; i < points.size(); ++i)
-        if (uncertain[i])
-            survivors.push_back(i);
-    return survivors;
-}
-
-double
-dseDefaultRefineError(EvalFidelity fidelity)
-{
-    return evalErrorBounds(fidelity).energyRel;
 }
 
 std::vector<size_t>

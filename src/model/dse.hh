@@ -38,9 +38,9 @@
 #include <vector>
 
 #include "arch/config.hh"
+#include "arch/topology.hh"
 #include "compiler/cache.hh"
 #include "model/energy.hh"
-#include "model/evaluator.hh"
 #include "workloads/suite.hh"
 
 namespace dpu {
@@ -62,11 +62,6 @@ struct DsePoint
     double powerWatts = 0;
     double throughputGops = 0;
     bool feasible = true; ///< False if some workload failed to fit.
-
-    /** Evaluation tier that produced the metrics. Feasibility is
-     *  tier-independent (it is decided by the compile); the metric
-     *  error envelope is the tier's (see evalErrorBounds). */
-    EvalFidelity fidelity = EvalFidelity::Cycle;
 
     /** Fleet shape the point was evaluated under (DseOptions::
      *  fleetRanks) and the host-transfer share of latencyPerOpNs.
@@ -103,8 +98,8 @@ struct DseOptions
     uint32_t fleetRanks = 1;
 
     /** Host↔rank transfer model charged per dispatch; its cycles
-     *  extend every tier's latency identically (the cost is static).
-     *  The default free model reproduces pre-fleet metrics. */
+     *  extend the latency (the cost is static). The default free
+     *  model reproduces pre-fleet metrics. */
     HostTransferModel transfer{};
 };
 
@@ -163,14 +158,14 @@ struct DseEvalCost
 };
 
 /**
- * Evaluate one configuration over the suite (averaged). With
- * cores > 1 each workload runs a `cores`-input batch on a
- * BatchMachine, so latency/op reflects multi-core wall cycles.
- * Marks the point infeasible (instead of throwing) when a workload
- * fails to fit. `cache`, when given, serves repeated compiles and
- * memoizes per-tier evaluation stats; `cost`, when given,
- * accumulates compile/cache counters. `evaluator` selects the
- * evaluation tier (nullptr = cycle-accurate).
+ * Evaluate one configuration over the suite (averaged), simulating
+ * one run of each workload. With cores > 1 each workload counts as a
+ * `cores`-input batch: its event counters scale by `cores` (they do
+ * not depend on input values) and its latency is the batch's wall
+ * cycles (batchWallCycles). Marks the point infeasible (instead of
+ * throwing) when a workload fails to fit. `cache`, when given, serves
+ * repeated compiles and memoizes the simulated stats; `cost`, when
+ * given, accumulates compile/cache counters.
  *
  * Builds and prepares the suite at `scale` itself, then runs the same
  * point evaluator runDseSweep runs against its once-per-sweep suite,
@@ -182,7 +177,6 @@ DsePoint evaluateDesign(const ArchConfig &cfg,
                         uint32_t cores = 1,
                         ProgramCache *cache = nullptr,
                         DseEvalCost *cost = nullptr,
-                        const Evaluator *evaluator = nullptr,
                         uint32_t fleet_ranks = 1,
                         const HostTransferModel &transfer = {},
                         bool verify = false);
@@ -197,11 +191,16 @@ std::string dseJournalHeaderLine(const std::string &space,
 
 /** One completed point as a flat JSON object on a single line.
  *  Doubles are printed shortest-round-trip, so a parsed point
- *  re-serializes byte-identically. */
+ *  re-serializes byte-identically. Every line carries a constant
+ *  `"fidelity": "cycle"` field, which keeps the format stable for
+ *  existing readers. */
 std::string dseJournalPointLine(size_t index, const DsePoint &point);
 
 /** Inverse of dseJournalPointLine(); false on a malformed line
- *  (e.g. a torn tail from a killed sweep). */
+ *  (e.g. a torn tail from a killed sweep). A `fidelity` tag other
+ *  than "cycle" (the estimated "table"/"analytic" points of older
+ *  journals) is false as well, so a resume recomputes that point; an
+ *  absent tag reads as "cycle". Never throws. */
 bool parseDseJournalPointLine(const std::string &line, size_t &index,
                               DsePoint &point);
 
@@ -245,30 +244,6 @@ struct DseSweepOptions
      *  compiles). Cache hits cannot change results — cached programs
      *  are byte-identical to fresh compiles. */
     ProgramCache *cache = nullptr;
-
-    /** Evaluation tier for the sweep (journaled per point). */
-    EvalFidelity fidelity = EvalFidelity::Cycle;
-
-    /**
-     * Adaptive refinement: sweep every point at `fidelity` (which
-     * must be a fast tier), then re-evaluate cycle-accurately only
-     * the Pareto neighborhood — the points whose frontier membership
-     * the fast values cannot decide within the tier's error envelope
-     * (see dseRefineSurvivors). The resulting frontier *membership*
-     * is exactly the cycle-accurate frontier whenever the fast tier
-     * honors its declared energy envelope, at a fraction of the
-     * cycle evaluations; certainly-on-frontier points keep their
-     * fast-tier metric values (journaled with their fidelity).
-     */
-    bool refine = false;
-
-    /** Assumed per-point relative energy error of the fast tier for
-     *  the survivor selection; negative = the tier's declared
-     *  envelope (dseDefaultRefineError). Must be < 1. */
-    double refineErrorBound = -1.0;
-
-    /** Explicit rate table for the Table tier (nullptr = builtin). */
-    const TableModel *table = nullptr;
 
     /** Run the static verifier (compiler/verify.hh) on every point
      *  compile. A verifier failure is a compiler bug and aborts the
@@ -317,18 +292,6 @@ struct DseSweepResult
 
     /** Points loaded from the journal instead of recomputed. */
     size_t resumedPoints = 0;
-
-    /** Cycle-accurate point evaluations computed this run (the whole
-     *  grid for a plain cycle sweep; only the refinement survivors
-     *  in refine mode — the quantity refinement exists to shrink). */
-    size_t cycleEvaluatedPoints = 0;
-
-    /** Fast-tier point evaluations computed this run. */
-    size_t fastEvaluatedPoints = 0;
-
-    /** Points selected for cycle re-evaluation in refine mode
-     *  (whether recomputed or resumed from the journal). */
-    size_t refineSurvivors = 0;
 };
 
 /** Run a sharded sweep (see the file header for the contract). */
@@ -346,40 +309,6 @@ std::vector<DsePoint> exploreDesignSpace(const DseOptions &options = {});
  *  area): no worse in all three, strictly better in at least one.
  *  Infeasible points neither dominate nor are comparable. */
 bool dseDominates(const DsePoint &a, const DsePoint &b);
-
-/**
- * Interval domination for the refinement selection. Latency and area
- * are exact at every tier (latency because the no-stall issue makes
- * cycles a compile-time quantity); only energy carries fast-tier
- * error, so with |fast - cycle| / cycle <= err the true energy lies
- * in [fast/(1+err), fast/(1-err)].
- *
- * dseMaybeDominates: `a` could dominate `b` at the cycle tier for
- * *some* energies in the intervals. dseCertainlyDominates: `a`
- * dominates `b` for *all* energies in the intervals (equivalently,
- * a.energy <= (1-m) * b.energy with m = 2*err/(1+err)). Maybe-but-
- * not-certain pairs are exactly the comparisons the fast tier cannot
- * decide.
- */
-bool dseMaybeDominates(const DsePoint &a, const DsePoint &b,
-                       double err);
-bool dseCertainlyDominates(const DsePoint &a, const DsePoint &b,
-                           double err);
-
-/**
- * Indices (ascending) of the refinement survivors: every feasible
- * point involved in at least one maybe-but-not-certain domination
- * pair. Re-evaluating exactly these points cycle-accurately makes
- * every remaining domination decision exact, so the frontier of the
- * mixed vector has exactly the cycle-accurate sweep's membership —
- * the untouched points' relations were already certain.
- */
-std::vector<size_t>
-dseRefineSurvivors(const std::vector<DsePoint> &points, double err);
-
-/** The default refinement error bound for a fast tier: its declared
- *  energy envelope (evalErrorBounds). */
-double dseDefaultRefineError(EvalFidelity fidelity);
 
 /** Indices (ascending) of the Pareto frontier over latency/energy/
  *  area among the feasible points. Empty when nothing is feasible. */

@@ -17,26 +17,16 @@ constexpr size_t kMaxServiceSamples = 1024;
 
 } // namespace
 
-bool
-AsyncBatchServer::fastPredictions() const
-{
-    // Cycle "fidelity" for admission means: don't predict — the only
-    // cycle-accurate service measurement is running the batch, which
-    // is exactly the pre-tier behavior.
-    return config.admissionFidelity != EvalFidelity::Cycle;
-}
-
 double
 AsyncBatchServer::predictedServiceUsLocked(const Resident &r,
                                            uint64_t runs,
                                            uint32_t cores) const
 {
-    if (!fastPredictions() || counters.usPerKilocycle <= 0 ||
-        runs == 0 || cores == 0)
+    if (counters.usPerKilocycle <= 0 || runs == 0 || cores == 0)
         return 0; // Uncalibrated (or degenerate): predictions inert.
-    uint64_t wall = Evaluator::batchWallCycles(r.prog, runs, cores);
+    uint64_t wall = batchWallCycles(r.prog, runs, cores);
     // The host link serializes before the cores compute, and its
-    // cost is statically exact at every tier (see HostTransferModel).
+    // cost is statically exact too (see HostTransferModel).
     wall += config.transfer.batchCycles(hostTransferBytes(r.prog), runs);
     return counters.usPerKilocycle * (double(wall) / 1000.0);
 }
@@ -267,8 +257,7 @@ AsyncBatchServer::trySubmit(ProgramHandle handle,
             out.admission = Admission::RejectedDeadline;
             return out;
         }
-        if (has_deadline && config.predictiveAdmission &&
-            fastPredictions()) {
+        if (has_deadline && config.predictiveAdmission) {
             // Dead-on-arrival by prediction: even a lone-request
             // batch dispatched immediately would finish past the
             // deadline. The static wall-cycle count is exact; only
@@ -415,20 +404,17 @@ AsyncBatchServer::batcherMain()
                 }
                 if (have_deadline) {
                     // Deadline lead: the historical per-program EWMA,
-                    // raised to the fast-tier model prediction for
-                    // the batch this queue would cut right now. The
-                    // model covers what history cannot — a pending
-                    // batch shaped unlike anything served yet.
-                    int64_t lead_us = r.ewmaBatchUs;
-                    if (fastPredictions()) {
-                        double predicted = predictedServiceUsLocked(
-                            r, queue.size(),
-                            std::min<uint32_t>(
-                                config.cores,
-                                static_cast<uint32_t>(queue.size())));
-                        lead_us = std::max(
-                            lead_us, static_cast<int64_t>(predicted));
-                    }
+                    // raised to the static prediction for the batch
+                    // this queue would cut right now. The model covers
+                    // what history cannot — a pending batch shaped
+                    // unlike anything served yet.
+                    double predicted = predictedServiceUsLocked(
+                        r, queue.size(),
+                        std::min<uint32_t>(
+                            config.cores,
+                            static_cast<uint32_t>(queue.size())));
+                    int64_t lead_us = std::max(
+                        r.ewmaBatchUs, static_cast<int64_t>(predicted));
                     Clock::time_point deadline_cut =
                         min_deadline -
                         std::chrono::microseconds(lead_us);
@@ -584,13 +570,10 @@ AsyncBatchServer::workerMain()
         // Predict this batch's service time with the calibration as
         // of dispatch: the predicted-vs-actual pair is the
         // measurable record of admission-estimate error.
-        double predicted_us = 0;
-        if (fastPredictions()) {
-            predicted_us = predictedServiceUsLocked(
-                *resident, batch.requests.size(),
-                static_cast<uint32_t>(granted.count()));
-            ++counters.servicePredictions;
-        }
+        double predicted_us = predictedServiceUsLocked(
+            *resident, batch.requests.size(),
+            static_cast<uint32_t>(granted.count()));
+        ++counters.servicePredictions;
         lock.unlock();
 
         std::vector<std::vector<double>> inputs;
@@ -634,7 +617,7 @@ AsyncBatchServer::workerMain()
             rs.transferCycles += br.transferCycles;
             if (br.totalWallCycles() > 0) {
                 // Calibrate the model-cycle -> wall-microsecond rate
-                // that turns fast-tier cycle estimates into time
+                // that turns static cycle counts into time
                 // predictions. Server-wide: the rate is a property of
                 // the host, not of any one resident program.
                 // Transfer-inclusive, matching the prediction side

@@ -75,7 +75,6 @@
 #include <vector>
 
 #include "compiler/cache.hh"
-#include "model/evaluator.hh"
 #include "sim/batch.hh"
 
 namespace dpu {
@@ -203,22 +202,14 @@ struct AsyncServerConfig
     size_t queueDepth = 0;
 
     /**
-     * Evaluation tier backing the server's service-time predictions
-     * (admission control and deadline-lead estimates). A fast tier
-     * turns on static wall-cycle predictions, calibrated against
-     * observed batch service times (a us-per-kilocycle EWMA);
-     * Cycle disables them — historical per-program EWMAs only, the
-     * pre-tier behavior.
-     */
-    EvalFidelity admissionFidelity = EvalFidelity::Analytic;
-
-    /**
-     * Reject a deadlined request at admission when the fast-tier
-     * predicted service time already exceeds its deadline slack
-     * (RejectedDeadline before any queueing). Off by default: the
-     * prediction is an estimate, and rejecting on it is a policy the
-     * caller must opt into. No effect when admissionFidelity is
-     * Cycle or the calibration has not seen a batch yet.
+     * Reject a deadlined request at admission when the predicted
+     * service time already exceeds its deadline slack
+     * (RejectedDeadline before any queueing). A prediction is the
+     * batch's static wall-cycle count (batchWallCycles plus the host
+     * transfer) times a us-per-kilocycle EWMA calibrated against
+     * observed batch service times. Off by default: the calibration
+     * is an estimate, and rejecting on it is a policy the caller must
+     * opt into. No effect until the calibration has seen a batch.
      */
     bool predictiveAdmission = false;
 };
@@ -368,7 +359,7 @@ class AsyncBatchServer
          *  `completions` and lastCompletionSeq stay exact). */
         std::vector<CompletionRecord> completionOrder;
 
-        uint64_t servicePredictions = 0; ///< Fast-tier predictions made.
+        uint64_t servicePredictions = 0; ///< Dispatch predictions made.
         uint64_t admissionPredictions = 0; ///< Consulted at admission.
         uint64_t predictedDeadlineRejections = 0; ///< Rejected on one.
 
@@ -377,7 +368,7 @@ class AsyncBatchServer
          *  the first successful batch. */
         double usPerKilocycle = 0;
 
-        /** One fast-tier service prediction vs. what the batch then
+        /** One static service prediction vs. what the batch then
          *  actually took. predictedUs is 0 while uncalibrated. */
         struct ServiceSample
         {
@@ -489,12 +480,8 @@ class AsyncBatchServer
     /** Inverse of acquireCoresLocked(). Lock held. */
     void releaseCoresLocked(const CoreSet &granted);
 
-    /** True when the config enables fast-tier service predictions. */
-    bool fastPredictions() const;
-
-    /** Fast-tier predicted service time (us) of a `runs` x `cores`
-     *  batch of `r`'s program; 0 while uncalibrated or when
-     *  predictions are disabled. Lock held. */
+    /** Predicted service time (us) of a `runs` x `cores` batch of
+     *  `r`'s program; 0 while uncalibrated. Lock held. */
     double predictedServiceUsLocked(const Resident &r, uint64_t runs,
                                     uint32_t cores) const;
 

@@ -74,14 +74,26 @@ BatchMachine::run(const std::vector<std::vector<double>> &inputs)
     // Host↔rank transfer: one dispatch carries the whole batch, so
     // the fixed cost is paid once and the per-run payloads serialize
     // over the link. Statically determined by (program, batch size) —
-    // never by the simulated values — so every evaluator tier can
-    // reproduce it exactly. 0 under the default free model.
+    // never by the simulated values. 0 under the default free
+    // model.
     out.rank = rank;
     if (!out.runs.empty())
         out.transferCycles =
             transfer.batchCycles(machine.transferBytes(),
                                  out.runs.size());
     return out;
+}
+
+uint64_t
+batchWallCycles(const CompiledProgram &prog, uint64_t runs,
+                uint32_t cores)
+{
+    if (!cores)
+        dpu_fatal("batchWallCycles: cores must be >= 1");
+    if (!runs)
+        return 0;
+    uint64_t per_core = (runs + cores - 1) / cores;
+    return per_core * prog.stats.cycles;
 }
 
 } // namespace dpu

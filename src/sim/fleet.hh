@@ -8,8 +8,8 @@
  * structure — per-(rank, program) batching windows, placement
  * policies, a serialized host link per rank charged by the
  * HostTransferModel, lockstep cores — but replaces execution with the
- * statically exact per-run cycle counts (latency is compile-time
- * exact on this machine; see model/evaluator). That turns a
+ * statically exact per-run cycle counts (the schedule never stalls,
+ * so a run's cycles are fixed at compile time). That turns a
  * million-request open loop over hundreds of ranks into arithmetic:
  * seeded Poisson arrivals are replayed in virtual cycle time and the
  * model reports transfer-inclusive latency percentiles, per-rank

@@ -534,8 +534,7 @@ class Engine
 
         // Host↔rank transfer for this run: one dispatch moving the
         // input vector down and the output vector back. Statically
-        // determined by the program, so every evaluator tier can
-        // reproduce it exactly; 0 under the default free model.
+        // determined by the program; 0 under the default free model.
         stats.transferCycles = opts.transfer.batchCycles(p.transferBytes, 1);
 
         // Every register must have been freed by a final read; a

@@ -155,9 +155,9 @@ parseDoubleListArg(const char *s, std::vector<double> &out)
 
 /** Match `s` against a closed set of choice names (exact,
  *  case-sensitive). On success `index` is the matched position.
- *  Enum-valued flags (e.g. --fidelity=) route through this so every
- *  CLI rejects unknown names the same way instead of each driver
- *  growing its own string compare chain. */
+ *  Enum-valued flags (e.g. the repository benchmark's --workload)
+ *  route through this so every CLI rejects unknown names the same way
+ *  instead of each driver growing its own string compare chain. */
 inline bool
 parseChoiceArg(const char *s, const std::vector<std::string> &choices,
                size_t &index)

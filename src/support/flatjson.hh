@@ -1,10 +1,10 @@
 /**
  * @file
- * Flat one-line JSON emit/parse shared by the machine-written JSON
- * formats in the tree (the DSE checkpoint journal, the fitted
- * evaluation table). Values are strings, numbers and booleans only —
- * no nesting — so the parser can be strict: anything else is a torn
- * or foreign line and parsing fails instead of guessing.
+ * Flat one-line JSON emit/parse for the machine-written JSON lines of
+ * the DSE checkpoint journal. Values are strings, numbers and
+ * booleans only — no nesting — so the parser can be strict: anything
+ * else is a torn or foreign line and parsing fails instead of
+ * guessing.
  */
 
 #ifndef DPU_SUPPORT_FLATJSON_HH
@@ -22,7 +22,7 @@ namespace dpu {
 
 /** Shortest round-trip JSON rendering of a double: a parsed line
  *  re-serializes byte-identically, which is what makes the canonical
- *  journal (and the fitted table) deterministic across rewrites. */
+ *  journal deterministic across rewrites. */
 inline std::string
 jsonDouble(double v)
 {

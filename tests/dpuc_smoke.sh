@@ -168,27 +168,15 @@ if [ -n "$DSE" ]; then
     check 2 "dse_sweep --threads=0" "$DSE" --quick --threads=0
     check 2 "dse_sweep --scale junk" "$DSE" --quick --scale=big
 
-    # Evaluation-fidelity tiers: every valid tier name is accepted,
-    # anything else is an invalid option value (exit 2), and --refine
-    # without a fast tier is a usage error (exit 1).
-    check 0 "dse_sweep --fidelity=cycle" \
+    # Every point is simulated: the old evaluation-tier flags are
+    # unknown options (exit 1), so a script still passing them fails
+    # loudly instead of being silently ignored.
+    check 1 "dse_sweep --fidelity=cycle is unknown" \
         "$DSE" --quick --axes="$AXES" --fidelity=cycle
-    check 0 "dse_sweep --fidelity=table" \
-        "$DSE" --quick --axes="$AXES" --fidelity=table
-    check 0 "dse_sweep --fidelity=analytic" \
-        "$DSE" --quick --axes="$AXES" --fidelity=analytic
-    check 0 "dse_sweep --fidelity=analytic --refine" \
-        "$DSE" --quick --axes="$AXES" --fidelity=analytic --refine
-    check 2 "dse_sweep --fidelity unknown tier" \
-        "$DSE" --quick --fidelity=bogus
-    check 2 "dse_sweep --fidelity empty" \
-        "$DSE" --quick --fidelity=
-    check 2 "dse_sweep --fidelity case-sensitive" \
-        "$DSE" --quick --fidelity=Cycle
-    check 2 "dse_sweep --refine-error out of range" \
-        "$DSE" --quick --fidelity=table --refine --refine-error=1.0
-    check 1 "dse_sweep --refine with cycle fidelity" \
-        "$DSE" --quick --refine
+    check 1 "dse_sweep --refine is unknown" \
+        "$DSE" --quick --axes="$AXES" --refine
+    check 1 "dse_sweep --table is unknown" \
+        "$DSE" --quick --axes="$AXES" --table=x
 
     # Fleet axes: --ranks/--xfer-gbps follow the same strict contract.
     check 0 "dse_sweep fleet axes --quick" \
@@ -274,10 +262,8 @@ if [ -n "$SERVE" ]; then
         "$SERVE" --quick --queue-depth=deep
     check 2 "serve --queue-depth trailing junk" \
         "$SERVE" --quick --queue-depth=64x
-    check 2 "serve --fidelity unknown tier" \
-        "$SERVE" --quick --fidelity=bogus
-    check 2 "serve --fidelity empty" \
-        "$SERVE" --quick --fidelity=
+    check 1 "serve --fidelity=cycle is unknown" \
+        "$SERVE" --quick --fidelity=cycle
     check 1 "serve unknown flag still exit 1" \
         "$SERVE" --quick --no-such-flag
 

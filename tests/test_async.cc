@@ -714,13 +714,13 @@ TEST(AsyncServer, PerRequestDeadlineDefaultsFromProgramQos)
     EXPECT_EQ(s.deadlineDispatches, 1u);
 }
 
-TEST(AsyncServer, FastTierCalibratesServicePredictions)
+TEST(AsyncServer, ServicePredictionsCalibrateOnObservedBatches)
 {
-    // Default admission fidelity is Analytic: every dispatched batch
-    // makes a static wall-cycle prediction, and observed service
-    // times feed the server-wide us-per-kilocycle EWMA. The first
-    // batch runs uncalibrated (prediction 0, not recorded); later
-    // batches record predicted-vs-actual samples.
+    // Every dispatched batch makes a static wall-cycle prediction,
+    // and observed service times feed the server-wide
+    // us-per-kilocycle EWMA. The first batch runs uncalibrated
+    // (prediction 0, not recorded); later batches record
+    // predicted-vs-actual samples.
     Dag d = generateRandomDag(12, 300, 95);
     auto prog = compile(d, smallConfig());
     auto inputs = makeInputs(d, 6, 96);
@@ -753,39 +753,6 @@ TEST(AsyncServer, FastTierCalibratesServicePredictions)
         EXPECT_GE(sample.batchSize, 1u);
         EXPECT_LE(sample.batchSize, cfg.maxBatch);
     }
-}
-
-TEST(AsyncServer, CycleAdmissionFidelityDisablesPredictions)
-{
-    // admissionFidelity = Cycle is the pre-tier behavior: no static
-    // predictions, no calibration samples, predictiveAdmission inert.
-    Dag d = generateRandomDag(12, 300, 97);
-    auto prog = compile(d, smallConfig());
-    auto inputs = makeInputs(d, 4, 98);
-
-    AsyncServerConfig cfg;
-    cfg.maxBatch = 2;
-    cfg.admissionFidelity = EvalFidelity::Cycle;
-    cfg.predictiveAdmission = true; // must have no effect
-    AsyncBatchServer server(cfg);
-    auto h = server.addProgram(prog);
-
-    SubmitOptions opt;
-    opt.deadline = std::chrono::seconds(10);
-    for (const auto &in : inputs) {
-        auto r = server.trySubmit(h, in, opt);
-        ASSERT_TRUE(r.accepted());
-        r.future.get();
-    }
-
-    auto s = server.stats();
-    EXPECT_EQ(s.servicePredictions, 0u);
-    EXPECT_EQ(s.admissionPredictions, 0u);
-    EXPECT_EQ(s.predictedDeadlineRejections, 0u);
-    EXPECT_TRUE(s.serviceSamples.empty());
-    // The EWMA still calibrates (it is an observation, not a
-    // prediction) so flipping fidelity later starts warm.
-    EXPECT_GT(s.usPerKilocycle, 0.0);
 }
 
 TEST(AsyncServer, PredictiveAdmissionRejectsDoomedDeadlines)

@@ -18,6 +18,7 @@
 #include "workloads/pc_generator.hh"
 #include "workloads/sparse_matrix.hh"
 #include "workloads/sptrsv.hh"
+#include "workloads/suite.hh"
 
 namespace dpu {
 namespace {
@@ -352,6 +353,26 @@ TEST(BatchMachine, ThreadCountDoesNotChangeModelClock)
     auto r = four_cores.run(batch);
     // Core 0 gets 2 slices, the rest 1: wall = 2 runs.
     EXPECT_EQ(r.wallCycles, 2 * prog.stats.cycles);
+}
+
+TEST(BatchMachine, BatchWallCyclesMatchesBatchMachine)
+{
+    Dag d = buildWorkloadDag(findWorkload("nltcs"), 0.3);
+    ArchConfig cfg;
+    cfg.depth = 1;
+    cfg.banks = 8;
+    cfg.regsPerBank = 64;
+    auto prog = compile(d, cfg);
+    auto batch = makeBatch(d, 5, 20);
+    for (uint32_t cores : {1u, 2u, 3u}) {
+        BatchResult br =
+            BatchMachine(prog, cores, /*operations=*/1).run(batch);
+        EXPECT_EQ(batchWallCycles(prog, batch.size(), cores),
+                  br.wallCycles)
+            << cores << " cores";
+    }
+    EXPECT_EQ(batchWallCycles(prog, 0, 4), 0u);
+    EXPECT_THROW(batchWallCycles(prog, 1, 0), FatalError);
 }
 
 } // namespace

@@ -400,43 +400,41 @@ TEST(ProgramCache, StructuralHashSeparatesDags)
     EXPECT_NE(dagStructuralHash(c1), dagStructuralHash(c2));
 }
 
-TEST(ProgramCache, EvalStatsMemoKeysOnFidelityAndCores)
+TEST(ProgramCache, EvalStatsMemoKeysOnProgramAndCores)
 {
-    // The per-tier evaluation memo: a (program key, fidelity tag,
-    // cores) triple pins one SimStats. Different tiers and core
-    // counts are distinct entries; hits/misses are counted.
+    // The evaluation memo: a (program key, cores) pair pins one
+    // SimStats. Different core counts are distinct entries;
+    // hits/misses are counted.
     ProgramCache cache;
     SimStats s1;
     s1.cycles = 100;
     s1.peOperations = 40;
-    SimStats s2;
-    s2.cycles = 110; // same program, different tier's estimate
-    s2.peOperations = 44;
+    SimStats s4;
+    s4.cycles = 110; // same program, four-core batch
+    s4.peOperations = 160;
 
     SimStats out;
-    EXPECT_FALSE(cache.lookupEvalStats("prog-a", 0, 1, out));
+    EXPECT_FALSE(cache.lookupEvalStats("prog-a", 1, out));
     EXPECT_EQ(cache.stats().evalMisses, 1u);
 
-    cache.storeEvalStats("prog-a", 0, 1, s1);
-    cache.storeEvalStats("prog-a", 2, 1, s2);
+    cache.storeEvalStats("prog-a", 1, s1);
+    cache.storeEvalStats("prog-a", 4, s4);
 
-    ASSERT_TRUE(cache.lookupEvalStats("prog-a", 0, 1, out));
+    ASSERT_TRUE(cache.lookupEvalStats("prog-a", 1, out));
     EXPECT_EQ(out.cycles, 100u);
-    ASSERT_TRUE(cache.lookupEvalStats("prog-a", 2, 1, out));
+    ASSERT_TRUE(cache.lookupEvalStats("prog-a", 4, out));
     EXPECT_EQ(out.cycles, 110u);
     EXPECT_EQ(cache.stats().evalHits, 2u);
 
-    // Fidelity 1 and a different core count both miss despite the
-    // shared program key.
-    EXPECT_FALSE(cache.lookupEvalStats("prog-a", 1, 1, out));
-    EXPECT_FALSE(cache.lookupEvalStats("prog-a", 0, 2, out));
-    EXPECT_FALSE(cache.lookupEvalStats("prog-b", 0, 1, out));
-    EXPECT_EQ(cache.stats().evalMisses, 4u);
+    // A different core count or program both miss.
+    EXPECT_FALSE(cache.lookupEvalStats("prog-a", 2, out));
+    EXPECT_FALSE(cache.lookupEvalStats("prog-b", 1, out));
+    EXPECT_EQ(cache.stats().evalMisses, 3u);
 
     // A re-store overwrites in place.
     s1.cycles = 99;
-    cache.storeEvalStats("prog-a", 0, 1, s1);
-    ASSERT_TRUE(cache.lookupEvalStats("prog-a", 0, 1, out));
+    cache.storeEvalStats("prog-a", 1, s1);
+    ASSERT_TRUE(cache.lookupEvalStats("prog-a", 1, out));
     EXPECT_EQ(out.cycles, 99u);
 }
 

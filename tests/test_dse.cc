@@ -9,7 +9,8 @@
  *   - deterministic grid expansion and shard planning;
  *   - the checkpoint-journal JSON-lines format, pinned by a golden
  *     sample and a round-trip parse (mirroring test_harness_json.cc's
- *     pinned report sample).
+ *     pinned report sample), and a seeded mutation test of its
+ *     parser.
  */
 
 #include <gtest/gtest.h>
@@ -61,7 +62,6 @@ expectIdentical(const DsePoint &a, const DsePoint &b)
     EXPECT_EQ(a.powerWatts, b.powerWatts);
     EXPECT_EQ(a.throughputGops, b.throughputGops);
     EXPECT_EQ(a.feasible, b.feasible);
-    EXPECT_EQ(a.fidelity, b.fidelity);
     EXPECT_EQ(a.fleetRanks, b.fleetRanks);
     EXPECT_EQ(a.transferPerOpNs, b.transferPerOpNs);
 }
@@ -410,24 +410,21 @@ TEST(DseJournal, PointLineRoundTripsExactly)
     EXPECT_EQ(dseJournalPointLine(42, parsed), line);
 }
 
-TEST(DseJournal, FastTierPointLineRoundTrips)
+TEST(DseJournal, EstimatedPointLinesAreRejected)
 {
-    // Fast-tier points journal their fidelity tag and survive a
-    // parse/re-serialize cycle byte for byte, exactly like cycle
-    // points.
-    for (EvalFidelity f :
-         {EvalFidelity::Table, EvalFidelity::Analytic}) {
-        DsePoint p = goldenPoint();
-        p.fidelity = f;
-        std::string line = dseJournalPointLine(7, p);
-        EXPECT_NE(line.find(std::string("\"fidelity\": \"") +
-                            fidelityName(f) + "\""),
-                  std::string::npos);
+    // Older sweeps could journal energy estimates tagged "table" or
+    // "analytic". They are not simulated points, so the parser
+    // refuses them and a resume recomputes the point.
+    const std::string line = dseJournalPointLine(7, goldenPoint());
+    for (const char *tag : {"\"table\"", "\"analytic\""}) {
+        std::string old = line;
+        size_t at = old.find("\"cycle\"");
+        ASSERT_NE(at, std::string::npos);
+        old.replace(at, 7, tag);
         size_t index = 0;
         DsePoint parsed;
-        ASSERT_TRUE(parseDseJournalPointLine(line, index, parsed));
-        EXPECT_EQ(parsed.fidelity, f);
-        EXPECT_EQ(dseJournalPointLine(7, parsed), line);
+        EXPECT_FALSE(parseDseJournalPointLine(old, index, parsed))
+            << old;
     }
 }
 
@@ -467,11 +464,10 @@ TEST(DseJournal, FleetFieldsRoundTrip)
 
 TEST(DseJournal, OldFormatLineWithoutFidelityReadsAsCycle)
 {
-    // Journals written before the tiered evaluator carry no fidelity
-    // field. Those lines were produced by Machine::run, so they are
-    // cycle-accurate by construction: the parser accepts them and
-    // tags them Cycle. Pinned — changing this to a rejection is a
-    // deliberate, reviewed format break.
+    // Journals written before the fidelity tag existed carry no such
+    // field. Those lines were produced by Machine::run, so the parser
+    // accepts them as simulated points. Pinned — changing this to a
+    // rejection is a deliberate, reviewed format break.
     std::string line = dseJournalPointLine(3, goldenPoint());
     const std::string tail = ", \"fidelity\": \"cycle\"";
     size_t at = line.find(tail);
@@ -482,13 +478,14 @@ TEST(DseJournal, OldFormatLineWithoutFidelityReadsAsCycle)
     DsePoint p;
     ASSERT_TRUE(parseDseJournalPointLine(old_format, index, p));
     EXPECT_EQ(index, 3u);
-    EXPECT_EQ(p.fidelity, EvalFidelity::Cycle);
     expectIdentical(p, goldenPoint());
+    EXPECT_EQ(dseJournalPointLine(3, p),
+              dseJournalPointLine(3, goldenPoint()));
 }
 
 TEST(DseJournal, UnknownFidelityNameIsRejected)
 {
-    // A *present but unrecognized* tier name is a torn or foreign
+    // A *present but unrecognized* tag is a torn or foreign
     // line, not a default: the parser must refuse it so the sweep
     // recomputes that point instead of mislabeling it.
     std::string line = dseJournalPointLine(3, goldenPoint());
@@ -552,6 +549,94 @@ TEST(DseJournal, LoadRejectsMissingFileAndBadHeader)
         out << "{\"not_a_journal\": true}\n";
     }
     EXPECT_FALSE(loadDseJournal(path, journal));
+    std::remove(path.c_str());
+}
+
+/** A seeded mutation of `text`: byte flips, a truncation, or a
+ *  deleted or duplicated `, `-separated field. */
+std::string
+mutate(const std::string &text, Rng &rng)
+{
+    std::string s = text;
+    if (s.empty())
+        return s;
+    auto pick = [&rng](size_t n) {
+        return static_cast<size_t>(rng.next() % n);
+    };
+    switch (rng.next() % 4) {
+      case 0: // flip 1-4 bytes to arbitrary values
+        for (size_t k = 0, n = 1 + pick(4); k < n; ++k)
+            s[pick(s.size())] = static_cast<char>(rng.next() & 0xff);
+        break;
+      case 1: // truncate
+        s.resize(pick(s.size()));
+        break;
+      case 2:   // delete a field
+      case 3: { // duplicate a field somewhere else
+        std::vector<size_t> cuts = {0};
+        for (size_t at = s.find(", "); at != std::string::npos;
+             at = s.find(", ", at + 1))
+            cuts.push_back(at);
+        cuts.push_back(s.size());
+        size_t f = pick(cuts.size() - 1);
+        std::string field = s.substr(cuts[f], cuts[f + 1] - cuts[f]);
+        if (rng.next() % 2 == 0)
+            s.erase(cuts[f], field.size());
+        else
+            s.insert(cuts[pick(cuts.size())], field);
+        break;
+      }
+    }
+    return s;
+}
+
+TEST(DseJournal, MutatedInputNeverThrowsOrCrashes)
+{
+    // Journals are external bytes: every mutation of a valid point
+    // line or journal file must parse to a result or to false, never
+    // throw (a PanicError included) or crash. Sanitizer builds run
+    // this through the full ctest.
+    Rng rng(20261016);
+    DsePoint fleet = goldenPoint();
+    fleet.fleetRanks = 4;
+    fleet.transferPerOpNs = 0.25;
+    const std::vector<std::string> lines = {
+        dseJournalPointLine(3, goldenPoint()),
+        dseJournalPointLine(9, fleet)};
+    size_t parsed = 0;
+    for (int k = 0; k < 4000; ++k) {
+        std::string line = mutate(lines[k % lines.size()], rng);
+        if (rng.next() % 3 == 0)
+            line = mutate(line, rng); // stacked mutations
+        size_t index = 0;
+        DsePoint p;
+        bool ok = false;
+        EXPECT_NO_THROW(ok = parseDseJournalPointLine(line, index, p))
+            << line;
+        if (ok) {
+            ++parsed;
+            EXPECT_GE(p.cfg.depth, 1u) << line;
+            EXPECT_LE(p.cfg.depth, 6u) << line;
+            EXPECT_GE(p.cores, 1u) << line;
+            EXPECT_GE(p.fleetRanks, 1u) << line;
+        }
+    }
+    // Some mutations (a duplicated field, a flipped digit) still
+    // parse; the loop must reach the accept path too.
+    EXPECT_GT(parsed, 0u);
+
+    std::string path = ::testing::TempDir() + "dse_mutated.jsonl";
+    const std::string journal =
+        dseJournalHeaderLine("sig", 3) + "\n" + lines[0] + "\n" +
+        lines[1] + "\n";
+    for (int k = 0; k < 300; ++k) {
+        {
+            std::ofstream out(path, std::ios::trunc | std::ios::binary);
+            out << mutate(journal, rng);
+        }
+        DseJournal loaded;
+        EXPECT_NO_THROW(loadDseJournal(path, loaded));
+    }
     std::remove(path.c_str());
 }
 
@@ -622,7 +707,7 @@ TEST(DseSweep, SweepPointsEqualPerPointEvaluation)
     // runDseSweep prepares each (workload, scale) pair once, one scale
     // at a time; every point must still equal evaluateDesign of its
     // coordinates, which prepares on its own. Two scales cover the
-    // per-scale preparation of both the sweep and its refinement.
+    // per-scale preparation.
     DseSweepOptions o;
     o.space.depths = {1, 2};
     o.space.banks = {8};
@@ -660,27 +745,67 @@ TEST(DseSweep, SweepPointsEqualPerPointEvaluation)
     for (size_t i = 0; i < grid.size(); ++i)
         expectIdentical(resumed.points[i], swept.points[i]);
     std::remove(path.c_str());
+}
 
-    // Refinement walks the scales again: each cycle re-evaluated
-    // survivor equals the cycle sweep's point.
-    DseSweepOptions r = o;
-    r.journalPath.clear();
-    r.resume = false;
-    r.fidelity = EvalFidelity::Table;
-    r.refine = true;
-    DseSweepResult refined = runDseSweep(r);
-    std::vector<char> refined_at(o.space.scales.size(), 0);
-    size_t survivors = 0;
-    for (size_t i = 0; i < grid.size(); ++i) {
-        if (refined.points[i].fidelity != EvalFidelity::Cycle)
-            continue;
-        SCOPED_TRACE(i);
-        expectIdentical(refined.points[i], swept.points[i]);
-        refined_at[grid[i].scale == o.space.scales[1]] = 1;
-        ++survivors;
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+TEST(DseSweep, ResumeRecomputesEstimatedPointsOfAnOldJournal)
+{
+    // A journal from an older sweep can hold "table" estimates next to
+    // simulated "cycle" lines for the same index, in either order.
+    // Resuming reuses exactly the cycle lines, recomputes every other
+    // point, and ends with the bytes of a fresh sweep.
+    DseSweepOptions o;
+    o.space.depths = {1, 2};
+    o.space.banks = {8};
+    o.space.regs = {16, 32};
+    o.space.workloadScale = 0.03;
+    o.space.suite = {pcSuite()[0], sptrsvSuite()[0]};
+    std::string path = ::testing::TempDir() + "dse_old_tiers.jsonl";
+    std::remove(path.c_str());
+    o.journalPath = path;
+    DseSweepResult fresh = runDseSweep(o);
+    const std::string fresh_bytes = readFile(path);
+    ASSERT_EQ(fresh.points.size(), 4u);
+
+    auto estimated = [](size_t i, DsePoint p) {
+        p.energyPerOpPj *= 1.07; // an estimate, not the simulated value
+        std::string line = dseJournalPointLine(i, p);
+        line.replace(line.find("\"cycle\""), 7, "\"table\"");
+        return line;
+    };
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << dseJournalHeaderLine(dseSpaceSignature(o.space), 4)
+            << "\n"
+            // 0: estimate, then the simulated line.
+            << estimated(0, fresh.points[0]) << "\n"
+            << dseJournalPointLine(0, fresh.points[0]) << "\n"
+            // 1: estimate only.
+            << estimated(1, fresh.points[1]) << "\n"
+            // 2: simulated line, then a later estimate.
+            << dseJournalPointLine(2, fresh.points[2]) << "\n"
+            << estimated(2, fresh.points[2]) << "\n"
+            // 3: estimate only.
+            << estimated(3, fresh.points[3]) << "\n";
     }
-    EXPECT_EQ(survivors, refined.refineSurvivors);
-    EXPECT_EQ(refined_at, std::vector<char>(2, 1)); // at both scales
+    o.resume = true;
+    DseSweepResult resumed = runDseSweep(o);
+    EXPECT_EQ(resumed.resumedPoints, 2u);
+    size_t evaluated = 0;
+    for (const DseShardReport &r : resumed.shardReports)
+        evaluated += r.evaluated;
+    EXPECT_EQ(evaluated, 2u);
+    for (size_t i = 0; i < fresh.points.size(); ++i)
+        expectIdentical(resumed.points[i], fresh.points[i]);
+    EXPECT_EQ(readFile(path), fresh_bytes);
+    std::remove(path.c_str());
 }
 
 TEST(DseSweep, CoresAxisScalesThroughputAndStaysFeasible)

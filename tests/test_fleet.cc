@@ -2,16 +2,15 @@
  * @file
  * Fleet topology + host↔device transfer model tests: the
  * HostTransferModel arithmetic, the RankSet dispatch form, transfer
- * accounting through Machine/BatchMachine, evaluator-tier agreement
- * on transfer-inclusive latency, the virtual-time fleet simulator,
+ * accounting through Machine/BatchMachine, static transfer and
+ * wall-cycle counts, the virtual-time fleet simulator,
  * the rank-aware AsyncBatchServer, and the DSE fleet axes. The pinned
  * contracts:
  *
  *   - the default (free) transfer model charges exactly 0 everywhere,
  *     so every pre-fleet result is byte-identical;
- *   - transfer cost is statically computable, so all three evaluation
- *     tiers report the same transfer-inclusive cycle counts as the
- *     cycle-accurate machines;
+ *   - transfer cost is statically computable: the static counts
+ *     equal what the simulated machines charge;
  *   - per-request SimResults never depend on ranks, placement, or the
  *     transfer model — fleet accounting is batch-level only.
  */
@@ -23,7 +22,6 @@
 #include "arch/topology.hh"
 #include "compiler/compiler.hh"
 #include "model/dse.hh"
-#include "model/evaluator.hh"
 #include "sim/async.hh"
 #include "sim/batch.hh"
 #include "sim/fleet.hh"
@@ -193,36 +191,23 @@ TEST(Fleet, BatchMachineRankSetAccounting)
         EXPECT_EQ(fleet.runs[i].outputs, base.runs[i].outputs);
 }
 
-TEST(Fleet, EvaluatorTiersAgreeOnTransfer)
+TEST(Fleet, StaticTransferMatchesBatchMachine)
 {
     const CompiledProgram &prog = testProgram();
     auto inputs = testInputs(1, 53);
     HostTransferModel xfer =
         HostTransferModel::fromGbps(1.5, 300e6, 250.0);
 
+    // One run: the machine charges exactly the static cost of one
+    // dispatch.
     SimOptions opts;
     opts.transfer = xfer;
     SimStats measured = Machine(prog, opts).run(inputs[0]).stats;
+    EXPECT_EQ(measured.transferCycles,
+              xfer.batchCycles(hostTransferBytes(prog), 1));
 
-    for (EvalFidelity f :
-         {EvalFidelity::Table, EvalFidelity::Analytic}) {
-        Evaluator ev(f);
-        SimStats est = ev.estimate(prog, xfer);
-        EXPECT_EQ(est.cycles, measured.cycles) << fidelityName(f);
-        EXPECT_EQ(est.transferCycles, measured.transferCycles)
-            << fidelityName(f);
-
-        // run() honors SimOptions::transfer at every tier.
-        SimStats run_stats = ev.run(prog, inputs[0], opts);
-        EXPECT_EQ(run_stats.transferCycles, measured.transferCycles)
-            << fidelityName(f);
-    }
-    SimStats cycle_run =
-        Evaluator(EvalFidelity::Cycle).run(prog, inputs[0], opts);
-    EXPECT_EQ(cycle_run.transferCycles, measured.transferCycles);
-
-    // Batch dispatch: the static batchTotalCycles matches the
-    // cycle-accurate BatchMachine exactly, for several shapes.
+    // Batch dispatch: the static transfer and wall-cycle counts match
+    // the simulated BatchMachine exactly, for several shapes.
     for (uint64_t runs : {1u, 3u, 6u}) {
         for (uint32_t cores : {1u, 2u, 4u}) {
             auto batch_inputs = testInputs(runs, 1000 + runs);
@@ -230,18 +215,11 @@ TEST(Fleet, EvaluatorTiersAgreeOnTransfer)
                 BatchMachine(prog, RankSet{0, CoreSet::firstN(cores)},
                              100, 1, xfer)
                     .run(batch_inputs);
-            EXPECT_EQ(Evaluator::batchTransferCycles(prog, runs, xfer),
-                      br.transferCycles);
-            EXPECT_EQ(Evaluator::batchTotalCycles(prog, runs, cores,
-                                                  xfer),
+            uint64_t transfer =
+                xfer.batchCycles(hostTransferBytes(prog), runs);
+            EXPECT_EQ(transfer, br.transferCycles);
+            EXPECT_EQ(batchWallCycles(prog, runs, cores) + transfer,
                       br.totalWallCycles());
-            for (EvalFidelity f :
-                 {EvalFidelity::Table, EvalFidelity::Analytic}) {
-                SimStats est = Evaluator(f).estimateBatch(
-                    prog, runs, cores, xfer);
-                EXPECT_EQ(est.cycles, br.wallCycles);
-                EXPECT_EQ(est.transferCycles, br.transferCycles);
-            }
         }
     }
 }
@@ -425,7 +403,7 @@ TEST(Fleet, DseFleetAxesScaleThroughputNotLatency)
     // Free transfer, 4 ranks: per-op latency and energy unchanged,
     // throughput and wall power exactly 4x.
     DsePoint fleet = evaluateDesign(cfg, suite, 0.05, 1, 1, nullptr,
-                                    nullptr, nullptr, 4);
+                                    nullptr, 4);
     ASSERT_TRUE(fleet.feasible);
     EXPECT_EQ(fleet.fleetRanks, 4u);
     EXPECT_DOUBLE_EQ(fleet.latencyPerOpNs, base.latencyPerOpNs);
@@ -438,26 +416,11 @@ TEST(Fleet, DseFleetAxesScaleThroughputNotLatency)
     HostTransferModel xfer =
         HostTransferModel::fromGbps(0.5, 300e6, 1000.0);
     DsePoint slow = evaluateDesign(cfg, suite, 0.05, 1, 1, nullptr,
-                                   nullptr, nullptr, 1, xfer);
+                                   nullptr, 1, xfer);
     ASSERT_TRUE(slow.feasible);
     EXPECT_GT(slow.latencyPerOpNs, base.latencyPerOpNs);
     EXPECT_GT(slow.transferPerOpNs, 0.0);
     EXPECT_LE(slow.transferPerOpNs, slow.latencyPerOpNs);
-
-    // Transfer-inclusive latency is exact at every tier: the fast
-    // tiers agree with the cycle-accurate point to the last bit.
-    for (EvalFidelity f :
-         {EvalFidelity::Table, EvalFidelity::Analytic}) {
-        Evaluator ev(f);
-        DsePoint fast = evaluateDesign(cfg, suite, 0.05, 1, 1,
-                                       nullptr, nullptr, &ev, 1,
-                                       xfer);
-        ASSERT_TRUE(fast.feasible);
-        EXPECT_DOUBLE_EQ(fast.latencyPerOpNs, slow.latencyPerOpNs)
-            << fidelityName(f);
-        EXPECT_DOUBLE_EQ(fast.transferPerOpNs, slow.transferPerOpNs)
-            << fidelityName(f);
-    }
 }
 
 } // namespace

@@ -240,27 +240,25 @@ TEST(Sim, DecodedProgramRunsIdentically)
         EXPECT_DOUBLE_EQ(a.outputs[i], b.outputs[i]);
 }
 
+uint64_t
+fnv(uint64_t h, uint64_t v)
+{
+    for (int k = 0; k < 8; ++k)
+        h = (h ^ ((v >> (8 * k)) & 0xff)) * 0x100000001b3ull;
+    return h;
+}
+
 /**
- * Every SimStats field and every output bit pattern of one traced run,
- * as one line of exact integers. Outputs and the occupancy trace are
- * folded into FNV-1a hashes so a golden stays one line.
+ * Every SimStats field as one line of exact integers, the occupancy
+ * trace folded into an FNV-1a hash.
  */
 std::string
-goldenDigest(const SimResult &res)
+statsDigest(const SimStats &s)
 {
-    auto fnv = [](uint64_t h, uint64_t v) {
-        for (int k = 0; k < 8; ++k)
-            h = (h ^ ((v >> (8 * k)) & 0xff)) * 0x100000001b3ull;
-        return h;
-    };
-    const SimStats &s = res.stats;
     uint64_t trace_hash = 0xcbf29ce484222325ull;
     for (const auto &row : s.occupancyTrace)
         for (uint32_t v : row)
             trace_hash = fnv(trace_hash, v);
-    uint64_t out_hash = 0xcbf29ce484222325ull;
-    for (double v : res.outputs)
-        out_hash = fnv(out_hash, std::bit_cast<uint64_t>(v));
 
     std::ostringstream os;
     os << "cycles=" << s.cycles << " kinds=";
@@ -272,8 +270,23 @@ goldenDigest(const SimResult &res)
        << " memWrites=" << s.memWrites << " bits=" << s.instrBitsFetched
        << " peak=" << s.peakLiveRegisters << " stride=" << s.traceStride
        << " trace=" << s.occupancyTrace.size() << "/" << std::hex
-       << trace_hash << std::dec << " transfer=" << s.transferCycles
-       << " outputs=" << res.outputs.size() << "/" << std::hex << out_hash;
+       << trace_hash << std::dec << " transfer=" << s.transferCycles;
+    return os.str();
+}
+
+/**
+ * statsDigest plus every output bit pattern of the run, hashed, so a
+ * golden stays one line.
+ */
+std::string
+goldenDigest(const SimResult &res)
+{
+    uint64_t out_hash = 0xcbf29ce484222325ull;
+    for (double v : res.outputs)
+        out_hash = fnv(out_hash, std::bit_cast<uint64_t>(v));
+    std::ostringstream os;
+    os << statsDigest(res.stats) << " outputs=" << res.outputs.size()
+       << "/" << std::hex << out_hash;
     return os.str();
 }
 
@@ -383,6 +396,53 @@ TEST(SimGolden, StatsAndOutputsArePinned)
         }
     }
     EXPECT_EQ(next, kGolden.size());
+}
+
+TEST(Sim, StatsDoNotDependOnInputValues)
+{
+    // The schedule is fixed at compile time and never stalls, so every
+    // counter the energy model reads is fixed too: only the values
+    // differ between runs. The DSE eval memo and its multi-core points
+    // (counters x cores) rest on this.
+    SimOptions opts;
+    opts.traceOccupancy = true;
+    opts.traceInterval = 3;
+    size_t compared = 0;
+    for (const WorkloadSpec &spec : smallSuite()) {
+        Dag d = buildWorkloadDag(spec, 0.1);
+        std::vector<std::vector<double>> inputs;
+        for (uint64_t seed : {11u, 12u, 13u}) {
+            Rng rng(seed);
+            std::vector<double> in(d.numInputs());
+            for (auto &x : in)
+                x = rng.uniform() * 4.0 - 2.0;
+            inputs.push_back(std::move(in));
+        }
+        for (uint32_t depth : {1u, 2u, 3u})
+            for (uint32_t banks : {8u, 32u})
+                for (uint32_t regs : {16u, 64u}) {
+                    SCOPED_TRACE(spec.name + " on D" +
+                                 std::to_string(depth) + ".B" +
+                                 std::to_string(banks) + ".R" +
+                                 std::to_string(regs));
+                    CompiledProgram prog;
+                    try {
+                        prog = compile(d, cfgOf(depth, banks, regs));
+                    } catch (const FatalError &) {
+                        continue; // register file too small
+                    }
+                    Machine m(prog, opts);
+                    const SimStats first = m.run(inputs[0]).stats;
+                    for (size_t k = 1; k < inputs.size(); ++k) {
+                        const SimStats s = m.run(inputs[k]).stats;
+                        EXPECT_EQ(statsDigest(s), statsDigest(first));
+                        EXPECT_EQ(s.occupancyTrace,
+                                  first.occupancyTrace);
+                    }
+                    ++compared;
+                }
+    }
+    EXPECT_GT(compared, smallSuite().size());
 }
 
 TEST(Sim, OneMachineRunsConcurrently)

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "dag/algorithms.hh"
@@ -505,10 +507,22 @@ TEST(Suite, FileBackedWorkloadSolvesCorrectly)
 TEST(Suite, DiscoverMatrixFilesSortedAndFiltered)
 {
     auto found = discoverMatrixFiles(DPU_DATA_DIR);
-    ASSERT_EQ(found.size(), 3u); // eval_table.json filtered out
+    ASSERT_EQ(found.size(), 3u);
     EXPECT_TRUE(std::is_sorted(found.begin(), found.end()));
     EXPECT_NE(found[0].find("chain16.mtx"), std::string::npos);
     EXPECT_TRUE(discoverMatrixFiles("/nonexistent/dir").empty());
+
+    // Only *.mtx files count.
+    const std::string dir = ::testing::TempDir() + "mtx_discover";
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/b.mtx") << "x";
+    std::ofstream(dir + "/a.mtx") << "x";
+    std::ofstream(dir + "/notes.json") << "{}";
+    auto mixed = discoverMatrixFiles(dir);
+    std::filesystem::remove_all(dir);
+    ASSERT_EQ(mixed.size(), 2u);
+    EXPECT_NE(mixed[0].find("a.mtx"), std::string::npos);
+    EXPECT_NE(mixed[1].find("b.mtx"), std::string::npos);
 }
 
 TEST(SpTrsv, BatchInputsBitIdenticalToSingle)

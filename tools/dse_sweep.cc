@@ -18,22 +18,12 @@
  *     --no-cache          disable the program cache
  *     --verify            statically verify every point compile
  *                         (compiler/verify.hh; failures abort)
- *     --fidelity=<tier>   evaluation tier: cycle (default), table,
- *                         or analytic
- *     --table=<file>      fitted table model for the table tier
- *                         (default: the built-in calibration)
  *     --ranks=N           fleet ranks per design point (default 1;
  *                         throughput/power scale, per-op latency and
  *                         energy do not)
  *     --xfer-gbps=<v|inf> host link rate; finite values charge
  *                         transfer cycles on every evaluated batch
  *                         (default inf = free link)
- *     --refine            adaptive refinement: fast sweep, then
- *                         cycle re-evaluation of the Pareto
- *                         neighborhood (requires a fast --fidelity)
- *     --refine-error=<f>  assumed relative energy error of the fast
- *                         tier for survivor selection, in [0, 1)
- *                         (default: the tier's declared envelope)
  *     --quick             smoke-test grid (8 points at scale 0.05)
  *     --csv               print the point table as CSV
  *
@@ -74,7 +64,6 @@ struct Args
     bool csv = false;
     std::string cacheDir;
     bool noCache = false;
-    std::string tablePath;
 };
 
 /** Parse one "name=v1,v2,..." axis assignment into the space. */
@@ -168,11 +157,6 @@ parseArgs(int argc, char **argv, Args &args)
             args.cacheDir = a + 12;
         } else if (std::strcmp(a, "--no-cache") == 0) {
             args.noCache = true;
-        } else if (std::strncmp(a, "--fidelity=", 11) == 0) {
-            if (!parseFidelityName(a + 11, args.sweep.fidelity))
-                reject("--fidelity", a + 11, kFidelityChoicesHelp);
-        } else if (std::strncmp(a, "--table=", 8) == 0) {
-            args.tablePath = a + 8;
         } else if (std::strncmp(a, "--ranks=", 8) == 0) {
             if (!parseUint32Arg(a + 8, args.sweep.space.fleetRanks) ||
                 args.sweep.space.fleetRanks < 1)
@@ -188,15 +172,6 @@ parseArgs(int argc, char **argv, Args &args)
                                                 tech28::frequencyHz);
         } else if (std::strcmp(a, "--verify") == 0) {
             args.sweep.verify = true;
-        } else if (std::strcmp(a, "--refine") == 0) {
-            args.sweep.refine = true;
-        } else if (std::strncmp(a, "--refine-error=", 15) == 0) {
-            if (!parseDoubleArg(a + 15,
-                                args.sweep.refineErrorBound) ||
-                args.sweep.refineErrorBound < 0 ||
-                args.sweep.refineErrorBound >= 1)
-                reject("--refine-error", a + 15,
-                       "a number in [0, 1)");
         } else if (std::strcmp(a, "--quick") == 0) {
             args.quick = true;
         } else if (std::strcmp(a, "--csv") == 0) {
@@ -208,9 +183,8 @@ parseArgs(int argc, char **argv, Args &args)
                 "usage: dse_sweep [--axes=<spec>] [--scale=<f>] "
                 "[--seed=N] [--threads=N] [--shards=N] "
                 "[--journal=<file>] [--resume] [--cache-dir=<dir>] "
-                "[--no-cache] [--fidelity=<tier>] [--table=<file>] "
-                "[--ranks=N] [--xfer-gbps=<v|inf>] [--verify] "
-                "[--refine] [--refine-error=<f>] [--quick] [--csv]\n",
+                "[--no-cache] [--ranks=N] [--xfer-gbps=<v|inf>] "
+                "[--verify] [--quick] [--csv]\n",
                 a);
             return 1;
         }
@@ -220,13 +194,6 @@ parseArgs(int argc, char **argv, Args &args)
     if (args.sweep.resume && args.sweep.journalPath.empty()) {
         std::fprintf(stderr,
                      "dse_sweep: --resume requires --journal=<file>\n");
-        return 1;
-    }
-    if (args.sweep.refine &&
-        args.sweep.fidelity == EvalFidelity::Cycle) {
-        std::fprintf(stderr,
-                     "dse_sweep: --refine requires a fast tier "
-                     "(--fidelity=table or --fidelity=analytic)\n");
         return 1;
     }
     return 0;
@@ -264,18 +231,10 @@ main(int argc, char **argv)
         if (!args.noCache)
             args.sweep.cache = &cache;
 
-        TableModel table;
-        if (!args.tablePath.empty()) {
-            table = TableModel::load(args.tablePath);
-            args.sweep.table = &table;
-        }
-
         size_t grid_points = expandDseGrid(args.sweep.space).size();
         std::printf("dse_sweep: %zu design points, %u shard(s), %u "
-                    "thread(s), fidelity %s%s%s%s\n",
+                    "thread(s)%s%s\n",
                     grid_points, args.sweep.shards, args.sweep.threads,
-                    fidelityName(args.sweep.fidelity),
-                    args.sweep.refine ? " (refine)" : "",
                     args.sweep.journalPath.empty()
                         ? ""
                         : (", journal " + args.sweep.journalPath)
@@ -292,16 +251,6 @@ main(int argc, char **argv)
             std::printf("dse_sweep: resumed %zu of %zu points from "
                         "the journal\n",
                         sweep.resumedPoints, pts.size());
-        if (args.sweep.refine) {
-            double reduction = sweep.cycleEvaluatedPoints
-                ? double(pts.size()) /
-                      double(sweep.cycleEvaluatedPoints)
-                : double(pts.size());
-            std::printf("dse_sweep: refinement cycle-evaluated %zu of "
-                        "%zu points (%zu survivors, %.1fx reduction)\n",
-                        sweep.cycleEvaluatedPoints, pts.size(),
-                        sweep.refineSurvivors, reduction);
-        }
 
         std::vector<size_t> frontier = paretoFrontier(pts);
         size_t min_edp = minEdpIndex(pts);
