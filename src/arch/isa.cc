@@ -1,5 +1,6 @@
 #include "arch/isa.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "arch/interconnect.hh"
@@ -19,7 +20,7 @@ fieldBits(uint32_t n)
     return 32u - static_cast<uint32_t>(std::countl_zero(n - 1));
 }
 
-/** Append `bits` low bits of `value` to a bit stream. */
+/** Bit-stream writer: fields go in LSB first, a 64-bit word at a time. */
 class BitWriter
 {
   public:
@@ -29,21 +30,39 @@ class BitWriter
         dpu_assert(bits <= 64, "field too wide");
         dpu_assert(bits == 64 || value < (uint64_t(1) << bits),
                    "value does not fit field");
-        for (uint32_t i = 0; i < bits; ++i) {
-            if (pos % 8 == 0)
-                bytes.push_back(0);
-            if ((value >> i) & 1)
-                bytes[pos / 8] |= static_cast<uint8_t>(1u << (pos % 8));
-            ++pos;
+        if (bits == 0)
+            return;
+        acc |= value << fill; // fill < 64
+        const uint32_t room = 64 - fill;
+        if (bits < room) {
+            fill += bits;
+            return;
         }
+        flush(8);
+        // The high bits of `value` that did not fit start a new word.
+        acc = room == 64 ? 0 : value >> room;
+        fill = bits - room;
     }
 
-    std::vector<uint8_t> take() { return std::move(bytes); }
-    uint64_t bitCount() const { return pos; }
+    std::vector<uint8_t>
+    take()
+    {
+        flush((fill + 7) / 8);
+        return std::move(bytes);
+    }
 
   private:
+    /** Append the low `n` bytes of the accumulator, LSB first. */
+    void
+    flush(uint32_t n)
+    {
+        for (uint32_t k = 0; k < n; ++k)
+            bytes.push_back(static_cast<uint8_t>(acc >> (8 * k)));
+    }
+
     std::vector<uint8_t> bytes;
-    uint64_t pos = 0;
+    uint64_t acc = 0;  ///< Pending bits not yet in `bytes`.
+    uint32_t fill = 0; ///< Valid low bits of acc (< 64).
 };
 
 /** Sequential bit-stream reader (models the aligning shifter). */
@@ -55,14 +74,23 @@ class BitReader
     uint64_t
     get(uint32_t bits)
     {
+        dpu_assert(bits <= 64, "field too wide");
+        dpu_assert(pos + bits <= uint64_t(bytes.size()) * 8,
+                   "bit stream underrun");
+        if (bits == 0)
+            return 0;
+        // Load only the bytes the field spans: 1..9 from `pos`.
+        const size_t at = pos / 8;
+        const uint32_t shift = pos % 8;
+        const uint32_t span = (shift + bits + 7) / 8;
         uint64_t v = 0;
-        for (uint32_t i = 0; i < bits; ++i) {
-            dpu_assert(pos / 8 < bytes.size(), "bit stream underrun");
-            if ((bytes[pos / 8] >> (pos % 8)) & 1)
-                v |= uint64_t(1) << i;
-            ++pos;
-        }
-        return v;
+        for (uint32_t k = 0; k < std::min(span, 8u); ++k)
+            v |= uint64_t(bytes[at + k]) << (8 * k);
+        v >>= shift;
+        if (span == 9)
+            v |= uint64_t(bytes[at + 8]) << (64 - shift);
+        pos += bits;
+        return bits == 64 ? v : v & ((uint64_t(1) << bits) - 1);
     }
 
   private:

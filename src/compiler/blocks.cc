@@ -334,7 +334,7 @@ class BlockBuilder
         dpu_assert(block.peOps[pe] == PeOp::Nop, "PE double-booked");
         const Node &n = dag.node(v);
         block.peOps[pe] = n.op == OpType::Add ? PeOp::Add : PeOp::Mul;
-        block.placements[v].push_back(pe);
+        block.placements.push_back({v, pe});
         dpu_assert(n.operands.size() == 2, "DAG must be binarized");
         if (at.layer == 1) {
             for (uint32_t i = 0; i < 2; ++i) {

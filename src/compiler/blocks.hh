@@ -22,7 +22,7 @@
 #ifndef DPU_COMPILER_BLOCKS_HH
 #define DPU_COMPILER_BLOCKS_HH
 
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "arch/config.hh"
@@ -60,8 +60,9 @@ struct Block
     /** Register reads, at most one per port. */
     std::vector<PortRead> reads;
 
-    /** PE placements of each block node (replicas => several PEs). */
-    std::unordered_map<NodeId, std::vector<uint32_t>> placements;
+    /** (node, PE) of every arithmetic placement, in placement order;
+     *  a replicated node appears once per replica. */
+    std::vector<std::pair<NodeId, uint32_t>> placements;
 
     /** Distinct values read (block inputs). */
     std::vector<NodeId> inputs;

@@ -174,7 +174,6 @@ compile(const PreparedDag &prepared, const ArchConfig &cfg,
     // depends only on (dag, cfg, seed, range), so any thread count
     // produces the same pieces.
     std::vector<RangeDecomposition> pieces(num_parts);
-    std::vector<BankAssignment> pieceBanks(num_parts);
     parallelFor(num_parts, options.threads, [&](size_t p) {
         if (hit[p])
             pieces[p] = hit[p]->dec;
@@ -183,45 +182,32 @@ compile(const PreparedDag &prepared, const ArchConfig &cfg,
                 dag, cfg, options.seed, parts[p], dfs_positions);
     });
 
-    // Step 2 + merge of the per-range bank maps into the whole-DAG
-    // view codegen needs (a range reads values earlier ranges own).
-    // Boundary-aware mapping chains the ranges (each sees the merged
-    // occupancy of its predecessors), so it runs sequentially;
-    // otherwise the historical parallel fan-out applies.
+    // Step 2 for one range, and the merge of its bank map into the
+    // whole-DAG view codegen reads (a range reads values earlier
+    // ranges own). Boundary-aware mapping chains the ranges — each
+    // sees the merged banks of its predecessors — so the partitioned
+    // path maps in partition order, inside the pipeline below.
+    std::vector<BankAssignment> pieceBanks(num_parts);
     BankAssignment banks;
     banks.bankOf.assign(dag.numNodes(), BankAssignment::invalid);
     banks.peOf.assign(dag.numNodes(), BankAssignment::invalid);
-    auto merge_range_banks = [&](size_t p) {
+    const bool boundary_aware =
+        options.boundaryAwareBanks && num_parts > 1;
+    auto map_range = [&](size_t p) {
+        if (hit[p])
+            pieceBanks[p] = hit[p]->banks;
+        else
+            pieceBanks[p] = assignBanksForRange(
+                dag, cfg, pieces[p], options.bankPolicy,
+                partitionSeed(options.seed, p),
+                boundary_aware ? &banks.bankOf : nullptr);
         NodeId lo = pieces[p].range.first;
         for (size_t i = 0; i < pieceBanks[p].bankOf.size(); ++i) {
             banks.bankOf[lo + i] = pieceBanks[p].bankOf[i];
             banks.peOf[lo + i] = pieceBanks[p].peOf[i];
         }
     };
-    const bool boundary_aware =
-        options.boundaryAwareBanks && num_parts > 1;
-    if (boundary_aware) {
-        for (size_t p = 0; p < num_parts; ++p) {
-            if (hit[p])
-                pieceBanks[p] = hit[p]->banks;
-            else
-                pieceBanks[p] = assignBanksForRange(
-                    dag, cfg, pieces[p], options.bankPolicy,
-                    partitionSeed(options.seed, p), &banks.bankOf);
-            merge_range_banks(p);
-        }
-    } else {
-        parallelFor(num_parts, options.threads, [&](size_t p) {
-            if (hit[p])
-                pieceBanks[p] = hit[p]->banks;
-            else
-                pieceBanks[p] = assignBanksForRange(
-                    dag, cfg, pieces[p], options.bankPolicy,
-                    partitionSeed(options.seed, p));
-        });
-        for (size_t p = 0; p < num_parts; ++p)
-            merge_range_banks(p);
-    }
+
     std::vector<std::span<const Block>> partBlocks(num_parts);
     std::vector<size_t> blocksPerPart(num_parts);
     for (size_t p = 0; p < num_parts; ++p) {
@@ -238,6 +224,7 @@ compile(const PreparedDag &prepared, const ArchConfig &cfg,
         // Historical monolithic tail: codegen -> merge -> whole-IR
         // reorder -> finalize. Unpartitioned programs stay bit-exact
         // with every release since the parallel compiler landed.
+        map_range(0);
         std::vector<IrFragment> frags(1);
         if (hit[0]) {
             frags[0] = hit[0]->frag;
@@ -274,13 +261,16 @@ compile(const PreparedDag &prepared, const ArchConfig &cfg,
 
         prog = finalizeProgram(std::move(ir), cfg, dec);
     } else {
-        // Pipelined steps 3-4: each partition's fragment is reordered
-        // as soon as its codegen completes (workers), then merged and
-        // finalized in strict partition order (this thread). Both the
-        // merge and the incremental finalizer are deterministic in
-        // the consume order, so the program is byte-identical at
-        // every thread count — threads = 1 degenerates to the plain
-        // produce/consume interleave.
+        // Pipelined steps 2-4: a worker maps partition p's banks in
+        // partition order (right after p-1, while earlier partitions
+        // are still in codegen, reorder and finalize), then generates
+        // and reorders its fragment; this thread merges and finalizes
+        // the fragments in strict partition order. Step 2 sees
+        // exactly the banks the earlier ranges chose, and the merge
+        // and the incremental finalizer are deterministic in the
+        // consume order, so the program is byte-identical at every
+        // thread count — threads = 1 degenerates to the plain
+        // map/produce/consume interleave.
         std::vector<size_t> blockBase(num_parts + 1, 0);
         for (size_t p = 0; p < num_parts; ++p)
             blockBase[p + 1] = blockBase[p] + blocksPerPart[p];
@@ -305,6 +295,7 @@ compile(const PreparedDag &prepared, const ArchConfig &cfg,
         size_t done_instances = 0;
         pipelineOrdered(
             num_parts, options.threads,
+            map_range, // ordered: range p sees ranges < p mapped
             [&](size_t p) { // produce: codegen + per-fragment reorder
                 if (hit[p]) {
                     frags[p] = hit[p]->frag;

@@ -31,8 +31,10 @@ struct CompileOptions
      *  mapper sees the bank occupancy of earlier ranges, so values
      *  co-read across a partition boundary avoid each other's banks
      *  (fewer read conflicts, fewer copy instructions). Ranges are
-     *  then mapped sequentially — decomposition and codegen still
-     *  fan out. No effect on unpartitioned compiles. */
+     *  then mapped one at a time in partition order, inside the
+     *  codegen pipeline: range p maps while earlier partitions are in
+     *  codegen, reorder and finalize. No effect on unpartitioned
+     *  compiles. */
     bool boundaryAwareBanks = true;
 
     /** Step-3 look-ahead window (paper: 300). */
@@ -61,7 +63,7 @@ struct CompileOptions
 
     /** Host worker threads for partition-parallel compilation. Each
      *  partition's block decomposition, bank mapping, IR codegen,
-     *  pipeline reorder and finalize run concurrently (steps 3-4 are
+     *  pipeline reorder and finalize run concurrently (steps 2-4 are
      *  pipelined against codegen per partition); the merged program
      *  is byte-identical for every thread count (and to threads = 1).
      *  Only effective when partitionNodes yields more than one

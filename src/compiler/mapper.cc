@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 
 #include "arch/interconnect.hh"
 #include "support/rng.hh"
@@ -51,10 +52,17 @@ class BankMapper
                const uint32_t *ext_bank_of = nullptr)
         : dag(dag), cfg(cfg), blocks(blocks), lo(lo), hi(hi),
           blockOf(block_of), isIo(is_io), policy(policy), rng(seed),
-          extBankOf(ext_bank_of)
+          extBankOf(ext_bank_of), contended(cfg.banks, 0)
     {
         dpu_assert(cfg.banks <= 64, "bank masks are 64-bit");
         dpu_assert(lo <= hi && hi <= dag.numNodes(), "bad mapper range");
+        peWritable.reserve(cfg.numPes());
+        for (uint32_t pe = 0; pe < cfg.numPes(); ++pe) {
+            BankMask m = 0;
+            for (uint32_t bank : writableBanks(cfg, pe))
+                m |= BankMask(1) << bank;
+            peWritable.push_back(m);
+        }
     }
 
     BankAssignment
@@ -74,17 +82,47 @@ class BankMapper
     bool inRange(NodeId v) const { return v >= lo && v < hi; }
     size_t idx(NodeId v) const { return v - lo; }
 
-    /** Index io values and their reader blocks. */
+    /** The blocks reading in-range value v, ascending. */
+    std::span<const uint32_t>
+    readersOf(NodeId v) const
+    {
+        return {readerList.data() + readerStart[idx(v)],
+                readerList.data() + readerStart[idx(v) + 1]};
+    }
+
+    /**
+     * Index io values, their reader blocks, and each block's in-range
+     * inputs. A block's pending list is compacted in order as its
+     * values are assigned, so the objective-I propagation of a
+     * commit only visits values whose compatibility can still shrink.
+     */
     void
     collectIoValues()
     {
         out.bankOf.assign(extent(), BankAssignment::invalid);
         out.peOf.assign(extent(), BankAssignment::invalid);
-        readerBlocks.assign(extent(), {});
+        readerStart.assign(extent() + 1, 0);
+        pendingStart.assign(blocks.size(), 0);
+        pendingSize.assign(blocks.size(), 0);
+        for (uint32_t b = 0; b < blocks.size(); ++b) {
+            pendingStart[b] = static_cast<uint32_t>(pendingList.size());
+            for (NodeId v : blocks[b].inputs)
+                if (inRange(v)) {
+                    ++readerStart[idx(v) + 1];
+                    pendingList.push_back(v);
+                }
+            pendingSize[b] = static_cast<uint32_t>(pendingList.size()) -
+                             pendingStart[b];
+        }
+        for (size_t i = 0; i < extent(); ++i)
+            readerStart[i + 1] += readerStart[i];
+        readerList.resize(readerStart[extent()]);
+        std::vector<uint32_t> fill(readerStart.begin(),
+                                   readerStart.end() - 1);
         for (uint32_t b = 0; b < blocks.size(); ++b)
             for (NodeId v : blocks[b].inputs)
                 if (inRange(v))
-                    readerBlocks[idx(v)].push_back(b);
+                    readerList[fill[idx(v)]++] = b;
         for (NodeId v = lo; v < hi; ++v)
             if (isIo[idx(v)])
                 ioValues.push_back(v);
@@ -99,13 +137,14 @@ class BankMapper
             return cfg.banks == 64 ? ~BankMask(0)
                                    : (BankMask(1) << cfg.banks) - 1;
         }
-        const Block &blk = blocks[blockOf[idx(v)]];
-        auto it = blk.placements.find(v);
-        dpu_assert(it != blk.placements.end(), "io node unplaced");
         BankMask m = 0;
-        for (uint32_t pe : it->second)
-            for (uint32_t bank : writableBanks(cfg, pe))
-                m |= BankMask(1) << bank;
+        bool placed = false;
+        for (const auto &[node, pe] : blocks[blockOf[idx(v)]].placements)
+            if (node == v) {
+                m |= peWritable[pe];
+                placed = true;
+            }
+        dpu_assert(placed, "io node unplaced");
         return m;
     }
 
@@ -119,7 +158,7 @@ class BankMapper
     externalConflictMask(NodeId v) const
     {
         BankMask m = 0;
-        for (uint32_t rb : readerBlocks[idx(v)])
+        for (uint32_t rb : readersOf(v))
             for (NodeId w : blocks[rb].inputs)
                 if (w != v && !inRange(w)) {
                     uint32_t b = extBankOf[w];
@@ -217,12 +256,14 @@ class BankMapper
     /**
      * Count, per bank, how contended it is for v: the number of
      * already-assigned values that are read or written together with
-     * v and live in that bank (algorithm 2 line 24).
+     * v and live in that bank (algorithm 2 line 24). Reuses one
+     * scratch array across calls.
      */
-    std::vector<uint32_t>
-    contention(NodeId v) const
+    const std::vector<uint32_t> &
+    contention(NodeId v)
     {
-        std::vector<uint32_t> c(cfg.banks, 0);
+        std::vector<uint32_t> &c = contended;
+        std::fill(c.begin(), c.end(), 0);
         auto tally = [&](NodeId w) {
             if (w == v)
                 return;
@@ -236,7 +277,7 @@ class BankMapper
         };
         for (NodeId w : blockOutputs(v))
             tally(w);
-        for (uint32_t rb : readerBlocks[idx(v)])
+        for (uint32_t rb : readersOf(v))
             for (NodeId w : blocks[rb].inputs)
                 tally(w);
         return c;
@@ -287,17 +328,34 @@ class BankMapper
         return true;
     }
 
-    /** A replica PE of v that can write `bank` (constraint H). */
+    /** The first replica PE of v, in placement order, that can
+     *  write `bank` (constraint H). */
     uint32_t
     pickWriterPe(NodeId v, uint32_t bank) const
     {
-        const Block &blk = blocks[blockOf[idx(v)]];
-        for (uint32_t pe : blk.placements.at(v)) {
-            auto banks = writableBanks(cfg, pe);
-            if (std::find(banks.begin(), banks.end(), bank) != banks.end())
+        for (const auto &[node, pe] : blocks[blockOf[idx(v)]].placements)
+            if (node == v && (peWritable[pe] >> bank & 1))
                 return pe;
-        }
         dpu_panic("no replica PE writes the chosen bank");
+    }
+
+    /** Objective I for block rb after `bank` went to a value it
+     *  reads: its still-unassigned inputs avoid that bank. Assigned
+     *  values leave the pending list here (a no-op for removeBank
+     *  anyway), keeping the survivors in input order. */
+    void
+    avoidInReader(uint32_t rb, uint32_t bank)
+    {
+        NodeId *pending = pendingList.data() + pendingStart[rb];
+        uint32_t kept = 0;
+        for (uint32_t i = 0; i < pendingSize[rb]; ++i) {
+            NodeId w = pending[i];
+            if (out.bankOf[idx(w)] != BankAssignment::invalid)
+                continue;
+            removeBank(w, bank);
+            pending[kept++] = w;
+        }
+        pendingSize[rb] = kept;
     }
 
     /** Finalize v's bank: record it, pick the writer PE, propagate
@@ -314,10 +372,8 @@ class BankMapper
                 removeBank(w, bank);
         // Objective I (inter-block): values read together with v
         // should avoid v's bank.
-        for (uint32_t rb : readerBlocks[idx(v)])
-            for (NodeId w : blocks[rb].inputs)
-                if (w != v)
-                    removeBank(w, bank);
+        for (uint32_t rb : readersOf(v))
+            avoidInReader(rb, bank);
     }
 
     void
@@ -344,7 +400,7 @@ class BankMapper
                 dpu_assert(ok, "write-port matching infeasible");
                 continue;
             }
-            auto contended = contention(v);
+            const auto &contended = contention(v);
             uint32_t best = BankAssignment::invalid;
             uint32_t best_score = ~0u;
             for (uint32_t b = 0; b < cfg.banks; ++b) {
@@ -388,8 +444,17 @@ class BankMapper
     const uint32_t *extBankOf; ///< Global bankOf of earlier ranges.
     BankAssignment out;
 
+    std::vector<BankMask> peWritable; ///< Writable banks per PE.
     std::vector<NodeId> ioValues;
-    std::vector<std::vector<uint32_t>> readerBlocks;
+    /** CSR of in-range value -> reader blocks (readersOf). */
+    std::vector<uint32_t> readerStart;
+    std::vector<uint32_t> readerList;
+    /** Per block: its in-range inputs not yet assigned, a prefix of
+     *  pendingList[pendingStart[b]..] of length pendingSize[b]. */
+    std::vector<uint32_t> pendingStart;
+    std::vector<uint32_t> pendingSize;
+    std::vector<NodeId> pendingList;
+    std::vector<uint32_t> contended; ///< contention() scratch.
     std::vector<BankMask> sb;   ///< Current compatibility (shrinks).
     std::vector<BankMask> phys; ///< Constraint-H mask (fixed).
     std::vector<uint32_t> bucketOf;

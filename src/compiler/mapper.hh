@@ -77,13 +77,17 @@ BankAssignment assignBanks(const Dag &dag, const ArchConfig &cfg,
  * optimized (they are still resolved correctly by copies later).
  *
  * `externalBanks` makes the mapper *boundary-aware*: a whole-DAG
- * bankOf vector whose entries for earlier ranges are already fixed
- * (later ranges: invalid). Cross-boundary co-read banks then shrink a
- * value's compatibility set and count toward bank contention, cutting
- * the read conflicts the boundary-oblivious mapper pays on
- * partitioned compiles. Mapping then depends on earlier ranges, so
- * ranges must be mapped in ascending order (still deterministic).
- * Pass nullptr for the historical boundary-oblivious behavior.
+ * bankOf vector whose entries for earlier ranges are already fixed.
+ * Cross-boundary co-read banks then shrink a value's compatibility
+ * set and count toward bank contention, cutting the read conflicts
+ * the boundary-oblivious mapper pays on partitioned compiles.
+ * Mapping then depends on earlier ranges, so ranges must be mapped
+ * in ascending order (still deterministic); only entries of earlier
+ * ranges are read, so other threads may fill in later ranges
+ * meanwhile — compile() maps each range in the ordered step of its
+ * codegen pipeline, overlapping the codegen, reorder and finalize of
+ * the earlier partitions. Pass nullptr for the historical
+ * boundary-oblivious behavior.
  *
  * The returned bankOf/peOf are range-local (indexed v - range.first)
  * and readConflicts is left at 0 — count it globally after merging.

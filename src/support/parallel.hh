@@ -6,8 +6,11 @@
  * replicated), so results keyed by index are identical for any
  * thread count. The first exception thrown by any worker stops the
  * pool and is rethrown on the caller after all workers joined.
+ * pipelineOrdered adds, on the same work stealing, an ordered step
+ * per index and an ordered consumer.
  *
- * Shared by the simulator's BatchMachine and the bench harness.
+ * Shared by the simulator's BatchMachine, the partitioned compiler
+ * and the bench harness.
  */
 
 #ifndef DPU_SUPPORT_PARALLEL_HH
@@ -71,30 +74,39 @@ parallelFor(size_t n, uint32_t threads, Fn &&fn)
 
 /**
  * Ordered producer/consumer pipeline over an index space: up to
- * `threads` workers run produce(i) out of order (atomic-counter work
- * stealing, like parallelFor), while the calling thread runs
- * consume(i) strictly in ascending index order as soon as produce(i)
- * has completed. produce(i) must only touch state private to index i;
- * consume(i) may mutate shared state freely — it is never concurrent
- * with another consume and is totally ordered, so the consumed result
- * is identical for any thread count. With threads <= 1 the caller
- * simply interleaves produce(i); consume(i) — the canonical
- * sequential pipeline the parallel path must match byte for byte.
+ * `threads` workers take indices in ascending order (atomic-counter
+ * work stealing, like parallelFor) and run ordered(i), then
+ * produce(i); the calling thread runs consume(i) strictly in
+ * ascending index order as soon as produce(i) has completed.
  *
- * Exceptions: the first error from either side stops the pool and is
- * rethrown on the caller after all workers joined; no further
- * consume() calls are made after a failure.
+ * ordered(i) waits for its turn: it starts after ordered(i-1) has
+ * finished (a turnstile on the index), so it may read and write what
+ * lower indices' ordered steps left, while other workers' produce()
+ * calls carry on. produce(i) runs out of order and must only touch
+ * state private to index i, besides reading what ordered steps up to
+ * i wrote. consume(i) may mutate shared state freely — it is never
+ * concurrent with another consume and is totally ordered. So every
+ * stage's result is identical for any thread count. With threads <= 1
+ * the caller simply interleaves ordered(i); produce(i); consume(i) —
+ * the canonical sequential pipeline the parallel path must match byte
+ * for byte.
+ *
+ * Exceptions: the first error from any stage stops the pool — workers
+ * waiting for their turn give up — and is rethrown on the caller after
+ * all workers joined; no further consume() calls are made after a
+ * failure.
  */
-template <typename Produce, typename Consume>
+template <typename Ordered, typename Produce, typename Consume>
 void
-pipelineOrdered(size_t n, uint32_t threads, Produce &&produce,
-                Consume &&consume)
+pipelineOrdered(size_t n, uint32_t threads, Ordered &&ordered,
+                Produce &&produce, Consume &&consume)
 {
     size_t workers = threads;
     if (workers > n)
         workers = n;
     if (workers <= 1) {
         for (size_t i = 0; i < n; ++i) {
+            ordered(i);
             produce(i);
             consume(i);
         }
@@ -104,9 +116,10 @@ pipelineOrdered(size_t n, uint32_t threads, Produce &&produce,
     std::atomic<size_t> next{0};
     std::atomic<bool> failed{false};
     std::exception_ptr first_error;
-    std::mutex mutex; // guards `done` + first_error, pairs with cv
+    std::mutex mutex; // guards done, turn + first_error, pairs with cv
     std::condition_variable cv;
     std::vector<uint8_t> done(n, 0);
+    size_t turn = 0; // the index whose ordered() runs next
 
     auto record_error = [&]() {
         std::lock_guard<std::mutex> lock(mutex);
@@ -121,6 +134,26 @@ pipelineOrdered(size_t n, uint32_t threads, Produce &&produce,
             size_t i = next.fetch_add(1);
             if (i >= n || failed.load(std::memory_order_relaxed))
                 return;
+            {
+                std::unique_lock<std::mutex> lock(mutex);
+                cv.wait(lock, [&]() {
+                    return turn == i ||
+                           failed.load(std::memory_order_relaxed);
+                });
+                if (failed.load(std::memory_order_relaxed))
+                    return;
+            }
+            try {
+                ordered(i);
+            } catch (...) {
+                record_error();
+                return;
+            }
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                turn = i + 1;
+            }
+            cv.notify_all();
             try {
                 produce(i);
             } catch (...) {

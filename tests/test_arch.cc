@@ -11,6 +11,7 @@
 #include "arch/config.hh"
 #include "arch/interconnect.hh"
 #include "arch/isa.hh"
+#include "support/logging.hh"
 
 namespace dpu {
 namespace {
@@ -247,6 +248,25 @@ TEST(Isa, EncodeDecodeRoundTrip)
     ASSERT_EQ(back.size(), prog.size());
     for (size_t i = 0; i < prog.size(); ++i)
         EXPECT_EQ(back[i], prog[i]) << "instruction " << i;
+}
+
+TEST(Isa, TruncatedImageFailsToDecode)
+{
+    ArchConfig c;
+    c.depth = 2;
+    c.banks = 16;
+    c.regsPerBank = 32;
+    c.check();
+    std::vector<Instruction> prog{NopInstr{}, sampleExec(c), NopInstr{},
+                                  sampleExec(c)};
+    auto image = encodeProgram(c, prog);
+    // The last byte always holds a bit of the last instruction, so
+    // every proper prefix underruns.
+    for (size_t keep = 0; keep < image.size(); ++keep) {
+        std::vector<uint8_t> cut(image.begin(), image.begin() + keep);
+        EXPECT_THROW(decodeProgram(c, cut, prog.size()), PanicError)
+            << "kept " << keep << " of " << image.size() << " bytes";
+    }
 }
 
 TEST(Isa, PackedImageSizeMatchesSum)

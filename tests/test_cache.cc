@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include <filesystem>
 #include <fstream>
 
@@ -265,6 +267,21 @@ TEST(ProgramCache, SerializationRoundTrip)
     auto truncated = image;
     truncated.resize(truncated.size() / 2);
     EXPECT_FALSE(deserializeProgram(truncated, junk));
+
+    // A packed instruction stream one byte short, with its length
+    // field kept consistent, fails in the bit-stream decoder itself.
+    // Layout: magic u64, five config u32s, instruction count u64,
+    // packed length u64, packed bytes.
+    const size_t len_at = 8 + 5 * 4 + 8;
+    uint64_t packed_len = 0;
+    std::memcpy(&packed_len, image.data() + len_at, sizeof(packed_len));
+    ASSERT_GT(packed_len, 0u);
+    auto short_stream = image;
+    --packed_len;
+    std::memcpy(short_stream.data() + len_at, &packed_len,
+                sizeof(packed_len));
+    short_stream.erase(short_stream.begin() + len_at + 8 + packed_len);
+    EXPECT_FALSE(deserializeProgram(short_stream, junk));
 }
 
 TEST(ProgramCache, TruncatedSpillFileIsRejectedAsAMiss)

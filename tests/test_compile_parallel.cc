@@ -5,15 +5,20 @@
  * runs), partitioned compiles must stay functionally correct, and the
  * partitioner edge cases feeding the parallel pipeline must hold.
  * Compiling a PreparedDag must emit the bytes compiling its DAG does.
+ * The PipelineOrdered suite covers the ordered producer/consumer
+ * pipeline the partitioned compile runs on, failure paths included.
  */
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "arch/isa.hh"
 #include "compiler/cache.hh"
 #include "compiler/compiler.hh"
 #include "sim/machine.hh"
 #include "support/logging.hh"
+#include "support/parallel.hh"
 #include "support/rng.hh"
 #include "workloads/pc_generator.hh"
 #include "workloads/suite.hh"
@@ -303,6 +308,99 @@ TEST(ParallelCompile, PreparedDagSharesProgramCacheKeys)
     EXPECT_EQ(programBytes(cold), programBytes(warm));
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(ParallelCompile, BoundaryObliviousByteIdenticalAcrossThreads)
+{
+    // The boundary-oblivious mapper runs unordered in the producers;
+    // only its merge is ordered. The bytes must not depend on it.
+    Dag d = generateRandomDag(64, 3000, 95);
+    ArchConfig cfg = cfgOf(3, 16, 64);
+    CompileOptions opt;
+    opt.partitionNodes = 500;
+    opt.boundaryAwareBanks = false;
+    opt.validate = true;
+    opt.threads = 1;
+    auto reference = compile(d, cfg, opt);
+    for (uint32_t threads : {2u, 4u, 8u}) {
+        opt.threads = threads;
+        expectIdentical(reference, compile(d, cfg, opt));
+    }
+    runAndCheck(reference, d, randomInputs(d, 96));
+}
+
+/** Which pipelineOrdered stage a probe makes throw. */
+enum class Throw { Ordered, Produce, Consume };
+
+/**
+ * Run a pipelineOrdered over `n` indices whose stage `where` throws at
+ * index `at`: the error must come out of pipelineOrdered (a deadlock
+ * hangs the test), and nothing at or after the failed index may be
+ * consumed.
+ */
+void
+expectPipelineFailure(size_t n, uint32_t threads, size_t at, Throw where)
+{
+    SCOPED_TRACE("threads=" + std::to_string(threads) + " at=" +
+                 std::to_string(at) + " stage=" +
+                 std::to_string(static_cast<int>(where)));
+    std::vector<size_t> consumed;
+    auto fail_if = [&](Throw stage, size_t i) {
+        if (stage == where && i == at)
+            throw std::runtime_error("stage failed");
+    };
+    try {
+        pipelineOrdered(
+            n, threads, [&](size_t i) { fail_if(Throw::Ordered, i); },
+            [&](size_t i) { fail_if(Throw::Produce, i); },
+            [&](size_t i) {
+                fail_if(Throw::Consume, i);
+                consumed.push_back(i);
+            });
+        ADD_FAILURE() << "no exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "stage failed");
+    }
+    for (size_t k = 0; k < consumed.size(); ++k)
+        EXPECT_EQ(consumed[k], k);
+    EXPECT_LE(consumed.size(), at);
+}
+
+TEST(PipelineOrdered, FailureAnywherePropagatesWithoutDeadlock)
+{
+    // A failure at index 0 strands every other worker on the
+    // turnstile; one in the middle strands only the later ones.
+    const size_t n = 24;
+    for (uint32_t threads : {1u, 2u, 4u, 8u})
+        for (size_t at : {size_t(0), n / 2, n - 1})
+            for (Throw where :
+                 {Throw::Ordered, Throw::Produce, Throw::Consume})
+                expectPipelineFailure(n, threads, at, where);
+}
+
+TEST(PipelineOrdered, OrderedStepsAndConsumesRunInIndexOrder)
+{
+    // Unordered producer work after each ordered step: the ordered
+    // steps see a strictly growing prefix, whatever the thread count.
+    const size_t n = 64;
+    for (uint32_t threads : {1u, 3u, 8u}) {
+        std::vector<size_t> ordered, consumed;
+        std::vector<uint64_t> work(n, 0);
+        pipelineOrdered(
+            n, threads, [&](size_t i) { ordered.push_back(i); },
+            [&](size_t i) {
+                Rng rng(i);
+                for (int k = 0; k < 1000; ++k)
+                    work[i] += rng.below(7);
+            },
+            [&](size_t i) { consumed.push_back(i); });
+        ASSERT_EQ(ordered.size(), n);
+        ASSERT_EQ(consumed.size(), n);
+        for (size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(ordered[i], i);
+            EXPECT_EQ(consumed[i], i);
+        }
+    }
 }
 
 } // namespace

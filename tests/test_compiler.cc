@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "compiler/cache.hh"
 #include "compiler/compiler.hh"
 #include "dag/algorithms.hh"
 #include "dag/binarize.hh"
@@ -14,6 +18,7 @@
 #include "workloads/pc_generator.hh"
 #include "workloads/sparse_matrix.hh"
 #include "workloads/sptrsv.hh"
+#include "workloads/suite.hh"
 
 namespace dpu {
 namespace {
@@ -215,6 +220,104 @@ TEST(Compiler, RegisterFileTooSmallFails)
     Dag d = generateRandomDag(64, 2000, 53);
     ArchConfig cfg = cfgOf(3, 8, 2);
     EXPECT_THROW(compile(d, cfg), FatalError);
+}
+
+/** FNV-1a-64 of the serialized program, wall-clock stats zeroed so
+ *  the digest covers exactly the deterministic bytes. */
+std::string
+programDigest(CompiledProgram prog)
+{
+    prog.stats.compileSeconds = 0.0;
+    prog.stats.verifySeconds = 0.0;
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint8_t b : serializeProgram(prog)) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return hex;
+}
+
+struct ProgramGolden
+{
+    const char *name;
+    const char *digest; ///< programDigest, or "fatal" if infeasible.
+};
+
+// Recorded before bank mapping moved into the partition pipeline. A
+// compiler change that keeps its output must pass these unedited; one
+// that changes the output re-pins them deliberately.
+const std::vector<ProgramGolden> kProgramGolden = {
+    {"tretail D1.B8.R16", "ee92cd6224f13578"},
+    {"tretail D3.B64.R32", "b5a5b39ff2d9006b"},
+    {"mnist D1.B8.R16", "37ce1058ea5e2052"},
+    {"mnist D3.B64.R32", "09111df8461d47e9"},
+    {"nltcs D1.B8.R16", "53d7c0be121d3363"},
+    {"nltcs D3.B64.R32", "a9a505757e7567ba"},
+    {"msnbc D1.B8.R16", "0b33dd841e680b78"},
+    {"msnbc D3.B64.R32", "d22e54f4ea3b0f26"},
+    {"msweb D1.B8.R16", "5d26b14dbbed529c"},
+    {"msweb D3.B64.R32", "1566b80c858fd3cd"},
+    {"bnetflix D1.B8.R16", "c86cd9e402d406a4"},
+    {"bnetflix D3.B64.R32", "78ddd443440c5c59"},
+    {"bp_200 D1.B8.R16", "8ce19cc37b32c688"},
+    {"bp_200 D3.B64.R32", "0162071b42f9e871"},
+    {"west2021 D1.B8.R16", "dd49de08872cd7ac"},
+    {"west2021 D3.B64.R32", "3a157be919cd6a94"},
+    {"sieber D1.B8.R16", "c9c11078f4c5632a"},
+    {"sieber D3.B64.R32", "5d11df91418306e9"},
+    {"jagmesh4 D1.B8.R16", "f20f453ce6979907"},
+    {"jagmesh4 D3.B64.R32", "11b0e5c6f07fd120"},
+    {"rdb968 D1.B8.R16", "fe7ea1bbbb0f79d7"},
+    {"rdb968 D3.B64.R32", "0b0b88c7fc22ff25"},
+    {"dw2048 D1.B8.R16", "f60dbbe51c7e13b3"},
+    {"dw2048 D3.B64.R32", "7eed63b62fb6ebe9"},
+    {"pigs partitioned threads=1", "f80ddb9222de1f07"},
+    {"pigs partitioned threads=4", "f80ddb9222de1f07"},
+};
+
+TEST(CompileGolden, ProgramBytesArePinned)
+{
+    std::vector<std::pair<std::string, std::string>> got;
+    for (const WorkloadSpec &spec : smallSuite()) {
+        Dag d = buildWorkloadDag(spec, 0.1);
+        for (ArchConfig cfg : {cfgOf(1, 8, 16), cfgOf(3, 64, 32)}) {
+            std::string name = spec.name + " D" +
+                               std::to_string(cfg.depth) + ".B" +
+                               std::to_string(cfg.banks) + ".R" +
+                               std::to_string(cfg.regsPerBank);
+            try {
+                got.push_back({name, programDigest(compile(d, cfg))});
+            } catch (const FatalError &) {
+                got.push_back({name, "fatal"}); // register file too small
+            }
+        }
+    }
+    // The partitioned pipeline: a Table I(c) twin in 4000-node
+    // partitions, sequential and threaded.
+    Dag pigs = buildWorkloadDag(findWorkload("pigs"), 0.05);
+    for (uint32_t threads : {1u, 4u}) {
+        CompileOptions opt;
+        opt.partitionNodes = 4000;
+        opt.threads = threads;
+        got.push_back({"pigs partitioned threads=" +
+                           std::to_string(threads),
+                       programDigest(compile(pigs, largeConfig(), opt))});
+    }
+
+    for (size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE(got[i].first);
+        if (i >= kProgramGolden.size()) {
+            ADD_FAILURE() << "missing golden:\n    {\"" << got[i].first
+                          << "\", \"" << got[i].second << "\"},";
+            continue;
+        }
+        EXPECT_EQ(got[i].first, kProgramGolden[i].name);
+        EXPECT_EQ(got[i].second, kProgramGolden[i].digest);
+    }
+    EXPECT_EQ(got.size(), kProgramGolden.size());
 }
 
 } // namespace

@@ -28,6 +28,17 @@ cfgOf(uint32_t depth, uint32_t banks,
     return c;
 }
 
+/** The PEs holding v in a block, in placement order. */
+std::vector<uint32_t>
+replicasOf(const Block &b, NodeId v)
+{
+    std::vector<uint32_t> pes;
+    for (const auto &[node, pe] : b.placements)
+        if (node == v)
+            pes.push_back(pe);
+    return pes;
+}
+
 /** Structural invariants every assignment must satisfy. */
 void
 checkAssignment(const Dag &d, const ArchConfig &cfg,
@@ -49,8 +60,7 @@ checkAssignment(const Dag &d, const ArchConfig &cfg,
         auto banks = writableBanks(cfg, pe);
         EXPECT_NE(std::find(banks.begin(), banks.end(), ba.bankOf[v]),
                   banks.end());
-        const auto &reps =
-            dec.blocks[dec.blockOf[v]].placements.at(v);
+        auto reps = replicasOf(dec.blocks[dec.blockOf[v]], v);
         EXPECT_NE(std::find(reps.begin(), reps.end(), pe), reps.end());
     }
     // Constraint G: block outputs occupy distinct banks.
@@ -97,6 +107,46 @@ TEST(Mapper, RandomPolicyAlsoSatisfiesHardConstraints)
     auto dec = decomposeIntoBlocks(d, cfg);
     auto ba = assignBanks(d, cfg, dec, BankPolicy::Random);
     checkAssignment(d, cfg, dec, ba);
+}
+
+TEST(Mapper, WriterPeIsFirstCapableReplicaInPlacementOrder)
+{
+    // Replicas of one node can often all write its bank; the writer
+    // is then the first of them in placement order, for both
+    // policies, so the choice never depends on container order.
+    Dag d = generateRandomDag(24, 800, 15);
+    for (auto net : {OutputInterconnect::PerLayerSubtree,
+                     OutputInterconnect::Crossbar}) {
+        ArchConfig cfg = cfgOf(3, 16, net);
+        auto dec = decomposeIntoBlocks(d, cfg);
+        for (BankPolicy policy :
+             {BankPolicy::ConflictAware, BankPolicy::Random}) {
+            auto ba = assignBanks(d, cfg, dec, policy);
+            size_t later_capable = 0;
+            for (NodeId v = 0; v < d.numNodes(); ++v) {
+                if (!dec.isIo[v] || d.node(v).isInput())
+                    continue;
+                auto reps = replicasOf(dec.blocks[dec.blockOf[v]], v);
+                uint32_t first = BankAssignment::invalid;
+                for (uint32_t pe : reps) {
+                    auto banks = writableBanks(cfg, pe);
+                    if (std::find(banks.begin(), banks.end(),
+                                  ba.bankOf[v]) != banks.end()) {
+                        first = pe;
+                        break;
+                    }
+                }
+                EXPECT_EQ(ba.peOf[v], first) << "node " << v;
+                if (reps.size() >= 2 && first != reps.back())
+                    ++later_capable;
+            }
+            // Under the crossbar every replica can write every bank,
+            // so each replicated output had a later capable replica.
+            if (net == OutputInterconnect::Crossbar) {
+                EXPECT_GT(later_capable, 0u);
+            }
+        }
+    }
 }
 
 TEST(Mapper, ConflictAwareBeatsRandomByALot)
