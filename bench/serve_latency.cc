@@ -4,7 +4,8 @@
  * cores "execute different DAGs" rather than one benchmarking batch).
  * The first latency-oriented workload in the repo: requests arrive
  * individually at an AsyncBatchServer holding several resident
- * programs, coalesce inside the batching window, and the report
+ * programs, coalesce while every worker is busy (work-conserving
+ * cuts: an idle worker takes whatever is queued), and the report
  * carries p50/p95/p99 request latency plus throughput for two arrival
  * modes:
  *
@@ -498,8 +499,9 @@ reportMode(bench::Context &ctx, TablePrinter &t, const char *mode,
  * open loop in virtual cycle time over the modeled fleet (sim/fleet).
  * The live-thread modes above exercise the rank-aware server on host
  * time; this scenario scales to hundreds of ranks because no host
- * thread ever sleeps — every arrival, window cut, host-link transfer
- * and core grant is a deterministic event on the device clock. The
+ * thread ever sleeps — every arrival, batch cut, batch completion,
+ * host-link transfer and core grant is a deterministic event on the
+ * device clock. The
  * per-rank utilization, transfer-overhead and latency-percentile
  * series are the report tools/run_benches validates in fleet runs.
  */
@@ -743,10 +745,12 @@ main(int argc, char **argv)
     }
 
     std::printf("\nOpen loop: %.0f rps offered; batches cut by "
-                "size/window/drain = %llu/%llu/%llu.\n",
+                "size/idle/window/drain = %llu/%llu/%llu/%llu.\n",
                 arrival_rate,
                 static_cast<unsigned long long>(
                     open.stats.sizeDispatches),
+                static_cast<unsigned long long>(
+                    open.stats.idleDispatches),
                 static_cast<unsigned long long>(
                     open.stats.windowDispatches),
                 static_cast<unsigned long long>(

@@ -24,6 +24,20 @@ writeDag(const Dag &dag, std::ostream &out)
     }
 }
 
+namespace {
+
+/** Fail on anything but whitespace left in `rest`. */
+void
+rejectTrailing(std::istream &rest, const char *where)
+{
+    std::string extra;
+    if (rest >> extra)
+        dpu_fatal(std::string("unexpected '") + extra + "' " + where +
+                  " in dpu-dag stream");
+}
+
+} // namespace
+
 Dag
 readDag(std::istream &in)
 {
@@ -35,6 +49,10 @@ readDag(std::istream &in)
     }
     std::string line;
     std::getline(in, line); // consume rest of header line
+    {
+        std::istringstream rest(line);
+        rejectTrailing(rest, "after the header");
+    }
 
     Dag dag;
     for (size_t i = 0; i < count; ++i) {
@@ -45,6 +63,7 @@ readDag(std::istream &in)
         if (!(ls >> kind))
             dpu_fatal("empty node line in dpu-dag stream");
         if (kind == "i") {
+            rejectTrailing(ls, "after an input node");
             dag.addInput();
             continue;
         }
@@ -62,10 +81,15 @@ readDag(std::istream &in)
                 dpu_fatal("operand id out of range (not topological)");
             operands.push_back(static_cast<NodeId>(v));
         }
+        if (!ls.eof()) { // stopped at a token that is not an id
+            ls.clear();
+            rejectTrailing(ls, "among operand ids");
+        }
         if (operands.empty())
             dpu_fatal("compute node without operands");
         dag.addNode(op, std::move(operands));
     }
+    rejectTrailing(in, "past the declared node count");
     return dag;
 }
 

@@ -15,6 +15,15 @@ namespace {
  *  bench run's error series without growing for server lifetime. */
 constexpr size_t kMaxServiceSamples = 1024;
 
+using Clock = AsyncBatchServer::Clock;
+
+/** The cut policy counts steady-clock ticks. */
+int64_t
+ticks(Clock::time_point t)
+{
+    return t.time_since_epoch().count();
+}
+
 } // namespace
 
 double
@@ -43,6 +52,10 @@ AsyncBatchServer::AsyncBatchServer(AsyncServerConfig config_)
         config.hostThreadsPerBatch = 1;
     if (config.ranks < 1)
         config.ranks = 1;
+    cutPolicy.maxBatch = config.maxBatch;
+    cutPolicy.window =
+        std::chrono::duration_cast<Clock::duration>(config.batchWindow)
+            .count();
     // Global core id = rank * config.cores + local core. Rank 0's
     // slice is the whole array on a single-rank server, so every
     // pre-fleet index computation is unchanged.
@@ -283,6 +296,7 @@ AsyncBatchServer::trySubmit(ProgramHandle handle,
         rq.priority = prio;
         out.future = rq.promise.get_future();
         r.pending[cls].push_back(std::move(rq));
+        ++queued;
         ++counters.requests;
         ++cs.submitted;
         ++outstanding;
@@ -327,9 +341,45 @@ AsyncBatchServer::programQos(ProgramHandle handle) const
     return programs[handle].qos;
 }
 
+QueueState
+AsyncBatchServer::queueStateLocked(const Resident &r, size_t cls) const
+{
+    const std::vector<Request> &queue = r.pending[cls];
+    QueueState q;
+    q.size = queue.size();
+    q.oldestArrival = ticks(queue.front().arrival);
+    for (const Request &rq : queue) {
+        if (rq.hasDeadline &&
+            (!q.hasDeadline || ticks(rq.deadline) < q.earliestDeadline)) {
+            q.earliestDeadline = ticks(rq.deadline);
+            q.hasDeadline = true;
+        }
+    }
+    if (q.hasDeadline) {
+        // Deadline lead: the historical per-program EWMA, raised to
+        // the static prediction for the batch this queue would cut
+        // right now. The model covers what history cannot — a pending
+        // batch shaped unlike anything served yet.
+        double predicted = predictedServiceUsLocked(
+            r, queue.size(),
+            std::min<uint32_t>(config.cores,
+                               static_cast<uint32_t>(queue.size())));
+        int64_t lead_us =
+            std::max(r.ewmaBatchUs, static_cast<int64_t>(predicted));
+        q.deadlineLead = std::chrono::duration_cast<Clock::duration>(
+                             std::chrono::microseconds(lead_us))
+                             .count();
+    }
+    // A parked worker is idle unless a batch already in `ready` is
+    // its next job.
+    q.idle = parkedWorkers > ready.size();
+    q.draining = drainers > 0;
+    return q;
+}
+
 void
 AsyncBatchServer::cutBatchLocked(Resident &r, size_t cls,
-                                 uint64_t &reason)
+                                 CutReason reason)
 {
     std::vector<Request> &queue = r.pending[cls];
     size_t n = std::min(queue.size(), config.maxBatch);
@@ -343,6 +393,7 @@ AsyncBatchServer::cutBatchLocked(Resident &r, size_t cls,
                                               static_cast<ptrdiff_t>(n)));
     queue.erase(queue.begin(),
                 queue.begin() + static_cast<ptrdiff_t>(n));
+    queued -= n;
     for (const Request &rq : b.requests) {
         if (rq.hasDeadline &&
             (!b.hasDeadline || rq.deadline < b.deadline)) {
@@ -352,7 +403,13 @@ AsyncBatchServer::cutBatchLocked(Resident &r, size_t cls,
     }
     ready.push_back(std::move(b));
     ++counters.batches;
-    ++reason;
+    switch (reason) {
+    case CutReason::Size: ++counters.sizeDispatches; break;
+    case CutReason::Drain: ++counters.drainDispatches; break;
+    case CutReason::Idle: ++counters.idleDispatches; break;
+    case CutReason::Deadline: ++counters.deadlineDispatches; break;
+    case CutReason::Window: ++counters.windowDispatches; break;
+    }
     counters.maxBatchObserved =
         std::max<uint64_t>(counters.maxBatchObserved, n);
 }
@@ -365,72 +422,21 @@ AsyncBatchServer::batcherMain()
         if (stopping)
             return;
 
-        Clock::time_point now = Clock::now();
+        int64_t now = ticks(Clock::now());
         bool have_wake = false;
-        Clock::time_point next_wake{};
+        int64_t next_wake = 0;
         bool dispatched = false;
         for (Resident &r : programs) {
             for (size_t cls = 0; cls < kNumPriorities; ++cls) {
-                std::vector<Request> &queue = r.pending[cls];
-                if (queue.empty())
+                if (r.pending[cls].empty())
                     continue;
-                if (queue.size() >= config.maxBatch) {
-                    cutBatchLocked(r, cls, counters.sizeDispatches);
+                CutDecision d =
+                    decideCut(cutPolicy, queueStateLocked(r, cls), now);
+                if (d.cut) {
+                    cutBatchLocked(r, cls, d.reason);
                     dispatched = true;
-                    continue;
-                }
-                if (drainers > 0) {
-                    cutBatchLocked(r, cls, counters.drainDispatches);
-                    dispatched = true;
-                    continue;
-                }
-
-                // The window says "wait for company"; a deadline says
-                // "stop waiting while it is still meetable". Cut at
-                // whichever comes first, leading the deadline by the
-                // program's observed batch service time.
-                Clock::time_point cut_at =
-                    queue.front().arrival + config.batchWindow;
-                bool deadline_driven = false;
-                Clock::time_point min_deadline{};
-                bool have_deadline = false;
-                for (const Request &rq : queue) {
-                    if (rq.hasDeadline &&
-                        (!have_deadline ||
-                         rq.deadline < min_deadline)) {
-                        min_deadline = rq.deadline;
-                        have_deadline = true;
-                    }
-                }
-                if (have_deadline) {
-                    // Deadline lead: the historical per-program EWMA,
-                    // raised to the static prediction for the batch
-                    // this queue would cut right now. The model covers
-                    // what history cannot — a pending batch shaped
-                    // unlike anything served yet.
-                    double predicted = predictedServiceUsLocked(
-                        r, queue.size(),
-                        std::min<uint32_t>(
-                            config.cores,
-                            static_cast<uint32_t>(queue.size())));
-                    int64_t lead_us = std::max(
-                        r.ewmaBatchUs, static_cast<int64_t>(predicted));
-                    Clock::time_point deadline_cut =
-                        min_deadline -
-                        std::chrono::microseconds(lead_us);
-                    if (deadline_cut < cut_at) {
-                        cut_at = deadline_cut;
-                        deadline_driven = true;
-                    }
-                }
-                if (now >= cut_at) {
-                    cutBatchLocked(r, cls,
-                                   deadline_driven
-                                       ? counters.deadlineDispatches
-                                       : counters.windowDispatches);
-                    dispatched = true;
-                } else if (!have_wake || cut_at < next_wake) {
-                    next_wake = cut_at;
+                } else if (!have_wake || d.wakeAt < next_wake) {
+                    next_wake = d.wakeAt;
                     have_wake = true;
                 }
             }
@@ -439,8 +445,11 @@ AsyncBatchServer::batcherMain()
             workerCv.notify_all();
             continue; // re-scan: a cut may have left a remainder
         }
+        // Woken early by a submit, a drain, a completion or a worker
+        // parking — anything that can bring a cut forward.
         if (have_wake)
-            batcherCv.wait_until(lock, next_wake);
+            batcherCv.wait_until(
+                lock, Clock::time_point(Clock::duration(next_wake)));
         else
             batcherCv.wait(lock);
     }
@@ -557,8 +566,14 @@ AsyncBatchServer::workerMain()
                 return;
             // Woken by a new ready batch, a core release, or
             // stopping — all of which mutate under this mutex, so no
-            // wakeup can be lost between the pick and the wait.
+            // wakeup can be lost between the pick and the wait. A
+            // parking worker is idle capacity: the batcher may cut a
+            // queue for it at once instead of waiting out a window.
+            ++parkedWorkers;
+            if (queued > 0)
+                batcherCv.notify_one();
             workerCv.wait(lock);
+            --parkedWorkers;
             continue;
         }
         Batch batch = std::move(ready[idx]);
@@ -666,12 +681,15 @@ AsyncBatchServer::workerMain()
         outstanding -= batch.requests.size();
         if (outstanding == 0)
             idleCv.notify_all();
-        // Freed cores may make a queued batch runnable for a waiting
+        // Freed cores may make a ready batch runnable for a waiting
         // worker; the refreshed service estimate may move a pending
         // deadline's cut time, so a sleeping batcher must recompute
-        // its wake-up too.
-        workerCv.notify_all();
-        batcherCv.notify_all();
+        // its wake-up too. Wake neither for nothing: every wake-up
+        // is a context switch on the serving path.
+        if (!ready.empty())
+            workerCv.notify_all();
+        if (queued > 0)
+            batcherCv.notify_all();
     }
 }
 

@@ -6,13 +6,16 @@
  * BatchMachine covers the benchmarking half — one blocking call, one
  * program, one pre-assembled batch. AsyncBatchServer covers serving:
  * requests arrive one at a time (`submit(handle, input)` returns a
- * std::future<SimResult>), are coalesced per resident program inside a
- * configurable batching window up to a max batch size, and each ready
- * batch is dispatched onto the existing BatchMachine/worker-pool
- * machinery. Multiple programs can be resident at once (the "execute
- * different DAGs" mode); a cold program can be registered through the
- * compiler's ProgramCache so the first submit pays a cache fetch
- * instead of a full compile when the artifact is already known.
+ * std::future<SimResult>), are coalesced per resident program up to a
+ * max batch size, and each ready batch is dispatched onto the existing
+ * BatchMachine/worker-pool machinery. Batching is work-conserving
+ * (sim/batching.hh): a queue is cut at once while a worker is idle,
+ * and the configurable batching window holds it only while every
+ * worker is busy. Multiple programs can be resident at once (the
+ * "execute different DAGs" mode); a cold program can be registered
+ * through the compiler's ProgramCache so the first submit pays a
+ * cache fetch instead of a full compile when the artifact is already
+ * known.
  *
  * QoS layer (SLO-aware serving on top of the submission API):
  *
@@ -20,10 +23,12 @@
  *     inherited from its program's QosSpec or overridden per submit)
  *     and an optional deadline. Requests of different classes never
  *     share a batch.
- *   - The dispatcher cuts a batch *early* — before its window expires
- *     — when waiting longer would make the earliest request deadline
- *     unmeetable (using a per-program EWMA of observed batch service
- *     time as the estimate).
+ *   - While every worker is busy, the dispatcher cuts a batch
+ *     *early* — before its window expires — when waiting longer
+ *     would make the earliest request deadline unmeetable (leading
+ *     the deadline by a service-time estimate: the per-program EWMA
+ *     of observed batch service time, raised to the static
+ *     prediction).
  *   - Ready batches are scheduled earliest-deadline-first within
  *     priority bands: any runnable interactive batch is picked before
  *     any batch-class batch; ties fall back to cut order.
@@ -76,6 +81,7 @@
 
 #include "compiler/cache.hh"
 #include "sim/batch.hh"
+#include "sim/batching.hh"
 
 namespace dpu {
 
@@ -184,8 +190,10 @@ struct AsyncServerConfig
     size_t maxBatch = 8;
 
     /** How long the oldest pending request may wait for company
-     *  before its batch is dispatched anyway. Zero = dispatch every
-     *  request immediately (no coalescing). */
+     *  while every worker is busy, before its batch is cut anyway.
+     *  A queue is cut at once whenever a worker is idle, so the
+     *  window only ever adds latency that the busy workers would
+     *  have added too. Zero = never wait for company. */
     std::chrono::microseconds batchWindow{200};
 
     /** Host worker threads executing ready batches; batches of
@@ -323,6 +331,7 @@ class AsyncBatchServer
         uint64_t batches = 0;          ///< Dispatched.
         uint64_t maxBatchObserved = 0; ///< Largest dispatched batch.
         uint64_t sizeDispatches = 0;   ///< Batches cut by maxBatch.
+        uint64_t idleDispatches = 0;   ///< Cut for an idle worker.
         uint64_t windowDispatches = 0; ///< Batches cut by the window.
         uint64_t drainDispatches = 0;  ///< Batches cut by drain().
         uint64_t deadlineDispatches = 0; ///< Cut early for a deadline.
@@ -456,10 +465,13 @@ class AsyncBatchServer
     void batcherMain();
     void workerMain();
 
+    /** The cut policy's view of `r`'s non-empty class-`cls` queue,
+     *  in steady-clock ticks. Lock held. */
+    QueueState queueStateLocked(const Resident &r, size_t cls) const;
+
     /** Move up to maxBatch requests of `r`'s class-`cls` queue onto
-     *  the ready queue; `reason` is the dispatch counter to bump.
-     *  Lock held. */
-    void cutBatchLocked(Resident &r, size_t cls, uint64_t &reason);
+     *  the ready queue, counting the cut under `reason`. Lock held. */
+    void cutBatchLocked(Resident &r, size_t cls, CutReason reason);
 
     /** EDF-within-priority-bands pick over `ready`, restricted to
      *  batches that can acquire at least one model core right now;
@@ -486,9 +498,11 @@ class AsyncBatchServer
                                     uint32_t cores) const;
 
     AsyncServerConfig config;
+    CutPolicy cutPolicy; ///< maxBatch and batchWindow, in clock ticks.
 
     mutable std::mutex mutex;
-    std::condition_variable batcherCv; ///< submit/drain -> batcher.
+    /** submit/drain/completion/parked worker -> batcher. */
+    std::condition_variable batcherCv;
     std::condition_variable workerCv;  ///< batcher/cores -> workers.
     std::condition_variable idleCv;    ///< workers -> drain().
 
@@ -508,7 +522,11 @@ class AsyncBatchServer
     std::vector<Batch> ready;
     uint64_t nextBatchSeq = 0;
     uint64_t outstanding = 0; ///< Accepted but not yet completed.
+    uint64_t queued = 0;      ///< Accepted but not yet cut.
     uint32_t drainers = 0;    ///< drain() calls in progress.
+    /** Workers waiting for a runnable batch. The ones not spoken for
+     *  by a batch already in `ready` are idle. */
+    uint32_t parkedWorkers = 0;
     bool stopping = false;    ///< Destructor: threads exit when idle.
     Stats counters;
 

@@ -6,6 +6,7 @@
 #include <tuple>
 #include <vector>
 
+#include "sim/batching.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 
@@ -31,7 +32,18 @@ percentileCycles(std::vector<uint64_t> &lat, double q)
 struct Slot
 {
     std::vector<uint64_t> arrivals; ///< Arrival cycles, oldest first.
-    uint64_t generation = 0; ///< Invalidates stale window timers.
+    int64_t wakeAt = -1; ///< Cycle of its live wake event; -1 = none.
+};
+
+/** Event kinds, in same-cycle processing order. */
+enum EventKind : uint8_t
+{
+    /** A batch finished on `rank`: its freed cores may let every
+     *  pending slot of the rank cut now (the server's completion ->
+     *  batcher wake-up). */
+    Completion = 0,
+    /** Slot (rank, w) asked to be decided again at this cycle. */
+    Wake = 1,
 };
 
 } // namespace
@@ -81,11 +93,18 @@ simulateFleet(const FleetSimOptions &options,
         return slots[(size_t)rank * mix.size() + w];
     };
 
-    // Window expirations, processed in cut-time order so the host
-    // link sees causally ordered dispatches. (cut, rank, w, gen).
-    using Timer = std::tuple<uint64_t, uint32_t, size_t, uint64_t>;
-    std::priority_queue<Timer, std::vector<Timer>,
-                        std::greater<Timer>> timers;
+    // Completions and wake-ups, processed in cycle order so the host
+    // link sees causally ordered dispatches. (cycle, kind, rank, w).
+    using Event = std::tuple<uint64_t, EventKind, uint32_t, size_t>;
+    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
+        events;
+
+    // The server's cut policy, on the device clock. A worker there is
+    // a core here: a rank is idle while one of its cores is free.
+    CutPolicy policy;
+    policy.maxBatch = max_batch;
+    policy.window = (int64_t)std::min<uint64_t>(options.windowCycles,
+                                                uint64_t{1} << 62);
 
     uint64_t horizon = 0;
 
@@ -93,7 +112,8 @@ simulateFleet(const FleetSimOptions &options,
     // payload, then min(cores, runs) lockstep cores run
     // ceil(runs/granted) programs back to back (BatchMachine's wall
     // clock), and every request in the batch completes together.
-    auto dispatch = [&](uint32_t rank, size_t w, uint64_t cut) {
+    auto dispatch = [&](uint32_t rank, size_t w, uint64_t cut,
+                        CutReason reason) {
         Slot &slot = slot_at(rank, w);
         const FleetWorkloadModel &wl = mix[w];
         size_t runs = slot.arrivals.size();
@@ -123,6 +143,7 @@ simulateFleet(const FleetSimOptions &options,
         uint64_t completion = start + per_core * wl.runCycles;
         for (size_t g = 0; g < granted; ++g)
             core_free[rank][order[g]] = completion;
+        events.emplace(completion, Completion, rank, 0);
 
         FleetRankReport &rs = rep.perRank[rank];
         ++rs.batches;
@@ -132,18 +153,44 @@ simulateFleet(const FleetSimOptions &options,
         for (uint64_t arrival : slot.arrivals)
             latencies[rank].push_back(completion - arrival);
         horizon = std::max(horizon, completion);
+        ++rep.cuts[(size_t)reason];
 
         slot.arrivals.clear();
-        ++slot.generation;
+        slot.wakeAt = -1;
     };
 
-    auto flush_due = [&](uint64_t now) {
-        while (!timers.empty() && std::get<0>(timers.top()) <= now) {
-            auto [cut, rank, w, gen] = timers.top();
-            timers.pop();
-            if (slot_at(rank, w).generation != gen)
-                continue; // batch already cut (size or earlier timer)
-            dispatch(rank, w, cut);
+    // Ask the cut policy about slot (rank, w) at `now`: cut it, or
+    // schedule the wake-up it names.
+    auto decide = [&](uint32_t rank, size_t w, uint64_t now) {
+        Slot &slot = slot_at(rank, w);
+        if (slot.arrivals.empty())
+            return;
+        QueueState q;
+        q.size = slot.arrivals.size();
+        q.oldestArrival = (int64_t)slot.arrivals.front();
+        q.idle = std::any_of(core_free[rank].begin(),
+                             core_free[rank].end(),
+                             [&](uint64_t free) { return free <= now; });
+        CutDecision d = decideCut(policy, q, (int64_t)now);
+        if (d.cut) {
+            dispatch(rank, w, now, d.reason);
+        } else if (d.wakeAt != slot.wakeAt) {
+            slot.wakeAt = d.wakeAt;
+            events.emplace((uint64_t)d.wakeAt, Wake, rank, w);
+        }
+    };
+
+    auto process_until = [&](uint64_t now) {
+        while (!events.empty() && std::get<0>(events.top()) <= now) {
+            auto [at, kind, rank, w] = events.top();
+            events.pop();
+            if (kind == Completion) {
+                for (size_t v = 0; v < mix.size(); ++v)
+                    decide(rank, v, at);
+            } else if (slot_at(rank, w).wakeAt == (int64_t)at) {
+                slot_at(rank, w).wakeAt = -1;
+                decide(rank, w, at);
+            } // else stale: the slot was cut before its wake-up
         }
     };
 
@@ -163,7 +210,7 @@ simulateFleet(const FleetSimOptions &options,
                 break;
         }
 
-        flush_due(now);
+        process_until(now);
 
         // Placement, as in AsyncBatchServer: affinity pins workload
         // w to its home rank; replicate targets the rank with the
@@ -179,17 +226,13 @@ simulateFleet(const FleetSimOptions &options,
         }
         assigned[rank] += mix[w].runCycles;
 
-        Slot &slot = slot_at(rank, w);
-        if (slot.arrivals.empty())
-            timers.emplace(now + options.windowCycles, rank, w,
-                           slot.generation);
-        slot.arrivals.push_back(now);
-        if (slot.arrivals.size() >= max_batch)
-            dispatch(rank, w, now);
+        slot_at(rank, w).arrivals.push_back(now);
+        decide(rank, w, now);
     }
 
-    // Drain: flush every remaining window.
-    flush_due(UINT64_MAX - 1);
+    // Run out the clock: every pending slot is cut by a completion
+    // or its window.
+    process_until(UINT64_MAX);
 
     // Fold the report.
     std::vector<uint64_t> all;

@@ -5,14 +5,17 @@
  * AsyncBatchServer serves *real* simulations on host threads, which
  * caps how much fleet a test machine can express (every request costs
  * a cycle-accurate Machine run). This model keeps the same serving
- * structure — per-(rank, program) batching windows, placement
- * policies, a serialized host link per rank charged by the
- * HostTransferModel, lockstep cores — but replaces execution with the
- * statically exact per-run cycle counts (the schedule never stalls,
- * so a run's cycles are fixed at compile time). That turns a
- * million-request open loop over hundreds of ranks into arithmetic:
- * seeded Poisson arrivals are replayed in virtual cycle time and the
- * model reports transfer-inclusive latency percentiles, per-rank
+ * structure — per-(rank, program) coalescing queues cut by the
+ * server's own work-conserving policy (sim/batching.hh: a queue is
+ * cut at once while one of its rank's cores is free, and waits for
+ * company only while every core is busy), placement policies, a
+ * serialized host link per rank charged by the HostTransferModel,
+ * lockstep cores — but replaces execution with the statically exact
+ * per-run cycle counts (the schedule never stalls, so a run's cycles
+ * are fixed at compile time). That turns a million-request open loop
+ * over hundreds of ranks into arithmetic: seeded Poisson arrivals and
+ * batch completions are replayed as events in virtual cycle time, and
+ * the model reports transfer-inclusive latency percentiles, per-rank
  * utilization and transfer overhead.
  *
  * Deterministic by construction: the report is a pure function of
@@ -22,10 +25,12 @@
 #ifndef DPU_SIM_FLEET_HH
 #define DPU_SIM_FLEET_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "arch/topology.hh"
+#include "sim/batching.hh"
 
 namespace dpu {
 
@@ -46,8 +51,11 @@ struct FleetSimOptions
     HostTransferModel transfer;  ///< Per-rank host link.
     Placement placement = Placement::Replicate;
 
-    size_t maxBatch = 8;          ///< Cut a batch at this size...
-    uint64_t windowCycles = 2048; ///< ...or when the window expires.
+    size_t maxBatch = 8; ///< Cut a batch at this size.
+
+    /** How long the oldest pending request may wait for company
+     *  while every core of its rank is busy (see CutPolicy). */
+    uint64_t windowCycles = 2048;
 
     /** Offered load as a fraction of the fleet's aggregate compute
      *  capacity (1.0 = arrivals exactly match what the cores can
@@ -87,6 +95,11 @@ struct FleetSimReport
     uint64_t transferCycles = 0; ///< Summed over ranks.
 
     double meanBatch = 0;        ///< requests / batches.
+
+    /** Batches by cut reason, indexed by static_cast<size_t>
+     *  (CutReason). The model never drains and carries no
+     *  deadlines, so only Size, Idle and Window occur. */
+    std::array<uint64_t, kNumCutReasons> cuts{};
     double transferOverhead = 0; ///< Fleet-wide transfer share.
 
     /** Fleet-wide transfer-inclusive latency percentiles (cycles). */
@@ -97,10 +110,10 @@ struct FleetSimReport
 
 /**
  * Replay a seeded Poisson open loop against the modeled fleet.
- * Placement follows the serving policies: Replicate sends each batch
- * to the least-loaded rank at arrival time, Affinity pins workload k
- * to rank k % ranks. Identical (options, workloads) always produce
- * an identical report.
+ * Placement follows the serving policies: Replicate sends each
+ * request to the least-loaded rank at arrival time, Affinity pins
+ * workload k to rank k % ranks. Identical (options, workloads) always
+ * produce an identical report.
  */
 FleetSimReport simulateFleet(const FleetSimOptions &options,
                              const std::vector<FleetWorkloadModel> &mix);

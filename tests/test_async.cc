@@ -94,7 +94,7 @@ TEST(AsyncServer, ResultsMatchStandaloneMachine)
     EXPECT_EQ(s.requests, inputs.size());
     EXPECT_GE(s.batches, 1u);
     EXPECT_LE(s.maxBatchObserved, cfg.maxBatch);
-    EXPECT_EQ(s.sizeDispatches + s.windowDispatches +
+    EXPECT_EQ(s.sizeDispatches + s.idleDispatches + s.windowDispatches +
                   s.drainDispatches + s.deadlineDispatches,
               s.batches);
 }
@@ -258,6 +258,11 @@ TEST(AsyncServer, ColdSubmitCompilesThroughCache)
 
 TEST(AsyncServer, DrainFlushesAnOpenWindow)
 {
+    // Whether the second request is still waiting when drain() starts
+    // depends on when the worker picks up the first, so the exact
+    // flush (one Drain cut of both) is pinned on the policy core
+    // (CutPolicy.DrainFlushesAnOpenWindow). Under any interleaving,
+    // drain() returns long before the window with both served.
     Dag d = generateRandomDag(10, 200, 62);
     auto prog = compile(d, smallConfig());
     auto inputs = makeInputs(d, 2, 63);
@@ -268,17 +273,21 @@ TEST(AsyncServer, DrainFlushesAnOpenWindow)
     AsyncBatchServer server(cfg);
     auto h = server.addProgram(prog);
 
+    auto start = AsyncBatchServer::Clock::now();
     auto f0 = server.submit(h, inputs[0]);
     auto f1 = server.submit(h, inputs[1]);
     server.drain(); // must not wait out the 30s window
+    EXPECT_LT(AsyncBatchServer::Clock::now() - start,
+              std::chrono::seconds(10));
     expectIdentical(f0.get(), Machine(prog).run(inputs[0]));
     expectIdentical(f1.get(), Machine(prog).run(inputs[1]));
 
     auto s = server.stats();
-    EXPECT_EQ(s.batches, 1u);
-    EXPECT_EQ(s.drainDispatches, 1u);
-    EXPECT_EQ(s.maxBatchObserved, 2u);
-    EXPECT_DOUBLE_EQ(s.meanBatch(), 2.0);
+    EXPECT_GE(s.batches, 1u);
+    EXPECT_LE(s.batches, 2u);
+    EXPECT_EQ(s.windowDispatches, 0u);
+    EXPECT_EQ(s.idleDispatches + s.drainDispatches, s.batches);
+    EXPECT_EQ(s.completions, 2u);
 }
 
 TEST(AsyncServer, FullBatchDispatchesWithoutDrain)
@@ -293,14 +302,21 @@ TEST(AsyncServer, FullBatchDispatchesWithoutDrain)
     AsyncBatchServer server(cfg);
     auto h = server.addProgram(prog);
 
+    auto start = AsyncBatchServer::Clock::now();
     std::vector<std::future<SimResult>> futures;
     for (const auto &in : inputs)
         futures.push_back(server.submit(h, in));
-    // The fourth submit fills the batch; the futures complete without
-    // any drain() and long before the 30s window.
-    for (auto &f : futures)
-        f.get();
-    EXPECT_GE(server.stats().sizeDispatches, 1u);
+    // Each request is cut either for the idle worker or, once the
+    // fourth fills the queue, by size (the exact size cut is pinned
+    // on the policy core): the futures complete without any drain()
+    // and long before the 30s window.
+    for (size_t k = 0; k < futures.size(); ++k)
+        expectIdentical(futures[k].get(), Machine(prog).run(inputs[k]));
+    EXPECT_LT(AsyncBatchServer::Clock::now() - start,
+              std::chrono::seconds(10));
+    auto s = server.stats();
+    EXPECT_EQ(s.windowDispatches, 0u);
+    EXPECT_EQ(s.sizeDispatches + s.idleDispatches, s.batches);
 }
 
 TEST(AsyncServer, SubmitValidatesHandleAndInputSize)
@@ -328,18 +344,22 @@ TEST(AsyncServer, ModeledCyclesAccumulate)
     AsyncServerConfig cfg;
     cfg.cores = 4;
     cfg.maxBatch = 8;
-    // Window long enough that the only dispatch triggers are a full
-    // batch or the drain — the test needs exactly one batch of 8.
     cfg.batchWindow = std::chrono::seconds(5);
     AsyncBatchServer server(cfg);
     auto h = server.addProgram(prog);
+    // One request in flight at a time: each finds the worker parked
+    // (it resolves the previous future under the server lock and
+    // parks before a submit can take the lock; the first waits for
+    // the worker thread's first park), so each is its own batch, cut
+    // for the idle worker.
     for (const auto &in : inputs)
-        server.submit(h, in);
-    server.drain();
+        server.submit(h, in).get();
 
     auto s = server.stats();
-    // One batch of 8 on 4 model cores: wall = 2 runs back-to-back.
-    EXPECT_EQ(s.modeledWallCycles, 2 * prog.stats.cycles);
+    EXPECT_EQ(s.batches, 8u);
+    EXPECT_EQ(s.idleDispatches, 8u);
+    // Eight lone runs, accumulated batch by batch.
+    EXPECT_EQ(s.modeledWallCycles, 8 * prog.stats.cycles);
     EXPECT_EQ(s.totalOperations, 8 * prog.stats.numOperations);
 }
 
@@ -356,32 +376,53 @@ TEST(AsyncServer, QueueFullRejectsWithBackpressure)
 
     AsyncServerConfig cfg;
     cfg.maxBatch = 64;
-    cfg.batchWindow = std::chrono::seconds(30); // nothing dispatches
+    cfg.batchWindow = std::chrono::seconds(30);
     cfg.queueDepth = 2;
     AsyncBatchServer server(cfg);
     auto h = server.addProgram(prog);
 
+    // Nothing is outstanding yet, so the first queueDepth requests
+    // are admitted whatever the server does meanwhile.
     auto a = server.trySubmit(h, inputs[0]);
     auto b = server.trySubmit(h, inputs[1]);
     ASSERT_TRUE(a.accepted());
     ASSERT_TRUE(b.accepted());
     EXPECT_TRUE(a.future.valid());
 
-    // Third request exceeds the depth: rejected, nothing enqueued,
-    // no future to wait on.
-    auto c = server.trySubmit(h, inputs[2]);
-    EXPECT_EQ(c.admission, Admission::RejectedQueueFull);
-    EXPECT_FALSE(c.future.valid());
+    // The idle worker serves them at once, so whether the next one
+    // is rejected depends on timing. A burst of submits outruns the
+    // server: a rejected request enqueues nothing and carries no
+    // future.
+    std::vector<std::future<SimResult>> admitted;
+    uint64_t rejected = 0;
+    for (int k = 0; k < 100000 && rejected == 0; ++k) {
+        auto c = server.trySubmit(h, inputs[2]);
+        if (c.accepted()) {
+            admitted.push_back(std::move(c.future));
+            continue;
+        }
+        EXPECT_EQ(c.admission, Admission::RejectedQueueFull);
+        EXPECT_FALSE(c.future.valid());
+        ++rejected;
+    }
+    ASSERT_EQ(rejected, 1u);
 
     // The throwing submit() surfaces the same rejection as an error.
-    EXPECT_THROW(server.submit(h, inputs[2]), FatalError);
+    bool threw = false;
+    for (int k = 0; k < 100000 && !threw; ++k) {
+        try {
+            admitted.push_back(server.submit(h, inputs[2]));
+        } catch (const FatalError &) {
+            threw = true;
+        }
+    }
+    EXPECT_TRUE(threw);
 
     auto s = server.stats();
-    EXPECT_EQ(s.requests, 2u);
+    EXPECT_EQ(s.requests, 2 + admitted.size());
     EXPECT_EQ(s.forClass(Priority::Batch).rejectedQueueFull, 2u);
 
-    // Draining frees the queue; admission recovers. (The second
-    // drain flushes the recovered request's still-open 30s window.)
+    // Draining frees the queue; admission recovers.
     server.drain();
     auto after = server.trySubmit(h, inputs[3]);
     EXPECT_TRUE(after.accepted());
@@ -389,6 +430,9 @@ TEST(AsyncServer, QueueFullRejectsWithBackpressure)
     expectIdentical(after.future.get(), Machine(prog).run(inputs[3]));
     expectIdentical(a.future.get(), Machine(prog).run(inputs[0]));
     expectIdentical(b.future.get(), Machine(prog).run(inputs[1]));
+    SimResult reference = Machine(prog).run(inputs[2]);
+    for (auto &f : admitted)
+        expectIdentical(f.get(), reference);
 }
 
 TEST(AsyncServer, PastDeadlineSubmissionRejected)
@@ -534,20 +578,33 @@ TEST(AsyncServer, CoreReservationBoundsModeledBatchCores)
     cfg.batchWindow = std::chrono::seconds(5);
     AsyncBatchServer server(cfg);
 
-    // Pinned to 2 of the 4 modeled cores: a full batch of 8 runs as
-    // 4 back-to-back programs per core instead of 2 — visible in the
-    // deterministic modeled wall clock.
+    // Pinned to 2 of the 4 modeled cores: a batch of n runs as
+    // ceil(n/2) back-to-back programs per core, never fewer — visible
+    // in the deterministic modeled wall clock. How the 8 requests
+    // split into batches depends on when the worker frees up, so
+    // check the cap per batch and in total.
     QosSpec pinned;
     pinned.minCores = 2;
     pinned.maxCores = 2;
     auto h = server.addProgram(prog, pinned);
-    for (const auto &in : inputs)
-        server.submit(h, in);
+    // A lone first request calibrates the service-time model, so
+    // every later batch leaves a (size, wall cycles) sample.
+    server.submit(h, inputs[0]).get();
+    for (size_t k = 1; k < inputs.size(); ++k)
+        server.submit(h, inputs[k]);
     server.drain();
 
     auto s = server.stats();
-    EXPECT_EQ(s.modeledWallCycles, 4 * prog.stats.cycles);
+    const uint64_t cycles = prog.stats.cycles;
     EXPECT_EQ(s.totalOperations, 8 * prog.stats.numOperations);
+    // 8 runs on at most 2 cores: at least 4 runs' worth of wall
+    // clock (4 cores would allow 2), at most 8 (every run alone).
+    EXPECT_GE(s.modeledWallCycles, 4 * cycles);
+    EXPECT_LE(s.modeledWallCycles, 8 * cycles);
+    EXPECT_EQ(s.modeledWallCycles % cycles, 0u);
+    for (const auto &sample : s.serviceSamples)
+        EXPECT_EQ(sample.wallCycles, (sample.batchSize + 1) / 2 * cycles)
+            << "batch of " << sample.batchSize;
 }
 
 TEST(AsyncServer, InteractiveBandBypassesBatchBacklog)
@@ -560,19 +617,19 @@ TEST(AsyncServer, InteractiveBandBypassesBatchBacklog)
     AsyncServerConfig cfg;
     cfg.workers = 1; // serialize dispatch so band order is observable
     cfg.maxBatch = 64;
-    // A window long enough that the whole load is submitted while
-    // the queues are still coalescing: nothing reaches a worker
-    // before both class batches exist, making the band-order check
-    // deterministic rather than a race against the worker.
+    // A window long enough that the backlog never expires on its own:
+    // every cut is made for an idle worker or by drain().
     cfg.batchWindow = std::chrono::milliseconds(250);
     AsyncBatchServer server(cfg);
     auto h = server.addProgram(prog); // Batch class by default
 
-    // One interactive request first (its window expires first), then
-    // a batch-class backlog. The batcher cuts the interactive batch
-    // no later than the backlog batch, and the scheduler must start
-    // it first, so the interactive future resolves while the backlog
-    // has barely run.
+    // One interactive request first, then a batch-class backlog. The
+    // batcher scans the interactive queue first, and it is non-empty
+    // before any backlog request exists, so the one idle worker's cut
+    // goes to it: no backlog batch is cut until that worker parks
+    // again, and the scheduler would pick the interactive band first
+    // anyway. So the interactive future resolves first, under any
+    // interleaving.
     SubmitOptions urgent;
     urgent.priority = Priority::Interactive;
     auto fast = server.trySubmit(h, inputs[backlog], urgent);
@@ -641,6 +698,11 @@ TEST(AsyncServer, CompletionOrderBoundedWhileCountersStayExact)
 
 TEST(AsyncServer, DeadlineCutsBatchBeforeWindowExpires)
 {
+    // The lone request is cut at once if the worker has parked, or
+    // for its deadline if the worker thread has not started yet; the
+    // exact lead-beats-window arithmetic is pinned on the policy core
+    // (CutPolicy.DeadlineLeadBeatsTheWindow). Either way it is never
+    // left to the 30s window.
     Dag d = generateRandomDag(10, 200, 80);
     auto prog = compile(d, smallConfig());
     auto in = makeInputs(d, 1, 81)[0];
@@ -651,15 +713,17 @@ TEST(AsyncServer, DeadlineCutsBatchBeforeWindowExpires)
     AsyncBatchServer server(cfg);
     auto h = server.addProgram(prog);
 
+    auto start = AsyncBatchServer::Clock::now();
     SubmitOptions opts;
     opts.deadline = std::chrono::milliseconds(5);
     auto r = server.trySubmit(h, in, opts);
     ASSERT_TRUE(r.accepted());
-    // Resolves in ~5ms, not 30s: the dispatcher cut the batch early
-    // for the deadline.
     expectIdentical(r.future.get(), Machine(prog).run(in));
+    EXPECT_LT(AsyncBatchServer::Clock::now() - start,
+              std::chrono::seconds(10));
     auto s = server.stats();
-    EXPECT_EQ(s.deadlineDispatches, 1u);
+    EXPECT_EQ(s.batches, 1u);
+    EXPECT_EQ(s.idleDispatches + s.deadlineDispatches, 1u);
     EXPECT_EQ(s.windowDispatches, 0u);
 }
 
@@ -705,13 +769,19 @@ TEST(AsyncServer, PerRequestDeadlineDefaultsFromProgramQos)
     auto h = server.addProgram(prog, spec);
 
     // No per-request options: the program's QoS supplies class and
-    // deadline, so the request is cut early and counted interactive.
+    // deadline, so the request is counted interactive and carries a
+    // deadline. (Whether it is cut for that deadline or for the idle
+    // worker is timing; see DeadlineCutsBatchBeforeWindowExpires.)
     auto fut = server.submit(h, in);
     expectIdentical(fut.get(), Machine(prog).run(in));
     auto s = server.stats();
     EXPECT_EQ(s.forClass(Priority::Interactive).submitted, 1u);
     EXPECT_EQ(s.forClass(Priority::Batch).submitted, 0u);
-    EXPECT_EQ(s.deadlineDispatches, 1u);
+    EXPECT_EQ(s.forClass(Priority::Interactive).deadlineHits +
+                  s.forClass(Priority::Interactive).deadlineMisses,
+              1u);
+    EXPECT_EQ(s.idleDispatches + s.deadlineDispatches, 1u);
+    EXPECT_EQ(s.windowDispatches, 0u);
 }
 
 TEST(AsyncServer, ServicePredictionsCalibrateOnObservedBatches)

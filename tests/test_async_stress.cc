@@ -215,8 +215,9 @@ TEST_P(AsyncStress, ServedResultsMatchSerialReplay)
     EXPECT_EQ(st.forClass(Priority::Interactive).completed +
                   st.forClass(Priority::Batch).completed,
               served);
-    EXPECT_EQ(st.sizeDispatches + st.windowDispatches +
-                  st.drainDispatches + st.deadlineDispatches,
+    EXPECT_EQ(st.sizeDispatches + st.idleDispatches +
+                  st.windowDispatches + st.drainDispatches +
+                  st.deadlineDispatches,
               st.batches);
 }
 

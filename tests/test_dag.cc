@@ -233,8 +233,29 @@ TEST(Io, RoundTrip)
 
 TEST(Io, RejectsGarbage)
 {
-    std::stringstream ss("hello world 3\n");
-    EXPECT_THROW(readDag(ss), FatalError);
+    const char *bad[] = {
+        "hello world 3\n",
+        // A non-numeric operand used to end the operand list early.
+        "dpu-dag v1 3\ni\ni\n+ 0 abc 1\n",
+        "dpu-dag v1 3\ni\ni\n+ 0 1x\n",
+        "dpu-dag v1 3\ni\ni\n* 0 1.5\n",
+        // An input node takes no operands.
+        "dpu-dag v1 2\ni junk\ni\n",
+        // Lines past the declared count used to be dropped silently.
+        "dpu-dag v1 2\ni\ni\n+ 0 1\n",
+        "dpu-dag v1 2\ni\ni\n\n  \nx\n",
+        // So did junk after the header.
+        "dpu-dag v1 2 extra\ni\ni\n",
+    };
+    for (const char *text : bad) {
+        SCOPED_TRACE(text);
+        std::stringstream ss(text);
+        EXPECT_THROW(readDag(ss), FatalError);
+    }
+
+    // Blank lines and trailing whitespace are not garbage.
+    std::stringstream ok("dpu-dag v1 3 \ni \ni\n+ 0 1  \n\n \n");
+    EXPECT_EQ(readDag(ok).numNodes(), 3u);
 }
 
 TEST(Io, RejectsForwardReference)

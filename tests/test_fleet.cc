@@ -246,6 +246,7 @@ TEST(Fleet, FleetSimDeterministicAndConserving)
     EXPECT_EQ(a.computeCycles, b.computeCycles);
     EXPECT_EQ(a.transferCycles, b.transferCycles);
     EXPECT_EQ(a.p99Cycles, b.p99Cycles);
+    EXPECT_EQ(a.cuts, b.cuts);
     ASSERT_EQ(a.perRank.size(), b.perRank.size());
     for (size_t r = 0; r < a.perRank.size(); ++r) {
         EXPECT_EQ(a.perRank[r].requests, b.perRank[r].requests);
@@ -269,6 +270,10 @@ TEST(Fleet, FleetSimDeterministicAndConserving)
     EXPECT_EQ(requests, opts.requests);
     EXPECT_EQ(a.requests, opts.requests);
     EXPECT_EQ(batches, a.batches);
+    uint64_t cut_batches = 0;
+    for (uint64_t n : a.cuts)
+        cut_batches += n;
+    EXPECT_EQ(cut_batches, a.batches); // every batch has one reason
     EXPECT_EQ(compute, a.computeCycles);
     EXPECT_EQ(transfer, a.transferCycles);
     EXPECT_GT(a.transferOverhead, 0.0);
@@ -308,6 +313,59 @@ TEST(Fleet, FleetSimAffinityPinsToHomeRanks)
         simulateFleet(opts, {{300, 128, 1.0}, {600, 128, 1.0}});
     EXPECT_GT(two.perRank[0].requests, 0u);
     EXPECT_GT(two.perRank[1].requests, 0u);
+}
+
+TEST(Fleet, FleetSimIdleCoresCutEveryRequestOnArrival)
+{
+    // Work-conserving cuts at near-zero load: every request finds a
+    // free core, so it is cut alone the moment it arrives, and its
+    // latency is exactly its own transfer plus one run — it never
+    // waits out the (here enormous) window.
+    FleetSimOptions opts;
+    opts.topology.ranks = 1;
+    opts.topology.coresPerRank = 4;
+    opts.transfer = HostTransferModel::fromGbps(4.0, 300e6, 100.0);
+    opts.windowCycles = 10'000'000;
+    opts.load = 1e-5;
+    // With <= 50 requests the nearest-rank p99 is the maximum.
+    opts.requests = 50;
+    opts.seed = 3;
+    const FleetWorkloadModel wl{700, 256, 1.0};
+    FleetSimReport rep = simulateFleet(opts, {wl});
+
+    const double lone = static_cast<double>(
+        wl.runCycles + opts.transfer.batchCycles(wl.hostBytes, 1));
+    EXPECT_EQ(rep.requests, opts.requests);
+    EXPECT_EQ(rep.batches, opts.requests);
+    EXPECT_DOUBLE_EQ(rep.meanBatch, 1.0);
+    EXPECT_EQ(rep.cuts[static_cast<size_t>(CutReason::Idle)],
+              opts.requests);
+    // No latency is below a lone run, and the largest equals one.
+    EXPECT_DOUBLE_EQ(rep.p50Cycles, lone);
+    EXPECT_DOUBLE_EQ(rep.p99Cycles, lone);
+}
+
+TEST(Fleet, FleetSimOverloadCoalescesWhileCoresAreBusy)
+{
+    // Past saturation every core is busy most of the time, so
+    // requests coalesce while they wait: queues fill to maxBatch and
+    // are cut by size, and batches average more than one request.
+    FleetSimOptions opts;
+    opts.topology.ranks = 2;
+    opts.topology.coresPerRank = 4;
+    opts.windowCycles = 10'000'000;
+    opts.load = 1.5;
+    opts.requests = 20000;
+    opts.seed = 5;
+    FleetSimReport rep =
+        simulateFleet(opts, {{400, 256, 1.0}, {900, 512, 0.5}});
+
+    EXPECT_EQ(rep.requests, opts.requests);
+    EXPECT_GT(rep.cuts[static_cast<size_t>(CutReason::Size)], 0u);
+    EXPECT_GT(rep.meanBatch, 1.0);
+    // The model never drains and carries no deadlines.
+    EXPECT_EQ(rep.cuts[static_cast<size_t>(CutReason::Drain)], 0u);
+    EXPECT_EQ(rep.cuts[static_cast<size_t>(CutReason::Deadline)], 0u);
 }
 
 TEST(Fleet, AsyncServerMultiRankMatchesSerialReplay)
