@@ -60,6 +60,9 @@ struct ArchConfig
     /** Data-memory rows (each row is B words). */
     uint32_t dataMemRows = 4096;
 
+    /** Largest supported R: register addresses are 16-bit lanes. */
+    static constexpr uint32_t maxRegsPerBank = 65536;
+
     /** Validate the derived-parameter constraints. */
     void
     check() const
@@ -73,6 +76,10 @@ struct ArchConfig
             dpu_fatal("B > 64 unsupported: bank masks are 64-bit "
                       "(requested B=" + std::to_string(banks) + ")");
         dpu_assert(regsPerBank >= 2, "R too small");
+        if (regsPerBank > maxRegsPerBank)
+            dpu_fatal("R > " + std::to_string(maxRegsPerBank) +
+                      " unsupported: register addresses are 16-bit "
+                      "(requested R=" + std::to_string(regsPerBank) + ")");
     }
 
     /** T: number of parallel PE trees (= B / 2^D). */

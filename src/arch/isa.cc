@@ -313,8 +313,13 @@ decodeOne(const IsaLayout &lay, BitReader &r)
       case InstrKind::Exec: {
         ExecInstr in;
         in.peOp.resize(lay.numPes);
-        for (uint32_t p = 0; p < lay.numPes; ++p)
-            in.peOp[p] = static_cast<PeOp>(r.get(lay.peOpBits));
+        for (uint32_t p = 0; p < lay.numPes; ++p) {
+            uint64_t op = r.get(lay.peOpBits);
+            if (op > static_cast<uint64_t>(PeOp::PassB))
+                dpu_panic("undefined PE op " + std::to_string(op) +
+                          " in instruction stream");
+            in.peOp[p] = static_cast<PeOp>(op);
+        }
         in.inputSel.resize(lay.banks);
         in.readAddr.resize(lay.banks);
         in.validRst.resize(lay.banks);
@@ -353,6 +358,10 @@ decodeProgram(const ArchConfig &cfg, const std::vector<uint8_t> &image,
               size_t instruction_count)
 {
     IsaLayout lay(cfg);
+    // Every instruction spans at least its opcode: a count the image
+    // cannot hold underruns, and must not size the reservation.
+    dpu_assert(instruction_count <= image.size() * 8 / lay.opcodeBits,
+               "bit stream underrun");
     BitReader r(image);
     std::vector<Instruction> out;
     out.reserve(instruction_count);

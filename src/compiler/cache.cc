@@ -573,12 +573,16 @@ ProgramCache::loadFromDisk(const std::string &key, CompiledProgram &out)
 {
     std::filesystem::path path =
         std::filesystem::path(config.diskDir) / (key + ".dpuprog");
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    // One sized read: the image is a few hundred KB to MBs.
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    const std::streamoff size = in ? std::streamoff(in.tellg()) : -1;
+    if (size < 0)
         return false;
-    std::vector<uint8_t> image(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
+    std::vector<uint8_t> image(static_cast<size_t>(size));
+    in.seekg(0);
+    in.read(reinterpret_cast<char *>(image.data()), size);
+    // A file cut short since tellg() is a truncated image.
+    image.resize(static_cast<size_t>(in.gcount()));
     auto reject = [&](const char *why) {
         std::fprintf(stderr,
                      "ProgramCache: rejecting spill file '%s' (%s); "

@@ -511,7 +511,7 @@ ScheduledIrMerger::ScheduledIrMerger(const Dag &dag_, const ArchConfig &cfg_,
                                      const CodegenShared &shared_)
     : dag(dag_), cfg(cfg_), banks(banks_), shared(shared_)
 {
-    out.inputLocation.assign(shared.numInputs, {0, 0});
+    out.inputLocation.assign(dag.numInputs(), {0, 0});
     instOf.assign(dag.numNodes(), invalidInstance);
     rowCounter.assign(cfg.banks, 0);
 }

@@ -128,6 +128,9 @@ IrProgram generateIr(const Dag &dag, const ArchConfig &cfg,
  * hazard-free without a whole-program reorder. finish() emits the
  * final stores (padded the same way). Deterministic given the
  * fragments, hence independent of how many threads produced them.
+ * Construction does not read `shared`, so a pipelined compile may
+ * build the merger before the last range's blocks exist; append()
+ * and finish() need it complete.
  */
 class ScheduledIrMerger
 {

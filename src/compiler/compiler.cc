@@ -1,6 +1,7 @@
 #include "compiler/compiler.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <span>
 
@@ -79,54 +80,25 @@ csrFootprintBits(const Dag &dag)
 
 namespace {
 
-/** prepareDag without the structural hashes: only cache keys read
- *  them, so a compile without a cache skips both. */
-PreparedDag
-prepareUnhashed(const Dag &input)
+/** The binary form every later step compiles: binarize rewrites a DAG
+ *  that is already binary node for node in id order, so such an input
+ *  needs none. Non-binary input is binarized into `owned`. */
+const Dag &
+binaryForm(const Dag &input, Dag &owned)
 {
-    PreparedDag p;
-    p.numInputs = input.numInputs();
-    p.dag = binarize(input).dag;
-    dpu_assert(p.dag.isBinary(), "compile needs a binarized DAG");
-    p.dfsPositions = dfsPreorderPositions(p.dag);
-    return p;
+    if (input.isBinary())
+        return input;
+    owned = binarize(input).dag;
+    dpu_assert(owned.isBinary(), "compile needs a binarized DAG");
+    return owned;
 }
 
-} // namespace
-
-PreparedDag
-prepareDag(const Dag &input)
-{
-    PreparedDag p = prepareUnhashed(input);
-    p.sourceHash = dagStructuralHash(input);
-    p.binarizedHash = dagStructuralHash(p.dag);
-    return p;
-}
-
+/** Partitioning, steps 1-4 and finalization of a binary DAG: the one
+ *  compile path behind both compile() overloads. */
 CompiledProgram
-compile(const Dag &input, const ArchConfig &cfg,
-        const CompileOptions &options)
-{
-    cfg.check();
-    auto t0 = std::chrono::steady_clock::now();
-    // compile() never reads sourceHash and reads binarizedHash only
-    // for fragment keys, so a compile without a fragment cache hashes
-    // nothing.
-    PreparedDag prepared = prepareUnhashed(input);
-    if (options.fragmentCache)
-        prepared.binarizedHash = dagStructuralHash(prepared.dag);
-    const double prepare_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-    CompiledProgram prog = compile(prepared, cfg, options);
-    prog.stats.compileSeconds += prepare_seconds;
-    return prog;
-}
-
-CompiledProgram
-compile(const PreparedDag &prepared, const ArchConfig &cfg,
-        const CompileOptions &options)
+compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
+              uint64_t binarized_hash, const ArchConfig &cfg,
+              const CompileOptions &options)
 {
     cfg.check();
     auto t0 = std::chrono::steady_clock::now();
@@ -143,17 +115,12 @@ compile(const PreparedDag &prepared, const ArchConfig &cfg,
                               .count();
     };
 
-    const Dag &dag = prepared.dag;
-
     std::vector<std::pair<NodeId, NodeId>> parts;
     if (options.partitionNodes)
         parts = partitionByCount(dag, options.partitionNodes);
     if (parts.empty()) // unpartitioned, or a DAG with no compute nodes
         parts.push_back({0, static_cast<NodeId>(dag.numNodes())});
     const size_t num_parts = parts.size();
-
-    // Shared read-only precompute for the range-scoped steps.
-    const std::vector<uint32_t> &dfs_positions = prepared.dfsPositions;
 
     // Fragment-cache probe: a partition's steps 1-2 + codegen depend
     // only on what fragmentCacheKey captures, so a hit skips all
@@ -163,7 +130,7 @@ compile(const PreparedDag &prepared, const ArchConfig &cfg,
     std::vector<std::string> fkeys(num_parts);
     if (fcache) {
         for (size_t p = 0; p < num_parts; ++p) {
-            fkeys[p] = fragmentCacheKey(prepared.binarizedHash, parts[p],
+            fkeys[p] = fragmentCacheKey(binarized_hash, parts[p],
                                         static_cast<uint32_t>(p), dag,
                                         cfg, options);
             hit[p] = fcache->lookup(fkeys[p]);
@@ -172,15 +139,30 @@ compile(const PreparedDag &prepared, const ArchConfig &cfg,
 
     // Step 1, partition-parallel: each range's block decomposition
     // depends only on (dag, cfg, seed, range), so any thread count
-    // produces the same pieces.
+    // produces the same pieces. Codegen reads every range's blocks
+    // (CodegenShared, the global block ids), so whichever
+    // decomposition finishes last derives that context, while step 2
+    // of the ranges already decomposed carries on.
     std::vector<RangeDecomposition> pieces(num_parts);
-    parallelFor(num_parts, options.threads, [&](size_t p) {
+    std::vector<std::span<const Block>> partBlocks(num_parts);
+    std::vector<size_t> blocksPerPart(num_parts);
+    std::vector<size_t> blockBase(num_parts + 1, 0);
+    CodegenShared shared;
+    std::atomic<size_t> undecomposed{num_parts};
+    auto decompose = [&](size_t p) {
         if (hit[p])
             pieces[p] = hit[p]->dec;
         else
             pieces[p] = decomposeRangeIntoBlocks(
                 dag, cfg, options.seed, parts[p], dfs_positions);
-    });
+        partBlocks[p] = std::span<const Block>(pieces[p].blocks);
+        blocksPerPart[p] = pieces[p].blocks.size();
+        if (undecomposed.fetch_sub(1) != 1)
+            return;
+        for (size_t q = 0; q < num_parts; ++q)
+            blockBase[q + 1] = blockBase[q] + blocksPerPart[q];
+        shared = computeCodegenShared(dag, partBlocks);
+    };
 
     // Step 2 for one range, and the merge of its bank map into the
     // whole-DAG view codegen reads (a range reads values earlier
@@ -208,14 +190,6 @@ compile(const PreparedDag &prepared, const ArchConfig &cfg,
         }
     };
 
-    std::vector<std::span<const Block>> partBlocks(num_parts);
-    std::vector<size_t> blocksPerPart(num_parts);
-    for (size_t p = 0; p < num_parts; ++p) {
-        partBlocks[p] = std::span<const Block>(pieces[p].blocks);
-        blocksPerPart[p] = pieces[p].blocks.size();
-    }
-    CodegenShared shared = computeCodegenShared(dag, partBlocks);
-
     VerifyIrOptions vopt;
     CompiledProgram prog;
     BlockDecomposition dec;
@@ -224,6 +198,7 @@ compile(const PreparedDag &prepared, const ArchConfig &cfg,
         // Historical monolithic tail: codegen -> merge -> whole-IR
         // reorder -> finalize. Unpartitioned programs stay bit-exact
         // with every release since the parallel compiler landed.
+        decompose(0);
         map_range(0);
         std::vector<IrFragment> frags(1);
         if (hit[0]) {
@@ -261,19 +236,21 @@ compile(const PreparedDag &prepared, const ArchConfig &cfg,
 
         prog = finalizeProgram(std::move(ir), cfg, dec);
     } else {
-        // Pipelined steps 2-4: a worker maps partition p's banks in
-        // partition order (right after p-1, while earlier partitions
-        // are still in codegen, reorder and finalize), then generates
-        // and reorders its fragment; this thread merges and finalizes
-        // the fragments in strict partition order. Step 2 sees
-        // exactly the banks the earlier ranges chose, and the merge
-        // and the incremental finalizer are deterministic in the
-        // consume order, so the program is byte-identical at every
-        // thread count — threads = 1 degenerates to the plain
-        // map/produce/consume interleave.
-        std::vector<size_t> blockBase(num_parts + 1, 0);
-        for (size_t p = 0; p < num_parts; ++p)
-            blockBase[p + 1] = blockBase[p] + blocksPerPart[p];
+        // Pipelined steps 1-4 on one pool of workers:
+        // - pre: step 1 of every range, unordered;
+        // - ordered: step 2 of partition p, once p is decomposed and
+        //   p-1 is mapped, while other ranges are still in step 1,
+        //   codegen, reorder or finalize;
+        // - produce: codegen + per-fragment reorder, once every range
+        //   is decomposed;
+        // - consume: this thread merges and finalizes the fragments
+        //   in strict partition order.
+        // Step 2 sees exactly the banks the earlier ranges chose, and
+        // the merge and the incremental finalizer are deterministic in
+        // the consume order, so the program is byte-identical at every
+        // thread count — threads = 1 degenerates to every
+        // decomposition, then the plain map/produce/consume
+        // interleave.
         auto block_at = [&](uint32_t id) -> const Block & {
             size_t p = static_cast<size_t>(
                            std::upper_bound(blockBase.begin(),
@@ -295,6 +272,7 @@ compile(const PreparedDag &prepared, const ArchConfig &cfg,
         size_t done_instances = 0;
         pipelineOrdered(
             num_parts, options.threads,
+            decompose, // pre: step 1, unordered
             map_range, // ordered: range p sees ranges < p mapped
             [&](size_t p) { // produce: codegen + per-fragment reorder
                 if (hit[p]) {
@@ -369,6 +347,53 @@ compile(const PreparedDag &prepared, const ArchConfig &cfg,
         0.0, std::chrono::duration<double>(t1 - t0).count() -
                  verify_seconds);
     return prog;
+}
+
+} // namespace
+
+PreparedDag
+prepareDag(const Dag &input)
+{
+    PreparedDag p;
+    p.numInputs = input.numInputs();
+    p.sourceHash = dagStructuralHash(input);
+    if (&binaryForm(input, p.dag) == &input)
+        p.dag = input; // a PreparedDag owns its DAG
+    p.binarizedHash = dagStructuralHash(p.dag);
+    p.dfsPositions = dfsPreorderPositions(p.dag);
+    return p;
+}
+
+CompiledProgram
+compile(const Dag &input, const ArchConfig &cfg,
+        const CompileOptions &options)
+{
+    cfg.check();
+    auto t0 = std::chrono::steady_clock::now();
+    // A binary input compiles in place. The core reads the binarized
+    // hash only for fragment keys, so a compile without a fragment
+    // cache hashes nothing.
+    Dag owned;
+    const Dag &dag = binaryForm(input, owned);
+    const std::vector<uint32_t> dfs_positions = dfsPreorderPositions(dag);
+    const uint64_t binarized_hash =
+        options.fragmentCache ? dagStructuralHash(dag) : 0;
+    const double prepare_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      t0)
+            .count();
+    CompiledProgram prog =
+        compileBinary(dag, dfs_positions, binarized_hash, cfg, options);
+    prog.stats.compileSeconds += prepare_seconds;
+    return prog;
+}
+
+CompiledProgram
+compile(const PreparedDag &prepared, const ArchConfig &cfg,
+        const CompileOptions &options)
+{
+    return compileBinary(prepared.dag, prepared.dfsPositions,
+                         prepared.binarizedHash, cfg, options);
 }
 
 } // namespace dpu

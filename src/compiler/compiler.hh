@@ -2,11 +2,18 @@
  * @file
  * The DPU-v2 compiler driver (paper §IV, fig. 8).
  *
- * Pipeline: binarize (prepareDag, configuration-independent) ->
- * (optional coarse partitioning) ->
+ * Pipeline: binarize (only a non-binary input; prepareDag,
+ * configuration-independent) -> (optional coarse partitioning) ->
  * step 1 block decomposition -> step 2 PE/bank mapping ->
  * IR codegen -> step 3 pipeline-aware reordering ->
  * step 4 spilling + address resolution -> executable program.
+ *
+ * A partitioned compile streams these stages through one
+ * pipelineOrdered pool of CompileOptions::threads workers: every
+ * partition's step 1 runs unordered; step 2 maps partition p in
+ * partition order once p is decomposed; codegen and step 3 run per
+ * partition once every range is decomposed; the caller merges and
+ * runs step 4 in partition order.
  */
 
 #ifndef DPU_COMPILER_COMPILER_HH
@@ -63,8 +70,9 @@ struct CompileOptions
 
     /** Host worker threads for partition-parallel compilation. Each
      *  partition's block decomposition, bank mapping, IR codegen,
-     *  pipeline reorder and finalize run concurrently (steps 2-4 are
-     *  pipelined against codegen per partition); the merged program
+     *  pipeline reorder and finalize run concurrently (steps 1-4 are
+     *  pipelined per partition on one pool of this many workers);
+     *  the merged program
      *  is byte-identical for every thread count (and to threads = 1).
      *  Only effective when partitionNodes yields more than one
      *  partition. */
@@ -91,7 +99,8 @@ struct CompileOptions
  */
 struct PreparedDag
 {
-    /** The binarized DAG that every later step compiles. */
+    /** The binarized DAG that every later step compiles (a copy of
+     *  the input when that is already binary). */
     Dag dag;
 
     /** dfsPreorderPositions(dag), shared by the block decomposition
@@ -112,15 +121,15 @@ struct PreparedDag
     size_t numInputs = 0;
 };
 
-/** Run the configuration-independent front end (binarize, DFS
- *  preorder, structural hashes) on `dag`. */
+/** Run the configuration-independent front end (binarize when `dag`
+ *  is not binary, DFS preorder, structural hashes) on `dag`. */
 PreparedDag prepareDag(const Dag &dag);
 
 /**
  * Compile a prepared DAG for a DPU-v2 configuration: partitioning,
  * steps 1-4 and finalization. The one compile path —
- * compile(const Dag &) is this applied to prepareDag(dag), and emits
- * the same bytes.
+ * compile(const Dag &) runs the same core on its input, and emits
+ * the bytes compiling prepareDag(dag) does.
  *
  * Throws FatalError for impossible configurations (e.g. a register
  * file too small to hold any schedule).
@@ -131,8 +140,10 @@ CompiledProgram compile(const PreparedDag &prepared, const ArchConfig &cfg,
 /**
  * Compile a DAG for a DPU-v2 configuration.
  *
- * The input DAG may contain multi-input nodes; it is binarized first.
- * stats.compileSeconds includes the front end (prepareDag).
+ * An input that is already binary compiles in place: no copy and no
+ * binarization (binarize would rewrite it node for node in id order).
+ * One with multi-input nodes is binarized into a private copy first.
+ * stats.compileSeconds includes that front end and the DFS preorder.
  */
 CompiledProgram compile(const Dag &dag, const ArchConfig &cfg,
                         const CompileOptions &options = {});

@@ -595,6 +595,14 @@ class ProgramVerifier
                    "exec writeEnable") ||
             !sized(in.outputSel.size(), cfg.banks, "exec outputSel"))
             return;
+        // The machine panics on an undefined PE op; the replay below
+        // reads its two inputs like Add's, so it is one diagnostic.
+        for (uint32_t pe = 0; pe < in.peOp.size(); ++pe)
+            if (in.peOp[pe] > PeOp::PassB)
+                sink.add(VerifyCode::MalformedInstruction, now,
+                         "undefined PE op " +
+                             std::to_string(unsigned(in.peOp[pe])) +
+                             " on PE " + std::to_string(pe));
 
         // 1. The banks this exec actually reads: the crossbar selects
         // of the ports consumed by active leaf PEs (an idle port's

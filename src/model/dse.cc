@@ -214,9 +214,11 @@ validateDseAxes(const DseOptions &options, std::string *error)
             return fail("DSE banks axis value " + std::to_string(b) +
                         " is not a power of two >= 2");
     for (uint32_t r : options.regs)
-        if (r < 2)
+        if (r < 2 || r > ArchConfig::maxRegsPerBank)
             return fail("DSE regs axis value " + std::to_string(r) +
-                        " is below the minimum of 2");
+                        " outside the supported range [2, " +
+                        std::to_string(ArchConfig::maxRegsPerBank) +
+                        "]");
     for (double s : effectiveScales(options))
         if (!(s > 0))
             return fail("DSE workload scale " + jsonDouble(s) +
@@ -393,7 +395,8 @@ parseDseJournalPointLine(const std::string &line, size_t &index,
         !obj.getDouble("transfer_per_op_ns", p.transferPerOpNs))
         return false;
     if (depth == 0 || depth > 6 || banks == 0 || regs == 0 ||
-        cores == 0 || banks > UINT32_MAX || regs > UINT32_MAX ||
+        cores == 0 || banks > UINT32_MAX ||
+        regs > ArchConfig::maxRegsPerBank ||
         cores > UINT32_MAX)
         return false;
     p.cfg.depth = static_cast<uint32_t>(depth);

@@ -113,8 +113,9 @@ struct DseGridPoint
 
 /**
  * Validate the axis values: depth in [1,6], banks a power of two
- * >= 2, regs >= 2, every (effective) scale > 0, cores >= 1. False
- * sets `error` (when given) to the first violation. The single
+ * >= 2, regs in [2, ArchConfig::maxRegsPerBank], every (effective)
+ * scale > 0, cores >= 1. False sets `error` (when given) to the
+ * first violation. The single
  * source of the axis rules: expandDseGrid throws FatalError on the
  * same check, and the dse_sweep CLI uses it to reject junk --axes
  * values with exit 2 at flag-parse time.

@@ -43,6 +43,20 @@ TEST(ArchConfig, RejectsTooFewBanks)
     EXPECT_THROW(c.check(), PanicError);
 }
 
+TEST(ArchConfig, RejectsRegisterFilesBeyondSixteenBitAddresses)
+{
+    // Register addresses travel in 16-bit lanes: R = 65536 is the
+    // largest file they can name, and a larger one (e.g. a bit flip
+    // in a program image) is a clean FatalError, not a huge alloc.
+    ArchConfig c;
+    c.regsPerBank = ArchConfig::maxRegsPerBank;
+    c.check();
+    c.regsPerBank = ArchConfig::maxRegsPerBank + 1;
+    EXPECT_THROW(c.check(), FatalError);
+    c.regsPerBank = 536870976;
+    EXPECT_THROW(c.check(), FatalError);
+}
+
 TEST(ArchConfig, PeIdRoundTrip)
 {
     ArchConfig c;
@@ -267,6 +281,34 @@ TEST(Isa, TruncatedImageFailsToDecode)
         EXPECT_THROW(decodeProgram(c, cut, prog.size()), PanicError)
             << "kept " << keep << " of " << image.size() << " bytes";
     }
+}
+
+TEST(Isa, UndefinedPeOpFailsToDecode)
+{
+    // Opcodes above PassB fit the field but mean nothing; decoding one
+    // fails like any other malformed stream (deserializeProgram then
+    // rejects the image instead of handing the machine a bad op).
+    ArchConfig c;
+    c.depth = 2;
+    c.banks = 16;
+    c.regsPerBank = 32;
+    c.check();
+    std::vector<Instruction> prog{sampleExec(c)};
+    std::get<ExecInstr>(prog[0]).peOp[1] = static_cast<PeOp>(7);
+    auto image = encodeProgram(c, prog);
+    EXPECT_THROW(decodeProgram(c, image, prog.size()), PanicError);
+}
+
+TEST(Isa, ImpossibleInstructionCountFailsToDecode)
+{
+    // A corrupt count fails up front instead of sizing a reservation.
+    ArchConfig c;
+    c.depth = 2;
+    c.banks = 16;
+    c.regsPerBank = 32;
+    c.check();
+    auto image = encodeProgram(c, {NopInstr{}, sampleExec(c)});
+    EXPECT_THROW(decodeProgram(c, image, size_t(1) << 40), PanicError);
 }
 
 TEST(Isa, PackedImageSizeMatchesSum)

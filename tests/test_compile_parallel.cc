@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
 
 #include "arch/isa.hh"
@@ -245,10 +246,33 @@ bytesOrInfeasible(Fn &&fn)
     }
 }
 
+/** A random DAG with 1- to 5-operand Add/Mul nodes: the only kind of
+ *  input that still reaches binarize (every suite and random DAG is
+ *  binary and compiles in place). */
+Dag
+naryDag(size_t num_inputs, size_t num_operations, uint64_t seed)
+{
+    Rng rng(seed);
+    Dag d;
+    for (size_t i = 0; i < num_inputs; ++i)
+        d.addInput();
+    for (size_t k = 0; k < num_operations; ++k) {
+        std::vector<NodeId> ops(1 + rng.below(5));
+        for (NodeId &v : ops)
+            v = static_cast<NodeId>(rng.below(d.numNodes()));
+        d.addNode(rng.below(2) ? OpType::Add : OpType::Mul,
+                  std::move(ops));
+    }
+    return d;
+}
+
 TEST(ParallelCompile, PreparedDagCompilesToTheSameBytes)
 {
     // compile(prepareDag(d)) is the one compile path: it must emit the
-    // bytes compile(d) emits, directly and through a ProgramCache.
+    // bytes compile(d) emits, directly and through a ProgramCache —
+    // for binary DAGs, which compile in place, and for an n-ary one,
+    // which both overloads binarize first, and whose binarized form
+    // compiled in place must emit those bytes too.
     const ArchConfig minEdp = minEdpConfig();
     const ArchConfig configs[] = {minEdp, cfgOf(1, 8, 16),
                                   cfgOf(2, 16, 32)};
@@ -257,19 +281,24 @@ TEST(ParallelCompile, PreparedDagCompilesToTheSameBytes)
         uint32_t partitionNodes, threads;
     };
     const Variant variants[] = {{0, 1}, {512, 1}, {512, 4}};
+    std::vector<std::pair<std::string, Dag>> dags;
+    for (const WorkloadSpec &spec : smallSuite())
+        dags.emplace_back(spec.name, buildWorkloadDag(spec, 0.02));
+    dags.emplace_back("nary", naryDag(40, 1500, 83));
+    ASSERT_FALSE(dags.back().second.isBinary());
     ProgramCache by_prepared;
-    size_t compared = 0, partitioned = 0;
-    for (const WorkloadSpec &spec : smallSuite()) {
-        Dag d = buildWorkloadDag(spec, 0.02);
+    size_t compared = 0, partitioned = 0, nary_compared = 0;
+    for (const auto &[name, d] : dags) {
         PreparedDag p = prepareDag(d);
         EXPECT_EQ(p.numInputs, d.numInputs());
+        EXPECT_TRUE(p.dag.isBinary());
         partitioned += p.dag.numOperations() > 512;
         for (const ArchConfig &cfg : configs)
             for (const Variant &v : variants) {
                 CompileOptions opt;
                 opt.partitionNodes = v.partitionNodes;
                 opt.threads = v.threads;
-                SCOPED_TRACE(spec.name + " " + cfg.label() + " p" +
+                SCOPED_TRACE(name + " " + cfg.label() + " p" +
                              std::to_string(v.partitionNodes) + " t" +
                              std::to_string(v.threads));
                 auto ref =
@@ -279,10 +308,16 @@ TEST(ParallelCompile, PreparedDagCompilesToTheSameBytes)
                 EXPECT_EQ(ref, bytesOrInfeasible([&] {
                               return by_prepared.compile(p, cfg, opt);
                           }));
+                if (!d.isBinary()) // binarized, then compiled in place
+                    EXPECT_EQ(ref, bytesOrInfeasible([&] {
+                                  return compile(p.dag, cfg, opt);
+                              }));
                 compared += !ref.empty();
+                nary_compared += !ref.empty() && !d.isBinary();
             }
     }
     EXPECT_GT(compared, 0u);
+    EXPECT_GT(nary_compared, 0u);
     EXPECT_GT(partitioned, 0u); // the multi-partition path ran
     // The thread count is not in the key: the threads=4 variant hits.
     EXPECT_GT(by_prepared.stats().hits, 0u);
@@ -330,13 +365,14 @@ TEST(ParallelCompile, BoundaryObliviousByteIdenticalAcrossThreads)
 }
 
 /** Which pipelineOrdered stage a probe makes throw. */
-enum class Throw { Ordered, Produce, Consume };
+enum class Throw { Pre, Ordered, Produce, Consume };
 
 /**
  * Run a pipelineOrdered over `n` indices whose stage `where` throws at
  * index `at`: the error must come out of pipelineOrdered (a deadlock
  * hangs the test), and nothing at or after the failed index may be
- * consumed.
+ * consumed — nothing at all after a failed pre(), which every
+ * produce() waits for.
  */
 void
 expectPipelineFailure(size_t n, uint32_t threads, size_t at, Throw where)
@@ -351,7 +387,8 @@ expectPipelineFailure(size_t n, uint32_t threads, size_t at, Throw where)
     };
     try {
         pipelineOrdered(
-            n, threads, [&](size_t i) { fail_if(Throw::Ordered, i); },
+            n, threads, [&](size_t i) { fail_if(Throw::Pre, i); },
+            [&](size_t i) { fail_if(Throw::Ordered, i); },
             [&](size_t i) { fail_if(Throw::Produce, i); },
             [&](size_t i) {
                 fail_if(Throw::Consume, i);
@@ -363,42 +400,76 @@ expectPipelineFailure(size_t n, uint32_t threads, size_t at, Throw where)
     }
     for (size_t k = 0; k < consumed.size(); ++k)
         EXPECT_EQ(consumed[k], k);
-    EXPECT_LE(consumed.size(), at);
+    EXPECT_LE(consumed.size(), where == Throw::Pre ? 0 : at);
 }
 
 TEST(PipelineOrdered, FailureAnywherePropagatesWithoutDeadlock)
 {
     // A failure at index 0 strands every other worker on the
-    // turnstile; one in the middle strands only the later ones.
-    const size_t n = 24;
-    for (uint32_t threads : {1u, 2u, 4u, 8u})
-        for (size_t at : {size_t(0), n / 2, n - 1})
-            for (Throw where :
-                 {Throw::Ordered, Throw::Produce, Throw::Consume})
-                expectPipelineFailure(n, threads, at, where);
+    // turnstile; one in the middle strands only the later ones; a
+    // failed pre() strands every producer. n = 5 runs with more
+    // threads than indices.
+    for (size_t n : {size_t(5), size_t(24)})
+        for (uint32_t threads : {1u, 2u, 4u, 8u})
+            for (size_t at : {size_t(0), n / 2, n - 1})
+                for (Throw where : {Throw::Pre, Throw::Ordered,
+                                    Throw::Produce, Throw::Consume})
+                    expectPipelineFailure(n, threads, at, where);
 }
 
 TEST(PipelineOrdered, OrderedStepsAndConsumesRunInIndexOrder)
 {
-    // Unordered producer work after each ordered step: the ordered
-    // steps see a strictly growing prefix, whatever the thread count.
+    // Unordered work in pre() and in the producer after each ordered
+    // step: the ordered steps see a strictly growing prefix, whatever
+    // the thread count.
     const size_t n = 64;
     for (uint32_t threads : {1u, 3u, 8u}) {
         std::vector<size_t> ordered, consumed;
         std::vector<uint64_t> work(n, 0);
+        auto busy = [&](size_t i) {
+            Rng rng(i);
+            for (int k = 0; k < 1000; ++k)
+                work[i] += rng.below(7);
+        };
         pipelineOrdered(
-            n, threads, [&](size_t i) { ordered.push_back(i); },
-            [&](size_t i) {
-                Rng rng(i);
-                for (int k = 0; k < 1000; ++k)
-                    work[i] += rng.below(7);
-            },
-            [&](size_t i) { consumed.push_back(i); });
+            n, threads, busy, [&](size_t i) { ordered.push_back(i); },
+            busy, [&](size_t i) { consumed.push_back(i); });
         ASSERT_EQ(ordered.size(), n);
         ASSERT_EQ(consumed.size(), n);
         for (size_t i = 0; i < n; ++i) {
             EXPECT_EQ(ordered[i], i);
             EXPECT_EQ(consumed[i], i);
+        }
+    }
+}
+
+TEST(PipelineOrdered, StagesWaitForTheirPreSteps)
+{
+    // ordered(i) must see pre(i) done, and produce(i) every pre();
+    // pre() runs unordered, each on its own index. Uneven pre() costs
+    // make late indices finish first; threads = 16 exceeds n.
+    const size_t n = 12;
+    for (uint32_t threads : {1u, 2u, 4u, 8u, 16u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        std::vector<std::atomic<int>> pre_done(n);
+        std::atomic<size_t> pre_count{0};
+        std::vector<uint8_t> ordered_saw(n, 0), produce_saw(n, 0);
+        std::vector<uint64_t> work(n, 0);
+        pipelineOrdered(
+            n, threads,
+            [&](size_t i) {
+                Rng rng(i);
+                for (size_t k = 0; k < 2000 * (n - i); ++k)
+                    work[i] += rng.below(7);
+                pre_done[i].store(1);
+                pre_count.fetch_add(1);
+            },
+            [&](size_t i) { ordered_saw[i] = pre_done[i].load() == 1; },
+            [&](size_t i) { produce_saw[i] = pre_count.load() == n; },
+            [](size_t) {});
+        for (size_t i = 0; i < n; ++i) {
+            EXPECT_TRUE(ordered_saw[i]) << "ordered " << i;
+            EXPECT_TRUE(produce_saw[i]) << "produce " << i;
         }
     }
 }

@@ -291,6 +291,21 @@ TEST(DseGrid, RejectsInvalidAxisValues)
     EXPECT_THROW(expandDseGrid(bad_cores), FatalError);
 }
 
+TEST(DseGrid, RegsAxisStopsAtSixteenBitAddresses)
+{
+    // The axis shares ArchConfig's bound, so `dse_sweep --axes` exits 2
+    // on such a value instead of failing mid-sweep.
+    DseOptions o;
+    o.regs = {ArchConfig::maxRegsPerBank};
+    EXPECT_TRUE(validateDseAxes(o));
+    o.regs = {ArchConfig::maxRegsPerBank + 1};
+    std::string error;
+    EXPECT_FALSE(validateDseAxes(o, &error));
+    EXPECT_NE(error.find("regs axis value 65537"), std::string::npos)
+        << error;
+    EXPECT_THROW(expandDseGrid(o), FatalError);
+}
+
 TEST(DseShards, ContiguousNearEqualPartition)
 {
     auto plan = planDseShards(10, 3);

@@ -3,16 +3,21 @@
  * Tests for the static program verifier (compiler/verify.hh): one
  * golden-diagnostic test per code over hand-corrupted programs, the
  * VerifyError contract, and a sweep asserting the verifier is clean
- * on every suite workload across arch configs and thread counts.
+ * on every suite workload across arch configs and thread counts, and
+ * a mutation fuzz of serialized program images.
  */
 
 #include <gtest/gtest.h>
 
 #include <type_traits>
 
+#include "compiler/cache.hh"
 #include "compiler/compiler.hh"
 #include "compiler/verify.hh"
+#include "sim/machine.hh"
 #include "support/logging.hh"
+#include "support/rng.hh"
+#include "workloads/pc_generator.hh"
 #include "workloads/suite.hh"
 
 namespace dpu {
@@ -285,6 +290,18 @@ TEST(Verify, V022MalformedInstruction)
               "has 1 lanes for 2 banks");
 }
 
+TEST(Verify, V022UndefinedPeOp)
+{
+    // Opcodes above PassB have no meaning; the simulator would panic
+    // on one, so the verifier must flag it.
+    std::vector<Instruction> instrs = legalBaseline();
+    std::get<ExecInstr>(instrs[3]).peOp[0] = static_cast<PeOp>(7);
+    VerifyReport report = verifyProgram(makeProgram(std::move(instrs)));
+    EXPECT_EQ(soleDiagnostic(report),
+              "instr 3: error V022-malformed-instruction: undefined PE "
+              "op 7 on PE 0");
+}
+
 TEST(Verify, V030PipelineHazard)
 {
     // The load's data is in flight for 2 cycles; the exec reads at 1.
@@ -319,6 +336,17 @@ TEST(Verify, IllegalConfigIsASingleDiagnosticNotACrash)
     EXPECT_EQ(report.diagnostics[0].code,
               VerifyCode::MalformedInstruction);
     EXPECT_EQ(report.diagnostics[0].instrIndex, kVerifyNoInstr);
+}
+
+TEST(Verify, OversizedRegisterFileIsAnIllegalConfig)
+{
+    // Diagnosed before any per-register state is allocated.
+    CompiledProgram prog = makeProgram(legalBaseline());
+    prog.cfg.regsPerBank = 536870976;
+    VerifyReport report = verifyProgram(prog);
+    ASSERT_EQ(report.diagnostics.size(), 1u) << report.toString(0);
+    EXPECT_NE(report.diagnostics[0].message.find("illegal ArchConfig"),
+              std::string::npos);
 }
 
 // ------------------------------------------------------------------ //
@@ -511,6 +539,63 @@ TEST(VerifySweep, SuiteIsCleanAcrossConfigsAndThreads)
             }
         }
     }
+}
+
+// ------------------------------------------------------------------ //
+// Program images are external bytes.                                 //
+// ------------------------------------------------------------------ //
+
+TEST(ProgramImage, MutatedImagesNeverPanic)
+{
+    // Every bit-flipped image of a real program must end as a rejected
+    // image (deserializeProgram false), as verifier errors, or as a
+    // clean simulation — never as a PanicError or bad_alloc anywhere
+    // on the way (the verifier is the gate before Machine::run). The
+    // shapes span 2 to 56 PEs per exec and 3 to 6 register address
+    // bits.
+    struct Shape
+    {
+        uint32_t depth, banks, regs;
+    };
+    const Shape shapes[] = {{2, 8, 32}, {3, 16, 16}, {1, 4, 8},
+                            {3, 64, 64}};
+    Rng rng(20261017);
+    size_t rejected = 0, flagged = 0, ran = 0;
+    for (const Shape &sh : shapes) {
+        const ArchConfig cfg = cfgOf(sh.depth, sh.banks, sh.regs);
+        Dag d = generateRandomDag(6, 48, 17 + sh.banks);
+        const std::vector<uint8_t> image =
+            serializeProgram(compile(d, cfg));
+        for (int k = 0; k < 1500; ++k) {
+            std::vector<uint8_t> bytes = image;
+            for (uint64_t f = 1 + rng.below(4); f > 0; --f) {
+                uint64_t bit = rng.below(bytes.size() * 8);
+                bytes[bit / 8] ^= uint8_t(1u << (bit % 8));
+            }
+            SCOPED_TRACE(cfg.label() + " mutant " + std::to_string(k));
+            try {
+                CompiledProgram prog;
+                if (!deserializeProgram(bytes, prog)) {
+                    ++rejected;
+                    continue;
+                }
+                if (verifyProgram(prog).errorCount() > 0) {
+                    ++flagged;
+                    continue;
+                }
+                std::vector<double> inputs(prog.inputLocation.size(),
+                                           0.5);
+                Machine(prog).run(inputs);
+                ++ran;
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << e.what();
+            }
+        }
+    }
+    // The seed reaches all three outcomes.
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(flagged, 0u);
+    EXPECT_GT(ran, 0u);
 }
 
 } // namespace

@@ -131,7 +131,7 @@ parseArgs(int argc, char **argv, Args &args)
                 reject("--axes", a + 7,
                        "name=v1,v2;... with names depth/banks/regs/"
                        "scale/cores, banks a power of two, depth in "
-                       "[1,6], regs >= 2, scale > 0, cores >= 1");
+                       "[1,6], regs in [2,65536], scale > 0, cores >= 1");
             }
         } else if (std::strncmp(a, "--scale=", 8) == 0) {
             if (!parseDoubleArg(a + 8, args.scale) || args.scale <= 0)
