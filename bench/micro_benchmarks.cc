@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark micro-benchmarks of the toolchain itself:
- * compiler throughput (single-threaded and partition-parallel),
+ * compiler throughput (single-threaded, partition-parallel, and one
+ * design-space point over a warm fragment cache),
  * simulator speed, encode/decode bandwidth. Not a paper figure —
  * engineering health of the reproduction.
  *
@@ -22,12 +23,14 @@
 #include <vector>
 
 #include "arch/isa.hh"
+#include "compiler/cache.hh"
 #include "compiler/compiler.hh"
 #include "dag/eval.hh"
 #include "sim/machine.hh"
 #include "support/cli.hh"
 #include "support/rng.hh"
 #include "workloads/pc_generator.hh"
+#include "workloads/suite.hh"
 
 namespace dpu {
 namespace {
@@ -84,6 +87,32 @@ BM_CompileParallelPartitions(benchmark::State &state)
     state.counters["threads"] = g_threads;
 }
 BENCHMARK(BM_CompileParallelPartitions)->Unit(benchmark::kMillisecond);
+
+void
+BM_CompileWarmFragment(benchmark::State &state)
+{
+    // One DSE point's compile: a neighbour differing only in R has
+    // warmed the fragment (steps 1-2 + codegen), and the program cache
+    // holds one entry, so every iteration is one program miss plus one
+    // fragment hit — steps 3-4 over a fragment read in place.
+    static const PreparedDag prepared =
+        prepareDag(buildWorkloadDag(smallSuite().front(), 0.1));
+    ProgramCacheConfig cc;
+    cc.maxEntries = 1;
+    ProgramCache cache(cc);
+    ArchConfig cfg = minEdpConfig();
+    const uint32_t regs[2] = {cfg.regsPerBank, 2 * cfg.regsPerBank};
+    cache.fetch(prepared, cfg);
+    size_t k = 0;
+    for (auto _ : state) {
+        cfg.regsPerBank = regs[++k % 2];
+        ProgramCache::Fetched got = cache.fetch(prepared, cfg);
+        benchmark::DoNotOptimize(got.prog.get());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            int64_t(prepared.dag.numOperations()));
+}
+BENCHMARK(BM_CompileWarmFragment)->Unit(benchmark::kMillisecond);
 
 void
 BM_Simulate(benchmark::State &state)

@@ -142,26 +142,6 @@ dagStructuralHash(const Dag &dag)
     return h;
 }
 
-uint64_t
-rangeStructuralHash(const Dag &dag, NodeId lo, NodeId hi)
-{
-    dpu_assert(lo <= hi && hi <= dag.numNodes(), "bad hash range");
-    uint64_t h = 0x94d049bb133111ebull;
-    h = mix64(h, hi - lo);
-    for (NodeId v = lo; v < hi; ++v) {
-        const Node &n = dag.node(v);
-        h = mix64(h, n.isInput()
-                         ? 0ull
-                         : 1ull + static_cast<uint64_t>(n.op));
-        h = mix64(h, n.operands.size());
-        for (NodeId o : n.operands)
-            h = mix64(h, o >= lo
-                             ? static_cast<uint64_t>(o - lo)
-                             : 0x8000000000000000ull | o);
-    }
-    return h;
-}
-
 std::string
 programCacheKey(const Dag &dag, const ArchConfig &cfg,
                 const CompileOptions &options)
@@ -188,16 +168,13 @@ programCacheKey(uint64_t sourceHash, const ArchConfig &cfg,
 
 std::string
 fragmentCacheKey(uint64_t dagHash, std::pair<NodeId, NodeId> range,
-                 uint32_t part, const Dag &dag, const ArchConfig &cfg,
+                 uint32_t part, const ArchConfig &cfg,
                  const CompileOptions &options)
 {
     char suffix[192];
     std::snprintf(suffix, sizeof(suffix),
-                  "f%016llx-r%016llx.%u.%u-p%u-D%u.B%u-n%d-b%d-a%d-q%u"
-                  "-s%llu",
+                  "f%016llx-r%u.%u-p%u-D%u.B%u-n%d-b%d-a%d-q%u-s%llu",
                   static_cast<unsigned long long>(dagHash),
-                  static_cast<unsigned long long>(
-                      rangeStructuralHash(dag, range.first, range.second)),
                   range.first, range.second, part, cfg.depth, cfg.banks,
                   static_cast<int>(cfg.outputNet),
                   static_cast<int>(options.bankPolicy),
@@ -404,19 +381,26 @@ ProgramCache::ProgramCache(ProgramCacheConfig config_)
     }
 }
 
+namespace {
+
+/** compile()'s contract over a lookup: a caller-owned copy, flagged
+ *  and timed as a fetch when the cache served it. */
 CompiledProgram
-ProgramCache::compile(const Dag &dag, const ArchConfig &cfg,
-                      const CompileOptions &options)
+copyOf(const ProgramCache::Fetched &got)
 {
-    return lookupOrCompile(programCacheKey(dag, cfg, options), options,
-                           [&](const CompileOptions &opts) {
-                               return dpu::compile(dag, cfg, opts);
-                           });
+    CompiledProgram copy = *got.prog;
+    if (got.hit) {
+        copy.stats.cacheHits = 1;
+        copy.stats.compileSeconds = got.fetchSeconds;
+    }
+    return copy;
 }
 
-CompiledProgram
-ProgramCache::compile(const PreparedDag &prepared, const ArchConfig &cfg,
-                      const CompileOptions &options)
+} // namespace
+
+ProgramCache::Fetched
+ProgramCache::fetch(const PreparedDag &prepared, const ArchConfig &cfg,
+                    const CompileOptions &options)
 {
     return lookupOrCompile(
         programCacheKey(prepared.sourceHash, cfg, options), options,
@@ -426,6 +410,24 @@ ProgramCache::compile(const PreparedDag &prepared, const ArchConfig &cfg,
 }
 
 CompiledProgram
+ProgramCache::compile(const Dag &dag, const ArchConfig &cfg,
+                      const CompileOptions &options)
+{
+    return copyOf(lookupOrCompile(programCacheKey(dag, cfg, options),
+                                  options,
+                                  [&](const CompileOptions &opts) {
+                                      return dpu::compile(dag, cfg, opts);
+                                  }));
+}
+
+CompiledProgram
+ProgramCache::compile(const PreparedDag &prepared, const ArchConfig &cfg,
+                      const CompileOptions &options)
+{
+    return copyOf(fetch(prepared, cfg, options));
+}
+
+ProgramCache::Fetched
 ProgramCache::lookupOrCompile(
     const std::string &key, const CompileOptions &options,
     const std::function<CompiledProgram(const CompileOptions &)> &miss)
@@ -437,56 +439,45 @@ ProgramCache::lookupOrCompile(
             .count();
     };
 
-    std::shared_ptr<const CompiledProgram> resident;
+    Fetched got;
     {
         std::lock_guard<std::mutex> lock(mutex);
         auto it = index.find(key);
         if (it != index.end()) {
             lru.splice(lru.begin(), lru, it->second);
             ++counters.hits;
-            resident = it->second->prog;
+            got.prog = it->second->prog;
         }
     }
-    if (resident) {
-        // Deep copy outside the mutex: entries are immutable, so
-        // concurrent workers only contend for the lookup above.
-        CompiledProgram copy = *resident;
-        copy.stats.cacheHits = 1;
-        copy.stats.compileSeconds = fetch_seconds();
-        return copy;
-    }
-
-    if (!config.diskDir.empty()) {
+    if (!got.prog && !config.diskDir.empty()) {
         CompiledProgram prog;
         if (loadFromDisk(key, prog)) {
-            auto shared =
+            got.prog =
                 std::make_shared<const CompiledProgram>(std::move(prog));
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                ++counters.diskHits;
-                insertLocked(key, shared);
-            }
-            CompiledProgram copy = *shared;
-            copy.stats.cacheHits = 1;
-            copy.stats.compileSeconds = fetch_seconds();
-            return copy;
+            std::lock_guard<std::mutex> lock(mutex);
+            ++counters.diskHits;
+            insertLocked(key, got.prog);
         }
+    }
+    if (got.prog) {
+        got.hit = true;
+        got.fetchSeconds = fetch_seconds();
+        return got;
     }
 
     // A full compile still reuses per-partition fragments of earlier
     // compiles (e.g. a DSE neighbor differing only in regsPerBank).
     CompileOptions opts = options;
     opts.fragmentCache = &fragments;
-    CompiledProgram prog = miss(opts);
-    auto shared = std::make_shared<const CompiledProgram>(prog);
+    got.prog = std::make_shared<const CompiledProgram>(miss(opts));
     {
         std::lock_guard<std::mutex> lock(mutex);
         ++counters.misses;
-        insertLocked(key, shared);
+        insertLocked(key, got.prog);
     }
     if (!config.diskDir.empty())
-        storeToDisk(key, *shared);
-    return prog;
+        storeToDisk(key, *got.prog);
+    return got;
 }
 
 void

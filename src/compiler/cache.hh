@@ -45,15 +45,6 @@ namespace dpu {
  *  DAGs with the same hash compile identically (modulo collisions). */
 uint64_t dagStructuralHash(const Dag &dag);
 
-/**
- * Structural hash of the contiguous node range [lo, hi) — the sub-DAG
- * one partition compiles. In-range operands hash by their offset from
- * `lo`, external operands by global id, so the hash pins both the
- * range's internal structure and how it hangs off the rest of the
- * DAG.
- */
-uint64_t rangeStructuralHash(const Dag &dag, NodeId lo, NodeId hi);
-
 /** The cache key as a printable token (also the spill file stem).
  *  `sourceHash` is dagStructuralHash of the DAG as handed to compile()
  *  (PreparedDag::sourceHash); the Dag overload hashes it first. */
@@ -63,15 +54,18 @@ std::string programCacheKey(const Dag &dag, const ArchConfig &cfg,
                             const CompileOptions &options);
 
 /**
- * Key of one partition's compiled fragment. Deliberately *excludes*
- * regsPerBank, dataMemRows and reorderWindow: steps 1-2 and codegen
- * never read them (registers and the reorder window only matter from
- * step 3 on), so DSE points differing only in those axes share
- * fragments — a much finer reuse grain than whole-program hits.
+ * Key of one partition's compiled fragment: the whole binarized DAG's
+ * structural hash plus the range bounds pin the sub-DAG and how it
+ * hangs off the rest of the DAG. Deliberately *excludes* regsPerBank,
+ * dataMemRows and reorderWindow: steps 1-2 and codegen never read
+ * them (registers and the reorder window only matter from step 3 on),
+ * so DSE points differing only in those axes share fragments — a much
+ * finer reuse grain than whole-program hits. Fragment keys live only
+ * in memory.
  */
 std::string fragmentCacheKey(uint64_t dagHash,
                              std::pair<NodeId, NodeId> range, uint32_t part,
-                             const Dag &dag, const ArchConfig &cfg,
+                             const ArchConfig &cfg,
                              const CompileOptions &options);
 
 /**
@@ -91,8 +85,11 @@ struct CompiledFragment
  * A thread-safe bounded LRU of compiled fragments, shared across the
  * compiles of one ProgramCache (or wired directly via
  * CompileOptions::fragmentCache). Entries are immutable behind
- * shared_ptr, so a hit is a cheap pointer copy under the lock and the
- * caller deep-copies outside it.
+ * shared_ptr, so a hit is a pointer copy under the lock and the
+ * compile reads the decomposition and bank map in place; only a stage
+ * that mutates an artifact (the IR fragment, which merge and reorder
+ * rewrite) copies it. The pointer keeps an evicted entry alive for as
+ * long as a compile still borrows it.
  */
 class FragmentCache
 {
@@ -103,7 +100,8 @@ class FragmentCache
     std::shared_ptr<const CompiledFragment>
     lookup(const std::string &key);
 
-    /** Remember a fragment (copies the artifacts). */
+    /** Remember a fragment. Copies the artifacts, so an entry holds
+     *  exact-size vectors and no growth slack of the caller's. */
     void store(const std::string &key, const RangeDecomposition &dec,
                const BankAssignment &banks, const IrFragment &frag);
 
@@ -163,25 +161,46 @@ struct ProgramCacheConfig
 };
 
 /**
- * A thread-safe compiled-program cache. compile() returns the cached
- * program when the key is resident (memory first, then disk), and
- * otherwise runs the real compiler and remembers the result. Cached
- * returns carry stats.cacheHits = 1 and their compileSeconds reset to
- * the fetch time, so callers can both observe hits and report honest
- * wall-clock compile costs.
+ * A thread-safe compiled-program cache. A lookup serves the program
+ * when its key is resident (memory first, then disk), and otherwise
+ * runs the real compiler and moves the result into the cache.
+ *
+ * fetch() hands out the resident program itself, read-only behind a
+ * shared_ptr, with a hit flag and the fetch time: a caller that only
+ * reads the program (the DSE) copies nothing. compile() returns a
+ * copy of the same result; cached returns carry stats.cacheHits = 1
+ * and their compileSeconds reset to the fetch time, so callers can
+ * both observe hits and report honest wall-clock compile costs.
  */
 class ProgramCache
 {
   public:
     explicit ProgramCache(ProgramCacheConfig config = {});
 
+    /** One lookup: the resident program (its stats as compiled, so
+     *  stats.cacheHits = 0), whether it was served from the cache, and
+     *  the seconds the lookup took when it was (0 on a miss, whose
+     *  cost is the program's stats.compileSeconds). */
+    struct Fetched
+    {
+        std::shared_ptr<const CompiledProgram> prog;
+        bool hit = false;
+        double fetchSeconds = 0.0;
+    };
+
+    /** Look up or compile an already-prepared DAG without copying the
+     *  program; same key as compile(). */
+    Fetched fetch(const PreparedDag &prepared, const ArchConfig &cfg,
+                  const CompileOptions &options = {});
+
     /** Compile through the cache. A hit only hashes `dag`; the
      *  compiler front end (binarization) runs on a miss alone. */
     CompiledProgram compile(const Dag &dag, const ArchConfig &cfg,
                             const CompileOptions &options = {});
 
-    /** Compile an already-prepared DAG through the cache. Same key,
-     *  so this and the Dag overload share entries. */
+    /** Compile an already-prepared DAG through the cache: a copy of
+     *  fetch(). Same key, so this and the Dag overload share
+     *  entries. */
     CompiledProgram compile(const PreparedDag &prepared,
                             const ArchConfig &cfg,
                             const CompileOptions &options = {});
@@ -250,18 +269,20 @@ class ProgramCache
     bool diskEnabled() const { return !config.diskDir.empty(); }
 
   private:
-    /** Entries hold immutable programs behind shared_ptr so a hit
-     *  can leave the mutex before making the caller's deep copy. */
+    /** Entries hold immutable programs behind shared_ptr, so a hit
+     *  hands the entry out under the mutex and a reader keeps it
+     *  alive past an eviction. */
     struct Entry
     {
         std::string key;
         std::shared_ptr<const CompiledProgram> prog;
     };
 
-    /** The shared body of both compile() overloads: serve `key` from
-     *  memory or disk, else call `miss` with this cache's fragment
-     *  cache wired into the options and remember its program. */
-    CompiledProgram
+    /** The one lookup body behind fetch() and both compile()
+     *  overloads: serve `key` from memory or disk, else call `miss`
+     *  with this cache's fragment cache wired into the options and
+     *  move its program into the cache. */
+    Fetched
     lookupOrCompile(const std::string &key, const CompileOptions &options,
                     const std::function<CompiledProgram(
                         const CompileOptions &)> &miss);

@@ -124,15 +124,18 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
 
     // Fragment-cache probe: a partition's steps 1-2 + codegen depend
     // only on what fragmentCacheKey captures, so a hit skips all
-    // three for that range.
+    // three for that range. Every stage reads a hit's artifacts in
+    // place through `hit[p]`, which keeps the entry alive even if the
+    // cache evicts it meanwhile; only its IR fragment, which merge and
+    // reorder rewrite, is copied.
     FragmentCache *fcache = options.fragmentCache;
     std::vector<std::shared_ptr<const CompiledFragment>> hit(num_parts);
     std::vector<std::string> fkeys(num_parts);
     if (fcache) {
         for (size_t p = 0; p < num_parts; ++p) {
             fkeys[p] = fragmentCacheKey(binarized_hash, parts[p],
-                                        static_cast<uint32_t>(p), dag,
-                                        cfg, options);
+                                        static_cast<uint32_t>(p), cfg,
+                                        options);
             hit[p] = fcache->lookup(fkeys[p]);
         }
     }
@@ -142,21 +145,26 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
     // produces the same pieces. Codegen reads every range's blocks
     // (CodegenShared, the global block ids), so whichever
     // decomposition finishes last derives that context, while step 2
-    // of the ranges already decomposed carries on.
+    // of the ranges already decomposed carries on. `decs[p]` is the
+    // range's decomposition: a cache entry's, or the one in
+    // `pieces[p]` that a miss computes.
     std::vector<RangeDecomposition> pieces(num_parts);
+    std::vector<const RangeDecomposition *> decs(num_parts);
     std::vector<std::span<const Block>> partBlocks(num_parts);
     std::vector<size_t> blocksPerPart(num_parts);
     std::vector<size_t> blockBase(num_parts + 1, 0);
     CodegenShared shared;
     std::atomic<size_t> undecomposed{num_parts};
     auto decompose = [&](size_t p) {
-        if (hit[p])
-            pieces[p] = hit[p]->dec;
-        else
+        if (hit[p]) {
+            decs[p] = &hit[p]->dec;
+        } else {
             pieces[p] = decomposeRangeIntoBlocks(
                 dag, cfg, options.seed, parts[p], dfs_positions);
-        partBlocks[p] = std::span<const Block>(pieces[p].blocks);
-        blocksPerPart[p] = pieces[p].blocks.size();
+            decs[p] = &pieces[p];
+        }
+        partBlocks[p] = std::span<const Block>(decs[p]->blocks);
+        blocksPerPart[p] = partBlocks[p].size();
         if (undecomposed.fetch_sub(1) != 1)
             return;
         for (size_t q = 0; q < num_parts; ++q)
@@ -176,23 +184,32 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
     const bool boundary_aware =
         options.boundaryAwareBanks && num_parts > 1;
     auto map_range = [&](size_t p) {
-        if (hit[p])
-            pieceBanks[p] = hit[p]->banks;
-        else
+        if (!hit[p])
             pieceBanks[p] = assignBanksForRange(
                 dag, cfg, pieces[p], options.bankPolicy,
                 partitionSeed(options.seed, p),
                 boundary_aware ? &banks.bankOf : nullptr);
-        NodeId lo = pieces[p].range.first;
-        for (size_t i = 0; i < pieceBanks[p].bankOf.size(); ++i) {
-            banks.bankOf[lo + i] = pieceBanks[p].bankOf[i];
-            banks.peOf[lo + i] = pieceBanks[p].peOf[i];
-        }
+        const BankAssignment &piece =
+            hit[p] ? hit[p]->banks : pieceBanks[p];
+        std::copy(piece.bankOf.begin(), piece.bankOf.end(),
+                  banks.bankOf.begin() + decs[p]->range.first);
+        std::copy(piece.peOf.begin(), piece.peOf.end(),
+                  banks.peOf.begin() + decs[p]->range.first);
+    };
+
+    // The whole-DAG decomposition exists only for the validator: the
+    // compile itself reads each range's blocks in place.
+    auto validate_blocks = [&] {
+        std::vector<RangeDecomposition> copies;
+        copies.reserve(num_parts);
+        for (const RangeDecomposition *d : decs)
+            copies.push_back(*d);
+        validateDecomposition(
+            dag, cfg, mergeRangeDecompositions(dag, std::move(copies)));
     };
 
     VerifyIrOptions vopt;
     CompiledProgram prog;
-    BlockDecomposition dec;
 
     if (num_parts == 1) {
         // Historical monolithic tail: codegen -> merge -> whole-IR
@@ -205,20 +222,17 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
             frags[0] = hit[0]->frag;
         } else {
             frags[0] = generateIrForRange(dag, cfg, partBlocks[0],
-                                          pieces[0].range, banks, shared,
-                                          0);
+                                          parts[0], banks, shared, 0);
             if (fcache)
                 fcache->store(fkeys[0], pieces[0], pieceBanks[0],
                               frags[0]);
         }
         IrProgram ir = mergeIrFragments(dag, cfg, banks, shared,
                                         std::move(frags), blocksPerPart);
-        dec = mergeRangeDecompositions(dag, std::move(pieces));
-        banks.readConflicts = countReadConflicts(dec, banks);
         if (options.validate)
-            validateDecomposition(dag, cfg, dec);
+            validate_blocks();
 
-        vopt.numBlocks = dec.blocks.size();
+        vopt.numBlocks = blockBase[num_parts];
         if (options.verify)
             timed_verify([&] {
                 throwIfVerifyErrors(verifyIr(ir, cfg, vopt), "codegen");
@@ -234,7 +248,7 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
             });
         }
 
-        prog = finalizeProgram(std::move(ir), cfg, dec);
+        prog = finalizeProgram(std::move(ir), cfg, partBlocks[0]);
     } else {
         // Pipelined steps 1-4 on one pool of workers:
         // - pre: step 1 of every range, unordered;
@@ -257,7 +271,7 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
                                             blockBase.end(), id) -
                            blockBase.begin()) -
                        1;
-            return pieces[p].blocks[id - blockBase[p]];
+            return partBlocks[p][id - blockBase[p]];
         };
 
         ScheduledIrMerger merger(dag, cfg, banks, shared);
@@ -279,7 +293,7 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
                     frags[p] = hit[p]->frag;
                 } else {
                     frags[p] = generateIrForRange(
-                        dag, cfg, partBlocks[p], pieces[p].range, banks,
+                        dag, cfg, partBlocks[p], parts[p], banks,
                         shared, static_cast<uint32_t>(p));
                     if (fcache)
                         fcache->store(fkeys[p], pieces[p], pieceBanks[p],
@@ -300,14 +314,12 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
         finalizer.appendChunk(merger.ir(), done_instrs, done_instances);
         const IrProgram &ir = merger.ir();
 
-        dec = mergeRangeDecompositions(dag, std::move(pieces));
-        banks.readConflicts = countReadConflicts(dec, banks);
         if (options.validate) {
-            validateDecomposition(dag, cfg, dec);
+            validate_blocks();
             checkHazardFree(ir, cfg);
         }
 
-        vopt.numBlocks = dec.blocks.size();
+        vopt.numBlocks = blockBase[num_parts];
         if (options.verify) {
             // Stage "codegen" checks the same artifact the monolithic
             // path would: the order-preserving merge of the
@@ -325,7 +337,7 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
             });
         }
 
-        prog = finalizer.finish(ir, dec.blocks.size());
+        prog = finalizer.finish(ir, blockBase[num_parts]);
     }
 
     prog.stats.numOperations = dag.numOperations();

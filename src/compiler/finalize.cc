@@ -10,15 +10,18 @@ namespace dpu {
 namespace detail {
 
 constexpr uint32_t noAddr = static_cast<uint32_t>(-1);
+constexpr uint32_t noUse = static_cast<uint32_t>(-1);
 
-/** Mutable run-time state of one register instance. */
+/** Mutable run-time state of one register instance. Its reads, in
+ *  ascending IR order, form a linked list through FinalizerImpl's
+ *  flat useIr/useNext arrays. */
 struct InstState
 {
     uint32_t addr = noAddr;     ///< Current register, noAddr if absent.
     uint64_t readableAt = 0;    ///< Issue time when data has landed.
     uint32_t spillRow = noAddr; ///< Memory copy (chunk-relative row).
-    uint32_t nextUseIdx = 0;    ///< Cursor into `uses`.
-    std::vector<uint32_t> uses; ///< IR indices of reads, ascending.
+    uint32_t nextUse = noUse;   ///< First unconsumed read, or noUse.
+    uint32_t lastUse = noUse;   ///< Last read appended so far, or noUse.
 };
 
 class FinalizerImpl
@@ -45,7 +48,7 @@ class FinalizerImpl
         state.resize(instances.size());
         for (size_t i = fromInstr; i < ir.instrs.size(); ++i)
             for (const IrRead &r : ir.instrs[i].reads)
-                state[r.inst].uses.push_back(static_cast<uint32_t>(i));
+                appendUse(state[r.inst], static_cast<uint32_t>(i));
 
         curIr = &ir;
         chunkEnd = static_cast<uint32_t>(ir.instrs.size());
@@ -95,6 +98,20 @@ class FinalizerImpl
   private:
     uint64_t now() const { return prog.instructions.size(); }
 
+    /** Append a read at IR index `ir` to an instance's use list. */
+    void
+    appendUse(InstState &st, uint32_t ir)
+    {
+        const uint32_t node = static_cast<uint32_t>(useIr.size());
+        useIr.push_back(ir);
+        useNext.push_back(noUse);
+        if (st.lastUse != noUse)
+            useNext[st.lastUse] = node;
+        if (st.nextUse == noUse) // every earlier read is consumed
+            st.nextUse = node;
+        st.lastUse = node;
+    }
+
     /** Resolve a read: reload if spilled, return (bank, addr). */
     std::pair<uint32_t, uint32_t>
     resolveRead(const IrRead &r)
@@ -104,10 +121,9 @@ class FinalizerImpl
         dpu_assert(st.readableAt <= now(), "unresolved pipeline hazard");
         uint32_t bank = instances[r.inst].bank;
         uint32_t addr = st.addr;
-        dpu_assert(st.nextUseIdx < st.uses.size() &&
-                   st.uses[st.nextUseIdx] == irIndex,
+        dpu_assert(st.nextUse != noUse && useIr[st.nextUse] == irIndex,
                    "use-list cursor out of sync");
-        ++st.nextUseIdx;
+        st.nextUse = useNext[st.nextUse];
         if (r.lastRead) {
             valid[bank].clear(addr);
             occupant[bank][addr] = invalidInstance;
@@ -122,9 +138,8 @@ class FinalizerImpl
     nextUse(InstanceId id) const
     {
         const InstState &st = state[id];
-        return st.nextUseIdx < st.uses.size()
-            ? st.uses[st.nextUseIdx]
-            : std::numeric_limits<uint32_t>::max();
+        return st.nextUse != noUse ? useIr[st.nextUse]
+                                   : std::numeric_limits<uint32_t>::max();
     }
 
     /**
@@ -396,6 +411,8 @@ class FinalizerImpl
     CompiledProgram prog;
     std::vector<RegInstance> instances;
     std::vector<InstState> state;
+    std::vector<uint32_t> useIr;   ///< IR index of each read.
+    std::vector<uint32_t> useNext; ///< Next read of the same instance.
     std::vector<std::vector<InstanceId>> occupant;
     std::vector<BitVec> valid;
     uint32_t relSpillRows = 0;
@@ -432,14 +449,14 @@ ProgramFinalizer::finish(const IrProgram &ir, size_t numBlocks)
 
 CompiledProgram
 finalizeProgram(IrProgram &&ir, const ArchConfig &cfg,
-                const BlockDecomposition &dec)
+                std::span<const Block> blocks)
 {
     IrProgram local = std::move(ir);
-    ProgramFinalizer fin(cfg, [&dec](uint32_t id) -> const Block & {
-        return dec.blocks[id];
+    ProgramFinalizer fin(cfg, [blocks](uint32_t id) -> const Block & {
+        return blocks[id];
     });
     fin.appendChunk(local, 0, 0);
-    return fin.finish(local, dec.blocks.size());
+    return fin.finish(local, blocks.size());
 }
 
 } // namespace dpu

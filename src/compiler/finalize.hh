@@ -18,6 +18,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "compiler/blocks.hh"
 #include "compiler/ir.hh"
@@ -79,13 +80,16 @@ class ProgramFinalizer
  *
  * @param ir Scheduled IR (consumed).
  * @param cfg Architecture configuration.
- * @param dec Step-1 decomposition (peOps of each block).
+ * @param blocks Every step-1 block, indexed by global block id (the
+ *        peOps of each exec); read in place, so an unpartitioned
+ *        compile passes its one range's blocks — a fragment cache
+ *        entry's included — without building a BlockDecomposition.
  * @return The executable program; stats fields covering steps 1-4 are
  *         filled except workload-level ones (numOperations, csrBits,
  *         compile time) which the driver adds.
  */
 CompiledProgram finalizeProgram(IrProgram &&ir, const ArchConfig &cfg,
-                                const BlockDecomposition &dec);
+                                std::span<const Block> blocks);
 
 } // namespace dpu
 

@@ -1,7 +1,6 @@
 #include "compiler/scheduler.hh"
 
 #include <algorithm>
-#include <map>
 #include <queue>
 
 #include "compiler/codegen.hh"
@@ -16,6 +15,18 @@ struct DepEdge
 {
     uint32_t succ;
     uint32_t gap;
+};
+
+constexpr uint32_t none = static_cast<uint32_t>(-1);
+
+/** The dependence graph in CSR form: the successors of instruction i
+ *  are succ[first[i], first[i + 1]), in the order the edges are
+ *  found. */
+struct DepGraph
+{
+    std::vector<uint32_t> first;
+    std::vector<DepEdge> succ;
+    std::vector<uint32_t> ndeps; ///< Predecessor count per instruction.
 };
 
 /**
@@ -34,79 +45,107 @@ struct DepEdge
  * write has landed. The register-leak check is also skipped: a local
  * value read or stored only by later fragments legitimately has no
  * valid_rst read here.
+ *
+ * Count-then-fill: one walk over the list counts each instruction's
+ * edges, a second identical walk places them. The walks' bookkeeping
+ * is flat: the not-yet-freed readers of an instance and the loads of
+ * a row since its last store are chains of index links.
  */
-void
+DepGraph
 buildDeps(const IrProgram &ir, const ArchConfig &cfg, bool fragment,
-          size_t numExternals, std::vector<std::vector<DepEdge>> &succs,
-          std::vector<uint32_t> &ndeps)
+          size_t numExternals)
 {
-    const size_t n = ir.instrs.size();
+    const uint32_t n = static_cast<uint32_t>(ir.instrs.size());
     const size_t nlocal = ir.instances.size();
-    succs.assign(n, {});
-    ndeps.assign(n, 0);
-
-    auto add_edge = [&](uint32_t from, uint32_t to, uint32_t gap) {
-        succs[from].push_back({to, gap});
-        ++ndeps[to];
-    };
-
     auto slot = [&](InstanceId id) -> size_t {
         if (IrFragment::isExternal(id))
             return nlocal + (id & ~IrFragment::externalFlag);
         return id;
     };
 
+    uint32_t rows = 0;
+    for (const IrInstr &in : ir.instrs)
+        if (in.kind == InstrKind::Load || in.kind == InstrKind::Store ||
+            in.kind == InstrKind::Store4)
+            rows = std::max(rows, in.memRow + 1);
+
     const size_t universe = nlocal + numExternals;
-    std::vector<uint32_t> writer(universe, static_cast<uint32_t>(-1));
-    std::vector<std::vector<uint32_t>> readers(universe);
-    std::vector<uint32_t> rst_reader(universe,
-                                     static_cast<uint32_t>(-1));
-
-    std::map<uint32_t, uint32_t> last_row_writer; // row -> store idx
-    std::map<uint32_t, std::vector<uint32_t>> row_readers; // row -> loads
-
-    for (uint32_t i = 0; i < n; ++i) {
-        const IrInstr &in = ir.instrs[i];
-        for (const IrRead &r : in.reads) {
-            const size_t s = slot(r.inst);
-            if (s < nlocal) {
-                dpu_assert(writer[s] != static_cast<uint32_t>(-1),
-                           "read before write in IR");
-                add_edge(writer[s], i,
-                         writeLatency(ir.instrs[writer[s]].kind, cfg));
+    std::vector<uint32_t> writer, rst_reader, reader_head;
+    std::vector<uint32_t> row_writer, row_head; // last store, loads since
+    std::vector<uint32_t> link_instr, link_next; // chain nodes
+    auto link = [&](uint32_t instr, uint32_t head) {
+        link_instr.push_back(instr);
+        link_next.push_back(head);
+        return static_cast<uint32_t>(link_instr.size() - 1);
+    };
+    auto walk = [&](auto &&add_edge) {
+        writer.assign(universe, none);
+        rst_reader.assign(universe, none);
+        reader_head.assign(universe, none);
+        row_writer.assign(rows, none);
+        row_head.assign(rows, none);
+        link_instr.clear();
+        link_next.clear();
+        for (uint32_t i = 0; i < n; ++i) {
+            const IrInstr &in = ir.instrs[i];
+            for (const IrRead &r : in.reads) {
+                const size_t s = slot(r.inst);
+                if (s < nlocal) {
+                    dpu_assert(writer[s] != none, "read before write in IR");
+                    add_edge(writer[s], i,
+                             writeLatency(ir.instrs[writer[s]].kind, cfg));
+                }
+                if (r.lastRead) {
+                    dpu_assert(rst_reader[s] == none,
+                               "two valid_rst reads of one instance");
+                    rst_reader[s] = i;
+                    for (uint32_t k = reader_head[s]; k != none;
+                         k = link_next[k])
+                        add_edge(link_instr[k], i, 1);
+                } else {
+                    reader_head[s] = link(i, reader_head[s]);
+                }
             }
-            if (r.lastRead) {
-                dpu_assert(rst_reader[s] ==
-                           static_cast<uint32_t>(-1),
-                           "two valid_rst reads of one instance");
-                rst_reader[s] = i;
-                for (uint32_t other : readers[s])
-                    add_edge(other, i, 1);
-            } else {
-                readers[s].push_back(i);
+            for (const IrWrite &w : in.writes) {
+                dpu_assert(writer[w.inst] == none,
+                           "instance written twice in IR");
+                writer[w.inst] = i;
+            }
+            if (in.kind == InstrKind::Load) {
+                if (row_writer[in.memRow] != none)
+                    add_edge(row_writer[in.memRow], i, 2);
+                row_head[in.memRow] = link(i, row_head[in.memRow]);
+            } else if (in.kind == InstrKind::Store ||
+                       in.kind == InstrKind::Store4) {
+                if (row_writer[in.memRow] != none)
+                    add_edge(row_writer[in.memRow], i, 1);
+                for (uint32_t k = row_head[in.memRow]; k != none;
+                     k = link_next[k])
+                    add_edge(link_instr[k], i, 1);
+                row_head[in.memRow] = none;
+                row_writer[in.memRow] = i;
             }
         }
-        for (const IrWrite &w : in.writes) {
-            dpu_assert(writer[w.inst] == static_cast<uint32_t>(-1),
-                       "instance written twice in IR");
-            writer[w.inst] = i;
-        }
-        if (in.kind == InstrKind::Load) {
-            auto it = last_row_writer.find(in.memRow);
-            if (it != last_row_writer.end())
-                add_edge(it->second, i, 2);
-            row_readers[in.memRow].push_back(i);
-        } else if (in.kind == InstrKind::Store ||
-                   in.kind == InstrKind::Store4) {
-            auto it = last_row_writer.find(in.memRow);
-            if (it != last_row_writer.end())
-                add_edge(it->second, i, 1);
-            for (uint32_t rd : row_readers[in.memRow])
-                add_edge(rd, i, 1);
-            row_readers[in.memRow].clear();
-            last_row_writer[in.memRow] = i;
-        }
-    }
+    };
+
+    DepGraph g;
+    g.first.assign(n + 1, 0);
+    g.ndeps.assign(n, 0);
+    walk([&](uint32_t from, uint32_t to, uint32_t) {
+        ++g.first[from + 1];
+        ++g.ndeps[to];
+    });
+    for (uint32_t i = 0; i < n; ++i)
+        g.first[i + 1] += g.first[i];
+    g.succ.resize(g.first[n]);
+    // first[from] is the fill cursor, which leaves first[i] at the
+    // old first[i + 1]; shift it back afterwards.
+    walk([&](uint32_t from, uint32_t to, uint32_t gap) {
+        g.succ[g.first[from]++] = {to, gap};
+    });
+    for (uint32_t i = n; i > 0; --i)
+        g.first[i] = g.first[i - 1];
+    g.first[0] = 0;
 
     // Every instance must eventually be freed, or the register file
     // leaks; codegen guarantees this for whole programs. Fragments
@@ -114,8 +153,8 @@ buildDeps(const IrProgram &ir, const ArchConfig &cfg, bool fragment,
     // frees.
     if (!fragment)
         for (size_t k = 0; k < nlocal; ++k)
-            dpu_assert(rst_reader[k] != static_cast<uint32_t>(-1),
-                       "instance never freed");
+            dpu_assert(rst_reader[k] != none, "instance never freed");
+    return g;
 }
 
 /**
@@ -128,12 +167,10 @@ reorderList(IrProgram &ir, const ArchConfig &cfg, uint32_t window,
             bool fragment, size_t numExternals, int64_t liveIn)
 {
     dpu_assert(window >= 1, "window must be positive");
-    std::vector<std::vector<DepEdge>> succs;
-    std::vector<uint32_t> ndeps;
-    buildDeps(ir, cfg, fragment, numExternals, succs, ndeps);
+    DepGraph deps = buildDeps(ir, cfg, fragment, numExternals);
 
     const uint32_t n = static_cast<uint32_t>(ir.instrs.size());
-    std::vector<uint32_t> remaining = ndeps;
+    std::vector<uint32_t> &remaining = deps.ndeps;
     std::vector<uint64_t> ready_at(n, 0);
     std::vector<bool> scheduled(n, false);
 
@@ -153,8 +190,11 @@ reorderList(IrProgram &ir, const ArchConfig &cfg, uint32_t window,
             readyOthers.push(i);
     };
     // Instructions whose deps are all scheduled but whose gap has not
-    // elapsed yet, keyed by release time.
-    std::map<uint64_t, std::vector<uint32_t>> pending;
+    // elapsed yet, by release time. Release order among them does not
+    // matter: the ready sets above order by index.
+    using Pending = std::pair<uint64_t, uint32_t>;
+    std::priority_queue<Pending, std::vector<Pending>, std::greater<Pending>>
+        pending;
 
     for (uint32_t i = 0; i < n; ++i)
         if (remaining[i] == 0)
@@ -169,11 +209,9 @@ reorderList(IrProgram &ir, const ArchConfig &cfg, uint32_t window,
     uint32_t done = 0;
 
     auto release = [&](uint64_t time) {
-        auto it = pending.begin();
-        while (it != pending.end() && it->first <= time) {
-            for (uint32_t i : it->second)
-                push_ready(i);
-            it = pending.erase(it);
+        while (!pending.empty() && pending.top().first <= time) {
+            push_ready(pending.top().second);
+            pending.pop();
         }
     };
 
@@ -226,13 +264,15 @@ reorderList(IrProgram &ir, const ArchConfig &cfg, uint32_t window,
             ++stats.movedInstructions;
         out.push_back(std::move(ir.instrs[pick]));
         ++done;
-        for (const DepEdge &e : succs[pick]) {
+        for (uint32_t k = deps.first[pick]; k < deps.first[pick + 1];
+             ++k) {
+            const DepEdge &e = deps.succ[k];
             ready_at[e.succ] = std::max(ready_at[e.succ], now + e.gap);
             if (--remaining[e.succ] == 0) {
                 if (ready_at[e.succ] <= now + 1)
                     push_ready(e.succ);
                 else
-                    pending[ready_at[e.succ]].push_back(e.succ);
+                    pending.push({ready_at[e.succ], e.succ});
             }
         }
         ++now;

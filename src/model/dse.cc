@@ -76,20 +76,26 @@ evaluatePrepared(const ArchConfig &cfg,
         opt.seed = seed;
         if (verify) // explicit opt-in only; keep the default build-set
             opt.verify = true;
-        CompiledProgram prog;
+        // The point reads its program where the cache keeps it.
+        ProgramCache::Fetched got;
         try {
-            prog = cache ? cache->compile(dag, cfg, opt)
-                         : compile(dag, cfg, opt);
+            if (cache)
+                got = cache->fetch(dag, cfg, opt);
+            else
+                got.prog = std::make_shared<const CompiledProgram>(
+                    compile(dag, cfg, opt));
         } catch (const FatalError &) {
             // Register file too small for this workload: the design
             // point cannot run the suite.
             point.feasible = false;
             return point;
         }
+        const CompiledProgram &prog = *got.prog;
         if (cost) {
             cost->compiles += 1;
-            cost->cacheHits += prog.stats.cacheHits;
-            cost->compileSeconds += prog.stats.compileSeconds;
+            cost->cacheHits += got.hit ? 1 : 0;
+            cost->compileSeconds += got.hit ? got.fetchSeconds
+                                            : prog.stats.compileSeconds;
         }
 
         SimStats stats;

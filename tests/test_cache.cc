@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "arch/isa.hh"
 #include "compiler/cache.hh"
@@ -158,6 +159,169 @@ TEST(ProgramCache, FragmentReusePartitionedCompile)
     CompiledProgram cold = compile(d, cfgOf(3, 16, 64), opt);
     EXPECT_EQ(encodeProgram(cold.cfg, cold.instructions),
               encodeProgram(warm.cfg, warm.instructions));
+}
+
+/** Serialized program with the host timings and hit flag zeroed:
+ *  what must match byte for byte between a warm and a cold compile. */
+std::vector<uint8_t>
+programBytes(CompiledProgram prog)
+{
+    prog.stats.compileSeconds = 0;
+    prog.stats.verifySeconds = 0;
+    prog.stats.cacheHits = 0;
+    return serializeProgram(prog);
+}
+
+/** Compile through `fn`; empty when the configuration cannot fit the
+ *  DAG (FatalError), so infeasibility must agree too. */
+template <typename Fn>
+std::vector<uint8_t>
+bytesOrInfeasible(Fn &&fn)
+{
+    try {
+        return programBytes(fn());
+    } catch (const FatalError &) {
+        return {};
+    }
+}
+
+TEST(ProgramCache, FetchHandsOutTheResidentProgram)
+{
+    // fetch() is the copy-free read path: a miss moves the compiled
+    // program into the cache, a hit returns that same object, and
+    // compile() is a copy of the same lookup flagged as a hit.
+    Dag d = generateRandomDag(16, 400, 86);
+    PreparedDag p = prepareDag(d);
+    ArchConfig cfg = cfgOf(2, 8, 32);
+    ProgramCache cache;
+    ProgramCache::Fetched cold = cache.fetch(p, cfg);
+    ASSERT_TRUE(cold.prog);
+    EXPECT_FALSE(cold.hit);
+    EXPECT_EQ(cold.fetchSeconds, 0.0);
+    ProgramCache::Fetched warm = cache.fetch(p, cfg);
+    EXPECT_TRUE(warm.hit);
+    EXPECT_EQ(warm.prog.get(), cold.prog.get());
+    EXPECT_EQ(warm.prog->stats.cacheHits, 0u); // the entry is unflagged
+    CompiledProgram copy = cache.compile(d, cfg);
+    EXPECT_EQ(copy.stats.cacheHits, 1u);
+    EXPECT_EQ(programBytes(copy), programBytes(*cold.prog));
+    EXPECT_EQ(programBytes(*cold.prog), programBytes(compile(d, cfg)));
+    EXPECT_EQ(cache.stats().hits, 2u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(ProgramCache, WarmFragmentsMatchColdCompiles)
+{
+    // Random DAGs x random legal configurations (every output net,
+    // several R per (D, B)) x partitioning x compile threads x
+    // boundary-aware mapping, all through one cache. Two fragment
+    // slots force evictions of entries a compile is still reading,
+    // and one program slot makes every lookup a program miss, so each
+    // compile runs steps 3-4 over fragments read in place. Every
+    // program must equal a cold compile byte for byte.
+    Rng rng(20261017);
+    ProgramCacheConfig cc;
+    cc.maxEntries = 1;
+    cc.maxFragments = 2;
+    ProgramCache cache(cc);
+    const uint32_t regs[] = {16, 32, 128};
+    size_t feasible = 0;
+    for (uint64_t seed : {91u, 92u, 93u}) {
+        const size_t ops = 300 + rng.below(300);
+        Dag d = generateRandomDag(16 + rng.below(16), ops, seed);
+        for (int c = 0; c < 2; ++c) {
+            ArchConfig cfg;
+            cfg.depth = 1 + static_cast<uint32_t>(rng.below(3));
+            cfg.banks = (1u << cfg.depth) << rng.below(3);
+            cfg.outputNet = static_cast<OutputInterconnect>(rng.below(3));
+            for (uint32_t part : {0u, static_cast<uint32_t>(ops / 4)})
+                for (bool aware : {true, false}) {
+                    if (part == 0 && !aware)
+                        continue; // no effect on one range
+                    CompileOptions opt;
+                    opt.partitionNodes = part;
+                    opt.boundaryAwareBanks = aware;
+                    opt.validate = true;
+                    opt.verify = true;
+                    std::vector<std::vector<uint8_t>> cold;
+                    for (uint32_t r : regs) {
+                        cfg.regsPerBank = r;
+                        cold.push_back(bytesOrInfeasible(
+                            [&] { return compile(d, cfg, opt); }));
+                    }
+                    for (uint32_t threads : {1u, 4u}) {
+                        opt.threads = threads;
+                        for (size_t k = 0; k < std::size(regs); ++k) {
+                            cfg.regsPerBank = regs[k];
+                            SCOPED_TRACE("seed " + std::to_string(seed) +
+                                         " " + cfg.label() + " net" +
+                                         std::to_string(static_cast<int>(
+                                             cfg.outputNet)) +
+                                         " p" + std::to_string(part) +
+                                         " a" + std::to_string(aware) +
+                                         " t" + std::to_string(threads));
+                            EXPECT_EQ(cold[k], bytesOrInfeasible([&] {
+                                          return cache.compile(d, cfg, opt);
+                                      }));
+                            feasible += !cold[k].empty();
+                        }
+                    }
+                }
+        }
+    }
+    EXPECT_GT(feasible, 50u);
+    ProgramCache::Stats s = cache.stats();
+    EXPECT_EQ(s.hits, 0u);
+    EXPECT_GT(s.fragHits, 0u);
+    EXPECT_GT(s.fragMisses, 0u);
+}
+
+TEST(ProgramCache, ConcurrentWarmFragmentsMatchColdCompiles)
+{
+    // Four threads sweep R through one shared cache, each in its own
+    // order: fragments are hit, evicted and re-stored while other
+    // compiles borrow them. Every program equals its cold compile.
+    Dag d = generateRandomDag(24, 800, 94);
+    ArchConfig cfg = cfgOf(2, 16, 32);
+    CompileOptions opt;
+    opt.partitionNodes = 200;
+    opt.validate = true;
+    opt.verify = true;
+    const std::vector<uint32_t> regs = {16, 24, 32, 48, 64, 96, 128, 256};
+    std::vector<std::vector<uint8_t>> cold;
+    for (uint32_t r : regs) {
+        cfg.regsPerBank = r;
+        cold.push_back(
+            bytesOrInfeasible([&] { return compile(d, cfg, opt); }));
+    }
+
+    ProgramCacheConfig cc;
+    cc.maxEntries = 2;
+    cc.maxFragments = 2;
+    ProgramCache cache(cc);
+    constexpr size_t kThreads = 4;
+    std::vector<std::vector<std::vector<uint8_t>>> warm(
+        kThreads, std::vector<std::vector<uint8_t>>(regs.size()));
+    std::vector<std::thread> workers;
+    for (size_t t = 0; t < kThreads; ++t)
+        workers.emplace_back([&, t] {
+            ArchConfig mine = cfg;
+            CompileOptions o = opt;
+            o.threads = 1 + static_cast<uint32_t>(t % 2);
+            for (size_t i = 0; i < regs.size(); ++i) {
+                size_t k = (i * (2 * t + 1) + t) % regs.size();
+                mine.regsPerBank = regs[k];
+                warm[t][k] = bytesOrInfeasible(
+                    [&] { return cache.compile(d, mine, o); });
+            }
+        });
+    for (std::thread &w : workers)
+        w.join();
+    for (size_t t = 0; t < kThreads; ++t)
+        for (size_t k = 0; k < regs.size(); ++k)
+            EXPECT_EQ(cold[k], warm[t][k])
+                << "thread " << t << " R=" << regs[k];
+    EXPECT_GT(cache.stats().fragHits, 0u);
 }
 
 TEST(ProgramCache, InsertSeedsLaterHits)

@@ -14,6 +14,7 @@
 #include "dag/eval.hh"
 #include "dag/io.hh"
 #include "support/rng.hh"
+#include "text_mutator.hh"
 #include "workloads/pc_generator.hh"
 
 namespace dpu {
@@ -256,6 +257,45 @@ TEST(Io, RejectsGarbage)
     // Blank lines and trailing whitespace are not garbage.
     std::stringstream ok("dpu-dag v1 3 \ni \ni\n+ 0 1  \n\n \n");
     EXPECT_EQ(readDag(ok).numNodes(), 3u);
+}
+
+TEST(Io, MutatedDagTextNeverPanics)
+{
+    // dpu-dag text is external bytes: every seeded mutant of writeDag
+    // output must parse to a DAG or fail with FatalError, never with a
+    // PanicError, another exception or a crash. A DAG that parses
+    // must round-trip.
+    std::vector<std::string> texts;
+    Dag nary;
+    NodeId a = nary.addInput(), b = nary.addInput(), c = nary.addInput();
+    NodeId s = nary.addNode(OpType::Add, {a, b, c});
+    nary.addNode(OpType::Mul, {s, a, b, c});
+    for (const Dag &d : {generateRandomDag(8, 50, 17), nary}) {
+        std::stringstream ss;
+        writeDag(d, ss);
+        texts.push_back(ss.str());
+    }
+    Rng rng(20261017);
+    size_t parsed = 0, rejected = 0;
+    for (int k = 0; k < 3000; ++k) {
+        std::string text = mutateText(texts[k % texts.size()], rng);
+        if (rng.below(3) == 0)
+            text = mutateText(text, rng); // stacked mutations
+        std::stringstream in(text);
+        try {
+            Dag d = readDag(in);
+            ++parsed;
+            std::stringstream out;
+            writeDag(d, out);
+            EXPECT_EQ(readDag(out).numNodes(), d.numNodes()) << text;
+        } catch (const FatalError &) {
+            ++rejected;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << e.what() << "\n" << text;
+        }
+    }
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 TEST(Io, RejectsForwardReference)

@@ -14,6 +14,8 @@
 
 #include "dag/algorithms.hh"
 #include "dag/eval.hh"
+#include "support/rng.hh"
+#include "text_mutator.hh"
 #include "workloads/pc_generator.hh"
 #include "workloads/sparse_matrix.hh"
 #include "workloads/sptrsv.hh"
@@ -255,6 +257,45 @@ TEST(SparseMatrix, GoldenFixturesLoadAndMirror)
     EXPECT_EQ(skew.nnz(), 16u); // 8 stored, 8 mirrored
     EXPECT_DOUBLE_EQ(skew.at(1, 0), 0.5);
     EXPECT_DOUBLE_EQ(skew.at(0, 1), -0.5);
+}
+
+TEST(SparseMatrix, MutatedMatrixMarketNeverPanics)
+{
+    // .mtx files are external bytes: every seeded mutant of the golden
+    // fixtures must parse to a matrix or fail with FatalError, never
+    // with a PanicError, another exception or a crash. The sanitizer
+    // job runs this through the full ctest.
+    const std::string dir = DPU_DATA_DIR;
+    std::vector<std::string> fixtures;
+    for (const char *name : {"chain16.mtx", "mesh33.mtx", "skew7.mtx"}) {
+        std::ifstream in(dir + "/" + name, std::ios::binary);
+        std::stringstream text;
+        text << in.rdbuf();
+        fixtures.push_back(text.str());
+        ASSERT_FALSE(fixtures.back().empty()) << name;
+    }
+    Rng rng(20261017);
+    size_t parsed = 0, rejected = 0;
+    for (int k = 0; k < 3000; ++k) {
+        std::string text = mutateText(fixtures[k % fixtures.size()], rng);
+        if (rng.below(3) == 0)
+            text = mutateText(text, rng); // stacked mutations
+        std::stringstream in(text);
+        try {
+            SparseMatrixCsr m = readMatrixMarket(in);
+            ++parsed;
+            if (m.dim())
+                EXPECT_EQ(m.rowEnd(m.dim() - 1), m.nnz()) << text;
+        } catch (const FatalError &) {
+            ++rejected;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << e.what() << "\n" << text;
+        }
+    }
+    // Both outcomes must be reached: some mutants (a flipped digit, a
+    // duplicated comment) still parse.
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 TEST(SparseMatrix, ReadMatrixMarketFileMissingFatal)
