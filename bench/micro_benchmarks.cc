@@ -132,6 +132,27 @@ BM_Simulate(benchmark::State &state)
 }
 BENCHMARK(BM_Simulate)->Unit(benchmark::kMillisecond);
 
+/** Construct a Machine and run it once: what a one-shot
+ *  Machine(prog).run(input) costs. Construction resolves registers,
+ *  timing and every check, so this keeps that cost measured while
+ *  BM_Simulate times only the reused Machine's runs. */
+void
+BM_MachineOneShot(benchmark::State &state)
+{
+    const auto &prog = benchProgram();
+    Rng rng(1);
+    std::vector<double> in(benchDag().numInputs());
+    for (auto &x : in)
+        x = 0.5 + rng.uniform();
+    for (auto _ : state) {
+        auto res = Machine(prog).run(in);
+        benchmark::DoNotOptimize(res.outputs.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            int64_t(prog.instructions.size()));
+}
+BENCHMARK(BM_MachineOneShot)->Unit(benchmark::kMillisecond);
+
 void
 BM_EncodeProgram(benchmark::State &state)
 {

@@ -6,12 +6,12 @@
  * addressing, §IV bank-conflict copies and hazard NOPs) means every
  * downstream consumer — Machine, BatchMachine, the serving stack, DSE
  * sweeps over thousands of cached programs — trusts that the compiler
- * emitted a *legal* program. This pass proves it statically, the same
- * way the cycle-accurate simulator proves it dynamically: it replays
- * the register file abstractly (no values, only validity and timing)
- * and emits structured, machine-readable diagnostics instead of
- * panicking, so tools (dpulint) and tests can inspect exactly what is
- * wrong and where.
+ * emitted a *legal* program. This pass proves it statically, much as
+ * the cycle-accurate simulator proves it once per program when a
+ * Machine is built: it replays the register file abstractly (no
+ * values, only validity and timing) and emits structured,
+ * machine-readable diagnostics instead of panicking, so tools
+ * (dpulint) and tests can inspect exactly what is wrong and where.
  *
  * Two entry points:
  *  - verifyIr(): after codegen/merge (hazards not yet resolved) and

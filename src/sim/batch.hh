@@ -10,9 +10,11 @@
  * clock of the simulated machine; independently, the per-input
  * simulations can be spread over a pool of *host* std::thread
  * workers (`threads`). Host threading changes only how fast the
- * simulation itself runs: the program is decoded once, into one
- * Machine that the host threads share (or not at all, when the
- * caller hands over an already-decoded Machine), each input's result lands
+ * simulation itself runs. The schedule is simulated once, when the
+ * batch's Machine is built: timing, registers, stats and every check
+ * (or not at all, when the caller hands over an already-built
+ * Machine). The host threads share that Machine, and each run only
+ * evaluates the PE arithmetic of one input. Each input's result lands
  * in its submission-order slot, and the cycle accounting is folded
  * afterwards in that order, so the BatchResult is byte-identical for
  * any thread count.

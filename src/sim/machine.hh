@@ -16,15 +16,26 @@
  * required to produce hazard-free code, and the simulator is the
  * instrument that proves it.
  *
- * A Machine decodes its program once, at construction, into flat
- * records with pre-resolved register reads, PE steps, frees and
- * writes; checks that depend only on the instruction are decided then
- * and reported when the run reaches them. Machine::run is const and
- * keeps all run state local, so one Machine may run many inputs,
- * concurrently from several threads. Per instruction the run costs
- * O(its active fields): valid bits are 64-bit words per bank (the
- * lowest free address is a count-trailing-zeros), the live-register
- * count is kept incrementally, and every hazard check is O(1).
+ * DPU-v2 has no data-dependent control, and the compiler fixes every
+ * register address, so a program's timing, register allocation and
+ * legality do not depend on its input values. A Machine therefore
+ * simulates the schedule once, at construction. It replays the program
+ * on value ids instead of values through the whole model above: valid
+ * bits as 64-bit words per bank (the lowest free address is a
+ * count-trailing-zeros), the cycle each register's data arrives, the
+ * live-register count, every hazard check and every SimStats counter.
+ * What is left is a flat list of the PE adds and muls on value ids.
+ *
+ * Machine::run is const and keeps its state local, so one Machine may
+ * run many inputs, concurrently from several threads. A run costs one
+ * pass over that list plus a copy of the stats. Each add or mul is the
+ * same IEEE operation on the same operands as in the cycle-by-cycle
+ * model, so the outputs are bitwise those of a cycle-by-cycle run.
+ *
+ * A check the program fails is found at construction but belongs to
+ * the program, so construction does not throw it. Every run() throws
+ * it instead, as a PanicError with the same what(), after checking
+ * the input count.
  */
 
 #ifndef DPU_SIM_MACHINE_HH
@@ -172,8 +183,8 @@ struct DecodedProgram;
 class Machine
 {
   public:
-    /** Decode `program` for its configuration. The Machine keeps no
-     *  reference to `program`. */
+    /** Simulate `program`'s schedule for its configuration. The
+     *  Machine keeps no reference to `program`. */
     explicit Machine(const CompiledProgram &program,
                      SimOptions options = {});
 
@@ -188,7 +199,6 @@ class Machine
     uint64_t transferBytes() const;
 
   private:
-    SimOptions opts;
     std::shared_ptr<const detail::DecodedProgram> code;
 };
 

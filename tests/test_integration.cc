@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
+#include <string>
 #include <tuple>
 
 #include "compiler/compiler.hh"
@@ -167,6 +169,68 @@ TEST(EndToEndSeeds, RandomBankPolicyStaysCorrect)
     opt.validate = true;
     auto prog = compile(d, cfg, opt);
     runAndCheck(prog, d, randomInputs(d, 78));
+}
+
+/** Every SimStats field, for comparing two runs. */
+auto
+statsKey(const SimStats &s)
+{
+    return std::tie(s.cycles, s.kindCount, s.bankReads, s.bankWrites,
+                    s.peOperations, s.pePassThroughs, s.crossbarTransfers,
+                    s.memReads, s.memWrites, s.instrBitsFetched,
+                    s.peakLiveRegisters, s.occupancyTrace, s.traceStride,
+                    s.transferCycles);
+}
+
+TEST(EndToEndSeeds, RandomConfigsMatchReference)
+{
+    // Random DAGs on random legal configurations, compiled whole or
+    // partitioned, on one or four threads, must match dag/eval. Two
+    // inputs on one Machine must give the same SimStats: timing and
+    // events belong to the program, not to its input values.
+    const OutputInterconnect nets[] = {OutputInterconnect::Crossbar,
+                                       OutputInterconnect::PerLayerSubtree,
+                                       OutputInterconnect::OnePerPe};
+    const uint32_t regs[] = {10, 16, 32, 48};
+    for (uint64_t seed = 1; seed <= 30; ++seed) {
+        Rng rng(seed);
+        ArchConfig cfg;
+        cfg.depth = static_cast<uint32_t>(rng.range(1, 3));
+        cfg.banks = 8u << rng.below(4);
+        cfg.regsPerBank = regs[rng.below(4)];
+        cfg.outputNet = nets[seed % 3];
+        Dag d = generateRandomDag(static_cast<size_t>(rng.range(8, 32)),
+                                  static_cast<size_t>(rng.range(200, 900)),
+                                  seed);
+        const auto quarter = static_cast<uint32_t>(d.numOperations() / 4);
+        for (uint32_t part : {0u, quarter})
+            for (uint32_t threads : {1u, 4u}) {
+                std::string where =
+                    "seed " + std::to_string(seed) + " on D" +
+                    std::to_string(cfg.depth) + ".B" +
+                    std::to_string(cfg.banks) + ".R" +
+                    std::to_string(cfg.regsPerBank) + " " +
+                    interconnectName(cfg.outputNet) + ", " +
+                    std::to_string(d.numOperations()) + " ops, partition " +
+                    std::to_string(part) + ", threads " +
+                    std::to_string(threads);
+                try {
+                    CompileOptions opt;
+                    opt.validate = true;
+                    opt.seed = seed;
+                    opt.partitionNodes = part;
+                    opt.threads = threads;
+                    auto prog = compile(d, cfg, opt);
+                    runAndCheck(prog, d, randomInputs(d, seed + 1));
+                    Machine m(prog);
+                    SimStats a = m.run(randomInputs(d, seed + 2)).stats;
+                    SimStats b = m.run(randomInputs(d, seed + 3)).stats;
+                    EXPECT_TRUE(statsKey(a) == statsKey(b)) << where;
+                } catch (const std::exception &e) {
+                    ADD_FAILURE() << where << ": " << e.what();
+                }
+            }
+    }
 }
 
 TEST(EndToEndWorkloads, SmallSuiteScaledDown)

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <thread>
 
 #include "compiler/program.hh"
 #include "sim/machine.hh"
@@ -508,6 +510,99 @@ TEST(MachineIsa, WrongInputCountPanics)
     ArchConfig c = tinyCfg();
     auto p = makeProgram(c, {load(0, {0}, c.banks)}, {{0, 0}}, {}, 1);
     expectPanic(p, {1.0, 2.0}, "wrong number of input values");
+}
+
+TEST(MachineIsa, FaultIsRaisedByEveryRunNotByConstruction)
+{
+    // A program's faults are found once, when the Machine is built, and
+    // belong to the program: construction succeeds, and every run, from
+    // any thread, raises the same panic. A wrong-size input is still
+    // reported ahead of the program's fault.
+    struct Case
+    {
+        std::string what;
+        CompiledProgram prog;
+        std::vector<double> in;
+    };
+    ArchConfig c = tinyCfg();
+    std::vector<Case> cases;
+    cases.push_back({"pipeline hazard: data still in flight",
+                     makeProgram(c,
+                                 {load(0, {0}, c.banks),
+                                  store(1, 0, 0, c.banks)},
+                                 {{0, 0}}, {{0, 1, 0}}, 2),
+                     {1.0}});
+    cases.push_back({"read of invalid register",
+                     makeProgram(c, {store(0, 0, 0, c.banks)}, {}, {}, 1),
+                     {}});
+    {
+        std::vector<Instruction> prog;
+        for (uint32_t i = 0; i < 5; ++i)
+            prog.push_back(load(i, {0}, c.banks));
+        cases.push_back({"write to a full register bank",
+                         makeProgram(c, prog,
+                                     {{0, 0}, {1, 0}, {2, 0}, {3, 0},
+                                      {4, 0}},
+                                     {}, 5),
+                         {1, 2, 3, 4, 5}});
+    }
+    cases.push_back({"register leak at end",
+                     makeProgram(c, {load(0, {0}, c.banks), NopInstr{}},
+                                 {{0, 0}}, {}, 1),
+                     {5.0}});
+    {
+        ExecInstr e = exec1(c, PeOp::Add, 0, 0, 0, true, true);
+        e.inputSel[1] = 5; // no bank 5
+        cases.push_back({"bad crossbar select",
+                         makeProgram(c,
+                                     {load(0, {0, 1}, c.banks), NopInstr{},
+                                      e},
+                                     {{0, 0}, {0, 1}}, {}, 1),
+                         {1, 2}});
+    }
+    cases.push_back({"load row out of range",
+                     makeProgram(c, {load(3, {0}, c.banks)}, {}, {}, 2),
+                     {}});
+    {
+        ExecInstr e = idleExec(c);
+        e.writeEnable[0] = true; // the only PE is idle
+        cases.push_back({"store-back from an idle PE",
+                         makeProgram(c, {e}, {}, {}, 1), {}});
+    }
+    cases.push_back({"input location out of range",
+                     makeProgram(c, {NopInstr{}}, {{1, 0}}, {}, 1),
+                     {1.0}});
+
+    for (const Case &k : cases) {
+        SCOPED_TRACE(k.what);
+        std::optional<Machine> m;
+        ASSERT_NO_THROW(m.emplace(k.prog));
+        auto panicOf = [&](const std::vector<double> &in) {
+            try {
+                m->run(in);
+            } catch (const PanicError &e) {
+                return std::string(e.what());
+            }
+            return std::string("no panic");
+        };
+        const std::string first = panicOf(k.in);
+        EXPECT_NE(first.find(k.what), std::string::npos) << first;
+        for (int run = 0; run < 2; ++run)
+            EXPECT_EQ(panicOf(k.in), first);
+        std::string seen[2];
+        std::thread t0([&] { seen[0] = panicOf(k.in); });
+        std::thread t1([&] { seen[1] = panicOf(k.in); });
+        t0.join();
+        t1.join();
+        EXPECT_EQ(seen[0], first);
+        EXPECT_EQ(seen[1], first);
+
+        std::vector<double> wrong(k.in.size() + 1, 0.0);
+        const std::string size_panic = panicOf(wrong);
+        EXPECT_NE(size_panic.find("wrong number of input values"),
+                  std::string::npos)
+            << size_panic;
+    }
 }
 
 } // namespace

@@ -402,8 +402,11 @@ TEST(Sim, StatsDoNotDependOnInputValues)
 {
     // The schedule is fixed at compile time and never stalls, so every
     // counter the energy model reads is fixed too: only the values
-    // differ between runs. The DSE eval memo and its multi-core points
-    // (counters x cores) rest on this.
+    // differ between runs. A Machine now computes its SimStats once, at
+    // construction, from no input values at all, so this holds by
+    // construction; the test keeps pinning it should the simulator
+    // ever go back to computing stats per run. The DSE eval memo and
+    // its multi-core points (counters x cores) rest on this.
     SimOptions opts;
     opts.traceOccupancy = true;
     opts.traceInterval = 3;
