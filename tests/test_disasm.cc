@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 
 #include "arch/disasm.hh"
 #include "compiler/compiler.hh"
 #include "workloads/pc_generator.hh"
+#include "workloads/suite.hh"
 
 namespace dpu {
 namespace {
@@ -117,6 +119,98 @@ TEST(Disasm, EveryInstructionOfARealProgramRenders)
         std::string s = disassemble(cfg, in);
         EXPECT_FALSE(s.empty());
     }
+}
+
+/** FNV-1a-64 of a program's whole disassembly. */
+std::string
+disasmDigest(const CompiledProgram &prog)
+{
+    std::ostringstream os;
+    disassembleProgram(prog.cfg, prog.instructions, os);
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (char c : os.str()) {
+        h ^= static_cast<uint8_t>(c);
+        h *= 0x100000001b3ull;
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(h));
+    return hex;
+}
+
+struct DisasmGolden
+{
+    const char *name;
+    const char *digest; ///< disasmDigest, or "fatal" if infeasible.
+};
+
+// Recorded before the program representation became flat. A change to
+// the disassembler or the program type that keeps the text must pass
+// these unedited; one that changes the text re-pins them deliberately.
+const std::vector<DisasmGolden> kDisasmGolden = {
+    {"tretail D1.B8.R16", "e8382954d9586b58"},
+    {"tretail D3.B8.R16", "0198f273a0537ebe"},
+    {"mnist D1.B8.R16", "e8655b4aa6afb831"},
+    {"mnist D3.B8.R16", "0e637c6524515e97"},
+    {"nltcs D1.B8.R16", "145e26c2d364cb3c"},
+    {"nltcs D3.B8.R16", "a736becf3b6645a6"},
+    {"msnbc D1.B8.R16", "de139a8449245852"},
+    {"msnbc D3.B8.R16", "95a032adeec95d94"},
+    {"msweb D1.B8.R16", "31efe421d54ba93a"},
+    {"msweb D3.B8.R16", "27301c2c3e2568f2"},
+    {"bnetflix D1.B8.R16", "3bfa3d9dc8348354"},
+    {"bnetflix D3.B8.R16", "9bd322a30f5c20af"},
+    {"bp_200 D1.B8.R16", "2ce857b34ca33c34"},
+    {"bp_200 D3.B8.R16", "b51f03ea2227fa56"},
+    {"west2021 D1.B8.R16", "dca2bd0621c517a0"},
+    {"west2021 D3.B8.R16", "f7f1f95bde1417f8"},
+    {"sieber D1.B8.R16", "9f40cdc373899eb7"},
+    {"sieber D3.B8.R16", "4824ae0420543cfe"},
+    {"jagmesh4 D1.B8.R16", "4f0d8aea2aff51a6"},
+    {"jagmesh4 D3.B8.R16", "bcdb8adeb0e65dac"},
+    {"rdb968 D1.B8.R16", "01b3a89ed8141b7b"},
+    {"rdb968 D3.B8.R16", "0113c52d63138203"},
+    {"dw2048 D1.B8.R16", "d0c52b6f1dea3904"},
+    {"dw2048 D3.B8.R16", "e386e111745e85ef"},
+    {"pigs partitioned", "f740a4bf678bc4e7"},
+};
+
+TEST(DisasmGolden, WholeProgramTextIsPinned)
+{
+    std::vector<std::pair<std::string, std::string>> got;
+    for (const WorkloadSpec &spec : smallSuite()) {
+        Dag d = buildWorkloadDag(spec, 0.1);
+        for (uint32_t depth : {1u, 3u}) {
+            ArchConfig cfg = smallCfg();
+            cfg.depth = depth;
+            std::string name = spec.name + " " + cfg.label();
+            try {
+                got.push_back({name, disasmDigest(compile(d, cfg))});
+            } catch (const FatalError &) {
+                got.push_back({name, "fatal"}); // register file too small
+            }
+        }
+    }
+    // A partitioned large PC: every kind, spills and 64-bank lanes.
+    CompileOptions opt;
+    opt.partitionNodes = 4000;
+    opt.threads = 2;
+    got.push_back(
+        {"pigs partitioned",
+         disasmDigest(compile(buildWorkloadDag(findWorkload("pigs"), 0.05),
+                              largeConfig(), opt))});
+
+    for (size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE(got[i].first);
+        if (i >= kDisasmGolden.size()) {
+            ADD_FAILURE() << "missing golden:\n    {\"" << got[i].first
+                          << "\", \"" << got[i].second << "\"},";
+            continue;
+        }
+        EXPECT_EQ(got[i].first, kDisasmGolden[i].name);
+        EXPECT_EQ(got[i].second, kDisasmGolden[i].digest);
+    }
+    EXPECT_EQ(got.size(), kDisasmGolden.size());
 }
 
 } // namespace
