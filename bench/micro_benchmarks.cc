@@ -3,7 +3,8 @@
  * Google-benchmark micro-benchmarks of the toolchain itself:
  * compiler throughput (single-threaded, partition-parallel, and one
  * design-space point over a warm fragment cache),
- * simulator speed, encode/decode bandwidth. Not a paper figure —
+ * simulator speed, and the program layer (encode, decode, verify,
+ * copy). Not a paper figure —
  * engineering health of the reproduction.
  *
  * The main() accepts three harness-style flags so tools/run_benches
@@ -25,6 +26,7 @@
 #include "arch/isa.hh"
 #include "compiler/cache.hh"
 #include "compiler/compiler.hh"
+#include "compiler/verify.hh"
 #include "dag/eval.hh"
 #include "sim/machine.hh"
 #include "support/cli.hh"
@@ -64,7 +66,7 @@ BM_CompileMinEdp(benchmark::State &state)
     const Dag &d = benchDag();
     for (auto _ : state) {
         auto prog = compile(d, minEdpConfig());
-        benchmark::DoNotOptimize(prog.instructions.data());
+        benchmark::DoNotOptimize(prog);
     }
     state.SetItemsProcessed(state.iterations() *
                             int64_t(d.numOperations()));
@@ -80,7 +82,7 @@ BM_CompileParallelPartitions(benchmark::State &state)
     opt.threads = g_threads;
     for (auto _ : state) {
         auto prog = compile(d, minEdpConfig(), opt);
-        benchmark::DoNotOptimize(prog.instructions.data());
+        benchmark::DoNotOptimize(prog);
     }
     state.SetItemsProcessed(state.iterations() *
                             int64_t(d.numOperations()));
@@ -175,12 +177,40 @@ BM_DecodeProgram(benchmark::State &state)
     for (auto _ : state) {
         auto back =
             decodeProgram(prog.cfg, image, prog.instructions.size());
-        benchmark::DoNotOptimize(back.data());
+        benchmark::DoNotOptimize(back);
     }
     state.SetBytesProcessed(state.iterations() *
                             int64_t(image.size()));
 }
 BENCHMARK(BM_DecodeProgram)->Unit(benchmark::kMillisecond);
+
+void
+BM_VerifyProgram(benchmark::State &state)
+{
+    const auto &prog = benchProgram();
+    for (auto _ : state) {
+        VerifyReport report = verifyProgram(prog);
+        benchmark::DoNotOptimize(report.diagnostics.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            int64_t(prog.instructions.size()));
+}
+BENCHMARK(BM_VerifyProgram)->Unit(benchmark::kMillisecond);
+
+/** Copy a program and free the copy: what a program-cache insert or
+ *  a copy out of the cache pays for the program itself. */
+void
+BM_CopyProgram(benchmark::State &state)
+{
+    const auto &prog = benchProgram();
+    for (auto _ : state) {
+        CompiledProgram copy = prog;
+        benchmark::DoNotOptimize(&copy);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            int64_t(prog.instructions.size()));
+}
+BENCHMARK(BM_CopyProgram)->Unit(benchmark::kMillisecond);
 
 void
 BM_ReferenceEvaluate(benchmark::State &state)

@@ -1,10 +1,12 @@
 #include "arch/disasm.hh"
 
 #include <array>
+#include <bit>
 #include <ostream>
 #include <sstream>
 
 #include "arch/interconnect.hh"
+#include "support/logging.hh"
 
 namespace dpu {
 
@@ -24,178 +26,142 @@ peOpName(PeOp op)
 }
 
 void
-renderLanes(std::ostringstream &os, const char *tag,
-            const std::vector<bool> &mask)
+renderLanes(std::ostringstream &os, const char *tag, uint64_t mask)
 {
-    bool any = false;
-    for (bool b : mask)
-        any |= b;
-    if (!any)
+    if (!mask)
         return;
     os << " " << tag << "{";
-    bool first = true;
-    for (size_t b = 0; b < mask.size(); ++b) {
-        if (!mask[b])
-            continue;
+    for (bool first = true; mask; first = false) {
         if (!first)
             os << ",";
-        os << b;
-        first = false;
+        os << std::countr_zero(mask);
+        mask &= mask - 1;
     }
     os << "}";
 }
 
-struct Renderer
+void
+renderExec(std::ostringstream &os, const ArchConfig &cfg,
+           const ExecView &in)
 {
-    const ArchConfig &cfg;
-    std::ostringstream os;
-
-    void
-    operator()(const NopInstr &)
-    {
-        os << "nop";
-    }
-
-    void
-    operator()(const LoadInstr &in)
-    {
-        os << "load row=" << in.memRow;
-        renderLanes(os, "banks", in.enable);
-    }
-
-    void
-    operator()(const StoreInstr &in)
-    {
-        os << "store row=" << in.memRow;
+    os << "exec";
+    // Trees with any active PE.
+    for (uint32_t t = 0; t < cfg.trees(); ++t) {
+        bool active = false;
+        for (uint32_t p = 0; p < cfg.pesPerTree(); ++p)
+            if (in.peOp[t * cfg.pesPerTree() + p] != PeOp::Nop)
+                active = true;
+        if (!active)
+            continue;
+        os << " t" << t << "[";
         bool first = true;
-        os << " rd{";
-        for (size_t b = 0; b < in.enable.size(); ++b) {
-            if (!in.enable[b])
-                continue;
-            if (!first)
-                os << ",";
-            os << "b" << b << "@" << in.readAddr[b];
-            first = false;
-        }
-        os << "}";
-    }
-
-    void
-    operator()(const Store4Instr &in)
-    {
-        os << "store_4 row=" << in.memRow;
-        for (const auto &s : in.slots)
-            if (s.active)
-                os << " b" << s.bank << "@" << s.addr;
-    }
-
-    void
-    operator()(const Copy4Instr &in)
-    {
-        os << "copy_4";
-        for (const auto &s : in.slots) {
-            if (!s.active)
-                continue;
-            os << " b" << s.srcBank << "@" << s.srcAddr;
-            if (s.srcBank < in.validRst.size() &&
-                in.validRst[s.srcBank]) {
-                os << "!";
+        for (uint32_t l = cfg.depth; l >= 1; --l) {
+            for (uint32_t i = 0; i < cfg.pesInLayer(l); ++i) {
+                uint32_t pe = cfg.peId({t, l, i});
+                if (in.peOp[pe] == PeOp::Nop)
+                    continue;
+                if (!first)
+                    os << " ";
+                os << "L" << l << "." << i << ":" << peOpName(in.peOp[pe]);
+                first = false;
             }
-            os << "->b" << s.dstBank;
         }
+        os << "]";
     }
-
-    void
-    operator()(const ExecInstr &in)
-    {
-        os << "exec";
-        // Trees with any active PE.
-        for (uint32_t t = 0; t < cfg.trees(); ++t) {
-            bool active = false;
-            for (uint32_t p = 0; p < cfg.pesPerTree(); ++p)
-                if (in.peOp[t * cfg.pesPerTree() + p] != PeOp::Nop)
-                    active = true;
-            if (!active)
+    // Register reads: bank@addr, "!" marks valid_rst. A bank is read
+    // if a port some active leaf PE consumes selects it.
+    uint64_t read = 0;
+    for (uint32_t t = 0; t < cfg.trees(); ++t)
+        for (uint32_t i = 0; i < cfg.pesInLayer(1); ++i) {
+            if (in.peOp[cfg.peId({t, 1, i})] == PeOp::Nop)
                 continue;
-            os << " t" << t << "[";
-            bool first = true;
-            for (uint32_t l = cfg.depth; l >= 1; --l) {
-                for (uint32_t i = 0; i < cfg.pesInLayer(l); ++i) {
-                    uint32_t pe = cfg.peId({t, l, i});
-                    if (in.peOp[pe] == PeOp::Nop)
-                        continue;
-                    if (!first)
-                        os << " ";
-                    os << "L" << l << "." << i << ":"
-                       << peOpName(in.peOp[pe]);
-                    first = false;
-                }
+            for (uint32_t side = 0; side < 2; ++side) {
+                uint32_t bank = in.inputSel[cfg.portBank(t, i * 2 + side)];
+                if (bank < cfg.banks)
+                    read |= bankBit(bank);
             }
-            os << "]";
         }
-        // Register reads: bank@addr, "!" marks valid_rst.
-        bool any_read = false;
-        for (uint32_t b = 0; b < cfg.banks; ++b)
-            any_read |= in.validRst[b];
-        os << " rd{";
-        bool first = true;
-        for (uint32_t b = 0; b < cfg.banks; ++b) {
-            // A bank is read if some port selects it; approximate by
-            // listing banks that appear in inputSel of ports whose
-            // leaf PE is active.
-            bool used = false;
-            for (uint32_t t = 0; t < cfg.trees() && !used; ++t)
-                for (uint32_t i = 0; i < cfg.pesInLayer(1); ++i) {
-                    uint32_t pe = cfg.peId({t, 1, i});
-                    if (in.peOp[pe] == PeOp::Nop)
-                        continue;
-                    for (uint32_t side = 0; side < 2; ++side)
-                        if (in.inputSel[cfg.portBank(t, i * 2 + side)] ==
-                            b)
-                            used = true;
-                }
-            if (!used)
-                continue;
-            if (!first)
-                os << ",";
-            os << "b" << b << "@" << in.readAddr[b];
-            if (in.validRst[b])
-                os << "!";
-            first = false;
-        }
-        os << "}";
-        (void)any_read;
-        // Writes: bank <- PE.
-        for (uint32_t b = 0; b < cfg.banks; ++b) {
-            if (!in.writeEnable[b])
-                continue;
-            auto writers = writingPes(cfg, b);
-            os << " wr b" << b << "<-pe"
-               << writers[in.outputSel[b] % writers.size()];
-        }
+    os << " rd{";
+    for (bool first = true; read; first = false) {
+        const uint32_t b = std::countr_zero(read);
+        read &= read - 1;
+        if (!first)
+            os << ",";
+        os << "b" << b << "@" << in.readAddr[b];
+        if (in.validRst >> b & 1)
+            os << "!";
     }
-};
+    os << "}";
+    // Writes: bank <- PE.
+    for (uint64_t m = in.writeEnable; m; m &= m - 1) {
+        const uint32_t b = std::countr_zero(m);
+        auto writers = writingPes(cfg, b);
+        os << " wr b" << b << "<-pe"
+           << writers[in.outputSel[b] % writers.size()];
+    }
+}
 
 } // namespace
 
 std::string
-disassemble(const ArchConfig &cfg, const Instruction &instr)
+disassemble(const ArchConfig &cfg, const Program &prog, size_t i)
 {
-    Renderer r{cfg, {}};
-    std::visit(r, instr);
-    return r.os.str();
+    dpu_assert(prog.fits(cfg), "program lanes do not fit the config");
+    const Instr &in = prog[i];
+    std::ostringstream os;
+    switch (in.kind) {
+      case InstrKind::Nop:
+        os << "nop";
+        break;
+      case InstrKind::Load:
+        os << "load row=" << in.memRow;
+        renderLanes(os, "banks", in.enable);
+        break;
+      case InstrKind::Store: {
+        std::span<const uint16_t> addr = prog.readAddr(i);
+        os << "store row=" << in.memRow << " rd{";
+        for (uint64_t m = in.enable; m; m &= m - 1) {
+            const uint32_t b = std::countr_zero(m);
+            if (m != in.enable)
+                os << ",";
+            os << "b" << b << "@" << addr[b];
+        }
+        os << "}";
+        break;
+      }
+      case InstrKind::Store4:
+        os << "store_4 row=" << in.memRow;
+        for (const Slot &s : in.slots)
+            if (s.active)
+                os << " b" << s.bank << "@" << s.addr;
+        break;
+      case InstrKind::Copy4:
+        os << "copy_4";
+        for (const Slot &s : in.slots) {
+            if (!s.active)
+                continue;
+            os << " b" << s.bank << "@" << s.addr;
+            if (s.bank < 64 && in.validRst >> s.bank & 1)
+                os << "!";
+            os << "->b" << s.dst;
+        }
+        break;
+      case InstrKind::Exec:
+        renderExec(os, cfg, prog.exec(i));
+        break;
+    }
+    return os.str();
 }
 
 void
 disassembleProgram(const ArchConfig &cfg,
-                   const std::vector<Instruction> &program,
-                   std::ostream &out)
+                   const Program &program, std::ostream &out)
 {
     IsaLayout lay(cfg);
     std::array<uint64_t, 6> counts{};
     for (size_t i = 0; i < program.size(); ++i) {
-        ++counts[static_cast<size_t>(kindOf(program[i]))];
-        out << i << ": " << disassemble(cfg, program[i]) << "\n";
+        ++counts[static_cast<size_t>(program[i].kind)];
+        out << i << ": " << disassemble(cfg, program, i) << "\n";
     }
     out << "; " << program.size() << " instructions, "
         << programSizeBits(cfg, program) << " bits packed (IL="

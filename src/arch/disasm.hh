@@ -18,13 +18,13 @@
 
 namespace dpu {
 
-/** One instruction as text, e.g.
- *  "exec t0[mul(add p0 p1) ...] rd b3@7! wr b1<-pe2". */
-std::string disassemble(const ArchConfig &cfg, const Instruction &instr);
+/** Instruction i of `prog` as text, e.g.
+ *  "exec t0[L2.0:add L1.0:mul L1.1:pass_a] rd{b0@1!,b1@0} wr b3<-pe2". */
+std::string disassemble(const ArchConfig &cfg, const Program &prog,
+                        size_t i);
 
 /** Whole program with cycle numbers and a kind summary. */
-void disassembleProgram(const ArchConfig &cfg,
-                        const std::vector<Instruction> &program,
+void disassembleProgram(const ArchConfig &cfg, const Program &program,
                         std::ostream &out);
 
 } // namespace dpu

@@ -88,6 +88,23 @@ OutputSelectTable::operator()(uint32_t bank, uint32_t pe) const
     return sel;
 }
 
+std::vector<PeSources>
+peSources(const ArchConfig &cfg)
+{
+    std::vector<PeSources> out(cfg.numPes());
+    for (uint32_t pe = 0; pe < cfg.numPes(); ++pe) {
+        PeCoord c = cfg.peCoord(pe);
+        PeSources &in = out[pe];
+        in.leaf = c.layer == 1;
+        for (uint32_t side = 0; side < 2; ++side)
+            in.src[side] = static_cast<uint16_t>(
+                in.leaf ? cfg.portBank(c.tree, c.index * 2 + side)
+                        : cfg.peId({c.tree, c.layer - 1,
+                                    c.index * 2 + side}));
+    }
+    return out;
+}
+
 uint32_t
 maxWritersPerBank(const ArchConfig &cfg)
 {

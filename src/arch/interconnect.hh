@@ -57,6 +57,18 @@ class OutputSelectTable
     std::vector<uint32_t> select; ///< [bank * pes + pe]
 };
 
+/** Where a PE's two inputs come from: tree input ports (indices into
+ *  an exec's crossbar selects) for a leaf-layer PE, child PE ids
+ *  otherwise. */
+struct PeSources
+{
+    bool leaf = false;
+    uint16_t src[2] = {0, 0};
+};
+
+/** The sources of every PE, indexed by PE id. */
+std::vector<PeSources> peSources(const ArchConfig &cfg);
+
 /** Widest per-bank writer set, determines the output-select width. */
 uint32_t maxWritersPerBank(const ArchConfig &cfg);
 

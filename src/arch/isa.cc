@@ -44,6 +44,25 @@ class BitWriter
         fill = bits - room;
     }
 
+    /** Put `lanes` fields of `bits` each, as many per word as fit. */
+    template <class T>
+    void
+    putLanes(std::span<const T> lanes, uint32_t bits)
+    {
+        const size_t per = 64 / bits;
+        for (size_t i = 0; i < lanes.size(); i += per) {
+            const size_t n = std::min(per, lanes.size() - i);
+            uint64_t word = 0;
+            for (size_t k = 0; k < n; ++k) {
+                const auto v = static_cast<uint64_t>(lanes[i + k]);
+                dpu_assert(v < (uint64_t(1) << bits),
+                           "value does not fit field");
+                word |= v << (k * bits);
+            }
+            put(word, static_cast<uint32_t>(n * bits));
+        }
+    }
+
     std::vector<uint8_t>
     take()
     {
@@ -69,7 +88,7 @@ class BitWriter
 class BitReader
 {
   public:
-    explicit BitReader(const std::vector<uint8_t> &image) : bytes(image) {}
+    explicit BitReader(std::span<const uint8_t> image) : bytes(image) {}
 
     uint64_t
     get(uint32_t bits)
@@ -93,18 +112,27 @@ class BitReader
         return bits == 64 ? v : v & ((uint64_t(1) << bits) - 1);
     }
 
+    /** Get `lanes.size()` fields of `bits` each (putLanes' layout). */
+    template <class T>
+    void
+    getLanes(std::span<T> lanes, uint32_t bits)
+    {
+        const size_t per = 64 / bits;
+        const uint64_t field = (uint64_t(1) << bits) - 1;
+        for (size_t i = 0; i < lanes.size(); i += per) {
+            const size_t n = std::min(per, lanes.size() - i);
+            const uint64_t word = get(static_cast<uint32_t>(n * bits));
+            for (size_t k = 0; k < n; ++k)
+                lanes[i + k] = static_cast<T>(word >> (k * bits) & field);
+        }
+    }
+
   private:
-    const std::vector<uint8_t> &bytes;
+    std::span<const uint8_t> bytes;
     uint64_t pos = 0;
 };
 
 } // namespace
-
-InstrKind
-kindOf(const Instruction &instr)
-{
-    return static_cast<InstrKind>(instr.index());
-}
 
 const char *
 kindName(InstrKind kind)
@@ -118,6 +146,102 @@ kindName(InstrKind kind)
       case InstrKind::Exec: return "exec";
     }
     return "?";
+}
+
+Program::Program(const ArchConfig &cfg)
+    : banks(cfg.banks), pes(cfg.numPes())
+{}
+
+bool
+Program::fits(const ArchConfig &cfg) const
+{
+    return lanes.empty() || (banks == cfg.banks && pes == cfg.numPes());
+}
+
+ExecView
+Program::exec(size_t i) const
+{
+    const Instr &r = records[i];
+    const uint16_t *l = lanes.data() + r.lane;
+    return {{ops.data() + r.op, pes},
+            {l + banks, banks},
+            {l, banks},
+            {l + 2 * banks, banks},
+            r.validRst,
+            r.enable};
+}
+
+std::span<const uint16_t>
+Program::readAddr(size_t i) const
+{
+    return {lanes.data() + records[i].lane, banks};
+}
+
+void
+Program::appendNop()
+{
+    records.emplace_back();
+}
+
+void
+Program::appendLoad(uint32_t memRow, uint64_t enable)
+{
+    Instr &r = records.emplace_back();
+    r.kind = InstrKind::Load;
+    r.memRow = memRow;
+    r.enable = enable;
+}
+
+std::span<uint16_t>
+Program::appendStore(uint32_t memRow, uint64_t enable)
+{
+    dpu_assert(banks > 0, "program lanes are not sized for a config");
+    Instr &r = records.emplace_back();
+    r.kind = InstrKind::Store;
+    r.memRow = memRow;
+    r.enable = enable;
+    r.lane = static_cast<uint32_t>(lanes.size());
+    lanes.resize(lanes.size() + banks, 0);
+    return {lanes.data() + r.lane, banks};
+}
+
+void
+Program::appendStore4(uint32_t memRow, const Slot (&slots)[4])
+{
+    Instr &r = records.emplace_back();
+    r.kind = InstrKind::Store4;
+    r.memRow = memRow;
+    std::copy(slots, slots + 4, r.slots);
+}
+
+void
+Program::appendCopy4(const Slot (&slots)[4], uint64_t validRst)
+{
+    Instr &r = records.emplace_back();
+    r.kind = InstrKind::Copy4;
+    r.validRst = validRst;
+    std::copy(slots, slots + 4, r.slots);
+}
+
+ExecLanes
+Program::appendExec(uint64_t validRst, uint64_t writeEnable)
+{
+    dpu_assert(banks > 0, "program lanes are not sized for a config");
+    Instr &r = records.emplace_back();
+    r.kind = InstrKind::Exec;
+    r.validRst = validRst;
+    r.enable = writeEnable;
+    r.lane = static_cast<uint32_t>(lanes.size());
+    r.op = static_cast<uint32_t>(ops.size());
+    lanes.resize(lanes.size() + 3 * banks, 0);
+    ops.resize(ops.size() + pes, PeOp::Nop);
+    uint16_t *l = lanes.data() + r.lane;
+    return {{ops.data() + r.op, pes},
+            {l + banks, banks},
+            {l, banks},
+            {l + 2 * banks, banks},
+            r.validRst,
+            r.enable};
 }
 
 IsaLayout::IsaLayout(const ArchConfig &cfg)
@@ -159,12 +283,6 @@ IsaLayout::lengthBits(InstrKind kind) const
 }
 
 uint32_t
-IsaLayout::lengthBits(const Instruction &instr) const
-{
-    return lengthBits(kindOf(instr));
-}
-
-uint32_t
 IsaLayout::maxLengthBits() const
 {
     uint32_t best = 0;
@@ -177,165 +295,127 @@ IsaLayout::maxLengthBits() const
 namespace {
 
 void
-encodeOne(const IsaLayout &lay, const Instruction &instr, BitWriter &w)
+encodeOne(const IsaLayout &lay, const Program &prog, size_t i,
+          BitWriter &w)
 {
-    w.put(static_cast<uint64_t>(kindOf(instr)), lay.opcodeBits);
-    std::visit(
-        [&](const auto &in) {
-            using T = std::decay_t<decltype(in)>;
-            if constexpr (std::is_same_v<T, NopInstr>) {
-                // Opcode only.
-            } else if constexpr (std::is_same_v<T, LoadInstr>) {
-                dpu_assert(in.enable.size() == lay.banks, "bad lane count");
-                w.put(in.memRow, lay.memRowBits);
-                for (uint32_t b = 0; b < lay.banks; ++b)
-                    w.put(in.enable[b] ? 1 : 0, 1);
-            } else if constexpr (std::is_same_v<T, StoreInstr>) {
-                dpu_assert(in.enable.size() == lay.banks &&
-                           in.readAddr.size() == lay.banks,
-                           "bad lane count");
-                w.put(in.memRow, lay.memRowBits);
-                for (uint32_t b = 0; b < lay.banks; ++b)
-                    w.put(in.enable[b] ? 1 : 0, 1);
-                for (uint32_t b = 0; b < lay.banks; ++b)
-                    w.put(in.enable[b] ? in.readAddr[b] : 0, lay.addrBits);
-            } else if constexpr (std::is_same_v<T, Store4Instr>) {
-                // Slot 0 must be active; an inactive later slot is
-                // encoded as a replica of slot 0 (storing the same
-                // word twice is meaningless, so the code point is
-                // free). This keeps the length at the paper's 56 bits
-                // for (D=3, B=16, R=32) with no explicit enable bits.
-                dpu_assert(in.slots[0].active,
-                           "store_4 slot 0 must be active");
-                w.put(in.memRow, lay.memRowBits / 2);
-                for (const auto &s : in.slots) {
-                    const auto &eff = s.active ? s : in.slots[0];
-                    w.put(eff.bank, lay.bankBits);
-                    w.put(eff.addr, lay.addrBits);
-                }
-            } else if constexpr (std::is_same_v<T, Copy4Instr>) {
-                dpu_assert(in.validRst.size() == lay.banks,
-                           "bad lane count");
-                for (const auto &s : in.slots) {
-                    // src == dst encodes "inactive" (a same-bank copy
-                    // is meaningless in hardware).
-                    uint16_t src = s.active ? s.srcBank : 0;
-                    uint16_t dst = s.active ? s.dstBank : 0;
-                    dpu_assert(!s.active || src != dst,
-                               "active copy slot must move across banks");
-                    w.put(src, lay.bankBits);
-                    w.put(s.active ? s.srcAddr : 0, lay.addrBits);
-                    w.put(dst, lay.bankBits);
-                }
-                for (uint32_t b = 0; b < lay.banks; ++b)
-                    w.put(in.validRst[b] ? 1 : 0, 1);
-            } else if constexpr (std::is_same_v<T, ExecInstr>) {
-                dpu_assert(in.peOp.size() == lay.numPes, "bad PE count");
-                dpu_assert(in.inputSel.size() == lay.banks &&
-                           in.readAddr.size() == lay.banks &&
-                           in.validRst.size() == lay.banks &&
-                           in.writeEnable.size() == lay.banks &&
-                           in.outputSel.size() == lay.banks,
-                           "bad lane count");
-                for (uint32_t p = 0; p < lay.numPes; ++p)
-                    w.put(static_cast<uint64_t>(in.peOp[p]), lay.peOpBits);
-                for (uint32_t b = 0; b < lay.banks; ++b)
-                    w.put(in.inputSel[b], lay.bankBits);
-                for (uint32_t b = 0; b < lay.banks; ++b)
-                    w.put(in.readAddr[b], lay.addrBits);
-                for (uint32_t b = 0; b < lay.banks; ++b)
-                    w.put(in.validRst[b] ? 1 : 0, 1);
-                for (uint32_t b = 0; b < lay.banks; ++b)
-                    w.put(in.writeEnable[b] ? 1 : 0, 1);
-                for (uint32_t b = 0; b < lay.banks; ++b)
-                    w.put(in.outputSel[b], lay.outputSelBits);
-            }
-        },
-        instr);
+    const Instr &in = prog[i];
+    w.put(static_cast<uint64_t>(in.kind), lay.opcodeBits);
+    switch (in.kind) {
+      case InstrKind::Nop:
+        return;
+      case InstrKind::Load:
+        w.put(in.memRow, lay.memRowBits);
+        w.put(in.enable, lay.banks);
+        return;
+      case InstrKind::Store: {
+        w.put(in.memRow, lay.memRowBits);
+        w.put(in.enable, lay.banks);
+        std::span<const uint16_t> addr = prog.readAddr(i);
+        for (uint32_t b = 0; b < lay.banks; ++b)
+            w.put(in.enable >> b & 1 ? addr[b] : 0, lay.addrBits);
+        return;
+      }
+      case InstrKind::Store4:
+        // Slot 0 must be active; an inactive later slot is encoded as
+        // a replica of slot 0 (storing the same word twice is
+        // meaningless, so the code point is free). This keeps the
+        // length at the paper's 56 bits for (D=3, B=16, R=32) with no
+        // explicit enable bits.
+        dpu_assert(in.slots[0].active, "store_4 slot 0 must be active");
+        w.put(in.memRow, lay.memRowBits / 2);
+        for (const Slot &s : in.slots) {
+            const Slot &eff = s.active ? s : in.slots[0];
+            w.put(eff.bank, lay.bankBits);
+            w.put(eff.addr, lay.addrBits);
+        }
+        return;
+      case InstrKind::Copy4:
+        for (const Slot &s : in.slots) {
+            // src == dst encodes "inactive" (a same-bank copy is
+            // meaningless in hardware).
+            dpu_assert(!s.active || s.bank != s.dst,
+                       "active copy slot must move across banks");
+            w.put(s.active ? s.bank : 0, lay.bankBits);
+            w.put(s.active ? s.addr : 0, lay.addrBits);
+            w.put(s.active ? s.dst : 0, lay.bankBits);
+        }
+        w.put(in.validRst, lay.banks);
+        return;
+      case InstrKind::Exec: {
+        ExecView ex = prog.exec(i);
+        w.putLanes(ex.peOp, lay.peOpBits);
+        w.putLanes(ex.inputSel, lay.bankBits);
+        w.putLanes(ex.readAddr, lay.addrBits);
+        w.put(ex.validRst, lay.banks);
+        w.put(ex.writeEnable, lay.banks);
+        w.putLanes(ex.outputSel, lay.outputSelBits);
+        return;
+      }
+    }
+    dpu_panic("unknown instruction kind");
 }
 
-Instruction
-decodeOne(const IsaLayout &lay, BitReader &r)
+void
+decodeOne(const IsaLayout &lay, BitReader &r, Program &prog)
 {
     auto kind = static_cast<InstrKind>(r.get(lay.opcodeBits));
     switch (kind) {
       case InstrKind::Nop:
-        return NopInstr{};
+        prog.appendNop();
+        return;
       case InstrKind::Load: {
-        LoadInstr in;
-        in.memRow = static_cast<uint32_t>(r.get(lay.memRowBits));
-        in.enable.resize(lay.banks);
-        for (uint32_t b = 0; b < lay.banks; ++b)
-            in.enable[b] = r.get(1);
-        return in;
+        auto row = static_cast<uint32_t>(r.get(lay.memRowBits));
+        prog.appendLoad(row, r.get(lay.banks));
+        return;
       }
       case InstrKind::Store: {
-        StoreInstr in;
-        in.memRow = static_cast<uint32_t>(r.get(lay.memRowBits));
-        in.enable.resize(lay.banks);
-        in.readAddr.resize(lay.banks);
-        for (uint32_t b = 0; b < lay.banks; ++b)
-            in.enable[b] = r.get(1);
-        for (uint32_t b = 0; b < lay.banks; ++b)
-            in.readAddr[b] = static_cast<uint16_t>(r.get(lay.addrBits));
-        return in;
+        auto row = static_cast<uint32_t>(r.get(lay.memRowBits));
+        r.getLanes(prog.appendStore(row, r.get(lay.banks)), lay.addrBits);
+        return;
       }
       case InstrKind::Store4: {
-        Store4Instr in;
-        in.memRow = static_cast<uint32_t>(r.get(lay.memRowBits / 2));
-        for (auto &s : in.slots) {
+        auto row = static_cast<uint32_t>(r.get(lay.memRowBits / 2));
+        Slot slots[4];
+        for (Slot &s : slots) {
             s.bank = static_cast<uint16_t>(r.get(lay.bankBits));
             s.addr = static_cast<uint16_t>(r.get(lay.addrBits));
         }
-        in.slots[0].active = true;
-        for (int i = 1; i < 4; ++i) {
-            auto &s = in.slots[i];
-            s.active = s.bank != in.slots[0].bank ||
-                       s.addr != in.slots[0].addr;
-            if (!s.active)
-                s = Store4Instr::Slot{}; // normalize to the null slot
+        slots[0].active = true;
+        for (int k = 1; k < 4; ++k) {
+            Slot &s = slots[k];
+            if (s.bank == slots[0].bank && s.addr == slots[0].addr)
+                s = Slot{}; // a replica of slot 0 is the null slot
+            else
+                s.active = true;
         }
-        return in;
+        prog.appendStore4(row, slots);
+        return;
       }
       case InstrKind::Copy4: {
-        Copy4Instr in;
-        for (auto &s : in.slots) {
-            s.srcBank = static_cast<uint16_t>(r.get(lay.bankBits));
-            s.srcAddr = static_cast<uint16_t>(r.get(lay.addrBits));
-            s.dstBank = static_cast<uint16_t>(r.get(lay.bankBits));
-            s.active = s.srcBank != s.dstBank;
+        Slot slots[4];
+        for (Slot &s : slots) {
+            s.bank = static_cast<uint16_t>(r.get(lay.bankBits));
+            s.addr = static_cast<uint16_t>(r.get(lay.addrBits));
+            s.dst = static_cast<uint16_t>(r.get(lay.bankBits));
+            s.active = s.bank != s.dst;
         }
-        in.validRst.resize(lay.banks);
-        for (uint32_t b = 0; b < lay.banks; ++b)
-            in.validRst[b] = r.get(1);
-        return in;
+        prog.appendCopy4(slots, r.get(lay.banks));
+        return;
       }
       case InstrKind::Exec: {
-        ExecInstr in;
-        in.peOp.resize(lay.numPes);
-        for (uint32_t p = 0; p < lay.numPes; ++p) {
-            uint64_t op = r.get(lay.peOpBits);
-            if (op > static_cast<uint64_t>(PeOp::PassB))
-                dpu_panic("undefined PE op " + std::to_string(op) +
+        ExecLanes ex = prog.appendExec();
+        r.getLanes(ex.peOp, lay.peOpBits);
+        for (PeOp op : ex.peOp)
+            if (op > PeOp::PassB)
+                dpu_panic("undefined PE op " +
+                          std::to_string(static_cast<unsigned>(op)) +
                           " in instruction stream");
-            in.peOp[p] = static_cast<PeOp>(op);
-        }
-        in.inputSel.resize(lay.banks);
-        in.readAddr.resize(lay.banks);
-        in.validRst.resize(lay.banks);
-        in.writeEnable.resize(lay.banks);
-        in.outputSel.resize(lay.banks);
-        for (uint32_t b = 0; b < lay.banks; ++b)
-            in.inputSel[b] = static_cast<uint16_t>(r.get(lay.bankBits));
-        for (uint32_t b = 0; b < lay.banks; ++b)
-            in.readAddr[b] = static_cast<uint16_t>(r.get(lay.addrBits));
-        for (uint32_t b = 0; b < lay.banks; ++b)
-            in.validRst[b] = r.get(1);
-        for (uint32_t b = 0; b < lay.banks; ++b)
-            in.writeEnable[b] = r.get(1);
-        for (uint32_t b = 0; b < lay.banks; ++b)
-            in.outputSel[b] = static_cast<uint16_t>(r.get(lay.outputSelBits));
-        return in;
+        r.getLanes(ex.inputSel, lay.bankBits);
+        r.getLanes(ex.readAddr, lay.addrBits);
+        ex.validRst = r.get(lay.banks);
+        ex.writeEnable = r.get(lay.banks);
+        r.getLanes(ex.outputSel, lay.outputSelBits);
+        return;
       }
     }
     dpu_panic("bad opcode in instruction stream");
@@ -344,17 +424,18 @@ decodeOne(const IsaLayout &lay, BitReader &r)
 } // namespace
 
 std::vector<uint8_t>
-encodeProgram(const ArchConfig &cfg, const std::vector<Instruction> &prog)
+encodeProgram(const ArchConfig &cfg, const Program &prog)
 {
+    dpu_assert(prog.fits(cfg), "program lanes do not fit the config");
     IsaLayout lay(cfg);
     BitWriter w;
-    for (const auto &instr : prog)
-        encodeOne(lay, instr, w);
+    for (size_t i = 0; i < prog.size(); ++i)
+        encodeOne(lay, prog, i, w);
     return w.take();
 }
 
-std::vector<Instruction>
-decodeProgram(const ArchConfig &cfg, const std::vector<uint8_t> &image,
+Program
+decodeProgram(const ArchConfig &cfg, std::span<const uint8_t> image,
               size_t instruction_count)
 {
     IsaLayout lay(cfg);
@@ -363,20 +444,20 @@ decodeProgram(const ArchConfig &cfg, const std::vector<uint8_t> &image,
     dpu_assert(instruction_count <= image.size() * 8 / lay.opcodeBits,
                "bit stream underrun");
     BitReader r(image);
-    std::vector<Instruction> out;
+    Program out(cfg);
     out.reserve(instruction_count);
     for (size_t i = 0; i < instruction_count; ++i)
-        out.push_back(decodeOne(lay, r));
+        decodeOne(lay, r, out);
     return out;
 }
 
 uint64_t
-programSizeBits(const ArchConfig &cfg, const std::vector<Instruction> &prog)
+programSizeBits(const ArchConfig &cfg, const Program &prog)
 {
     IsaLayout lay(cfg);
     uint64_t total = 0;
-    for (const auto &instr : prog)
-        total += lay.lengthBits(instr);
+    for (const Instr &in : prog)
+        total += lay.lengthBits(in.kind);
     return total;
 }
 

@@ -14,13 +14,26 @@
  * registers they read (the compiler schedules a store as the final
  * access of a value), which keeps the store encoding at the paper's
  * length.
+ *
+ * In memory a Program mirrors the encoding. The one-bit-per-bank
+ * fields (load/store enables, valid_rst, write enables) are 64-bit
+ * bank masks, bank b in bit b; ArchConfig::check caps B at 64, so one
+ * word holds every bank. Each instruction is a fixed-size, trivially
+ * copyable record that holds its kind, row address, masks and the
+ * store_4/copy_4 slots inline. The fixed-width per-PE and per-bank
+ * fields (PE opcodes, crossbar selects, read addresses, output-mux
+ * selects) live in two per-program pools that exec and store records
+ * index. A program is therefore three flat buffers, so a copy or a
+ * free costs three allocations, not several per instruction, and a
+ * walker visits the banks a mask names with count-trailing-zeros.
  */
 
 #ifndef DPU_ARCH_ISA_HH
 #define DPU_ARCH_ISA_HH
 
 #include <cstdint>
-#include <variant>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "arch/config.hh"
@@ -36,117 +49,156 @@ enum class PeOp : uint8_t {
     PassB = 4, ///< Forward the right input.
 };
 
-/** No-operation (fills unresolvable pipeline hazards). */
-struct NopInstr
-{
-    bool operator==(const NopInstr &) const = default;
-};
-
-/**
- * Vector load: data-memory row -> register banks. Word i of the row
- * goes to bank i (word-enable mask selects lanes); each bank writes it
- * at an automatically generated address.
- */
-struct LoadInstr
-{
-    uint32_t memRow = 0;
-    std::vector<bool> enable; ///< size B.
-
-    bool operator==(const LoadInstr &) const = default;
-};
-
-/**
- * Vector store: register banks -> data-memory row. Each enabled bank
- * reads its own address; the word lands in column = bank index. Reads
- * free their register (see file header).
- */
-struct StoreInstr
-{
-    uint32_t memRow = 0;
-    std::vector<bool> enable;    ///< size B.
-    std::vector<uint16_t> readAddr; ///< size B (don't-care if disabled).
-
-    bool operator==(const StoreInstr &) const = default;
-};
-
-/**
- * Narrow store of up to four words (cheaper encoding, 16-bit row
- * address). Slot columns are the source bank indices.
- */
-struct Store4Instr
-{
-    struct Slot
-    {
-        bool active = false;
-        uint16_t bank = 0;
-        uint16_t addr = 0;
-
-        bool operator==(const Slot &) const = default;
-    };
-    uint32_t memRow = 0;
-    Slot slots[4];
-
-    bool operator==(const Store4Instr &) const = default;
-};
-
-/**
- * Copy of up to four words between banks through the input crossbar
- * (fig. 5(c)) — the compiler's tool for resolving bank conflicts.
- * Destination addresses are automatic; `validRst[b]` frees the source
- * register in bank b if this was its last read.
- */
-struct Copy4Instr
-{
-    struct Slot
-    {
-        bool active = false;
-        uint16_t srcBank = 0;
-        uint16_t srcAddr = 0;
-        uint16_t dstBank = 0;
-
-        bool operator==(const Slot &) const = default;
-    };
-    Slot slots[4];
-    std::vector<bool> validRst; ///< size B.
-
-    bool operator==(const Copy4Instr &) const = default;
-};
-
-/**
- * Execute one block on the PE trees: per-PE opcodes, per-port crossbar
- * selects, per-bank read addresses, per-bank output-mux selects and
- * write enables, per-bank valid_rst.
- */
-struct ExecInstr
-{
-    std::vector<PeOp> peOp;        ///< size numPes.
-    std::vector<uint16_t> inputSel; ///< size B: source bank per port.
-    std::vector<uint16_t> readAddr; ///< size B.
-    std::vector<bool> validRst;     ///< size B.
-    std::vector<bool> writeEnable;  ///< size B.
-    std::vector<uint16_t> outputSel;///< size B: writer mux select.
-
-    bool operator==(const ExecInstr &) const = default;
-};
-
-using Instruction = std::variant<NopInstr, LoadInstr, StoreInstr,
-                                 Store4Instr, Copy4Instr, ExecInstr>;
-
 /** Instruction kind tags (opcode values; also fig. 13 categories). */
 enum class InstrKind : uint8_t {
-    Nop = 0,
-    Load = 1,
-    Store = 2,
-    Store4 = 3,
-    Copy4 = 4,
-    Exec = 5,
+    Nop = 0,    ///< No-operation (fills unresolvable pipeline hazards).
+    Load = 1,   ///< Vector load: data-memory row -> register banks.
+    Store = 2,  ///< Vector store: register banks -> data-memory row.
+    Store4 = 3, ///< Narrow store of up to four words.
+    Copy4 = 4,  ///< Copy of up to four words between banks.
+    Exec = 5,   ///< One block on the PE trees.
 };
-
-/** Kind of a decoded instruction. */
-InstrKind kindOf(const Instruction &instr);
 
 /** Printable kind name. */
 const char *kindName(InstrKind kind);
+
+/** Bank b's bit in a bank mask. */
+constexpr uint64_t
+bankBit(uint32_t b)
+{
+    return uint64_t(1) << b;
+}
+
+/** Every bank of a B-bank machine as a mask. */
+constexpr uint64_t
+allBanks(uint32_t banks)
+{
+    return banks >= 64 ? ~uint64_t(0) : bankBit(banks) - 1;
+}
+
+/**
+ * One slot of a store_4 or copy_4. A store_4 slot reads bank@addr into
+ * column `bank` of its row. A copy_4 slot moves bank@addr through the
+ * input crossbar to bank `dst` (fig. 5(c)), the compiler's tool for
+ * resolving bank conflicts; the destination address is automatic.
+ */
+struct Slot
+{
+    bool active = false;
+    uint16_t bank = 0;
+    uint16_t addr = 0;
+    uint16_t dst = 0; ///< copy_4 only.
+
+    bool operator==(const Slot &) const = default;
+};
+
+/**
+ * One instruction record. The fields each kind uses:
+ * - load: memRow; `enable` names the banks that take word b of the
+ *   row, each at an automatically generated address.
+ * - store: memRow, `enable`, and readAddr[B] in the lane pool. Word b
+ *   of the row comes from bank b, and the read frees its register.
+ * - store_4: memRow (16-bit in the encoding) and up to four slots.
+ * - copy_4: up to four slots; `validRst` bit b frees the register the
+ *   slot reading bank b read, if that was its last read.
+ * - exec: `validRst`, the write enables in `enable`, peOp[numPes] in
+ *   the op pool and readAddr/inputSel/outputSel[B] in the lane pool.
+ * Unused fields stay zero, so records compare memberwise.
+ */
+struct Instr
+{
+    InstrKind kind = InstrKind::Nop;
+    uint32_t memRow = 0;
+    uint64_t enable = 0;   ///< Bank mask.
+    uint64_t validRst = 0; ///< Bank mask.
+    uint32_t lane = 0;     ///< First lane-pool entry (exec, store).
+    uint32_t op = 0;       ///< First op-pool entry (exec).
+    Slot slots[4] = {};
+
+    bool operator==(const Instr &) const = default;
+};
+static_assert(std::is_trivially_copyable_v<Instr>);
+
+/** An exec's fields, read in place. */
+struct ExecView
+{
+    std::span<const PeOp> peOp;          ///< numPes.
+    std::span<const uint16_t> inputSel;  ///< B: source bank per port.
+    std::span<const uint16_t> readAddr;  ///< B.
+    std::span<const uint16_t> outputSel; ///< B: writer mux select.
+    uint64_t validRst;
+    uint64_t writeEnable;
+};
+
+/** A just-appended exec to fill in: PEs start Nop, lanes zero. */
+struct ExecLanes
+{
+    std::span<PeOp> peOp;
+    std::span<uint16_t> inputSel;
+    std::span<uint16_t> readAddr;
+    std::span<uint16_t> outputSel;
+    uint64_t &validRst;
+    uint64_t &writeEnable;
+};
+
+/**
+ * A program: instruction records plus the per-program lane pools (see
+ * the file comment). It grows only by appending. The one field that
+ * may change afterwards is a record's row address: the finalizer
+ * rebases spill rows once the final data layout is known.
+ */
+class Program
+{
+  public:
+    Program() = default;
+
+    /** An empty program whose lanes are sized for `cfg`. */
+    explicit Program(const ArchConfig &cfg);
+
+    size_t size() const { return records.size(); }
+    bool empty() const { return records.empty(); }
+    const Instr &operator[](size_t i) const { return records[i]; }
+    auto begin() const { return records.begin(); }
+    auto end() const { return records.end(); }
+
+    /** True when every lane the program holds has cfg's width (an
+     *  exec/store-free program fits any configuration). */
+    bool fits(const ArchConfig &cfg) const;
+
+    /** The fields of exec i. */
+    ExecView exec(size_t i) const;
+
+    /** The per-bank read addresses of store i. */
+    std::span<const uint16_t> readAddr(size_t i) const;
+
+    void appendNop();
+    void appendLoad(uint32_t memRow, uint64_t enable);
+
+    /** @return the store's read addresses (zero) to fill in. */
+    std::span<uint16_t> appendStore(uint32_t memRow, uint64_t enable);
+
+    void appendStore4(uint32_t memRow, const Slot (&slots)[4]);
+    void appendCopy4(const Slot (&slots)[4], uint64_t validRst);
+
+    /** The returned spans and references are valid until the next
+     *  append. */
+    ExecLanes appendExec(uint64_t validRst = 0, uint64_t writeEnable = 0);
+
+    /** Patch the row address of load, store or store_4 i. */
+    void setMemRow(size_t i, uint32_t row) { records[i].memRow = row; }
+
+    void reserve(size_t n) { records.reserve(n); }
+
+    bool operator==(const Program &) const = default;
+
+  private:
+    uint32_t banks = 0; ///< B of every lane.
+    uint32_t pes = 0;   ///< numPes of every exec's ops.
+    std::vector<Instr> records;
+    /** store: readAddr; exec: readAddr, inputSel, outputSel. */
+    std::vector<uint16_t> lanes;
+    std::vector<PeOp> ops;
+};
 
 /** Bit widths of all ISA fields for a configuration. */
 struct IsaLayout
@@ -165,9 +217,6 @@ struct IsaLayout
     /** Encoded length in bits of each instruction kind. */
     uint32_t lengthBits(InstrKind kind) const;
 
-    /** Length of a concrete instruction. */
-    uint32_t lengthBits(const Instruction &instr) const;
-
     /** IL: fetch width = longest instruction (the exec). */
     uint32_t maxLengthBits() const;
 };
@@ -177,16 +226,15 @@ struct IsaLayout
  * @return the packed program image.
  */
 std::vector<uint8_t> encodeProgram(const ArchConfig &cfg,
-                                   const std::vector<Instruction> &prog);
+                                   const Program &prog);
 
 /** Decode a packed bit stream back into instructions. */
-std::vector<Instruction> decodeProgram(const ArchConfig &cfg,
-                                       const std::vector<uint8_t> &image,
-                                       size_t instruction_count);
+Program decodeProgram(const ArchConfig &cfg,
+                      std::span<const uint8_t> image,
+                      size_t instruction_count);
 
 /** Total encoded size in bits (the program footprint of §IV-E). */
-uint64_t programSizeBits(const ArchConfig &cfg,
-                         const std::vector<Instruction> &prog);
+uint64_t programSizeBits(const ArchConfig &cfg, const Program &prog);
 
 } // namespace dpu
 

@@ -308,7 +308,7 @@ deserializeProgram(const std::vector<uint8_t> &image, CompiledProgram &out)
     uint64_t image_bytes = r.u64();
     if (!r.ok || image_bytes > static_cast<size_t>(r.end - r.p))
         return false;
-    std::vector<uint8_t> packed(r.p, r.p + image_bytes);
+    std::span<const uint8_t> packed(r.p, image_bytes);
     r.p += image_bytes;
     try {
         prog.cfg.check();

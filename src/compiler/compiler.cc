@@ -38,13 +38,13 @@ partitionSeed(uint64_t seed, size_t part)
  */
 uint64_t
 explicitWriteFootprintBits(const ArchConfig &cfg,
-                           const std::vector<Instruction> &instrs)
+                           const Program &instrs)
 {
     IsaLayout lay(cfg);
     uint64_t total = 0;
-    for (const Instruction &in : instrs) {
-        uint64_t bits = lay.lengthBits(in);
-        switch (kindOf(in)) {
+    for (const Instr &in : instrs) {
+        uint64_t bits = lay.lengthBits(in.kind);
+        switch (in.kind) {
           case InstrKind::Load:
             bits += uint64_t(cfg.banks) * lay.addrBits;
             break;

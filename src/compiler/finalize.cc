@@ -1,6 +1,8 @@
 #include "compiler/finalize.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <limits>
 
 #include "arch/interconnect.hh"
@@ -29,8 +31,9 @@ class FinalizerImpl
   public:
     FinalizerImpl(const ArchConfig &cfg,
                   ProgramFinalizer::BlockResolver blocks)
-        : cfg(cfg), blockAt(std::move(blocks)), outputSelect(cfg)
+        : cfg(cfg), blockAt(blocks), outputSelect(cfg)
     {
+        prog.instructions = Program(cfg);
         occupant.assign(cfg.banks,
                         std::vector<InstanceId>(cfg.regsPerBank,
                                                 invalidInstance));
@@ -77,16 +80,15 @@ class FinalizerImpl
         // Spill rows were allocated relative; rebase them just past
         // the now-final input/output region.
         const uint32_t spillBase = ir.inputRows + ir.outputRows;
+        Program &code = prog.instructions;
         for (size_t idx : spillStoreFixups)
-            std::get<Store4Instr>(prog.instructions[idx]).memRow +=
-                spillBase;
+            code.setMemRow(idx, code[idx].memRow + spillBase);
         for (size_t idx : reloadFixups)
-            std::get<LoadInstr>(prog.instructions[idx]).memRow +=
-                spillBase;
+            code.setMemRow(idx, code[idx].memRow + spillBase);
         prog.numRows = spillBase + relSpillRows;
 
-        for (const Instruction &in : prog.instructions)
-            ++prog.stats.kindCount[static_cast<size_t>(kindOf(in))];
+        for (const Instr &in : code)
+            ++prog.stats.kindCount[static_cast<size_t>(in.kind)];
         prog.stats.instructions = prog.instructions.size();
         prog.stats.cycles =
             prog.instructions.size() + cfg.pipelineStages();
@@ -195,14 +197,12 @@ class FinalizerImpl
         // The memory copy of an immutable value stays valid, so a
         // re-spill still emits the store (a read is the only way the
         // hardware can clear a valid bit) but reuses the row.
-        Store4Instr s4;
-        s4.memRow = row;
-        s4.slots[0] = {true, static_cast<uint16_t>(bank),
-                       static_cast<uint16_t>(st.addr)};
+        const Slot slots[4] = {{true, static_cast<uint16_t>(bank),
+                                static_cast<uint16_t>(st.addr)}};
         valid[bank].clear(st.addr);
         occupant[bank][st.addr] = invalidInstance;
         st.addr = noAddr;
-        prog.instructions.push_back(s4);
+        prog.instructions.appendStore4(row, slots);
         spillStoreFixups.push_back(prog.instructions.size() - 1);
         ++prog.stats.spillStores;
     }
@@ -239,11 +239,8 @@ class FinalizerImpl
     void
     emitReload(InstanceId id)
     {
-        LoadInstr ld;
-        ld.memRow = state[id].spillRow;
-        ld.enable.assign(cfg.banks, false);
-        ld.enable[instances[id].bank] = true;
-        prog.instructions.push_back(std::move(ld));
+        prog.instructions.appendLoad(state[id].spillRow,
+                                     bankBit(instances[id].bank));
         reloadFixups.push_back(prog.instructions.size() - 1);
         ++prog.stats.reloads;
     }
@@ -295,110 +292,120 @@ class FinalizerImpl
         if (any) {
             // One nop gives the last reload its 2-cycle write latency
             // before the consumer issues.
-            prog.instructions.push_back(NopInstr{});
+            prog.instructions.appendNop();
         }
     }
 
     void
     emit(const IrInstr &in)
     {
+        Program &code = prog.instructions;
         switch (in.kind) {
           case InstrKind::Nop:
-            prog.instructions.push_back(NopInstr{});
+            code.appendNop();
             return;
 
           case InstrKind::Load: {
-            LoadInstr ld;
-            ld.memRow = in.memRow;
-            ld.enable.assign(cfg.banks, false);
+            uint64_t enable = 0;
             for (const IrWrite &w : in.writes) {
                 place(w.inst, InstrKind::Load, in);
-                ld.enable[instances[w.inst].bank] = true;
+                enable |= bankBit(instances[w.inst].bank);
             }
-            prog.instructions.push_back(std::move(ld));
+            code.appendLoad(in.memRow, enable);
             fixWriteTimes(in);
             return;
           }
 
           case InstrKind::Copy4: {
             reloadSpilledReads(in);
-            Copy4Instr cp;
-            cp.validRst.assign(cfg.banks, false);
+            Slot slots[4];
+            uint64_t rst = 0;
             dpu_assert(in.reads.size() == in.writes.size() &&
                        in.reads.size() <= 4, "malformed copy");
             for (size_t k = 0; k < in.reads.size(); ++k) {
                 auto [src_bank, src_addr] = resolveRead(in.reads[k]);
                 if (in.reads[k].lastRead)
-                    cp.validRst[src_bank] = true;
+                    rst |= bankBit(src_bank);
                 place(in.writes[k].inst, InstrKind::Copy4, in);
-                cp.slots[k] = {true, static_cast<uint16_t>(src_bank),
-                               static_cast<uint16_t>(src_addr),
-                               static_cast<uint16_t>(
-                                   instances[in.writes[k].inst].bank)};
+                slots[k] = {true, static_cast<uint16_t>(src_bank),
+                            static_cast<uint16_t>(src_addr),
+                            static_cast<uint16_t>(
+                                instances[in.writes[k].inst].bank)};
             }
-            prog.instructions.push_back(std::move(cp));
+            code.appendCopy4(slots, rst);
             fixWriteTimes(in);
             return;
           }
 
           case InstrKind::Exec: {
             reloadSpilledReads(in);
-            const Block &blk = blockAt(in.blockId);
-            ExecInstr ex;
-            ex.peOp = blk.peOps;
-            ex.inputSel.assign(in.inputSel.begin(), in.inputSel.end());
-            ex.readAddr.assign(cfg.banks, 0);
-            ex.validRst.assign(cfg.banks, false);
-            ex.writeEnable.assign(cfg.banks, false);
-            ex.outputSel.assign(cfg.banks, 0);
+            // Reads resolve before the writes place (and may spill),
+            // and the exec follows any spill, so its lanes are
+            // gathered first and appended last.
+            uint64_t read = 0, rst = 0, we = 0;
             for (const IrRead &r : in.reads) {
                 auto [bank, addr] = resolveRead(r);
-                ex.readAddr[bank] = static_cast<uint16_t>(addr);
-                ex.validRst[bank] = r.lastRead;
+                read |= bankBit(bank);
+                rst = r.lastRead ? rst | bankBit(bank)
+                                 : rst & ~bankBit(bank);
+                laneScratch[bank] = static_cast<uint16_t>(addr);
             }
             for (const IrWrite &w : in.writes) {
                 const RegInstance &inst = instances[w.inst];
                 place(w.inst, InstrKind::Exec, in);
-                ex.writeEnable[inst.bank] = true;
-                ex.outputSel[inst.bank] = static_cast<uint16_t>(
+                we |= bankBit(inst.bank);
+                selScratch[inst.bank] = static_cast<uint16_t>(
                     outputSelect(inst.bank, inst.writerPe));
             }
-            for (PeOp op : ex.peOp)
+            const Block &blk = blockAt(in.blockId);
+            dpu_assert(blk.peOps.size() == cfg.numPes() &&
+                       in.inputSel.size() == cfg.banks,
+                       "exec lanes do not fit the config");
+            ExecLanes ex = code.appendExec(rst, we);
+            std::copy(blk.peOps.begin(), blk.peOps.end(), ex.peOp.begin());
+            std::copy(in.inputSel.begin(), in.inputSel.end(),
+                      ex.inputSel.begin());
+            for (uint64_t m = read; m; m &= m - 1) {
+                const uint32_t b = std::countr_zero(m);
+                ex.readAddr[b] = laneScratch[b];
+            }
+            for (uint64_t m = we; m; m &= m - 1) {
+                const uint32_t b = std::countr_zero(m);
+                ex.outputSel[b] = selScratch[b];
+            }
+            for (PeOp op : blk.peOps)
                 if (op == PeOp::Add || op == PeOp::Mul)
                     ++prog.stats.peOpsExecuted;
-            prog.instructions.push_back(std::move(ex));
             fixWriteTimes(in);
             return;
           }
 
-          case InstrKind::Store:
+          case InstrKind::Store: {
+            reloadSpilledReads(in);
+            uint64_t enable = 0;
+            for (const IrRead &r : in.reads)
+                enable |= bankBit(instances[r.inst].bank);
+            std::span<uint16_t> addr = code.appendStore(in.memRow, enable);
+            for (const IrRead &r : in.reads) {
+                dpu_assert(r.lastRead, "store must free its source");
+                auto [bank, a] = resolveRead(r);
+                addr[bank] = static_cast<uint16_t>(a);
+            }
+            return;
+          }
+
           case InstrKind::Store4: {
             reloadSpilledReads(in);
-            if (in.kind == InstrKind::Store) {
-                StoreInstr st;
-                st.memRow = in.memRow;
-                st.enable.assign(cfg.banks, false);
-                st.readAddr.assign(cfg.banks, 0);
-                for (const IrRead &r : in.reads) {
-                    dpu_assert(r.lastRead, "store must free its source");
-                    auto [bank, addr] = resolveRead(r);
-                    st.enable[bank] = true;
-                    st.readAddr[bank] = static_cast<uint16_t>(addr);
-                }
-                prog.instructions.push_back(std::move(st));
-            } else {
-                Store4Instr st;
-                st.memRow = in.memRow;
-                dpu_assert(in.reads.size() <= 4, "store_4 overflow");
-                for (size_t k = 0; k < in.reads.size(); ++k) {
-                    dpu_assert(in.reads[k].lastRead,
-                               "store must free its source");
-                    auto [bank, addr] = resolveRead(in.reads[k]);
-                    st.slots[k] = {true, static_cast<uint16_t>(bank),
-                                   static_cast<uint16_t>(addr)};
-                }
-                prog.instructions.push_back(std::move(st));
+            Slot slots[4];
+            dpu_assert(in.reads.size() <= 4, "store_4 overflow");
+            for (size_t k = 0; k < in.reads.size(); ++k) {
+                dpu_assert(in.reads[k].lastRead,
+                           "store must free its source");
+                auto [bank, addr] = resolveRead(in.reads[k]);
+                slots[k] = {true, static_cast<uint16_t>(bank),
+                            static_cast<uint16_t>(addr)};
             }
+            code.appendStore4(in.memRow, slots);
             return;
           }
         }
@@ -420,6 +427,8 @@ class FinalizerImpl
     OutputSelectTable outputSelect; ///< built once per config
     std::vector<size_t> spillStoreFixups;
     std::vector<size_t> reloadFixups;
+    std::array<uint16_t, 64> laneScratch{}; ///< exec read addresses
+    std::array<uint16_t, 64> selScratch{};  ///< exec output selects
     const IrProgram *curIr = nullptr;
     uint32_t chunkEnd = 0;
     uint32_t irIndex = 0;
@@ -429,7 +438,7 @@ class FinalizerImpl
 
 ProgramFinalizer::ProgramFinalizer(const ArchConfig &cfg,
                                    BlockResolver blocks)
-    : impl(std::make_unique<detail::FinalizerImpl>(cfg, std::move(blocks)))
+    : impl(std::make_unique<detail::FinalizerImpl>(cfg, blocks))
 {}
 
 ProgramFinalizer::~ProgramFinalizer() = default;
@@ -452,9 +461,10 @@ finalizeProgram(IrProgram &&ir, const ArchConfig &cfg,
                 std::span<const Block> blocks)
 {
     IrProgram local = std::move(ir);
-    ProgramFinalizer fin(cfg, [blocks](uint32_t id) -> const Block & {
+    auto block_at = [blocks](uint32_t id) -> const Block & {
         return blocks[id];
-    });
+    };
+    ProgramFinalizer fin(cfg, block_at);
     fin.appendChunk(local, 0, 0);
     return fin.finish(local, blocks.size());
 }

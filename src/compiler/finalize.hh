@@ -16,7 +16,6 @@
 #ifndef DPU_COMPILER_FINALIZE_HH
 #define DPU_COMPILER_FINALIZE_HH
 
-#include <functional>
 #include <memory>
 #include <span>
 
@@ -45,8 +44,31 @@ class FinalizerImpl;
 class ProgramFinalizer
 {
   public:
-    /** Resolves a global block id to its Block (peOps for execs). */
-    using BlockResolver = std::function<const Block &(uint32_t)>;
+    /**
+     * Resolves a global block id to its Block (peOps for execs). It
+     * refers to a callable without owning it (one indirect call, no
+     * allocation), so that callable must outlive the finalizer.
+     */
+    class BlockResolver
+    {
+      public:
+        template <class F>
+        BlockResolver(const F &f)
+            : callable(&f), invoke([](const void *c, uint32_t id)
+                                       -> const Block & {
+                  return (*static_cast<const F *>(c))(id);
+              })
+        {}
+
+        const Block &operator()(uint32_t id) const
+        {
+            return invoke(callable, id);
+        }
+
+      private:
+        const void *callable;
+        const Block &(*invoke)(const void *, uint32_t);
+    };
 
     ProgramFinalizer(const ArchConfig &cfg, BlockResolver blocks);
     ~ProgramFinalizer();

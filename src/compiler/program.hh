@@ -60,7 +60,7 @@ struct CompileStats
 struct CompiledProgram
 {
     ArchConfig cfg;
-    std::vector<Instruction> instructions;
+    Program instructions;
 
     /** Data-memory rows used (inputs + outputs + spills). */
     uint32_t numRows = 0;

@@ -1,6 +1,7 @@
 #include "compiler/verify.hh"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "arch/interconnect.hh"
@@ -138,18 +139,17 @@ class IrVerifier
     void
     checkReads(uint64_t t, const IrInstr &in)
     {
-        std::vector<uint32_t> banks_read;
+        uint64_t banks_read = 0;
         for (const IrRead &r : in.reads) {
             if (!instanceOk(t, r.inst))
                 continue;
             uint32_t bank = ir.instances[r.inst].bank;
-            if (std::find(banks_read.begin(), banks_read.end(), bank) !=
-                banks_read.end())
+            if (banks_read & bankBit(bank))
                 sink.add(VerifyCode::BankConflict, t,
                          "two reads of bank " + std::to_string(bank) +
                              " in one instruction (one read port per "
                              "bank)");
-            banks_read.push_back(bank);
+            banks_read |= bankBit(bank);
 
             if (freed[r.inst])
                 sink.add(VerifyCode::ReadAfterFree, t,
@@ -174,18 +174,17 @@ class IrVerifier
     void
     checkWrites(uint64_t t, const IrInstr &in)
     {
-        std::vector<uint32_t> banks_written;
+        uint64_t banks_written = 0;
         for (const IrWrite &w : in.writes) {
             if (!instanceOk(t, w.inst))
                 continue;
             uint32_t bank = ir.instances[w.inst].bank;
-            if (std::find(banks_written.begin(), banks_written.end(),
-                          bank) != banks_written.end())
+            if (banks_written & bankBit(bank))
                 sink.add(VerifyCode::BankConflict, t,
                          "two writes of bank " + std::to_string(bank) +
                              " in one instruction (one write per bank "
                              "per cycle)");
-            banks_written.push_back(bank);
+            banks_written |= bankBit(bank);
 
             if (written[w.inst])
                 sink.add(VerifyCode::DoubleWrite, t,
@@ -314,19 +313,11 @@ class IrVerifier
 // Program-level pass.                                                //
 // ------------------------------------------------------------------ //
 
-/** Abstract register slot: validity + history + pipeline clock. */
-struct Slot
-{
-    bool valid = false;
-    bool everFreed = false; ///< Distinguishes V001 from V002.
-    uint64_t readableAt = 0;
-};
-
 class ProgramVerifier
 {
   public:
     ProgramVerifier(const CompiledProgram &prog, VerifyReport &report)
-        : prog(prog), cfg(prog.cfg), sink(report)
+        : prog(prog), code(prog.instructions), cfg(prog.cfg), sink(report)
     {}
 
     void
@@ -342,17 +333,51 @@ class ProgramVerifier
                      std::string("illegal ArchConfig: ") + e.what());
             return;
         }
+        if (!code.fits(cfg)) {
+            sink.add(VerifyCode::MalformedInstruction, kVerifyNoInstr,
+                     "instruction lanes are not sized for " +
+                         cfg.label());
+            return;
+        }
 
-        banks.assign(cfg.banks,
-                     std::vector<Slot>(cfg.regsPerBank));
-        bankWriters.resize(cfg.banks);
+        // The machine's register-file layout: per-bank 64-bit valid
+        // words, with the bits past R permanently set so the lowest
+        // free address is a count-trailing-zeros.
+        words = (cfg.regsPerBank + 63) / 64;
+        padMask = cfg.regsPerBank % 64 ? ~uint64_t(0) << (cfg.regsPerBank % 64)
+                                       : 0;
+        valid.assign(size_t(cfg.banks) * words, 0);
+        everFreed.assign(valid.size(), 0);
+        readableAt.assign(valid.size() * 64, 0);
+        for (size_t w = words - 1; w < valid.size(); w += words)
+            valid[w] = padMask;
         for (uint32_t b = 0; b < cfg.banks; ++b)
-            bankWriters[b] = writingPes(cfg, b);
+            bankWriters.push_back(writingPes(cfg, b));
+        sources = peSources(cfg);
 
         checkIoLayout();
-        for (now = 0; now < prog.instructions.size(); ++now)
-            std::visit([&](const auto &in) { check(in); },
-                       prog.instructions[now]);
+        for (now = 0; now < code.size(); ++now) {
+            const Instr &in = code[now];
+            switch (in.kind) {
+              case InstrKind::Nop:
+                break;
+              case InstrKind::Load:
+                checkLoad(in);
+                break;
+              case InstrKind::Store:
+                checkStore(in, code.readAddr(now));
+                break;
+              case InstrKind::Store4:
+                checkStore4(in);
+                break;
+              case InstrKind::Copy4:
+                checkCopy4(in);
+                break;
+              case InstrKind::Exec:
+                checkExec(code.exec(now));
+                break;
+            }
+        }
         checkLeaks();
         checkStats();
     }
@@ -391,6 +416,19 @@ class ProgramVerifier
                      VerifySeverity::Warning);
     }
 
+    /** Flat index of an in-range register. */
+    size_t
+    regIndex(uint32_t bank, uint32_t addr) const
+    {
+        return size_t(bank) * words * 64 + addr;
+    }
+
+    bool
+    isValid(size_t reg) const
+    {
+        return valid[reg / 64] >> (reg % 64) & 1;
+    }
+
     /** Read a register, diagnosing validity and pipeline timing. */
     void
     readReg(uint32_t bank, uint32_t addr)
@@ -403,9 +441,9 @@ class ProgramVerifier
                          " register file");
             return;
         }
-        const Slot &s = banks[bank][addr];
-        if (!s.valid) {
-            if (s.everFreed)
+        const size_t reg = regIndex(bank, addr);
+        if (!isValid(reg)) {
+            if (everFreed[reg / 64] >> (reg % 64) & 1)
                 sink.add(VerifyCode::ReadAfterFree, now,
                          "read of freed register " +
                              regName(bank, addr));
@@ -415,11 +453,11 @@ class ProgramVerifier
                              regName(bank, addr));
             return;
         }
-        if (s.readableAt > now)
+        if (readableAt[reg] > now)
             sink.add(VerifyCode::PipelineHazard, now,
                      "read of register " + regName(bank, addr) +
                          " while its data is in flight until cycle " +
-                         std::to_string(s.readableAt));
+                         std::to_string(readableAt[reg]));
     }
 
     /** valid_rst semantics: free a register, diagnosing double frees. */
@@ -428,28 +466,28 @@ class ProgramVerifier
     {
         if (bank >= cfg.banks || addr >= cfg.regsPerBank)
             return; // readReg already diagnosed the range
-        Slot &s = banks[bank][addr];
-        if (!s.valid) {
+        const size_t reg = regIndex(bank, addr);
+        if (!isValid(reg)) {
             sink.add(VerifyCode::DoubleFree, now,
                      "valid_rst of empty register " +
                          regName(bank, addr));
             return;
         }
-        s.valid = false;
-        s.everFreed = true;
+        valid[reg / 64] &= ~(uint64_t(1) << (reg % 64));
+        everFreed[reg / 64] |= uint64_t(1) << (reg % 64);
     }
 
     /** Automatic write: lowest free address, diagnosing overflow. */
     void
     writeReg(uint32_t bank, uint32_t latency)
     {
-        auto &regs = banks[bank];
-        for (uint32_t a = 0; a < cfg.regsPerBank; ++a) {
-            if (!regs[a].valid) {
-                regs[a].valid = true;
-                regs[a].readableAt = now + latency;
-                return;
-            }
+        for (size_t w = size_t(bank) * words; w < (bank + 1) * words; ++w) {
+            if (~valid[w] == 0)
+                continue;
+            const uint32_t bit = std::countr_zero(~valid[w]);
+            valid[w] |= uint64_t(1) << bit;
+            readableAt[w * 64 + bit] = now + latency;
+            return;
         }
         sink.add(VerifyCode::RegFileOverflow, now,
                  "write to full bank " + std::to_string(bank) +
@@ -468,93 +506,91 @@ class ProgramVerifier
                          " data-memory rows this program uses");
     }
 
-    /** Structural size check; false skips the replay of the instr. */
+    /** A bank mask names only banks the machine has; false skips the
+     *  replay of the instruction. */
     bool
-    sized(size_t got, size_t want, const char *field)
+    inBanks(uint64_t mask, const char *field)
     {
-        if (got == want)
+        if (!(mask & ~allBanks(cfg.banks)))
             return true;
         sink.add(VerifyCode::MalformedInstruction, now,
-                 std::string(field) + " has " + std::to_string(got) +
-                     " lanes for " + std::to_string(want) + " banks");
+                 std::string(field) + " names bank " +
+                     std::to_string(63 - std::countl_zero(mask)) +
+                     " of " + std::to_string(cfg.banks));
         return false;
     }
 
-    void check(const NopInstr &) {}
-
     void
-    check(const LoadInstr &in)
+    checkLoad(const Instr &in)
     {
         checkRow(in.memRow, "load");
-        if (!sized(in.enable.size(), cfg.banks, "load enable"))
+        if (!inBanks(in.enable, "load enable"))
             return;
-        for (uint32_t b = 0; b < cfg.banks; ++b)
-            if (in.enable[b])
-                writeReg(b, 2);
+        for (uint64_t m = in.enable; m; m &= m - 1)
+            writeReg(std::countr_zero(m), 2);
     }
 
     void
-    check(const StoreInstr &in)
+    checkStore(const Instr &in, std::span<const uint16_t> addr)
     {
         checkRow(in.memRow, "store");
-        if (!sized(in.enable.size(), cfg.banks, "store enable") ||
-            !sized(in.readAddr.size(), cfg.banks, "store readAddr"))
+        if (!inBanks(in.enable, "store enable"))
             return;
-        for (uint32_t b = 0; b < cfg.banks; ++b) {
-            if (!in.enable[b])
-                continue;
-            readReg(b, in.readAddr[b]);
-            freeReg(b, in.readAddr[b]); // stores are final reads
+        for (uint64_t m = in.enable; m; m &= m - 1) {
+            const uint32_t b = std::countr_zero(m);
+            readReg(b, addr[b]);
+            freeReg(b, addr[b]); // stores are final reads
         }
     }
 
+    /** Note a slot's read of `bank`, diagnosing a second one. */
     void
-    check(const Store4Instr &in)
+    portRead(uint64_t &read, uint32_t bank, const char *what)
+    {
+        if (bank >= cfg.banks)
+            return; // readReg diagnoses the range
+        if (read & bankBit(bank))
+            sink.add(VerifyCode::BankConflict, now,
+                     std::string("two ") + what + " slots read bank " +
+                         std::to_string(bank) +
+                         " (one read port per bank)");
+        read |= bankBit(bank);
+    }
+
+    void
+    checkStore4(const Instr &in)
     {
         checkRow(in.memRow, "store_4");
-        std::vector<uint32_t> banks_read;
-        for (const auto &s : in.slots) {
+        uint64_t read = 0;
+        for (const Slot &s : in.slots) {
             if (!s.active)
                 continue;
-            if (std::find(banks_read.begin(), banks_read.end(),
-                          s.bank) != banks_read.end())
-                sink.add(VerifyCode::BankConflict, now,
-                         "two store_4 slots read bank " +
-                             std::to_string(s.bank) +
-                             " (one read port per bank)");
-            banks_read.push_back(s.bank);
+            portRead(read, s.bank, "store_4");
             readReg(s.bank, s.addr);
             freeReg(s.bank, s.addr);
         }
     }
 
     void
-    check(const Copy4Instr &in)
+    checkCopy4(const Instr &in)
     {
-        if (!sized(in.validRst.size(), cfg.banks, "copy_4 validRst"))
+        if (!inBanks(in.validRst, "copy_4 valid_rst"))
             return;
         // Reads first, then valid_rst, then the automatic writes —
         // the issue-stage ordering contract shared with the machine.
-        std::vector<uint32_t> banks_read, banks_written;
-        for (const auto &s : in.slots) {
+        uint64_t read = 0, written = 0;
+        for (const Slot &s : in.slots) {
             if (!s.active)
                 continue;
-            if (std::find(banks_read.begin(), banks_read.end(),
-                          s.srcBank) != banks_read.end())
-                sink.add(VerifyCode::BankConflict, now,
-                         "two copy_4 slots read bank " +
-                             std::to_string(s.srcBank) +
-                             " (one read port per bank)");
-            banks_read.push_back(s.srcBank);
-            readReg(s.srcBank, s.srcAddr);
+            portRead(read, s.bank, "copy_4");
+            readReg(s.bank, s.addr);
         }
-        for (uint32_t b = 0; b < cfg.banks; ++b) {
-            if (!in.validRst[b])
-                continue;
+        for (uint64_t m = in.validRst; m; m &= m - 1) {
+            const uint32_t b = std::countr_zero(m);
             bool any = false;
-            for (const auto &s : in.slots)
-                if (s.active && s.srcBank == b) {
-                    freeReg(b, s.srcAddr);
+            for (const Slot &s : in.slots)
+                if (s.active && s.bank == b) {
+                    freeReg(b, s.addr);
                     any = true;
                 }
             if (!any)
@@ -563,37 +599,31 @@ class ProgramVerifier
                              std::to_string(b) +
                              " which no slot reads (frees nothing)");
         }
-        for (const auto &s : in.slots) {
+        for (const Slot &s : in.slots) {
             if (!s.active)
                 continue;
-            if (s.dstBank >= cfg.banks) {
+            if (s.dst >= cfg.banks) {
                 sink.add(VerifyCode::SelectOutOfBounds, now,
                          "copy_4 destination bank " +
-                             std::to_string(s.dstBank) + " of " +
+                             std::to_string(s.dst) + " of " +
                              std::to_string(cfg.banks));
                 continue;
             }
-            if (std::find(banks_written.begin(), banks_written.end(),
-                          s.dstBank) != banks_written.end())
+            if (written & bankBit(s.dst))
                 sink.add(VerifyCode::BankConflict, now,
                          "two copy_4 slots write bank " +
-                             std::to_string(s.dstBank) +
+                             std::to_string(s.dst) +
                              " (one write per bank per cycle)");
-            banks_written.push_back(s.dstBank);
-            writeReg(s.dstBank, 2);
+            written |= bankBit(s.dst);
+            writeReg(s.dst, 2);
         }
     }
 
     void
-    check(const ExecInstr &in)
+    checkExec(const ExecView &in)
     {
-        if (!sized(in.peOp.size(), cfg.numPes(), "exec peOp") ||
-            !sized(in.inputSel.size(), cfg.banks, "exec inputSel") ||
-            !sized(in.readAddr.size(), cfg.banks, "exec readAddr") ||
-            !sized(in.validRst.size(), cfg.banks, "exec validRst") ||
-            !sized(in.writeEnable.size(), cfg.banks,
-                   "exec writeEnable") ||
-            !sized(in.outputSel.size(), cfg.banks, "exec outputSel"))
+        if (!inBanks(in.validRst, "exec valid_rst") ||
+            !inBanks(in.writeEnable, "exec write enable"))
             return;
         // The machine panics on an undefined PE op; the replay below
         // reads its two inputs like Add's, so it is one diagnostic.
@@ -606,59 +636,43 @@ class ProgramVerifier
 
         // 1. The banks this exec actually reads: the crossbar selects
         // of the ports consumed by active leaf PEs (an idle port's
-        // select is a don't-care), exactly as the machine reads them.
-        std::vector<bool> bank_read(cfg.banks, false);
-        auto read_port = [&](uint32_t tree, uint32_t local) {
-            uint32_t port = cfg.portBank(tree, local);
-            uint32_t bank = in.inputSel[port];
-            if (bank >= cfg.banks) {
-                sink.add(VerifyCode::SelectOutOfBounds, now,
-                         "crossbar select " + std::to_string(bank) +
-                             " on port " + std::to_string(port) +
-                             " of " + std::to_string(cfg.banks) +
-                             " banks");
-                return;
-            }
-            if (!bank_read[bank]) {
-                bank_read[bank] = true;
-                readReg(bank, in.readAddr[bank]);
-            }
-        };
-        for (uint32_t t = 0; t < cfg.trees(); ++t) {
-            for (uint32_t l = 1; l <= cfg.depth; ++l) {
-                for (uint32_t i = 0; i < cfg.pesInLayer(l); ++i) {
-                    uint32_t pe = cfg.peId({t, l, i});
-                    PeOp op = in.peOp[pe];
-                    if (op == PeOp::Nop)
-                        continue;
-                    bool use_a = op != PeOp::PassB;
-                    bool use_b = op != PeOp::PassA;
-                    for (uint32_t side = 0; side < 2; ++side) {
-                        if (side == 0 ? !use_a : !use_b)
-                            continue;
-                        if (l == 1) {
-                            read_port(t, i * 2 + side);
-                        } else {
-                            uint32_t child =
-                                cfg.peId({t, l - 1, i * 2 + side});
-                            if (in.peOp[child] == PeOp::Nop)
-                                sink.add(
-                                    VerifyCode::MalformedInstruction,
-                                    now,
-                                    "active PE " + std::to_string(pe) +
-                                        " is fed by idle PE " +
-                                        std::to_string(child));
-                        }
-                    }
+        // select is a don't-care), in the machine's order, ascending
+        // PE id.
+        uint64_t read = 0;
+        for (uint32_t pe = 0; pe < in.peOp.size(); ++pe) {
+            const PeOp op = in.peOp[pe];
+            if (op == PeOp::Nop)
+                continue;
+            for (uint32_t side = 0; side < 2; ++side) {
+                if (side == 0 ? op == PeOp::PassB : op == PeOp::PassA)
+                    continue;
+                const uint32_t from = sources[pe].src[side];
+                if (!sources[pe].leaf) {
+                    if (in.peOp[from] == PeOp::Nop)
+                        sink.add(VerifyCode::MalformedInstruction, now,
+                                 "active PE " + std::to_string(pe) +
+                                     " is fed by idle PE " +
+                                     std::to_string(from));
+                    continue;
+                }
+                const uint32_t bank = in.inputSel[from];
+                if (bank >= cfg.banks) {
+                    sink.add(VerifyCode::SelectOutOfBounds, now,
+                             "crossbar select " + std::to_string(bank) +
+                                 " on port " + std::to_string(from) +
+                                 " of " + std::to_string(cfg.banks) +
+                                 " banks");
+                } else if (!(read & bankBit(bank))) {
+                    read |= bankBit(bank);
+                    readReg(bank, in.readAddr[bank]);
                 }
             }
         }
 
         // 2. valid_rst lanes must free registers read this cycle.
-        for (uint32_t b = 0; b < cfg.banks; ++b) {
-            if (!in.validRst[b])
-                continue;
-            if (!bank_read[b]) {
+        for (uint64_t m = in.validRst; m; m &= m - 1) {
+            const uint32_t b = std::countr_zero(m);
+            if (!(read & bankBit(b))) {
                 sink.add(VerifyCode::DoubleFree, now,
                          "exec valid_rst on bank " + std::to_string(b) +
                              " which this exec does not read (frees "
@@ -670,9 +684,8 @@ class ProgramVerifier
 
         // 3. Output interconnect: one write per enabled bank, from an
         // active PE the bank's output mux can actually select.
-        for (uint32_t b = 0; b < cfg.banks; ++b) {
-            if (!in.writeEnable[b])
-                continue;
+        for (uint64_t m = in.writeEnable; m; m &= m - 1) {
+            const uint32_t b = std::countr_zero(m);
             const auto &writers = bankWriters[b];
             if (in.outputSel[b] >= writers.size()) {
                 sink.add(VerifyCode::SelectOutOfBounds, now,
@@ -696,10 +709,11 @@ class ProgramVerifier
     void
     checkLeaks()
     {
+        const int pad = std::popcount(padMask);
         for (uint32_t b = 0; b < cfg.banks; ++b) {
-            uint32_t live = 0;
-            for (const Slot &s : banks[b])
-                live += s.valid;
+            int live = -pad;
+            for (size_t w = size_t(b) * words; w < (b + 1) * words; ++w)
+                live += std::popcount(valid[w]);
             if (live)
                 sink.add(VerifyCode::RegisterLeak, kVerifyNoInstr,
                          "bank " + std::to_string(b) + " ends with " +
@@ -722,12 +736,11 @@ class ProgramVerifier
         const CompileStats &s = prog.stats;
         std::array<uint64_t, 6> kinds{};
         uint64_t pe_ops = 0;
-        for (const Instruction &in : prog.instructions) {
-            ++kinds[static_cast<size_t>(kindOf(in))];
-            if (const auto *ex = std::get_if<ExecInstr>(&in))
-                for (PeOp op : ex->peOp)
-                    if (op == PeOp::Add || op == PeOp::Mul)
-                        ++pe_ops;
+        for (size_t i = 0; i < code.size(); ++i) {
+            ++kinds[static_cast<size_t>(code[i].kind)];
+            if (code[i].kind == InstrKind::Exec)
+                for (PeOp op : code.exec(i).peOp)
+                    pe_ops += op == PeOp::Add || op == PeOp::Mul;
         }
         for (size_t k = 0; k < kinds.size(); ++k)
             if (kinds[k] != s.kindCount[k])
@@ -736,11 +749,9 @@ class ProgramVerifier
                                  static_cast<InstrKind>(k))) +
                              "]",
                          kinds[k], s.kindCount[k]);
-        if (s.instructions != prog.instructions.size())
-            mismatch("instructions", prog.instructions.size(),
-                     s.instructions);
-        uint64_t cycles =
-            prog.instructions.size() + cfg.pipelineStages();
+        if (s.instructions != code.size())
+            mismatch("instructions", code.size(), s.instructions);
+        uint64_t cycles = code.size() + cfg.pipelineStages();
         if (s.cycles != cycles)
             mismatch("cycles", cycles, s.cycles);
         if (s.nops != kinds[static_cast<size_t>(InstrKind::Nop)])
@@ -749,7 +760,7 @@ class ProgramVerifier
                      s.nops);
         if (s.peOpsExecuted != pe_ops)
             mismatch("peOpsExecuted", pe_ops, s.peOpsExecuted);
-        uint64_t bits = programSizeBits(cfg, prog.instructions);
+        uint64_t bits = programSizeBits(cfg, code);
         if (s.programBits != bits)
             mismatch("programBits", bits, s.programBits);
         uint64_t data_bits = uint64_t(prog.numRows) * cfg.banks * 32;
@@ -758,11 +769,18 @@ class ProgramVerifier
     }
 
     const CompiledProgram &prog;
+    const Program &code;
     const ArchConfig &cfg;
     Sink sink;
 
-    std::vector<std::vector<Slot>> banks;
+    /** Register file, bank-major, 64 * words registers per bank. */
+    size_t words = 0;
+    uint64_t padMask = 0;           ///< bits past R in a bank's last word
+    std::vector<uint64_t> valid;     ///< one bit per register
+    std::vector<uint64_t> everFreed; ///< distinguishes V001 from V002
+    std::vector<uint64_t> readableAt; ///< per register: pipeline clock
     std::vector<std::vector<uint32_t>> bankWriters;
+    std::vector<PeSources> sources; ///< per PE
     uint64_t now = 0;
 };
 

@@ -53,7 +53,9 @@ enum class VerifyCode : uint8_t {
     SelectOutOfBounds,    ///< V020: crossbar/output-mux/register-
                           ///  address select out of range.
     BlockOutOfBounds,     ///< V021: exec blockId out of range.
-    MalformedInstruction, ///< V022: field sizes/slots/pairing wrong.
+    MalformedInstruction, ///< V022: bank mask past B, undefined PE
+                          ///  op, idle-PE routing, IR slot pairing,
+                          ///  lane width or illegal config.
     PipelineHazard,       ///< V030: read while data is in flight.
     StatsMismatch,        ///< V040: recomputed CompileStats disagree.
 };
@@ -154,11 +156,18 @@ VerifyReport verifyIr(const IrProgram &ir, const ArchConfig &cfg,
  * Verify a final compiled program: abstract replay of the register
  * file (validity + automatic write addresses + pipeline clocks,
  * mirroring sim/machine.cc), occupancy never above regsPerBank, all
- * rows/selects in bounds, no leaks at program end, and recomputed
- * kindCount/instructions/cycles/nops/peOpsExecuted/programBits/
- * dataBits equal to prog.stats (V040). Safe on arbitrary garbage
- * (e.g. a corrupted cache spill): structural checks run before any
- * indexed access.
+ * rows/selects in bounds, every bank mask within B (V022), no leaks at
+ * program end, and recomputed kindCount/instructions/cycles/nops/
+ * peOpsExecuted/programBits/dataBits equal to prog.stats (V040). Safe
+ * on arbitrary garbage (e.g. a corrupted cache spill): structural
+ * checks run before any indexed access.
+ *
+ * Cost: one pass over the instructions, O(1) per register access. The
+ * register file is the machine's layout, 64-bit valid words per bank,
+ * so an automatic write finds the lowest free address with a
+ * count-trailing-zeros per word instead of a scan of R slots; the
+ * walk visits only the banks a mask names; and each PE's input
+ * sources are computed once per program, not per exec.
  */
 VerifyReport verifyProgram(const CompiledProgram &prog);
 

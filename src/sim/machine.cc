@@ -50,27 +50,6 @@ namespace {
 using detail::DecodedProgram;
 using detail::ValueOp;
 
-/** A B-lane flag field as a bank mask (lane b in bit b; B <= 64). */
-uint64_t
-maskOf(const std::vector<bool> &lanes)
-{
-#if defined(__GLIBCXX__)
-    // libstdc++ packs the flags into unsigned long words, lane 0 in
-    // bit 0. Reading the word is ~30x faster than 64 element accesses,
-    // which would otherwise dominate the replay.
-    static_assert(sizeof(*lanes.begin()._M_p) == sizeof(uint64_t));
-    if (lanes.empty())
-        return 0;
-    uint64_t m = *lanes.begin()._M_p;
-    return lanes.size() < 64 ? m & ((uint64_t(1) << lanes.size()) - 1) : m;
-#else
-    uint64_t m = 0;
-    for (size_t b = 0; b < lanes.size(); ++b)
-        m |= uint64_t(lanes[b]) << b;
-    return m;
-#endif
-}
-
 /** Index of the lowest set bit of m, which is cleared. */
 uint32_t
 takeLowest(uint64_t &m)
@@ -87,9 +66,12 @@ takeLowest(uint64_t &m)
  * zeros), the cycle each register's data arrives, flat row-major data
  * memory, the live-register count and every event count. Each
  * instruction is evaluated field by field in the order the machine
- * performs it: reads, PE steps, valid_rst frees, automatic writes. The
- * first check that fails panics, so a program's fault is the first one
- * in that order. Every check is O(1).
+ * performs it: reads, PE steps, valid_rst frees, automatic writes. It
+ * reads a record's bank masks directly, visiting the banks a mask names
+ * with count-trailing-zeros, and an exec's lanes in place from the
+ * program's pools; a mask bit at or past B is a malformed instruction.
+ * The first check that fails panics, so a program's fault is the first
+ * one in that order. Every check is O(1).
  */
 class Replay
 {
@@ -103,7 +85,8 @@ class Replay
                       : 0),
           regs((size_t)cfg.banks * stride), valid(regs.size() / 64, 0),
           mem((size_t)prog.numRows * cfg.banks, 0),
-          firstOpId(1 + prog.inputLocation.size())
+          firstOpId(1 + prog.inputLocation.size()),
+          inputs(peSources(cfg))
     {
         // Bits past R are permanently valid, so the lowest-free search
         // never hands them out.
@@ -112,16 +95,6 @@ class Replay
             valid[w] = padMask;
         for (uint32_t b = 0; b < cfg.banks; ++b)
             writers.push_back(writingPes(cfg, b));
-        for (uint32_t pe = 0; pe < cfg.numPes(); ++pe) {
-            PeCoord c = cfg.peCoord(pe);
-            PeInputs &in = inputs.emplace_back();
-            in.leaf = c.layer == 1;
-            for (uint32_t side = 0; side < 2; ++side)
-                in.src[side] = static_cast<uint16_t>(
-                    in.leaf ? cfg.portBank(c.tree, c.index * 2 + side)
-                            : cfg.peId({c.tree, c.layer - 1,
-                                        c.index * 2 + side}));
-        }
         IsaLayout lay(cfg);
         for (size_t k = 0; k < lengthBits.size(); ++k)
             lengthBits[k] = lay.lengthBits(static_cast<InstrKind>(k));
@@ -132,6 +105,9 @@ class Replay
     run()
     {
         SimStats &stats = out.stats;
+        if (!prog.instructions.fits(cfg))
+            dpu_panic("malformed program: its lanes are not sized for " +
+                      cfg.label());
         checkIdSpace();
         for (size_t k = 0; k < prog.inputLocation.size(); ++k) {
             auto [row, col] = prog.inputLocation[k];
@@ -145,14 +121,33 @@ class Replay
                                 ? std::max<uint64_t>(opts.traceInterval, 1)
                                 : 0;
 
-        for (now = 0; now < prog.instructions.size(); ++now) {
-            const Instruction &instr = prog.instructions[now];
-            size_t kind = static_cast<size_t>(kindOf(instr));
+        const Program &code = prog.instructions;
+        for (now = 0; now < code.size(); ++now) {
+            const Instr &in = code[now];
+            size_t kind = static_cast<size_t>(in.kind);
             ++stats.kindCount[kind];
             stats.instrBitsFetched += lengthBits[kind];
             if (opts.traceOccupancy && now % stats.traceStride == 0)
                 sampleOccupancy();
-            std::visit([&](const auto &in) { apply(in); }, instr);
+            switch (in.kind) {
+              case InstrKind::Nop:
+                break;
+              case InstrKind::Load:
+                load(in);
+                break;
+              case InstrKind::Store:
+                store(in, code.readAddr(now));
+                break;
+              case InstrKind::Store4:
+                store4(in);
+                break;
+              case InstrKind::Copy4:
+                copy4(in);
+                break;
+              case InstrKind::Exec:
+                exec(code.exec(now));
+                break;
+            }
             stats.peakLiveRegisters =
                 std::max(stats.peakLiveRegisters, live);
         }
@@ -195,13 +190,16 @@ class Replay
         dpu_panic(what + " (instruction " + std::to_string(now) + ")");
     }
 
-    void
-    lanes(size_t n, const char *field)
+    /** A bank mask, checked to name only banks the machine has. */
+    uint64_t
+    banksOf(uint64_t mask, const char *field)
     {
-        if (n != cfg.banks)
-            fail(std::string("malformed instruction: ") + field + " has " +
-                 std::to_string(n) + " lanes, expected " +
+        if (mask & ~allBanks(cfg.banks))
+            fail(std::string("malformed instruction: ") + field +
+                 " names bank " +
+                 std::to_string(63 - std::countl_zero(mask)) + " of " +
                  std::to_string(cfg.banks));
+        return mask;
     }
 
     /** The ids in data-memory row r. */
@@ -257,41 +255,38 @@ class Replay
         dpu_panic("write to a full register bank");
     }
 
-    void apply(const NopInstr &) {}
-
     void
-    apply(const LoadInstr &in)
+    load(const Instr &in)
     {
-        lanes(in.enable.size(), "enable");
+        const uint64_t enable = banksOf(in.enable, "load enable");
         const uint32_t *r = rowAt(in.memRow, "load row out of range");
         ++out.stats.memReads;
-        for (uint64_t m = maskOf(in.enable); m;) {
+        for (uint64_t m = enable; m;) {
             uint32_t b = takeLowest(m);
             write(b, r[b], 2);
         }
     }
 
     void
-    apply(const StoreInstr &in)
+    store(const Instr &in, std::span<const uint16_t> addr)
     {
-        lanes(in.enable.size(), "enable");
-        lanes(in.readAddr.size(), "readAddr");
+        const uint64_t enable = banksOf(in.enable, "store enable");
         uint32_t *r = rowAt(in.memRow, "store row out of range");
         ++out.stats.memWrites;
-        for (uint64_t m = maskOf(in.enable); m;) {
+        for (uint64_t m = enable; m;) {
             uint32_t b = takeLowest(m);
-            r[b] = read(b, in.readAddr[b]);
-            release(b, in.readAddr[b]); // stores are final reads
+            r[b] = read(b, addr[b]);
+            release(b, addr[b]); // stores are final reads
             ++out.stats.bankReads;
         }
     }
 
     void
-    apply(const Store4Instr &in)
+    store4(const Instr &in)
     {
         uint32_t *r = rowAt(in.memRow, "store_4 row out of range");
         ++out.stats.memWrites;
-        for (const auto &s : in.slots) {
+        for (const Slot &s : in.slots) {
             if (!s.active)
                 continue;
             r[s.bank] = read(s.bank, s.addr);
@@ -301,49 +296,43 @@ class Replay
     }
 
     void
-    apply(const Copy4Instr &in)
+    copy4(const Instr &in)
     {
         // Reads first, then valid_rst, then the automatic writes —
         // the issue-stage ordering contract shared with the compiler.
-        lanes(in.validRst.size(), "validRst");
+        const uint64_t rst = banksOf(in.validRst, "copy_4 valid_rst");
         uint32_t got[4] = {};
         for (uint32_t k = 0; k < 4; ++k) {
-            const auto &s = in.slots[k];
+            const Slot &s = in.slots[k];
             if (!s.active)
                 continue;
-            got[k] = read(s.srcBank, s.srcAddr);
+            got[k] = read(s.bank, s.addr);
             ++out.stats.bankReads;
             ++out.stats.crossbarTransfers;
         }
         // valid_rst frees the register this copy read in bank b.
-        for (uint64_t m = maskOf(in.validRst); m;) {
+        for (uint64_t m = rst; m;) {
             uint32_t b = takeLowest(m);
-            for (const auto &s : in.slots)
-                if (s.active && s.srcBank == b)
-                    release(b, s.srcAddr);
+            for (const Slot &s : in.slots)
+                if (s.active && s.bank == b)
+                    release(b, s.addr);
         }
         for (uint32_t k = 0; k < 4; ++k) {
-            const auto &s = in.slots[k];
+            const Slot &s = in.slots[k];
             if (!s.active)
                 continue;
-            if (s.dstBank >= cfg.banks)
+            if (s.dst >= cfg.banks)
                 fail("copy_4 destination bank out of range");
-            write(s.dstBank, got[k], 2);
+            write(s.dst, got[k], 2);
         }
     }
 
     void
-    apply(const ExecInstr &in)
+    exec(const ExecView &in)
     {
-        if (in.peOp.size() != cfg.numPes())
-            fail("malformed instruction: peOp has " +
-                 std::to_string(in.peOp.size()) + " entries, expected " +
-                 std::to_string(cfg.numPes()));
-        lanes(in.inputSel.size(), "inputSel");
-        lanes(in.readAddr.size(), "readAddr");
-        lanes(in.validRst.size(), "validRst");
-        lanes(in.writeEnable.size(), "writeEnable");
-        lanes(in.outputSel.size(), "outputSel");
+        const uint64_t rst = banksOf(in.validRst, "exec valid_rst");
+        const uint64_t enable =
+            banksOf(in.writeEnable, "exec write enable");
 
         // 1. Evaluate the active PEs in evaluation order (tree, then
         // layer 1..D, then index), which is ascending PE id. Only
@@ -352,7 +341,7 @@ class Replay
         // state, so a bank feeding several ports is simply read again.
         const uint32_t B = cfg.banks;
         uint64_t active = 0;
-        for (uint32_t pe = 0; pe < cfg.numPes(); ++pe)
+        for (uint32_t pe = 0; pe < in.peOp.size(); ++pe)
             active |= uint64_t(in.peOp[pe] != PeOp::Nop) << pe;
         uint64_t banks_read = 0, transfers = 0;
         auto source = [&](uint32_t pe, uint32_t side) {
@@ -365,7 +354,7 @@ class Replay
             const uint32_t bank = in.inputSel[from];
             if (bank >= B)
                 fail("bad crossbar select");
-            banks_read |= uint64_t(1) << bank;
+            banks_read |= bankBit(bank);
             ++transfers;
             return read(bank, in.readAddr[bank]);
         };
@@ -400,7 +389,7 @@ class Replay
         stats.pePassThroughs += std::popcount(active) - ops;
 
         // 2. valid_rst lanes free the registers read this cycle.
-        for (uint64_t m = maskOf(in.validRst); m;) {
+        for (uint64_t m = rst; m;) {
             uint32_t b = takeLowest(m);
             if (!(banks_read >> b & 1))
                 fail("valid_rst on a bank this exec did not read");
@@ -409,7 +398,7 @@ class Replay
 
         // 3. Output interconnect: one write per enabled bank, from
         // the PE the bank's output mux selects.
-        for (uint64_t m = maskOf(in.writeEnable); m;) {
+        for (uint64_t m = enable; m;) {
             uint32_t b = takeLowest(m);
             if (in.outputSel[b] >= writers[b].size())
                 fail("output mux select out of range");
@@ -449,14 +438,6 @@ class Replay
         }
     }
 
-    /** Where a PE's two inputs come from: tree input ports for a
-     *  leaf-layer PE, child PE ids otherwise. */
-    struct PeInputs
-    {
-        bool leaf = false;
-        uint16_t src[2] = {0, 0};
-    };
-
     /** One register's payload; its valid bit lives in `valid`. */
     struct Reg
     {
@@ -469,7 +450,6 @@ class Replay
     const SimOptions &opts;
     DecodedProgram &out;
     std::vector<std::vector<uint32_t>> writers; ///< writingPes per bank
-    std::vector<PeInputs> inputs;               ///< per PE
     std::array<uint32_t, 6> lengthBits{};       ///< per InstrKind
 
     const uint32_t stride; ///< registers per bank, R rounded up to 64
@@ -481,6 +461,7 @@ class Replay
     /** Exec scratch: the id each PE outputs (B <= 64, so < 64 PEs). */
     std::array<uint32_t, 64> peOut{};
     const uint64_t firstOpId; ///< 1 + inputs: 0.0 and the inputs first
+    const std::vector<PeSources> inputs; ///< per PE
     uint64_t numOps = 0;      ///< ops[0, numOps) are resolved
     uint64_t now = 0;
 };

@@ -197,22 +197,17 @@ TEST(Isa, LengthsGrowWithBanks)
     EXPECT_LT(a.lengthBits(InstrKind::Load), b.lengthBits(InstrKind::Load));
 }
 
-Instruction
-sampleExec(const ArchConfig &c)
+/** Append an exec touching every lane kind. */
+ExecLanes
+sampleExec(Program &prog)
 {
-    ExecInstr e;
-    e.peOp.assign(c.numPes(), PeOp::Nop);
+    ExecLanes e = prog.appendExec();
     e.peOp[0] = PeOp::Add;
     e.peOp[1] = PeOp::Mul;
-    e.inputSel.assign(c.banks, 0);
-    e.readAddr.assign(c.banks, 0);
-    e.validRst.assign(c.banks, false);
-    e.writeEnable.assign(c.banks, false);
-    e.outputSel.assign(c.banks, 0);
     e.inputSel[0] = 3;
     e.readAddr[3] = 7;
-    e.validRst[3] = true;
-    e.writeEnable[1] = true;
+    e.validRst = bankBit(3);
+    e.writeEnable = bankBit(1);
     e.outputSel[1] = 1;
     return e;
 }
@@ -225,43 +220,20 @@ TEST(Isa, EncodeDecodeRoundTrip)
     c.regsPerBank = 32;
     c.check();
 
-    std::vector<Instruction> prog;
-    prog.push_back(NopInstr{});
-
-    LoadInstr ld;
-    ld.memRow = 12345;
-    ld.enable.assign(c.banks, false);
-    ld.enable[2] = ld.enable[9] = true;
-    prog.push_back(ld);
-
-    StoreInstr st;
-    st.memRow = 77;
-    st.enable.assign(c.banks, false);
-    st.readAddr.assign(c.banks, 0);
-    st.enable[5] = true;
-    st.readAddr[5] = 31;
-    prog.push_back(st);
-
-    Store4Instr s4;
-    s4.memRow = 9;
-    s4.slots[0] = {true, 3, 11};
-    s4.slots[1] = {true, 8, 1};
-    prog.push_back(s4);
-
-    Copy4Instr cp;
-    cp.slots[0] = {true, 1, 5, 2};
-    cp.slots[1] = {true, 7, 0, 3};
-    cp.validRst.assign(c.banks, false);
-    cp.validRst[1] = true;
-    prog.push_back(cp);
-
-    prog.push_back(sampleExec(c));
+    Program prog(c);
+    prog.appendNop();
+    prog.appendLoad(12345, bankBit(2) | bankBit(9));
+    prog.appendStore(77, bankBit(5))[5] = 31;
+    prog.appendStore4(9, {{true, 3, 11}, {true, 8, 1}});
+    prog.appendCopy4({{true, 1, 5, 2}, {true, 7, 0, 3}}, bankBit(1));
+    sampleExec(prog);
 
     auto image = encodeProgram(c, prog);
     auto back = decodeProgram(c, image, prog.size());
     ASSERT_EQ(back.size(), prog.size());
     for (size_t i = 0; i < prog.size(); ++i)
         EXPECT_EQ(back[i], prog[i]) << "instruction " << i;
+    EXPECT_EQ(back, prog);
 }
 
 TEST(Isa, TruncatedImageFailsToDecode)
@@ -271,8 +243,11 @@ TEST(Isa, TruncatedImageFailsToDecode)
     c.banks = 16;
     c.regsPerBank = 32;
     c.check();
-    std::vector<Instruction> prog{NopInstr{}, sampleExec(c), NopInstr{},
-                                  sampleExec(c)};
+    Program prog(c);
+    prog.appendNop();
+    sampleExec(prog);
+    prog.appendNop();
+    sampleExec(prog);
     auto image = encodeProgram(c, prog);
     // The last byte always holds a bit of the last instruction, so
     // every proper prefix underruns.
@@ -293,8 +268,8 @@ TEST(Isa, UndefinedPeOpFailsToDecode)
     c.banks = 16;
     c.regsPerBank = 32;
     c.check();
-    std::vector<Instruction> prog{sampleExec(c)};
-    std::get<ExecInstr>(prog[0]).peOp[1] = static_cast<PeOp>(7);
+    Program prog(c);
+    sampleExec(prog).peOp[1] = static_cast<PeOp>(7);
     auto image = encodeProgram(c, prog);
     EXPECT_THROW(decodeProgram(c, image, prog.size()), PanicError);
 }
@@ -307,7 +282,10 @@ TEST(Isa, ImpossibleInstructionCountFailsToDecode)
     c.banks = 16;
     c.regsPerBank = 32;
     c.check();
-    auto image = encodeProgram(c, {NopInstr{}, sampleExec(c)});
+    Program prog(c);
+    prog.appendNop();
+    sampleExec(prog);
+    auto image = encodeProgram(c, prog);
     EXPECT_THROW(decodeProgram(c, image, size_t(1) << 40), PanicError);
 }
 
@@ -318,7 +296,10 @@ TEST(Isa, PackedImageSizeMatchesSum)
     c.banks = 16;
     c.regsPerBank = 32;
     c.check();
-    std::vector<Instruction> prog{NopInstr{}, NopInstr{}, sampleExec(c)};
+    Program prog(c);
+    prog.appendNop();
+    prog.appendNop();
+    sampleExec(prog);
     uint64_t bits = programSizeBits(c, prog);
     auto image = encodeProgram(c, prog);
     EXPECT_EQ(image.size(), (bits + 7) / 8);
@@ -328,7 +309,9 @@ TEST(Isa, KindNames)
 {
     EXPECT_STREQ(kindName(InstrKind::Exec), "exec");
     EXPECT_STREQ(kindName(InstrKind::Copy4), "copy_4");
-    EXPECT_EQ(kindOf(Instruction{NopInstr{}}), InstrKind::Nop);
+    Program prog;
+    prog.appendNop();
+    EXPECT_EQ(prog[0].kind, InstrKind::Nop);
 }
 
 } // namespace

@@ -213,6 +213,29 @@ TEST(Compiler, EncodedProgramDecodesToSameInstructions)
     ASSERT_EQ(back.size(), prog.instructions.size());
     for (size_t i = 0; i < back.size(); ++i)
         EXPECT_EQ(back[i], prog.instructions[i]) << "instr " << i;
+
+    // Random legal configs: every lane width and all three output
+    // nets round-trip, and so do the serialized bytes.
+    const OutputInterconnect nets[] = {OutputInterconnect::Crossbar,
+                                       OutputInterconnect::PerLayerSubtree,
+                                       OutputInterconnect::OnePerPe};
+    Rng rng(52);
+    for (int k = 0; k < 12; ++k) {
+        ArchConfig c = cfgOf(1 + static_cast<uint32_t>(rng.below(3)),
+                             8u << rng.below(4), 64);
+        c.outputNet = nets[k % 3];
+        SCOPED_TRACE(c.label() + " " + interconnectName(c.outputNet));
+        CompiledProgram p =
+            compile(generateRandomDag(12, 250, 60 + k), c);
+        EXPECT_EQ(decodeProgram(c, encodeProgram(c, p.instructions),
+                                p.instructions.size()),
+                  p.instructions);
+        const std::vector<uint8_t> bytes = serializeProgram(p);
+        CompiledProgram q;
+        ASSERT_TRUE(deserializeProgram(bytes, q));
+        EXPECT_EQ(q.instructions, p.instructions);
+        EXPECT_EQ(serializeProgram(q), bytes);
+    }
 }
 
 TEST(Compiler, RegisterFileTooSmallFails)

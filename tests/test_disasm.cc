@@ -28,39 +28,33 @@ smallCfg()
 
 TEST(Disasm, Nop)
 {
-    EXPECT_EQ(disassemble(smallCfg(), NopInstr{}), "nop");
+    Program prog(smallCfg());
+    prog.appendNop();
+    EXPECT_EQ(disassemble(smallCfg(), prog, 0), "nop");
 }
 
 TEST(Disasm, LoadListsBanks)
 {
-    LoadInstr ld;
-    ld.memRow = 7;
-    ld.enable.assign(8, false);
-    ld.enable[1] = ld.enable[5] = true;
-    std::string s = disassemble(smallCfg(), ld);
+    Program prog(smallCfg());
+    prog.appendLoad(7, bankBit(1) | bankBit(5));
+    std::string s = disassemble(smallCfg(), prog, 0);
     EXPECT_EQ(s, "load row=7 banks{1,5}");
 }
 
 TEST(Disasm, StoreShowsAddresses)
 {
-    StoreInstr st;
-    st.memRow = 3;
-    st.enable.assign(8, false);
-    st.readAddr.assign(8, 0);
-    st.enable[2] = true;
-    st.readAddr[2] = 9;
-    std::string s = disassemble(smallCfg(), st);
+    Program prog(smallCfg());
+    prog.appendStore(3, bankBit(2))[2] = 9;
+    std::string s = disassemble(smallCfg(), prog, 0);
     EXPECT_NE(s.find("store row=3"), std::string::npos);
     EXPECT_NE(s.find("b2@9"), std::string::npos);
 }
 
 TEST(Disasm, CopyShowsRoutesAndRst)
 {
-    Copy4Instr cp;
-    cp.validRst.assign(8, false);
-    cp.slots[0] = {true, 1, 4, 6};
-    cp.validRst[1] = true;
-    std::string s = disassemble(smallCfg(), cp);
+    Program prog(smallCfg());
+    prog.appendCopy4({{true, 1, 4, 6}}, bankBit(1));
+    std::string s = disassemble(smallCfg(), prog, 0);
     EXPECT_NE(s.find("copy_4"), std::string::npos);
     EXPECT_NE(s.find("b1@4!->b6"), std::string::npos);
 }
@@ -68,18 +62,13 @@ TEST(Disasm, CopyShowsRoutesAndRst)
 TEST(Disasm, ExecShowsTreeShape)
 {
     ArchConfig cfg = smallCfg(); // 2 trees of 3 PEs
-    ExecInstr ex;
-    ex.peOp.assign(cfg.numPes(), PeOp::Nop);
+    Program prog(cfg);
+    ExecLanes ex = prog.appendExec();
     ex.peOp[cfg.peId({0, 1, 0})] = PeOp::Mul;
     ex.peOp[cfg.peId({0, 1, 1})] = PeOp::PassA;
     ex.peOp[cfg.peId({0, 2, 0})] = PeOp::Add;
-    ex.inputSel.assign(cfg.banks, 0);
-    ex.readAddr.assign(cfg.banks, 0);
-    ex.validRst.assign(cfg.banks, false);
-    ex.writeEnable.assign(cfg.banks, false);
-    ex.outputSel.assign(cfg.banks, 0);
-    ex.writeEnable[3] = true;
-    std::string s = disassemble(cfg, ex);
+    ex.writeEnable = bankBit(3);
+    std::string s = disassemble(cfg, prog, 0);
     EXPECT_NE(s.find("t0["), std::string::npos);
     EXPECT_NE(s.find("L2.0:add"), std::string::npos);
     EXPECT_NE(s.find("L1.0:mul"), std::string::npos);
@@ -115,8 +104,8 @@ TEST(Disasm, EveryInstructionOfARealProgramRenders)
     cfg.banks = 16;
     cfg.regsPerBank = 8; // force spills -> store_4 traffic
     auto prog = compile(d, cfg);
-    for (const auto &in : prog.instructions) {
-        std::string s = disassemble(cfg, in);
+    for (size_t i = 0; i < prog.instructions.size(); ++i) {
+        std::string s = disassemble(cfg, prog.instructions, i);
         EXPECT_FALSE(s.empty());
     }
 }

@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "compiler/program.hh"
+#include "compiler/verify.hh"
 #include "sim/machine.hh"
 
 namespace dpu {
@@ -31,50 +32,50 @@ tinyCfg()
     return c;
 }
 
-LoadInstr
-load(uint32_t row, std::initializer_list<uint32_t> banks, uint32_t b)
+void
+load(Program &p, uint32_t row, std::initializer_list<uint32_t> banks)
 {
-    LoadInstr in;
-    in.memRow = row;
-    in.enable.assign(b, false);
+    uint64_t enable = 0;
     for (uint32_t k : banks)
-        in.enable[k] = true;
-    return in;
+        enable |= bankBit(k);
+    p.appendLoad(row, enable);
 }
 
-StoreInstr
-store(uint32_t row, uint32_t bank, uint32_t addr, uint32_t b)
+void
+store(Program &p, uint32_t row, uint32_t bank, uint32_t addr)
 {
-    StoreInstr in;
-    in.memRow = row;
-    in.enable.assign(b, false);
-    in.readAddr.assign(b, 0);
-    in.enable[bank] = true;
-    in.readAddr[bank] = static_cast<uint16_t>(addr);
-    return in;
+    p.appendStore(row, bankBit(bank))[bank] = static_cast<uint16_t>(addr);
 }
 
 /** Single-PE exec: out = a(bank0@addr0) op b(bank1@addr1) -> bank. */
-ExecInstr
-exec1(const ArchConfig &c, PeOp op, uint32_t addr0, uint32_t addr1,
+ExecLanes
+exec1(Program &p, PeOp op, uint32_t addr0, uint32_t addr1,
       uint32_t dst_bank, bool rst0 = false, bool rst1 = false)
 {
-    ExecInstr e;
-    e.peOp.assign(c.numPes(), PeOp::Nop);
+    ExecLanes e = p.appendExec();
     e.peOp[0] = op;
-    e.inputSel = {0, 1};
-    e.readAddr = {static_cast<uint16_t>(addr0),
-                  static_cast<uint16_t>(addr1)};
-    e.validRst = {rst0, rst1};
-    e.writeEnable.assign(c.banks, false);
-    e.outputSel.assign(c.banks, 0);
-    e.writeEnable[dst_bank] = true;
+    e.inputSel[0] = 0;
+    e.inputSel[1] = 1;
+    e.readAddr[0] = static_cast<uint16_t>(addr0);
+    e.readAddr[1] = static_cast<uint16_t>(addr1);
+    e.validRst = (rst0 ? bankBit(0) : 0) | (rst1 ? bankBit(1) : 0);
+    e.writeEnable = bankBit(dst_bank);
     return e;
+}
+
+/** A program of `cfg` built by `build`. */
+template <class F>
+Program
+programOf(const ArchConfig &cfg, F build)
+{
+    Program p(cfg);
+    build(p);
+    return p;
 }
 
 /** Wrap raw instructions into a runnable program. */
 CompiledProgram
-makeProgram(const ArchConfig &cfg, std::vector<Instruction> instrs,
+makeProgram(const ArchConfig &cfg, Program instrs,
             std::vector<std::pair<uint32_t, uint32_t>> inputs,
             std::vector<CompiledProgram::OutputLoc> outputs,
             uint32_t rows)
@@ -107,17 +108,10 @@ expectPanic(const CompiledProgram &p, const std::vector<double> &in,
 }
 
 /** An exec with every PE idle and nothing read, freed or written. */
-ExecInstr
-idleExec(const ArchConfig &c)
+ExecLanes
+idleExec(Program &p)
 {
-    ExecInstr e;
-    e.peOp.assign(c.numPes(), PeOp::Nop);
-    e.inputSel.assign(c.banks, 0);
-    e.readAddr.assign(c.banks, 0);
-    e.validRst.assign(c.banks, false);
-    e.writeEnable.assign(c.banks, false);
-    e.outputSel.assign(c.banks, 0);
-    return e;
+    return p.appendExec();
 }
 
 /** A D=2, B=4, R=4 machine: one tree of three PEs. */
@@ -135,10 +129,10 @@ deepCfg()
 TEST(MachineIsa, LoadStoreRoundTrip)
 {
     ArchConfig c = tinyCfg();
-    std::vector<Instruction> prog;
-    prog.push_back(load(0, {0}, c.banks)); // mem[0][0] -> bank0@0
-    prog.push_back(NopInstr{});
-    prog.push_back(store(1, 0, 0, c.banks)); // bank0@0 -> mem[1][0]
+    Program prog(c);
+    load(prog, 0, {0}); // mem[0][0] -> bank0@0
+    prog.appendNop();
+    store(prog, 1, 0, 0); // bank0@0 -> mem[1][0]
     auto p = makeProgram(c, prog, {{0, 0}}, {{0, 1, 0}}, 2);
     auto res = Machine(p).run({42.5});
     EXPECT_DOUBLE_EQ(res.outputs[0], 42.5);
@@ -147,15 +141,15 @@ TEST(MachineIsa, LoadStoreRoundTrip)
 TEST(MachineIsa, AutoWriteTakesLowestFreeAddress)
 {
     ArchConfig c = tinyCfg();
-    std::vector<Instruction> prog;
-    prog.push_back(load(0, {0}, c.banks)); // -> bank0@0
-    prog.push_back(load(1, {0}, c.banks)); // -> bank0@1
-    prog.push_back(load(2, {0}, c.banks)); // -> bank0@2
-    prog.push_back(NopInstr{});
+    Program prog(c);
+    load(prog, 0, {0}); // -> bank0@0
+    load(prog, 1, {0}); // -> bank0@1
+    load(prog, 2, {0}); // -> bank0@2
+    prog.appendNop();
     // Read them back at the addresses the priority encoder chose.
-    prog.push_back(store(3, 0, 1, c.banks));
-    prog.push_back(store(4, 0, 0, c.banks));
-    prog.push_back(store(5, 0, 2, c.banks));
+    store(prog, 3, 0, 1);
+    store(prog, 4, 0, 0);
+    store(prog, 5, 0, 2);
     auto p = makeProgram(c, prog, {{0, 0}, {1, 0}, {2, 0}},
                          {{0, 3, 0}, {1, 4, 0}, {2, 5, 0}}, 6);
     auto res = Machine(p).run({10, 20, 30});
@@ -167,13 +161,13 @@ TEST(MachineIsa, AutoWriteTakesLowestFreeAddress)
 TEST(MachineIsa, ValidRstFreesForReuse)
 {
     ArchConfig c = tinyCfg();
-    std::vector<Instruction> prog;
-    prog.push_back(load(0, {0}, c.banks));    // v1 -> bank0@0
-    prog.push_back(NopInstr{});
-    prog.push_back(store(2, 0, 0, c.banks));  // store frees @0
-    prog.push_back(load(1, {0}, c.banks));    // v2 -> bank0@0 again
-    prog.push_back(NopInstr{});
-    prog.push_back(store(3, 0, 0, c.banks));
+    Program prog(c);
+    load(prog, 0, {0});   // v1 -> bank0@0
+    prog.appendNop();
+    store(prog, 2, 0, 0); // store frees @0
+    load(prog, 1, {0});   // v2 -> bank0@0 again
+    prog.appendNop();
+    store(prog, 3, 0, 0);
     auto p = makeProgram(c, prog, {{0, 0}, {1, 0}},
                          {{0, 2, 0}, {1, 3, 0}}, 4);
     auto res = Machine(p).run({7, 9});
@@ -184,14 +178,14 @@ TEST(MachineIsa, ValidRstFreesForReuse)
 TEST(MachineIsa, ExecAddsThroughTheTree)
 {
     ArchConfig c = tinyCfg();
-    std::vector<Instruction> prog;
-    prog.push_back(load(0, {0, 1}, c.banks)); // a -> b0@0, b -> b1@0
-    prog.push_back(NopInstr{});
-    prog.push_back(exec1(c, PeOp::Add, 0, 0, 0, true, true));
+    Program prog(c);
+    load(prog, 0, {0, 1}); // a -> b0@0, b -> b1@0
+    prog.appendNop();
+    exec1(prog, PeOp::Add, 0, 0, 0, true, true);
     // D+1 = 2 stages: result readable 2 cycles after issue.
-    prog.push_back(NopInstr{});
+    prog.appendNop();
     // Output reused bank0@0 (freed by rst at exec issue).
-    prog.push_back(store(1, 0, 0, c.banks));
+    store(prog, 1, 0, 0);
     auto p = makeProgram(c, prog, {{0, 0}, {0, 1}}, {{0, 1, 0}}, 2);
     auto res = Machine(p).run({2.25, 3.5});
     EXPECT_DOUBLE_EQ(res.outputs[0], 5.75);
@@ -200,14 +194,14 @@ TEST(MachineIsa, ExecAddsThroughTheTree)
 TEST(MachineIsa, PassThroughForwardsOneInput)
 {
     ArchConfig c = tinyCfg();
-    std::vector<Instruction> prog;
-    prog.push_back(load(0, {0, 1}, c.banks));
-    prog.push_back(NopInstr{});
+    Program prog(c);
+    load(prog, 0, {0, 1});
+    prog.appendNop();
     // PassB reads only its right port (bank1), so only bank1 may
     // carry valid_rst; bank0 is drained by a store instead.
-    prog.push_back(exec1(c, PeOp::PassB, 0, 0, 0, false, true));
-    prog.push_back(store(2, 0, 0, c.banks)); // frees the unused input
-    prog.push_back(store(1, 0, 1, c.banks)); // the forwarded value
+    exec1(prog, PeOp::PassB, 0, 0, 0, false, true);
+    store(prog, 2, 0, 0); // frees the unused input
+    store(prog, 1, 0, 1); // the forwarded value
     auto p = makeProgram(c, prog, {{0, 0}, {0, 1}},
                          {{0, 1, 0}, {1, 2, 0}}, 3);
     auto res = Machine(p).run({111, 222});
@@ -218,16 +212,13 @@ TEST(MachineIsa, PassThroughForwardsOneInput)
 TEST(MachineIsa, Copy4MovesAcrossBanks)
 {
     ArchConfig c = tinyCfg();
-    std::vector<Instruction> prog;
-    prog.push_back(load(0, {0}, c.banks)); // v -> bank0@0
-    prog.push_back(NopInstr{});
-    Copy4Instr cp;
-    cp.validRst.assign(c.banks, false);
-    cp.validRst[0] = true; // last read of the source
-    cp.slots[0] = {true, 0, 0, 1};
-    prog.push_back(cp);
-    prog.push_back(NopInstr{});
-    prog.push_back(store(1, 1, 0, c.banks)); // read it from bank1
+    Program prog(c);
+    load(prog, 0, {0}); // v -> bank0@0
+    prog.appendNop();
+    // valid_rst: last read of the source.
+    prog.appendCopy4({{true, 0, 0, 1}}, bankBit(0));
+    prog.appendNop();
+    store(prog, 1, 1, 0); // read it from bank1
     auto p = makeProgram(c, prog, {{0, 0}}, {{0, 1, 1}}, 2);
     auto res = Machine(p).run({64.0});
     EXPECT_DOUBLE_EQ(res.outputs[0], 64.0);
@@ -236,9 +227,9 @@ TEST(MachineIsa, Copy4MovesAcrossBanks)
 TEST(MachineIsa, ReadInFlightPanics)
 {
     ArchConfig c = tinyCfg();
-    std::vector<Instruction> prog;
-    prog.push_back(load(0, {0}, c.banks));
-    prog.push_back(store(1, 0, 0, c.banks)); // 1 cycle later: too soon
+    Program prog(c);
+    load(prog, 0, {0});
+    store(prog, 1, 0, 0); // 1 cycle later: too soon
     auto p = makeProgram(c, prog, {{0, 0}}, {{0, 1, 0}}, 2);
     expectPanic(p, {1.0}, "pipeline hazard: data still in flight");
 }
@@ -246,8 +237,8 @@ TEST(MachineIsa, ReadInFlightPanics)
 TEST(MachineIsa, ReadInvalidRegisterPanics)
 {
     ArchConfig c = tinyCfg();
-    std::vector<Instruction> prog;
-    prog.push_back(store(0, 0, 0, c.banks)); // nothing was written
+    Program prog(c);
+    store(prog, 0, 0, 0); // nothing was written
     auto p = makeProgram(c, prog, {}, {}, 1);
     expectPanic(p, {}, "read of invalid register");
 }
@@ -255,9 +246,9 @@ TEST(MachineIsa, ReadInvalidRegisterPanics)
 TEST(MachineIsa, BankOverflowPanics)
 {
     ArchConfig c = tinyCfg(); // R = 4
-    std::vector<Instruction> prog;
+    Program prog(c);
     for (uint32_t i = 0; i < 5; ++i)
-        prog.push_back(load(i, {0}, c.banks));
+        load(prog, i, {0});
     auto p = makeProgram(c, prog, {{0, 0}, {1, 0}, {2, 0}, {3, 0},
                                    {4, 0}},
                          {}, 5);
@@ -267,9 +258,9 @@ TEST(MachineIsa, BankOverflowPanics)
 TEST(MachineIsa, LeakedRegisterPanicsAtEnd)
 {
     ArchConfig c = tinyCfg();
-    std::vector<Instruction> prog;
-    prog.push_back(load(0, {0}, c.banks)); // never read, never freed
-    prog.push_back(NopInstr{});
+    Program prog(c);
+    load(prog, 0, {0}); // never read, never freed
+    prog.appendNop();
     auto p = makeProgram(c, prog, {{0, 0}}, {}, 1);
     expectPanic(p, {5.0}, "register leak at end");
 }
@@ -277,21 +268,14 @@ TEST(MachineIsa, LeakedRegisterPanicsAtEnd)
 TEST(MachineIsa, RstWithoutReadPanics)
 {
     ArchConfig c = tinyCfg();
-    std::vector<Instruction> prog;
-    prog.push_back(load(0, {0, 1}, c.banks));
-    prog.push_back(NopInstr{});
+    Program prog(c);
+    load(prog, 0, {0, 1});
+    prog.appendNop();
     // Exec reads only bank0/bank1 port-wise... build an exec whose
     // validRst names a bank the instruction does not read.
-    ExecInstr e;
-    e.peOp.assign(c.numPes(), PeOp::Nop);
+    ExecLanes e = prog.appendExec();
     e.peOp[0] = PeOp::PassA; // reads only port 0 (bank0)
-    e.inputSel = {0, 0};
-    e.readAddr = {0, 0};
-    e.validRst = {false, true}; // but frees bank1: illegal
-    e.writeEnable.assign(c.banks, false);
-    e.outputSel.assign(c.banks, 0);
-    e.writeEnable[0] = false;
-    prog.push_back(e);
+    e.validRst = bankBit(1); // but frees bank1: illegal
     auto p = makeProgram(c, prog, {{0, 0}, {0, 1}}, {}, 1);
     expectPanic(p, {1, 2}, "valid_rst on a bank this exec did not read");
 }
@@ -300,27 +284,23 @@ TEST(MachineIsa, DeepTreeComputesBalancedReduction)
 {
     // D=2, one tree, 4 ports: ((a+b) * (c+d)).
     ArchConfig c = deepCfg();
-    std::vector<Instruction> prog;
-    prog.push_back(load(0, {0, 1, 2, 3}, c.banks));
-    prog.push_back(NopInstr{});
-    ExecInstr e;
-    e.peOp.assign(c.numPes(), PeOp::Nop);
+    Program prog(c);
+    load(prog, 0, {0, 1, 2, 3});
+    prog.appendNop();
+    ExecLanes e = prog.appendExec();
     e.peOp[c.peId({0, 1, 0})] = PeOp::Add;
     e.peOp[c.peId({0, 1, 1})] = PeOp::Add;
     e.peOp[c.peId({0, 2, 0})] = PeOp::Mul;
-    e.inputSel = {0, 1, 2, 3};
-    e.readAddr = {0, 0, 0, 0};
-    e.validRst = {true, true, true, true};
-    e.writeEnable.assign(c.banks, false);
-    e.outputSel.assign(c.banks, 0);
-    e.writeEnable[0] = true;
+    for (uint16_t port = 0; port < 4; ++port)
+        e.inputSel[port] = port;
+    e.validRst = allBanks(4);
+    e.writeEnable = bankBit(0);
     // Bank 0's writers (per-layer): layer1 PE covering port 0, then
     // the root; select the root.
     e.outputSel[0] = 1;
-    prog.push_back(e);
-    prog.push_back(NopInstr{});
-    prog.push_back(NopInstr{}); // D+1 = 3 stages
-    prog.push_back(store(1, 0, 0, c.banks));
+    prog.appendNop();
+    prog.appendNop(); // D+1 = 3 stages
+    store(prog, 1, 0, 0);
     auto p = makeProgram(
         c, prog, {{0, 0}, {0, 1}, {0, 2}, {0, 3}}, {{0, 1, 0}}, 2);
     auto res = Machine(p).run({1, 2, 3, 4});
@@ -334,15 +314,17 @@ TEST(MachineIsa, AutoWriteCrossesMaskWords)
     // each word, then overflow it.
     ArchConfig c = tinyCfg();
     c.regsPerBank = 130;
-    std::vector<Instruction> prog;
+    Program prog(c);
+    Program over(c);
     std::vector<std::pair<uint32_t, uint32_t>> inputs;
     std::vector<double> values;
     for (uint32_t i = 0; i < c.regsPerBank; ++i) {
-        prog.push_back(load(i, {0}, c.banks)); // -> bank0@i
+        load(prog, i, {0}); // -> bank0@i
+        load(over, i, {0});
         inputs.push_back({i, 0});
         values.push_back(1000.0 + i);
     }
-    prog.push_back(NopInstr{});
+    prog.appendNop();
     // Drain in an order that crosses every word boundary.
     std::vector<uint32_t> order;
     for (uint32_t a : {129u, 0u, 63u, 64u, 127u, 128u})
@@ -353,7 +335,7 @@ TEST(MachineIsa, AutoWriteCrossesMaskWords)
     uint32_t rows = c.regsPerBank;
     std::vector<CompiledProgram::OutputLoc> outputs;
     for (uint32_t k = 0; k < order.size(); ++k) {
-        prog.push_back(store(rows + k, 0, order[k], c.banks));
+        store(prog, rows + k, 0, order[k]);
         outputs.push_back({k, rows + k, 0});
     }
     auto p = makeProgram(c, prog, inputs, outputs,
@@ -364,9 +346,7 @@ TEST(MachineIsa, AutoWriteCrossesMaskWords)
     EXPECT_EQ(res.stats.peakLiveRegisters, c.regsPerBank);
 
     // One write past R fails even though R is not a multiple of 64.
-    std::vector<Instruction> over(prog.begin(),
-                                  prog.begin() + c.regsPerBank);
-    over.push_back(load(0, {0}, c.banks));
+    load(over, 0, {0});
     auto q = makeProgram(c, over, inputs, {}, rows);
     expectPanic(q, values, "write to a full register bank");
 }
@@ -374,8 +354,8 @@ TEST(MachineIsa, AutoWriteCrossesMaskWords)
 TEST(MachineIsa, ReadAddressOutOfRangePanics)
 {
     ArchConfig c = tinyCfg(); // R = 4
-    std::vector<Instruction> prog;
-    prog.push_back(store(0, 0, 9, c.banks));
+    Program prog(c);
+    store(prog, 0, 0, 9);
     auto p = makeProgram(c, prog, {}, {}, 1);
     expectPanic(p, {}, "register index out of range");
 }
@@ -385,14 +365,10 @@ TEST(MachineIsa, Store4ReadingOneRegisterTwicePanics)
     // The first slot's read frees the register, so the second slot
     // reads an invalid one.
     ArchConfig c = tinyCfg();
-    std::vector<Instruction> prog;
-    prog.push_back(load(0, {0}, c.banks));
-    prog.push_back(NopInstr{});
-    Store4Instr st;
-    st.memRow = 1;
-    st.slots[0] = {true, 0, 0};
-    st.slots[1] = {true, 0, 0};
-    prog.push_back(st);
+    Program prog(c);
+    load(prog, 0, {0});
+    prog.appendNop();
+    prog.appendStore4(1, {{true, 0, 0}, {true, 0, 0}});
     auto p = makeProgram(c, prog, {{0, 0}}, {}, 2);
     expectPanic(p, {1.0}, "read of invalid register");
 }
@@ -402,15 +378,10 @@ TEST(MachineIsa, Copy4DoubleValidRstPanics)
     // Two copy_4 slots read the same register; valid_rst frees it
     // once per slot, and the second free finds it empty.
     ArchConfig c = tinyCfg();
-    std::vector<Instruction> prog;
-    prog.push_back(load(0, {0}, c.banks));
-    prog.push_back(NopInstr{});
-    Copy4Instr cp;
-    cp.validRst.assign(c.banks, false);
-    cp.validRst[0] = true;
-    cp.slots[0] = {true, 0, 0, 1};
-    cp.slots[1] = {true, 0, 0, 1};
-    prog.push_back(cp);
+    Program prog(c);
+    load(prog, 0, {0});
+    prog.appendNop();
+    prog.appendCopy4({{true, 0, 0, 1}, {true, 0, 0, 1}}, bankBit(0));
     auto p = makeProgram(c, prog, {{0, 0}}, {}, 1);
     expectPanic(p, {1.0}, "valid_rst of an empty register");
 }
@@ -418,12 +389,10 @@ TEST(MachineIsa, Copy4DoubleValidRstPanics)
 TEST(MachineIsa, BadCrossbarSelectPanics)
 {
     ArchConfig c = tinyCfg();
-    std::vector<Instruction> prog;
-    prog.push_back(load(0, {0, 1}, c.banks));
-    prog.push_back(NopInstr{});
-    ExecInstr e = exec1(c, PeOp::Add, 0, 0, 0, true, true);
-    e.inputSel[1] = 5; // no bank 5
-    prog.push_back(e);
+    Program prog(c);
+    load(prog, 0, {0, 1});
+    prog.appendNop();
+    exec1(prog, PeOp::Add, 0, 0, 0, true, true).inputSel[1] = 5; // no bank 5
     auto p = makeProgram(c, prog, {{0, 0}, {0, 1}}, {}, 1);
     expectPanic(p, {1, 2}, "bad crossbar select");
 }
@@ -434,16 +403,18 @@ TEST(MachineIsa, FirstFailingCheckInEvaluationOrderWins)
     // sits on port 0 is the one reported.
     ArchConfig c = tinyCfg();
     {
-        ExecInstr e = exec1(c, PeOp::Add, 0, 0, 0);
+        Program prog(c);
+        ExecLanes e = exec1(prog, PeOp::Add, 0, 0, 0);
         e.inputSel[1] = 5; // port 1: bad select
         // port 0: bank 0 was never written
-        auto p = makeProgram(c, {e}, {}, {}, 1);
+        auto p = makeProgram(c, prog, {}, {}, 1);
         expectPanic(p, {}, "read of invalid register");
     }
     {
-        ExecInstr e = exec1(c, PeOp::Add, 0, 0, 0);
+        Program prog(c);
+        ExecLanes e = exec1(prog, PeOp::Add, 0, 0, 0);
         e.inputSel[0] = 5; // port 0: bad select
-        auto p = makeProgram(c, {e}, {}, {}, 1);
+        auto p = makeProgram(c, prog, {}, {}, 1);
         expectPanic(p, {}, "bad crossbar select");
     }
 }
@@ -451,12 +422,11 @@ TEST(MachineIsa, FirstFailingCheckInEvaluationOrderWins)
 TEST(MachineIsa, OutputMuxSelectOutOfRangePanics)
 {
     ArchConfig c = tinyCfg();
-    std::vector<Instruction> prog;
-    prog.push_back(load(0, {0, 1}, c.banks));
-    prog.push_back(NopInstr{});
-    ExecInstr e = exec1(c, PeOp::Add, 0, 0, 0, true, true);
-    e.outputSel[0] = 7; // bank 0 has a single writer
-    prog.push_back(e);
+    Program prog(c);
+    load(prog, 0, {0, 1});
+    prog.appendNop();
+    // Bank 0 has a single writer.
+    exec1(prog, PeOp::Add, 0, 0, 0, true, true).outputSel[0] = 7;
     auto p = makeProgram(c, prog, {{0, 0}, {0, 1}}, {}, 1);
     expectPanic(p, {1, 2}, "output mux select out of range");
 }
@@ -464,23 +434,23 @@ TEST(MachineIsa, OutputMuxSelectOutOfRangePanics)
 TEST(MachineIsa, StoreBackFromIdlePePanics)
 {
     ArchConfig c = tinyCfg();
-    ExecInstr e = idleExec(c);
-    e.writeEnable[0] = true; // the only PE is idle
-    auto p = makeProgram(c, {e}, {}, {}, 1);
+    Program prog(c);
+    idleExec(prog).writeEnable = bankBit(0); // the only PE is idle
+    auto p = makeProgram(c, prog, {}, {}, 1);
     expectPanic(p, {}, "store-back from an idle PE");
 }
 
 TEST(MachineIsa, ActivePeFedByIdleChildPanics)
 {
     ArchConfig c = deepCfg();
-    std::vector<Instruction> prog;
-    prog.push_back(load(0, {0, 1}, c.banks));
-    prog.push_back(NopInstr{});
-    ExecInstr e = idleExec(c);
+    Program prog(c);
+    load(prog, 0, {0, 1});
+    prog.appendNop();
+    ExecLanes e = idleExec(prog);
     e.peOp[c.peId({0, 1, 0})] = PeOp::Add;
     e.peOp[c.peId({0, 2, 0})] = PeOp::Add; // right child is idle
-    e.inputSel = {0, 1, 2, 3};
-    prog.push_back(e);
+    for (uint16_t port = 0; port < 4; ++port)
+        e.inputSel[port] = port;
     auto p = makeProgram(c, prog, {{0, 0}, {0, 1}}, {}, 1);
     expectPanic(p, {1, 2}, "active PE fed by idle child");
 }
@@ -489,18 +459,21 @@ TEST(MachineIsa, MemoryRowOutOfRangePanics)
 {
     ArchConfig c = tinyCfg();
     {
-        auto p = makeProgram(c, {load(3, {0}, c.banks)}, {}, {}, 2);
+        Program prog(c);
+        load(prog, 3, {0});
+        auto p = makeProgram(c, prog, {}, {}, 2);
         expectPanic(p, {}, "load row out of range");
     }
     {
-        auto p = makeProgram(c, {store(2, 0, 0, c.banks)}, {}, {}, 2);
+        Program prog(c);
+        store(prog, 2, 0, 0);
+        auto p = makeProgram(c, prog, {}, {}, 2);
         expectPanic(p, {}, "store row out of range");
     }
     {
-        Store4Instr st;
-        st.memRow = 2;
-        st.slots[0] = {true, 0, 0};
-        auto p = makeProgram(c, {st}, {}, {}, 2);
+        Program prog(c);
+        prog.appendStore4(2, {{true, 0, 0}});
+        auto p = makeProgram(c, prog, {}, {}, 2);
         expectPanic(p, {}, "store_4 row out of range");
     }
 }
@@ -508,8 +481,76 @@ TEST(MachineIsa, MemoryRowOutOfRangePanics)
 TEST(MachineIsa, WrongInputCountPanics)
 {
     ArchConfig c = tinyCfg();
-    auto p = makeProgram(c, {load(0, {0}, c.banks)}, {{0, 0}}, {}, 1);
+    Program prog(c);
+    load(prog, 0, {0});
+    auto p = makeProgram(c, prog, {{0, 0}}, {}, 1);
     expectPanic(p, {1.0, 2.0}, "wrong number of input values");
+}
+
+/** A program whose instruction 1 has a bank-mask bit at B, a bank the
+ *  machine does not have. */
+struct MaskFixture
+{
+    std::string what; ///< the Machine's panic
+    CompiledProgram prog;
+};
+
+std::vector<MaskFixture>
+maskBitPastLastBank()
+{
+    ArchConfig c = tinyCfg(); // B = 2
+    const uint64_t bad = bankBit(0) | bankBit(c.banks);
+    const std::string tail = " names bank 2 of 2 (instruction 1)";
+    auto fixture = [&](const std::string &field, auto build) {
+        Program prog(c);
+        prog.appendNop();
+        build(prog);
+        return MaskFixture{"malformed instruction: " + field + tail,
+                           makeProgram(c, prog, {}, {}, 1)};
+    };
+    return {
+        fixture("load enable",
+                [&](Program &p) { p.appendLoad(0, bad); }),
+        fixture("store enable",
+                [&](Program &p) { p.appendStore(0, bad); }),
+        fixture("copy_4 valid_rst",
+                [&](Program &p) { p.appendCopy4({}, bad); }),
+        fixture("exec valid_rst",
+                [&](Program &p) { p.appendExec(bad, 0); }),
+        fixture("exec write enable",
+                [&](Program &p) { p.appendExec(0, bad); }),
+    };
+}
+
+TEST(MachineIsa, MaskBitPastLastBankIsMalformed)
+{
+    // The verifier flags the same instruction the machine rejects.
+    for (const MaskFixture &f : maskBitPastLastBank()) {
+        SCOPED_TRACE(f.what);
+        VerifyReport report = verifyProgram(f.prog);
+        bool found = false;
+        for (const Diagnostic &d : report.diagnostics)
+            found |= d.code == VerifyCode::MalformedInstruction &&
+                     d.severity == VerifySeverity::Error &&
+                     d.instrIndex == 1;
+        EXPECT_TRUE(found) << report.toString(0);
+        expectPanic(f.prog, {}, f.what);
+    }
+}
+
+TEST(MachineIsa, LanesSizedForAnotherConfigAreMalformed)
+{
+    // An exec built for a 4-bank machine run as a 2-bank program: its
+    // lanes are never read at the wrong width.
+    Program prog(deepCfg());
+    prog.appendExec();
+    CompiledProgram p = makeProgram(tinyCfg(), prog, {}, {}, 1);
+    VerifyReport report = verifyProgram(p);
+    ASSERT_EQ(report.diagnostics.size(), 1u) << report.toString(0);
+    EXPECT_EQ(report.diagnostics[0].code,
+              VerifyCode::MalformedInstruction);
+    EXPECT_EQ(report.diagnostics[0].instrIndex, kVerifyNoInstr);
+    expectPanic(p, {}, "malformed program: its lanes are not sized for");
 }
 
 TEST(MachineIsa, FaultIsRaisedByEveryRunNotByConstruction)
@@ -528,17 +569,23 @@ TEST(MachineIsa, FaultIsRaisedByEveryRunNotByConstruction)
     std::vector<Case> cases;
     cases.push_back({"pipeline hazard: data still in flight",
                      makeProgram(c,
-                                 {load(0, {0}, c.banks),
-                                  store(1, 0, 0, c.banks)},
+                                 programOf(c,
+                                           [](Program &p) {
+                                               load(p, 0, {0});
+                                               store(p, 1, 0, 0);
+                                           }),
                                  {{0, 0}}, {{0, 1, 0}}, 2),
                      {1.0}});
-    cases.push_back({"read of invalid register",
-                     makeProgram(c, {store(0, 0, 0, c.banks)}, {}, {}, 1),
-                     {}});
+    cases.push_back(
+        {"read of invalid register",
+         makeProgram(c,
+                     programOf(c, [](Program &p) { store(p, 0, 0, 0); }),
+                     {}, {}, 1),
+         {}});
     {
-        std::vector<Instruction> prog;
+        Program prog(c);
         for (uint32_t i = 0; i < 5; ++i)
-            prog.push_back(load(i, {0}, c.banks));
+            load(prog, i, {0});
         cases.push_back({"write to a full register bank",
                          makeProgram(c, prog,
                                      {{0, 0}, {1, 0}, {2, 0}, {3, 0},
@@ -547,31 +594,42 @@ TEST(MachineIsa, FaultIsRaisedByEveryRunNotByConstruction)
                          {1, 2, 3, 4, 5}});
     }
     cases.push_back({"register leak at end",
-                     makeProgram(c, {load(0, {0}, c.banks), NopInstr{}},
+                     makeProgram(c,
+                                 programOf(c,
+                                           [](Program &p) {
+                                               load(p, 0, {0});
+                                               p.appendNop();
+                                           }),
                                  {{0, 0}}, {}, 1),
                      {5.0}});
     {
-        ExecInstr e = exec1(c, PeOp::Add, 0, 0, 0, true, true);
-        e.inputSel[1] = 5; // no bank 5
+        Program prog(c);
+        load(prog, 0, {0, 1});
+        prog.appendNop();
+        exec1(prog, PeOp::Add, 0, 0, 0, true, true).inputSel[1] =
+            5; // no bank 5
         cases.push_back({"bad crossbar select",
-                         makeProgram(c,
-                                     {load(0, {0, 1}, c.banks), NopInstr{},
-                                      e},
-                                     {{0, 0}, {0, 1}}, {}, 1),
+                         makeProgram(c, prog, {{0, 0}, {0, 1}}, {}, 1),
                          {1, 2}});
     }
-    cases.push_back({"load row out of range",
-                     makeProgram(c, {load(3, {0}, c.banks)}, {}, {}, 2),
-                     {}});
+    cases.push_back(
+        {"load row out of range",
+         makeProgram(c, programOf(c, [](Program &p) { load(p, 3, {0}); }),
+                     {}, {}, 2),
+         {}});
     {
-        ExecInstr e = idleExec(c);
-        e.writeEnable[0] = true; // the only PE is idle
+        Program prog(c);
+        idleExec(prog).writeEnable = bankBit(0); // the only PE is idle
         cases.push_back({"store-back from an idle PE",
-                         makeProgram(c, {e}, {}, {}, 1), {}});
+                         makeProgram(c, prog, {}, {}, 1), {}});
     }
-    cases.push_back({"input location out of range",
-                     makeProgram(c, {NopInstr{}}, {{1, 0}}, {}, 1),
-                     {1.0}});
+    cases.push_back(
+        {"input location out of range",
+         makeProgram(c, programOf(c, [](Program &p) { p.appendNop(); }),
+                     {{1, 0}}, {}, 1),
+         {1.0}});
+    for (MaskFixture &f : maskBitPastLastBank())
+        cases.push_back({f.what, std::move(f.prog), {}});
 
     for (const Case &k : cases) {
         SCOPED_TRACE(k.what);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <type_traits>
 
 #include "compiler/cache.hh"
@@ -42,65 +43,87 @@ tinyCfg()
     return cfgOf(1, 2, 2);
 }
 
+/** One instruction of a hand-built test program. */
+using Build = std::function<void(Program &)>;
+
 /** Wrap instructions into a CompiledProgram whose CompileStats are
  *  exactly consistent, so only the deliberately planted corruption
  *  fires (and never a collateral V040). */
 CompiledProgram
-makeProgram(std::vector<Instruction> instrs, uint32_t num_rows = 2)
+makeProgram(const std::vector<Build> &instrs, uint32_t num_rows = 2)
 {
     CompiledProgram prog;
     prog.cfg = tinyCfg();
-    prog.instructions = std::move(instrs);
+    prog.instructions = Program(prog.cfg);
+    for (const Build &build : instrs)
+        build(prog.instructions);
     prog.numRows = num_rows;
     CompileStats &s = prog.stats;
-    for (const Instruction &in : prog.instructions) {
-        ++s.kindCount[static_cast<size_t>(kindOf(in))];
-        if (const auto *ex = std::get_if<ExecInstr>(&in))
-            for (PeOp op : ex->peOp)
+    const Program &code = prog.instructions;
+    for (size_t i = 0; i < code.size(); ++i) {
+        ++s.kindCount[static_cast<size_t>(code[i].kind)];
+        if (code[i].kind == InstrKind::Exec)
+            for (PeOp op : code.exec(i).peOp)
                 if (op == PeOp::Add || op == PeOp::Mul)
                     ++s.peOpsExecuted;
     }
-    s.instructions = prog.instructions.size();
+    s.instructions = code.size();
     s.cycles = s.instructions + prog.cfg.pipelineStages();
     s.nops = s.kindCount[static_cast<size_t>(InstrKind::Nop)];
-    s.programBits = programSizeBits(prog.cfg, prog.instructions);
+    s.programBits = programSizeBits(prog.cfg, code);
     s.dataBits = uint64_t(prog.numRows) * prog.cfg.banks * 32;
     return prog;
 }
 
-LoadInstr
-load(uint32_t row, std::vector<bool> enable)
+/** Per-bank flags, bank 0 first, as a bank mask. */
+uint64_t
+maskOf(std::initializer_list<bool> lanes)
 {
-    LoadInstr in;
-    in.memRow = row;
-    in.enable = std::move(enable);
-    return in;
+    uint64_t m = 0, bit = 1;
+    for (bool on : lanes) {
+        if (on)
+            m |= bit;
+        bit <<= 1;
+    }
+    return m;
 }
 
-StoreInstr
-store(uint32_t row, std::vector<bool> enable,
+Build
+nop()
+{
+    return [](Program &p) { p.appendNop(); };
+}
+
+Build
+load(uint32_t row, std::initializer_list<bool> enable)
+{
+    uint64_t m = maskOf(enable);
+    return [=](Program &p) { p.appendLoad(row, m); };
+}
+
+Build
+store(uint32_t row, std::initializer_list<bool> enable,
       std::vector<uint16_t> addr)
 {
-    StoreInstr in;
-    in.memRow = row;
-    in.enable = std::move(enable);
-    in.readAddr = std::move(addr);
-    return in;
+    uint64_t m = maskOf(enable);
+    return [=](Program &p) {
+        std::span<uint16_t> lanes = p.appendStore(row, m);
+        std::copy(addr.begin(), addr.end(), lanes.begin());
+    };
 }
 
 /** Exec on the tiny machine: one PE, selects/addresses per bank. */
-ExecInstr
+Build
 exec(PeOp op, std::vector<uint16_t> sel, std::vector<uint16_t> addr,
-     std::vector<bool> rst, std::vector<bool> we)
+     std::initializer_list<bool> rst, std::initializer_list<bool> we)
 {
-    ExecInstr in;
-    in.peOp = {op};
-    in.inputSel = std::move(sel);
-    in.readAddr = std::move(addr);
-    in.validRst = std::move(rst);
-    in.writeEnable = std::move(we);
-    in.outputSel = {0, 0};
-    return in;
+    uint64_t r = maskOf(rst), w = maskOf(we);
+    return [=](Program &p) {
+        ExecLanes in = p.appendExec(r, w);
+        in.peOp[0] = op;
+        std::copy(sel.begin(), sel.end(), in.inputSel.begin());
+        std::copy(addr.begin(), addr.end(), in.readAddr.begin());
+    };
 }
 
 /** The only diagnostic in the report, formatted. */
@@ -118,16 +141,16 @@ soleDiagnostic(const VerifyReport &report)
 // ------------------------------------------------------------------ //
 
 /** load both banks -> exec add (frees both, writes b0) -> store. */
-std::vector<Instruction>
+std::vector<Build>
 legalBaseline()
 {
     return {
         load(0, {true, true}),
-        NopInstr{},
-        NopInstr{},
+        nop(),
+        nop(),
         exec(PeOp::Add, {0, 1}, {0, 0}, {true, true}, {true, false}),
-        NopInstr{},
-        NopInstr{},
+        nop(),
+        nop(),
         store(1, {true, false}, {0, 0}),
     };
 }
@@ -157,8 +180,8 @@ TEST(Verify, V002ReadAfterFree)
     // The store is b0@0's final read; the exec reads it afterwards.
     VerifyReport report = verifyProgram(makeProgram({
         load(0, {true, false}),
-        NopInstr{},
-        NopInstr{},
+        nop(),
+        nop(),
         store(1, {true, false}, {0, 0}),
         exec(PeOp::PassA, {0, 0}, {0, 0}, {false, false},
              {false, false}),
@@ -171,17 +194,16 @@ TEST(Verify, V002ReadAfterFree)
 TEST(Verify, V003BankDoubleWrite)
 {
     // Both copy_4 slots land in bank 0: two writes, one write port.
-    Copy4Instr copy;
-    copy.slots[0] = {true, 0, 0, 0};
-    copy.slots[1] = {true, 1, 0, 0};
-    copy.validRst = {true, false};
+    Build copy = [](Program &p) {
+        p.appendCopy4({{true, 0, 0, 0}, {true, 1, 0, 0}}, bankBit(0));
+    };
     VerifyReport report = verifyProgram(makeProgram({
         load(0, {true, true}),
-        NopInstr{},
-        NopInstr{},
+        nop(),
+        nop(),
         copy,
-        NopInstr{},
-        NopInstr{},
+        nop(),
+        nop(),
         store(1, {true, true}, {0, 0}),
         store(1, {true, false}, {1, 0}),
     }));
@@ -221,8 +243,8 @@ TEST(Verify, V006DoubleFree)
     // valid_rst on bank 1, which this exec does not read.
     VerifyReport report = verifyProgram(makeProgram({
         load(0, {true, true}),
-        NopInstr{},
-        NopInstr{},
+        nop(),
+        nop(),
         exec(PeOp::PassA, {0, 0}, {0, 0}, {true, true},
              {false, false}),
         store(1, {false, true}, {0, 0}),
@@ -283,19 +305,20 @@ TEST(Verify, V020SelectOutOfBounds)
 TEST(Verify, V022MalformedInstruction)
 {
     VerifyReport report = verifyProgram(makeProgram({
-        load(0, {true}), // one enable lane on a two-bank machine
+        load(0, {false, false, true}), // bank 2 of a two-bank machine
     }));
     EXPECT_EQ(soleDiagnostic(report),
               "instr 0: error V022-malformed-instruction: load enable "
-              "has 1 lanes for 2 banks");
+              "names bank 2 of 2");
 }
 
 TEST(Verify, V022UndefinedPeOp)
 {
     // Opcodes above PassB have no meaning; the simulator would panic
     // on one, so the verifier must flag it.
-    std::vector<Instruction> instrs = legalBaseline();
-    std::get<ExecInstr>(instrs[3]).peOp[0] = static_cast<PeOp>(7);
+    std::vector<Build> instrs = legalBaseline();
+    instrs[3] = exec(static_cast<PeOp>(7), {0, 1}, {0, 0}, {true, true},
+                     {true, false});
     VerifyReport report = verifyProgram(makeProgram(std::move(instrs)));
     EXPECT_EQ(soleDiagnostic(report),
               "instr 3: error V022-malformed-instruction: undefined PE "
@@ -505,7 +528,7 @@ TEST(Verify, ReportTruncatesAtTheCap)
 {
     // 300 never-written reads: the cap (256) stops recording but the
     // replay (and the truncated marker) keep going.
-    std::vector<Instruction> instrs(
+    std::vector<Build> instrs(
         300, exec(PeOp::PassA, {0, 0}, {0, 0}, {false, false},
                   {false, false}));
     VerifyReport report = verifyProgram(makeProgram(std::move(instrs)));

@@ -76,14 +76,13 @@ parseArgs(int argc, char **argv, Args &args)
  *  to (when it anchors to one). */
 void
 printDiagnostic(const ArchConfig &cfg,
-                const std::vector<Instruction> &instrs,
-                const Diagnostic &d)
+                const Program &instrs, const Diagnostic &d)
 {
     std::printf("  %s\n", d.format().c_str());
     if (d.instrIndex != kVerifyNoInstr && d.instrIndex < instrs.size())
         std::printf("    | %llu: %s\n",
                     static_cast<unsigned long long>(d.instrIndex),
-                    disassemble(cfg, instrs[d.instrIndex]).c_str());
+                    disassemble(cfg, instrs, d.instrIndex).c_str());
 }
 
 /** Lint one file; true when it is clean of errors. */
