@@ -6,20 +6,19 @@
  * addressing, §IV bank-conflict copies and hazard NOPs) means every
  * downstream consumer — Machine, BatchMachine, the serving stack, DSE
  * sweeps over thousands of cached programs — trusts that the compiler
- * emitted a *legal* program. This pass proves it statically, much as
- * the cycle-accurate simulator proves it once per program when a
- * Machine is built: it replays the register file abstractly (no
- * values, only validity and timing) and emits structured,
- * machine-readable diagnostics instead of panicking, so tools
- * (dpulint) and tests can inspect exactly what is wrong and where.
+ * emitted a *legal* program. This pass proves it statically and emits
+ * structured, machine-readable diagnostics instead of panicking, so
+ * tools (dpulint) and tests can inspect exactly what is wrong and where.
  *
  * Two entry points:
  *  - verifyIr(): after codegen/merge (hazards not yet resolved) and
  *    after the pipeline scheduler (hazards resolved) — register
  *    instances instead of concrete addresses.
- *  - verifyProgram(): over the final CompiledProgram — concrete
- *    instructions, automatic-write replay mirroring finalize.cc and
- *    sim/machine.cc, plus CompileStats cross-checks.
+ *  - verifyProgram(): over the final CompiledProgram, through the
+ *    schedule replay a Machine runs at construction (sim/replay.hh)
+ *    under a policy that collects every fault. Only lint checks are
+ *    made here and not by the Machine: V003, V006 for a copy_4
+ *    valid_rst that frees nothing, the V011 warning and V040.
  */
 
 #ifndef DPU_COMPILER_VERIFY_HH
@@ -153,21 +152,13 @@ VerifyReport verifyIr(const IrProgram &ir, const ArchConfig &cfg,
                       const VerifyIrOptions &options = {});
 
 /**
- * Verify a final compiled program: abstract replay of the register
- * file (validity + automatic write addresses + pipeline clocks,
- * mirroring sim/machine.cc), occupancy never above regsPerBank, all
- * rows/selects in bounds, every bank mask within B (V022), no leaks at
- * program end, and recomputed kindCount/instructions/cycles/nops/
- * peOpsExecuted/programBits/dataBits equal to prog.stats (V040). Safe
- * on arbitrary garbage (e.g. a corrupted cache spill): structural
- * checks run before any indexed access.
- *
- * Cost: one pass over the instructions, O(1) per register access. The
- * register file is the machine's layout, 64-bit valid words per bank,
- * so an automatic write finds the lowest free address with a
- * count-trailing-zeros per word instead of a scan of R slots; the
- * walk visits only the banks a mask names; and each PE's input
- * sources are computed once per program, not per exec.
+ * Verify a final compiled program: the Machine's schedule replay
+ * (validity, automatic write addresses, pipeline clocks, occupancy,
+ * every row/select/bank-mask range, leaks at program end), skipping
+ * each faulting action and going on, then the replay's counts against
+ * prog.stats (V040). Safe on arbitrary garbage (e.g. a corrupted cache
+ * spill): structural checks run before any indexed access. One pass
+ * over the instructions, O(1) per register access.
  */
 VerifyReport verifyProgram(const CompiledProgram &prog);
 

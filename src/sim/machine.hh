@@ -19,12 +19,12 @@
  * DPU-v2 has no data-dependent control, and the compiler fixes every
  * register address, so a program's timing, register allocation and
  * legality do not depend on its input values. A Machine therefore
- * simulates the schedule once, at construction. It replays the program
- * on value ids instead of values through the whole model above: valid
- * bits as 64-bit words per bank (the lowest free address is a
- * count-trailing-zeros), the cycle each register's data arrives, the
- * live-register count, every hazard check and every SimStats counter.
- * What is left is a flat list of the PE adds and muls on value ids.
+ * simulates the schedule once, at construction: the replay engine of
+ * verifyProgram() (sim/replay.hh), under its first-fault policy, walks
+ * the program on value ids through the whole model above. What is left
+ * is a flat list of the PE adds and muls on value ids. The Machine
+ * faults on every verifier error except the lint-only ones: V003, a
+ * copy_4 valid_rst that frees nothing (V006), and V040.
  *
  * Machine::run is const and keeps its state local, so one Machine may
  * run many inputs, concurrently from several threads. A run costs one

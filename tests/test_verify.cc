@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <functional>
 #include <type_traits>
 
@@ -572,16 +574,24 @@ TEST(ProgramImage, MutatedImagesNeverPanic)
 {
     // Every bit-flipped image of a real program must end as a rejected
     // image (deserializeProgram false), as verifier errors, or as a
-    // clean simulation — never as a PanicError or bad_alloc anywhere
-    // on the way (the verifier is the gate before Machine::run). The
-    // shapes span 2 to 56 PEs per exec and 3 to 6 register address
-    // bits.
+    // clean simulation — never as an unexpected PanicError or bad_alloc
+    // anywhere on the way. Every image that deserializes also gets a
+    // Machine, and the two readings of it must agree: (a) a Machine
+    // fault means verifier errors, and (b) an error the Machine also
+    // checks means a Machine fault. The shapes span 2 to 56 PEs per
+    // exec and 3 to 6 register address bits.
     struct Shape
     {
         uint32_t depth, banks, regs;
     };
     const Shape shapes[] = {{2, 8, 32}, {3, 16, 16}, {1, 4, 8},
                             {3, 64, 64}};
+    const VerifyCode machine_codes[] = {
+        VerifyCode::UseBeforeDef,      VerifyCode::ReadAfterFree,
+        VerifyCode::RegFileOverflow,   VerifyCode::RegisterLeak,
+        VerifyCode::RowOutOfBounds,    VerifyCode::IoLocOutOfBounds,
+        VerifyCode::SelectOutOfBounds, VerifyCode::MalformedInstruction,
+        VerifyCode::PipelineHazard};
     Rng rng(20261017);
     size_t rejected = 0, flagged = 0, ran = 0;
     for (const Shape &sh : shapes) {
@@ -602,14 +612,34 @@ TEST(ProgramImage, MutatedImagesNeverPanic)
                     ++rejected;
                     continue;
                 }
-                if (verifyProgram(prog).errorCount() > 0) {
-                    ++flagged;
-                    continue;
+                const VerifyReport report = verifyProgram(prog);
+                std::string fault;
+                try {
+                    Machine m(prog);
+                    std::vector<double> inputs(prog.inputLocation.size(),
+                                               0.5);
+                    try {
+                        m.run(inputs);
+                    } catch (const PanicError &e) {
+                        fault = e.what();
+                    }
+                } catch (const FatalError &e) {
+                    fault = e.what();
                 }
-                std::vector<double> inputs(prog.inputLocation.size(),
-                                           0.5);
-                Machine(prog).run(inputs);
-                ++ran;
+                bool machine_error = false;
+                for (const Diagnostic &diag : report.diagnostics)
+                    machine_error |=
+                        diag.severity == VerifySeverity::Error &&
+                        std::find(std::begin(machine_codes),
+                                  std::end(machine_codes),
+                                  diag.code) != std::end(machine_codes);
+                if (!fault.empty()) {
+                    EXPECT_GT(report.errorCount(), 0u) << fault;
+                }
+                if (machine_error) {
+                    EXPECT_FALSE(fault.empty()) << report.toString();
+                }
+                ++(report.errorCount() > 0 ? flagged : ran);
             } catch (const std::exception &e) {
                 ADD_FAILURE() << e.what();
             }
@@ -619,6 +649,59 @@ TEST(ProgramImage, MutatedImagesNeverPanic)
     EXPECT_GT(rejected, 0u);
     EXPECT_GT(flagged, 0u);
     EXPECT_GT(ran, 0u);
+}
+
+TEST(ProgramImage, HugeRowCountIsNotAllocated)
+{
+    // An image's row count is a raw u32. When its stats.dataBits agree,
+    // the verifier reports only the V011 warning, so the Machine must
+    // hold just the rows the program names, not numRows of them — also
+    // when one of those rows is the last of 2^30.
+    const ArchConfig cfg = cfgOf(2, 8, 32);
+    const CompiledProgram base =
+        compile(generateRandomDag(6, 48, 17 + cfg.banks), cfg);
+    std::vector<double> inputs(base.inputLocation.size());
+    for (size_t k = 0; k < inputs.size(); ++k)
+        inputs[k] = 0.5 + double(k) / 7;
+    const std::vector<double> want = Machine(base).run(inputs).outputs;
+    struct Case
+    {
+        uint32_t rows;
+        bool moveInputRow;
+    };
+    for (const Case c : {Case{1u << 27, false}, Case{1u << 30, false},
+                         Case{1u << 30, true}}) {
+        SCOPED_TRACE(std::to_string(c.rows) +
+                     (c.moveInputRow ? " rows, input row moved" : " rows"));
+        CompiledProgram crafted = base;
+        crafted.numRows = c.rows;
+        crafted.stats.dataBits = uint64_t(c.rows) * cfg.banks * 32;
+        if (c.moveInputRow) {
+            const uint32_t from = base.inputLocation[0].first;
+            const uint32_t to = c.rows - 1;
+            for (auto &loc : crafted.inputLocation)
+                if (loc.first == from)
+                    loc.first = to;
+            for (auto &o : crafted.outputs)
+                if (o.row == from)
+                    o.row = to;
+            Program &code = crafted.instructions;
+            for (size_t i = 0; i < code.size(); ++i)
+                if (code[i].kind == InstrKind::Load &&
+                    code[i].memRow == from)
+                    code.setMemRow(i, to);
+        }
+        CompiledProgram prog;
+        ASSERT_TRUE(deserializeProgram(serializeProgram(crafted), prog));
+        const VerifyReport report = verifyProgram(prog);
+        EXPECT_EQ(report.errorCount(), 0u) << report.toString();
+        const std::vector<double> got = Machine(prog).run(inputs).outputs;
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t k = 0; k < got.size(); ++k)
+            EXPECT_EQ(std::bit_cast<uint64_t>(got[k]),
+                      std::bit_cast<uint64_t>(want[k]))
+                << "output " << k;
+    }
 }
 
 } // namespace
