@@ -134,14 +134,10 @@ BM_Simulate(benchmark::State &state)
 }
 BENCHMARK(BM_Simulate)->Unit(benchmark::kMillisecond);
 
-/** Construct a Machine and run it once: what a one-shot
- *  Machine(prog).run(input) costs. Construction resolves registers,
- *  timing and every check, so this keeps that cost measured while
- *  BM_Simulate times only the reused Machine's runs. */
+/** Construct a Machine for `prog` and run it once per iteration. */
 void
-BM_MachineOneShot(benchmark::State &state)
+machineOneShot(benchmark::State &state, const CompiledProgram &prog)
 {
-    const auto &prog = benchProgram();
     Rng rng(1);
     std::vector<double> in(benchDag().numInputs());
     for (auto &x : in)
@@ -153,7 +149,40 @@ BM_MachineOneShot(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             int64_t(prog.instructions.size()));
 }
+
+/** Construct a Machine and run it once: what a one-shot
+ *  Machine(prog).run(input) costs. Construction resolves registers,
+ *  timing and every check, so this keeps that cost measured while
+ *  BM_Simulate times only the reused Machine's runs. */
+void
+BM_MachineOneShot(benchmark::State &state)
+{
+    machineOneShot(state, benchProgram());
+}
 BENCHMARK(BM_MachineOneShot)->Unit(benchmark::kMillisecond);
+
+/** BM_MachineOneShot with every data-memory row moved up by 2^15 in a
+ *  space of 2^30 rows, as only a crafted image has: the Machine holds
+ *  these past the rows it indexes directly and finds them by binary
+ *  search. */
+void
+BM_MachineSparseRows(benchmark::State &state)
+{
+    CompiledProgram prog = benchProgram();
+    const uint32_t by = 1u << 15; // store_4 rows are 16 bits
+    prog.numRows = 1u << 30;
+    for (auto &loc : prog.inputLocation)
+        loc.first += by;
+    for (auto &o : prog.outputs)
+        o.row += by;
+    Program &code = prog.instructions;
+    for (size_t i = 0; i < code.size(); ++i)
+        if (code[i].kind >= InstrKind::Load &&
+            code[i].kind <= InstrKind::Store4)
+            code.setMemRow(i, code[i].memRow + by);
+    machineOneShot(state, prog);
+}
+BENCHMARK(BM_MachineSparseRows)->Unit(benchmark::kMillisecond);
 
 void
 BM_EncodeProgram(benchmark::State &state)

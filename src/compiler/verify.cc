@@ -10,7 +10,9 @@ namespace dpu {
 
 namespace {
 
-using detail::cat;
+// ------------------------------------------------------------------ //
+// IR-level pass.                                                     //
+// ------------------------------------------------------------------ //
 
 class IrVerifier
 {
@@ -34,10 +36,11 @@ class IrVerifier
         for (size_t id = 0; id < ir.instances.size(); ++id) {
             if (written[id] && !freed[id])
                 sink.add(VerifyCode::RegisterLeak, kVerifyNoInstr,
-                         cat("instance #", id, " (bank ",
-                             ir.instances[id].bank,
-                             ") is written but never freed by a last "
-                             "read"));
+                         "instance #" + std::to_string(id) +
+                             " (bank " +
+                             std::to_string(ir.instances[id].bank) +
+                             ") is written but never freed by a "
+                             "last read");
         }
     }
 
@@ -47,10 +50,13 @@ class IrVerifier
     {
         for (size_t id = 0; id < ir.instances.size(); ++id) {
             if (ir.instances[id].bank >= cfg.banks)
-                sink.add(VerifyCode::MalformedInstruction, kVerifyNoInstr,
-                         cat("instance #", id, " lives in bank ",
-                             ir.instances[id].bank, " but the machine has ",
-                             cfg.banks, " banks"));
+                sink.add(VerifyCode::MalformedInstruction,
+                         kVerifyNoInstr,
+                         "instance #" + std::to_string(id) +
+                             " lives in bank " +
+                             std::to_string(ir.instances[id].bank) +
+                             " but the machine has " +
+                             std::to_string(cfg.banks) + " banks");
         }
     }
 
@@ -61,9 +67,12 @@ class IrVerifier
             auto [row, col] = ir.inputLocation[k];
             if (row >= ir.inputRows || col >= cfg.banks)
                 sink.add(VerifyCode::IoLocOutOfBounds, kVerifyNoInstr,
-                         cat("input ", k, " at (", row, ", ", col,
-                             ") outside the input region (", ir.inputRows,
-                             " rows x ", cfg.banks, " cols)"));
+                         "input " + std::to_string(k) + " at (" +
+                             std::to_string(row) + ", " +
+                             std::to_string(col) +
+                             ") outside the input region (" +
+                             std::to_string(ir.inputRows) + " rows x " +
+                             std::to_string(cfg.banks) + " cols)");
         }
         // Sinks that are Input nodes keep their input-region location
         // (a pass-through), so outputs may land anywhere in the io
@@ -73,9 +82,12 @@ class IrVerifier
             const auto &o = ir.outputs[k];
             if (o.row >= row_end || o.col >= cfg.banks)
                 sink.add(VerifyCode::IoLocOutOfBounds, kVerifyNoInstr,
-                         cat("output ", k, " at (", o.row, ", ", o.col,
-                             ") outside the io region (", row_end,
-                             " rows x ", cfg.banks, " cols)"));
+                         "output " + std::to_string(k) + " at (" +
+                             std::to_string(o.row) + ", " +
+                             std::to_string(o.col) +
+                             ") outside the io region (" +
+                             std::to_string(row_end) + " rows x " +
+                             std::to_string(cfg.banks) + " cols)");
         }
     }
 
@@ -85,7 +97,8 @@ class IrVerifier
     {
         if (id == invalidInstance || id >= ir.instances.size()) {
             sink.add(VerifyCode::MalformedInstruction, t,
-                     cat("reference to nonexistent instance #", id));
+                     "reference to nonexistent instance #" +
+                         std::to_string(id));
             return false;
         }
         return ir.instances[id].bank < cfg.banks;
@@ -101,23 +114,26 @@ class IrVerifier
             uint32_t bank = ir.instances[r.inst].bank;
             if (banks_read & bankBit(bank))
                 sink.add(VerifyCode::BankConflict, t,
-                         cat("two reads of bank ", bank,
-                             " in one instruction (one read port per bank)"));
+                         "two reads of bank " + std::to_string(bank) +
+                             " in one instruction (one read port per "
+                             "bank)");
             banks_read |= bankBit(bank);
 
             if (freed[r.inst])
                 sink.add(VerifyCode::ReadAfterFree, t,
-                         cat("read of instance #", r.inst, " (bank ", bank,
-                             ") after its last-read free"));
+                         "read of instance #" + std::to_string(r.inst) +
+                             " (bank " + std::to_string(bank) +
+                             ") after its last-read free");
             else if (!written[r.inst])
                 sink.add(VerifyCode::UseBeforeDef, t,
-                         cat("read of instance #", r.inst, " (bank ", bank,
-                             ") before any write"));
+                         "read of instance #" + std::to_string(r.inst) +
+                             " (bank " + std::to_string(bank) +
+                             ") before any write");
             else if (opt.hazardsResolved && readableAt[r.inst] > t)
                 sink.add(VerifyCode::PipelineHazard, t,
-                         cat("read of instance #", r.inst,
-                             " while its data is in flight until t=",
-                             readableAt[r.inst]));
+                         "read of instance #" + std::to_string(r.inst) +
+                             " while its data is in flight until t=" +
+                             std::to_string(readableAt[r.inst]));
             if (r.lastRead)
                 freed[r.inst] = true;
         }
@@ -133,16 +149,16 @@ class IrVerifier
             uint32_t bank = ir.instances[w.inst].bank;
             if (banks_written & bankBit(bank))
                 sink.add(VerifyCode::BankConflict, t,
-                         cat("two writes of bank ", bank,
-                             " in one instruction (one write per bank per "
-                             "cycle)"));
+                         "two writes of bank " + std::to_string(bank) +
+                             " in one instruction (one write per bank "
+                             "per cycle)");
             banks_written |= bankBit(bank);
 
             if (written[w.inst])
                 sink.add(VerifyCode::DoubleWrite, t,
-                         cat("instance #", w.inst,
+                         "instance #" + std::to_string(w.inst) +
                              " is written twice (instances are "
-                             "single-assignment)"));
+                             "single-assignment)");
             written[w.inst] = true;
             readableAt[w.inst] = t + writeLatency(in.kind, cfg);
 
@@ -150,18 +166,23 @@ class IrVerifier
                 uint32_t pe = ir.instances[w.inst].writerPe;
                 if (pe >= cfg.numPes()) {
                     sink.add(VerifyCode::SelectOutOfBounds, t,
-                             cat("exec write of instance #", w.inst,
-                                 " claims writer PE ", pe, " of ",
-                                 cfg.numPes()));
+                             "exec write of instance #" +
+                                 std::to_string(w.inst) +
+                                 " claims writer PE " +
+                                 std::to_string(pe) + " of " +
+                                 std::to_string(cfg.numPes()));
                 } else {
                     auto writable = writableBanks(cfg, pe);
                     if (std::find(writable.begin(), writable.end(),
                                   bank) == writable.end())
                         sink.add(VerifyCode::SelectOutOfBounds, t,
-                                 cat("PE ", pe, " cannot write bank ", bank,
-                                     " under the ",
-                                     interconnectName(cfg.outputNet),
-                                     " output interconnect"));
+                                 "PE " + std::to_string(pe) +
+                                     " cannot write bank " +
+                                     std::to_string(bank) +
+                                     " under the " +
+                                     std::string(interconnectName(
+                                         cfg.outputNet)) +
+                                     " output interconnect");
                 }
             }
         }
@@ -177,9 +198,9 @@ class IrVerifier
           case InstrKind::Load:
             if (in.memRow >= ir.inputRows)
                 sink.add(VerifyCode::RowOutOfBounds, t,
-                         cat("load of row ", in.memRow,
-                             " outside the input region of ", ir.inputRows,
-                             " rows"));
+                         "load of row " + std::to_string(in.memRow) +
+                             " outside the input region of " +
+                             std::to_string(ir.inputRows) + " rows");
             break;
 
           case InstrKind::Store:
@@ -187,19 +208,22 @@ class IrVerifier
             uint32_t row_end = ir.inputRows + ir.outputRows;
             if (in.memRow < ir.inputRows || in.memRow >= row_end)
                 sink.add(VerifyCode::RowOutOfBounds, t,
-                         cat("store of row ", in.memRow,
-                             " outside the output region (rows [",
-                             ir.inputRows, ", ", row_end, "))"));
+                         "store of row " + std::to_string(in.memRow) +
+                             " outside the output region (rows [" +
+                             std::to_string(ir.inputRows) + ", " +
+                             std::to_string(row_end) + "))");
             if (in.kind == InstrKind::Store4 && in.reads.size() > 4)
                 sink.add(VerifyCode::MalformedInstruction, t,
-                         cat("store_4 with ", in.reads.size(),
-                             " reads (4 slots)"));
+                         "store_4 with " +
+                             std::to_string(in.reads.size()) +
+                             " reads (4 slots)");
             for (const IrRead &r : in.reads)
                 if (!r.lastRead)
                     sink.add(VerifyCode::MalformedInstruction, t,
-                             cat("store read of instance #", r.inst,
-                                 " does not free its source (stores are "
-                                 "final reads)"));
+                             "store read of instance #" +
+                                 std::to_string(r.inst) +
+                                 " does not free its source (stores "
+                                 "are final reads)");
             break;
           }
 
@@ -207,27 +231,35 @@ class IrVerifier
             if (in.reads.size() != in.writes.size() ||
                 in.reads.size() > 4)
                 sink.add(VerifyCode::MalformedInstruction, t,
-                         cat("copy_4 with ", in.reads.size(), " reads / ",
-                             in.writes.size(), " writes (paired, at most 4)"));
+                         "copy_4 with " +
+                             std::to_string(in.reads.size()) +
+                             " reads / " +
+                             std::to_string(in.writes.size()) +
+                             " writes (paired, at most 4)");
             break;
 
           case InstrKind::Exec:
             if (in.inputSel.size() != cfg.banks) {
                 sink.add(VerifyCode::MalformedInstruction, t,
-                         cat("exec with ", in.inputSel.size(),
-                             " crossbar selects for ", cfg.banks, " ports"));
+                         "exec with " +
+                             std::to_string(in.inputSel.size()) +
+                             " crossbar selects for " +
+                             std::to_string(cfg.banks) + " ports");
             } else {
                 for (uint32_t port = 0; port < cfg.banks; ++port)
                     if (in.inputSel[port] >= cfg.banks)
                         sink.add(VerifyCode::SelectOutOfBounds, t,
-                                 cat("crossbar select ", in.inputSel[port],
-                                     " on port ", port, " of ", cfg.banks,
-                                     " banks"));
+                                 "crossbar select " +
+                                     std::to_string(in.inputSel[port]) +
+                                     " on port " + std::to_string(port) +
+                                     " of " + std::to_string(cfg.banks) +
+                                     " banks");
             }
             if (in.blockId >= opt.numBlocks)
                 sink.add(VerifyCode::BlockOutOfBounds, t,
-                         cat("exec references block ", in.blockId, " of ",
-                             opt.numBlocks));
+                         "exec references block " +
+                             std::to_string(in.blockId) + " of " +
+                             std::to_string(opt.numBlocks));
             break;
         }
 

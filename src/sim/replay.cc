@@ -121,41 +121,46 @@ class Replay
                       : cat(machine, " (instruction ", at, ")"));
     }
 
-    /** First fault: data memory is indexed by row while numRows is
-     *  within twice the program's size, as in compiled programs.
-     *  Otherwise it holds only the rows the program names (I/O
-     *  locations, in-range load/store rows), compacted, so its size
-     *  follows the program, not numRows. */
+    /** First fault: data memory. The first min(numRows, inputs +
+     *  outputs) rows, which hold every row of a compiled program, are
+     *  indexed directly. A row past them that the program names (an I/O
+     *  location or an in-range load/store row) is held after them, found
+     *  by binary search. So data memory is at most two rows per input,
+     *  output, load or store, however many rows an image claims. */
     void
     nameRows()
     {
-        const size_t size =
-            prog.inputLocation.size() + prog.outputs.size() + code.size();
-        if (prog.numRows <= 2 * size) {
-            mem.assign(size_t(prog.numRows) * cfg.banks, 0);
-            return;
+        window = std::min<uint64_t>(
+            prog.numRows, prog.inputLocation.size() + prog.outputs.size());
+        auto name = [&](uint32_t row) {
+            if (row >= window && row < prog.numRows)
+                pastWindow.push_back(row);
+        };
+        if (window < prog.numRows) { // else no row is past the window
+            for (const auto &loc : prog.inputLocation)
+                name(loc.first);
+            for (const auto &o : prog.outputs)
+                name(o.row);
+            for (const Instr &in : code)
+                if (in.kind >= InstrKind::Load &&
+                    in.kind <= InstrKind::Store4)
+                    name(in.memRow);
+            std::ranges::sort(pastWindow);
+            const auto dups = std::ranges::unique(pastWindow);
+            pastWindow.erase(dups.begin(), dups.end());
         }
-        for (const auto &loc : prog.inputLocation)
-            rows.push_back(loc.first);
-        for (const auto &o : prog.outputs)
-            rows.push_back(o.row);
-        for (const Instr &in : code)
-            if (in.kind >= InstrKind::Load && in.kind <= InstrKind::Store4)
-                rows.push_back(in.memRow);
-        std::erase_if(rows, [&](uint32_t r) { return r >= prog.numRows; });
-        std::ranges::sort(rows);
-        rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-        mem.assign(rows.size() * cfg.banks, 0);
+        mem.assign((window + pastWindow.size()) * cfg.banks, 0);
     }
 
-    /** First fault: the value ids of a named row. */
+    /** First fault: the value ids of a row below numRows. */
     uint32_t *
     rowAt(uint32_t row)
     {
-        const size_t k =
-            rows.empty() ? row
-                         : std::ranges::lower_bound(rows, row) - rows.begin();
-        return mem.data() + k * cfg.banks;
+        if (row < window)
+            return mem.data() + size_t(row) * cfg.banks;
+        const auto past = std::ranges::lower_bound(pastWindow, row);
+        return mem.data() +
+               (window + (past - pastWindow.begin())) * cfg.banks;
     }
 
     /** The row a `what` ("load", "store", "store_4") addresses: its
@@ -646,9 +651,9 @@ class Replay
     uint64_t at = kVerifyNoInstr;        ///< the instruction being replayed
 
     // First fault only.
-    /** The rows the program names, ascending, when compacted; empty
-     *  when rows are indexed directly. */
-    std::vector<uint32_t> rows;
+    uint64_t window = 0; ///< rows indexed directly
+    /** The rows past the window the program names, ascending. */
+    std::vector<uint32_t> pastWindow;
     std::vector<uint32_t> mem; ///< value ids, B per held row
     /** Exec scratch: the id each PE outputs (B <= 64, so < 64 PEs). */
     std::array<uint32_t, 64> peOut{};

@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <type_traits>
 
 #include "compiler/cache.hh"
@@ -22,6 +25,32 @@
 #include "support/rng.hh"
 #include "workloads/pc_generator.hh"
 #include "workloads/suite.hh"
+
+/** Bytes operator new has handed out, so a test can bound what one call
+ *  allocates. The replacements below stay out of line: inlined, GCC
+ *  pairs malloc with delete, or new with free, and warns of a mismatch. */
+static std::atomic<uint64_t> newBytes{0};
+
+[[gnu::noinline]] void *
+operator new(std::size_t n)
+{
+    newBytes.fetch_add(n, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace dpu {
 namespace {
@@ -656,7 +685,7 @@ TEST(ProgramImage, HugeRowCountIsNotAllocated)
     // An image's row count is a raw u32. When its stats.dataBits agree,
     // the verifier reports only the V011 warning, so the Machine must
     // hold just the rows the program names, not numRows of them — also
-    // when one of those rows is the last of 2^30.
+    // when those are far from row 0.
     const ArchConfig cfg = cfgOf(2, 8, 32);
     const CompiledProgram base =
         compile(generateRandomDag(6, 48, 17 + cfg.banks), cfg);
@@ -664,44 +693,81 @@ TEST(ProgramImage, HugeRowCountIsNotAllocated)
     for (size_t k = 0; k < inputs.size(); ++k)
         inputs[k] = 0.5 + double(k) / 7;
     const std::vector<double> want = Machine(base).run(inputs).outputs;
+    // Round-trip `crafted` through an image and check it runs like
+    // `base`; returns the bytes its Machine construction allocated.
+    auto check = [&](const CompiledProgram &crafted) {
+        CompiledProgram prog;
+        EXPECT_TRUE(deserializeProgram(serializeProgram(crafted), prog));
+        const VerifyReport report = verifyProgram(prog);
+        EXPECT_EQ(report.errorCount(), 0u) << report.toString();
+        const uint64_t before = newBytes;
+        const Machine m(prog);
+        const uint64_t bytes = newBytes - before;
+        const std::vector<double> got = m.run(inputs).outputs;
+        EXPECT_EQ(got.size(), want.size());
+        for (size_t k = 0; k < std::min(got.size(), want.size()); ++k)
+            EXPECT_EQ(std::bit_cast<uint64_t>(got[k]),
+                      std::bit_cast<uint64_t>(want[k]))
+                << "output " << k;
+        return bytes;
+    };
+    // Data memory holds at most two rows of B words per input, output,
+    // load and store: one indexed directly, one named past those. With
+    // its bookkeeping, a crafted copy of `base` costs at most twice that
+    // more, never numRows rows.
+    size_t refs = base.inputLocation.size() + base.outputs.size();
+    for (size_t i = 0; i < base.instructions.size(); ++i) {
+        const InstrKind kind = base.instructions[i].kind;
+        refs += kind >= InstrKind::Load && kind <= InstrKind::Store4;
+    }
+    const uint64_t bound =
+        check(base) + 4 * refs * cfg.banks * sizeof(uint32_t);
     struct Case
     {
         uint32_t rows;
-        bool moveInputRow;
+        bool moveRows;
     };
     for (const Case c : {Case{1u << 27, false}, Case{1u << 30, false},
                          Case{1u << 30, true}}) {
         SCOPED_TRACE(std::to_string(c.rows) +
-                     (c.moveInputRow ? " rows, input row moved" : " rows"));
+                     (c.moveRows ? " rows, rows moved up" : " rows"));
         CompiledProgram crafted = base;
         crafted.numRows = c.rows;
         crafted.stats.dataBits = uint64_t(c.rows) * cfg.banks * 32;
-        if (c.moveInputRow) {
-            const uint32_t from = base.inputLocation[0].first;
-            const uint32_t to = c.rows - 1;
+        if (c.moveRows) {
+            // Past the rows the Machine indexes directly; store_4 rows
+            // are 16 bits.
+            const uint32_t by = 1u << 15;
             for (auto &loc : crafted.inputLocation)
-                if (loc.first == from)
-                    loc.first = to;
+                loc.first += by;
             for (auto &o : crafted.outputs)
-                if (o.row == from)
-                    o.row = to;
+                o.row += by;
             Program &code = crafted.instructions;
             for (size_t i = 0; i < code.size(); ++i)
-                if (code[i].kind == InstrKind::Load &&
-                    code[i].memRow == from)
-                    code.setMemRow(i, to);
+                if (code[i].kind >= InstrKind::Load &&
+                    code[i].kind <= InstrKind::Store4)
+                    code.setMemRow(i, code[i].memRow + by);
         }
-        CompiledProgram prog;
-        ASSERT_TRUE(deserializeProgram(serializeProgram(crafted), prog));
-        const VerifyReport report = verifyProgram(prog);
-        EXPECT_EQ(report.errorCount(), 0u) << report.toString();
-        const std::vector<double> got = Machine(prog).run(inputs).outputs;
-        ASSERT_EQ(got.size(), want.size());
-        for (size_t k = 0; k < got.size(); ++k)
-            EXPECT_EQ(std::bit_cast<uint64_t>(got[k]),
-                      std::bit_cast<uint64_t>(want[k]))
-                << "output " << k;
+        EXPECT_LE(check(crafted), bound);
     }
+    // A nop is a few bits of image and names no row, so a row count of
+    // twice the program's size must not cost data memory either.
+    SCOPED_TRACE("nop-padded, rows = 2 x size");
+    CompiledProgram padded = base;
+    const uint64_t nops = 1u << 18;
+    for (uint64_t k = 0; k < nops; ++k)
+        padded.instructions.appendNop();
+    CompileStats &s = padded.stats;
+    s.kindCount[size_t(InstrKind::Nop)] += nops;
+    s.nops += nops;
+    s.instructions += nops;
+    s.cycles += nops;
+    s.programBits += nops * IsaLayout(cfg).lengthBits(InstrKind::Nop);
+    padded.numRows = static_cast<uint32_t>(
+        2 * (padded.inputLocation.size() + padded.outputs.size() +
+             padded.instructions.size()));
+    s.dataBits = uint64_t(padded.numRows) * cfg.banks * 32;
+    EXPECT_LE(check(padded), bound);
 }
 
 } // namespace
