@@ -299,6 +299,12 @@ const std::vector<ProgramGolden> kProgramGolden = {
     {"dw2048 D3.B64.R32", "7eed63b62fb6ebe9"},
     {"pigs partitioned threads=1", "f80ddb9222de1f07"},
     {"pigs partitioned threads=4", "f80ddb9222de1f07"},
+    // Recorded before step 1's buckets and step 2's masks were
+    // rewritten without ordered sets and rescans.
+    {"tretail D3.B64.R32 random", "6b87eb2ebe01710a"},
+    {"pigs partitioned boundary-oblivious", "e419ad6b056e32fa"},
+    {"tretail D3.B64.R32 crossbar", "7b12977d34481e38"},
+    {"tretail D3.B64.R32 one-per-pe", "116194717e583399"},
 };
 
 TEST(CompileGolden, ProgramBytesArePinned)
@@ -328,6 +334,32 @@ TEST(CompileGolden, ProgramBytesArePinned)
         got.push_back({"pigs partitioned threads=" +
                            std::to_string(threads),
                        programDigest(compile(pigs, largeConfig(), opt))});
+    }
+    // Step-2 paths the rows above never take: the Random policy, the
+    // boundary-oblivious partitioned mapper and the other two output
+    // nets.
+    Dag tretail = buildWorkloadDag(findWorkload("tretail"), 0.1);
+    {
+        CompileOptions opt;
+        opt.bankPolicy = BankPolicy::Random;
+        got.push_back({"tretail D3.B64.R32 random",
+                       programDigest(compile(tretail, cfgOf(3, 64, 32),
+                                             opt))});
+    }
+    {
+        CompileOptions opt;
+        opt.partitionNodes = 4000;
+        opt.boundaryAwareBanks = false;
+        got.push_back({"pigs partitioned boundary-oblivious",
+                       programDigest(compile(pigs, largeConfig(), opt))});
+    }
+    for (auto [net, label] :
+         {std::pair{OutputInterconnect::Crossbar, "crossbar"},
+          std::pair{OutputInterconnect::OnePerPe, "one-per-pe"}}) {
+        ArchConfig cfg = cfgOf(3, 64, 32);
+        cfg.outputNet = net;
+        got.push_back({std::string("tretail D3.B64.R32 ") + label,
+                       programDigest(compile(tretail, cfg))});
     }
 
     for (size_t i = 0; i < got.size(); ++i) {
