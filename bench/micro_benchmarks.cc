@@ -1,8 +1,9 @@
 /**
  * @file
  * Google-benchmark micro-benchmarks of the toolchain itself:
- * compiler throughput (single-threaded, partition-parallel, and one
- * design-space point over a warm fragment cache),
+ * compiler throughput (single-threaded, partition-parallel, one
+ * design-space point over a warm fragment cache, and steps 1 and 2
+ * alone on the ranges of a partitioned large-PC compile),
  * simulator speed, and the program layer (encode, decode, verify,
  * copy). Not a paper figure —
  * engineering health of the reproduction.
@@ -26,7 +27,9 @@
 #include "arch/isa.hh"
 #include "compiler/cache.hh"
 #include "compiler/compiler.hh"
+#include "compiler/partitioner.hh"
 #include "compiler/verify.hh"
+#include "dag/algorithms.hh"
 #include "dag/eval.hh"
 #include "sim/machine.hh"
 #include "support/cli.hh"
@@ -115,6 +118,73 @@ BM_CompileWarmFragment(benchmark::State &state)
                             int64_t(prepared.dag.numOperations()));
 }
 BENCHMARK(BM_CompileWarmFragment)->Unit(benchmark::kMillisecond);
+
+/** compile_large_pc's partitioned compile: pigs@0.2 for largeConfig
+ *  in 20k-node ranges (--quick: pigs@0.02 in 4000-node ranges). */
+struct LargePcRanges
+{
+    Dag dag;
+    std::vector<uint32_t> dfsPositions;
+    std::vector<PartitionRange> ranges;
+    std::vector<RangeDecomposition> decs;
+};
+
+const LargePcRanges &
+largePcRanges()
+{
+    static const LargePcRanges f = [] {
+        LargePcRanges r;
+        r.dag = buildWorkloadDag(findWorkload("pigs"), g_quick ? 0.02 : 0.2);
+        r.dfsPositions = dfsPreorderPositions(r.dag);
+        r.ranges = partitionByCount(r.dag, g_quick ? 4000 : 20000);
+        for (const PartitionRange &range : r.ranges)
+            r.decs.push_back(decomposeRangeIntoBlocks(
+                r.dag, largeConfig(), 1, range, r.dfsPositions));
+        return r;
+    }();
+    return f;
+}
+
+/** Step 1 alone: every range's block decomposition, serially. */
+void
+BM_DecomposeRange(benchmark::State &state)
+{
+    const LargePcRanges &f = largePcRanges();
+    for (auto _ : state)
+        for (const PartitionRange &range : f.ranges) {
+            RangeDecomposition dec = decomposeRangeIntoBlocks(
+                f.dag, largeConfig(), 1, range, f.dfsPositions);
+            benchmark::DoNotOptimize(dec.blocks.data());
+        }
+    state.SetItemsProcessed(state.iterations() *
+                            int64_t(f.dag.numOperations()));
+}
+BENCHMARK(BM_DecomposeRange)->Unit(benchmark::kMillisecond);
+
+/** Step 2 alone: every range's preparation and boundary-aware bank
+ *  assignment, chained in range order as compile() chains them. */
+void
+BM_AssignBanksRange(benchmark::State &state)
+{
+    const LargePcRanges &f = largePcRanges();
+    std::vector<uint32_t> bank_of;
+    for (auto _ : state) {
+        bank_of.assign(f.dag.numNodes(), BankAssignment::invalid);
+        for (size_t p = 0; p < f.decs.size(); ++p) {
+            const RangeDecomposition &dec = f.decs[p];
+            BankAssignment banks = assignBanksForRange(
+                f.dag, largeConfig(), dec,
+                prepareBanksForRange(f.dag, largeConfig(), dec),
+                BankPolicy::ConflictAware, 1 + p, &bank_of);
+            std::copy(banks.bankOf.begin(), banks.bankOf.end(),
+                      bank_of.begin() + dec.range.first);
+        }
+        benchmark::DoNotOptimize(bank_of.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            int64_t(f.dag.numOperations()));
+}
+BENCHMARK(BM_AssignBanksRange)->Unit(benchmark::kMillisecond);
 
 void
 BM_Simulate(benchmark::State &state)

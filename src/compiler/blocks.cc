@@ -1,9 +1,9 @@
 #include "compiler/blocks.hh"
 
 #include <algorithm>
-#include <set>
 
 #include "dag/algorithms.hh"
+#include "support/bitvec.hh"
 
 namespace dpu {
 
@@ -26,7 +26,9 @@ struct FreeSlot
  *  - h[v]: length of the longest chain of unmapped ancestors ending at
  *    v (capped at D+1 = unschedulable). A node is a schedulable sink
  *    iff h[v] <= D.
- *  - per-depth candidate buckets ordered by DFS preorder position.
+ *  - per-depth candidate buckets ordered by DFS preorder position:
+ *    one RankSet per depth over the nodes' DFS ranks (a node's rank is
+ *    its position when the range's nodes are sorted by dfsPos).
  */
 class BlockBuilder
 {
@@ -40,10 +42,21 @@ class BlockBuilder
           h(extent(), 0),
           stamp(extent(), 0),
           coneStamp(extent(), 0),
-          buckets(cfg.depth + 1)
+          rankOf(extent()),
+          nodeAtRank(extent()),
+          buckets(cfg.depth + 1, RankSet(extent()))
     {
         dpu_assert(rangeLo <= rangeHi && rangeHi <= dag.numNodes(),
                    "bad partition range");
+        std::vector<uint64_t> keys(extent());
+        for (NodeId v = rangeLo; v < rangeHi; ++v)
+            keys[idx(v)] = uint64_t(dfsPos[v]) << 32 | v;
+        std::sort(keys.begin(), keys.end());
+        for (uint32_t r = 0; r < keys.size(); ++r) {
+            NodeId v = static_cast<NodeId>(keys[r]);
+            nodeAtRank[r] = v;
+            rankOf[idx(v)] = r;
+        }
     }
 
     RangeDecomposition
@@ -117,7 +130,7 @@ class BlockBuilder
                 continue;
             ++remaining;
             if (h[idx(v)] <= cfg.depth)
-                buckets[h[idx(v)]].insert({dfsPos[v], v});
+                buckets[h[idx(v)]].insert(rankOf[idx(v)]);
         }
         return remaining;
     }
@@ -164,37 +177,38 @@ class BlockBuilder
      * invalidNode if nothing fits `dcap`.
      */
     NodeId
-    pickCandidate(uint32_t dcap, uint32_t anchor, uint64_t epoch,
-                  std::vector<NodeId> &cone, uint32_t &depth)
+    pickCandidate(uint32_t dcap, uint64_t epoch, std::vector<NodeId> &cone,
+                  uint32_t &depth)
     {
         for (uint32_t d = std::min(cfg.depth, dcap); d >= 1; --d) {
-            auto &bucket = buckets[d];
+            const RankSet &bucket = buckets[d];
             if (bucket.empty())
                 continue;
-            auto fwd = bucket.lower_bound({anchor, 0});
-            auto bwd = fwd;
+            // Ranks of the next forward/backward entries (npos: none).
+            size_t fwd = bucket.next(anchorRank);
+            size_t bwd = bucket.prev(anchorRank);
             for (uint32_t probes = 0;
                  probes < probeLimit &&
-                 (fwd != bucket.end() || bwd != bucket.begin());
+                 (fwd != RankSet::npos || bwd != RankSet::npos);
                  ++probes) {
                 // Take the nearer of the next forward/backward entry.
                 bool take_fwd;
-                if (fwd == bucket.end())
+                if (fwd == RankSet::npos)
                     take_fwd = false;
-                else if (bwd == bucket.begin())
+                else if (bwd == RankSet::npos)
                     take_fwd = true;
                 else {
-                    uint32_t df = fwd->first - anchor;
-                    uint32_t db = anchor - std::prev(bwd)->first;
+                    uint32_t df = dfsPos[nodeAtRank[fwd]] - anchor;
+                    uint32_t db = anchor - dfsPos[nodeAtRank[bwd]];
                     take_fwd = df <= db;
                 }
                 NodeId v;
                 if (take_fwd) {
-                    v = fwd->second;
-                    ++fwd;
+                    v = nodeAtRank[fwd];
+                    fwd = bucket.next(fwd + 1);
                 } else {
-                    --bwd;
-                    v = bwd->second;
+                    v = nodeAtRank[bwd];
+                    bwd = bucket.prev(bwd);
                 }
                 dpu_assert(!mapped[idx(v)] && h[idx(v)] == d,
                            "stale bucket entry");
@@ -232,8 +246,7 @@ class BlockBuilder
                 break; // datapath full
 
             uint32_t depth = 0;
-            NodeId sink = pickCandidate(dcap, anchor, blockEpoch, cone,
-                                        depth);
+            NodeId sink = pickCandidate(dcap, blockEpoch, cone, depth);
             if (sink == invalidNode)
                 break; // nothing schedulable fits the leftover slots
 
@@ -262,6 +275,7 @@ class BlockBuilder
                 stamp[idx(v)] = blockEpoch;
             block.subgraphs.push_back(std::move(sg));
             anchor = dfsPos[sink];
+            anchorRank = rankOf[idx(sink)];
         }
         return block;
     }
@@ -278,7 +292,7 @@ class BlockBuilder
                 mapped[idx(v)] = true;
                 dec.blockOf[idx(v)] = block_id;
                 if (h[idx(v)] <= cfg.depth)
-                    buckets[h[idx(v)]].erase({dfsPos[v], v});
+                    buckets[h[idx(v)]].erase(rankOf[idx(v)]);
                 for (NodeId s : dag.successors(v))
                     if (inRange(s) && !mapped[idx(s)])
                         worklist.push_back(s);
@@ -294,10 +308,10 @@ class BlockBuilder
             if (nh == h[idx(v)])
                 continue;
             if (h[idx(v)] <= cfg.depth)
-                buckets[h[idx(v)]].erase({dfsPos[v], v});
+                buckets[h[idx(v)]].erase(rankOf[idx(v)]);
             h[idx(v)] = nh;
             if (h[idx(v)] <= cfg.depth)
-                buckets[h[idx(v)]].insert({dfsPos[v], v});
+                buckets[h[idx(v)]].insert(rankOf[idx(v)]);
             for (NodeId s : dag.successors(v))
                 if (inRange(s) && !mapped[idx(s)])
                     worklist.push_back(s);
@@ -368,11 +382,14 @@ class BlockBuilder
             placeNode(block, sg.sink,
                       {sg.tree, sg.rootLayer, sg.rootIndex});
         }
-        // Distinct input values.
-        std::set<NodeId> ins;
+        // Distinct input values, ascending.
+        block.inputs.clear();
         for (const PortRead &r : block.reads)
-            ins.insert(r.value);
-        block.inputs.assign(ins.begin(), ins.end());
+            block.inputs.push_back(r.value);
+        std::sort(block.inputs.begin(), block.inputs.end());
+        block.inputs.erase(
+            std::unique(block.inputs.begin(), block.inputs.end()),
+            block.inputs.end());
     }
 
     /** Mark io values: DAG inputs plus block outputs. A successor
@@ -407,11 +424,14 @@ class BlockBuilder
     std::vector<uint32_t> h;
     std::vector<uint64_t> stamp;     ///< block-epoch pick marks
     std::vector<uint64_t> coneStamp; ///< cone-DFS visit marks
-    std::vector<std::set<std::pair<uint32_t, NodeId>>> buckets;
+    std::vector<uint32_t> rankOf;     ///< DFS rank of each range node
+    std::vector<NodeId> nodeAtRank;   ///< inverse of rankOf
+    std::vector<RankSet> buckets;     ///< per-depth candidate ranks
     std::vector<NodeId> dfsStack;
     uint64_t blockEpoch = 0;
     uint64_t visitCounter = 0;
-    uint32_t anchor = 0;
+    uint32_t anchor = 0;     ///< dfsPos of the last picked sink
+    uint32_t anchorRank = 0; ///< its DFS rank (0 before the first pick)
 };
 
 } // namespace

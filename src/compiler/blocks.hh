@@ -16,7 +16,12 @@
  * position; picking the candidate nearest the block's anchor
  * implements the paper's DFS-distance fitness (objective D), and
  * preferring the deepest schedulable candidate implements "more nodes
- * is more fit" (objective C).
+ * is more fit" (objective C). A bucket is a RankSet (a two-level
+ * bitset, support/bitvec.hh) over the range's DFS ranks, a node's
+ * position when the range's nodes are sorted by DFS position: the
+ * nearest candidates on either side of the anchor are a few
+ * count-zero instructions away, and inserts and erases touch two
+ * words.
  */
 
 #ifndef DPU_COMPILER_BLOCKS_HH

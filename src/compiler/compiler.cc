@@ -147,8 +147,10 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
     // decomposition finishes last derives that context, while step 2
     // of the ranges already decomposed carries on. `decs[p]` is the
     // range's decomposition: a cache entry's, or the one in
-    // `pieces[p]` that a miss computes.
+    // `pieces[p]` that a miss computes. A miss also prepares its
+    // step 2 here, since that reads nothing of other ranges.
     std::vector<RangeDecomposition> pieces(num_parts);
+    std::vector<RangeBankPrep> preps(num_parts);
     std::vector<const RangeDecomposition *> decs(num_parts);
     std::vector<std::span<const Block>> partBlocks(num_parts);
     std::vector<size_t> blocksPerPart(num_parts);
@@ -161,6 +163,7 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
         } else {
             pieces[p] = decomposeRangeIntoBlocks(
                 dag, cfg, options.seed, parts[p], dfs_positions);
+            preps[p] = prepareBanksForRange(dag, cfg, pieces[p]);
             decs[p] = &pieces[p];
         }
         partBlocks[p] = std::span<const Block>(decs[p]->blocks);
@@ -172,11 +175,12 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
         shared = computeCodegenShared(dag, partBlocks);
     };
 
-    // Step 2 for one range, and the merge of its bank map into the
-    // whole-DAG view codegen reads (a range reads values earlier
-    // ranges own). Boundary-aware mapping chains the ranges — each
-    // sees the merged banks of its predecessors — so the partitioned
-    // path maps in partition order, inside the pipeline below.
+    // The rest of step 2 for one range, and the merge of its bank map
+    // into the whole-DAG view codegen reads (a range reads values
+    // earlier ranges own). Boundary-aware mapping chains the ranges —
+    // each sees the merged banks of its predecessors — so the
+    // partitioned path maps in partition order, inside the pipeline
+    // below.
     std::vector<BankAssignment> pieceBanks(num_parts);
     BankAssignment banks;
     banks.bankOf.assign(dag.numNodes(), BankAssignment::invalid);
@@ -184,11 +188,13 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
     const bool boundary_aware =
         options.boundaryAwareBanks && num_parts > 1;
     auto map_range = [&](size_t p) {
-        if (!hit[p])
+        if (!hit[p]) {
             pieceBanks[p] = assignBanksForRange(
-                dag, cfg, pieces[p], options.bankPolicy,
+                dag, cfg, pieces[p], preps[p], options.bankPolicy,
                 partitionSeed(options.seed, p),
                 boundary_aware ? &banks.bankOf : nullptr);
+            preps[p] = {};
+        }
         const BankAssignment &piece =
             hit[p] ? hit[p]->banks : pieceBanks[p];
         std::copy(piece.bankOf.begin(), piece.bankOf.end(),
@@ -251,10 +257,11 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
         prog = finalizeProgram(std::move(ir), cfg, partBlocks[0]);
     } else {
         // Pipelined steps 1-4 on one pool of workers:
-        // - pre: step 1 of every range, unordered;
-        // - ordered: step 2 of partition p, once p is decomposed and
-        //   p-1 is mapped, while other ranges are still in step 1,
-        //   codegen, reorder or finalize;
+        // - pre: step 1 and step 2's preparation of every range,
+        //   unordered;
+        // - ordered: the rest of step 2 of partition p, once p is
+        //   prepared and p-1 is mapped, while other ranges are still
+        //   in step 1, codegen, reorder or finalize;
         // - produce: codegen + per-fragment reorder, once every range
         //   is decomposed;
         // - consume: this thread merges and finalizes the fragments
@@ -286,7 +293,7 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
         size_t done_instances = 0;
         pipelineOrdered(
             num_parts, options.threads,
-            decompose, // pre: step 1, unordered
+            decompose, // pre: step 1 + step-2 prep, unordered
             map_range, // ordered: range p sees ranges < p mapped
             [&](size_t p) { // produce: codegen + per-fragment reorder
                 if (hit[p]) {

@@ -26,49 +26,140 @@ randomSetBit(BankMask m, Rng &rng)
 {
     uint32_t n = popcount(m);
     dpu_assert(n > 0, "empty mask");
-    uint32_t k = static_cast<uint32_t>(rng.below(n));
-    for (uint32_t b = 0;; ++b) {
-        if ((m >> b) & 1) {
-            if (k == 0)
-                return b;
-            --k;
-        }
-    }
+    for (uint64_t k = rng.below(n); k > 0; --k)
+        m &= m - 1; // drop the lowest set bit
+    return static_cast<uint32_t>(std::countr_zero(m));
+}
+
+/** Every bank: a DAG input's physical mask (vector loads can write
+ *  any bank). */
+BankMask
+allBanks(const ArchConfig &cfg)
+{
+    return cfg.banks == 64 ? ~BankMask(0) : (BankMask(1) << cfg.banks) - 1;
 }
 
 /**
- * Step-2 engine over one contiguous id range. Per-node state is
- * range-local (indexed v - lo); block inputs coming from outside the
- * range already have their banks fixed by their owning range and are
- * simply ignored by the conflict objectives here.
+ * Fill a CSR map of `keys` keys: `each(emit)` must call emit(key,
+ * value) for every pair, the same pairs in the same order each time;
+ * it runs twice (count, then fill), so every key's list keeps that
+ * order.
+ */
+template <typename Each>
+void
+buildCsr(size_t keys, std::vector<uint32_t> &start,
+         std::vector<uint32_t> &list, Each &&each)
+{
+    start.assign(keys + 1, 0);
+    each([&](size_t key, uint32_t) { ++start[key + 1]; });
+    for (size_t i = 0; i < keys; ++i)
+        start[i + 1] += start[i];
+    list.resize(start[keys]);
+    std::vector<uint32_t> fill(start.begin(), start.end() - 1);
+    each([&](size_t key, uint32_t value) { list[fill[key]++] = value; });
+}
+
+/**
+ * The prepare half of step 2 over one contiguous id range: index the
+ * io values, their reader blocks, each block's in-range inputs and
+ * each io compute value's replica PEs, and derive every io value's
+ * physical (constraint H) mask. Range-local: it reads nothing of
+ * other ranges.
+ */
+RangeBankPrep
+prepareRange(const Dag &dag, const ArchConfig &cfg,
+             const std::vector<Block> &blocks, NodeId lo, NodeId hi,
+             const uint8_t *is_io)
+{
+    dpu_assert(cfg.banks <= 64, "bank masks are 64-bit");
+    dpu_assert(lo <= hi && hi <= dag.numNodes(), "bad mapper range");
+    const size_t extent = hi - lo;
+    auto in_range = [&](NodeId v) { return v >= lo && v < hi; };
+    RangeBankPrep prep;
+
+    prep.peWritable.reserve(cfg.numPes());
+    for (uint32_t pe = 0; pe < cfg.numPes(); ++pe) {
+        BankMask m = 0;
+        for (uint32_t bank : writableBanks(cfg, pe))
+            m |= BankMask(1) << bank;
+        prep.peWritable.push_back(m);
+    }
+
+    // Block -> in-range inputs, and its transpose, value -> readers.
+    buildCsr(blocks.size(), prep.inputStart, prep.inputList,
+             [&](auto &&emit) {
+                 for (uint32_t b = 0; b < blocks.size(); ++b)
+                     for (NodeId v : blocks[b].inputs)
+                         if (in_range(v))
+                             emit(b, v);
+             });
+    buildCsr(extent, prep.readerStart, prep.readerList, [&](auto &&emit) {
+        for (uint32_t b = 0; b < blocks.size(); ++b)
+            for (NodeId v : blocks[b].inputs)
+                if (in_range(v))
+                    emit(v - lo, b);
+    });
+    // Io value -> replica PEs: a node is placed only in its own block,
+    // so its list is in placement order.
+    buildCsr(extent, prep.replicaStart, prep.replicaPe, [&](auto &&emit) {
+        for (const Block &block : blocks)
+            for (const auto &[node, pe] : block.placements)
+                if (is_io[node - lo])
+                    emit(node - lo, pe);
+    });
+
+    prep.physical.assign(extent, 0);
+    for (NodeId v = lo; v < hi; ++v) {
+        if (!is_io[v - lo])
+            continue;
+        prep.ioValues.push_back(v);
+        if (dag.node(v).isInput()) {
+            prep.physical[v - lo] = allBanks(cfg);
+            continue;
+        }
+        dpu_assert(prep.replicaStart[v - lo] <
+                       prep.replicaStart[v - lo + 1],
+                   "io node unplaced");
+        for (uint32_t i = prep.replicaStart[v - lo];
+             i < prep.replicaStart[v - lo + 1]; ++i)
+            prep.physical[v - lo] |= prep.peWritable[prep.replicaPe[i]];
+    }
+    return prep;
+}
+
+/**
+ * The ordered half of step 2 over one contiguous id range, on its
+ * prepared indexes. Per-node state is range-local (indexed v - lo);
+ * block inputs coming from outside the range already have their banks
+ * fixed by their owning range and only enter through `extBankOf`.
  */
 class BankMapper
 {
   public:
     BankMapper(const Dag &dag, const ArchConfig &cfg,
                const std::vector<Block> &blocks, NodeId lo, NodeId hi,
-               const uint32_t *block_of, const uint8_t *is_io,
+               const uint32_t *block_of, const RangeBankPrep &prep,
                BankPolicy policy, uint64_t seed,
                const uint32_t *ext_bank_of = nullptr)
         : dag(dag), cfg(cfg), blocks(blocks), lo(lo), hi(hi),
-          blockOf(block_of), isIo(is_io), policy(policy), rng(seed),
+          blockOf(block_of), prep(prep), policy(policy), rng(seed),
           extBankOf(ext_bank_of), contended(cfg.banks, 0)
     {
-        dpu_assert(cfg.banks <= 64, "bank masks are 64-bit");
-        dpu_assert(lo <= hi && hi <= dag.numNodes(), "bad mapper range");
-        peWritable.reserve(cfg.numPes());
-        for (uint32_t pe = 0; pe < cfg.numPes(); ++pe) {
-            BankMask m = 0;
-            for (uint32_t bank : writableBanks(cfg, pe))
-                m |= BankMask(1) << bank;
-            peWritable.push_back(m);
-        }
+        dpu_assert(prep.readerStart.size() == extent() + 1 &&
+                       prep.inputStart.size() == blocks.size() + 1,
+                   "bank-mapping prep of another range");
     }
 
     BankAssignment
     run()
     {
-        collectIoValues();
+        out.bankOf.assign(extent(), BankAssignment::invalid);
+        out.peOf.assign(extent(), BankAssignment::invalid);
+        takenBy.assign(blocks.size(), 0);
+        pendingList = prep.inputList;
+        pendingSize.resize(blocks.size());
+        for (uint32_t b = 0; b < blocks.size(); ++b)
+            pendingSize[b] = prep.inputStart[b + 1] - prep.inputStart[b];
         initCompatibility();
         if (policy == BankPolicy::Random)
             assignRandomly();
@@ -86,98 +177,53 @@ class BankMapper
     std::span<const uint32_t>
     readersOf(NodeId v) const
     {
-        return {readerList.data() + readerStart[idx(v)],
-                readerList.data() + readerStart[idx(v) + 1]};
+        return {prep.readerList.data() + prep.readerStart[idx(v)],
+                prep.readerList.data() + prep.readerStart[idx(v) + 1]};
     }
 
-    /**
-     * Index io values, their reader blocks, and each block's in-range
-     * inputs. A block's pending list is compacted in order as its
-     * values are assigned, so the objective-I propagation of a
-     * commit only visits values whose compatibility can still shrink.
-     */
-    void
-    collectIoValues()
+    /** The PEs holding a replica of io compute value v, in placement
+     *  order. */
+    std::span<const uint32_t>
+    replicasOf(NodeId v) const
     {
-        out.bankOf.assign(extent(), BankAssignment::invalid);
-        out.peOf.assign(extent(), BankAssignment::invalid);
-        readerStart.assign(extent() + 1, 0);
-        pendingStart.assign(blocks.size(), 0);
-        pendingSize.assign(blocks.size(), 0);
-        for (uint32_t b = 0; b < blocks.size(); ++b) {
-            pendingStart[b] = static_cast<uint32_t>(pendingList.size());
-            for (NodeId v : blocks[b].inputs)
-                if (inRange(v)) {
-                    ++readerStart[idx(v) + 1];
-                    pendingList.push_back(v);
-                }
-            pendingSize[b] = static_cast<uint32_t>(pendingList.size()) -
-                             pendingStart[b];
-        }
-        for (size_t i = 0; i < extent(); ++i)
-            readerStart[i + 1] += readerStart[i];
-        readerList.resize(readerStart[extent()]);
-        std::vector<uint32_t> fill(readerStart.begin(),
-                                   readerStart.end() - 1);
-        for (uint32_t b = 0; b < blocks.size(); ++b)
-            for (NodeId v : blocks[b].inputs)
-                if (inRange(v))
-                    readerList[fill[idx(v)]++] = b;
-        for (NodeId v = lo; v < hi; ++v)
-            if (isIo[idx(v)])
-                ioValues.push_back(v);
-    }
-
-    /** Physical (constraint H) mask of a value. */
-    BankMask
-    physicalMask(NodeId v) const
-    {
-        if (dag.node(v).isInput()) {
-            // Vector loads can write any bank.
-            return cfg.banks == 64 ? ~BankMask(0)
-                                   : (BankMask(1) << cfg.banks) - 1;
-        }
-        BankMask m = 0;
-        bool placed = false;
-        for (const auto &[node, pe] : blocks[blockOf[idx(v)]].placements)
-            if (node == v) {
-                m |= peWritable[pe];
-                placed = true;
-            }
-        dpu_assert(placed, "io node unplaced");
-        return m;
+        return {prep.replicaPe.data() + prep.replicaStart[idx(v)],
+                prep.replicaPe.data() + prep.replicaStart[idx(v) + 1]};
     }
 
     /**
      * Banks occupied by already-fixed values of *earlier* ranges that
      * some block reads together with v (the boundary-aware extension
      * of objective I — without it, cross-partition co-reads land in
-     * the same bank and each costs a copy instruction at codegen).
+     * the same bank and each costs a copy instruction at codegen):
+     * the union of v's reader blocks' external masks.
      */
     BankMask
     externalConflictMask(NodeId v) const
     {
         BankMask m = 0;
         for (uint32_t rb : readersOf(v))
-            for (NodeId w : blocks[rb].inputs)
-                if (w != v && !inRange(w)) {
-                    uint32_t b = extBankOf[w];
-                    if (b != BankAssignment::invalid)
-                        m |= BankMask(1) << b;
-                }
+            m |= externalOf[rb];
         return m;
     }
 
     void
     initCompatibility()
     {
+        // Per block: the banks of its inputs that earlier ranges own.
+        if (extBankOf) {
+            externalOf.assign(blocks.size(), 0);
+            for (uint32_t b = 0; b < blocks.size(); ++b)
+                for (NodeId w : blocks[b].inputs)
+                    if (!inRange(w) &&
+                        extBankOf[w] != BankAssignment::invalid)
+                        externalOf[b] |= BankMask(1) << extBankOf[w];
+        }
         sb.assign(extent(), 0);
-        phys.assign(extent(), 0);
         bucketOf.assign(extent(), BankAssignment::invalid);
         buckets.assign(cfg.banks + 1, {});
-        for (NodeId v : ioValues) {
-            phys[idx(v)] = physicalMask(v);
-            sb[idx(v)] = phys[idx(v)];
+        minBucket = cfg.banks + 1;
+        for (NodeId v : prep.ioValues) {
+            sb[idx(v)] = prep.physical[idx(v)];
             // Boundary-aware: co-read banks of earlier ranges shrink
             // the compatibility set up front (possibly to empty — the
             // greedy pass then falls back to the least-contended
@@ -193,13 +239,16 @@ class BankMapper
     {
         bucketOf[idx(v)] = count;
         buckets[count].push_back(v);
+        minBucket = std::min(minBucket, count);
     }
 
-    /** Pop the unassigned node with the fewest compatible banks. */
+    /** Pop the unassigned node with the fewest compatible banks.
+     *  Stale entries stay in their buckets until popped: the random
+     *  pick counts them. */
     NodeId
     popMinNode()
     {
-        for (uint32_t c = 0; c <= cfg.banks; ++c) {
+        for (uint32_t c = minBucket; c <= cfg.banks; ++c) {
             auto &bucket = buckets[c];
             while (!bucket.empty()) {
                 // Random pop (objective J needs unbiased tie-breaks).
@@ -211,9 +260,11 @@ class BankMapper
                     out.bankOf[idx(v)] != BankAssignment::invalid) {
                     continue; // stale entry
                 }
+                minBucket = c;
                 return v;
             }
         }
+        minBucket = cfg.banks + 1;
         return invalidNode;
     }
 
@@ -242,15 +293,14 @@ class BankMapper
         return blocks[blockOf[idx(v)]].outputs;
     }
 
-    /** Banks already taken by assigned outputs of v's block. */
+    /** Banks already taken by assigned outputs of v's block (v
+     *  itself is unassigned when this is asked). */
     BankMask
     blockTakenMask(NodeId v) const
     {
-        BankMask m = 0;
-        for (NodeId w : blockOutputs(v))
-            if (w != v && out.bankOf[idx(w)] != BankAssignment::invalid)
-                m |= BankMask(1) << out.bankOf[idx(w)];
-        return m;
+        if (dag.node(v).isInput())
+            return 0;
+        return takenBy[blockOf[idx(v)]];
     }
 
     /**
@@ -310,9 +360,13 @@ class BankMapper
                 visited[b] = true;
                 NodeId owner = ownerOf[b];
                 if (owner == invalidNode ||
-                    self(self, owner, phys[idx(owner)]) >= 0) {
+                    self(self, owner, prep.physical[idx(owner)]) >= 0) {
                     ownerOf[b] = node;
                     if (node != v) {
+                        // Reseat: node leaves its bank for b.
+                        BankMask &taken = takenBy[blockOf[idx(node)]];
+                        taken &= ~(BankMask(1) << out.bankOf[idx(node)]);
+                        taken |= BankMask(1) << b;
                         out.bankOf[idx(node)] = b;
                         out.peOf[idx(node)] = pickWriterPe(node, b);
                     }
@@ -333,8 +387,8 @@ class BankMapper
     uint32_t
     pickWriterPe(NodeId v, uint32_t bank) const
     {
-        for (const auto &[node, pe] : blocks[blockOf[idx(v)]].placements)
-            if (node == v && (peWritable[pe] >> bank & 1))
+        for (uint32_t pe : replicasOf(v))
+            if (prep.peWritable[pe] >> bank & 1)
                 return pe;
         dpu_panic("no replica PE writes the chosen bank");
     }
@@ -346,7 +400,7 @@ class BankMapper
     void
     avoidInReader(uint32_t rb, uint32_t bank)
     {
-        NodeId *pending = pendingList.data() + pendingStart[rb];
+        NodeId *pending = pendingList.data() + prep.inputStart[rb];
         uint32_t kept = 0;
         for (uint32_t i = 0; i < pendingSize[rb]; ++i) {
             NodeId w = pending[i];
@@ -364,8 +418,10 @@ class BankMapper
     commitBank(NodeId v, uint32_t bank)
     {
         out.bankOf[idx(v)] = bank;
-        if (!dag.node(v).isInput())
+        if (!dag.node(v).isInput()) {
             out.peOf[idx(v)] = pickWriterPe(v, bank);
+            takenBy[blockOf[idx(v)]] |= BankMask(1) << bank;
+        }
         // Constraint G (intra-block): block-mates may not share it.
         for (NodeId w : blockOutputs(v))
             if (w != v)
@@ -392,11 +448,11 @@ class BankMapper
             // No conflict-free compatible bank left. Fall back to the
             // least-contended physically writable bank (read conflicts
             // become copies), still honoring constraint G.
-            BankMask hard = phys[idx(v)] & ~taken;
+            BankMask hard = prep.physical[idx(v)] & ~taken;
             if (!hard) {
                 // Every physical bank is taken by a block-mate: reseat
                 // mates via an augmenting path (must succeed).
-                bool ok = augmentForBank(v, phys[idx(v)]);
+                bool ok = augmentForBank(v, prep.physical[idx(v)]);
                 dpu_assert(ok, "write-port matching infeasible");
                 continue;
             }
@@ -420,11 +476,11 @@ class BankMapper
     void
     assignRandomly()
     {
-        for (NodeId v : ioValues) {
+        for (NodeId v : prep.ioValues) {
             BankMask taken = blockTakenMask(v);
-            BankMask hard = phys[idx(v)] & ~taken;
+            BankMask hard = prep.physical[idx(v)] & ~taken;
             if (!hard) {
-                bool ok = augmentForBank(v, phys[idx(v)]);
+                bool ok = augmentForBank(v, prep.physical[idx(v)]);
                 dpu_assert(ok, "write-port matching infeasible");
                 continue;
             }
@@ -438,27 +494,23 @@ class BankMapper
     NodeId lo;
     NodeId hi;
     const uint32_t *blockOf; ///< Range-local block ids (idx space).
-    const uint8_t *isIo;     ///< Range-local io marks (idx space).
+    const RangeBankPrep &prep;
     BankPolicy policy;
     Rng rng;
     const uint32_t *extBankOf; ///< Global bankOf of earlier ranges.
     BankAssignment out;
 
-    std::vector<BankMask> peWritable; ///< Writable banks per PE.
-    std::vector<NodeId> ioValues;
-    /** CSR of in-range value -> reader blocks (readersOf). */
-    std::vector<uint32_t> readerStart;
-    std::vector<uint32_t> readerList;
     /** Per block: its in-range inputs not yet assigned, a prefix of
-     *  pendingList[pendingStart[b]..] of length pendingSize[b]. */
-    std::vector<uint32_t> pendingStart;
+     *  pendingList[prep.inputStart[b]..] of length pendingSize[b]. */
     std::vector<uint32_t> pendingSize;
     std::vector<NodeId> pendingList;
-    std::vector<uint32_t> contended; ///< contention() scratch.
+    std::vector<BankMask> externalOf; ///< Per block: earlier-range banks read.
+    std::vector<BankMask> takenBy;    ///< Per block: banks of assigned outputs.
+    std::vector<uint32_t> contended;  ///< contention() scratch.
     std::vector<BankMask> sb;   ///< Current compatibility (shrinks).
-    std::vector<BankMask> phys; ///< Constraint-H mask (fixed).
     std::vector<uint32_t> bucketOf;
     std::vector<std::vector<NodeId>> buckets;
+    uint32_t minBucket = 0; ///< No bucket below it holds an entry.
 };
 
 } // namespace
@@ -468,22 +520,32 @@ assignBanks(const Dag &dag, const ArchConfig &cfg,
             const BlockDecomposition &dec, BankPolicy policy, uint64_t seed)
 {
     // Whole-DAG range: global and range-local indexing coincide.
-    std::vector<uint8_t> is_io(dag.numNodes(), 0);
-    for (NodeId v = 0; v < dag.numNodes(); ++v)
+    const NodeId n = static_cast<NodeId>(dag.numNodes());
+    std::vector<uint8_t> is_io(n, 0);
+    for (NodeId v = 0; v < n; ++v)
         is_io[v] = dec.isIo[v] ? 1 : 0;
-    BankAssignment out =
-        BankMapper(dag, cfg, dec.blocks, 0,
-                   static_cast<NodeId>(dag.numNodes()),
-                   dec.blockOf.data(), is_io.data(), policy, seed)
-            .run();
+    RangeBankPrep prep = prepareRange(dag, cfg, dec.blocks, 0, n,
+                                      is_io.data());
+    BankAssignment out = BankMapper(dag, cfg, dec.blocks, 0, n,
+                                    dec.blockOf.data(), prep, policy, seed)
+                             .run();
     out.readConflicts = countReadConflicts(dec, out);
     return out;
 }
 
+RangeBankPrep
+prepareBanksForRange(const Dag &dag, const ArchConfig &cfg,
+                     const RangeDecomposition &dec)
+{
+    return prepareRange(dag, cfg, dec.blocks, dec.range.first,
+                        dec.range.second, dec.isIo.data());
+}
+
 BankAssignment
 assignBanksForRange(const Dag &dag, const ArchConfig &cfg,
-                    const RangeDecomposition &dec, BankPolicy policy,
-                    uint64_t seed, const std::vector<uint32_t> *externalBanks)
+                    const RangeDecomposition &dec, const RangeBankPrep &prep,
+                    BankPolicy policy, uint64_t seed,
+                    const std::vector<uint32_t> *externalBanks)
 {
     const uint32_t *ext = nullptr;
     if (externalBanks) {
@@ -492,8 +554,8 @@ assignBanksForRange(const Dag &dag, const ArchConfig &cfg,
         ext = externalBanks->data();
     }
     return BankMapper(dag, cfg, dec.blocks, dec.range.first,
-                      dec.range.second, dec.blockOf.data(),
-                      dec.isIo.data(), policy, seed, ext)
+                      dec.range.second, dec.blockOf.data(), prep, policy,
+                      seed, ext)
         .run();
 }
 

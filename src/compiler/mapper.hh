@@ -21,6 +21,17 @@
  * deterministic unroll of step 1, so a block output's candidate banks
  * are the union of its replicas' writable sets rather than a jointly
  * searched PE/bank space.
+ *
+ * A partition range maps in two halves. The *prepare* half
+ * (prepareBanksForRange) reads only the range's own decomposition: it
+ * indexes the io values, each value's reader blocks, each block's
+ * in-range inputs and each value's replica PEs, and derives the
+ * physical masks. The *assign* half (assignBanksForRange) reads the
+ * banks earlier ranges chose, so a boundary-aware compile runs it in
+ * range order: it ORs those banks into one mask per block, fills the
+ * Mnodes buckets and runs the greedy. compile() prepares a range right
+ * after decomposing it, so only the assign half is in the ordered
+ * chain.
  */
 
 #ifndef DPU_COMPILER_MAPPER_HH
@@ -67,10 +78,49 @@ BankAssignment assignBanks(const Dag &dag, const ArchConfig &cfg,
                            uint64_t seed = 1);
 
 /**
- * Run step 2 on one partition range in isolation: assigns home banks
- * to the io values the range owns (its DAG inputs and its blocks'
- * outputs), considering only intra-range reader blocks for the
- * conflict objectives. Values read from earlier partitions keep the
+ * The range-local half of step 2 for one partition range, prepared
+ * from its decomposition alone (prepareBanksForRange). Value-indexed
+ * tables are range-local (indexed v - range.first).
+ */
+struct RangeBankPrep
+{
+    /** The range's io values, ascending. */
+    std::vector<NodeId> ioValues;
+
+    /** CSR: in-range value -> the blocks reading it, ascending. */
+    std::vector<uint32_t> readerStart;
+    std::vector<uint32_t> readerList;
+
+    /** CSR: block -> its in-range inputs, in input order. */
+    std::vector<uint32_t> inputStart;
+    std::vector<NodeId> inputList;
+
+    /** CSR: io compute value -> its replica PEs, in placement order. */
+    std::vector<uint32_t> replicaStart;
+    std::vector<uint32_t> replicaPe;
+
+    /** Banks each PE can write (constraint H), one bit per bank. */
+    std::vector<uint64_t> peWritable;
+
+    /** Per io value: the banks some replica (a DAG input: any vector
+     *  load) can write. */
+    std::vector<uint64_t> physical;
+};
+
+/**
+ * Prepare step 2 for one partition range: index its io values, their
+ * reader blocks, each block's in-range inputs and each value's replica
+ * PEs. Depends only on (dag, cfg, dec), so compile() runs it right
+ * after the range's decomposition, outside the ordered chain.
+ */
+RangeBankPrep prepareBanksForRange(const Dag &dag, const ArchConfig &cfg,
+                                   const RangeDecomposition &dec);
+
+/**
+ * Run the rest of step 2 on one prepared partition range, in
+ * isolation: assigns home banks to the io values the range owns (its
+ * DAG inputs and its blocks' outputs), considering only intra-range
+ * reader blocks for the conflict objectives. Values read from earlier partitions keep the
  * banks their owners chose, so ranges can be mapped concurrently and
  * merged deterministically; the price is that conflicts between
  * values first read together across a partition boundary are not
@@ -94,6 +144,7 @@ BankAssignment assignBanks(const Dag &dag, const ArchConfig &cfg,
  */
 BankAssignment assignBanksForRange(const Dag &dag, const ArchConfig &cfg,
                                    const RangeDecomposition &dec,
+                                   const RangeBankPrep &prep,
                                    BankPolicy policy = BankPolicy::ConflictAware,
                                    uint64_t seed = 1,
                                    const std::vector<uint32_t> *externalBanks =

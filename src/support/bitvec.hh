@@ -1,15 +1,18 @@
 /**
  * @file
- * Dynamic bit vector with a find-first-zero primitive.
+ * Dynamic bit vector with a find-first-zero primitive, and an ordered
+ * set of small integers built on the same words.
  *
- * Models the per-register valid bits of a DPU-v2 register bank: the
- * automatic write policy needs "lowest free address", i.e. the index of
- * the first zero bit (the hardware priority encoder of fig. 5(d)).
+ * BitVec models the per-register valid bits of a DPU-v2 register bank:
+ * the automatic write policy needs "lowest free address", i.e. the
+ * index of the first zero bit (the hardware priority encoder of
+ * fig. 5(d)). RankSet holds step 1's per-depth candidate buckets.
  */
 
 #ifndef DPU_SUPPORT_BITVEC_HH
 #define DPU_SUPPORT_BITVEC_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -121,6 +124,121 @@ class BitVec
 
     size_t numBits = 0;
     std::vector<uint64_t> words;
+};
+
+/**
+ * Ordered set of ranks in [0, n): one bit per rank plus one summary
+ * bit per 64-bit word (set iff the word is non-zero), so the nearest
+ * member on either side of a rank takes a few countr_zero/countl_zero
+ * calls and a scan of n/4096 summary words.
+ */
+class RankSet
+{
+  public:
+    static constexpr size_t npos = static_cast<size_t>(-1);
+
+    RankSet() = default;
+
+    explicit RankSet(size_t n)
+        : numRanks(n), words((n + 63) / 64, 0),
+          summary((words.size() + 63) / 64, 0)
+    {
+    }
+
+    bool empty() const { return members == 0; }
+    size_t size() const { return members; }
+
+    bool
+    contains(size_t r) const
+    {
+        dpu_assert(r < numRanks, "RankSet rank out of range");
+        return (words[r >> 6] >> (r & 63)) & 1;
+    }
+
+    void
+    insert(size_t r)
+    {
+        if (contains(r))
+            return;
+        words[r >> 6] |= uint64_t(1) << (r & 63);
+        summary[r >> 12] |= uint64_t(1) << ((r >> 6) & 63);
+        ++members;
+    }
+
+    void
+    erase(size_t r)
+    {
+        if (!contains(r))
+            return;
+        uint64_t &w = words[r >> 6];
+        w &= ~(uint64_t(1) << (r & 63));
+        if (!w)
+            summary[r >> 12] &= ~(uint64_t(1) << ((r >> 6) & 63));
+        --members;
+    }
+
+    /** The smallest member >= r, or npos. */
+    size_t
+    next(size_t r) const
+    {
+        if (r >= numRanks)
+            return npos;
+        size_t wi = r >> 6;
+        uint64_t w = words[wi] & (~uint64_t(0) << (r & 63));
+        if (w)
+            return wi * 64 + static_cast<size_t>(std::countr_zero(w));
+        // The first non-empty word after wi, from the summary.
+        size_t from = wi + 1;
+        for (size_t si = from >> 6; si < summary.size(); ++si) {
+            uint64_t s = summary[si];
+            if (si == from >> 6)
+                s &= ~uint64_t(0) << (from & 63);
+            if (s) {
+                size_t wj = si * 64 +
+                            static_cast<size_t>(std::countr_zero(s));
+                return wj * 64 + static_cast<size_t>(
+                                     std::countr_zero(words[wj]));
+            }
+        }
+        return npos;
+    }
+
+    /** The largest member < r, or npos. */
+    size_t
+    prev(size_t r) const
+    {
+        if (r > numRanks)
+            r = numRanks;
+        if (r == 0)
+            return npos;
+        size_t last = r - 1;
+        size_t wi = last >> 6;
+        uint64_t w = words[wi] & (~uint64_t(0) >> (63 - (last & 63)));
+        if (w)
+            return wi * 64 + 63 -
+                   static_cast<size_t>(std::countl_zero(w));
+        // The last non-empty word before wi, from the summary.
+        for (size_t wj = wi; wj-- > 0;) {
+            size_t si = wj >> 6;
+            uint64_t s =
+                summary[si] & (~uint64_t(0) >> (63 - (wj & 63)));
+            if (s) {
+                size_t wk = si * 64 + 63 -
+                            static_cast<size_t>(std::countl_zero(s));
+                return wk * 64 + 63 -
+                       static_cast<size_t>(
+                           std::countl_zero(words[wk]));
+            }
+            wj = si * 64; // skip the rest of this summary word
+        }
+        return npos;
+    }
+
+  private:
+    size_t numRanks = 0;
+    size_t members = 0;
+    std::vector<uint64_t> words;
+    std::vector<uint64_t> summary;
 };
 
 } // namespace dpu

@@ -27,12 +27,12 @@ const std::vector<WorkloadSpec> &
 pcSuite()
 {
     static const std::vector<WorkloadSpec> suite = {
-        {"tretail", WorkloadClass::Pc, 9000, 49, 0, 101},
-        {"mnist", WorkloadClass::Pc, 10000, 26, 0, 102},
-        {"nltcs", WorkloadClass::Pc, 14000, 27, 0, 103},
-        {"msnbc", WorkloadClass::Pc, 48000, 28, 0, 104},
-        {"msweb", WorkloadClass::Pc, 51000, 73, 0, 105},
-        {"bnetflix", WorkloadClass::Pc, 55000, 53, 0, 106},
+        {"tretail", WorkloadClass::Pc, 9000, 49, 0, 101, {}},
+        {"mnist", WorkloadClass::Pc, 10000, 26, 0, 102, {}},
+        {"nltcs", WorkloadClass::Pc, 14000, 27, 0, 103, {}},
+        {"msnbc", WorkloadClass::Pc, 48000, 28, 0, 104, {}},
+        {"msweb", WorkloadClass::Pc, 51000, 73, 0, 105, {}},
+        {"bnetflix", WorkloadClass::Pc, 55000, 53, 0, 106, {}},
     };
     return suite;
 }
@@ -41,12 +41,12 @@ const std::vector<WorkloadSpec> &
 sptrsvSuite()
 {
     static const std::vector<WorkloadSpec> suite = {
-        {"bp_200", WorkloadClass::SpTrsv, 8000, 139, 822, 201},
-        {"west2021", WorkloadClass::SpTrsv, 10000, 136, 2021, 202},
-        {"sieber", WorkloadClass::SpTrsv, 23000, 242, 2290, 203},
-        {"jagmesh4", WorkloadClass::SpTrsv, 44000, 215, 4096, 204},
-        {"rdb968", WorkloadClass::SpTrsv, 51000, 278, 3096, 205},
-        {"dw2048", WorkloadClass::SpTrsv, 79000, 929, 8192, 206},
+        {"bp_200", WorkloadClass::SpTrsv, 8000, 139, 822, 201, {}},
+        {"west2021", WorkloadClass::SpTrsv, 10000, 136, 2021, 202, {}},
+        {"sieber", WorkloadClass::SpTrsv, 23000, 242, 2290, 203, {}},
+        {"jagmesh4", WorkloadClass::SpTrsv, 44000, 215, 4096, 204, {}},
+        {"rdb968", WorkloadClass::SpTrsv, 51000, 278, 3096, 205, {}},
+        {"dw2048", WorkloadClass::SpTrsv, 79000, 929, 8192, 206, {}},
     };
     return suite;
 }
@@ -55,10 +55,10 @@ const std::vector<WorkloadSpec> &
 largePcSuite()
 {
     static const std::vector<WorkloadSpec> suite = {
-        {"pigs", WorkloadClass::LargePc, 600000, 90, 0, 301},
-        {"andes", WorkloadClass::LargePc, 700000, 84, 0, 302},
-        {"munin", WorkloadClass::LargePc, 3100000, 337, 0, 303},
-        {"mildew", WorkloadClass::LargePc, 3300000, 176, 0, 304},
+        {"pigs", WorkloadClass::LargePc, 600000, 90, 0, 301, {}},
+        {"andes", WorkloadClass::LargePc, 700000, 84, 0, 302, {}},
+        {"munin", WorkloadClass::LargePc, 3100000, 337, 0, 303, {}},
+        {"mildew", WorkloadClass::LargePc, 3300000, 176, 0, 304, {}},
     };
     return suite;
 }

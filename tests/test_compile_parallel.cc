@@ -308,10 +308,11 @@ TEST(ParallelCompile, PreparedDagCompilesToTheSameBytes)
                 EXPECT_EQ(ref, bytesOrInfeasible([&] {
                               return by_prepared.compile(p, cfg, opt);
                           }));
-                if (!d.isBinary()) // binarized, then compiled in place
+                if (!d.isBinary()) { // binarized, then compiled in place
                     EXPECT_EQ(ref, bytesOrInfeasible([&] {
                                   return compile(p.dag, cfg, opt);
                               }));
+                }
                 compared += !ref.empty();
                 nary_compared += !ref.empty() && !d.isBinary();
             }

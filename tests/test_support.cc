@@ -168,6 +168,78 @@ TEST(BitVec, ResetClearsAll)
     EXPECT_TRUE(bv.none());
 }
 
+TEST(RankSet, EmptySetHasNoNeighbours)
+{
+    for (size_t n : {0u, 1u, 64u, 100u, 5000u}) {
+        RankSet s(n);
+        EXPECT_TRUE(s.empty());
+        EXPECT_EQ(s.size(), 0u);
+        EXPECT_EQ(s.next(0), RankSet::npos);
+        EXPECT_EQ(s.prev(0), RankSet::npos);
+        EXPECT_EQ(s.prev(n), RankSet::npos);
+        EXPECT_EQ(s.next(n), RankSet::npos);
+    }
+}
+
+TEST(RankSet, MatchesStdSetUnderRandomInsertErase)
+{
+    // Sizes around the word (64) and summary-word (4096) boundaries,
+    // and ones that are not a multiple of 64.
+    for (size_t n : {1u, 63u, 64u, 65u, 100u, 4095u, 4096u, 4097u, 9000u}) {
+        SCOPED_TRACE(n);
+        Rng rng(n);
+        RankSet s(n);
+        std::set<size_t> ref;
+        std::vector<size_t> edges;
+        for (size_t r : {size_t(0), size_t(63), size_t(64), size_t(4095),
+                         size_t(4096), n - 1})
+            if (r < n)
+                edges.push_back(r);
+        auto pick = [&] {
+            return rng.below(2) ? edges[rng.below(edges.size())]
+                                : rng.below(n);
+        };
+        auto expect_same = [&](size_t r) {
+            auto it = ref.lower_bound(r);
+            EXPECT_EQ(s.next(r), it == ref.end() ? RankSet::npos : *it)
+                << "next(" << r << ")";
+            EXPECT_EQ(s.prev(r),
+                      it == ref.begin() ? RankSet::npos : *std::prev(it))
+                << "prev(" << r << ")";
+        };
+        // Fill, drain, then churn, so both dense words and long empty
+        // stretches between members get probed.
+        for (uint64_t insert_pct : {90u, 10u, 50u}) {
+            for (int op = 0; op < 1500; ++op) {
+                size_t r = pick();
+                if (rng.below(100) < insert_pct) {
+                    s.insert(r);
+                    ref.insert(r);
+                } else {
+                    s.erase(r);
+                    ref.erase(r);
+                }
+                ASSERT_EQ(s.size(), ref.size());
+                ASSERT_EQ(s.empty(), ref.empty());
+                EXPECT_EQ(s.contains(r), ref.count(r) == 1);
+                expect_same(rng.below(n + 1));
+                expect_same(pick());
+                expect_same(pick() + 1);
+            }
+            for (size_t r : edges) {
+                expect_same(r);
+                expect_same(r + 1);
+            }
+        }
+        // Drain completely: every query then finds nothing.
+        for (size_t r : std::vector<size_t>(ref.begin(), ref.end()))
+            s.erase(r);
+        EXPECT_TRUE(s.empty());
+        EXPECT_EQ(s.next(0), RankSet::npos);
+        EXPECT_EQ(s.prev(n), RankSet::npos);
+    }
+}
+
 TEST(Summary, BasicMoments)
 {
     Summary s;

@@ -284,8 +284,9 @@ TEST(SparseMatrix, MutatedMatrixMarketNeverPanics)
         try {
             SparseMatrixCsr m = readMatrixMarket(in);
             ++parsed;
-            if (m.dim())
+            if (m.dim()) {
                 EXPECT_EQ(m.rowEnd(m.dim() - 1), m.nnz()) << text;
+            }
         } catch (const FatalError &) {
             ++rejected;
         } catch (const std::exception &e) {
