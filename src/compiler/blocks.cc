@@ -48,15 +48,14 @@ class BlockBuilder
     {
         dpu_assert(rangeLo <= rangeHi && rangeHi <= dag.numNodes(),
                    "bad partition range");
-        std::vector<uint64_t> keys(extent());
         for (NodeId v = rangeLo; v < rangeHi; ++v)
-            keys[idx(v)] = uint64_t(dfsPos[v]) << 32 | v;
-        std::sort(keys.begin(), keys.end());
-        for (uint32_t r = 0; r < keys.size(); ++r) {
-            NodeId v = static_cast<NodeId>(keys[r]);
-            nodeAtRank[r] = v;
-            rankOf[idx(v)] = r;
-        }
+            nodeAtRank[idx(v)] = v;
+        std::sort(nodeAtRank.begin(), nodeAtRank.end(),
+                  [&](NodeId a, NodeId b) {
+                      return std::pair(dfsPos[a], a) < std::pair(dfsPos[b], b);
+                  });
+        for (uint32_t r = 0; r < nodeAtRank.size(); ++r)
+            rankOf[idx(nodeAtRank[r])] = r;
     }
 
     RangeDecomposition
@@ -185,6 +184,7 @@ class BlockBuilder
             if (bucket.empty())
                 continue;
             // Ranks of the next forward/backward entries (npos: none).
+            const uint32_t anchor = dfsPos[nodeAtRank[anchorRank]];
             size_t fwd = bucket.next(anchorRank);
             size_t bwd = bucket.prev(anchorRank);
             for (uint32_t probes = 0;
@@ -274,7 +274,6 @@ class BlockBuilder
             for (NodeId v : cone)
                 stamp[idx(v)] = blockEpoch;
             block.subgraphs.push_back(std::move(sg));
-            anchor = dfsPos[sink];
             anchorRank = rankOf[idx(sink)];
         }
         return block;
@@ -430,8 +429,9 @@ class BlockBuilder
     std::vector<NodeId> dfsStack;
     uint64_t blockEpoch = 0;
     uint64_t visitCounter = 0;
-    uint32_t anchor = 0;     ///< dfsPos of the last picked sink
-    uint32_t anchorRank = 0; ///< its DFS rank (0 before the first pick)
+    /** DFS rank of the last picked sink (0 before the first pick:
+     *  nothing lies before it, so no distance is compared). */
+    uint32_t anchorRank = 0;
 };
 
 } // namespace

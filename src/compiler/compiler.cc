@@ -188,13 +188,11 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
     const bool boundary_aware =
         options.boundaryAwareBanks && num_parts > 1;
     auto map_range = [&](size_t p) {
-        if (!hit[p]) {
+        if (!hit[p])
             pieceBanks[p] = assignBanksForRange(
-                dag, cfg, pieces[p], preps[p], options.bankPolicy,
-                partitionSeed(options.seed, p),
+                dag, cfg, pieces[p], std::move(preps[p]),
+                options.bankPolicy, partitionSeed(options.seed, p),
                 boundary_aware ? &banks.bankOf : nullptr);
-            preps[p] = {};
-        }
         const BankAssignment &piece =
             hit[p] ? hit[p]->banks : pieceBanks[p];
         std::copy(piece.bankOf.begin(), piece.bankOf.end(),

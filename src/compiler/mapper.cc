@@ -31,14 +31,6 @@ randomSetBit(BankMask m, Rng &rng)
     return static_cast<uint32_t>(std::countr_zero(m));
 }
 
-/** Every bank: a DAG input's physical mask (vector loads can write
- *  any bank). */
-BankMask
-allBanks(const ArchConfig &cfg)
-{
-    return cfg.banks == 64 ? ~BankMask(0) : (BankMask(1) << cfg.banks) - 1;
-}
-
 /**
  * Fill a CSR map of `keys` keys: `each(emit)` must call emit(key,
  * value) for every pair, the same pairs in the same order each time;
@@ -62,9 +54,8 @@ buildCsr(size_t keys, std::vector<uint32_t> &start,
 /**
  * The prepare half of step 2 over one contiguous id range: index the
  * io values, their reader blocks, each block's in-range inputs and
- * each io compute value's replica PEs, and derive every io value's
- * physical (constraint H) mask. Range-local: it reads nothing of
- * other ranges.
+ * each io compute value's replica PEs. Range-local: it reads nothing
+ * of other ranges.
  */
 RangeBankPrep
 prepareRange(const Dag &dag, const ArchConfig &cfg,
@@ -108,21 +99,14 @@ prepareRange(const Dag &dag, const ArchConfig &cfg,
                     emit(node - lo, pe);
     });
 
-    prep.physical.assign(extent, 0);
     for (NodeId v = lo; v < hi; ++v) {
         if (!is_io[v - lo])
             continue;
         prep.ioValues.push_back(v);
-        if (dag.node(v).isInput()) {
-            prep.physical[v - lo] = allBanks(cfg);
-            continue;
-        }
-        dpu_assert(prep.replicaStart[v - lo] <
-                       prep.replicaStart[v - lo + 1],
+        dpu_assert(dag.node(v).isInput() ||
+                       prep.replicaStart[v - lo] <
+                           prep.replicaStart[v - lo + 1],
                    "io node unplaced");
-        for (uint32_t i = prep.replicaStart[v - lo];
-             i < prep.replicaStart[v - lo + 1]; ++i)
-            prep.physical[v - lo] |= prep.peWritable[prep.replicaPe[i]];
     }
     return prep;
 }
@@ -138,12 +122,12 @@ class BankMapper
   public:
     BankMapper(const Dag &dag, const ArchConfig &cfg,
                const std::vector<Block> &blocks, NodeId lo, NodeId hi,
-               const uint32_t *block_of, const RangeBankPrep &prep,
+               const uint32_t *block_of, RangeBankPrep &&prepared,
                BankPolicy policy, uint64_t seed,
                const uint32_t *ext_bank_of = nullptr)
         : dag(dag), cfg(cfg), blocks(blocks), lo(lo), hi(hi),
-          blockOf(block_of), prep(prep), policy(policy), rng(seed),
-          extBankOf(ext_bank_of), contended(cfg.banks, 0)
+          blockOf(block_of), prep(std::move(prepared)), policy(policy),
+          rng(seed), extBankOf(ext_bank_of), contended(cfg.banks, 0)
     {
         dpu_assert(prep.readerStart.size() == extent() + 1 &&
                        prep.inputStart.size() == blocks.size() + 1,
@@ -156,7 +140,6 @@ class BankMapper
         out.bankOf.assign(extent(), BankAssignment::invalid);
         out.peOf.assign(extent(), BankAssignment::invalid);
         takenBy.assign(blocks.size(), 0);
-        pendingList = prep.inputList;
         pendingSize.resize(blocks.size());
         for (uint32_t b = 0; b < blocks.size(); ++b)
             pendingSize[b] = prep.inputStart[b + 1] - prep.inputStart[b];
@@ -188,6 +171,21 @@ class BankMapper
     {
         return {prep.replicaPe.data() + prep.replicaStart[idx(v)],
                 prep.replicaPe.data() + prep.replicaStart[idx(v) + 1]};
+    }
+
+    /** Physical (constraint H) mask of an io value: the banks some
+     *  replica can write, or any bank for a DAG input (vector loads
+     *  can write any bank). */
+    BankMask
+    physicalMask(NodeId v) const
+    {
+        if (dag.node(v).isInput())
+            return cfg.banks == 64 ? ~BankMask(0)
+                                   : (BankMask(1) << cfg.banks) - 1;
+        BankMask m = 0;
+        for (uint32_t pe : replicasOf(v))
+            m |= prep.peWritable[pe];
+        return m;
     }
 
     /**
@@ -223,7 +221,7 @@ class BankMapper
         buckets.assign(cfg.banks + 1, {});
         minBucket = cfg.banks + 1;
         for (NodeId v : prep.ioValues) {
-            sb[idx(v)] = prep.physical[idx(v)];
+            sb[idx(v)] = physicalMask(v);
             // Boundary-aware: co-read banks of earlier ranges shrink
             // the compatibility set up front (possibly to empty — the
             // greedy pass then falls back to the least-contended
@@ -360,7 +358,7 @@ class BankMapper
                 visited[b] = true;
                 NodeId owner = ownerOf[b];
                 if (owner == invalidNode ||
-                    self(self, owner, prep.physical[idx(owner)]) >= 0) {
+                    self(self, owner, physicalMask(owner)) >= 0) {
                     ownerOf[b] = node;
                     if (node != v) {
                         // Reseat: node leaves its bank for b.
@@ -400,7 +398,7 @@ class BankMapper
     void
     avoidInReader(uint32_t rb, uint32_t bank)
     {
-        NodeId *pending = pendingList.data() + prep.inputStart[rb];
+        NodeId *pending = prep.inputList.data() + prep.inputStart[rb];
         uint32_t kept = 0;
         for (uint32_t i = 0; i < pendingSize[rb]; ++i) {
             NodeId w = pending[i];
@@ -448,11 +446,11 @@ class BankMapper
             // No conflict-free compatible bank left. Fall back to the
             // least-contended physically writable bank (read conflicts
             // become copies), still honoring constraint G.
-            BankMask hard = prep.physical[idx(v)] & ~taken;
+            BankMask hard = physicalMask(v) & ~taken;
             if (!hard) {
                 // Every physical bank is taken by a block-mate: reseat
                 // mates via an augmenting path (must succeed).
-                bool ok = augmentForBank(v, prep.physical[idx(v)]);
+                bool ok = augmentForBank(v, physicalMask(v));
                 dpu_assert(ok, "write-port matching infeasible");
                 continue;
             }
@@ -478,9 +476,9 @@ class BankMapper
     {
         for (NodeId v : prep.ioValues) {
             BankMask taken = blockTakenMask(v);
-            BankMask hard = prep.physical[idx(v)] & ~taken;
+            BankMask hard = physicalMask(v) & ~taken;
             if (!hard) {
-                bool ok = augmentForBank(v, prep.physical[idx(v)]);
+                bool ok = augmentForBank(v, physicalMask(v));
                 dpu_assert(ok, "write-port matching infeasible");
                 continue;
             }
@@ -494,16 +492,19 @@ class BankMapper
     NodeId lo;
     NodeId hi;
     const uint32_t *blockOf; ///< Range-local block ids (idx space).
-    const RangeBankPrep &prep;
+    /** Owned: each block's input list doubles as its pending list. */
+    RangeBankPrep prep;
     BankPolicy policy;
     Rng rng;
     const uint32_t *extBankOf; ///< Global bankOf of earlier ranges.
     BankAssignment out;
 
     /** Per block: its in-range inputs not yet assigned, a prefix of
-     *  pendingList[prep.inputStart[b]..] of length pendingSize[b]. */
+     *  prep.inputList[prep.inputStart[b]..] of length pendingSize[b],
+     *  compacted in order as values are assigned, so a commit's
+     *  objective-I propagation only visits values whose compatibility
+     *  can still shrink. */
     std::vector<uint32_t> pendingSize;
-    std::vector<NodeId> pendingList;
     std::vector<BankMask> externalOf; ///< Per block: earlier-range banks read.
     std::vector<BankMask> takenBy;    ///< Per block: banks of assigned outputs.
     std::vector<uint32_t> contended;  ///< contention() scratch.
@@ -524,11 +525,11 @@ assignBanks(const Dag &dag, const ArchConfig &cfg,
     std::vector<uint8_t> is_io(n, 0);
     for (NodeId v = 0; v < n; ++v)
         is_io[v] = dec.isIo[v] ? 1 : 0;
-    RangeBankPrep prep = prepareRange(dag, cfg, dec.blocks, 0, n,
-                                      is_io.data());
-    BankAssignment out = BankMapper(dag, cfg, dec.blocks, 0, n,
-                                    dec.blockOf.data(), prep, policy, seed)
-                             .run();
+    BankAssignment out =
+        BankMapper(dag, cfg, dec.blocks, 0, n, dec.blockOf.data(),
+                   prepareRange(dag, cfg, dec.blocks, 0, n, is_io.data()),
+                   policy, seed)
+            .run();
     out.readConflicts = countReadConflicts(dec, out);
     return out;
 }
@@ -543,7 +544,7 @@ prepareBanksForRange(const Dag &dag, const ArchConfig &cfg,
 
 BankAssignment
 assignBanksForRange(const Dag &dag, const ArchConfig &cfg,
-                    const RangeDecomposition &dec, const RangeBankPrep &prep,
+                    const RangeDecomposition &dec, RangeBankPrep prep,
                     BankPolicy policy, uint64_t seed,
                     const std::vector<uint32_t> *externalBanks)
 {
@@ -554,8 +555,8 @@ assignBanksForRange(const Dag &dag, const ArchConfig &cfg,
         ext = externalBanks->data();
     }
     return BankMapper(dag, cfg, dec.blocks, dec.range.first,
-                      dec.range.second, dec.blockOf.data(), prep, policy,
-                      seed, ext)
+                      dec.range.second, dec.blockOf.data(), std::move(prep),
+                      policy, seed, ext)
         .run();
 }
 

@@ -25,13 +25,13 @@
  * A partition range maps in two halves. The *prepare* half
  * (prepareBanksForRange) reads only the range's own decomposition: it
  * indexes the io values, each value's reader blocks, each block's
- * in-range inputs and each value's replica PEs, and derives the
- * physical masks. The *assign* half (assignBanksForRange) reads the
- * banks earlier ranges chose, so a boundary-aware compile runs it in
- * range order: it ORs those banks into one mask per block, fills the
- * Mnodes buckets and runs the greedy. compile() prepares a range right
- * after decomposing it, so only the assign half is in the ordered
- * chain.
+ * in-range inputs and each value's replica PEs. The *assign* half
+ * (assignBanksForRange) reads the banks earlier ranges chose, so a
+ * boundary-aware compile runs it in range order: it ORs those banks
+ * into one mask per block, fills the Mnodes buckets from the replicas'
+ * physical masks and runs the greedy. compile() prepares a range
+ * right after decomposing it, so only the assign half is in the
+ * ordered chain.
  */
 
 #ifndef DPU_COMPILER_MAPPER_HH
@@ -101,10 +101,6 @@ struct RangeBankPrep
 
     /** Banks each PE can write (constraint H), one bit per bank. */
     std::vector<uint64_t> peWritable;
-
-    /** Per io value: the banks some replica (a DAG input: any vector
-     *  load) can write. */
-    std::vector<uint64_t> physical;
 };
 
 /**
@@ -139,12 +135,15 @@ RangeBankPrep prepareBanksForRange(const Dag &dag, const ArchConfig &cfg,
  * the earlier partitions. Pass nullptr for the historical
  * boundary-oblivious behavior.
  *
- * The returned bankOf/peOf are range-local (indexed v - range.first)
- * and readConflicts is left at 0 — count it globally after merging.
+ * `prep` must come from prepareBanksForRange(dag, cfg, dec); the
+ * mapper consumes it (each block's input list becomes its list of
+ * inputs still to assign). The returned bankOf/peOf are range-local
+ * (indexed v - range.first) and readConflicts is left at 0 — count it
+ * globally after merging.
  */
 BankAssignment assignBanksForRange(const Dag &dag, const ArchConfig &cfg,
                                    const RangeDecomposition &dec,
-                                   const RangeBankPrep &prep,
+                                   RangeBankPrep prep,
                                    BankPolicy policy = BankPolicy::ConflictAware,
                                    uint64_t seed = 1,
                                    const std::vector<uint32_t> *externalBanks =
