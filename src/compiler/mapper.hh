@@ -116,11 +116,12 @@ RangeBankPrep prepareBanksForRange(const Dag &dag, const ArchConfig &cfg,
  * Run the rest of step 2 on one prepared partition range, in
  * isolation: assigns home banks to the io values the range owns (its
  * DAG inputs and its blocks' outputs), considering only intra-range
- * reader blocks for the conflict objectives. Values read from earlier partitions keep the
- * banks their owners chose, so ranges can be mapped concurrently and
- * merged deterministically; the price is that conflicts between
- * values first read together across a partition boundary are not
- * optimized (they are still resolved correctly by copies later).
+ * reader blocks for the conflict objectives. Values read from
+ * earlier partitions keep the banks their owners chose, so ranges can
+ * be mapped concurrently and merged deterministically; the price is
+ * that conflicts between values first read together across a
+ * partition boundary are not optimized (they are still resolved
+ * correctly by copies later).
  *
  * `externalBanks` makes the mapper *boundary-aware*: a whole-DAG
  * bankOf vector whose entries for earlier ranges are already fixed.

@@ -1,7 +1,7 @@
 /**
  * @file
  * Dynamic bit vector with a find-first-zero primitive, and an ordered
- * set of small integers built on the same words.
+ * set of small integers on a two-level bitset.
  *
  * BitVec models the per-register valid bits of a DPU-v2 register bank:
  * the automatic write policy needs "lowest free address", i.e. the
