@@ -96,21 +96,25 @@ BENCHMARK(BM_CompileParallelPartitions)->Unit(benchmark::kMillisecond);
 void
 BM_CompileWarmFragment(benchmark::State &state)
 {
-    // One DSE point's compile: a neighbour differing only in R has
-    // warmed the fragment (steps 1-2 + codegen), and the program cache
-    // holds one entry, so every iteration is one program miss plus one
-    // fragment hit — steps 3-4 over a fragment read in place.
+    // One DSE point's compile that no register certificate covers: a
+    // neighbour has warmed the fragment (steps 1-2 + codegen), and the
+    // program cache holds one entry, so every iteration is one program
+    // miss plus one fragment hit — steps 3-4 over a fragment read in
+    // place. The neighbours differ in dataMemRows, which the fragment
+    // key and the compile ignore but the program key does not, so
+    // neither is derivable from the other's certified program (that
+    // path is BM_CertifiedRegisterSweep).
     static const PreparedDag prepared =
         prepareDag(buildWorkloadDag(smallSuite().front(), 0.1));
     ProgramCacheConfig cc;
     cc.maxEntries = 1;
     ProgramCache cache(cc);
     ArchConfig cfg = minEdpConfig();
-    const uint32_t regs[2] = {cfg.regsPerBank, 2 * cfg.regsPerBank};
+    const uint32_t rows[2] = {cfg.dataMemRows, cfg.dataMemRows + 1};
     cache.fetch(prepared, cfg);
     size_t k = 0;
     for (auto _ : state) {
-        cfg.regsPerBank = regs[++k % 2];
+        cfg.dataMemRows = rows[++k % 2];
         ProgramCache::Fetched got = cache.fetch(prepared, cfg);
         benchmark::DoNotOptimize(got.prog.get());
     }
@@ -118,6 +122,32 @@ BM_CompileWarmFragment(benchmark::State &state)
                             int64_t(prepared.dag.numOperations()));
 }
 BENCHMARK(BM_CompileWarmFragment)->Unit(benchmark::kMillisecond);
+
+void
+BM_CertifiedRegisterSweep(benchmark::State &state)
+{
+    // One (D, B) group of a DSE: the same workload at 16 register
+    // counts, ascending, through one fresh ProgramCache per
+    // iteration. The first compile, and any whose R its register
+    // certificate does not admit, runs steps 1-4; the rest are derived
+    // from the group's certified program.
+    static const PreparedDag prepared =
+        prepareDag(buildWorkloadDag(smallSuite().front(), 0.1));
+    ArchConfig cfg = minEdpConfig();
+    uint64_t certified = 0;
+    for (auto _ : state) {
+        ProgramCache cache;
+        for (uint32_t r = 8; r <= 128; r += 8) {
+            cfg.regsPerBank = r;
+            ProgramCache::Fetched got = cache.fetch(prepared, cfg);
+            benchmark::DoNotOptimize(got.prog.get());
+        }
+        certified = cache.stats().certHits;
+    }
+    state.SetItemsProcessed(state.iterations() * 16);
+    state.counters["certified"] = static_cast<double>(certified);
+}
+BENCHMARK(BM_CertifiedRegisterSweep)->Unit(benchmark::kMillisecond);
 
 /** compile_large_pc's partitioned compile: pigs@0.2 for largeConfig
  *  in 20k-node ranges (--quick: pigs@0.02 in 4000-node ranges). */

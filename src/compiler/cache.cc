@@ -142,6 +142,31 @@ dagStructuralHash(const Dag &dag)
     return h;
 }
 
+namespace {
+
+/** programCacheKey, or registerFreeCacheKey when !withRegs. */
+std::string
+formatProgramKey(uint64_t sourceHash, const ArchConfig &cfg,
+                 const CompileOptions &options, bool withRegs)
+{
+    char regs[16] = "";
+    if (withRegs)
+        std::snprintf(regs, sizeof(regs), ".R%u", cfg.regsPerBank);
+    char suffix[160];
+    std::snprintf(suffix, sizeof(suffix),
+                  "%016llx-D%u.B%u%s-n%d-m%u-b%d-a%d-w%u-p%u-s%llu",
+                  static_cast<unsigned long long>(sourceHash),
+                  cfg.depth, cfg.banks, regs,
+                  static_cast<int>(cfg.outputNet), cfg.dataMemRows,
+                  static_cast<int>(options.bankPolicy),
+                  static_cast<int>(options.boundaryAwareBanks),
+                  options.reorderWindow, options.partitionNodes,
+                  static_cast<unsigned long long>(options.seed));
+    return suffix;
+}
+
+} // namespace
+
 std::string
 programCacheKey(const Dag &dag, const ArchConfig &cfg,
                 const CompileOptions &options)
@@ -153,17 +178,14 @@ std::string
 programCacheKey(uint64_t sourceHash, const ArchConfig &cfg,
                 const CompileOptions &options)
 {
-    char suffix[160];
-    std::snprintf(suffix, sizeof(suffix),
-                  "%016llx-D%u.B%u.R%u-n%d-m%u-b%d-a%d-w%u-p%u-s%llu",
-                  static_cast<unsigned long long>(sourceHash),
-                  cfg.depth, cfg.banks, cfg.regsPerBank,
-                  static_cast<int>(cfg.outputNet), cfg.dataMemRows,
-                  static_cast<int>(options.bankPolicy),
-                  static_cast<int>(options.boundaryAwareBanks),
-                  options.reorderWindow, options.partitionNodes,
-                  static_cast<unsigned long long>(options.seed));
-    return suffix;
+    return formatProgramKey(sourceHash, cfg, options, true);
+}
+
+std::string
+registerFreeCacheKey(uint64_t sourceHash, const ArchConfig &cfg,
+                     const CompileOptions &options)
+{
+    return formatProgramKey(sourceHash, cfg, options, false);
 }
 
 std::string
@@ -403,8 +425,9 @@ ProgramCache::fetch(const PreparedDag &prepared, const ArchConfig &cfg,
                     const CompileOptions &options)
 {
     return lookupOrCompile(
-        programCacheKey(prepared.sourceHash, cfg, options), options,
-        [&](const CompileOptions &opts) {
+        programCacheKey(prepared.sourceHash, cfg, options),
+        registerFreeCacheKey(prepared.sourceHash, cfg, options), cfg,
+        options, [&](const CompileOptions &opts) {
             return dpu::compile(prepared, cfg, opts);
         });
 }
@@ -413,11 +436,13 @@ CompiledProgram
 ProgramCache::compile(const Dag &dag, const ArchConfig &cfg,
                       const CompileOptions &options)
 {
-    return copyOf(lookupOrCompile(programCacheKey(dag, cfg, options),
-                                  options,
-                                  [&](const CompileOptions &opts) {
-                                      return dpu::compile(dag, cfg, opts);
-                                  }));
+    const uint64_t hash = dagStructuralHash(dag);
+    return copyOf(lookupOrCompile(
+        programCacheKey(hash, cfg, options),
+        registerFreeCacheKey(hash, cfg, options), cfg, options,
+        [&](const CompileOptions &opts) {
+            return dpu::compile(dag, cfg, opts);
+        }));
 }
 
 CompiledProgram
@@ -429,17 +454,33 @@ ProgramCache::compile(const PreparedDag &prepared, const ArchConfig &cfg,
 
 ProgramCache::Fetched
 ProgramCache::lookupOrCompile(
-    const std::string &key, const CompileOptions &options,
+    const std::string &key, const std::string &group, const ArchConfig &cfg,
+    const CompileOptions &options,
     const std::function<CompiledProgram(const CompileOptions &)> &miss)
 {
     auto t0 = std::chrono::steady_clock::now();
-    auto fetch_seconds = [&] {
+    auto seconds_since = [](auto start) {
         return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
+                   std::chrono::steady_clock::now() - start)
             .count();
     };
 
     Fetched got;
+    // Under the lock, once got.prog is resident: a certified program
+    // names its group, whose entry it founds when there is none, and
+    // carries the group's run stats once a caller stored them.
+    auto describe_locked = [&] {
+        if (!got.prog->registers.valid)
+            return;
+        got.group = group;
+        Certified &c = certified[group];
+        if (c.owner.empty())
+            c.owner = key;
+        if (c.runStats) {
+            got.runStats = c.runStats;
+            got.runStats->instrBitsFetched = got.prog->stats.programBits;
+        }
+    };
     {
         std::lock_guard<std::mutex> lock(mutex);
         auto it = index.find(key);
@@ -447,6 +488,7 @@ ProgramCache::lookupOrCompile(
             lru.splice(lru.begin(), lru, it->second);
             ++counters.hits;
             got.prog = it->second->prog;
+            describe_locked();
         }
     }
     if (!got.prog && !config.diskDir.empty()) {
@@ -456,27 +498,59 @@ ProgramCache::lookupOrCompile(
                 std::make_shared<const CompiledProgram>(std::move(prog));
             std::lock_guard<std::mutex> lock(mutex);
             ++counters.diskHits;
-            insertLocked(key, got.prog);
+            insertLocked(key, group, got.prog);
         }
     }
     if (got.prog) {
         got.hit = true;
-        got.fetchSeconds = fetch_seconds();
+        got.fetchSeconds = seconds_since(t0);
         return got;
     }
 
-    // A full compile still reuses per-partition fragments of earlier
-    // compiles (e.g. a DSE neighbor differing only in regsPerBank).
-    CompileOptions opts = options;
-    opts.fragmentCache = &fragments;
-    got.prog = std::make_shared<const CompiledProgram>(miss(opts));
+    // A group's certified program that admits this R is this R's
+    // program but for its register-address footprints: derive it
+    // instead of running steps 3-4 again.
+    std::shared_ptr<const CompiledProgram> base;
     {
         std::lock_guard<std::mutex> lock(mutex);
-        ++counters.misses;
-        insertLocked(key, got.prog);
+        auto c = certified.find(group);
+        if (c != certified.end()) {
+            const auto &owner = index.at(c->second.owner)->prog;
+            if (owner->registers.admits(cfg))
+                base = owner;
+        }
+    }
+    if (base) {
+        CompiledProgram prog =
+            deriveForRegisterCount(*base, cfg.regsPerBank);
+        prog.stats.compileSeconds = seconds_since(t0);
+        prog.stats.verifySeconds = 0;
+        if (options.verify) {
+            auto v0 = std::chrono::steady_clock::now();
+            throwIfVerifyErrors(verifyProgram(prog), "finalize");
+            prog.stats.verifySeconds = seconds_since(v0);
+        }
+        got.prog = std::make_shared<const CompiledProgram>(std::move(prog));
+        got.hit = true;
+        got.certified = true;
+    } else {
+        // A full compile still reuses per-partition fragments of
+        // earlier compiles (e.g. a DSE neighbor differing only in
+        // regsPerBank).
+        CompileOptions opts = options;
+        opts.fragmentCache = &fragments;
+        got.prog = std::make_shared<const CompiledProgram>(miss(opts));
+    }
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        ++(got.certified ? counters.certHits : counters.misses);
+        insertLocked(key, group, got.prog);
+        describe_locked();
     }
     if (!config.diskDir.empty())
         storeToDisk(key, *got.prog);
+    if (got.certified)
+        got.fetchSeconds = seconds_since(t0);
     return got;
 }
 
@@ -485,60 +559,28 @@ ProgramCache::insert(const Dag &dag, const ArchConfig &cfg,
                      const CompileOptions &options,
                      const CompiledProgram &prog)
 {
-    std::string key = programCacheKey(dag, cfg, options);
+    const uint64_t hash = dagStructuralHash(dag);
+    std::string key = programCacheKey(hash, cfg, options);
     CompiledProgram stored = prog;
     stored.stats.cacheHits = 0; // future hits flag themselves
     auto shared =
         std::make_shared<const CompiledProgram>(std::move(stored));
     {
         std::lock_guard<std::mutex> lock(mutex);
-        insertLocked(key, shared);
+        insertLocked(key, registerFreeCacheKey(hash, cfg, options),
+                     shared);
     }
     if (!config.diskDir.empty())
         storeToDisk(key, *shared);
 }
 
-namespace {
-
-/** Memo key: program key + core count. */
-std::string
-evalMemoKey(const std::string &key, uint32_t cores)
-{
-    return key + "|c" + std::to_string(cores);
-}
-
-/** Memo growth bound: far above any sweep's (points x workloads)
- *  footprint, small enough that a runaway caller cannot eat the
- *  heap. */
-constexpr size_t kMaxEvalMemoEntries = 1 << 16;
-
-} // namespace
-
-bool
-ProgramCache::lookupEvalStats(const std::string &key, uint32_t cores,
-                              SimStats &out) const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    auto it = evalMemo.find(evalMemoKey(key, cores));
-    // The counters are logically mutable cache bookkeeping.
-    auto &c = const_cast<ProgramCache *>(this)->counters;
-    if (it == evalMemo.end()) {
-        ++c.evalMisses;
-        return false;
-    }
-    ++c.evalHits;
-    out = it->second;
-    return true;
-}
-
 void
-ProgramCache::storeEvalStats(const std::string &key, uint32_t cores,
-                             const SimStats &stats)
+ProgramCache::storeRunStats(const std::string &group, const SimStats &stats)
 {
     std::lock_guard<std::mutex> lock(mutex);
-    if (evalMemo.size() >= kMaxEvalMemoEntries)
-        return;
-    evalMemo[evalMemoKey(key, cores)] = stats;
+    auto c = certified.find(group);
+    if (c != certified.end())
+        c->second.runStats = stats;
 }
 
 ProgramCache::Stats
@@ -634,22 +676,43 @@ ProgramCache::storeToDisk(const std::string &key,
 }
 
 void
-ProgramCache::insertLocked(const std::string &key,
+ProgramCache::insertLocked(const std::string &key, const std::string &group,
                            std::shared_ptr<const CompiledProgram> prog)
 {
+    const bool certifies = prog->registers.valid;
+    if (certifies) {
+        // The latest certified program of a group stands for it: the
+        // group's programs are all one program up to R (a certificate
+        // admits every larger R), so its run stats stay valid.
+        certified[group].owner = key;
+    }
     auto it = index.find(key);
     if (it != index.end()) {
+        if (!certifies)
+            releaseLocked(*it->second);
         it->second->prog = std::move(prog);
+        it->second->group = certifies ? group : std::string();
         lru.splice(lru.begin(), lru, it->second);
         return;
     }
-    lru.push_front({key, std::move(prog)});
+    lru.push_front({key, std::move(prog), certifies ? group : std::string()});
     index[key] = lru.begin();
     while (lru.size() > config.maxEntries) {
+        releaseLocked(lru.back());
         index.erase(lru.back().key);
         lru.pop_back();
         ++counters.evictions;
     }
+}
+
+void
+ProgramCache::releaseLocked(const Entry &e)
+{
+    if (e.group.empty())
+        return;
+    auto c = certified.find(e.group);
+    if (c != certified.end() && c->second.owner == e.key)
+        certified.erase(c);
 }
 
 } // namespace dpu

@@ -18,9 +18,23 @@
  * it. ::boundaryAwareBanks *is* in the key — it changes the emitted
  * program on partitioned compiles.
  *
+ * A second index, keyed like a program but without regsPerBank,
+ * holds one *certified* program per (DAG, configuration minus R,
+ * options) group: the latest resident program of the group whose
+ * compile recorded a RegisterCertificate (no throttle, no spill).
+ * A miss at R' consults it before compiling: when the certificate
+ * admits R', the program is derived (deriveForRegisterCount) instead
+ * of compiled, exactly the bytes a compile at R' emits. The entry
+ * also keeps the group's 1-core SimStats once a caller has simulated
+ * one of its programs, so the DSE skips the Machine for a derived
+ * point too. An entry is released when its program leaves the LRU,
+ * so the index holds no program the LRU does not.
+ *
  * The disk format is a native-endianness binary image (the cache
  * directory is a local build artifact, not a portable interchange
- * format); unreadable or stale files are treated as misses.
+ * format); unreadable or stale files are treated as misses. The
+ * certificate is not in the image, so a program read from disk is
+ * never a certified entry.
  */
 
 #ifndef DPU_COMPILER_CACHE_HH
@@ -31,6 +45,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,6 +67,12 @@ std::string programCacheKey(uint64_t sourceHash, const ArchConfig &cfg,
                             const CompileOptions &options);
 std::string programCacheKey(const Dag &dag, const ArchConfig &cfg,
                             const CompileOptions &options);
+
+/** programCacheKey without regsPerBank: the key of the group of
+ *  compiles whose certified programs ProgramCache shares. */
+std::string registerFreeCacheKey(uint64_t sourceHash,
+                                 const ArchConfig &cfg,
+                                 const CompileOptions &options);
 
 /**
  * Key of one partition's compiled fragment: the whole binarized DAG's
@@ -178,14 +199,23 @@ class ProgramCache
     explicit ProgramCache(ProgramCacheConfig config = {});
 
     /** One lookup: the resident program (its stats as compiled, so
-     *  stats.cacheHits = 0), whether it was served from the cache, and
-     *  the seconds the lookup took when it was (0 on a miss, whose
-     *  cost is the program's stats.compileSeconds). */
+     *  stats.cacheHits = 0), whether it was served from the cache
+     *  (memory, disk or derived from a certified program), and the
+     *  seconds the lookup took when it was (0 on a miss, whose cost is
+     *  the program's stats.compileSeconds). */
     struct Fetched
     {
         std::shared_ptr<const CompiledProgram> prog;
         bool hit = false;
         double fetchSeconds = 0.0;
+        /** Derived from the certified program of its group. */
+        bool certified = false;
+        /** The 1-core SimStats of any run of `prog`, when a caller
+         *  stored them for its group (storeRunStats);
+         *  instrBitsFetched is prog's programBits. */
+        std::optional<SimStats> runStats;
+        /** registerFreeCacheKey of a certified `prog`, else empty. */
+        std::string group;
     };
 
     /** Look up or compile an already-prepared DAG without copying the
@@ -214,19 +244,14 @@ class ProgramCache
                 const CompiledProgram &prog);
 
     /**
-     * Memoized evaluation results. Simulated event counts do not
-     * depend on input values (Sim.StatsDoNotDependOnInputValues pins
-     * it), so a (program key, core count) pair pins the SimStats
-     * exactly; the DSE engine uses this to skip re-simulating a
-     * design point it has already evaluated.
+     * Remember the 1-core SimStats of a run of a certified program
+     * (Fetched::group non-empty). Event counts depend neither on input
+     * values (Sim.StatsDoNotDependOnInputValues) nor, for programs a
+     * certificate relates, on R apart from instrBitsFetched, so later
+     * fetches of the group carry them in Fetched::runStats. A no-op
+     * once the group's entry is released.
      */
-    bool lookupEvalStats(const std::string &key, uint32_t cores,
-                         SimStats &out) const;
-
-    /** Memoize an evaluation result (bounded; silently drops new
-     *  entries once the memo is full). */
-    void storeEvalStats(const std::string &key, uint32_t cores,
-                        const SimStats &stats);
+    void storeRunStats(const std::string &group, const SimStats &stats);
 
     /** Aggregate counters since construction. */
     struct Stats
@@ -239,22 +264,25 @@ class ProgramCache
         uint64_t diskRejects = 0; ///< Spill files rejected (truncated,
                                   ///  corrupt, or failing the static
                                   ///  verifier); each was a miss.
-        uint64_t evalHits = 0;   ///< Eval-stats memo hits.
-        uint64_t evalMisses = 0; ///< Eval-stats memo misses.
+        uint64_t certHits = 0;   ///< Derived from a certified program.
         uint64_t fragHits = 0;   ///< Per-partition fragment reuses.
         uint64_t fragMisses = 0; ///< Fragments compiled from scratch.
 
-        /** Total compile() lookups (hits + diskHits + misses). */
-        uint64_t lookups() const { return hits + diskHits + misses; }
+        /** Total lookups (hits + diskHits + certHits + misses). */
+        uint64_t
+        lookups() const
+        {
+            return hits + diskHits + certHits + misses;
+        }
 
-        /** Fraction of lookups served from the cache (memory or
-         *  disk); 0 when nothing was looked up yet. The number the
-         *  sweep drivers report per shard/sweep. */
+        /** Fraction of lookups served without a compile (memory, disk
+         *  or certified); 0 when nothing was looked up yet. The number
+         *  the sweep drivers report per shard/sweep. */
         double
         hitRate() const
         {
             uint64_t n = lookups();
-            return n ? static_cast<double>(hits + diskHits) /
+            return n ? static_cast<double>(hits + diskHits + certHits) /
                            static_cast<double>(n)
                      : 0.0;
         }
@@ -276,28 +304,43 @@ class ProgramCache
     {
         std::string key;
         std::shared_ptr<const CompiledProgram> prog;
+        std::string group; ///< registerFreeCacheKey; see Certified.
+    };
+
+    /** A group's certified program: the program of the LRU entry
+     *  `owner`, released with it. */
+    struct Certified
+    {
+        std::string owner;
+        std::optional<SimStats> runStats; ///< 1-core, any R.
     };
 
     /** The one lookup body behind fetch() and both compile()
-     *  overloads: serve `key` from memory or disk, else call `miss`
-     *  with this cache's fragment cache wired into the options and
-     *  move its program into the cache. */
+     *  overloads: serve `key` from memory or disk, derive it from
+     *  `group`'s certified program, else call `miss` with this cache's
+     *  fragment cache wired into the options and move its program into
+     *  the cache. */
     Fetched
-    lookupOrCompile(const std::string &key, const CompileOptions &options,
+    lookupOrCompile(const std::string &key, const std::string &group,
+                    const ArchConfig &cfg, const CompileOptions &options,
                     const std::function<CompiledProgram(
                         const CompileOptions &)> &miss);
 
     bool loadFromDisk(const std::string &key, CompiledProgram &out);
     void storeToDisk(const std::string &key, const CompiledProgram &prog);
-    void insertLocked(const std::string &key,
+    /** Make `prog` the resident program of `key`, and the certified
+     *  program of `group` when it carries a certificate. */
+    void insertLocked(const std::string &key, const std::string &group,
                       std::shared_ptr<const CompiledProgram> prog);
+    /** Drop `e`'s group entry when `e` is its owner. */
+    void releaseLocked(const Entry &e);
 
     ProgramCacheConfig config;
     FragmentCache fragments; ///< Shared by every compile() miss.
     mutable std::mutex mutex;
     std::list<Entry> lru; ///< Front = most recently used.
     std::unordered_map<std::string, std::list<Entry>::iterator> index;
-    std::unordered_map<std::string, SimStats> evalMemo;
+    std::unordered_map<std::string, Certified> certified;
     Stats counters;
 };
 

@@ -339,10 +339,11 @@ class CodeGen
 } // namespace
 
 CodegenShared
-computeCodegenShared(const Dag &dag,
+computeCodegenShared(const Dag &dag, std::span<const NodeId> sinks,
                      const std::vector<std::span<const Block>> &partBlocks)
 {
     CodegenShared shared;
+    shared.sinks = sinks;
     shared.inputIndexOf.assign(dag.numNodes(), CodegenShared::never);
     uint32_t k = 0;
     for (NodeId v = 0; v < dag.numNodes(); ++v)
@@ -362,7 +363,7 @@ computeCodegenShared(const Dag &dag,
         }
     }
     // Compute sinks are read one final time by the closing store.
-    for (NodeId s : dag.sinks())
+    for (NodeId s : sinks)
         if (!dag.node(s).isInput())
             shared.lastReaderPart[s] = CodegenShared::storeSentinel;
     return shared;
@@ -454,7 +455,7 @@ mergeIrFragments(const Dag &dag, const ArchConfig &cfg,
 
     // Final stores: every DAG result goes to the output region.
     std::vector<NodeId> compute_sinks;
-    for (NodeId s : dag.sinks()) {
+    for (NodeId s : shared.sinks) {
         if (dag.node(s).isInput()) {
             // The result *is* an input. Input sinks have no
             // consumers, so no fragment loaded them: give them a
@@ -587,7 +588,7 @@ void
 ScheduledIrMerger::finish()
 {
     std::vector<NodeId> compute_sinks;
-    for (NodeId s : dag.sinks()) {
+    for (NodeId s : shared.sinks) {
         if (dag.node(s).isInput()) {
             dpu_assert(instOf[s] == invalidInstance,
                        "input sink was loaded");
@@ -648,7 +649,8 @@ generateIr(const Dag &dag, const ArchConfig &cfg,
 {
     std::vector<std::span<const Block>> partBlocks{
         std::span<const Block>(dec.blocks)};
-    CodegenShared shared = computeCodegenShared(dag, partBlocks);
+    const std::vector<NodeId> sinks = dag.sinks();
+    CodegenShared shared = computeCodegenShared(dag, sinks, partBlocks);
     std::vector<IrFragment> frags;
     frags.push_back(generateIrForRange(
         dag, cfg, partBlocks[0],

@@ -55,12 +55,18 @@ struct CodegenShared
     /** Partition holding the globally-last register read of a value;
      *  storeSentinel for compute sinks (read by the final store). */
     std::vector<uint32_t> lastReaderPart;
+
+    /** dag.sinks(), viewed in the caller's list: the results the
+     *  final stores write. */
+    std::span<const NodeId> sinks;
 };
 
-/** Precompute the shared context; partBlocks[p] = blocks of range p
- *  in ascending range order. */
+/** Precompute the shared context; `sinks` = dag.sinks() (it must
+ *  outlive the context), partBlocks[p] = blocks of range p in
+ *  ascending range order. */
 CodegenShared computeCodegenShared(
-    const Dag &dag, const std::vector<std::span<const Block>> &partBlocks);
+    const Dag &dag, std::span<const NodeId> sinks,
+    const std::vector<std::span<const Block>> &partBlocks);
 
 /** One partition's IR with partition-local instance ids. */
 struct IrFragment

@@ -64,6 +64,15 @@ explicitWriteFootprintBits(const ArchConfig &cfg,
     return total;
 }
 
+/** The footprints that encode register addresses, so depend on R. */
+void
+fillEncodedFootprints(CompiledProgram &prog)
+{
+    prog.stats.programBits = programSizeBits(prog.cfg, prog.instructions);
+    prog.stats.programBitsExplicitWrites =
+        explicitWriteFootprintBits(prog.cfg, prog.instructions);
+}
+
 } // namespace
 
 uint64_t
@@ -97,8 +106,8 @@ binaryForm(const Dag &input, Dag &owned)
  *  compile path behind both compile() overloads. */
 CompiledProgram
 compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
-              uint64_t binarized_hash, const ArchConfig &cfg,
-              const CompileOptions &options)
+              const std::vector<NodeId> &sinks, uint64_t binarized_hash,
+              const ArchConfig &cfg, const CompileOptions &options)
 {
     cfg.check();
     auto t0 = std::chrono::steady_clock::now();
@@ -172,7 +181,7 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
             return;
         for (size_t q = 0; q < num_parts; ++q)
             blockBase[q + 1] = blockBase[q] + blocksPerPart[q];
-        shared = computeCodegenShared(dag, partBlocks);
+        shared = computeCodegenShared(dag, sinks, partBlocks);
     };
 
     // The rest of step 2 for one range, and the merge of its bank map
@@ -214,6 +223,7 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
 
     VerifyIrOptions vopt;
     CompiledProgram prog;
+    std::vector<ScheduleStats> schedules(num_parts);
 
     if (num_parts == 1) {
         // Historical monolithic tail: codegen -> merge -> whole-IR
@@ -242,7 +252,7 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
                 throwIfVerifyErrors(verifyIr(ir, cfg, vopt), "codegen");
             });
 
-        reorderForPipeline(ir, cfg, options.reorderWindow);
+        schedules[0] = reorderForPipeline(ir, cfg, options.reorderWindow);
         if (options.validate)
             checkHazardFree(ir, cfg);
         if (options.verify) {
@@ -306,7 +316,8 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
                 }
                 if (options.verify)
                     unscheduled[p] = frags[p];
-                reorderFragment(frags[p], cfg, options.reorderWindow);
+                schedules[p] =
+                    reorderFragment(frags[p], cfg, options.reorderWindow);
             },
             [&](size_t p) { // consume: ordered merge + finalize chunk
                 merger.append(std::move(frags[p]), blocksPerPart[p]);
@@ -345,10 +356,18 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
         prog = finalizer.finish(ir, blockBase[num_parts]);
     }
 
+    // The register certificate (the finalizer filled peakSlots). It
+    // holds when neither R-dependent branch fired: no spill, and peaks
+    // that admit this compile's own R, i.e. a live estimate that never
+    // reached the throttle.
+    RegisterCertificate &cert = prog.registers;
+    for (const ScheduleStats &s : schedules)
+        cert.peakLive = std::max(cert.peakLive, s.peakLive);
+    cert.valid = prog.stats.spillStores == 0;
+    cert.valid = cert.admits(cfg);
+
     prog.stats.numOperations = dag.numOperations();
-    prog.stats.programBits = programSizeBits(cfg, prog.instructions);
-    prog.stats.programBitsExplicitWrites =
-        explicitWriteFootprintBits(cfg, prog.instructions);
+    fillEncodedFootprints(prog);
     prog.stats.csrBits = csrFootprintBits(dag);
     prog.stats.dataBits = uint64_t(prog.numRows) * cfg.banks * 32;
 
@@ -378,6 +397,7 @@ prepareDag(const Dag &input)
         p.dag = input; // a PreparedDag owns its DAG
     p.binarizedHash = dagStructuralHash(p.dag);
     p.dfsPositions = dfsPreorderPositions(p.dag);
+    p.sinks = p.dag.sinks();
     return p;
 }
 
@@ -393,6 +413,7 @@ compile(const Dag &input, const ArchConfig &cfg,
     Dag owned;
     const Dag &dag = binaryForm(input, owned);
     const std::vector<uint32_t> dfs_positions = dfsPreorderPositions(dag);
+    const std::vector<NodeId> sinks = dag.sinks();
     const uint64_t binarized_hash =
         options.fragmentCache ? dagStructuralHash(dag) : 0;
     const double prepare_seconds =
@@ -400,7 +421,8 @@ compile(const Dag &input, const ArchConfig &cfg,
                                       t0)
             .count();
     CompiledProgram prog =
-        compileBinary(dag, dfs_positions, binarized_hash, cfg, options);
+        compileBinary(dag, dfs_positions, sinks, binarized_hash, cfg,
+                      options);
     prog.stats.compileSeconds += prepare_seconds;
     return prog;
 }
@@ -410,7 +432,23 @@ compile(const PreparedDag &prepared, const ArchConfig &cfg,
         const CompileOptions &options)
 {
     return compileBinary(prepared.dag, prepared.dfsPositions,
-                         prepared.binarizedHash, cfg, options);
+                         prepared.sinks, prepared.binarizedHash, cfg,
+                         options);
+}
+
+CompiledProgram
+deriveForRegisterCount(const CompiledProgram &prog, uint32_t regsPerBank)
+{
+    ArchConfig cfg = prog.cfg;
+    cfg.regsPerBank = regsPerBank;
+    cfg.check();
+    dpu_assert(prog.registers.admits(cfg),
+               "register certificate does not admit R=" +
+                   std::to_string(regsPerBank));
+    CompiledProgram out = prog;
+    out.cfg = cfg;
+    fillEncodedFootprints(out);
+    return out;
 }
 
 } // namespace dpu

@@ -107,6 +107,9 @@ struct PreparedDag
      *  of every partition. */
     std::vector<uint32_t> dfsPositions;
 
+    /** dag.sinks(): the values codegen stores as results. */
+    std::vector<NodeId> sinks;
+
     /** dagStructuralHash of the *input* DAG: what programCacheKey
      *  keys on, so a cache lookup by the unprepared DAG and one by its
      *  PreparedDag find the same entry. */
@@ -122,7 +125,7 @@ struct PreparedDag
 };
 
 /** Run the configuration-independent front end (binarize when `dag`
- *  is not binary, DFS preorder, structural hashes) on `dag`. */
+ *  is not binary, DFS preorder, sinks, structural hashes) on `dag`. */
 PreparedDag prepareDag(const Dag &dag);
 
 /**
@@ -147,6 +150,17 @@ CompiledProgram compile(const PreparedDag &prepared, const ArchConfig &cfg,
  */
 CompiledProgram compile(const Dag &dag, const ArchConfig &cfg,
                         const CompileOptions &options = {});
+
+/**
+ * The program compiling the same DAG with the same options at
+ * `regsPerBank` emits, derived from `prog` without compiling: a copy
+ * with the register count and the footprints that encode register
+ * addresses recomputed. prog.registers must admit the new count (see
+ * RegisterCertificate); the copy keeps that certificate and prog's
+ * compile and verify times.
+ */
+CompiledProgram deriveForRegisterCount(const CompiledProgram &prog,
+                                       uint32_t regsPerBank);
 
 /**
  * Footprint of the conventional CSR-style representation of the same

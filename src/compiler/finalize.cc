@@ -94,6 +94,7 @@ class FinalizerImpl
             prog.instructions.size() + cfg.pipelineStages();
         prog.stats.nops =
             prog.stats.kindCount[static_cast<size_t>(InstrKind::Nop)];
+        prog.registers.peakSlots = peakSlots;
         return std::move(prog);
     }
 
@@ -217,6 +218,7 @@ class FinalizerImpl
         size_t addr = valid[bank].firstZero();
         dpu_assert(addr < cfg.regsPerBank, "spill failed to free a slot");
         valid[bank].set(addr);
+        peakSlots = std::max(peakSlots, static_cast<uint32_t>(addr + 1));
         occupant[bank][addr] = id;
         state[id].addr = static_cast<uint32_t>(addr);
         // Provisional; fixWriteTimes() patches the exact issue time of
@@ -423,6 +425,7 @@ class FinalizerImpl
     std::vector<std::vector<InstanceId>> occupant;
     std::vector<BitVec> valid;
     uint32_t relSpillRows = 0;
+    uint32_t peakSlots = 0; ///< Highest placed address + 1.
     std::vector<uint32_t> spillCount;
     OutputSelectTable outputSelect; ///< built once per config
     std::vector<size_t> spillStoreFixups;

@@ -87,7 +87,8 @@ class ProgramFinalizer
     /**
      * Rebase the spill rows on ir's final input/output region, check
      * for register leaks, and fill the step 1-4 stats (workload-level
-     * fields are left for the driver, as before).
+     * fields are left for the driver, as before) and the certificate's
+     * peakSlots (the driver adds the scheduler's half).
      */
     CompiledProgram finish(const IrProgram &ir, size_t numBlocks);
 

@@ -56,6 +56,41 @@ struct CompileStats
     uint64_t cacheHits = 0;
 };
 
+/**
+ * Which register counts a compile's program is exact for. R enters
+ * steps 3-4 in two places only: the scheduler throttles its window
+ * once its live estimate reaches B·R/2, and the finalizer spills when
+ * a bank has no free register. A compile that did neither records
+ * its two peaks here, and a compile at any R' they admit (same DAG,
+ * configuration otherwise and options) emits the same program; only
+ * programBits, programBitsExplicitWrites and a run's
+ * instrBitsFetched, which encode register addresses in
+ * ceil(log2 R') bits, differ.
+ *
+ * Not part of the program image: a program read back from disk
+ * carries none, and an invalid certificate admits nothing.
+ */
+struct RegisterCertificate
+{
+    /** True only for a compile that neither throttled nor spilled. */
+    bool valid = false;
+    /** Highest live estimate the scheduler compared to B·R/2. */
+    int64_t peakLive = 0;
+    /** Highest register address the finalizer placed in, plus one. */
+    uint32_t peakSlots = 0;
+
+    /** True when a compile at cfg's register count provably emits the
+     *  certified program (cfg's depth, banks, output net and data
+     *  memory being the certified compile's). */
+    bool
+    admits(const ArchConfig &cfg) const
+    {
+        const uint64_t high_water = uint64_t(cfg.banks) * cfg.regsPerBank / 2;
+        return valid && peakLive < static_cast<int64_t>(high_water) &&
+               peakSlots <= cfg.regsPerBank;
+    }
+};
+
 /** A compiled, executable program. */
 struct CompiledProgram
 {
@@ -78,6 +113,9 @@ struct CompiledProgram
     std::vector<OutputLoc> outputs;
 
     CompileStats stats;
+
+    /** Filled by the compiler; see RegisterCertificate. */
+    RegisterCertificate registers;
 };
 
 } // namespace dpu

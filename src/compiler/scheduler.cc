@@ -230,6 +230,7 @@ reorderList(IrProgram &ir, const ArchConfig &cfg, uint32_t window,
         while (head < n && scheduled[head])
             ++head;
 
+        stats.peakLive = std::max(stats.peakLive, live);
         uint32_t eff_window =
             live >= static_cast<int64_t>(high_water)
                 ? std::min<uint32_t>(window, 8)

@@ -25,6 +25,9 @@ struct ScheduleStats
 {
     uint64_t nopsInserted = 0;
     uint64_t movedInstructions = 0; ///< Issued out of original order.
+    /** Highest register-pressure estimate compared to the throttle's
+     *  B·R/2 (RegisterCertificate::peakLive). */
+    int64_t peakLive = 0;
 };
 
 /**

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <fstream>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <tuple>
 
@@ -50,78 +51,101 @@ prepareSuite(const std::vector<WorkloadSpec> &suite, double scale,
     return out;
 }
 
-/** The point evaluator behind evaluateDesign and runDseSweep:
- *  evaluateDesign's contract over an already-prepared suite. */
-DsePoint
-evaluatePrepared(const ArchConfig &cfg,
-                 const std::vector<PreparedWorkload> &suite, double scale,
-                 uint64_t seed, uint32_t cores, ProgramCache *cache,
-                 DseEvalCost *cost, uint32_t fleet_ranks,
-                 const HostTransferModel &transfer, bool verify)
+/** The per-workload means a point averages. */
+struct PointSums
+{
+    Summary lat, epo, gops, watts, xfer_ns;
+};
+
+/**
+ * The point evaluator behind evaluateDesign and runDseSweep:
+ * evaluateDesign's contract over an already-prepared suite, for
+ * `points` at once, into out[0..points.size()). It walks workload by
+ * workload and, within one, point by point, so the points of one
+ * (D, B) group fetch a workload's programs back to back: the group's
+ * certified program is then still resident when the next R asks for
+ * it, however many other shards share the cache. Each point still
+ * averages its workloads in suite order, so its result does not
+ * depend on which points share the call.
+ */
+void
+evaluatePrepared(std::span<const DseGridPoint> points,
+                 const std::vector<PreparedWorkload> &suite,
+                 uint64_t seed, ProgramCache *cache, DseEvalCost *cost,
+                 uint32_t fleet_ranks, const HostTransferModel &transfer,
+                 bool verify, DsePoint *out)
 {
     if (fleet_ranks < 1)
         fleet_ranks = 1;
 
-    DsePoint point;
-    point.cfg = cfg;
-    point.workloadScale = scale;
-    point.cores = cores;
-    point.areaMm2 = areaOf(cfg).total;
-    point.fleetRanks = fleet_ranks;
+    for (size_t k = 0; k < points.size(); ++k) {
+        DsePoint &point = out[k];
+        point = DsePoint{};
+        point.cfg = points[k].cfg;
+        point.workloadScale = points[k].scale;
+        point.cores = points[k].cores;
+        point.areaMm2 = areaOf(point.cfg).total;
+        point.fleetRanks = fleet_ranks;
+    }
 
-    Summary lat, epo, gops, watts, xfer_ns;
+    std::vector<PointSums> sums(points.size());
     for (const PreparedWorkload &w : suite) {
         const PreparedDag &dag = w.prepared;
         CompileOptions opt;
         opt.seed = seed;
         if (verify) // explicit opt-in only; keep the default build-set
             opt.verify = true;
-        // The point reads its program where the cache keeps it.
-        ProgramCache::Fetched got;
-        try {
-            if (cache)
-                got = cache->fetch(dag, cfg, opt);
-            else
-                got.prog = std::make_shared<const CompiledProgram>(
-                    compile(dag, cfg, opt));
-        } catch (const FatalError &) {
-            // Register file too small for this workload: the design
-            // point cannot run the suite.
-            point.feasible = false;
-            return point;
-        }
-        const CompiledProgram &prog = *got.prog;
-        if (cost) {
-            cost->compiles += 1;
-            cost->cacheHits += got.hit ? 1 : 0;
-            cost->compileSeconds += got.hit ? got.fetchSeconds
-                                            : prog.stats.compileSeconds;
-        }
+        for (size_t k = 0; k < points.size(); ++k) {
+            if (!out[k].feasible)
+                continue; // an earlier workload did not fit
+            const ArchConfig &cfg = points[k].cfg;
+            const uint32_t cores = points[k].cores;
+            // The point reads its program where the cache keeps it.
+            ProgramCache::Fetched got;
+            try {
+                if (cache)
+                    got = cache->fetch(dag, cfg, opt);
+                else
+                    got.prog = std::make_shared<const CompiledProgram>(
+                        compile(dag, cfg, opt));
+            } catch (const FatalError &) {
+                // Register file too small for this workload: the
+                // design point cannot run the suite.
+                out[k].feasible = false;
+                continue;
+            }
+            const CompiledProgram &prog = *got.prog;
+            if (cost) {
+                cost->compiles += 1;
+                cost->cacheHits += got.hit ? 1 : 0;
+                cost->certified += got.certified ? 1 : 0;
+                cost->compileSeconds += got.hit ? got.fetchSeconds
+                                                : prog.stats.compileSeconds;
+            }
 
-        SimStats stats;
-        // Event counts do not depend on input values
-        // (Sim.StatsDoNotDependOnInputValues), so a (program, cores)
-        // pair pins them exactly and the cache can memoize across
-        // repeated evaluations of the same point.
-        std::string memo_key;
-        bool memoized = false;
-        if (cache) {
-            memo_key = programCacheKey(dag.sourceHash, cfg, opt);
-            memoized = cache->lookupEvalStats(memo_key, cores, stats);
-        }
-        if (!memoized) {
-            Rng rng(seed + w.seed);
-            std::vector<double> inputs(dag.numInputs);
-            for (double &x : inputs)
-                x = 0.5 + rng.uniform();
-            stats = Machine(prog).run(inputs).stats;
+            // Event counts do not depend on input values
+            // (Sim.StatsDoNotDependOnInputValues), and a certified
+            // program's group shares them up to instrBitsFetched, which
+            // the cache sets for this R: a group simulates once.
+            SimStats stats;
+            if (got.runStats) {
+                stats = *got.runStats;
+            } else {
+                Rng rng(seed + w.seed);
+                std::vector<double> inputs(dag.numInputs);
+                for (double &x : inputs)
+                    x = 0.5 + rng.uniform();
+                stats = Machine(prog).run(inputs).stats;
+                if (!got.group.empty())
+                    cache->storeRunStats(got.group, stats);
+            }
             if (cores > 1) {
                 // Multi-core axis: a `cores`-input batch, one run per
                 // core. Every run counts the same events, and the
                 // batch's wall cycles set the latency.
                 stats.cycles = batchWallCycles(prog, cores, cores);
-                for (uint64_t &k : stats.kindCount)
-                    k *= cores;
+                for (uint64_t &n : stats.kindCount)
+                    n *= cores;
                 stats.bankReads *= cores;
                 stats.bankWrites *= cores;
                 stats.peOperations *= cores;
@@ -131,40 +155,44 @@ evaluatePrepared(const ArchConfig &cfg,
                 stats.memWrites *= cores;
                 stats.instrBitsFetched *= cores;
             }
-            if (cache)
-                cache->storeEvalStats(memo_key, cores, stats);
+            const uint64_t runs = cores > 1 ? cores : 1;
+            const uint64_t operations = prog.stats.numOperations * runs;
+
+            // Host↔rank transfer: the link serializes the dispatch's
+            // input/output payload before the cores compute, extending
+            // the wall clock (the cost is static — see
+            // HostTransferModel).
+            uint64_t xfer =
+                transfer.batchCycles(hostTransferBytes(prog), runs);
+            stats.transferCycles = xfer;
+            stats.cycles += xfer;
+
+            EnergyBreakdown e = energyOf(cfg, stats, operations);
+            PointSums &sum = sums[k];
+            sum.lat.add(e.latencyPerOpNs());
+            sum.epo.add(e.energyPerOpPj());
+            // A fleet replicates the design: throughput and wall power
+            // scale with the rank count; per-op latency/energy do not.
+            sum.gops.add(fleet_ranks * double(operations) / e.seconds() *
+                         1e-9);
+            sum.watts.add(fleet_ranks * e.wallPowerWatts());
+            if (stats.cycles > 0)
+                sum.xfer_ns.add(double(xfer) / double(stats.cycles) *
+                                e.seconds() * 1e9 / double(operations));
         }
-        const uint64_t runs = cores > 1 ? cores : 1;
-        const uint64_t operations = prog.stats.numOperations * runs;
-
-        // Host↔rank transfer: the link serializes the dispatch's
-        // input/output payload before the cores compute, extending
-        // the wall clock (the cost is static — see
-        // HostTransferModel). The memoized stats above stay
-        // transfer-free, so one cache entry serves any model.
-        uint64_t xfer =
-            transfer.batchCycles(hostTransferBytes(prog), runs);
-        stats.transferCycles = xfer;
-        stats.cycles += xfer;
-
-        EnergyBreakdown e = energyOf(cfg, stats, operations);
-        lat.add(e.latencyPerOpNs());
-        epo.add(e.energyPerOpPj());
-        // A fleet replicates the design: throughput and wall power
-        // scale with the rank count; per-op latency/energy do not.
-        gops.add(fleet_ranks * double(operations) / e.seconds() * 1e-9);
-        watts.add(fleet_ranks * e.wallPowerWatts());
-        if (stats.cycles > 0)
-            xfer_ns.add(double(xfer) / double(stats.cycles) *
-                        e.seconds() * 1e9 / double(operations));
     }
-    point.latencyPerOpNs = lat.mean();
-    point.energyPerOpPj = epo.mean();
-    point.edpPjNs = point.latencyPerOpNs * point.energyPerOpPj;
-    point.throughputGops = gops.mean();
-    point.powerWatts = watts.mean();
-    point.transferPerOpNs = xfer_ns.mean();
-    return point;
+    for (size_t k = 0; k < points.size(); ++k) {
+        DsePoint &point = out[k];
+        if (!point.feasible)
+            continue;
+        const PointSums &sum = sums[k];
+        point.latencyPerOpNs = sum.lat.mean();
+        point.energyPerOpPj = sum.epo.mean();
+        point.edpPjNs = point.latencyPerOpNs * point.energyPerOpPj;
+        point.throughputGops = sum.gops.mean();
+        point.powerWatts = sum.watts.mean();
+        point.transferPerOpNs = sum.xfer_ns.mean();
+    }
 }
 
 } // namespace
@@ -176,9 +204,11 @@ evaluateDesign(const ArchConfig &cfg,
                DseEvalCost *cost, uint32_t fleet_ranks,
                const HostTransferModel &transfer, bool verify)
 {
-    return evaluatePrepared(cfg, prepareSuite(suite, scale, 1), scale,
-                            seed, cores, cache, cost, fleet_ranks,
-                            transfer, verify);
+    const DseGridPoint point{cfg, scale, cores};
+    DsePoint out;
+    evaluatePrepared({&point, 1}, prepareSuite(suite, scale, 1), seed,
+                     cache, cost, fleet_ranks, transfer, verify, &out);
+    return out;
 }
 
 // ---------------------------------------------------------------- //
@@ -586,24 +616,46 @@ runDseSweep(const DseSweepOptions &options)
         parallelFor(shards.size(), options.threads, [&](size_t s) {
             auto start = std::chrono::steady_clock::now();
             DseShardReport &report = result.shardReports[s];
-            for (size_t i = shards[s].begin; i < shards[s].end; ++i) {
-                if (!pending(i))
+            std::vector<size_t> group;
+            std::vector<DseGridPoint> coords;
+            std::vector<DsePoint> evaluated;
+            for (size_t i = shards[s].begin; i < shards[s].end;) {
+                // One (D, B) group of the shard: its pending points,
+                // every R and core count, evaluated together.
+                group.clear();
+                coords.clear();
+                size_t j = i;
+                for (; j < shards[s].end &&
+                       grid[j].cfg.depth == grid[i].cfg.depth &&
+                       grid[j].cfg.banks == grid[i].cfg.banks;
+                     ++j)
+                    if (pending(j)) {
+                        group.push_back(j);
+                        coords.push_back(grid[j]);
+                    }
+                i = j;
+                if (group.empty())
                     continue;
                 DseEvalCost cost;
-                // Each slot is written by exactly one shard, so the
-                // grid-order merge needs no synchronization.
-                result.points[i] = evaluatePrepared(
-                    grid[i].cfg, prepared, scale, space.seed,
-                    grid[i].cores, options.cache, &cost,
-                    space.fleetRanks, space.transfer, options.verify);
-                ++report.evaluated;
+                evaluated.resize(group.size());
+                evaluatePrepared(coords, prepared, space.seed,
+                                 options.cache, &cost, space.fleetRanks,
+                                 space.transfer, options.verify,
+                                 evaluated.data());
+                report.evaluated += group.size();
                 report.compiles += cost.compiles;
                 report.cacheHits += cost.cacheHits;
+                report.certified += cost.certified;
                 report.compileSeconds += cost.compileSeconds;
+                // Each slot is written by exactly one shard, so the
+                // grid-order merge needs no synchronization.
+                for (size_t k = 0; k < group.size(); ++k)
+                    result.points[group[k]] = evaluated[k];
                 if (journaling) {
                     std::lock_guard<std::mutex> lock(journal_mutex);
-                    journal << dseJournalPointLine(i, result.points[i])
-                            << "\n";
+                    for (size_t g : group)
+                        journal << dseJournalPointLine(g, result.points[g])
+                                << "\n";
                     journal.flush(); // checkpoint survives a kill
                     if (!journal)
                         dpu_fatal("failed writing DSE journal '" +

@@ -17,7 +17,11 @@
  *     compiler front end on it (prepareDag), in parallel; then it
  *     executes the shards' points at that scale on a work-stealing
  *     pool (support/parallel.hh), compiling each from those shared
- *     prepared DAGs through an optional ProgramCache. Results merge
+ *     prepared DAGs through an optional ProgramCache. A shard
+ *     evaluates the points of one (D, B) group together, workload by
+ *     workload, so the cache can derive each further register count
+ *     from the group's certified program (RegisterCertificate) and
+ *     reuse its simulated stats. Results merge
  *     in grid order — the returned
  *     point vector is byte-identical for every thread/shard count
  *     (pinned by the DseStress suite);
@@ -155,6 +159,8 @@ struct DseEvalCost
 {
     uint64_t compiles = 0;  ///< compile() calls issued.
     uint64_t cacheHits = 0; ///< Of which served by the ProgramCache.
+    uint64_t certified = 0; ///< Of those, derived from a certified
+                            ///  program (ProgramCache::Fetched).
     double compileSeconds = 0;
 };
 
@@ -165,8 +171,9 @@ struct DseEvalCost
  * not depend on input values) and its latency is the batch's wall
  * cycles (batchWallCycles). Marks the point infeasible (instead of
  * throwing) when a workload fails to fit. `cache`, when given, serves
- * repeated compiles and memoizes the simulated stats; `cost`, when
- * given, accumulates compile/cache counters.
+ * repeated compiles, derives programs whose register certificate
+ * admits cfg's R, and keeps the simulated stats of certified
+ * programs; `cost`, when given, accumulates compile/cache counters.
  *
  * Builds and prepares the suite at `scale` itself, then runs the same
  * point evaluator runDseSweep runs against its once-per-sweep suite,
@@ -262,6 +269,8 @@ struct DseShardReport
     size_t evaluated = 0; ///< Computed this run (rest resumed).
     uint64_t compiles = 0;
     uint64_t cacheHits = 0;
+    uint64_t certified = 0; ///< Cache hits derived from a certified
+                            ///  program of another register count.
     double compileSeconds = 0;
     double seconds = 0; ///< Shard wall time.
 

@@ -217,8 +217,10 @@ TEST(ProgramCache, WarmFragmentsMatchColdCompiles)
     // boundary-aware mapping, all through one cache. Two fragment
     // slots force evictions of entries a compile is still reading,
     // and one program slot makes every lookup a program miss, so each
-    // compile runs steps 3-4 over fragments read in place. Every
-    // program must equal a cold compile byte for byte.
+    // compile runs steps 3-4 over fragments read in place, or derives
+    // its program from the previous R's when that one's register
+    // certificate admits this R. Every program must equal a cold
+    // compile byte for byte.
     Rng rng(20261017);
     ProgramCacheConfig cc;
     cc.maxEntries = 1;
@@ -579,44 +581,6 @@ TEST(ProgramCache, StructuralHashSeparatesDags)
     NodeId j0 = c2.addInput(), j1 = c2.addInput();
     c2.addNode(OpType::Mul, {j0, j1});
     EXPECT_NE(dagStructuralHash(c1), dagStructuralHash(c2));
-}
-
-TEST(ProgramCache, EvalStatsMemoKeysOnProgramAndCores)
-{
-    // The evaluation memo: a (program key, cores) pair pins one
-    // SimStats. Different core counts are distinct entries;
-    // hits/misses are counted.
-    ProgramCache cache;
-    SimStats s1;
-    s1.cycles = 100;
-    s1.peOperations = 40;
-    SimStats s4;
-    s4.cycles = 110; // same program, four-core batch
-    s4.peOperations = 160;
-
-    SimStats out;
-    EXPECT_FALSE(cache.lookupEvalStats("prog-a", 1, out));
-    EXPECT_EQ(cache.stats().evalMisses, 1u);
-
-    cache.storeEvalStats("prog-a", 1, s1);
-    cache.storeEvalStats("prog-a", 4, s4);
-
-    ASSERT_TRUE(cache.lookupEvalStats("prog-a", 1, out));
-    EXPECT_EQ(out.cycles, 100u);
-    ASSERT_TRUE(cache.lookupEvalStats("prog-a", 4, out));
-    EXPECT_EQ(out.cycles, 110u);
-    EXPECT_EQ(cache.stats().evalHits, 2u);
-
-    // A different core count or program both miss.
-    EXPECT_FALSE(cache.lookupEvalStats("prog-a", 2, out));
-    EXPECT_FALSE(cache.lookupEvalStats("prog-b", 1, out));
-    EXPECT_EQ(cache.stats().evalMisses, 3u);
-
-    // A re-store overwrites in place.
-    s1.cycles = 99;
-    cache.storeEvalStats("prog-a", 1, s1);
-    ASSERT_TRUE(cache.lookupEvalStats("prog-a", 1, out));
-    EXPECT_EQ(out.cycles, 99u);
 }
 
 } // namespace

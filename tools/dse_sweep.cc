@@ -303,7 +303,7 @@ main(int argc, char **argv)
 
         TablePrinter shard_table({"shard", "points", "evaluated",
                                   "compiles", "cache hits",
-                                  "hit rate", "seconds"});
+                                  "certified", "hit rate", "seconds"});
         for (size_t s = 0; s < sweep.shardReports.size(); ++s) {
             const DseShardReport &r = sweep.shardReports[s];
             shard_table.row().cell(std::to_string(s))
@@ -311,6 +311,7 @@ main(int argc, char **argv)
                 .cell(std::to_string(r.evaluated))
                 .cell(std::to_string(r.compiles))
                 .cell(std::to_string(r.cacheHits))
+                .cell(std::to_string(r.certified))
                 .num(r.hitRate(), 2)
                 .num(r.seconds, 3);
         }
@@ -326,12 +327,15 @@ main(int argc, char **argv)
             ProgramCache::Stats cs = cache.stats();
             std::printf("\ndse_sweep: %zu points in %.3fs (%.3fs "
                         "preparing the suite); program cache "
-                        "%llu/%llu lookups served (hit rate %.2f)\n",
+                        "%llu/%llu lookups served (hit rate %.2f), "
+                        "%llu of them derived from certified "
+                        "programs\n",
                         pts.size(), seconds, sweep.prepareSeconds,
-                        static_cast<unsigned long long>(cs.hits +
-                                                        cs.diskHits),
+                        static_cast<unsigned long long>(
+                            cs.hits + cs.diskHits + cs.certHits),
                         static_cast<unsigned long long>(cs.lookups()),
-                        cs.hitRate());
+                        cs.hitRate(),
+                        static_cast<unsigned long long>(cs.certHits));
             std::printf("dse_sweep: fragment cache %llu hits / %llu "
                         "misses across partition sub-DAGs\n",
                         static_cast<unsigned long long>(cs.fragHits),
