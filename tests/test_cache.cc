@@ -128,7 +128,8 @@ TEST(ProgramCache, FragmentReuseAcrossRegisterCounts)
     // (single) fragment — and the reuse is output-preserving.
     Dag d = generateRandomDag(16, 600, 84);
     ProgramCache cache;
-    cache.compile(d, cfgOf(2, 8, 32));
+    // Uncertified (a certificate would derive R=64 instead).
+    ASSERT_FALSE(cache.compile(d, cfgOf(2, 8, 32)).registers.valid);
     auto s1 = cache.stats();
     EXPECT_EQ(s1.fragMisses, 1u);
     EXPECT_EQ(s1.fragHits, 0u);
@@ -149,7 +150,7 @@ TEST(ProgramCache, FragmentReusePartitionedCompile)
     CompileOptions opt;
     opt.partitionNodes = 400;
     opt.threads = 4;
-    cache.compile(d, cfgOf(3, 16, 32), opt);
+    ASSERT_FALSE(cache.compile(d, cfgOf(3, 16, 32), opt).registers.valid);
     uint64_t parts = cache.stats().fragMisses;
     EXPECT_GE(parts, 4u); // 2000 ops / 400 per partition
     auto warm = cache.compile(d, cfgOf(3, 16, 64), opt);
