@@ -584,5 +584,43 @@ TEST(ProgramCache, StructuralHashSeparatesDags)
     EXPECT_NE(dagStructuralHash(c1), dagStructuralHash(c2));
 }
 
+/** Spill file names and program-cache keys embed these hashes, so a
+ *  change of DAG representation must leave every value unchanged. */
+TEST(ProgramCache, StructuralHashIsPinned)
+{
+    Dag empty;
+
+    Dag inputs_only;
+    for (int i = 0; i < 3; ++i)
+        inputs_only.addInput();
+
+    // n-ary nodes, an unused input and a node used twice.
+    Dag nary;
+    NodeId a = nary.addInput(), b = nary.addInput(), c = nary.addInput();
+    nary.addInput();
+    NodeId s = nary.addNode(OpType::Add, {a, b, c});
+    NodeId p = nary.addNode(OpType::Mul, {s, c, a, b});
+    nary.addNode(OpType::Add, {p, s});
+
+    // A duplicate operand: x*x, then (x*x) + x.
+    Dag square;
+    NodeId x = square.addInput();
+    NodeId xx = square.addNode(OpType::Mul, {x, x});
+    square.addNode(OpType::Add, {xx, x});
+
+    EXPECT_EQ(dagStructuralHash(empty), 0x3e6a6602ccb169dcull);
+    EXPECT_EQ(dagStructuralHash(inputs_only), 0x5b250baf95436c0bull);
+    EXPECT_EQ(dagStructuralHash(nary), 0xf4ca536444a6be72ull);
+    EXPECT_EQ(dagStructuralHash(square), 0x6be7eb3210a816afull);
+    EXPECT_EQ(dagStructuralHash(generateRandomDag(16, 300, 82)),
+              0xf7814118f942788full);
+
+    ArchConfig cfg = cfgOf(3, 8, 16);
+    CompileOptions opt;
+    opt.partitionNodes = 100;
+    EXPECT_EQ(registerFreeCacheKey(dagStructuralHash(nary), cfg, opt),
+              "f4ca536444a6be72-D3.B8-n1-m4096-b0-a1-w300-p100-s1");
+}
+
 } // namespace
 } // namespace dpu
