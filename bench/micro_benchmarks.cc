@@ -1,6 +1,7 @@
 /**
  * @file
  * Google-benchmark micro-benchmarks of the toolchain itself:
+ * DAG construction and the DFS preorder on the large-PC DAG,
  * compiler throughput (single-threaded, partition-parallel, one
  * design-space point over a warm fragment cache, and steps 1 and 2
  * alone on the ranges of a partitioned large-PC compile),
@@ -149,11 +150,34 @@ BM_CertifiedRegisterSweep(benchmark::State &state)
 }
 BENCHMARK(BM_CertifiedRegisterSweep)->Unit(benchmark::kMillisecond);
 
+/** The scale of compile_large_pc's DAG, pigs@0.2 (--quick: 0.02). */
+double
+largePcScale()
+{
+    return g_quick ? 0.02 : 0.2;
+}
+
+/** Build compile_large_pc's DAG and free it: the cost of the DAG
+ *  representation itself (one append per node, then destruction). */
+void
+BM_BuildDag(benchmark::State &state)
+{
+    size_t nodes = 0;
+    for (auto _ : state) {
+        Dag dag = buildWorkloadDag(findWorkload("pigs"), largePcScale());
+        nodes = dag.numNodes();
+        benchmark::DoNotOptimize(nodes);
+    }
+    state.SetItemsProcessed(state.iterations() * int64_t(nodes));
+}
+BENCHMARK(BM_BuildDag)->Unit(benchmark::kMillisecond);
+
 /** compile_large_pc's partitioned compile: pigs@0.2 for largeConfig
  *  in 20k-node ranges (--quick: pigs@0.02 in 4000-node ranges). */
 struct LargePcRanges
 {
     Dag dag;
+    SuccessorIndex successors;
     std::vector<uint32_t> dfsPositions;
     std::vector<PartitionRange> ranges;
     std::vector<RangeDecomposition> decs;
@@ -164,16 +188,33 @@ largePcRanges()
 {
     static const LargePcRanges f = [] {
         LargePcRanges r;
-        r.dag = buildWorkloadDag(findWorkload("pigs"), g_quick ? 0.02 : 0.2);
-        r.dfsPositions = dfsPreorderPositions(r.dag);
+        r.dag = buildWorkloadDag(findWorkload("pigs"), largePcScale());
+        r.successors = SuccessorIndex(r.dag);
+        r.dfsPositions = dfsPreorderPositions(r.dag, r.successors);
         r.ranges = partitionByCount(r.dag, g_quick ? 4000 : 20000);
         for (const PartitionRange &range : r.ranges)
             r.decs.push_back(decomposeRangeIntoBlocks(
-                r.dag, largeConfig(), 1, range, r.dfsPositions));
+                r.dag, r.successors, largeConfig(), 1, range,
+                r.dfsPositions));
         return r;
     }();
     return f;
 }
+
+/** The serial prefix of every compile: the successor index, then
+ *  the DFS preorder over it, on compile_large_pc's DAG. */
+void
+BM_DfsPreorder(benchmark::State &state)
+{
+    const Dag &dag = largePcRanges().dag;
+    for (auto _ : state) {
+        std::vector<uint32_t> pos =
+            dfsPreorderPositions(dag, SuccessorIndex(dag));
+        benchmark::DoNotOptimize(pos.data());
+    }
+    state.SetItemsProcessed(state.iterations() * int64_t(dag.numNodes()));
+}
+BENCHMARK(BM_DfsPreorder)->Unit(benchmark::kMillisecond);
 
 /** Step 1 alone: every range's block decomposition, serially. */
 void
@@ -183,7 +224,8 @@ BM_DecomposeRange(benchmark::State &state)
     for (auto _ : state)
         for (const PartitionRange &range : f.ranges) {
             RangeDecomposition dec = decomposeRangeIntoBlocks(
-                f.dag, largeConfig(), 1, range, f.dfsPositions);
+                f.dag, f.successors, largeConfig(), 1, range,
+                f.dfsPositions);
             benchmark::DoNotOptimize(dec.blocks.data());
         }
     state.SetItemsProcessed(state.iterations() *

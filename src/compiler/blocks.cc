@@ -33,10 +33,10 @@ struct FreeSlot
 class BlockBuilder
 {
   public:
-    BlockBuilder(const Dag &dag, const ArchConfig &cfg,
-                 std::pair<NodeId, NodeId> range,
+    BlockBuilder(const Dag &dag, const SuccessorIndex &succ,
+                 const ArchConfig &cfg, std::pair<NodeId, NodeId> range,
                  const std::vector<uint32_t> &dfs_positions)
-        : dag(dag), cfg(cfg), rangeLo(range.first),
+        : dag(dag), succ(succ), cfg(cfg), rangeLo(range.first),
           rangeHi(range.second), dfsPos(dfs_positions),
           mapped(extent(), false),
           h(extent(), 0),
@@ -292,7 +292,7 @@ class BlockBuilder
                 dec.blockOf[idx(v)] = block_id;
                 if (h[idx(v)] <= cfg.depth)
                     buckets[h[idx(v)]].erase(rankOf[idx(v)]);
-                for (NodeId s : dag.successors(v))
+                for (NodeId s : succ.of(v))
                     if (inRange(s) && !mapped[idx(s)])
                         worklist.push_back(s);
             }
@@ -311,7 +311,7 @@ class BlockBuilder
             h[idx(v)] = nh;
             if (h[idx(v)] <= cfg.depth)
                 buckets[h[idx(v)]].insert(rankOf[idx(v)]);
-            for (NodeId s : dag.successors(v))
+            for (NodeId s : succ.of(v))
                 if (inRange(s) && !mapped[idx(s)])
                     worklist.push_back(s);
         }
@@ -403,8 +403,9 @@ class BlockBuilder
                 continue;
             }
             uint32_t b = dec.blockOf[idx(v)];
-            bool out = dag.successors(v).empty(); // DAG result
-            for (NodeId s : dag.successors(v))
+            std::span<const NodeId> consumers = succ.of(v);
+            bool out = consumers.empty(); // DAG result
+            for (NodeId s : consumers)
                 if (!inRange(s) || dec.blockOf[idx(s)] != b)
                     out = true;
             if (out) {
@@ -415,6 +416,7 @@ class BlockBuilder
     }
 
     const Dag &dag;
+    const SuccessorIndex &succ;
     const ArchConfig &cfg;
     NodeId rangeLo = 0;
     NodeId rangeHi = 0;
@@ -437,12 +439,13 @@ class BlockBuilder
 } // namespace
 
 RangeDecomposition
-decomposeRangeIntoBlocks(const Dag &dag, const ArchConfig &cfg,
-                         uint64_t seed, std::pair<NodeId, NodeId> range,
+decomposeRangeIntoBlocks(const Dag &dag, const SuccessorIndex &succ,
+                         const ArchConfig &cfg, uint64_t seed,
+                         std::pair<NodeId, NodeId> range,
                          const std::vector<uint32_t> &dfs_positions)
 {
     (void)seed; // reserved: step 1 is currently tie-broken by DFS order
-    return BlockBuilder(dag, cfg, range, dfs_positions).run();
+    return BlockBuilder(dag, succ, cfg, range, dfs_positions).run();
 }
 
 BlockDecomposition
@@ -479,12 +482,13 @@ decomposeIntoBlocks(const Dag &dag, const ArchConfig &cfg, uint64_t seed,
     std::vector<std::pair<NodeId, NodeId>> ranges = parts;
     if (ranges.empty())
         ranges.push_back({0, static_cast<NodeId>(dag.numNodes())});
-    std::vector<uint32_t> dfs_positions = dfsPreorderPositions(dag);
+    const SuccessorIndex succ(dag);
+    std::vector<uint32_t> dfs_positions = dfsPreorderPositions(dag, succ);
     std::vector<RangeDecomposition> pieces;
     pieces.reserve(ranges.size());
     for (const auto &range : ranges)
-        pieces.push_back(
-            decomposeRangeIntoBlocks(dag, cfg, seed, range, dfs_positions));
+        pieces.push_back(decomposeRangeIntoBlocks(dag, succ, cfg, seed,
+                                                  range, dfs_positions));
     return mergeRangeDecompositions(dag, std::move(pieces));
 }
 

@@ -114,12 +114,13 @@ struct RangeDecomposition
  * state a sequential partition-by-partition pass would see, so ranges
  * can be decomposed concurrently and merged deterministically.
  *
- * @param dfs_positions dfsPreorderPositions(dag), computed once by
- *        the caller and shared read-only across ranges.
+ * @param succ SuccessorIndex(dag), built once by the caller.
+ * @param dfs_positions dfsPreorderPositions(dag, succ), computed once
+ *        by the caller and shared read-only across ranges.
  */
 RangeDecomposition decomposeRangeIntoBlocks(
-    const Dag &dag, const ArchConfig &cfg, uint64_t seed,
-    std::pair<NodeId, NodeId> range,
+    const Dag &dag, const SuccessorIndex &succ, const ArchConfig &cfg,
+    uint64_t seed, std::pair<NodeId, NodeId> range,
     const std::vector<uint32_t> &dfs_positions);
 
 /**

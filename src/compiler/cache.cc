@@ -227,18 +227,24 @@ FragmentCache::lookup(const std::string &key)
 
 void
 FragmentCache::store(const std::string &key, const RangeDecomposition &dec,
-                     const BankAssignment &banks, const IrFragment &frag)
+                     const BankAssignment &banks, const IrFragment &frag,
+                     const CodegenShared *shared)
 {
-    auto shared = std::make_shared<const CompiledFragment>(
-        CompiledFragment{dec, banks, frag});
+    auto entry = std::make_shared<CompiledFragment>(
+        CompiledFragment{dec, banks, frag, std::nullopt, {}});
+    if (shared) {
+        entry->sinks.assign(shared->sinks.begin(), shared->sinks.end());
+        entry->shared = *shared;
+        entry->shared->sinks = entry->sinks;
+    }
     std::lock_guard<std::mutex> lock(mutex);
     auto it = index.find(key);
     if (it != index.end()) {
-        it->second->frag = std::move(shared);
+        it->second->frag = std::move(entry);
         lru.splice(lru.begin(), lru, it->second);
         return;
     }
-    lru.push_front({key, std::move(shared)});
+    lru.push_front({key, std::move(entry)});
     index[key] = lru.begin();
     while (lru.size() > maxEntries) {
         index.erase(lru.back().key);

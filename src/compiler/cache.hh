@@ -100,6 +100,15 @@ struct CompiledFragment
     RangeDecomposition dec;
     BankAssignment banks; ///< Range-local (indexed v - range.first).
     IrFragment frag;      ///< Unscheduled codegen output.
+
+    /** An unpartitioned compile's codegen context: it depends only on
+     *  the DAG and `dec`, so a hit reads it instead of recomputing
+     *  it. Its `sinks` views this entry's own `sinks`, which is why
+     *  an entry is only ever held behind a shared_ptr, never copied.
+     *  Empty for a partition of a partitioned compile, whose context
+     *  reads every range's blocks. */
+    std::optional<CodegenShared> shared;
+    std::vector<NodeId> sinks;
 };
 
 /**
@@ -121,10 +130,13 @@ class FragmentCache
     std::shared_ptr<const CompiledFragment>
     lookup(const std::string &key);
 
-    /** Remember a fragment. Copies the artifacts, so an entry holds
-     *  exact-size vectors and no growth slack of the caller's. */
+    /** Remember a fragment, and an unpartitioned compile's codegen
+     *  context when `shared` is given. Copies the artifacts, so an
+     *  entry holds exact-size vectors and no growth slack of the
+     *  caller's. */
     void store(const std::string &key, const RangeDecomposition &dec,
-               const BankAssignment &banks, const IrFragment &frag);
+               const BankAssignment &banks, const IrFragment &frag,
+               const CodegenShared *shared = nullptr);
 
     struct Stats
     {

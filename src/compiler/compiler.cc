@@ -105,7 +105,8 @@ binaryForm(const Dag &input, Dag &owned)
 /** Partitioning, steps 1-4 and finalization of a binary DAG: the one
  *  compile path behind both compile() overloads. */
 CompiledProgram
-compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
+compileBinary(const Dag &dag, const SuccessorIndex &succ,
+              const std::vector<uint32_t> &dfs_positions,
               const std::vector<NodeId> &sinks, uint64_t binarized_hash,
               const ArchConfig &cfg, const CompileOptions &options)
 {
@@ -154,24 +155,29 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
     // produces the same pieces. Codegen reads every range's blocks
     // (CodegenShared, the global block ids), so whichever
     // decomposition finishes last derives that context, while step 2
-    // of the ranges already decomposed carries on. `decs[p]` is the
-    // range's decomposition: a cache entry's, or the one in
-    // `pieces[p]` that a miss computes. A miss also prepares its
-    // step 2 here, since that reads nothing of other ranges.
+    // of the ranges already decomposed carries on. An unpartitioned
+    // hit reads the context its entry stored instead: it depends only
+    // on the DAG and the entry's blocks. `decs[p]` is the range's
+    // decomposition: a cache entry's, or the one in `pieces[p]` that
+    // a miss computes. A miss also prepares its step 2 here, since
+    // that reads nothing of other ranges.
     std::vector<RangeDecomposition> pieces(num_parts);
     std::vector<RangeBankPrep> preps(num_parts);
     std::vector<const RangeDecomposition *> decs(num_parts);
     std::vector<std::span<const Block>> partBlocks(num_parts);
     std::vector<size_t> blocksPerPart(num_parts);
     std::vector<size_t> blockBase(num_parts + 1, 0);
-    CodegenShared shared;
+    CodegenShared computed;
+    const CodegenShared &shared =
+        num_parts == 1 && hit[0] && hit[0]->shared ? *hit[0]->shared
+                                                   : computed;
     std::atomic<size_t> undecomposed{num_parts};
     auto decompose = [&](size_t p) {
         if (hit[p]) {
             decs[p] = &hit[p]->dec;
         } else {
             pieces[p] = decomposeRangeIntoBlocks(
-                dag, cfg, options.seed, parts[p], dfs_positions);
+                dag, succ, cfg, options.seed, parts[p], dfs_positions);
             preps[p] = prepareBanksForRange(dag, cfg, pieces[p]);
             decs[p] = &pieces[p];
         }
@@ -181,7 +187,8 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
             return;
         for (size_t q = 0; q < num_parts; ++q)
             blockBase[q + 1] = blockBase[q] + blocksPerPart[q];
-        shared = computeCodegenShared(dag, sinks, partBlocks);
+        if (&shared == &computed)
+            computed = computeCodegenShared(dag, sinks, partBlocks);
     };
 
     // The rest of step 2 for one range, and the merge of its bank map
@@ -239,7 +246,7 @@ compileBinary(const Dag &dag, const std::vector<uint32_t> &dfs_positions,
                                           parts[0], banks, shared, 0);
             if (fcache)
                 fcache->store(fkeys[0], pieces[0], pieceBanks[0],
-                              frags[0]);
+                              frags[0], &computed);
         }
         IrProgram ir = mergeIrFragments(dag, cfg, banks, shared,
                                         std::move(frags), blocksPerPart);
@@ -396,7 +403,8 @@ prepareDag(const Dag &input)
     if (&binaryForm(input, p.dag) == &input)
         p.dag = input; // a PreparedDag owns its DAG
     p.binarizedHash = dagStructuralHash(p.dag);
-    p.dfsPositions = dfsPreorderPositions(p.dag);
+    p.successors = SuccessorIndex(p.dag);
+    p.dfsPositions = dfsPreorderPositions(p.dag, p.successors);
     p.sinks = p.dag.sinks();
     return p;
 }
@@ -412,7 +420,9 @@ compile(const Dag &input, const ArchConfig &cfg,
     // cache hashes nothing.
     Dag owned;
     const Dag &dag = binaryForm(input, owned);
-    const std::vector<uint32_t> dfs_positions = dfsPreorderPositions(dag);
+    const SuccessorIndex succ(dag);
+    const std::vector<uint32_t> dfs_positions =
+        dfsPreorderPositions(dag, succ);
     const std::vector<NodeId> sinks = dag.sinks();
     const uint64_t binarized_hash =
         options.fragmentCache ? dagStructuralHash(dag) : 0;
@@ -421,7 +431,7 @@ compile(const Dag &input, const ArchConfig &cfg,
                                       t0)
             .count();
     CompiledProgram prog =
-        compileBinary(dag, dfs_positions, sinks, binarized_hash, cfg,
+        compileBinary(dag, succ, dfs_positions, sinks, binarized_hash, cfg,
                       options);
     prog.stats.compileSeconds += prepare_seconds;
     return prog;
@@ -431,9 +441,9 @@ CompiledProgram
 compile(const PreparedDag &prepared, const ArchConfig &cfg,
         const CompileOptions &options)
 {
-    return compileBinary(prepared.dag, prepared.dfsPositions,
-                         prepared.sinks, prepared.binarizedHash, cfg,
-                         options);
+    return compileBinary(prepared.dag, prepared.successors,
+                         prepared.dfsPositions, prepared.sinks,
+                         prepared.binarizedHash, cfg, options);
 }
 
 CompiledProgram

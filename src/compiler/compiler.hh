@@ -93,7 +93,8 @@ struct CompileOptions
  * ArchConfig or CompileOptions. A sweep that compiles one DAG for
  * many configurations (the DSE) prepares it once and hands the same
  * read-only PreparedDag to every compile, which skips binarization,
- * the DFS preorder and the structural hashes on each of them.
+ * the successor index, the DFS preorder and the structural hashes on
+ * each of them.
  *
  * Immutable once built; compiles on several threads may share one.
  */
@@ -102,6 +103,9 @@ struct PreparedDag
     /** The binarized DAG that every later step compiles (a copy of
      *  the input when that is already binary). */
     Dag dag;
+
+    /** SuccessorIndex(dag): the forward edges step 1 walks. */
+    SuccessorIndex successors;
 
     /** dfsPreorderPositions(dag), shared by the block decomposition
      *  of every partition. */
@@ -125,7 +129,8 @@ struct PreparedDag
 };
 
 /** Run the configuration-independent front end (binarize when `dag`
- *  is not binary, DFS preorder, sinks, structural hashes) on `dag`. */
+ *  is not binary, successor index, DFS preorder, sinks, structural
+ *  hashes) on `dag`. */
 PreparedDag prepareDag(const Dag &dag);
 
 /**
@@ -146,7 +151,8 @@ CompiledProgram compile(const PreparedDag &prepared, const ArchConfig &cfg,
  * An input that is already binary compiles in place: no copy and no
  * binarization (binarize would rewrite it node for node in id order).
  * One with multi-input nodes is binarized into a private copy first.
- * stats.compileSeconds includes that front end and the DFS preorder.
+ * stats.compileSeconds includes that front end, the successor index
+ * and the DFS preorder.
  */
 CompiledProgram compile(const Dag &dag, const ArchConfig &cfg,
                         const CompileOptions &options = {});

@@ -21,7 +21,8 @@ namespace {
  * graphs.
  */
 uint32_t
-systolicAttempt(const Dag &dag, uint32_t k, Rng &rng)
+systolicAttempt(const Dag &dag, const SuccessorIndex &succ, uint32_t k,
+                Rng &rng)
 {
     const NodeId none = invalidNode;
     std::vector<NodeId> cell(k * k, none);
@@ -48,7 +49,7 @@ systolicAttempt(const Dag &dag, uint32_t k, Rng &rng)
             auto try_node = [&](NodeId v) {
                 if (used[v] || dag.node(v).isInput())
                     return;
-                const auto &ops = dag.node(v).operands;
+                std::span<const NodeId> ops = dag.node(v).operands;
                 if (ops.size() != 2)
                     return;
                 auto feeds = [&](NodeId operand, NodeId neighbour,
@@ -69,10 +70,10 @@ systolicAttempt(const Dag &dag, uint32_t k, Rng &rng)
                     candidates.push_back(v);
             };
             if (north != none)
-                for (NodeId s : dag.successors(north))
+                for (NodeId s : succ.of(north))
                     try_node(s);
             else if (west != none)
-                for (NodeId s : dag.successors(west))
+                for (NodeId s : succ.of(west))
                     try_node(s);
             else {
                 // Corner: sample a few random nodes fed by streams.
@@ -105,10 +106,11 @@ systolicPeakUtilization(const Dag &input, uint32_t inputs,
         // A single PE: trivially fully utilizable.
         return dag.numOperations() > 0 ? 1.0 : 0.0;
     }
+    const SuccessorIndex succ(dag);
     Rng rng(seed);
     uint32_t best = 0;
     for (uint32_t r = 0; r < restarts; ++r)
-        best = std::max(best, systolicAttempt(dag, k, rng));
+        best = std::max(best, systolicAttempt(dag, succ, k, rng));
     return static_cast<double>(best) / (double(k) * k);
 }
 

@@ -31,30 +31,29 @@ longestPathLength(const Dag &dag)
 }
 
 std::vector<uint32_t>
-dfsPreorderPositions(const Dag &dag)
+dfsPreorderPositions(const Dag &dag, const SuccessorIndex &succ)
 {
     const size_t n = dag.numNodes();
-    std::vector<uint32_t> pos(n, 0);
-    std::vector<bool> visited(n, false);
+    constexpr uint32_t unvisited = static_cast<uint32_t>(-1);
+    std::vector<uint32_t> pos(n, unvisited);
     std::vector<NodeId> stack;
     uint32_t counter = 0;
 
     // Start from sources (inputs and any zero-operand node), in id order.
     for (NodeId root = 0; root < n; ++root) {
-        if (visited[root] || !dag.node(root).operands.empty())
+        if (pos[root] != unvisited || !dag.node(root).operands.empty())
             continue;
         stack.push_back(root);
         while (!stack.empty()) {
             NodeId v = stack.back();
             stack.pop_back();
-            if (visited[v])
+            if (pos[v] != unvisited)
                 continue;
-            visited[v] = true;
             pos[v] = counter++;
-            const auto &succs = dag.successors(v);
+            std::span<const NodeId> succs = succ.of(v);
             // Push in reverse so lower-id successors are visited first.
             for (auto it = succs.rbegin(); it != succs.rend(); ++it)
-                if (!visited[*it])
+                if (pos[*it] == unvisited)
                     stack.push_back(*it);
         }
     }
@@ -62,9 +61,15 @@ dfsPreorderPositions(const Dag &dag)
     // Nodes unreachable from sources cannot exist (every node traces back
     // to a source), but keep the loop safe for empty DAGs.
     for (NodeId v = 0; v < n; ++v)
-        if (!visited[v])
+        if (pos[v] == unvisited)
             pos[v] = counter++;
     return pos;
+}
+
+std::vector<uint32_t>
+dfsPreorderPositions(const Dag &dag)
+{
+    return dfsPreorderPositions(dag, SuccessorIndex(dag));
 }
 
 std::vector<std::vector<NodeId>>

@@ -33,7 +33,13 @@ size_t longestPathLength(const Dag &dag);
  * of their DFS-visit positions (paper §IV-A objective D); the traversal
  * starts from sources and explores successors, matching "a depth-first
  * traversal of the DAG performed once at the beginning".
+ *
+ * @param succ SuccessorIndex(dag), which a compile builds once.
  */
+std::vector<uint32_t> dfsPreorderPositions(const Dag &dag,
+                                           const SuccessorIndex &succ);
+
+/** dfsPreorderPositions over a successor index built for the call. */
 std::vector<uint32_t> dfsPreorderPositions(const Dag &dag);
 
 /**

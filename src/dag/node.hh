@@ -12,8 +12,8 @@
 #define DPU_DAG_NODE_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 namespace dpu {
 
@@ -43,7 +43,9 @@ opName(OpType op)
 }
 
 /**
- * One DAG node: an operator plus its operand node ids.
+ * A view of one DAG node: an operator plus its operand node ids.
+ * Dag::node() returns it by value; `operands` points into the Dag's
+ * operand pool (see dag.hh for when that view is invalidated).
  *
  * Operand ids are always smaller than the node's own id, so iterating
  * nodes by id is a valid execution order (paper §II "Execution order").
@@ -51,7 +53,7 @@ opName(OpType op)
 struct Node
 {
     OpType op = OpType::Input;
-    std::vector<NodeId> operands;
+    std::span<const NodeId> operands;
 
     bool isInput() const { return op == OpType::Input; }
 };

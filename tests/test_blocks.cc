@@ -126,13 +126,14 @@ TEST(Blocks, IoMarksMatchConsumers)
     ArchConfig cfg = smallConfig();
     auto dec = decomposeIntoBlocks(d, cfg);
     validateDecomposition(d, cfg, dec);
+    const SuccessorIndex succ(d);
     for (NodeId v = 0; v < d.numNodes(); ++v) {
         if (d.node(v).isInput()) {
             EXPECT_TRUE(dec.isIo[v]);
             continue;
         }
-        bool crosses = d.successors(v).empty();
-        for (NodeId s : d.successors(v))
+        bool crosses = succ.of(v).empty();
+        for (NodeId s : succ.of(v))
             if (dec.blockOf[s] != dec.blockOf[v])
                 crosses = true;
         EXPECT_EQ(dec.isIo[v], crosses) << "node " << v;

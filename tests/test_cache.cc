@@ -15,6 +15,7 @@
 
 #include "arch/isa.hh"
 #include "compiler/cache.hh"
+#include "compiler/partitioner.hh"
 #include "sim/machine.hh"
 #include "support/rng.hh"
 #include "workloads/pc_generator.hh"
@@ -209,6 +210,39 @@ TEST(ProgramCache, FetchHandsOutTheResidentProgram)
     EXPECT_EQ(programBytes(*cold.prog), programBytes(compile(d, cfg)));
     EXPECT_EQ(cache.stats().hits, 2u);
     EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(ProgramCache, UnpartitionedFragmentKeepsItsCodegenContext)
+{
+    // An unpartitioned entry carries its codegen context, viewing the
+    // entry's own sinks; a partition's entry carries none, since its
+    // context reads every range's blocks. A compile that reads the
+    // stored context emits the cold compile's bytes.
+    Dag d = generateRandomDag(16, 600, 87);
+    const uint64_t hash = dagStructuralHash(d);
+    const NodeId n = static_cast<NodeId>(d.numNodes());
+    FragmentCache fragments;
+    CompileOptions opt;
+    opt.fragmentCache = &fragments;
+    compile(d, cfgOf(2, 8, 32), opt);
+    auto entry = fragments.lookup(
+        fragmentCacheKey(hash, {0, n}, 0, cfgOf(2, 8, 32), opt));
+    ASSERT_TRUE(entry && entry->shared);
+    EXPECT_EQ(entry->sinks, d.sinks());
+    EXPECT_EQ(entry->shared->sinks.data(), entry->sinks.data());
+    EXPECT_EQ(entry->shared->sinks.size(), entry->sinks.size());
+    CompiledProgram warm = compile(d, cfgOf(2, 8, 48), opt);
+    EXPECT_EQ(fragments.stats().hits, 2u); // the lookup above, and warm
+    CompiledProgram cold = compile(d, cfgOf(2, 8, 48));
+    EXPECT_EQ(programBytes(warm), programBytes(cold));
+
+    opt.partitionNodes = 200;
+    compile(d, cfgOf(2, 8, 32), opt);
+    auto part = fragments.lookup(
+        fragmentCacheKey(hash, partitionByCount(d, 200)[0], 0,
+                         cfgOf(2, 8, 32), opt));
+    ASSERT_TRUE(part);
+    EXPECT_FALSE(part->shared);
 }
 
 TEST(ProgramCache, WarmFragmentsMatchColdCompiles)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "dag/algorithms.hh"
@@ -46,8 +47,9 @@ TEST(Dag, Counts)
 TEST(Dag, SuccessorsTracked)
 {
     Dag d = diamond();
-    EXPECT_EQ(d.successors(1).size(), 2u); // b feeds both sums
-    EXPECT_EQ(d.outDegree(0), 1u);
+    const SuccessorIndex succ(d);
+    EXPECT_EQ(succ.of(1).size(), 2u); // b feeds both sums
+    EXPECT_EQ(succ.outDegree(0), 1u);
     EXPECT_EQ(d.maxOutDegree(), 2u);
 }
 
@@ -73,6 +75,156 @@ TEST(Dag, IsBinary)
     NodeId i = d.addInput();
     d.addNode(OpType::Add, {0, 1, i});
     EXPECT_FALSE(d.isBinary());
+}
+
+/** A random DAG with n-ary nodes, duplicate operands and unused
+ *  inputs, plus the per-node operand lists it was built from. */
+struct RandomLayout
+{
+    Dag dag;
+    std::vector<std::vector<NodeId>> operands; ///< empty for inputs
+};
+
+RandomLayout
+randomLayout(Rng &rng, size_t nodes)
+{
+    RandomLayout r;
+    for (size_t i = 0; i < nodes; ++i) {
+        if (i == 0 || rng.chance(0.2)) {
+            r.dag.addInput();
+            r.operands.emplace_back();
+            continue;
+        }
+        std::vector<NodeId> ops(1 + rng.below(4));
+        for (NodeId &o : ops)
+            o = static_cast<NodeId>(rng.below(i));
+        if (ops.size() > 1 && rng.chance(0.2))
+            ops[1] = ops[0]; // x*x
+        r.dag.addNode(rng.chance(0.5) ? OpType::Add : OpType::Mul, ops);
+        r.operands.push_back(ops);
+    }
+    return r;
+}
+
+/** The successor lists a Dag used to keep per node: each operand
+ *  appends its consumer as the consumer is added. */
+std::vector<std::vector<NodeId>>
+referenceSuccessors(const RandomLayout &r)
+{
+    std::vector<std::vector<NodeId>> succ(r.operands.size());
+    for (NodeId id = 0; id < r.operands.size(); ++id)
+        for (NodeId src : r.operands[id])
+            succ[src].push_back(id);
+    return succ;
+}
+
+/** The DFS preorder as it was written over per-node successor
+ *  vectors, kept to pin the flat version to it. */
+std::vector<uint32_t>
+referenceDfsPositions(const RandomLayout &r,
+                      const std::vector<std::vector<NodeId>> &succ)
+{
+    const size_t n = r.operands.size();
+    std::vector<uint32_t> pos(n, 0);
+    std::vector<bool> visited(n, false);
+    std::vector<NodeId> stack;
+    uint32_t counter = 0;
+    for (NodeId root = 0; root < n; ++root) {
+        if (visited[root] || !r.operands[root].empty())
+            continue;
+        stack.push_back(root);
+        while (!stack.empty()) {
+            NodeId v = stack.back();
+            stack.pop_back();
+            if (visited[v])
+                continue;
+            visited[v] = true;
+            pos[v] = counter++;
+            const auto &succs = succ[v];
+            for (auto it = succs.rbegin(); it != succs.rend(); ++it)
+                if (!visited[*it])
+                    stack.push_back(*it);
+        }
+    }
+    for (NodeId v = 0; v < n; ++v)
+        if (!visited[v])
+            pos[v] = counter++;
+    return pos;
+}
+
+TEST(DagLayout, FlatArraysMatchPerNodeReferences)
+{
+    Rng rng(2024);
+    std::vector<size_t> sizes{0, 1, 2, 3, 2000};
+    for (int i = 0; i < 40; ++i)
+        sizes.push_back(rng.below(2001));
+    for (size_t n : sizes) {
+        SCOPED_TRACE("nodes=" + std::to_string(n));
+        RandomLayout r = randomLayout(rng, n);
+        const Dag &d = r.dag;
+        ASSERT_EQ(d.numNodes(), n);
+        std::vector<std::vector<NodeId>> succ = referenceSuccessors(r);
+
+        size_t edges = 0, max_out = 0;
+        bool binary = true;
+        std::vector<NodeId> sinks, inputs;
+        for (NodeId v = 0; v < n; ++v) {
+            EXPECT_TRUE(std::ranges::equal(d.node(v).operands,
+                                           r.operands[v]));
+            edges += r.operands[v].size();
+            max_out = std::max(max_out, succ[v].size());
+            if (r.operands[v].empty())
+                inputs.push_back(v);
+            else if (r.operands[v].size() != 2)
+                binary = false;
+            if (succ[v].empty())
+                sinks.push_back(v);
+        }
+        EXPECT_EQ(d.numEdges(), edges);
+        EXPECT_EQ(d.maxOutDegree(), max_out);
+        EXPECT_EQ(d.isBinary(), binary);
+        EXPECT_EQ(d.sinks(), sinks);
+        EXPECT_EQ(d.inputIds(), inputs);
+        EXPECT_EQ(d.numInputs(), inputs.size());
+
+        const SuccessorIndex index(d);
+        for (NodeId v = 0; v < n; ++v) {
+            EXPECT_TRUE(std::ranges::equal(index.of(v), succ[v]))
+                << "node " << v;
+            EXPECT_EQ(index.outDegree(v), succ[v].size());
+        }
+        EXPECT_EQ(dfsPreorderPositions(d, index),
+                  referenceDfsPositions(r, succ));
+        EXPECT_EQ(dfsPreorderPositions(d), referenceDfsPositions(r, succ));
+
+        Dag copy = d;
+        ASSERT_EQ(copy.numNodes(), n);
+        for (NodeId v = 0; v < n; ++v) {
+            Node a = copy.node(v), b = d.node(v);
+            EXPECT_EQ(a.op, b.op);
+            EXPECT_TRUE(std::ranges::equal(a.operands, b.operands));
+            if (!b.operands.empty()) {
+                EXPECT_NE(a.operands.data(), b.operands.data());
+            }
+        }
+    }
+}
+
+TEST(DagLayout, AddNodeRejectsAViewOfItsOwnPool)
+{
+    // node(v).operands views the pool that addNode grows, so handing
+    // it straight back would read a moved pool. A copy is fine.
+    Dag d;
+    NodeId a = d.addInput(), b = d.addInput();
+    NodeId first = d.addNode(OpType::Add, {a, b, a});
+    EXPECT_THROW(d.addNode(OpType::Mul, d.node(first).operands),
+                 PanicError);
+    EXPECT_EQ(d.numNodes(), 3u);
+    std::span<const NodeId> view = d.node(first).operands;
+    std::vector<NodeId> copy(view.begin(), view.end());
+    NodeId second = d.addNode(OpType::Mul, copy);
+    EXPECT_TRUE(std::ranges::equal(d.node(second).operands, copy));
+    EXPECT_EQ(SuccessorIndex(d).outDegree(a), 4u);
 }
 
 TEST(Algorithms, AsapLevels)
@@ -228,7 +380,8 @@ TEST(Io, RoundTrip)
     ASSERT_EQ(back.numNodes(), d.numNodes());
     for (NodeId id = 0; id < d.numNodes(); ++id) {
         EXPECT_EQ(back.node(id).op, d.node(id).op);
-        EXPECT_EQ(back.node(id).operands, d.node(id).operands);
+        EXPECT_TRUE(std::ranges::equal(back.node(id).operands,
+                                       d.node(id).operands));
     }
 }
 
