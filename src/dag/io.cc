@@ -87,7 +87,7 @@ readDag(std::istream &in)
         }
         if (operands.empty())
             dpu_fatal("compute node without operands");
-        dag.addNode(op, std::move(operands));
+        dag.addNode(op, operands);
     }
     rejectTrailing(in, "past the declared node count");
     return dag;

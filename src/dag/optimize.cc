@@ -78,7 +78,7 @@ eliminateDeadNodes(const Dag &dag, const std::vector<NodeId> &outputs)
                        "live node depends on dead node");
             ops.push_back(res.valueOf[o]);
         }
-        res.valueOf[v] = res.dag.addNode(n.op, std::move(ops));
+        res.valueOf[v] = res.dag.addNode(n.op, ops);
     }
     return res;
 }
