@@ -11,8 +11,8 @@ namespace dpu {
 namespace {
 
 /** Per-fragment RNG stream: partition 0 keeps the historical seed so
- *  single-partition compiles reproduce the monolithic pass bit for
- *  bit; later partitions get decorrelated deterministic streams. */
+ *  unpartitioned compiles keep their program bytes; later partitions
+ *  get decorrelated deterministic streams. */
 uint64_t
 fragmentRngSeed(uint32_t part)
 {
@@ -47,6 +47,9 @@ class CodeGen
         countReads();
         for (uint32_t b = 0; b < blocks.size(); ++b)
             emitBlock(b);
+        frag.last = part + 1 == shared.numParts;
+        if (frag.last)
+            emitStores();
         checkBalance();
         return std::move(frag);
     }
@@ -143,8 +146,8 @@ class CodeGen
         // same memory row so one vector load covers them all: align
         // the whole batch (bank columns permitting) to the highest
         // per-bank fill level, then advance those banks' levels. Rows
-        // are fragment-local here; mergeIrFragments() replays them
-        // against the global counters.
+        // are fragment-local here; ScheduledIrMerger::append() replays
+        // them against the global counters.
         std::vector<NodeId> batch;
         for (NodeId v : blk.inputs) {
             if (!dag.node(v).isInput() ||
@@ -306,6 +309,49 @@ class CodeGen
         ir().instrs.push_back(std::move(exec));
     }
 
+    /**
+     * The final stores: every compute sink goes to the output region,
+     * one store per round and one value per bank in a round. Store k
+     * writes row ir.inputRows + k, past every load row here, so step
+     * 3 sees no memory dependence between the loads and the stores;
+     * the merge rebases the rows on the program's input region.
+     */
+    void
+    emitStores()
+    {
+        std::vector<NodeId> pending;
+        for (NodeId s : shared.sinks)
+            if (!dag.node(s).isInput())
+                pending.push_back(s);
+        ir().inputRows =
+            *std::max_element(rowCounter.begin(), rowCounter.end());
+        uint32_t row = ir().inputRows;
+        while (!pending.empty()) {
+            IrInstr store;
+            store.memRow = row;
+            uint64_t used = 0;
+            for (auto it = pending.begin(); it != pending.end();) {
+                const uint32_t bank = banks.bankOf[*it];
+                if (used >> bank & 1) {
+                    ++it;
+                    continue;
+                }
+                used |= uint64_t(1) << bank;
+                dpu_assert(shared.lastReaderPart[*it] ==
+                               CodegenShared::storeSentinel,
+                           "store must be the final read");
+                store.reads.push_back({primaryIdOf(*it), true});
+                ir().outputs.push_back({*it, row, bank});
+                it = pending.erase(it);
+            }
+            store.kind = store.reads.size() <= 4 ? InstrKind::Store4
+                                                 : InstrKind::Store;
+            ir().instrs.push_back(std::move(store));
+            ++row;
+        }
+        ir().outputRows = row - ir().inputRows;
+    }
+
     /** Every locally counted read must have been emitted. */
     void
     checkBalance() const
@@ -344,6 +390,7 @@ computeCodegenShared(const Dag &dag, std::span<const NodeId> sinks,
 {
     CodegenShared shared;
     shared.sinks = sinks;
+    shared.numParts = static_cast<uint32_t>(partBlocks.size());
     shared.inputIndexOf.assign(dag.numNodes(), CodegenShared::never);
     uint32_t k = 0;
     for (NodeId v = 0; v < dag.numNodes(); ++v)
@@ -377,134 +424,6 @@ generateIrForRange(const Dag &dag, const ArchConfig &cfg,
                    const CodegenShared &shared, uint32_t part)
 {
     return CodeGen(dag, cfg, blocks, range, banks, shared, part).run();
-}
-
-IrProgram
-mergeIrFragments(const Dag &dag, const ArchConfig &cfg,
-                 const BankAssignment &banks, const CodegenShared &shared,
-                 std::vector<IrFragment> &&fragments,
-                 const std::vector<size_t> &blocksPerPart)
-{
-    dpu_assert(fragments.size() == blocksPerPart.size(),
-               "fragment/block-count mismatch");
-    IrProgram out;
-    size_t total_instances = 0, total_instrs = 0;
-    for (const IrFragment &f : fragments) {
-        total_instances += f.ir.instances.size();
-        total_instrs += f.ir.instrs.size();
-    }
-    out.instances.reserve(total_instances);
-    out.instrs.reserve(total_instrs);
-    out.inputLocation.assign(shared.numInputs, {0, 0});
-
-    // Current primary instance of each value, across fragments.
-    std::vector<InstanceId> instOf(dag.numNodes(), invalidInstance);
-    std::vector<uint32_t> rowCounter(cfg.banks, 0);
-    uint32_t inputRows = 0;
-    uint32_t blockOffset = 0;
-
-    auto remap = [&](InstanceId id, uint32_t inst_offset,
-                     const IrFragment &f) {
-        if (IrFragment::isExternal(id)) {
-            NodeId v = f.externals[id & ~IrFragment::externalFlag];
-            dpu_assert(instOf[v] != invalidInstance,
-                       "external reference before definition");
-            return instOf[v];
-        }
-        return id + inst_offset;
-    };
-
-    for (size_t fi = 0; fi < fragments.size(); ++fi) {
-        IrFragment &f = fragments[fi];
-        uint32_t inst_offset = static_cast<uint32_t>(out.instances.size());
-        out.instances.insert(out.instances.end(),
-                             f.ir.instances.begin(),
-                             f.ir.instances.end());
-        for (auto [value, id] : f.defs)
-            instOf[value] = id + inst_offset;
-
-        for (IrInstr &in : f.ir.instrs) {
-            for (IrRead &r : in.reads)
-                r.inst = remap(r.inst, inst_offset, f);
-            for (IrWrite &w : in.writes)
-                w.inst += inst_offset;
-            if (in.kind == InstrKind::Exec)
-                in.blockId += blockOffset;
-            if (in.kind == InstrKind::Load) {
-                // Replay the row allocation against the global
-                // per-bank fill levels (fragments numbered their rows
-                // from zero). One aligned row per load instruction.
-                uint32_t row = 0;
-                for (const IrWrite &w : in.writes)
-                    row = std::max(row,
-                                   rowCounter[out.instances[w.inst].bank]);
-                in.memRow = row;
-                for (const IrWrite &w : in.writes) {
-                    const RegInstance &inst = out.instances[w.inst];
-                    rowCounter[inst.bank] = row + 1;
-                    out.inputLocation[shared.inputIndexOf[inst.value]] =
-                        {row, inst.bank};
-                }
-                inputRows = std::max(inputRows, row + 1);
-            }
-            out.instrs.push_back(std::move(in));
-        }
-        out.copyResolvedConflicts += f.ir.copyResolvedConflicts;
-        blockOffset += static_cast<uint32_t>(blocksPerPart[fi]);
-    }
-
-    // Final stores: every DAG result goes to the output region.
-    std::vector<NodeId> compute_sinks;
-    for (NodeId s : shared.sinks) {
-        if (dag.node(s).isInput()) {
-            // The result *is* an input. Input sinks have no
-            // consumers, so no fragment loaded them: give them a
-            // memory home now (no hardware work needed).
-            dpu_assert(instOf[s] == invalidInstance,
-                       "input sink was loaded");
-            uint32_t bank = banks.bankOf[s];
-            uint32_t row = rowCounter[bank]++;
-            inputRows = std::max(inputRows, row + 1);
-            out.inputLocation[shared.inputIndexOf[s]] = {row, bank};
-            out.outputs.push_back({s, row, bank});
-        } else {
-            compute_sinks.push_back(s);
-        }
-    }
-    uint32_t out_row = inputRows;
-    while (!compute_sinks.empty()) {
-        // One store per round; each bank contributes one value.
-        uint64_t used = 0;
-        std::vector<NodeId> batch;
-        for (auto it = compute_sinks.begin(); it != compute_sinks.end();) {
-            uint32_t bank = banks.bankOf[*it];
-            if (used >> bank & 1) {
-                ++it;
-                continue;
-            }
-            used |= uint64_t(1) << bank;
-            batch.push_back(*it);
-            it = compute_sinks.erase(it);
-        }
-        IrInstr store;
-        store.kind = batch.size() <= 4 ? InstrKind::Store4
-                                       : InstrKind::Store;
-        store.memRow = out_row;
-        for (NodeId v : batch) {
-            dpu_assert(shared.lastReaderPart[v] ==
-                       CodegenShared::storeSentinel,
-                       "store must be the final read");
-            dpu_assert(instOf[v] != invalidInstance,
-                       "stored value never defined");
-            store.reads.push_back({instOf[v], true});
-            out.outputs.push_back({v, out_row, banks.bankOf[v]});
-        }
-        out.instrs.push_back(std::move(store));
-        ++out_row;
-    }
-    out.inputRows = inputRows;
-    out.outputRows = out_row - inputRows;
-    return out;
 }
 
 ScheduledIrMerger::ScheduledIrMerger(const Dag &dag_, const ArchConfig &cfg_,
@@ -555,9 +474,9 @@ ScheduledIrMerger::append(IrFragment &&f, size_t numBlocks)
         if (in.kind == InstrKind::Exec)
             in.blockId += blockOffset;
     }
-    boundaryNopCount += shift;
     for (uint64_t k = 0; k < shift; ++k)
         out.instrs.push_back(IrInstr{}); // nop
+    const size_t first = out.instrs.size();
 
     // Pass 2: replay load rows against the global fill levels and
     // record when each write becomes readable.
@@ -573,7 +492,7 @@ ScheduledIrMerger::append(IrFragment &&f, size_t numBlocks)
                 out.inputLocation[shared.inputIndexOf[inst.value]] =
                     {row, inst.bank};
             }
-            inputRows = std::max(inputRows, row + 1);
+            out.inputRows = std::max(out.inputRows, row + 1);
         }
         const uint64_t pos = out.instrs.size();
         for (const IrWrite &w : in.writes)
@@ -582,81 +501,39 @@ ScheduledIrMerger::append(IrFragment &&f, size_t numBlocks)
     }
     out.copyResolvedConflicts += f.ir.copyResolvedConflicts;
     blockOffset += static_cast<uint32_t>(numBlocks);
+    if (f.last)
+        placeOutputs(f, first);
 }
 
 void
-ScheduledIrMerger::finish()
+ScheduledIrMerger::placeOutputs(const IrFragment &last, size_t firstInstr)
 {
-    std::vector<NodeId> compute_sinks;
+    // The result *is* an input. Input sinks have no consumers, so no
+    // fragment loaded them: give them a memory home now (no hardware
+    // work needed).
     for (NodeId s : shared.sinks) {
-        if (dag.node(s).isInput()) {
-            dpu_assert(instOf[s] == invalidInstance,
-                       "input sink was loaded");
-            uint32_t bank = banks.bankOf[s];
-            uint32_t row = rowCounter[bank]++;
-            inputRows = std::max(inputRows, row + 1);
-            out.inputLocation[shared.inputIndexOf[s]] = {row, bank};
-            out.outputs.push_back({s, row, bank});
-        } else {
-            compute_sinks.push_back(s);
-        }
+        if (!dag.node(s).isInput())
+            continue;
+        dpu_assert(instOf[s] == invalidInstance, "input sink was loaded");
+        const uint32_t bank = banks.bankOf[s];
+        const uint32_t row = rowCounter[bank]++;
+        out.inputRows = std::max(out.inputRows, row + 1);
+        out.inputLocation[shared.inputIndexOf[s]] = {row, bank};
+        out.outputs.push_back({s, row, bank});
     }
-    uint32_t out_row = inputRows;
-    while (!compute_sinks.empty()) {
-        uint64_t used = 0;
-        std::vector<NodeId> batch;
-        for (auto it = compute_sinks.begin(); it != compute_sinks.end();) {
-            uint32_t bank = banks.bankOf[*it];
-            if (used >> bank & 1) {
-                ++it;
-                continue;
-            }
-            used |= uint64_t(1) << bank;
-            batch.push_back(*it);
-            it = compute_sinks.erase(it);
-        }
-        IrInstr store;
-        store.kind = batch.size() <= 4 ? InstrKind::Store4
-                                       : InstrKind::Store;
-        store.memRow = out_row;
-        uint64_t need = 0;
-        for (NodeId v : batch) {
-            dpu_assert(shared.lastReaderPart[v] ==
-                       CodegenShared::storeSentinel,
-                       "store must be the final read");
-            dpu_assert(instOf[v] != invalidInstance,
-                       "stored value never defined");
-            store.reads.push_back({instOf[v], true});
-            out.outputs.push_back({v, out_row, banks.bankOf[v]});
-            need = std::max(need, readyAt[instOf[v]]);
-        }
-        // The store reads registers like any instruction: pad until
-        // the last producing write has landed.
-        while (out.instrs.size() < need) {
-            out.instrs.push_back(IrInstr{}); // nop
-            ++boundaryNopCount;
-        }
-        out.instrs.push_back(std::move(store));
-        ++out_row;
+    // Store k wrote row last.ir.inputRows + k: move it to the first
+    // output row past the now-final input region.
+    auto rebase = [&](uint32_t row) {
+        return out.inputRows + (row - last.ir.inputRows);
+    };
+    for (size_t i = firstInstr; i < out.instrs.size(); ++i) {
+        IrInstr &in = out.instrs[i];
+        if (in.kind == InstrKind::Store || in.kind == InstrKind::Store4)
+            in.memRow = rebase(in.memRow);
     }
-    out.inputRows = inputRows;
-    out.outputRows = out_row - inputRows;
-}
-
-IrProgram
-generateIr(const Dag &dag, const ArchConfig &cfg,
-           const BlockDecomposition &dec, const BankAssignment &banks)
-{
-    std::vector<std::span<const Block>> partBlocks{
-        std::span<const Block>(dec.blocks)};
-    const std::vector<NodeId> sinks = dag.sinks();
-    CodegenShared shared = computeCodegenShared(dag, sinks, partBlocks);
-    std::vector<IrFragment> frags;
-    frags.push_back(generateIrForRange(
-        dag, cfg, partBlocks[0],
-        {0, static_cast<NodeId>(dag.numNodes())}, banks, shared, 0));
-    return mergeIrFragments(dag, cfg, banks, shared, std::move(frags),
-                            {dec.blocks.size()});
+    for (const IrProgram::OutputLoc &o : last.ir.outputs)
+        out.outputs.push_back({o.node, rebase(o.row), o.col});
+    out.outputRows = last.ir.outputRows;
 }
 
 } // namespace dpu

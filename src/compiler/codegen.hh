@@ -8,15 +8,15 @@
  * DAG's results. Also fixes the data-memory layout of inputs (row =
  * per-bank arrival order, column = home bank) and outputs.
  *
- * The pass is split for partition-parallel compilation: each
- * partition range generates an *IR fragment* (local instance ids;
- * reads of values produced by earlier partitions are encoded as
- * external references), and mergeIrFragments() concatenates the
- * fragments in partition order, resolves the external references,
- * replays the input-load row allocation against global per-bank
- * counters, and emits the final stores. generateIr() is the
- * single-fragment convenience wrapper; its output for one partition
- * is byte-identical to the historical monolithic pass.
+ * Every compile runs the pass per partition range: each range
+ * generates an *IR fragment* (local instance ids; reads of values
+ * produced by earlier partitions are encoded as external references),
+ * and the last range's fragment also holds the final stores. An
+ * unpartitioned compile is the one-range case. Step 3 schedules each
+ * fragment on its own; ScheduledIrMerger then concatenates the
+ * scheduled fragments in partition order, resolves the external
+ * references, replays the input-load row allocation against global
+ * per-bank counters and places the stores' rows.
  */
 
 #ifndef DPU_COMPILER_CODEGEN_HH
@@ -59,6 +59,9 @@ struct CodegenShared
     /** dag.sinks(), viewed in the caller's list: the results the
      *  final stores write. */
     std::span<const NodeId> sinks;
+
+    /** Number of partition ranges; the last one emits the stores. */
+    uint32_t numParts = 0;
 };
 
 /** Precompute the shared context; `sinks` = dag.sinks() (it must
@@ -68,10 +71,17 @@ CodegenShared computeCodegenShared(
     const Dag &dag, std::span<const NodeId> sinks,
     const std::vector<std::span<const Block>> &partBlocks);
 
-/** One partition's IR with partition-local instance ids. */
+/**
+ * One partition's IR with partition-local instance ids. The last
+ * range's fragment (`last`) also holds the final stores: store k
+ * writes row ir.inputRows + k, past every load row of the fragment,
+ * and ir.outputs lists the compute sinks by store round at those
+ * rows. The merge rebases both on the program's input region.
+ */
 struct IrFragment
 {
     IrProgram ir;
+    bool last = false;
 
     /** Value behind each external reference, indexed by the low bits
      *  of reads whose externalFlag is set. */
@@ -104,39 +114,20 @@ IrFragment generateIrForRange(const Dag &dag, const ArchConfig &cfg,
                               const CodegenShared &shared, uint32_t part);
 
 /**
- * Merge fragments (ascending partition order) into the complete IR:
- * offsets instance and block ids, resolves external references,
- * replays the input-load rows against global per-bank counters, and
- * emits the final stores. Deterministic given the fragments.
- *
- * @param blocksPerPart Number of blocks of each partition, for the
- *        global block-id offsets (same order as the fragments).
- */
-IrProgram mergeIrFragments(const Dag &dag, const ArchConfig &cfg,
-                           const BankAssignment &banks,
-                           const CodegenShared &shared,
-                           std::vector<IrFragment> &&fragments,
-                           const std::vector<size_t> &blocksPerPart);
-
-/** Generate the IR program (hazard-oblivious order; step 3 fixes it). */
-IrProgram generateIr(const Dag &dag, const ArchConfig &cfg,
-                     const BlockDecomposition &dec,
-                     const BankAssignment &banks);
-
-/**
- * Incremental merge of *already scheduled* fragments (the pipelined
- * steps 3-4 path): append() consumes fragments strictly in partition
- * order — resolving externals, replaying load rows, offsetting block
- * ids exactly like mergeIrFragments() — and additionally preserves
- * the per-fragment schedules: whenever an instruction reads a value
- * written near the end of an earlier fragment, nops pad the boundary
- * until that write's latency has elapsed, so the merged stream is
- * hazard-free without a whole-program reorder. finish() emits the
- * final stores (padded the same way). Deterministic given the
+ * Incremental merge of *already scheduled* fragments: append()
+ * consumes fragments strictly in partition order — resolving
+ * externals, replaying load rows against global per-bank fill levels
+ * and offsetting block ids — and preserves the per-fragment
+ * schedules: whenever an instruction reads a value written near the
+ * end of an earlier fragment, nops pad the boundary until that
+ * write's latency has elapsed, so the merged stream is hazard-free
+ * without a whole-program reorder. Appending the last fragment
+ * completes the program: input sinks get their rows, then the store
+ * rows and the outputs are rebased past them. Deterministic given the
  * fragments, hence independent of how many threads produced them.
  * Construction does not read `shared`, so a pipelined compile may
  * build the merger before the last range's blocks exist; append()
- * and finish() need it complete.
+ * needs it complete.
  */
 class ScheduledIrMerger
 {
@@ -148,16 +139,14 @@ class ScheduledIrMerger
     /** Append the next partition's scheduled fragment. */
     void append(IrFragment &&frag, size_t numBlocks);
 
-    /** Emit the final stores; the merge is complete afterwards. */
-    void finish();
-
     /** The merged program (grows with each append). */
     const IrProgram &ir() const { return out; }
 
-    /** Nops inserted at fragment boundaries and before stores. */
-    uint64_t boundaryNops() const { return boundaryNopCount; }
-
   private:
+    /** Lay out the data memory's io region once the last fragment's
+     *  instructions are in: input sinks, then store rows. */
+    void placeOutputs(const IrFragment &last, size_t firstInstr);
+
     const Dag &dag;
     const ArchConfig &cfg;
     const BankAssignment &banks;
@@ -166,9 +155,7 @@ class ScheduledIrMerger
     std::vector<InstanceId> instOf; ///< Primary instance per value.
     std::vector<uint64_t> readyAt;  ///< Write-landed cycle per instance.
     std::vector<uint32_t> rowCounter;
-    uint32_t inputRows = 0;
     uint32_t blockOffset = 0;
-    uint64_t boundaryNopCount = 0;
 };
 
 } // namespace dpu

@@ -194,9 +194,8 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
     // The rest of step 2 for one range, and the merge of its bank map
     // into the whole-DAG view codegen reads (a range reads values
     // earlier ranges own). Boundary-aware mapping chains the ranges —
-    // each sees the merged banks of its predecessors — so the
-    // partitioned path maps in partition order, inside the pipeline
-    // below.
+    // each sees the merged banks of its predecessors — so ranges map
+    // in partition order, inside the pipeline below.
     std::vector<BankAssignment> pieceBanks(num_parts);
     BankAssignment banks;
     banks.bankOf.assign(dag.numNodes(), BankAssignment::invalid);
@@ -228,140 +227,96 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
             dag, cfg, mergeRangeDecompositions(dag, std::move(copies)));
     };
 
-    VerifyIrOptions vopt;
-    CompiledProgram prog;
+    // Pipelined steps 1-4 on one pool of workers:
+    // - pre: step 1 and step 2's preparation of every range,
+    //   unordered;
+    // - ordered: the rest of step 2 of partition p, once p is
+    //   prepared and p-1 is mapped, while other ranges are still in
+    //   step 1, codegen, reorder or finalize;
+    // - produce: codegen + per-fragment reorder, once every range is
+    //   decomposed;
+    // - consume: this thread merges and finalizes the fragments in
+    //   strict partition order.
+    // Step 2 sees exactly the banks the earlier ranges chose, and the
+    // merge and the incremental finalizer are deterministic in the
+    // consume order, so the program is byte-identical at every thread
+    // count — threads = 1 (and an unpartitioned compile) degenerates
+    // to every decomposition, then the plain map/produce/consume
+    // interleave.
+    auto block_at = [&](uint32_t id) -> const Block & {
+        size_t p = static_cast<size_t>(std::upper_bound(blockBase.begin(),
+                                                        blockBase.end(),
+                                                        id) -
+                                       blockBase.begin()) -
+                   1;
+        return partBlocks[p][id - blockBase[p]];
+    };
+
+    ScheduledIrMerger merger(dag, cfg, banks, shared);
+    ProgramFinalizer finalizer(cfg, block_at);
+    std::vector<IrFragment> frags(num_parts);
     std::vector<ScheduleStats> schedules(num_parts);
+    // The "codegen"-stage verifier needs the pre-schedule IR; keep
+    // per-fragment copies only when it will run.
+    std::vector<IrFragment> unscheduled;
+    if (options.verify)
+        unscheduled.resize(num_parts);
+    size_t done_instrs = 0;
+    size_t done_instances = 0;
+    pipelineOrdered(
+        num_parts, options.threads,
+        decompose, // pre: step 1 + step-2 prep, unordered
+        map_range, // ordered: range p sees ranges < p mapped
+        [&](size_t p) { // produce: codegen + per-fragment reorder
+            if (hit[p]) {
+                frags[p] = hit[p]->frag;
+            } else {
+                frags[p] = generateIrForRange(
+                    dag, cfg, partBlocks[p], parts[p], banks, shared,
+                    static_cast<uint32_t>(p));
+                if (fcache)
+                    fcache->store(fkeys[p], pieces[p], pieceBanks[p],
+                                  frags[p],
+                                  num_parts == 1 ? &computed : nullptr);
+            }
+            if (options.verify)
+                unscheduled[p] = frags[p];
+            schedules[p] =
+                reorderFragment(frags[p], cfg, options.reorderWindow);
+        },
+        [&](size_t p) { // consume: ordered merge + finalize chunk
+            merger.append(std::move(frags[p]), blocksPerPart[p]);
+            finalizer.appendChunk(merger.ir(), done_instrs,
+                                  done_instances);
+            done_instrs = merger.ir().instrs.size();
+            done_instances = merger.ir().instances.size();
+        });
+    const IrProgram &ir = merger.ir();
 
-    if (num_parts == 1) {
-        // Historical monolithic tail: codegen -> merge -> whole-IR
-        // reorder -> finalize. Unpartitioned programs stay bit-exact
-        // with every release since the parallel compiler landed.
-        decompose(0);
-        map_range(0);
-        std::vector<IrFragment> frags(1);
-        if (hit[0]) {
-            frags[0] = hit[0]->frag;
-        } else {
-            frags[0] = generateIrForRange(dag, cfg, partBlocks[0],
-                                          parts[0], banks, shared, 0);
-            if (fcache)
-                fcache->store(fkeys[0], pieces[0], pieceBanks[0],
-                              frags[0], &computed);
-        }
-        IrProgram ir = mergeIrFragments(dag, cfg, banks, shared,
-                                        std::move(frags), blocksPerPart);
-        if (options.validate)
-            validate_blocks();
-
-        vopt.numBlocks = blockBase[num_parts];
-        if (options.verify)
-            timed_verify([&] {
-                throwIfVerifyErrors(verifyIr(ir, cfg, vopt), "codegen");
-            });
-
-        schedules[0] = reorderForPipeline(ir, cfg, options.reorderWindow);
-        if (options.validate)
-            checkHazardFree(ir, cfg);
-        if (options.verify) {
-            vopt.hazardsResolved = true;
-            timed_verify([&] {
-                throwIfVerifyErrors(verifyIr(ir, cfg, vopt), "schedule");
-            });
-        }
-
-        prog = finalizeProgram(std::move(ir), cfg, partBlocks[0]);
-    } else {
-        // Pipelined steps 1-4 on one pool of workers:
-        // - pre: step 1 and step 2's preparation of every range,
-        //   unordered;
-        // - ordered: the rest of step 2 of partition p, once p is
-        //   prepared and p-1 is mapped, while other ranges are still
-        //   in step 1, codegen, reorder or finalize;
-        // - produce: codegen + per-fragment reorder, once every range
-        //   is decomposed;
-        // - consume: this thread merges and finalizes the fragments
-        //   in strict partition order.
-        // Step 2 sees exactly the banks the earlier ranges chose, and
-        // the merge and the incremental finalizer are deterministic in
-        // the consume order, so the program is byte-identical at every
-        // thread count — threads = 1 degenerates to every
-        // decomposition, then the plain map/produce/consume
-        // interleave.
-        auto block_at = [&](uint32_t id) -> const Block & {
-            size_t p = static_cast<size_t>(
-                           std::upper_bound(blockBase.begin(),
-                                            blockBase.end(), id) -
-                           blockBase.begin()) -
-                       1;
-            return partBlocks[p][id - blockBase[p]];
-        };
-
-        ScheduledIrMerger merger(dag, cfg, banks, shared);
-        ProgramFinalizer finalizer(cfg, block_at);
-        std::vector<IrFragment> frags(num_parts);
-        // The "codegen"-stage verifier needs the pre-schedule IR;
-        // keep per-fragment copies only when it will run.
-        std::vector<IrFragment> unscheduled;
-        if (options.verify)
-            unscheduled.resize(num_parts);
-        size_t done_instrs = 0;
-        size_t done_instances = 0;
-        pipelineOrdered(
-            num_parts, options.threads,
-            decompose, // pre: step 1 + step-2 prep, unordered
-            map_range, // ordered: range p sees ranges < p mapped
-            [&](size_t p) { // produce: codegen + per-fragment reorder
-                if (hit[p]) {
-                    frags[p] = hit[p]->frag;
-                } else {
-                    frags[p] = generateIrForRange(
-                        dag, cfg, partBlocks[p], parts[p], banks,
-                        shared, static_cast<uint32_t>(p));
-                    if (fcache)
-                        fcache->store(fkeys[p], pieces[p], pieceBanks[p],
-                                      frags[p]);
-                }
-                if (options.verify)
-                    unscheduled[p] = frags[p];
-                schedules[p] =
-                    reorderFragment(frags[p], cfg, options.reorderWindow);
-            },
-            [&](size_t p) { // consume: ordered merge + finalize chunk
-                merger.append(std::move(frags[p]), blocksPerPart[p]);
-                finalizer.appendChunk(merger.ir(), done_instrs,
-                                      done_instances);
-                done_instrs = merger.ir().instrs.size();
-                done_instances = merger.ir().instances.size();
-            });
-        merger.finish(); // final stores
-        finalizer.appendChunk(merger.ir(), done_instrs, done_instances);
-        const IrProgram &ir = merger.ir();
-
-        if (options.validate) {
-            validate_blocks();
-            checkHazardFree(ir, cfg);
-        }
-
-        vopt.numBlocks = blockBase[num_parts];
-        if (options.verify) {
-            // Stage "codegen" checks the same artifact the monolithic
-            // path would: the order-preserving merge of the
-            // *unscheduled* fragments.
-            IrProgram unsched =
-                mergeIrFragments(dag, cfg, banks, shared,
-                                 std::move(unscheduled), blocksPerPart);
-            timed_verify([&] {
-                throwIfVerifyErrors(verifyIr(unsched, cfg, vopt),
-                                    "codegen");
-            });
-            vopt.hazardsResolved = true;
-            timed_verify([&] {
-                throwIfVerifyErrors(verifyIr(ir, cfg, vopt), "schedule");
-            });
-        }
-
-        prog = finalizer.finish(ir, blockBase[num_parts]);
+    if (options.validate) {
+        validate_blocks();
+        checkHazardFree(ir, cfg);
     }
+
+    if (options.verify) {
+        // Stage "codegen" checks the order-preserving merge of the
+        // *unscheduled* fragments.
+        ScheduledIrMerger unsched(dag, cfg, banks, shared);
+        for (size_t p = 0; p < num_parts; ++p)
+            unsched.append(std::move(unscheduled[p]), blocksPerPart[p]);
+        VerifyIrOptions vopt;
+        vopt.numBlocks = blockBase[num_parts];
+        timed_verify([&] {
+            throwIfVerifyErrors(verifyIr(unsched.ir(), cfg, vopt),
+                                "codegen");
+        });
+        vopt.hazardsResolved = true;
+        timed_verify([&] {
+            throwIfVerifyErrors(verifyIr(ir, cfg, vopt), "schedule");
+        });
+    }
+
+    CompiledProgram prog = finalizer.finish(ir, blockBase[num_parts]);
 
     // The register certificate (the finalizer filled peakSlots). It
     // holds when neither R-dependent branch fired: no spill, and peaks

@@ -8,12 +8,13 @@
  * IR codegen -> step 3 pipeline-aware reordering ->
  * step 4 spilling + address resolution -> executable program.
  *
- * A partitioned compile streams these stages through one
- * pipelineOrdered pool of CompileOptions::threads workers: every
- * partition's step 1 runs unordered; step 2 maps partition p in
- * partition order once p is decomposed; codegen and step 3 run per
- * partition once every range is decomposed; the caller merges and
- * runs step 4 in partition order.
+ * Every compile streams these stages through one pipelineOrdered
+ * pool of CompileOptions::threads workers: every partition's step 1
+ * runs unordered; step 2 maps partition p in partition order once p is
+ * decomposed; codegen and step 3 run per partition once every range
+ * is decomposed, and the last partition's fragment also holds the
+ * final stores; the caller merges and runs step 4 in partition order.
+ * An unpartitioned compile is the one-range case, a plain loop.
  */
 
 #ifndef DPU_COMPILER_COMPILER_HH

@@ -459,17 +459,4 @@ ProgramFinalizer::finish(const IrProgram &ir, size_t numBlocks)
     return impl->finish(ir, numBlocks);
 }
 
-CompiledProgram
-finalizeProgram(IrProgram &&ir, const ArchConfig &cfg,
-                std::span<const Block> blocks)
-{
-    IrProgram local = std::move(ir);
-    auto block_at = [blocks](uint32_t id) -> const Block & {
-        return blocks[id];
-    };
-    ProgramFinalizer fin(cfg, block_at);
-    fin.appendChunk(local, 0, 0);
-    return fin.finish(local, blocks.size());
-}
-
 } // namespace dpu

@@ -10,14 +10,14 @@
  * overflows its R registers, the occupant with the furthest next use
  * (Belady) is spilled with a store; spilled values are reloaded with
  * a load + nop pair right before their next consumer. Produces the
- * final, bit-exact instruction stream.
+ * final, bit-exact instruction stream, one merged partition at a
+ * time (ProgramFinalizer).
  */
 
 #ifndef DPU_COMPILER_FINALIZE_HH
 #define DPU_COMPILER_FINALIZE_HH
 
 #include <memory>
-#include <span>
 
 #include "compiler/blocks.hh"
 #include "compiler/ir.hh"
@@ -31,13 +31,12 @@ class FinalizerImpl;
 
 /**
  * Incremental step 4: consumes the scheduled IR chunk by chunk (one
- * chunk per merged partition in the pipelined compile path), emitting
- * final instructions as each chunk arrives instead of waiting for the
- * whole stream. Chunks must arrive in stream order; the result is
- * byte-identical to finalizing the concatenated stream in one pass,
- * except that spill-reload prefetching never looks across a chunk
- * boundary (the next chunk may not exist yet) — the in-order reload
- * fallback covers those reads. Spill rows are allocated relative and
+ * chunk per merged partition; an unpartitioned compile is one chunk),
+ * emitting final instructions as each chunk arrives instead of
+ * waiting for the whole stream. Chunks must arrive in stream order.
+ * Spill-reload prefetching never looks across a chunk boundary (the
+ * next chunk may not exist yet); the in-order reload fallback covers
+ * those reads. Spill rows are allocated relative and
  * rebased below the input/output region at finish(), when the final
  * row counts are known.
  */
@@ -95,24 +94,6 @@ class ProgramFinalizer
   private:
     std::unique_ptr<detail::FinalizerImpl> impl;
 };
-
-/**
- * Run step 4 on a complete scheduled IR program (single-chunk
- * convenience wrapper around ProgramFinalizer; byte-identical to the
- * historical monolithic pass).
- *
- * @param ir Scheduled IR (consumed).
- * @param cfg Architecture configuration.
- * @param blocks Every step-1 block, indexed by global block id (the
- *        peOps of each exec); read in place, so an unpartitioned
- *        compile passes its one range's blocks — a fragment cache
- *        entry's included — without building a BlockDecomposition.
- * @return The executable program; stats fields covering steps 1-4 are
- *         filled except workload-level ones (numOperations, csrBits,
- *         compile time) which the driver adds.
- */
-CompiledProgram finalizeProgram(IrProgram &&ir, const ArchConfig &cfg,
-                                std::span<const Block> blocks);
 
 } // namespace dpu
 

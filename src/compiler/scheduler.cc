@@ -37,14 +37,13 @@ struct DepGraph
  *  - memory ordering on a data-memory row (store->load gap 2,
  *    load->store and store->store gap 1).
  *
- * Fragment mode (numExternals > 0 allowed): reads carrying
- * IrFragment::externalFlag reference values written by an earlier
- * fragment. They get a dependence slot past the local instances (for
- * valid_rst ordering among this fragment's reads of the value) but no
- * producer edge — the merge pads the boundary until the producer's
- * write has landed. The register-leak check is also skipped: a local
- * value read or stored only by later fragments legitimately has no
- * valid_rst read here.
+ * Reads carrying IrFragment::externalFlag reference values written by
+ * an earlier fragment. They get a dependence slot past the local
+ * instances (for valid_rst ordering among this fragment's reads of
+ * the value) but no producer edge — the merge pads the boundary until
+ * the producer's write has landed. The register-leak check runs only
+ * on the last fragment: elsewhere a local value read or stored only
+ * by later fragments legitimately has no valid_rst read.
  *
  * Count-then-fill: one walk over the list counts each instruction's
  * edges, a second identical walk places them. The walks' bookkeeping
@@ -52,9 +51,9 @@ struct DepGraph
  * a row since its last store are chains of index links.
  */
 DepGraph
-buildDeps(const IrProgram &ir, const ArchConfig &cfg, bool fragment,
-          size_t numExternals)
+buildDeps(const IrFragment &frag, const ArchConfig &cfg)
 {
+    const IrProgram &ir = frag.ir;
     const uint32_t n = static_cast<uint32_t>(ir.instrs.size());
     const size_t nlocal = ir.instances.size();
     auto slot = [&](InstanceId id) -> size_t {
@@ -69,7 +68,7 @@ buildDeps(const IrProgram &ir, const ArchConfig &cfg, bool fragment,
             in.kind == InstrKind::Store4)
             rows = std::max(rows, in.memRow + 1);
 
-    const size_t universe = nlocal + numExternals;
+    const size_t universe = nlocal + frag.externals.size();
     std::vector<uint32_t> writer, rst_reader, reader_head;
     std::vector<uint32_t> row_writer, row_head; // last store, loads since
     std::vector<uint32_t> link_instr, link_next; // chain nodes
@@ -148,26 +147,23 @@ buildDeps(const IrProgram &ir, const ArchConfig &cfg, bool fragment,
     g.first[0] = 0;
 
     // Every instance must eventually be freed, or the register file
-    // leaks; codegen guarantees this for whole programs. Fragments
-    // may export values that a later fragment (or the final store)
-    // frees.
-    if (!fragment)
+    // leaks; codegen guarantees this by the last fragment, which holds
+    // the final stores. Earlier fragments may export values that a
+    // later fragment (or a store) frees.
+    if (frag.last)
         for (size_t k = 0; k < nlocal; ++k)
             dpu_assert(rst_reader[k] != none, "instance never freed");
     return g;
 }
 
-/**
- * The list scheduler shared by the whole-program and per-fragment
- * entry points. `liveIn` seeds the register-pressure estimate (a
- * fragment starts with its external values already live).
- */
+} // namespace
+
 ScheduleStats
-reorderList(IrProgram &ir, const ArchConfig &cfg, uint32_t window,
-            bool fragment, size_t numExternals, int64_t liveIn)
+reorderFragment(IrFragment &frag, const ArchConfig &cfg, uint32_t window)
 {
     dpu_assert(window >= 1, "window must be positive");
-    DepGraph deps = buildDeps(ir, cfg, fragment, numExternals);
+    DepGraph deps = buildDeps(frag, cfg);
+    IrProgram &ir = frag.ir;
 
     const uint32_t n = static_cast<uint32_t>(ir.instrs.size());
     std::vector<uint32_t> &remaining = deps.ndeps;
@@ -223,7 +219,8 @@ reorderList(IrProgram &ir, const ArchConfig &cfg, uint32_t window,
     const uint64_t capacity =
         uint64_t(cfg.banks) * cfg.regsPerBank;
     const uint64_t high_water = capacity / 2;
-    int64_t live = liveIn;
+    // A fragment starts with its external values already live.
+    int64_t live = static_cast<int64_t>(frag.externals.size());
 
     while (done < n) {
         release(now);
@@ -280,23 +277,6 @@ reorderList(IrProgram &ir, const ArchConfig &cfg, uint32_t window,
     }
     ir.instrs = std::move(out);
     return stats;
-}
-
-} // namespace
-
-ScheduleStats
-reorderForPipeline(IrProgram &ir, const ArchConfig &cfg, uint32_t window)
-{
-    return reorderList(ir, cfg, window, /*fragment=*/false,
-                       /*numExternals=*/0, /*liveIn=*/0);
-}
-
-ScheduleStats
-reorderFragment(IrFragment &frag, const ArchConfig &cfg, uint32_t window)
-{
-    return reorderList(frag.ir, cfg, window, /*fragment=*/true,
-                       frag.externals.size(),
-                       static_cast<int64_t>(frag.externals.size()));
 }
 
 void

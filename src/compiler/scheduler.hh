@@ -31,22 +31,18 @@ struct ScheduleStats
 };
 
 /**
- * Reorder `ir.instrs` in place.
- *
- * @param window Look-ahead window in instructions (paper: 300).
- */
-ScheduleStats reorderForPipeline(IrProgram &ir, const ArchConfig &cfg,
-                                 uint32_t window = 300);
-
-/**
- * Reorder one partition's IR fragment in place, before merging.
+ * Reorder one partition's IR fragment in place, before merging (an
+ * unpartitioned compile's one fragment is the whole program).
  *
  * External references (values produced by earlier partitions) carry
  * no producer edge — they are treated as ready at cycle 0, and the
  * merge pads the fragment boundary until every cross-fragment write
  * has landed — but their valid_rst ordering and the fragment's local
- * hazards are scheduled exactly like the whole-program pass, so the
- * merged stream needs no further reordering.
+ * hazards are scheduled like any other read, so the merged stream
+ * needs no further reordering. On the last fragment, which holds the
+ * final stores, every local instance must be freed.
+ *
+ * @param window Look-ahead window in instructions (paper: 300).
  */
 ScheduleStats reorderFragment(IrFragment &frag, const ArchConfig &cfg,
                               uint32_t window = 300);

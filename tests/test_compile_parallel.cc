@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 
@@ -364,6 +365,125 @@ TEST(ParallelCompile, BoundaryObliviousByteIdenticalAcrossThreads)
     }
     runAndCheck(reference, d, randomInputs(d, 96));
 }
+
+/**
+ * The outputs' order: input sinks first, in sinks() order, then the
+ * compute sinks by store round. A round stores the earliest pending
+ * sinks whose bank column is still free, one per bank, into the next
+ * row; the first round's row is the first row past the inputs.
+ */
+void
+expectOutputOrder(const CompiledProgram &prog, const Dag &d)
+{
+    std::vector<NodeId> input_sinks, compute_sinks;
+    for (NodeId s : d.sinks())
+        (d.node(s).isInput() ? input_sinks : compute_sinks).push_back(s);
+    ASSERT_EQ(prog.outputs.size(),
+              input_sinks.size() + compute_sinks.size());
+    size_t k = 0;
+    for (NodeId s : input_sinks)
+        EXPECT_EQ(prog.outputs[k++].node, s);
+
+    uint32_t row = 0;
+    for (auto [r, c] : prog.inputLocation)
+        row = std::max(row, r + 1);
+    std::vector<uint32_t> bank(d.numNodes(), 0);
+    for (const auto &o : prog.outputs)
+        bank[o.node] = o.col;
+    std::vector<NodeId> pending = compute_sinks;
+    while (!pending.empty()) {
+        uint64_t used = 0;
+        for (auto it = pending.begin(); it != pending.end();) {
+            if (used >> bank[*it] & 1) {
+                ++it;
+                continue;
+            }
+            used |= uint64_t(1) << bank[*it];
+            EXPECT_EQ(prog.outputs[k].node, *it) << "output " << k;
+            EXPECT_EQ(prog.outputs[k].row, row) << "output " << k;
+            ++k;
+            it = pending.erase(it);
+        }
+        ++row;
+    }
+}
+
+TEST(CompileTail, EdgeCaseDagsMatchReference)
+{
+    // The final stores ride in the last range's fragment and the merge
+    // places the io rows; these DAGs stress that tail, whole and cut
+    // into ranges of one and eight compute nodes.
+    std::vector<std::pair<std::string, Dag>> dags;
+    {
+        Dag d; // inputs only: every result is an input, no instruction
+        for (int i = 0; i < 3; ++i)
+            d.addInput();
+        dags.push_back({"inputs only", std::move(d)});
+    }
+    {
+        Dag d; // an unread input among compute sinks
+        NodeId a = d.addInput();
+        NodeId b = d.addInput();
+        d.addInput();
+        NodeId x = d.addNode(OpType::Add, {a, b});
+        d.addNode(OpType::Mul, {x, a});
+        d.addNode(OpType::Mul, {a, b});
+        d.addInput();
+        dags.push_back({"input sink beside compute sinks", std::move(d)});
+    }
+    {
+        Dag d; // 20 compute sinks over 8 banks: at least three rounds
+        std::vector<NodeId> in;
+        for (int i = 0; i < 5; ++i)
+            in.push_back(d.addInput());
+        for (int i = 0; i < 20; ++i)
+            d.addNode(i % 2 ? OpType::Add : OpType::Mul,
+                      {in[i % 5], in[(i / 5 + i + 1) % 5]});
+        dags.push_back({"more compute sinks than banks", std::move(d)});
+    }
+    {
+        // Twelve sinks, then one more compute node. A range always
+        // ends before a compute node, so the last range defines the
+        // DAG's last compute node, a sink; in ranges of one (or
+        // eight) compute nodes, every other store reads a value an
+        // earlier range defined.
+        Dag d;
+        std::vector<NodeId> in;
+        for (int i = 0; i < 4; ++i)
+            in.push_back(d.addInput());
+        for (int i = 0; i < 12; ++i)
+            d.addNode(OpType::Add, {in[i % 4], in[(i + 1) % 4]});
+        d.addNode(OpType::Mul, {in[0], in[3]});
+        dags.push_back({"last range reads its sinks", std::move(d)});
+    }
+
+    ArchConfig cfg = cfgOf(2, 8, 16);
+    for (const auto &[name, d] : dags) {
+        for (uint32_t part : {0u, 1u, 8u}) {
+            CompiledProgram first;
+            for (uint32_t threads : {1u, 3u}) {
+                SCOPED_TRACE(name + ", partition " + std::to_string(part) +
+                             ", threads " + std::to_string(threads));
+                CompileOptions opt;
+                opt.partitionNodes = part;
+                opt.threads = threads;
+                opt.verify = true;
+                opt.validate = true;
+                CompiledProgram prog = compile(d, cfg, opt);
+                runAndCheck(prog, d, randomInputs(d, part + 5));
+                expectOutputOrder(prog, d);
+                if (d.numOperations() == 0) {
+                    EXPECT_EQ(prog.stats.instructions, 0u);
+                }
+                if (threads == 1)
+                    first = prog;
+                else
+                    expectIdentical(first, prog);
+            }
+        }
+    }
+}
+
 
 /** Which pipelineOrdered stage a probe makes throw. */
 enum class Throw { Pre, Ordered, Produce, Consume };

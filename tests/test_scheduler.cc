@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "compiler/blocks.hh"
 #include "compiler/codegen.hh"
 #include "compiler/mapper.hh"
@@ -25,12 +27,19 @@ cfgOf(uint32_t depth, uint32_t banks)
     return c;
 }
 
-IrProgram
-irFor(const Dag &d, const ArchConfig &cfg)
+/** The unscheduled IR of an unpartitioned compile: one fragment
+ *  covering the whole DAG, final stores included. */
+IrFragment
+fragmentFor(const Dag &d, const ArchConfig &cfg)
 {
     auto dec = decomposeIntoBlocks(d, cfg);
     auto ba = assignBanks(d, cfg, dec);
-    return generateIr(d, cfg, dec, ba);
+    const std::vector<NodeId> sinks = d.sinks();
+    const std::vector<std::span<const Block>> parts{dec.blocks};
+    const CodegenShared shared = computeCodegenShared(d, sinks, parts);
+    return generateIrForRange(d, cfg, parts[0],
+                              {0, static_cast<NodeId>(d.numNodes())}, ba,
+                              shared, 0);
 }
 
 TEST(Scheduler, ChainNeedsNops)
@@ -42,9 +51,9 @@ TEST(Scheduler, ChainNeedsNops)
     for (int i = 0; i < 12; ++i)
         prev = d.addNode(OpType::Add, {prev, other});
     ArchConfig cfg = cfgOf(3, 8);
-    IrProgram ir = irFor(d, cfg);
-    auto stats = reorderForPipeline(ir, cfg);
-    checkHazardFree(ir, cfg);
+    IrFragment f = fragmentFor(d, cfg);
+    auto stats = reorderFragment(f, cfg);
+    checkHazardFree(f.ir, cfg);
     EXPECT_GT(stats.nopsInserted, 0u);
 }
 
@@ -63,10 +72,10 @@ TEST(Scheduler, WideDagNeedsFewNops)
         d.addNode(OpType::Mul, {a, rng.pick(ins)});
     }
     ArchConfig cfg = cfgOf(3, 16);
-    IrProgram ir = irFor(d, cfg);
-    size_t before = ir.instrs.size();
-    auto stats = reorderForPipeline(ir, cfg);
-    checkHazardFree(ir, cfg);
+    IrFragment f = fragmentFor(d, cfg);
+    size_t before = f.ir.instrs.size();
+    auto stats = reorderFragment(f, cfg);
+    checkHazardFree(f.ir, cfg);
     EXPECT_LT(stats.nopsInserted, before / 10);
 }
 
@@ -110,13 +119,13 @@ TEST(Scheduler, PreservesInstructionMultiset)
 {
     Dag d = generateRandomDag(16, 400, 33);
     ArchConfig cfg = cfgOf(2, 16);
-    IrProgram ir = irFor(d, cfg);
+    IrFragment f = fragmentFor(d, cfg);
     std::array<size_t, 6> before{};
-    for (const auto &in : ir.instrs)
+    for (const auto &in : f.ir.instrs)
         ++before[static_cast<size_t>(in.kind)];
-    reorderForPipeline(ir, cfg);
+    reorderFragment(f, cfg);
     std::array<size_t, 6> after{};
-    for (const auto &in : ir.instrs)
+    for (const auto &in : f.ir.instrs)
         ++after[static_cast<size_t>(in.kind)];
     // Only nops may be added.
     for (size_t k = 0; k < 6; ++k) {
@@ -131,28 +140,58 @@ TEST(Scheduler, TightWindowInsertsMoreNops)
 {
     Dag d = generateRandomDag(16, 800, 34);
     ArchConfig cfg = cfgOf(3, 16);
-    IrProgram a = irFor(d, cfg);
-    IrProgram b = irFor(d, cfg);
-    auto wide = reorderForPipeline(a, cfg, 300);
-    auto tight = reorderForPipeline(b, cfg, 1);
-    checkHazardFree(a, cfg);
-    checkHazardFree(b, cfg);
+    IrFragment a = fragmentFor(d, cfg);
+    IrFragment b = fragmentFor(d, cfg);
+    auto wide = reorderFragment(a, cfg, 300);
+    auto tight = reorderFragment(b, cfg, 1);
+    checkHazardFree(a.ir, cfg);
+    checkHazardFree(b.ir, cfg);
     EXPECT_LE(wide.nopsInserted, tight.nopsInserted);
 }
 
 TEST(Scheduler, RawIrFromCodegenHasNoUseBeforeDef)
 {
-    // generateIr emits in block order: no read-before-write even
-    // before scheduling (only latencies are violated).
+    // Codegen emits in block order: no read-before-write even before
+    // scheduling (only latencies are violated).
     Dag d = generateRandomDag(12, 300, 35);
     ArchConfig cfg = cfgOf(2, 8);
-    IrProgram ir = irFor(d, cfg);
-    std::vector<bool> written(ir.instances.size(), false);
-    for (const auto &in : ir.instrs) {
+    IrFragment f = fragmentFor(d, cfg);
+    std::vector<bool> written(f.ir.instances.size(), false);
+    for (const auto &in : f.ir.instrs) {
         for (const auto &r : in.reads)
             EXPECT_TRUE(written[r.inst]);
         for (const auto &w : in.writes)
             written[w.inst] = true;
+    }
+}
+
+TEST(Scheduler, LastFragmentMustFreeEveryInstance)
+{
+    // The fragment holding the final stores frees every instance it
+    // writes; a store that no longer frees its source is a leak the
+    // scheduler reports. An earlier fragment may export the value.
+    Dag d = generateRandomDag(8, 100, 36);
+    ArchConfig cfg = cfgOf(2, 8);
+    IrFragment f = fragmentFor(d, cfg);
+    ASSERT_TRUE(f.last);
+    auto store = std::find_if(f.ir.instrs.begin(), f.ir.instrs.end(),
+                              [](const IrInstr &in) {
+                                  return in.kind == InstrKind::Store4 ||
+                                         in.kind == InstrKind::Store;
+                              });
+    ASSERT_NE(store, f.ir.instrs.end());
+    store->reads[0].lastRead = false;
+
+    IrFragment exported = f;
+    exported.last = false;
+    EXPECT_NO_THROW(reorderFragment(exported, cfg));
+    try {
+        reorderFragment(f, cfg);
+        ADD_FAILURE() << "leak not reported";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("instance never freed"),
+                  std::string::npos)
+            << "panic was: " << e.what();
     }
 }
 
