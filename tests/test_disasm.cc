@@ -161,7 +161,9 @@ const std::vector<DisasmGolden> kDisasmGolden = {
     {"rdb968 D3.B8.R16", "0113c52d63138203"},
     {"dw2048 D1.B8.R16", "d0c52b6f1dea3904"},
     {"dw2048 D3.B8.R16", "e386e111745e85ef"},
-    {"pigs partitioned", "f740a4bf678bc4e7"},
+    // Re-pinned when the final stores moved into the last range's
+    // fragment (3 boundary nops fewer).
+    {"pigs partitioned", "412bdbcacf548599"},
 };
 
 TEST(DisasmGolden, WholeProgramTextIsPinned)
