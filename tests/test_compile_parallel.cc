@@ -408,7 +408,7 @@ expectOutputOrder(const CompiledProgram &prog, const Dag &d)
     }
 }
 
-TEST(CompileTail, EdgeCaseDagsMatchReference)
+TEST(ParallelCompile, TailEdgeCasesMatchReference)
 {
     // The final stores ride in the last range's fragment and the merge
     // places the io rows; these DAGs stress that tail, whole and cut
