@@ -3,7 +3,7 @@
  * E7 — fig. 11: the 48-point design-space exploration over
  * (D, B, R): latency/op, energy/op and EDP per design point, plus
  * the three optima. Runs as a sharded sweep (model/dse.hh) on
- * --threads host workers; per-shard wall time and program-cache
+ * --threads host workers; per-shard host time and program-cache
  * hit rate land as typed series.
  */
 
@@ -62,7 +62,7 @@ main(int argc, char **argv)
     ctx.series("energy_per_op_pj", energy_series);
     ctx.series("edp_pj_ns", edp_series);
 
-    // Per-shard execution profile: wall seconds and cache hit rate
+    // Per-shard execution profile: host seconds and cache hit rate
     // are host-side observations (they vary run to run); the point
     // series above are model outputs and deterministic.
     std::vector<double> shard_seconds, shard_points, shard_hit_rate;

@@ -480,8 +480,10 @@ ProgramCache::lookupOrCompile(
             return;
         got.group = group;
         Certified &c = certified[group];
-        if (c.owner.empty())
+        if (c.prog.expired()) {
             c.owner = key;
+            c.prog = got.prog;
+        }
         if (c.runStats) {
             got.runStats = c.runStats;
             got.runStats->instrBitsFetched = got.prog->stats.programBits;
@@ -492,8 +494,16 @@ ProgramCache::lookupOrCompile(
         auto it = index.find(key);
         if (it != index.end()) {
             lru.splice(lru.begin(), lru, it->second);
-            ++counters.hits;
             got.prog = it->second->prog;
+        } else if (auto c = certified.find(group);
+                   c != certified.end() && c->second.owner == key) {
+            // The LRU let it go, but a caller still holds it.
+            got.prog = c->second.prog.lock();
+            if (got.prog)
+                insertLocked(key, group, got.prog);
+        }
+        if (got.prog) {
+            ++counters.hits;
             describe_locked();
         }
     }
@@ -521,9 +531,11 @@ ProgramCache::lookupOrCompile(
         std::lock_guard<std::mutex> lock(mutex);
         auto c = certified.find(group);
         if (c != certified.end()) {
-            const auto &owner = index.at(c->second.owner)->prog;
-            if (owner->registers.admits(cfg))
-                base = owner;
+            base = c->second.prog.lock();
+            if (!base)
+                certified.erase(c); // its last holder let it go
+            else if (!base->registers.admits(cfg))
+                base.reset();
         }
     }
     if (base) {
@@ -690,7 +702,9 @@ ProgramCache::insertLocked(const std::string &key, const std::string &group,
         // The latest certified program of a group stands for it: the
         // group's programs are all one program up to R (a certificate
         // admits every larger R), so its run stats stay valid.
-        certified[group].owner = key;
+        Certified &c = certified[group];
+        c.owner = key;
+        c.prog = prog;
     }
     auto it = index.find(key);
     if (it != index.end()) {
@@ -716,8 +730,11 @@ ProgramCache::releaseLocked(const Entry &e)
 {
     if (e.group.empty())
         return;
+    // A caller holding the program keeps the entry: its next R of the
+    // group still derives, however many programs the LRU took since.
     auto c = certified.find(e.group);
-    if (c != certified.end() && c->second.owner == e.key)
+    if (c != certified.end() && c->second.owner == e.key &&
+        e.prog.use_count() <= 1)
         certified.erase(c);
 }
 

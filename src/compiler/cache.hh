@@ -27,8 +27,13 @@
  * of compiled, exactly the bytes a compile at R' emits. The entry
  * also keeps the group's 1-core SimStats once a caller has simulated
  * one of its programs, so the DSE skips the Machine for a derived
- * point too. An entry is released when its program leaves the LRU,
- * so the index holds no program the LRU does not.
+ * point too. An entry is released when its program leaves the LRU
+ * while no caller holds it (a Fetched::prog), and it refers to its
+ * program weakly, so the index keeps no program alive. A caller that
+ * holds a group's latest program across its fetches (the DSE's
+ * per-group tasks) thus keeps deriving the group, and re-fetches that
+ * program as a memory hit, however many programs other threads put in
+ * the LRU meanwhile.
  *
  * The disk format is a native-endianness binary image (the cache
  * directory is a local build artifact, not a portable interchange
@@ -320,10 +325,11 @@ class ProgramCache
     };
 
     /** A group's certified program: the program of the LRU entry
-     *  `owner`, released with it. */
+     *  `owner`, released with it unless a caller still holds it. */
     struct Certified
     {
         std::string owner;
+        std::weak_ptr<const CompiledProgram> prog; ///< owner's program.
         std::optional<SimStats> runStats; ///< 1-core, any R.
     };
 
@@ -344,7 +350,8 @@ class ProgramCache
      *  program of `group` when it carries a certificate. */
     void insertLocked(const std::string &key, const std::string &group,
                       std::shared_ptr<const CompiledProgram> prog);
-    /** Drop `e`'s group entry when `e` is its owner. */
+    /** Drop `e`'s group entry when `e` is its owner and no caller
+     *  holds its program. */
     void releaseLocked(const Entry &e);
 
     ProgramCacheConfig config;

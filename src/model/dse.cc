@@ -1,6 +1,7 @@
 #include "model/dse.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -51,148 +52,160 @@ prepareSuite(const std::vector<WorkloadSpec> &suite, double scale,
     return out;
 }
 
-/** The per-workload means a point averages. */
-struct PointSums
+/** What the evaluation of a point reads besides its coordinates. */
+struct EvalParams
 {
-    Summary lat, epo, gops, watts, xfer_ns;
+    uint64_t seed = 1;
+    ProgramCache *cache = nullptr;
+    uint32_t fleetRanks = 1;
+    HostTransferModel transfer;
+    bool verify = false;
+};
+
+/** One workload's share of one point: the summands the point
+ *  averages, and what computing them cost. A default record is an
+ *  infeasible one, so a skipped workload reads as "did not fit". */
+struct WorkloadRecord
+{
+    bool feasible = false;
+    double lat = 0, epo = 0, gops = 0, watts = 0, xferNs = 0;
+    bool hasXfer = false; ///< The run took cycles (xferNs is a summand).
+    DseEvalCost cost;
+    double seconds = 0; ///< Host time of the step (the sweep sets it).
 };
 
 /**
- * The point evaluator behind evaluateDesign and runDseSweep:
- * evaluateDesign's contract over an already-prepared suite, for
- * `points` at once, into out[0..points.size()). It walks workload by
- * workload and, within one, point by point, so the points of one
- * (D, B) group fetch a workload's programs back to back: the group's
- * certified program is then still resident when the next R asks for
- * it, however many other shards share the cache. Each point still
- * averages its workloads in suite order, so its result does not
- * depend on which points share the call.
+ * The one-workload step behind evaluateDesign and runDseSweep: compile
+ * (or fetch) `point`'s program for one prepared workload, simulate it
+ * unless the cache holds its group's stats, and write the workload's
+ * summands to `rec`. A workload that fails to fit leaves the record
+ * infeasible instead of throwing. Returns the program (null when
+ * infeasible): a caller that holds it until its next fetch of the
+ * group keeps the cache's certified entry for that group (see
+ * ProgramCache).
  */
-void
-evaluatePrepared(std::span<const DseGridPoint> points,
-                 const std::vector<PreparedWorkload> &suite,
-                 uint64_t seed, ProgramCache *cache, DseEvalCost *cost,
-                 uint32_t fleet_ranks, const HostTransferModel &transfer,
-                 bool verify, DsePoint *out)
+std::shared_ptr<const CompiledProgram>
+evaluateWorkload(const DseGridPoint &point, const PreparedWorkload &w,
+                 const EvalParams &params, WorkloadRecord &rec)
 {
-    if (fleet_ranks < 1)
-        fleet_ranks = 1;
-
-    for (size_t k = 0; k < points.size(); ++k) {
-        DsePoint &point = out[k];
-        point = DsePoint{};
-        point.cfg = points[k].cfg;
-        point.workloadScale = points[k].scale;
-        point.cores = points[k].cores;
-        point.areaMm2 = areaOf(point.cfg).total;
-        point.fleetRanks = fleet_ranks;
+    rec = WorkloadRecord{};
+    const PreparedDag &dag = w.prepared;
+    const ArchConfig &cfg = point.cfg;
+    const uint32_t cores = point.cores;
+    CompileOptions opt;
+    opt.seed = params.seed;
+    if (params.verify) // explicit opt-in only; keep the default build-set
+        opt.verify = true;
+    // The point reads its program where the cache keeps it.
+    ProgramCache::Fetched got;
+    try {
+        if (params.cache)
+            got = params.cache->fetch(dag, cfg, opt);
+        else
+            got.prog = std::make_shared<const CompiledProgram>(
+                compile(dag, cfg, opt));
+    } catch (const FatalError &) {
+        // Register file too small for this workload: the design point
+        // cannot run the suite.
+        return nullptr;
     }
+    const CompiledProgram &prog = *got.prog;
+    rec.cost.compiles = 1;
+    rec.cost.cacheHits = got.hit ? 1 : 0;
+    rec.cost.certified = got.certified ? 1 : 0;
+    rec.cost.compileSeconds =
+        got.hit ? got.fetchSeconds : prog.stats.compileSeconds;
 
-    std::vector<PointSums> sums(points.size());
-    for (const PreparedWorkload &w : suite) {
-        const PreparedDag &dag = w.prepared;
-        CompileOptions opt;
-        opt.seed = seed;
-        if (verify) // explicit opt-in only; keep the default build-set
-            opt.verify = true;
-        for (size_t k = 0; k < points.size(); ++k) {
-            if (!out[k].feasible)
-                continue; // an earlier workload did not fit
-            const ArchConfig &cfg = points[k].cfg;
-            const uint32_t cores = points[k].cores;
-            // The point reads its program where the cache keeps it.
-            ProgramCache::Fetched got;
-            try {
-                if (cache)
-                    got = cache->fetch(dag, cfg, opt);
-                else
-                    got.prog = std::make_shared<const CompiledProgram>(
-                        compile(dag, cfg, opt));
-            } catch (const FatalError &) {
-                // Register file too small for this workload: the
-                // design point cannot run the suite.
-                out[k].feasible = false;
-                continue;
-            }
-            const CompiledProgram &prog = *got.prog;
-            if (cost) {
-                cost->compiles += 1;
-                cost->cacheHits += got.hit ? 1 : 0;
-                cost->certified += got.certified ? 1 : 0;
-                cost->compileSeconds += got.hit ? got.fetchSeconds
-                                                : prog.stats.compileSeconds;
-            }
-
-            // Event counts do not depend on input values
-            // (Sim.StatsDoNotDependOnInputValues), and a certified
-            // program's group shares them up to instrBitsFetched, which
-            // the cache sets for this R: a group simulates once.
-            SimStats stats;
-            if (got.runStats) {
-                stats = *got.runStats;
-            } else {
-                Rng rng(seed + w.seed);
-                std::vector<double> inputs(dag.numInputs);
-                for (double &x : inputs)
-                    x = 0.5 + rng.uniform();
-                stats = Machine(prog).run(inputs).stats;
-                if (!got.group.empty())
-                    cache->storeRunStats(got.group, stats);
-            }
-            if (cores > 1) {
-                // Multi-core axis: a `cores`-input batch, one run per
-                // core. Every run counts the same events, and the
-                // batch's wall cycles set the latency.
-                stats.cycles = batchWallCycles(prog, cores, cores);
-                for (uint64_t &n : stats.kindCount)
-                    n *= cores;
-                stats.bankReads *= cores;
-                stats.bankWrites *= cores;
-                stats.peOperations *= cores;
-                stats.pePassThroughs *= cores;
-                stats.crossbarTransfers *= cores;
-                stats.memReads *= cores;
-                stats.memWrites *= cores;
-                stats.instrBitsFetched *= cores;
-            }
-            const uint64_t runs = cores > 1 ? cores : 1;
-            const uint64_t operations = prog.stats.numOperations * runs;
-
-            // Host↔rank transfer: the link serializes the dispatch's
-            // input/output payload before the cores compute, extending
-            // the wall clock (the cost is static — see
-            // HostTransferModel).
-            uint64_t xfer =
-                transfer.batchCycles(hostTransferBytes(prog), runs);
-            stats.transferCycles = xfer;
-            stats.cycles += xfer;
-
-            EnergyBreakdown e = energyOf(cfg, stats, operations);
-            PointSums &sum = sums[k];
-            sum.lat.add(e.latencyPerOpNs());
-            sum.epo.add(e.energyPerOpPj());
-            // A fleet replicates the design: throughput and wall power
-            // scale with the rank count; per-op latency/energy do not.
-            sum.gops.add(fleet_ranks * double(operations) / e.seconds() *
-                         1e-9);
-            sum.watts.add(fleet_ranks * e.wallPowerWatts());
-            if (stats.cycles > 0)
-                sum.xfer_ns.add(double(xfer) / double(stats.cycles) *
-                                e.seconds() * 1e9 / double(operations));
-        }
+    // Event counts do not depend on input values
+    // (Sim.StatsDoNotDependOnInputValues), and a certified program's
+    // group shares them up to instrBitsFetched, which the cache sets
+    // for this R: a group simulates once.
+    SimStats stats;
+    if (got.runStats) {
+        stats = *got.runStats;
+    } else {
+        Rng rng(params.seed + w.seed);
+        std::vector<double> inputs(dag.numInputs);
+        for (double &x : inputs)
+            x = 0.5 + rng.uniform();
+        stats = Machine(prog).run(inputs).stats;
+        if (!got.group.empty())
+            params.cache->storeRunStats(got.group, stats);
     }
-    for (size_t k = 0; k < points.size(); ++k) {
-        DsePoint &point = out[k];
-        if (!point.feasible)
-            continue;
-        const PointSums &sum = sums[k];
-        point.latencyPerOpNs = sum.lat.mean();
-        point.energyPerOpPj = sum.epo.mean();
-        point.edpPjNs = point.latencyPerOpNs * point.energyPerOpPj;
-        point.throughputGops = sum.gops.mean();
-        point.powerWatts = sum.watts.mean();
-        point.transferPerOpNs = sum.xfer_ns.mean();
+    if (cores > 1) {
+        // Multi-core axis: a `cores`-input batch, one run per core.
+        // Every run counts the same events, and the batch's wall
+        // cycles set the latency.
+        stats.cycles = batchWallCycles(prog, cores, cores);
+        for (uint64_t &n : stats.kindCount)
+            n *= cores;
+        stats.bankReads *= cores;
+        stats.bankWrites *= cores;
+        stats.peOperations *= cores;
+        stats.pePassThroughs *= cores;
+        stats.crossbarTransfers *= cores;
+        stats.memReads *= cores;
+        stats.memWrites *= cores;
+        stats.instrBitsFetched *= cores;
     }
+    const uint64_t runs = cores > 1 ? cores : 1;
+    const uint64_t operations = prog.stats.numOperations * runs;
+
+    // Host↔rank transfer: the link serializes the dispatch's
+    // input/output payload before the cores compute, extending the
+    // wall clock (the cost is static — see HostTransferModel).
+    uint64_t xfer =
+        params.transfer.batchCycles(hostTransferBytes(prog), runs);
+    stats.transferCycles = xfer;
+    stats.cycles += xfer;
+
+    EnergyBreakdown e = energyOf(cfg, stats, operations);
+    rec.feasible = true;
+    rec.lat = e.latencyPerOpNs();
+    rec.epo = e.energyPerOpPj();
+    // A fleet replicates the design: throughput and wall power scale
+    // with the rank count; per-op latency/energy do not.
+    rec.gops = params.fleetRanks * double(operations) / e.seconds() * 1e-9;
+    rec.watts = params.fleetRanks * e.wallPowerWatts();
+    rec.hasXfer = stats.cycles > 0;
+    if (rec.hasXfer)
+        rec.xferNs = double(xfer) / double(stats.cycles) * e.seconds() *
+                     1e9 / double(operations);
+    return got.prog;
+}
+
+/** The reduce: a point's per-workload means, its records added in
+ *  suite order. Infeasible when any workload is. */
+DsePoint
+reducePoint(const DseGridPoint &coords,
+            std::span<const WorkloadRecord> records, uint32_t fleet_ranks)
+{
+    DsePoint point;
+    point.cfg = coords.cfg;
+    point.workloadScale = coords.scale;
+    point.cores = coords.cores;
+    point.areaMm2 = areaOf(point.cfg).total;
+    point.fleetRanks = fleet_ranks;
+    for (const WorkloadRecord &rec : records)
+        point.feasible = point.feasible && rec.feasible;
+    if (!point.feasible)
+        return point;
+    Summary lat, epo, gops, watts, xfer_ns;
+    for (const WorkloadRecord &rec : records) {
+        lat.add(rec.lat);
+        epo.add(rec.epo);
+        gops.add(rec.gops);
+        watts.add(rec.watts);
+        if (rec.hasXfer)
+            xfer_ns.add(rec.xferNs);
+    }
+    point.latencyPerOpNs = lat.mean();
+    point.energyPerOpPj = epo.mean();
+    point.edpPjNs = point.latencyPerOpNs * point.energyPerOpPj;
+    point.throughputGops = gops.mean();
+    point.powerWatts = watts.mean();
+    point.transferPerOpNs = xfer_ns.mean();
+    return point;
 }
 
 } // namespace
@@ -204,11 +217,26 @@ evaluateDesign(const ArchConfig &cfg,
                DseEvalCost *cost, uint32_t fleet_ranks,
                const HostTransferModel &transfer, bool verify)
 {
+    if (fleet_ranks < 1)
+        fleet_ranks = 1;
     const DseGridPoint point{cfg, scale, cores};
-    DsePoint out;
-    evaluatePrepared({&point, 1}, prepareSuite(suite, scale, 1), seed,
-                     cache, cost, fleet_ranks, transfer, verify, &out);
-    return out;
+    const EvalParams params{seed, cache, fleet_ranks, transfer, verify};
+    const std::vector<PreparedWorkload> prepared =
+        prepareSuite(suite, scale, 1);
+    std::vector<WorkloadRecord> records(prepared.size());
+    for (size_t w = 0; w < prepared.size(); ++w) {
+        const WorkloadRecord &rec = records[w];
+        evaluateWorkload(point, prepared[w], params, records[w]);
+        if (cost) {
+            cost->compiles += rec.cost.compiles;
+            cost->cacheHits += rec.cost.cacheHits;
+            cost->certified += rec.cost.certified;
+            cost->compileSeconds += rec.cost.compileSeconds;
+        }
+        if (!rec.feasible)
+            break; // the rest stay infeasible records
+    }
+    return reducePoint(point, records, fleet_ranks);
 }
 
 // ---------------------------------------------------------------- //
@@ -590,22 +618,42 @@ runDseSweep(const DseSweepOptions &options)
     scales.erase(std::unique(scales.begin(), scales.end()), scales.end());
     std::vector<PreparedWorkload> prepared; // the current scale's suite
 
+    // Shards only partition the report: each point's compile/cache
+    // counters and host seconds go to the shard that holds it.
     const std::vector<DseShard> shards =
         planDseShards(grid.size(), options.shards);
+    std::vector<size_t> shard_of(grid.size());
     result.shardReports.resize(shards.size());
-    for (size_t s = 0; s < shards.size(); ++s)
+    for (size_t s = 0; s < shards.size(); ++s) {
         result.shardReports[s].points = shards[s].end - shards[s].begin;
+        for (size_t i = shards[s].begin; i < shards[s].end; ++i)
+            shard_of[i] = s;
+    }
+    const EvalParams params{space.seed, options.cache,
+                            std::max<uint32_t>(space.fleetRanks, 1),
+                            space.transfer, options.verify};
+    const size_t workloads = suite.size();
     std::mutex journal_mutex;
 
     for (double scale : scales) {
-        auto pending = [&](size_t i) {
-            return !have[i] && grid[i].scale == scale;
-        };
-        bool any = false;
-        for (size_t i = 0; i < grid.size() && !any; ++i)
-            any = pending(i);
-        if (!any)
+        // The scale's pending points in grid order, cut into (D, B)
+        // groups over the whole grid: group g is points
+        // todo[group_start[g] .. group_start[g + 1]).
+        std::vector<size_t> todo, group_start;
+        for (size_t i = 0; i < grid.size(); ++i) {
+            if (have[i] || grid[i].scale != scale)
+                continue;
+            if (todo.empty() ||
+                grid[todo.back()].cfg.depth != grid[i].cfg.depth ||
+                grid[todo.back()].cfg.banks != grid[i].cfg.banks)
+                group_start.push_back(todo.size());
+            todo.push_back(i);
+        }
+        if (todo.empty())
             continue;
+        group_start.push_back(todo.size());
+        const size_t groups = group_start.size() - 1;
+
         auto prepare_start = std::chrono::steady_clock::now();
         prepared.clear(); // release the previous scale first
         prepared = prepareSuite(suite, scale, options.threads);
@@ -613,62 +661,72 @@ runDseSweep(const DseSweepOptions &options)
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - prepare_start)
                 .count();
-        parallelFor(shards.size(), options.threads, [&](size_t s) {
-            auto start = std::chrono::steady_clock::now();
-            DseShardReport &report = result.shardReports[s];
-            std::vector<size_t> group;
-            std::vector<DseGridPoint> coords;
-            std::vector<DsePoint> evaluated;
-            for (size_t i = shards[s].begin; i < shards[s].end;) {
-                // One (D, B) group of the shard: its pending points,
-                // every R and core count, evaluated together.
-                group.clear();
-                coords.clear();
-                size_t j = i;
-                for (; j < shards[s].end &&
-                       grid[j].cfg.depth == grid[i].cfg.depth &&
-                       grid[j].cfg.banks == grid[i].cfg.banks;
-                     ++j)
-                    if (pending(j)) {
-                        group.push_back(j);
-                        coords.push_back(grid[j]);
-                    }
-                i = j;
-                if (group.empty())
-                    continue;
-                DseEvalCost cost;
-                evaluated.resize(group.size());
-                evaluatePrepared(coords, prepared, space.seed,
-                                 options.cache, &cost, space.fleetRanks,
-                                 space.transfer, options.verify,
-                                 evaluated.data());
-                report.evaluated += group.size();
-                report.compiles += cost.compiles;
-                report.cacheHits += cost.cacheHits;
-                report.certified += cost.certified;
-                report.compileSeconds += cost.compileSeconds;
-                // Each slot is written by exactly one shard, so the
-                // grid-order merge needs no synchronization.
-                for (size_t k = 0; k < group.size(); ++k)
-                    result.points[group[k]] = evaluated[k];
-                if (journaling) {
-                    std::lock_guard<std::mutex> lock(journal_mutex);
-                    for (size_t g : group)
-                        journal << dseJournalPointLine(g, result.points[g])
-                                << "\n";
-                    journal.flush(); // checkpoint survives a kill
-                    if (!journal)
-                        dpu_fatal("failed writing DSE journal '" +
-                                  options.journalPath +
-                                  "' (disk full?); checkpoints would "
-                                  "be silently lost");
-                }
-            }
-            report.seconds += std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() -
-                                  start)
+
+        // records[p * workloads + w]: workload w's share of todo[p].
+        std::vector<WorkloadRecord> records(todo.size() * workloads);
+        std::vector<std::atomic<bool>> infeasible(todo.size());
+        std::vector<std::atomic<size_t>> tasks_left(groups);
+        for (std::atomic<size_t> &n : tasks_left)
+            n.store(workloads);
+
+        // One task per (group, workload), in grid order. No two tasks
+        // share a program or fragment key, and a task walks its group's
+        // points in grid order (R, then cores, ascending), holding the
+        // last program it fetched so the group's certified entry stays
+        // whatever other tasks put in the LRU: its certificate
+        // derivations and fragment reuse are a serial sweep's.
+        parallelFor(groups * workloads, options.threads, [&](size_t t) {
+            const size_t g = t / workloads, w = t % workloads;
+            std::shared_ptr<const CompiledProgram> held;
+            for (size_t p = group_start[g]; p < group_start[g + 1]; ++p) {
+                if (infeasible[p].load())
+                    continue; // another workload did not fit
+                WorkloadRecord &rec = records[p * workloads + w];
+                auto start = std::chrono::steady_clock::now();
+                held = evaluateWorkload(grid[todo[p]], prepared[w], params,
+                                        rec);
+                rec.seconds = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - start)
                                   .count();
+                if (!rec.feasible)
+                    infeasible[p].store(true);
+            }
+            if (tasks_left[g].fetch_sub(1) != 1)
+                return;
+            // The group's last task: the countdown orders every other
+            // task's records before this reduce, and each point slot is
+            // written by this task alone. Checkpoint the group.
+            for (size_t p = group_start[g]; p < group_start[g + 1]; ++p)
+                result.points[todo[p]] = reducePoint(
+                    grid[todo[p]], {&records[p * workloads], workloads},
+                    params.fleetRanks);
+            if (!journaling)
+                return;
+            std::lock_guard<std::mutex> lock(journal_mutex);
+            for (size_t p = group_start[g]; p < group_start[g + 1]; ++p)
+                journal << dseJournalPointLine(todo[p],
+                                               result.points[todo[p]])
+                        << "\n";
+            journal.flush(); // checkpoint survives a kill
+            if (!journal)
+                dpu_fatal("failed writing DSE journal '" +
+                          options.journalPath +
+                          "' (disk full?); checkpoints would be "
+                          "silently lost");
         });
+
+        for (size_t p = 0; p < todo.size(); ++p) {
+            DseShardReport &report = result.shardReports[shard_of[todo[p]]];
+            report.evaluated += 1;
+            for (size_t w = 0; w < workloads; ++w) {
+                const WorkloadRecord &rec = records[p * workloads + w];
+                report.compiles += rec.cost.compiles;
+                report.cacheHits += rec.cost.cacheHits;
+                report.certified += rec.cost.certified;
+                report.compileSeconds += rec.cost.compileSeconds;
+                report.seconds += rec.seconds;
+            }
+        }
     }
 
     if (journaling) {

@@ -11,24 +11,30 @@
  *     regs, plus optional workload-scale and model-core-count axes)
  *     into a deterministic, grid-ordered point list;
  *   - planDseShards() cuts the grid into contiguous, near-equal
- *     shards;
+ *     shards, the partition a sweep reports its cost by;
  *   - runDseSweep() works one workload scale at a time: it builds the
  *     suite at that scale once and runs the configuration-independent
- *     compiler front end on it (prepareDag), in parallel; then it
- *     executes the shards' points at that scale on a work-stealing
- *     pool (support/parallel.hh), compiling each from those shared
- *     prepared DAGs through an optional ProgramCache. A shard
- *     evaluates the points of one (D, B) group together, workload by
- *     workload, so the cache can derive each further register count
- *     from the group's certified program (RegisterCertificate) and
- *     reuse its simulated stats. Results merge
- *     in grid order — the returned
+ *     compiler front end on it (prepareDag), in parallel. Its unit of
+ *     work is then one task: one (D, B) group of the scale's pending
+ *     points (taken over the whole grid, never cut at a shard
+ *     boundary) x one suite workload. The tasks run in grid order on
+ *     a work-stealing pool (support/parallel.hh), each compiling from
+ *     the shared prepared DAGs through an optional ProgramCache. A
+ *     task walks its group's points by ascending R (then cores), so
+ *     the cache derives each further register count from the group's
+ *     certified program (RegisterCertificate) and reuses its
+ *     simulated stats, exactly as a serial sweep does; no two tasks
+ *     share a program or fragment key, so no thread count compiles
+ *     anything twice. A task writes one record per point; a point is
+ *     the reduce of its records in suite order, so the returned
  *     point vector is byte-identical for every thread/shard count
  *     (pinned by the DseStress suite);
  *   - completed points are checkpointed to a JSON-lines journal so a
- *     killed sweep can be resumed (`resume`) without recomputing;
- *     on completion the journal is rewritten canonically (header +
- *     grid-order lines), so the final journal is also deterministic;
+ *     killed sweep can be resumed (`resume`) without recomputing: a
+ *     group's points are appended and flushed when its last task
+ *     finishes. On completion the journal is rewritten canonically
+ *     (header + grid-order lines), so the final journal is also
+ *     deterministic;
  *   - paretoFrontier() exposes the latency/energy/area frontier as a
  *     first-class API (replacing ad-hoc min-index scans).
  */
@@ -175,8 +181,9 @@ struct DseEvalCost
  * admits cfg's R, and keeps the simulated stats of certified
  * programs; `cost`, when given, accumulates compile/cache counters.
  *
- * Builds and prepares the suite at `scale` itself, then runs the same
- * point evaluator runDseSweep runs against its once-per-sweep suite,
+ * Builds and prepares the suite at `scale` itself, then runs the two
+ * steps runDseSweep runs against its once-per-sweep suite — one
+ * record per workload, then their reduce in suite order — serially,
  * so a sweep point equals evaluateDesign of its coordinates.
  */
 DsePoint evaluateDesign(const ArchConfig &cfg,
@@ -234,10 +241,13 @@ struct DseSweepOptions
 {
     DseOptions space;
 
-    /** Host worker threads executing shards (work stealing). */
+    /** Host worker threads executing the (D, B) group x workload
+     *  tasks (work stealing). */
     uint32_t threads = 1;
 
-    /** Shard count; clamped to the grid size. */
+    /** Shard count; clamped to the grid size. Shards only partition
+     *  the report (shardReports): each point's cost goes to the shard
+     *  that holds it. They do not change how the work is cut. */
     uint32_t shards = 1;
 
     /** Checkpoint-journal path; empty = no journaling. */
@@ -261,8 +271,9 @@ struct DseSweepOptions
     bool verify = false;
 };
 
-/** Per-shard execution report (wall-clock + cache traffic; the
- *  nondeterministic companions of the deterministic point vector). */
+/** Per-shard execution report (host time + cache traffic of the
+ *  shard's points; the nondeterministic companions of the
+ *  deterministic point vector). */
 struct DseShardReport
 {
     size_t points = 0;    ///< Grid points in the shard.
@@ -272,7 +283,10 @@ struct DseShardReport
     uint64_t certified = 0; ///< Cache hits derived from a certified
                             ///  program of another register count.
     double compileSeconds = 0;
-    double seconds = 0; ///< Shard wall time.
+    /** Host seconds of the shard's points, summed over the threads
+     *  that evaluated them — not a wall time: the shards' points run
+     *  interleaved. */
+    double seconds = 0;
 
     /** Cache hit rate of this shard's compiles. */
     double

@@ -404,6 +404,35 @@ TEST(ProgramCache, LruEvictsOldestEntry)
     EXPECT_EQ(cache.compile(a, cfg).stats.cacheHits, 0u); // was evicted
 }
 
+TEST(ProgramCache, HeldCertifiedProgramOutlivesItsLruEntry)
+{
+    // A one-program LRU: while a caller holds a's certified program,
+    // evicting it keeps a's group, so a's next R still derives and the
+    // held program is served again as a memory hit.
+    ProgramCacheConfig cc;
+    cc.maxEntries = 1;
+    ProgramCache cache(cc);
+    PreparedDag pa = prepareDag(generateRandomDag(16, 400, 9));
+    PreparedDag pb = prepareDag(generateRandomDag(16, 400, 10));
+    ProgramCache::Fetched held = cache.fetch(pa, cfgOf(2, 16, 64));
+    ASSERT_TRUE(held.prog->registers.valid);
+    cache.fetch(pb, cfgOf(2, 16, 64)); // evicts a's program
+
+    ProgramCache::Fetched again = cache.fetch(pa, cfgOf(2, 16, 64));
+    EXPECT_TRUE(again.hit);
+    EXPECT_FALSE(again.certified);
+    EXPECT_EQ(again.prog, held.prog);
+    cache.fetch(pb, cfgOf(2, 16, 64)); // a miss; evicts it again
+    EXPECT_TRUE(cache.fetch(pa, cfgOf(2, 16, 128)).certified);
+    EXPECT_EQ(cache.stats().misses, 3u); // a once, b twice
+
+    // Once nobody holds it, eviction releases the group.
+    held = {};
+    again = {};
+    cache.fetch(pb, cfgOf(2, 16, 64));
+    EXPECT_FALSE(cache.fetch(pa, cfgOf(2, 16, 256)).certified);
+}
+
 TEST(ProgramCache, CachedProgramStillSimulatesCorrectly)
 {
     Dag d = generateRandomDag(16, 500, 78);

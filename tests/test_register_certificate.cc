@@ -347,5 +347,71 @@ TEST(RegisterCertificate, SweepJournalsDoNotDependOnReuse)
         EXPECT_EQ(journals[k], journals[0]) << "run " << k;
 }
 
+TEST(RegisterCertificate, ParallelSweepMakesTheSerialCacheTraffic)
+{
+    // A sweep task is one (D, B) group x one workload, and no two tasks
+    // share a program or fragment key, so every thread/shard count
+    // makes the serial sweep's cache traffic: each fragment compiled
+    // once, each derivation a serial walk makes. Eight shards cut the
+    // 48-point grid every 6 points, through (D, B) groups of 4.
+    DseSweepOptions o;
+    o.space.depths = {1, 2, 3};
+    o.space.banks = {8, 16, 32, 64};
+    o.space.regs = {16, 32, 64, 128};
+    o.space.workloadScale = 0.03;
+    o.space.suite = {pcSuite()[0], pcSuite()[1], sptrsvSuite()[0]};
+    const size_t workloads = o.space.suite.size();
+    const std::string path = ::testing::TempDir() + "dse_traffic.jsonl";
+    std::string serial_journal;
+    ProgramCache::Stats serial;
+    for (uint32_t threads : {1u, 4u})
+        for (uint32_t shards : {1u, 3u, 8u}) {
+            SCOPED_TRACE(std::to_string(threads) + " threads, " +
+                         std::to_string(shards) + " shards");
+            ProgramCache cache;
+            o.cache = &cache;
+            o.threads = threads;
+            o.shards = shards;
+            o.journalPath = path;
+            std::remove(path.c_str());
+            DseSweepResult res = runDseSweep(o);
+            const ProgramCache::Stats cs = cache.stats();
+            const std::string journal = readFile(path);
+
+            // The comparison rests on every point being feasible: a
+            // task skips a point another workload found infeasible,
+            // and whether that happened first depends on timing.
+            bool all_feasible = true;
+            for (const DsePoint &p : res.points)
+                all_feasible = all_feasible && p.feasible;
+            ASSERT_TRUE(all_feasible);
+
+            if (threads == 1 && shards == 1) {
+                serial_journal = journal;
+                serial = cs;
+            }
+            EXPECT_EQ(journal, serial_journal);
+            EXPECT_EQ(cs.misses, serial.misses);
+            EXPECT_EQ(cs.certHits, serial.certHits);
+            EXPECT_EQ(cs.fragHits, serial.fragHits);
+            EXPECT_EQ(cs.fragMisses, serial.fragMisses);
+
+            // Each point's lookups land in the shard that holds it,
+            // also when its (D, B) group spans two shards.
+            uint64_t compiles = 0, hits = 0, certified = 0;
+            for (const DseShardReport &r : res.shardReports) {
+                EXPECT_EQ(r.compiles, r.points * workloads);
+                compiles += r.compiles;
+                hits += r.cacheHits;
+                certified += r.certified;
+            }
+            EXPECT_EQ(compiles, cs.lookups());
+            EXPECT_EQ(hits, cs.hits + cs.diskHits + cs.certHits);
+            EXPECT_EQ(certified, cs.certHits);
+        }
+    std::remove(path.c_str());
+    EXPECT_GT(serial.certHits, 0u);
+}
+
 } // namespace
 } // namespace dpu

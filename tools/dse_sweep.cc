@@ -10,8 +10,10 @@
  *                         defaults; unknown axis names are rejected)
  *     --scale=<f>         workload scale when no scale axis is given
  *     --seed=N            evaluation seed
- *     --threads=N         host worker threads (work-stealing shards)
- *     --shards=N          shard count (default: threads)
+ *     --threads=N         host worker threads (work-stealing tasks,
+ *                         one per (D, B) group x workload)
+ *     --shards=N          shards the cost report is cut into
+ *                         (default: threads)
  *     --journal=<file>    checkpoint completed points (JSON lines)
  *     --resume            reuse completed points from the journal
  *     --cache-dir=<dir>   on-disk program-cache spill
