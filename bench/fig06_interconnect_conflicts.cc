@@ -20,7 +20,7 @@ conflictsFor(const Dag &dag, OutputInterconnect net)
     ArchConfig cfg = minEdpConfig();
     cfg.outputNet = net;
     auto bin = binarize(dag);
-    auto dec = decomposeIntoBlocks(bin.dag, cfg, 1);
+    auto dec = decomposeIntoBlocks(bin.dag, cfg);
     return assignBanks(bin.dag, cfg, dec).readConflicts;
 }
 

@@ -24,7 +24,7 @@ main(int argc, char **argv)
     for (const auto &spec : smallSuite()) {
         Dag raw = buildWorkloadDag(spec, scale);
         auto bin = binarize(raw);
-        auto dec = decomposeIntoBlocks(bin.dag, cfg, 1);
+        auto dec = decomposeIntoBlocks(bin.dag, cfg);
         auto smart =
             assignBanks(bin.dag, cfg, dec, BankPolicy::ConflictAware);
         auto naive = assignBanks(bin.dag, cfg, dec, BankPolicy::Random);

@@ -194,7 +194,7 @@ largePcRanges()
         r.ranges = partitionByCount(r.dag, g_quick ? 4000 : 20000);
         for (const PartitionRange &range : r.ranges)
             r.decs.push_back(decomposeRangeIntoBlocks(
-                r.dag, r.successors, largeConfig(), 1, range,
+                r.dag, r.successors, largeConfig(), range,
                 r.dfsPositions));
         return r;
     }();
@@ -224,8 +224,7 @@ BM_DecomposeRange(benchmark::State &state)
     for (auto _ : state)
         for (const PartitionRange &range : f.ranges) {
             RangeDecomposition dec = decomposeRangeIntoBlocks(
-                f.dag, f.successors, largeConfig(), 1, range,
-                f.dfsPositions);
+                f.dag, f.successors, largeConfig(), range, f.dfsPositions);
             benchmark::DoNotOptimize(dec.blocks.data());
         }
     state.SetItemsProcessed(state.iterations() *

@@ -64,7 +64,7 @@ class BlockBuilder
         initHeights();
         RangeDecomposition dec;
         dec.range = {rangeLo, rangeHi};
-        dec.blockOf.assign(extent(), BlockDecomposition::noBlock);
+        dec.blockOf.assign(extent(), RangeDecomposition::noBlock);
 
         size_t remaining = populateBuckets();
         while (remaining) {
@@ -440,90 +440,66 @@ class BlockBuilder
 
 RangeDecomposition
 decomposeRangeIntoBlocks(const Dag &dag, const SuccessorIndex &succ,
-                         const ArchConfig &cfg, uint64_t seed,
+                         const ArchConfig &cfg,
                          std::pair<NodeId, NodeId> range,
                          const std::vector<uint32_t> &dfs_positions)
 {
-    (void)seed; // reserved: step 1 is currently tie-broken by DFS order
     return BlockBuilder(dag, succ, cfg, range, dfs_positions).run();
 }
 
-BlockDecomposition
-mergeRangeDecompositions(const Dag &dag,
-                         std::vector<RangeDecomposition> &&pieces)
-{
-    BlockDecomposition dec;
-    dec.blockOf.assign(dag.numNodes(), BlockDecomposition::noBlock);
-    dec.isIo.assign(dag.numNodes(), false);
-    size_t total_blocks = 0;
-    for (const RangeDecomposition &piece : pieces)
-        total_blocks += piece.blocks.size();
-    dec.blocks.reserve(total_blocks);
-    for (RangeDecomposition &piece : pieces) {
-        uint32_t offset = static_cast<uint32_t>(dec.blocks.size());
-        for (Block &b : piece.blocks)
-            dec.blocks.push_back(std::move(b));
-        NodeId lo = piece.range.first;
-        for (size_t i = 0; i < piece.blockOf.size(); ++i) {
-            if (piece.blockOf[i] != BlockDecomposition::noBlock)
-                dec.blockOf[lo + i] = piece.blockOf[i] + offset;
-            dec.isIo[lo + i] = piece.isIo[i] != 0;
-        }
-    }
-    return dec;
-}
-
-BlockDecomposition
-decomposeIntoBlocks(const Dag &dag, const ArchConfig &cfg, uint64_t seed,
-                    const std::vector<std::pair<NodeId, NodeId>> &parts)
+RangeDecomposition
+decomposeIntoBlocks(const Dag &dag, const ArchConfig &cfg)
 {
     cfg.check();
     dpu_assert(dag.isBinary(), "decompose needs a binarized DAG");
-    std::vector<std::pair<NodeId, NodeId>> ranges = parts;
-    if (ranges.empty())
-        ranges.push_back({0, static_cast<NodeId>(dag.numNodes())});
     const SuccessorIndex succ(dag);
-    std::vector<uint32_t> dfs_positions = dfsPreorderPositions(dag, succ);
-    std::vector<RangeDecomposition> pieces;
-    pieces.reserve(ranges.size());
-    for (const auto &range : ranges)
-        pieces.push_back(decomposeRangeIntoBlocks(dag, succ, cfg, seed,
-                                                  range, dfs_positions));
-    return mergeRangeDecompositions(dag, std::move(pieces));
+    return decomposeRangeIntoBlocks(
+        dag, succ, cfg, {0, static_cast<NodeId>(dag.numNodes())},
+        dfsPreorderPositions(dag, succ));
 }
 
 void
 validateDecomposition(const Dag &dag, const ArchConfig &cfg,
-                      const BlockDecomposition &dec)
+                      const RangeDecomposition &dec)
 {
-    // Every compute node appears in exactly one block.
-    std::vector<uint32_t> seen(dag.numNodes(), 0);
-    for (const Block &b : dec.blocks)
-        for (const Subgraph &sg : b.subgraphs) {
+    const auto [lo, hi] = dec.range;
+    dpu_assert(lo <= hi && hi <= dag.numNodes() &&
+                   dec.blockOf.size() == hi - lo,
+               "bad decomposition range");
+
+    // Every compute node of the range appears in exactly one block,
+    // the one blockOf names; no block reaches outside the range.
+    std::vector<uint32_t> seen(hi - lo, 0);
+    for (uint32_t bi = 0; bi < dec.blocks.size(); ++bi)
+        for (const Subgraph &sg : dec.blocks[bi].subgraphs) {
             dpu_assert(sg.depth >= 1 && sg.depth <= cfg.depth,
                        "subgraph depth out of range");
-            for (NodeId v : sg.nodes)
-                ++seen[v];
+            for (NodeId v : sg.nodes) {
+                dpu_assert(v >= lo && v < hi, "block node outside the range");
+                dpu_assert(dec.blockOf[v - lo] == bi,
+                           "blockOf disagrees with the blocks");
+                ++seen[v - lo];
+            }
         }
-    for (NodeId v = 0; v < dag.numNodes(); ++v) {
+    for (NodeId v = lo; v < hi; ++v) {
         if (dag.node(v).isInput())
-            dpu_assert(seen[v] == 0, "input node inside a block");
+            dpu_assert(seen[v - lo] == 0, "input node inside a block");
         else
-            dpu_assert(seen[v] == 1, "compute node not covered once");
+            dpu_assert(seen[v - lo] == 1, "compute node not covered once");
     }
 
     // Operand blocks strictly precede consumer blocks (constraint A),
-    // unless operand and consumer share a block (tree edge).
-    for (uint32_t bi = 0; bi < dec.blocks.size(); ++bi) {
+    // unless operand and consumer share a block (tree edge). Operands
+    // below the range live in earlier ranges' blocks.
+    for (uint32_t bi = 0; bi < dec.blocks.size(); ++bi)
         for (const Subgraph &sg : dec.blocks[bi].subgraphs)
             for (NodeId v : sg.nodes)
                 for (NodeId o : dag.node(v).operands) {
-                    if (dag.node(o).isInput())
+                    if (o < lo || dag.node(o).isInput())
                         continue;
-                    dpu_assert(dec.blockOf[o] <= bi,
+                    dpu_assert(dec.blockOf[o - lo] <= bi,
                                "operand in a later block");
                 }
-    }
 
     // Port reads: at most one value per port; ports exist.
     for (const Block &b : dec.blocks) {

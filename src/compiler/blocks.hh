@@ -76,43 +76,35 @@ struct Block
     std::vector<NodeId> outputs;
 };
 
-/** Result of step 1. */
-struct BlockDecomposition
-{
-    std::vector<Block> blocks;
-
-    /** Block index of every compute node (inputs: invalid). */
-    std::vector<uint32_t> blockOf;
-
-    /** True for values that live in the register file (DAG inputs and
-     *  block outputs) — the io_nodes of algorithm 2. */
-    std::vector<bool> isIo;
-
-    static constexpr uint32_t noBlock = static_cast<uint32_t>(-1);
-};
-
 /**
- * Step-1 result for one contiguous partition range. Node ids inside
- * `blocks` are global DAG ids; the per-node tables are range-local,
- * indexed by `v - range.first`, and block ids are local to `blocks`.
- * Pieces from disjoint ranges merge into a global BlockDecomposition
- * with mergeRangeDecompositions().
+ * Result of step 1 for one contiguous id range [range.first,
+ * range.second). Node ids inside `blocks` are global DAG ids; the
+ * per-node tables are range-local, indexed by `v - range.first`, and
+ * block ids are local to `blocks`. A whole-DAG decomposition is the
+ * one range [0, numNodes), where local and global indexing coincide.
  */
 struct RangeDecomposition
 {
     std::pair<NodeId, NodeId> range{0, 0};
     std::vector<Block> blocks;
-    std::vector<uint32_t> blockOf; ///< size = range extent.
-    std::vector<uint8_t> isIo;     ///< size = range extent.
+
+    /** Block index of every node of the range (inputs: noBlock). */
+    std::vector<uint32_t> blockOf;
+
+    /** 1 for values that live in the register file (DAG inputs and
+     *  block outputs) — the io_nodes of algorithm 2. */
+    std::vector<uint8_t> isIo;
+
+    static constexpr uint32_t noBlock = static_cast<uint32_t>(-1);
 };
 
 /**
  * Run step 1 on one partition range in isolation.
  *
- * Depends only on (dag, cfg, seed, range, dfs_positions): every node
- * outside the range is treated as already mapped, which matches the
- * state a sequential partition-by-partition pass would see, so ranges
- * can be decomposed concurrently and merged deterministically.
+ * Depends only on (dag, cfg, range, dfs_positions): every node outside
+ * the range is treated as already mapped, which matches the state a
+ * sequential partition-by-partition pass would see, so ranges can be
+ * decomposed concurrently. Ties are broken by DFS order, not a seed.
  *
  * @param succ SuccessorIndex(dag), built once by the caller.
  * @param dfs_positions dfsPreorderPositions(dag, succ), computed once
@@ -120,35 +112,29 @@ struct RangeDecomposition
  */
 RangeDecomposition decomposeRangeIntoBlocks(
     const Dag &dag, const SuccessorIndex &succ, const ArchConfig &cfg,
-    uint64_t seed, std::pair<NodeId, NodeId> range,
+    std::pair<NodeId, NodeId> range,
     const std::vector<uint32_t> &dfs_positions);
 
 /**
- * Merge per-range pieces (in ascending range order, covering all
- * compute nodes) into a global decomposition. Block ids are offset by
- * the number of blocks in earlier pieces; piece block vectors are
- * moved out.
- */
-BlockDecomposition mergeRangeDecompositions(
-    const Dag &dag, std::vector<RangeDecomposition> &&pieces);
-
-/**
- * Run step 1.
+ * Run step 1 on the whole DAG: the one range [0, numNodes).
  *
  * @param dag Binarized DAG (every compute node has 2 operands).
  * @param cfg Architecture configuration (D and T are used).
- * @param seed Seed for tie-breaking randomness.
- * @param partitions Optional coarse partitioning (contiguous id
- *        ranges, see partitioner.hh); blocks are formed partition by
- *        partition. Empty = treat the whole DAG as one partition.
  */
-BlockDecomposition decomposeIntoBlocks(
-    const Dag &dag, const ArchConfig &cfg, uint64_t seed = 1,
-    const std::vector<std::pair<NodeId, NodeId>> &partitions = {});
+RangeDecomposition decomposeIntoBlocks(const Dag &dag,
+                                       const ArchConfig &cfg);
 
-/** Sanity checks: coverage, acyclicity, schedulability (for tests). */
+/**
+ * Sanity checks of one range's decomposition; panics on a violation.
+ * Every compute node of the range is in exactly one block, the one
+ * blockOf names, and no block holds a node outside the range; an
+ * in-range operand's block is at or before its consumer's (operands
+ * below the range belong to earlier ranges, whose blocks all come
+ * first); every subgraph fits the trees; each port is read at most
+ * once per block.
+ */
 void validateDecomposition(const Dag &dag, const ArchConfig &cfg,
-                           const BlockDecomposition &dec);
+                           const RangeDecomposition &dec);
 
 } // namespace dpu
 

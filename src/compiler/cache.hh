@@ -10,10 +10,10 @@
  * in-memory LRU with an optional on-disk spill directory so hits
  * survive across bench *processes*.
  *
- * CompileOptions::threads, ::validate, ::verify and ::fragmentCache
- * are deliberately excluded from the key: the partition-parallel
- * compiler is byte-identical for every thread count,
- * validation/verification only check the artifact, and fragment
+ * CompileOptions::threads, ::verify and ::fragmentCache are
+ * deliberately excluded from the key: the partition-parallel
+ * compiler is byte-identical for every thread count, verification
+ * only checks the artifact, and fragment
  * reuse is keyed to be output-preserving, so none of them can change
  * it. ::boundaryAwareBanks *is* in the key — it changes the emitted
  * program on partitioned compiles.

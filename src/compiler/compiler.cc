@@ -151,7 +151,7 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
     }
 
     // Step 1, partition-parallel: each range's block decomposition
-    // depends only on (dag, cfg, seed, range), so any thread count
+    // depends only on (dag, cfg, range), so any thread count
     // produces the same pieces. Codegen reads every range's blocks
     // (CodegenShared, the global block ids), so whichever
     // decomposition finishes last derives that context, while step 2
@@ -176,8 +176,8 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
         if (hit[p]) {
             decs[p] = &hit[p]->dec;
         } else {
-            pieces[p] = decomposeRangeIntoBlocks(
-                dag, succ, cfg, options.seed, parts[p], dfs_positions);
+            pieces[p] = decomposeRangeIntoBlocks(dag, succ, cfg, parts[p],
+                                                 dfs_positions);
             preps[p] = prepareBanksForRange(dag, cfg, pieces[p]);
             decs[p] = &pieces[p];
         }
@@ -214,17 +214,6 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
                   banks.bankOf.begin() + decs[p]->range.first);
         std::copy(piece.peOf.begin(), piece.peOf.end(),
                   banks.peOf.begin() + decs[p]->range.first);
-    };
-
-    // The whole-DAG decomposition exists only for the validator: the
-    // compile itself reads each range's blocks in place.
-    auto validate_blocks = [&] {
-        std::vector<RangeDecomposition> copies;
-        copies.reserve(num_parts);
-        for (const RangeDecomposition *d : decs)
-            copies.push_back(*d);
-        validateDecomposition(
-            dag, cfg, mergeRangeDecompositions(dag, std::move(copies)));
     };
 
     // Pipelined steps 1-4 on one pool of workers:
@@ -293,12 +282,12 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
         });
     const IrProgram &ir = merger.ir();
 
-    if (options.validate) {
-        validate_blocks();
-        checkHazardFree(ir, cfg);
-    }
-
     if (options.verify) {
+        // Step 1's result, range by range, read in place.
+        timed_verify([&] {
+            for (const RangeDecomposition *d : decs)
+                validateDecomposition(dag, cfg, *d);
+        });
         // Stage "codegen" checks the order-preserving merge of the
         // *unscheduled* fragments.
         ScheduledIrMerger unsched(dag, cfg, banks, shared);

@@ -55,14 +55,13 @@ struct CompileOptions
     /** Seed driving every randomized tie-break. */
     uint64_t seed = 1;
 
-    /** Run the expensive internal validations (tests set this). */
-    bool validate = false;
-
-    /** Run the static verifier (compiler/verify.hh) over the IR after
-     *  codegen and scheduling and over the final program, throwing
-     *  VerifyError with structured diagnostics on any violation. On by
-     *  default in Debug and sanitizer builds (DPU_VERIFY_DEFAULT);
-     *  off — and therefore zero-overhead — in Release. */
+    /** Check every range's block decomposition
+     *  (validateDecomposition, panics on a violation) and run the
+     *  static verifier (compiler/verify.hh) over the IR after codegen
+     *  and scheduling and over the final program, throwing VerifyError
+     *  with structured diagnostics on any violation. On by default in
+     *  Debug and sanitizer builds (DPU_VERIFY_DEFAULT); off — and
+     *  therefore zero-overhead — in Release. */
 #if !defined(NDEBUG) || defined(DPU_VERIFY_DEFAULT)
     bool verify = true;
 #else

@@ -52,66 +52,6 @@ buildCsr(size_t keys, std::vector<uint32_t> &start,
 }
 
 /**
- * The prepare half of step 2 over one contiguous id range: index the
- * io values, their reader blocks, each block's in-range inputs and
- * each io compute value's replica PEs. Range-local: it reads nothing
- * of other ranges.
- */
-RangeBankPrep
-prepareRange(const Dag &dag, const ArchConfig &cfg,
-             const std::vector<Block> &blocks, NodeId lo, NodeId hi,
-             const uint8_t *is_io)
-{
-    dpu_assert(cfg.banks <= 64, "bank masks are 64-bit");
-    dpu_assert(lo <= hi && hi <= dag.numNodes(), "bad mapper range");
-    const size_t extent = hi - lo;
-    auto in_range = [&](NodeId v) { return v >= lo && v < hi; };
-    RangeBankPrep prep;
-
-    prep.peWritable.reserve(cfg.numPes());
-    for (uint32_t pe = 0; pe < cfg.numPes(); ++pe) {
-        BankMask m = 0;
-        for (uint32_t bank : writableBanks(cfg, pe))
-            m |= BankMask(1) << bank;
-        prep.peWritable.push_back(m);
-    }
-
-    // Block -> in-range inputs, and its transpose, value -> readers.
-    buildCsr(blocks.size(), prep.inputStart, prep.inputList,
-             [&](auto &&emit) {
-                 for (uint32_t b = 0; b < blocks.size(); ++b)
-                     for (NodeId v : blocks[b].inputs)
-                         if (in_range(v))
-                             emit(b, v);
-             });
-    buildCsr(extent, prep.readerStart, prep.readerList, [&](auto &&emit) {
-        for (uint32_t b = 0; b < blocks.size(); ++b)
-            for (NodeId v : blocks[b].inputs)
-                if (in_range(v))
-                    emit(v - lo, b);
-    });
-    // Io value -> replica PEs: a node is placed only in its own block,
-    // so its list is in placement order.
-    buildCsr(extent, prep.replicaStart, prep.replicaPe, [&](auto &&emit) {
-        for (const Block &block : blocks)
-            for (const auto &[node, pe] : block.placements)
-                if (is_io[node - lo])
-                    emit(node - lo, pe);
-    });
-
-    for (NodeId v = lo; v < hi; ++v) {
-        if (!is_io[v - lo])
-            continue;
-        prep.ioValues.push_back(v);
-        dpu_assert(dag.node(v).isInput() ||
-                       prep.replicaStart[v - lo] <
-                           prep.replicaStart[v - lo + 1],
-                   "io node unplaced");
-    }
-    return prep;
-}
-
-/**
  * The ordered half of step 2 over one contiguous id range, on its
  * prepared indexes. Per-node state is range-local (indexed v - lo);
  * block inputs coming from outside the range already have their banks
@@ -518,18 +458,12 @@ class BankMapper
 
 BankAssignment
 assignBanks(const Dag &dag, const ArchConfig &cfg,
-            const BlockDecomposition &dec, BankPolicy policy, uint64_t seed)
+            const RangeDecomposition &dec, BankPolicy policy, uint64_t seed)
 {
-    // Whole-DAG range: global and range-local indexing coincide.
-    const NodeId n = static_cast<NodeId>(dag.numNodes());
-    std::vector<uint8_t> is_io(n, 0);
-    for (NodeId v = 0; v < n; ++v)
-        is_io[v] = dec.isIo[v] ? 1 : 0;
-    BankAssignment out =
-        BankMapper(dag, cfg, dec.blocks, 0, n, dec.blockOf.data(),
-                   prepareRange(dag, cfg, dec.blocks, 0, n, is_io.data()),
-                   policy, seed)
-            .run();
+    dpu_assert(dec.range.first == 0 && dec.range.second == dag.numNodes(),
+               "assignBanks maps a whole-DAG decomposition");
+    BankAssignment out = assignBanksForRange(
+        dag, cfg, dec, prepareBanksForRange(dag, cfg, dec), policy, seed);
     out.readConflicts = countReadConflicts(dec, out);
     return out;
 }
@@ -538,8 +472,57 @@ RangeBankPrep
 prepareBanksForRange(const Dag &dag, const ArchConfig &cfg,
                      const RangeDecomposition &dec)
 {
-    return prepareRange(dag, cfg, dec.blocks, dec.range.first,
-                        dec.range.second, dec.isIo.data());
+    dpu_assert(cfg.banks <= 64, "bank masks are 64-bit");
+    const NodeId lo = dec.range.first;
+    const NodeId hi = dec.range.second;
+    const std::vector<Block> &blocks = dec.blocks;
+    const std::vector<uint8_t> &is_io = dec.isIo;
+    dpu_assert(lo <= hi && hi <= dag.numNodes(), "bad mapper range");
+    const size_t extent = hi - lo;
+    auto in_range = [&](NodeId v) { return v >= lo && v < hi; };
+    RangeBankPrep prep;
+
+    prep.peWritable.reserve(cfg.numPes());
+    for (uint32_t pe = 0; pe < cfg.numPes(); ++pe) {
+        BankMask m = 0;
+        for (uint32_t bank : writableBanks(cfg, pe))
+            m |= BankMask(1) << bank;
+        prep.peWritable.push_back(m);
+    }
+
+    // Block -> in-range inputs, and its transpose, value -> readers.
+    buildCsr(blocks.size(), prep.inputStart, prep.inputList,
+             [&](auto &&emit) {
+                 for (uint32_t b = 0; b < blocks.size(); ++b)
+                     for (NodeId v : blocks[b].inputs)
+                         if (in_range(v))
+                             emit(b, v);
+             });
+    buildCsr(extent, prep.readerStart, prep.readerList, [&](auto &&emit) {
+        for (uint32_t b = 0; b < blocks.size(); ++b)
+            for (NodeId v : blocks[b].inputs)
+                if (in_range(v))
+                    emit(v - lo, b);
+    });
+    // Io value -> replica PEs: a node is placed only in its own block,
+    // so its list is in placement order.
+    buildCsr(extent, prep.replicaStart, prep.replicaPe, [&](auto &&emit) {
+        for (const Block &block : blocks)
+            for (const auto &[node, pe] : block.placements)
+                if (is_io[node - lo])
+                    emit(node - lo, pe);
+    });
+
+    for (NodeId v = lo; v < hi; ++v) {
+        if (!is_io[v - lo])
+            continue;
+        prep.ioValues.push_back(v);
+        dpu_assert(dag.node(v).isInput() ||
+                       prep.replicaStart[v - lo] <
+                           prep.replicaStart[v - lo + 1],
+                   "io node unplaced");
+    }
+    return prep;
 }
 
 BankAssignment
@@ -561,7 +544,7 @@ assignBanksForRange(const Dag &dag, const ArchConfig &cfg,
 }
 
 uint64_t
-countReadConflicts(const BlockDecomposition &dec,
+countReadConflicts(const RangeDecomposition &dec,
                    const BankAssignment &assignment)
 {
     // The scratch array is sized from the assignment itself, not a

@@ -71,9 +71,14 @@ struct BankAssignment
     static constexpr uint32_t invalid = static_cast<uint32_t>(-1);
 };
 
-/** Run step 2. The DAG must be the binarized one used for step 1. */
+/**
+ * Run step 2 on a whole-DAG decomposition (decomposeIntoBlocks, the
+ * one range [0, numNodes), so the result is indexed by node id):
+ * assignBanksForRange on prepareBanksForRange, plus the read-conflict
+ * recount. The DAG must be the binarized one used for step 1.
+ */
 BankAssignment assignBanks(const Dag &dag, const ArchConfig &cfg,
-                           const BlockDecomposition &dec,
+                           const RangeDecomposition &dec,
                            BankPolicy policy = BankPolicy::ConflictAware,
                            uint64_t seed = 1);
 
@@ -150,8 +155,10 @@ BankAssignment assignBanksForRange(const Dag &dag, const ArchConfig &cfg,
                                    const std::vector<uint32_t> *externalBanks =
                                        nullptr);
 
-/** Recount read conflicts of an assignment (test/diagnostic helper). */
-uint64_t countReadConflicts(const BlockDecomposition &dec,
+/** Recount read conflicts of an assignment over dec's blocks
+ *  (test/diagnostic helper). `assignment.bankOf` is indexed by global
+ *  node id: a whole-DAG range's assignment, or the merged banks. */
+uint64_t countReadConflicts(const RangeDecomposition &dec,
                             const BankAssignment &assignment);
 
 } // namespace dpu

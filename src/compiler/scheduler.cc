@@ -279,29 +279,4 @@ reorderFragment(IrFragment &frag, const ArchConfig &cfg, uint32_t window)
     return stats;
 }
 
-void
-checkHazardFree(const IrProgram &ir, const ArchConfig &cfg)
-{
-    std::vector<uint64_t> readable(ir.instances.size(), 0);
-    std::vector<bool> written(ir.instances.size(), false);
-    std::vector<bool> freed(ir.instances.size(), false);
-    for (uint32_t t = 0; t < ir.instrs.size(); ++t) {
-        const IrInstr &in = ir.instrs[t];
-        for (const IrRead &r : in.reads) {
-            dpu_assert(written[r.inst], "read of unwritten instance");
-            dpu_assert(!freed[r.inst], "read after valid_rst");
-            dpu_assert(readable[r.inst] <= t, "pipeline hazard");
-            if (r.lastRead)
-                freed[r.inst] = true;
-        }
-        for (const IrWrite &w : in.writes) {
-            dpu_assert(!written[w.inst], "double write");
-            written[w.inst] = true;
-            readable[w.inst] = t + writeLatency(in.kind, cfg);
-        }
-    }
-    for (size_t k = 0; k < ir.instances.size(); ++k)
-        dpu_assert(!written[k] || freed[k], "leaked instance");
-}
-
 } // namespace dpu

@@ -47,14 +47,6 @@ struct ScheduleStats
 ScheduleStats reorderFragment(IrFragment &frag, const ArchConfig &cfg,
                               uint32_t window = 300);
 
-/**
- * Verify (for tests / the simulator cross-check) that every read in
- * the list issues at least the producer's write latency after the
- * producer, and that non-final reads of an instance precede its
- * valid_rst read. Panics on violation.
- */
-void checkHazardFree(const IrProgram &ir, const ArchConfig &cfg);
-
 } // namespace dpu
 
 #endif // DPU_COMPILER_SCHEDULER_HH

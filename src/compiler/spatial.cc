@@ -115,7 +115,7 @@ systolicPeakUtilization(const Dag &input, uint32_t inputs,
 }
 
 double
-treePeakUtilization(const Dag &input, uint32_t inputs, uint64_t seed)
+treePeakUtilization(const Dag &input, uint32_t inputs)
 {
     dpu_assert(inputs >= 2 && (inputs & (inputs - 1)) == 0,
                "tree inputs must be a power of two");
@@ -126,7 +126,7 @@ treePeakUtilization(const Dag &input, uint32_t inputs, uint64_t seed)
         ++cfg.depth;
     cfg.banks = inputs; // one tree
     cfg.regsPerBank = 32;
-    auto dec = decomposeIntoBlocks(bin.dag, cfg, seed);
+    auto dec = decomposeIntoBlocks(bin.dag, cfg);
     uint32_t pe_count = cfg.numPes();
     uint32_t best = 0;
     for (const Block &b : dec.blocks) {

@@ -34,8 +34,7 @@ double systolicPeakUtilization(const Dag &dag, uint32_t inputs,
  * PEs, fig. 3(b)): the largest mapped-arithmetic count any single
  * block reaches, over the tree PE count.
  */
-double treePeakUtilization(const Dag &dag, uint32_t inputs,
-                           uint64_t seed = 1);
+double treePeakUtilization(const Dag &dag, uint32_t inputs);
 
 } // namespace dpu
 

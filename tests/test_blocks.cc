@@ -136,7 +136,7 @@ TEST(Blocks, IoMarksMatchConsumers)
         for (NodeId s : succ.of(v))
             if (dec.blockOf[s] != dec.blockOf[v])
                 crosses = true;
-        EXPECT_EQ(dec.isIo[v], crosses) << "node " << v;
+        EXPECT_EQ(dec.isIo[v] != 0, crosses) << "node " << v;
     }
 }
 
@@ -181,6 +181,20 @@ TEST(Blocks, RespectsTreeCount)
     }
 }
 
+/** Step 1 of every range of a partitioned random DAG, as compile()
+ *  runs it. */
+std::vector<RangeDecomposition>
+decomposeRanges(const Dag &dag, const ArchConfig &cfg,
+                const std::vector<std::pair<NodeId, NodeId>> &parts)
+{
+    const SuccessorIndex succ(dag);
+    const std::vector<uint32_t> dfs = dfsPreorderPositions(dag, succ);
+    std::vector<RangeDecomposition> decs;
+    for (const auto &range : parts)
+        decs.push_back(decomposeRangeIntoBlocks(dag, succ, cfg, range, dfs));
+    return decs;
+}
+
 TEST(Blocks, PartitionedDecompositionRespectsRanges)
 {
     Dag raw = generateRandomDag(16, 2000, 8);
@@ -189,25 +203,87 @@ TEST(Blocks, PartitionedDecompositionRespectsRanges)
     EXPECT_GE(parts.size(), 4u);
 
     ArchConfig cfg = smallConfig();
-    auto dec = decomposeIntoBlocks(bin.dag, cfg, 1, parts);
-    validateDecomposition(bin.dag, cfg, dec);
+    auto decs = decomposeRanges(bin.dag, cfg, parts);
+    ASSERT_EQ(decs.size(), parts.size());
+    for (size_t p = 0; p < parts.size(); ++p) {
+        // Blocks must not mix partitions.
+        EXPECT_EQ(decs[p].range, parts[p]);
+        validateDecomposition(bin.dag, cfg, decs[p]);
+        for (const Block &b : decs[p].blocks)
+            for (const Subgraph &sg : b.subgraphs)
+                for (NodeId v : sg.nodes) {
+                    EXPECT_GE(v, parts[p].first);
+                    EXPECT_LT(v, parts[p].second);
+                }
+    }
+}
 
-    // Blocks must not mix partitions, and partition order must be
-    // monotone over the block sequence.
-    uint32_t last_part = 0;
-    auto part_of = [&](NodeId v) {
-        for (uint32_t p = 0; p < parts.size(); ++p)
-            if (v >= parts[p].first && v < parts[p].second)
-                return p;
-        return static_cast<uint32_t>(parts.size());
-    };
-    for (const Block &b : dec.blocks) {
-        uint32_t p = part_of(b.subgraphs[0].sink);
-        for (const Subgraph &sg : b.subgraphs)
-            for (NodeId v : sg.nodes)
-                EXPECT_EQ(part_of(v), p);
-        EXPECT_GE(p, last_part);
-        last_part = p;
+TEST(Blocks, ValidateDecompositionRejectsBrokenRanges)
+{
+    Dag raw = generateRandomDag(16, 2000, 8);
+    auto bin = binarize(raw);
+    const Dag &d = bin.dag;
+    auto parts = partitionByCount(d, 500);
+    ASSERT_GE(parts.size(), 2u);
+    ArchConfig cfg = smallConfig();
+    // A later range: valid although its operands reach earlier ranges.
+    const RangeDecomposition good = decomposeRanges(d, cfg, parts).back();
+    const NodeId lo = good.range.first;
+    ASSERT_GE(good.blocks.size(), 3u);
+    bool reaches_back = false;
+    for (const Block &b : good.blocks)
+        for (NodeId v : b.inputs)
+            reaches_back |= v < lo && !d.node(v).isInput();
+    ASSERT_TRUE(reaches_back);
+    validateDecomposition(d, cfg, good);
+
+    // A compute node listed in two blocks.
+    {
+        RangeDecomposition bad = good;
+        bad.blocks[1].subgraphs[0].nodes.push_back(
+            bad.blocks[0].subgraphs[0].sink);
+        EXPECT_THROW(validateDecomposition(d, cfg, bad), PanicError);
+    }
+    // A compute node in no block.
+    {
+        RangeDecomposition bad = good;
+        bad.blocks[0].subgraphs[0].nodes.pop_back();
+        EXPECT_THROW(validateDecomposition(d, cfg, bad), PanicError);
+    }
+    // An in-range operand moved to a later block than its consumer's.
+    {
+        RangeDecomposition bad = good;
+        const uint32_t last = static_cast<uint32_t>(bad.blocks.size() - 1);
+        auto block_of = [&](NodeId v) {
+            return v < lo ? RangeDecomposition::noBlock
+                          : good.blockOf[v - lo];
+        };
+        NodeId o = invalidNode;
+        for (NodeId v = lo; v < good.range.second && o == invalidNode; ++v)
+            if (block_of(v) < last)
+                for (NodeId w : d.node(v).operands)
+                    if (block_of(w) < block_of(v))
+                        o = w;
+        ASSERT_NE(o, invalidNode);
+        for (Subgraph &sg : bad.blocks[block_of(o)].subgraphs)
+            std::erase(sg.nodes, o);
+        bad.blocks[last].subgraphs[0].nodes.push_back(o);
+        bad.blockOf[o - lo] = last;
+        EXPECT_THROW(validateDecomposition(d, cfg, bad), PanicError);
+    }
+    // Two reads on one port.
+    {
+        RangeDecomposition bad = good;
+        ASSERT_FALSE(bad.blocks[0].reads.empty());
+        bad.blocks[0].reads.push_back(bad.blocks[0].reads[0]);
+        EXPECT_THROW(validateDecomposition(d, cfg, bad), PanicError);
+    }
+    // A subgraph node outside the range.
+    {
+        RangeDecomposition bad = good;
+        ASSERT_GT(lo, 0u);
+        bad.blocks[0].subgraphs[0].nodes.push_back(lo - 1);
+        EXPECT_THROW(validateDecomposition(d, cfg, bad), PanicError);
     }
 }
 

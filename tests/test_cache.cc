@@ -104,10 +104,11 @@ TEST(ProgramCache, KeyCoversDagConfigAndOptions)
     EXPECT_EQ(cache.stats().misses, 5u);
 }
 
-TEST(ProgramCache, ThreadsAndValidateDoNotChangeTheKey)
+TEST(ProgramCache, ThreadsAndVerifyDoNotChangeTheKey)
 {
     // The parallel compiler is byte-identical for every thread count,
-    // so a threads=8 compile may reuse a threads=1 artifact.
+    // so a threads=8 compile may reuse a threads=1 artifact, and
+    // verification only checks the artifact.
     Dag d = generateRandomDag(24, 900, 74);
     ArchConfig cfg = cfgOf(3, 16, 32);
     ProgramCache cache;
@@ -116,7 +117,7 @@ TEST(ProgramCache, ThreadsAndValidateDoNotChangeTheKey)
     opt.threads = 1;
     auto seq = cache.compile(d, cfg, opt);
     opt.threads = 8;
-    opt.validate = true;
+    opt.verify = true;
     auto par = cache.compile(d, cfg, opt);
     EXPECT_EQ(par.stats.cacheHits, 1u);
     expectSamePrograms(seq, par);
@@ -278,7 +279,6 @@ TEST(ProgramCache, WarmFragmentsMatchColdCompiles)
                     CompileOptions opt;
                     opt.partitionNodes = part;
                     opt.boundaryAwareBanks = aware;
-                    opt.validate = true;
                     opt.verify = true;
                     std::vector<std::vector<uint8_t>> cold;
                     for (uint32_t r : regs) {
@@ -322,7 +322,6 @@ TEST(ProgramCache, ConcurrentWarmFragmentsMatchColdCompiles)
     ArchConfig cfg = cfgOf(2, 16, 32);
     CompileOptions opt;
     opt.partitionNodes = 200;
-    opt.validate = true;
     opt.verify = true;
     const std::vector<uint32_t> regs = {16, 24, 32, 48, 64, 96, 128, 256};
     std::vector<std::vector<uint8_t>> cold;

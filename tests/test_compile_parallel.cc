@@ -76,7 +76,7 @@ TEST(ParallelCompile, ByteIdenticalAcrossThreadCounts)
     ArchConfig cfg = cfgOf(3, 16, 64);
     CompileOptions opt;
     opt.partitionNodes = 500;
-    opt.validate = true;
+    opt.verify = true;
 
     opt.threads = 1;
     auto reference = compile(d, cfg, opt);
@@ -149,7 +149,7 @@ TEST(ParallelCompile, InputOnlyTailPartitionCompiles)
     ArchConfig cfg = cfgOf(2, 8, 16);
     CompileOptions opt;
     opt.partitionNodes = 11; // exactly the compute-node count
-    opt.validate = true;
+    opt.verify = true;
     for (uint32_t threads : {1u, 4u}) {
         opt.threads = threads;
         auto prog = compile(d, cfg, opt);
@@ -167,7 +167,6 @@ TEST(ParallelCompile, PipelinedStages34ByteIdenticalAcrossThreads)
     ArchConfig cfg = cfgOf(3, 16, 64);
     CompileOptions opt;
     opt.partitionNodes = 600;
-    opt.validate = true;
     opt.verify = true;
 
     opt.threads = 1;
@@ -356,7 +355,7 @@ TEST(ParallelCompile, BoundaryObliviousByteIdenticalAcrossThreads)
     CompileOptions opt;
     opt.partitionNodes = 500;
     opt.boundaryAwareBanks = false;
-    opt.validate = true;
+    opt.verify = true;
     opt.threads = 1;
     auto reference = compile(d, cfg, opt);
     for (uint32_t threads : {2u, 4u, 8u}) {
@@ -468,7 +467,6 @@ TEST(ParallelCompile, TailEdgeCasesMatchReference)
                 opt.partitionNodes = part;
                 opt.threads = threads;
                 opt.verify = true;
-                opt.validate = true;
                 CompiledProgram prog = compile(d, cfg, opt);
                 runAndCheck(prog, d, randomInputs(d, part + 5));
                 expectOutputOrder(prog, d);

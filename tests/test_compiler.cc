@@ -55,7 +55,7 @@ TEST(Compiler, TinyDagCompilesAndRuns)
 
     ArchConfig cfg = cfgOf(2, 8, 16);
     CompileOptions opt;
-    opt.validate = true;
+    opt.verify = true;
     auto prog = compile(d, cfg, opt);
     EXPECT_GT(prog.instructions.size(), 0u);
     EXPECT_EQ(prog.stats.numOperations, 3u);
@@ -74,7 +74,7 @@ TEST(Compiler, MultiInputNodesAreBinarized)
     d.addNode(OpType::Add, {ins});
     ArchConfig cfg = cfgOf(3, 8, 16);
     CompileOptions opt;
-    opt.validate = true;
+    opt.verify = true;
     auto prog = compile(d, cfg, opt);
     auto inputs = randomInputs(d, 40);
     runAndCheck(prog, d, inputs);
@@ -87,7 +87,7 @@ TEST(Compiler, SpillingKicksInForTinyRegisterFile)
     ArchConfig big = cfgOf(2, 8, 128);
     ArchConfig tiny = cfgOf(2, 8, 8);
     CompileOptions opt;
-    opt.validate = true;
+    opt.verify = true;
     auto prog_big = compile(d, big, opt);
     auto prog_tiny = compile(d, tiny, opt);
     EXPECT_EQ(prog_big.stats.spillStores, 0u);
@@ -160,7 +160,7 @@ TEST(Compiler, PartitionedCompileMatchesUnpartitioned)
     ArchConfig cfg = cfgOf(3, 16, 64);
     CompileOptions part;
     part.partitionNodes = 500;
-    part.validate = true;
+    part.verify = true;
     auto prog = compile(d, cfg, part);
     auto inputs = randomInputs(d, 48);
     runAndCheck(prog, d, inputs);
@@ -178,7 +178,7 @@ TEST(Compiler, SptrsvEndToEnd)
 
     ArchConfig cfg = minEdpConfig();
     CompileOptions opt;
-    opt.validate = true;
+    opt.verify = true;
     auto prog = compile(lowered.dag, cfg, opt);
 
     Rng rng(50);

@@ -66,7 +66,7 @@ TEST_P(EndToEnd, RandomDagMatchesReference)
     uint64_t seed = cfg.depth * 1000 + cfg.banks * 10 + cfg.regsPerBank;
     Dag d = generateRandomDag(24, 700, seed);
     CompileOptions opt;
-    opt.validate = true;
+    opt.verify = true;
     opt.seed = seed;
     auto prog = compile(d, cfg, opt);
     runAndCheck(prog, d, randomInputs(d, seed + 1));
@@ -83,7 +83,7 @@ TEST_P(EndToEnd, PcMatchesReference)
     p.seed = cfg.banks + cfg.depth;
     Dag d = generatePc(p);
     CompileOptions opt;
-    opt.validate = true;
+    opt.verify = true;
     auto prog = compile(d, cfg, opt);
     runAndCheck(prog, d, randomInputs(d, 5));
 }
@@ -132,7 +132,7 @@ TEST(EndToEndSeeds, ManyRandomDagsOnMinEdp)
     for (uint64_t seed = 1; seed <= 12; ++seed) {
         Dag d = generateRandomDag(16 + seed, 300 + 40 * seed, seed);
         CompileOptions opt;
-        opt.validate = true;
+        opt.verify = true;
         opt.seed = seed;
         auto prog = compile(d, cfg, opt);
         runAndCheck(prog, d, randomInputs(d, seed * 3 + 1));
@@ -149,7 +149,7 @@ TEST(EndToEndSeeds, SpillHeavySweep)
     for (uint64_t seed = 1; seed <= 6; ++seed) {
         Dag d = generateRandomDag(32, 800, 100 + seed);
         CompileOptions opt;
-        opt.validate = true;
+        opt.verify = true;
         auto prog = compile(d, cfg, opt);
         EXPECT_GT(prog.stats.spillStores, 0u) << "seed " << seed;
         runAndCheck(prog, d, randomInputs(d, seed));
@@ -166,7 +166,7 @@ TEST(EndToEndSeeds, RandomBankPolicyStaysCorrect)
     Dag d = generateRandomDag(24, 600, 77);
     CompileOptions opt;
     opt.bankPolicy = BankPolicy::Random;
-    opt.validate = true;
+    opt.verify = true;
     auto prog = compile(d, cfg, opt);
     runAndCheck(prog, d, randomInputs(d, 78));
 }
@@ -216,7 +216,7 @@ TEST(EndToEndSeeds, RandomConfigsMatchReference)
                     std::to_string(threads);
                 try {
                     CompileOptions opt;
-                    opt.validate = true;
+                    opt.verify = true;
                     opt.seed = seed;
                     opt.partitionNodes = part;
                     opt.threads = threads;
@@ -240,7 +240,7 @@ TEST(EndToEndWorkloads, SmallSuiteScaledDown)
     for (const auto &spec : smallSuite()) {
         Dag d = buildWorkloadDag(spec, 0.08);
         CompileOptions opt;
-        opt.validate = true;
+        opt.verify = true;
         auto prog = compile(d, cfg, opt);
         runAndCheck(prog, d, randomInputs(d, spec.seed));
     }

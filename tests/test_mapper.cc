@@ -42,7 +42,7 @@ replicasOf(const Block &b, NodeId v)
 /** Structural invariants every assignment must satisfy. */
 void
 checkAssignment(const Dag &d, const ArchConfig &cfg,
-                const BlockDecomposition &dec, const BankAssignment &ba)
+                const RangeDecomposition &dec, const BankAssignment &ba)
 {
     for (NodeId v = 0; v < d.numNodes(); ++v) {
         if (!dec.isIo[v]) {
@@ -224,7 +224,7 @@ TEST(Mapper, CountReadConflictsBeyond64Banks)
     // The helper is public and must size its scratch from the
     // assignment, not a hardcoded 64 — bank ids past 63 used to write
     // out of bounds (caught by ASAN).
-    BlockDecomposition dec;
+    RangeDecomposition dec;
     Block b;
     b.inputs = {0, 1, 2};
     dec.blocks.push_back(b);

@@ -11,6 +11,7 @@
 #include "compiler/codegen.hh"
 #include "compiler/mapper.hh"
 #include "compiler/scheduler.hh"
+#include "compiler/verify.hh"
 #include "support/rng.hh"
 #include "workloads/pc_generator.hh"
 
@@ -25,6 +26,41 @@ cfgOf(uint32_t depth, uint32_t banks)
     c.banks = banks;
     c.regsPerBank = 64;
     return c;
+}
+
+/** Verify a scheduled IR: every read issues at least the producer's
+ *  write latency after it (V030), after its write (V001), before its
+ *  free (V002), and every instance is written once (V007) and freed
+ *  (V005). */
+VerifyReport
+verifyScheduled(const IrProgram &ir, const ArchConfig &cfg)
+{
+    VerifyIrOptions opt;
+    opt.hazardsResolved = true;
+    return verifyIr(ir, cfg, opt);
+}
+
+/** A load of row 0 whose value a store to row 1 frees, `gap`
+ *  instructions later. */
+IrProgram
+loadThenStore(uint32_t gap)
+{
+    IrProgram ir;
+    ir.inputRows = 1;
+    ir.outputRows = 1;
+    ir.instances.push_back({0, 0, 0});
+    IrInstr load;
+    load.kind = InstrKind::Load;
+    load.writes.push_back({0});
+    IrInstr store;
+    store.kind = InstrKind::Store;
+    store.memRow = 1;
+    store.reads.push_back({0, true});
+    ir.instrs.push_back(load);
+    for (uint32_t i = 1; i < gap; ++i)
+        ir.instrs.push_back(IrInstr{}); // nop
+    ir.instrs.push_back(store);
+    return ir;
 }
 
 /** The unscheduled IR of an unpartitioned compile: one fragment
@@ -53,7 +89,7 @@ TEST(Scheduler, ChainNeedsNops)
     ArchConfig cfg = cfgOf(3, 8);
     IrFragment f = fragmentFor(d, cfg);
     auto stats = reorderFragment(f, cfg);
-    checkHazardFree(f.ir, cfg);
+    EXPECT_TRUE(verifyScheduled(f.ir, cfg).clean());
     EXPECT_GT(stats.nopsInserted, 0u);
 }
 
@@ -75,44 +111,24 @@ TEST(Scheduler, WideDagNeedsFewNops)
     IrFragment f = fragmentFor(d, cfg);
     size_t before = f.ir.instrs.size();
     auto stats = reorderFragment(f, cfg);
-    checkHazardFree(f.ir, cfg);
+    EXPECT_TRUE(verifyScheduled(f.ir, cfg).clean());
     EXPECT_LT(stats.nopsInserted, before / 10);
 }
 
 TEST(Scheduler, HazardCheckerCatchesRawViolation)
 {
-    // Hand-build an IR with a back-to-back producer/consumer.
-    IrProgram ir;
-    ArchConfig cfg = cfgOf(1, 2);
-    ir.instances.push_back({0, 0, 0});
-    IrInstr load;
-    load.kind = InstrKind::Load;
-    load.writes.push_back({0});
-    IrInstr store;
-    store.kind = InstrKind::Store;
-    store.memRow = 1;
-    store.reads.push_back({0, true});
-    ir.instrs.push_back(load);
-    ir.instrs.push_back(store); // violates the 2-cycle load latency
-    EXPECT_THROW(checkHazardFree(ir, cfg), PanicError);
+    // A back-to-back producer/consumer violates the 2-cycle load
+    // latency: exactly one V030.
+    VerifyReport report = verifyScheduled(loadThenStore(1), cfgOf(1, 2));
+    ASSERT_EQ(report.diagnostics.size(), 1u) << report.toString();
+    EXPECT_EQ(report.diagnostics[0].code, VerifyCode::PipelineHazard);
+    EXPECT_EQ(report.diagnostics[0].instrIndex, 1u);
 }
 
 TEST(Scheduler, HazardCheckerAcceptsPaddedVersion)
 {
-    IrProgram ir;
-    ArchConfig cfg = cfgOf(1, 2);
-    ir.instances.push_back({0, 0, 0});
-    IrInstr load;
-    load.kind = InstrKind::Load;
-    load.writes.push_back({0});
-    IrInstr store;
-    store.kind = InstrKind::Store;
-    store.memRow = 1;
-    store.reads.push_back({0, true});
-    ir.instrs.push_back(load);
-    ir.instrs.push_back(IrInstr{}); // nop
-    ir.instrs.push_back(store);
-    EXPECT_NO_THROW(checkHazardFree(ir, cfg));
+    VerifyReport report = verifyScheduled(loadThenStore(2), cfgOf(1, 2));
+    EXPECT_TRUE(report.clean()) << report.toString();
 }
 
 TEST(Scheduler, PreservesInstructionMultiset)
@@ -144,8 +160,8 @@ TEST(Scheduler, TightWindowInsertsMoreNops)
     IrFragment b = fragmentFor(d, cfg);
     auto wide = reorderFragment(a, cfg, 300);
     auto tight = reorderFragment(b, cfg, 1);
-    checkHazardFree(a.ir, cfg);
-    checkHazardFree(b.ir, cfg);
+    EXPECT_TRUE(verifyScheduled(a.ir, cfg).clean());
+    EXPECT_TRUE(verifyScheduled(b.ir, cfg).clean());
     EXPECT_LE(wide.nopsInserted, tight.nopsInserted);
 }
 
