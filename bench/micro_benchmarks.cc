@@ -127,23 +127,35 @@ BENCHMARK(BM_CompileWarmFragment)->Unit(benchmark::kMillisecond);
 void
 BM_CertifiedRegisterSweep(benchmark::State &state)
 {
-    // One (D, B) group of a DSE: the same workload at 16 register
-    // counts, ascending, through one fresh ProgramCache per
-    // iteration. The first compile, and any whose R its register
-    // certificate does not admit, runs steps 1-4; the rest are derived
-    // from the group's certified program.
+    // One (D, B) group of a DSE, walked as a sweep task walks it: the
+    // same workload at 16 register counts, ascending, through one
+    // fresh ProgramCache per iteration. The first compile, and any
+    // whose R the held certificate does not admit, runs steps 1-4; the
+    // rest are derived from the latest certified program and inserted
+    // into the cache.
     static const PreparedDag prepared =
         prepareDag(buildWorkloadDag(smallSuite().front(), 0.1));
     ArchConfig cfg = minEdpConfig();
     uint64_t certified = 0;
     for (auto _ : state) {
         ProgramCache cache;
+        std::shared_ptr<const CompiledProgram> held;
+        certified = 0;
         for (uint32_t r = 8; r <= 128; r += 8) {
             cfg.regsPerBank = r;
-            ProgramCache::Fetched got = cache.fetch(prepared, cfg);
-            benchmark::DoNotOptimize(got.prog.get());
+            std::shared_ptr<const CompiledProgram> prog;
+            if (held && held->registers.admits(cfg)) {
+                prog = std::make_shared<const CompiledProgram>(
+                    deriveForRegisterCount(*held, r));
+                cache.insert(prepared, cfg, {}, prog);
+                ++certified;
+            } else {
+                prog = cache.fetch(prepared, cfg).prog;
+            }
+            if (prog->registers.valid)
+                held = prog;
+            benchmark::DoNotOptimize(prog.get());
         }
-        certified = cache.stats().certHits;
     }
     state.SetItemsProcessed(state.iterations() * 16);
     state.counters["certified"] = static_cast<double>(certified);

@@ -142,31 +142,6 @@ dagStructuralHash(const Dag &dag)
     return h;
 }
 
-namespace {
-
-/** programCacheKey, or registerFreeCacheKey when !withRegs. */
-std::string
-formatProgramKey(uint64_t sourceHash, const ArchConfig &cfg,
-                 const CompileOptions &options, bool withRegs)
-{
-    char regs[16] = "";
-    if (withRegs)
-        std::snprintf(regs, sizeof(regs), ".R%u", cfg.regsPerBank);
-    char suffix[160];
-    std::snprintf(suffix, sizeof(suffix),
-                  "%016llx-D%u.B%u%s-n%d-m%u-b%d-a%d-w%u-p%u-s%llu",
-                  static_cast<unsigned long long>(sourceHash),
-                  cfg.depth, cfg.banks, regs,
-                  static_cast<int>(cfg.outputNet), cfg.dataMemRows,
-                  static_cast<int>(options.bankPolicy),
-                  static_cast<int>(options.boundaryAwareBanks),
-                  options.reorderWindow, options.partitionNodes,
-                  static_cast<unsigned long long>(options.seed));
-    return suffix;
-}
-
-} // namespace
-
 std::string
 programCacheKey(const Dag &dag, const ArchConfig &cfg,
                 const CompileOptions &options)
@@ -178,14 +153,17 @@ std::string
 programCacheKey(uint64_t sourceHash, const ArchConfig &cfg,
                 const CompileOptions &options)
 {
-    return formatProgramKey(sourceHash, cfg, options, true);
-}
-
-std::string
-registerFreeCacheKey(uint64_t sourceHash, const ArchConfig &cfg,
-                     const CompileOptions &options)
-{
-    return formatProgramKey(sourceHash, cfg, options, false);
+    char suffix[160];
+    std::snprintf(suffix, sizeof(suffix),
+                  "%016llx-D%u.B%u.R%u-n%d-m%u-b%d-a%d-w%u-p%u-s%llu",
+                  static_cast<unsigned long long>(sourceHash),
+                  cfg.depth, cfg.banks, cfg.regsPerBank,
+                  static_cast<int>(cfg.outputNet), cfg.dataMemRows,
+                  static_cast<int>(options.bankPolicy),
+                  static_cast<int>(options.boundaryAwareBanks),
+                  options.reorderWindow, options.partitionNodes,
+                  static_cast<unsigned long long>(options.seed));
+    return suffix;
 }
 
 std::string
@@ -431,9 +409,8 @@ ProgramCache::fetch(const PreparedDag &prepared, const ArchConfig &cfg,
                     const CompileOptions &options)
 {
     return lookupOrCompile(
-        programCacheKey(prepared.sourceHash, cfg, options),
-        registerFreeCacheKey(prepared.sourceHash, cfg, options), cfg,
-        options, [&](const CompileOptions &opts) {
+        programCacheKey(prepared.sourceHash, cfg, options), options,
+        [&](const CompileOptions &opts) {
             return dpu::compile(prepared, cfg, opts);
         });
 }
@@ -442,10 +419,8 @@ CompiledProgram
 ProgramCache::compile(const Dag &dag, const ArchConfig &cfg,
                       const CompileOptions &options)
 {
-    const uint64_t hash = dagStructuralHash(dag);
     return copyOf(lookupOrCompile(
-        programCacheKey(hash, cfg, options),
-        registerFreeCacheKey(hash, cfg, options), cfg, options,
+        programCacheKey(dag, cfg, options), options,
         [&](const CompileOptions &opts) {
             return dpu::compile(dag, cfg, opts);
         }));
@@ -460,51 +435,18 @@ ProgramCache::compile(const PreparedDag &prepared, const ArchConfig &cfg,
 
 ProgramCache::Fetched
 ProgramCache::lookupOrCompile(
-    const std::string &key, const std::string &group, const ArchConfig &cfg,
-    const CompileOptions &options,
+    const std::string &key, const CompileOptions &options,
     const std::function<CompiledProgram(const CompileOptions &)> &miss)
 {
     auto t0 = std::chrono::steady_clock::now();
-    auto seconds_since = [](auto start) {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start)
-            .count();
-    };
-
     Fetched got;
-    // Under the lock, once got.prog is resident: a certified program
-    // names its group, whose entry it founds when there is none, and
-    // carries the group's run stats once a caller stored them.
-    auto describe_locked = [&] {
-        if (!got.prog->registers.valid)
-            return;
-        got.group = group;
-        Certified &c = certified[group];
-        if (c.prog.expired()) {
-            c.owner = key;
-            c.prog = got.prog;
-        }
-        if (c.runStats) {
-            got.runStats = c.runStats;
-            got.runStats->instrBitsFetched = got.prog->stats.programBits;
-        }
-    };
     {
         std::lock_guard<std::mutex> lock(mutex);
         auto it = index.find(key);
         if (it != index.end()) {
             lru.splice(lru.begin(), lru, it->second);
             got.prog = it->second->prog;
-        } else if (auto c = certified.find(group);
-                   c != certified.end() && c->second.owner == key) {
-            // The LRU let it go, but a caller still holds it.
-            got.prog = c->second.prog.lock();
-            if (got.prog)
-                insertLocked(key, group, got.prog);
-        }
-        if (got.prog) {
             ++counters.hits;
-            describe_locked();
         }
     }
     if (!got.prog && !config.diskDir.empty()) {
@@ -514,61 +456,27 @@ ProgramCache::lookupOrCompile(
                 std::make_shared<const CompiledProgram>(std::move(prog));
             std::lock_guard<std::mutex> lock(mutex);
             ++counters.diskHits;
-            insertLocked(key, group, got.prog);
+            insertLocked(key, got.prog);
         }
     }
     if (got.prog) {
         got.hit = true;
-        got.fetchSeconds = seconds_since(t0);
+        got.fetchSeconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
         return got;
     }
 
-    // A group's certified program that admits this R is this R's
-    // program but for its register-address footprints: derive it
-    // instead of running steps 3-4 again.
-    std::shared_ptr<const CompiledProgram> base;
+    // A full compile still reuses per-partition fragments of earlier
+    // compiles (e.g. a DSE neighbor differing only in regsPerBank).
+    CompileOptions opts = options;
+    opts.fragmentCache = &fragments;
+    got.prog = std::make_shared<const CompiledProgram>(miss(opts));
     {
         std::lock_guard<std::mutex> lock(mutex);
-        auto c = certified.find(group);
-        if (c != certified.end()) {
-            base = c->second.prog.lock();
-            if (!base)
-                certified.erase(c); // its last holder let it go
-            else if (!base->registers.admits(cfg))
-                base.reset();
-        }
+        ++counters.misses;
     }
-    if (base) {
-        CompiledProgram prog =
-            deriveForRegisterCount(*base, cfg.regsPerBank);
-        prog.stats.compileSeconds = seconds_since(t0);
-        prog.stats.verifySeconds = 0;
-        if (options.verify) {
-            auto v0 = std::chrono::steady_clock::now();
-            throwIfVerifyErrors(verifyProgram(prog), "finalize");
-            prog.stats.verifySeconds = seconds_since(v0);
-        }
-        got.prog = std::make_shared<const CompiledProgram>(std::move(prog));
-        got.hit = true;
-        got.certified = true;
-    } else {
-        // A full compile still reuses per-partition fragments of
-        // earlier compiles (e.g. a DSE neighbor differing only in
-        // regsPerBank).
-        CompileOptions opts = options;
-        opts.fragmentCache = &fragments;
-        got.prog = std::make_shared<const CompiledProgram>(miss(opts));
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        ++(got.certified ? counters.certHits : counters.misses);
-        insertLocked(key, group, got.prog);
-        describe_locked();
-    }
-    if (!config.diskDir.empty())
-        storeToDisk(key, *got.prog);
-    if (got.certified)
-        got.fetchSeconds = seconds_since(t0);
+    keep(key, got.prog);
     return got;
 }
 
@@ -577,28 +485,31 @@ ProgramCache::insert(const Dag &dag, const ArchConfig &cfg,
                      const CompileOptions &options,
                      const CompiledProgram &prog)
 {
-    const uint64_t hash = dagStructuralHash(dag);
-    std::string key = programCacheKey(hash, cfg, options);
     CompiledProgram stored = prog;
     stored.stats.cacheHits = 0; // future hits flag themselves
-    auto shared =
-        std::make_shared<const CompiledProgram>(std::move(stored));
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        insertLocked(key, registerFreeCacheKey(hash, cfg, options),
-                     shared);
-    }
-    if (!config.diskDir.empty())
-        storeToDisk(key, *shared);
+    keep(programCacheKey(dag, cfg, options),
+         std::make_shared<const CompiledProgram>(std::move(stored)));
 }
 
 void
-ProgramCache::storeRunStats(const std::string &group, const SimStats &stats)
+ProgramCache::insert(const PreparedDag &prepared, const ArchConfig &cfg,
+                     const CompileOptions &options,
+                     std::shared_ptr<const CompiledProgram> prog)
 {
-    std::lock_guard<std::mutex> lock(mutex);
-    auto c = certified.find(group);
-    if (c != certified.end())
-        c->second.runStats = stats;
+    keep(programCacheKey(prepared.sourceHash, cfg, options),
+         std::move(prog));
+}
+
+void
+ProgramCache::keep(const std::string &key,
+                   std::shared_ptr<const CompiledProgram> prog)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        insertLocked(key, prog);
+    }
+    if (!config.diskDir.empty())
+        storeToDisk(key, *prog);
 }
 
 ProgramCache::Stats
@@ -694,48 +605,22 @@ ProgramCache::storeToDisk(const std::string &key,
 }
 
 void
-ProgramCache::insertLocked(const std::string &key, const std::string &group,
+ProgramCache::insertLocked(const std::string &key,
                            std::shared_ptr<const CompiledProgram> prog)
 {
-    const bool certifies = prog->registers.valid;
-    if (certifies) {
-        // The latest certified program of a group stands for it: the
-        // group's programs are all one program up to R (a certificate
-        // admits every larger R), so its run stats stay valid.
-        Certified &c = certified[group];
-        c.owner = key;
-        c.prog = prog;
-    }
     auto it = index.find(key);
     if (it != index.end()) {
-        if (!certifies)
-            releaseLocked(*it->second);
         it->second->prog = std::move(prog);
-        it->second->group = certifies ? group : std::string();
         lru.splice(lru.begin(), lru, it->second);
         return;
     }
-    lru.push_front({key, std::move(prog), certifies ? group : std::string()});
+    lru.push_front({key, std::move(prog)});
     index[key] = lru.begin();
     while (lru.size() > config.maxEntries) {
-        releaseLocked(lru.back());
         index.erase(lru.back().key);
         lru.pop_back();
         ++counters.evictions;
     }
-}
-
-void
-ProgramCache::releaseLocked(const Entry &e)
-{
-    if (e.group.empty())
-        return;
-    // A caller holding the program keeps the entry: its next R of the
-    // group still derives, however many programs the LRU took since.
-    auto c = certified.find(e.group);
-    if (c != certified.end() && c->second.owner == e.key &&
-        e.prog.use_count() <= 1)
-        certified.erase(c);
 }
 
 } // namespace dpu

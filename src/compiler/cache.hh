@@ -18,28 +18,16 @@
  * it. ::boundaryAwareBanks *is* in the key — it changes the emitted
  * program on partitioned compiles.
  *
- * A second index, keyed like a program but without regsPerBank,
- * holds one *certified* program per (DAG, configuration minus R,
- * options) group: the latest resident program of the group whose
- * compile recorded a RegisterCertificate (no throttle, no spill).
- * A miss at R' consults it before compiling: when the certificate
- * admits R', the program is derived (deriveForRegisterCount) instead
- * of compiled, exactly the bytes a compile at R' emits. The entry
- * also keeps the group's 1-core SimStats once a caller has simulated
- * one of its programs, so the DSE skips the Machine for a derived
- * point too. An entry is released when its program leaves the LRU
- * while no caller holds it (a Fetched::prog), and it refers to its
- * program weakly, so the index keeps no program alive. A caller that
- * holds a group's latest program across its fetches (the DSE's
- * per-group tasks) thus keeps deriving the group, and re-fetches that
- * program as a memory hit, however many programs other threads put in
- * the LRU meanwhile.
+ * The cache knows nothing of register certificates: a program derived
+ * for another register count (deriveForRegisterCount) is the caller's
+ * to make, and insert() keeps it like any other program. The DSE's
+ * sweep tasks do that, one (D, B) group at a time (model/dse.hh).
  *
  * The disk format is a native-endianness binary image (the cache
  * directory is a local build artifact, not a portable interchange
  * format); unreadable or stale files are treated as misses. The
- * certificate is not in the image, so a program read from disk is
- * never a certified entry.
+ * certificate is not in the image, so a program read from disk
+ * admits no other register count.
  */
 
 #ifndef DPU_COMPILER_CACHE_HH
@@ -57,7 +45,6 @@
 
 #include "compiler/codegen.hh"
 #include "compiler/compiler.hh"
-#include "sim/machine.hh"
 
 namespace dpu {
 
@@ -72,12 +59,6 @@ std::string programCacheKey(uint64_t sourceHash, const ArchConfig &cfg,
                             const CompileOptions &options);
 std::string programCacheKey(const Dag &dag, const ArchConfig &cfg,
                             const CompileOptions &options);
-
-/** programCacheKey without regsPerBank: the key of the group of
- *  compiles whose certified programs ProgramCache shares. */
-std::string registerFreeCacheKey(uint64_t sourceHash,
-                                 const ArchConfig &cfg,
-                                 const CompileOptions &options);
 
 /**
  * Key of one partition's compiled fragment: the whole binarized DAG's
@@ -199,9 +180,11 @@ struct ProgramCacheConfig
 };
 
 /**
- * A thread-safe compiled-program cache. A lookup serves the program
- * when its key is resident (memory first, then disk), and otherwise
- * runs the real compiler and moves the result into the cache.
+ * A thread-safe compiled-program cache: a plain key -> program store
+ * (memory LRU, disk spill) plus the fragment cache its compiles share.
+ * A lookup serves the program when its key is resident (memory first,
+ * then disk), and otherwise runs the real compiler and moves the
+ * result into the cache; insert() keeps a program made elsewhere.
  *
  * fetch() hands out the resident program itself, read-only behind a
  * shared_ptr, with a hit flag and the fetch time: a caller that only
@@ -217,22 +200,13 @@ class ProgramCache
 
     /** One lookup: the resident program (its stats as compiled, so
      *  stats.cacheHits = 0), whether it was served from the cache
-     *  (memory, disk or derived from a certified program), and the
-     *  seconds the lookup took when it was (0 on a miss, whose cost is
-     *  the program's stats.compileSeconds). */
+     *  (memory or disk), and the seconds the lookup took when it was
+     *  (0 on a miss, whose cost is the program's stats.compileSeconds). */
     struct Fetched
     {
         std::shared_ptr<const CompiledProgram> prog;
         bool hit = false;
         double fetchSeconds = 0.0;
-        /** Derived from the certified program of its group. */
-        bool certified = false;
-        /** The 1-core SimStats of any run of `prog`, when a caller
-         *  stored them for its group (storeRunStats);
-         *  instrBitsFetched is prog's programBits. */
-        std::optional<SimStats> runStats;
-        /** registerFreeCacheKey of a certified `prog`, else empty. */
-        std::string group;
     };
 
     /** Look up or compile an already-prepared DAG without copying the
@@ -260,15 +234,12 @@ class ProgramCache
                 const CompileOptions &options,
                 const CompiledProgram &prog);
 
-    /**
-     * Remember the 1-core SimStats of a run of a certified program
-     * (Fetched::group non-empty). Event counts depend neither on input
-     * values (Sim.StatsDoNotDependOnInputValues) nor, for programs a
-     * certificate relates, on R apart from instrBitsFetched, so later
-     * fetches of the group carry them in Fetched::runStats. A no-op
-     * once the group's entry is released.
-     */
-    void storeRunStats(const std::string &group, const SimStats &stats);
+    /** Insert a program made outside the cache (e.g. one derived for
+     *  another register count) as it is, without copying it; same key
+     *  as fetch(). Counts and spills like the Dag overload. */
+    void insert(const PreparedDag &prepared, const ArchConfig &cfg,
+                const CompileOptions &options,
+                std::shared_ptr<const CompiledProgram> prog);
 
     /** Aggregate counters since construction. */
     struct Stats
@@ -281,25 +252,23 @@ class ProgramCache
         uint64_t diskRejects = 0; ///< Spill files rejected (truncated,
                                   ///  corrupt, or failing the static
                                   ///  verifier); each was a miss.
-        uint64_t certHits = 0;   ///< Derived from a certified program.
         uint64_t fragHits = 0;   ///< Per-partition fragment reuses.
         uint64_t fragMisses = 0; ///< Fragments compiled from scratch.
 
-        /** Total lookups (hits + diskHits + certHits + misses). */
+        /** Total lookups (hits + diskHits + misses). */
         uint64_t
         lookups() const
         {
-            return hits + diskHits + certHits + misses;
+            return hits + diskHits + misses;
         }
 
-        /** Fraction of lookups served without a compile (memory, disk
-         *  or certified); 0 when nothing was looked up yet. The number
-         *  the sweep drivers report per shard/sweep. */
+        /** Fraction of lookups served without a compile (memory or
+         *  disk); 0 when nothing was looked up yet. */
         double
         hitRate() const
         {
             uint64_t n = lookups();
-            return n ? static_cast<double>(hits + diskHits + certHits) /
+            return n ? static_cast<double>(hits + diskHits) /
                            static_cast<double>(n)
                      : 0.0;
         }
@@ -321,45 +290,31 @@ class ProgramCache
     {
         std::string key;
         std::shared_ptr<const CompiledProgram> prog;
-        std::string group; ///< registerFreeCacheKey; see Certified.
-    };
-
-    /** A group's certified program: the program of the LRU entry
-     *  `owner`, released with it unless a caller still holds it. */
-    struct Certified
-    {
-        std::string owner;
-        std::weak_ptr<const CompiledProgram> prog; ///< owner's program.
-        std::optional<SimStats> runStats; ///< 1-core, any R.
     };
 
     /** The one lookup body behind fetch() and both compile()
-     *  overloads: serve `key` from memory or disk, derive it from
-     *  `group`'s certified program, else call `miss` with this cache's
-     *  fragment cache wired into the options and move its program into
-     *  the cache. */
+     *  overloads: serve `key` from memory or disk, else call `miss`
+     *  with this cache's fragment cache wired into `options` and keep
+     *  its program. */
     Fetched
-    lookupOrCompile(const std::string &key, const std::string &group,
-                    const ArchConfig &cfg, const CompileOptions &options,
+    lookupOrCompile(const std::string &key, const CompileOptions &options,
                     const std::function<CompiledProgram(
                         const CompileOptions &)> &miss);
 
     bool loadFromDisk(const std::string &key, CompiledProgram &out);
     void storeToDisk(const std::string &key, const CompiledProgram &prog);
-    /** Make `prog` the resident program of `key`, and the certified
-     *  program of `group` when it carries a certificate. */
-    void insertLocked(const std::string &key, const std::string &group,
+    /** Make `prog` the resident program of `key`, and spill it. */
+    void keep(const std::string &key,
+              std::shared_ptr<const CompiledProgram> prog);
+    /** Make `prog` the resident program of `key`. */
+    void insertLocked(const std::string &key,
                       std::shared_ptr<const CompiledProgram> prog);
-    /** Drop `e`'s group entry when `e` is its owner and no caller
-     *  holds its program. */
-    void releaseLocked(const Entry &e);
 
     ProgramCacheConfig config;
     FragmentCache fragments; ///< Shared by every compile() miss.
     mutable std::mutex mutex;
     std::list<Entry> lru; ///< Front = most recently used.
     std::unordered_map<std::string, std::list<Entry>::iterator> index;
-    std::unordered_map<std::string, Certified> certified;
     Stats counters;
 };
 

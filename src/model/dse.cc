@@ -15,6 +15,7 @@
 #include <tuple>
 
 #include "compiler/compiler.hh"
+#include "compiler/verify.hh"
 #include "sim/batch.hh"
 #include "sim/machine.hh"
 #include "support/flatjson.hh"
@@ -75,18 +76,42 @@ struct WorkloadRecord
 };
 
 /**
- * The one-workload step behind evaluateDesign and runDseSweep: compile
- * (or fetch) `point`'s program for one prepared workload, simulate it
- * unless the cache holds its group's stats, and write the workload's
- * summands to `rec`. A workload that fails to fit leaves the record
- * infeasible instead of throwing. Returns the program (null when
- * infeasible): a caller that holds it until its next fetch of the
- * group keeps the cache's certified entry for that group (see
- * ProgramCache).
+ * Register-count reuse within one (D, B) group of one workload: the
+ * latest program served there that carries a valid RegisterCertificate,
+ * and the 1-core SimStats of a run of it. Event counts depend neither
+ * on input values (Sim.StatsDoNotDependOnInputValues) nor, between
+ * programs a certificate relates, on R apart from instrBitsFetched, so
+ * every register count the certificate admits is served from it
+ * without a compile or a Machine.
  */
-std::shared_ptr<const CompiledProgram>
+struct CertifiedProgram
+{
+    std::shared_ptr<const CompiledProgram> prog;
+    SimStats stats;
+};
+
+double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+}
+
+/**
+ * The one-workload step behind evaluateDesign and runDseSweep: serve
+ * `point`'s program for one prepared workload — from `held` when it is
+ * the held program's point (another core count) or its certificate
+ * admits the point's R, else compiled (or fetched) and simulated — and
+ * write the workload's summands to `rec`. `held` is the caller's reuse
+ * state for the point's (D, B) group, whose other fields `point`
+ * shares; a fresh one derives nothing. A workload that fails to fit
+ * leaves the record infeasible instead of throwing.
+ */
+void
 evaluateWorkload(const DseGridPoint &point, const PreparedWorkload &w,
-                 const EvalParams &params, WorkloadRecord &rec)
+                 const EvalParams &params, CertifiedProgram &held,
+                 WorkloadRecord &rec)
 {
     rec = WorkloadRecord{};
     const PreparedDag &dag = w.prepared;
@@ -96,42 +121,62 @@ evaluateWorkload(const DseGridPoint &point, const PreparedWorkload &w,
     opt.seed = params.seed;
     if (params.verify) // explicit opt-in only; keep the default build-set
         opt.verify = true;
-    // The point reads its program where the cache keeps it.
-    ProgramCache::Fetched got;
-    try {
-        if (params.cache)
-            got = params.cache->fetch(dag, cfg, opt);
-        else
-            got.prog = std::make_shared<const CompiledProgram>(
-                compile(dag, cfg, opt));
-    } catch (const FatalError &) {
-        // Register file too small for this workload: the design point
-        // cannot run the suite.
-        return nullptr;
-    }
-    const CompiledProgram &prog = *got.prog;
-    rec.cost.compiles = 1;
-    rec.cost.cacheHits = got.hit ? 1 : 0;
-    rec.cost.certified = got.certified ? 1 : 0;
-    rec.cost.compileSeconds =
-        got.hit ? got.fetchSeconds : prog.stats.compileSeconds;
-
-    // Event counts do not depend on input values
-    // (Sim.StatsDoNotDependOnInputValues), and a certified program's
-    // group shares them up to instrBitsFetched, which the cache sets
-    // for this R: a group simulates once.
+    const auto start = std::chrono::steady_clock::now();
+    std::shared_ptr<const CompiledProgram> served;
     SimStats stats;
-    if (got.runStats) {
-        stats = *got.runStats;
+    if (held.prog && held.prog->cfg.regsPerBank == cfg.regsPerBank) {
+        served = held.prog;
+        stats = held.stats;
+        rec.cost.cacheHits = 1;
+        rec.cost.compileSeconds = secondsSince(start);
+    } else if (held.prog && held.prog->registers.admits(cfg)) {
+        // The held program at this R but for its register-address
+        // footprints: derive it instead of running steps 3-4 again.
+        CompiledProgram derived =
+            deriveForRegisterCount(*held.prog, cfg.regsPerBank);
+        derived.stats.compileSeconds = secondsSince(start);
+        derived.stats.verifySeconds = 0;
+        if (params.verify) {
+            const auto v0 = std::chrono::steady_clock::now();
+            throwIfVerifyErrors(verifyProgram(derived), "finalize");
+            derived.stats.verifySeconds = secondsSince(v0);
+        }
+        served = std::make_shared<const CompiledProgram>(std::move(derived));
+        if (params.cache)
+            params.cache->insert(dag, cfg, opt, served);
+        stats = held.stats;
+        stats.instrBitsFetched = served->stats.programBits;
+        held = {served, stats};
+        rec.cost.cacheHits = 1;
+        rec.cost.certified = 1;
+        rec.cost.compileSeconds = secondsSince(start);
     } else {
+        ProgramCache::Fetched got;
+        try {
+            if (params.cache)
+                got = params.cache->fetch(dag, cfg, opt);
+            else
+                got.prog = std::make_shared<const CompiledProgram>(
+                    compile(dag, cfg, opt));
+        } catch (const FatalError &) {
+            // Register file too small for this workload: the design
+            // point cannot run the suite.
+            return;
+        }
+        served = got.prog;
+        rec.cost.cacheHits = got.hit ? 1 : 0;
+        rec.cost.compileSeconds =
+            got.hit ? got.fetchSeconds : served->stats.compileSeconds;
         Rng rng(params.seed + w.seed);
         std::vector<double> inputs(dag.numInputs);
         for (double &x : inputs)
             x = 0.5 + rng.uniform();
-        stats = Machine(prog).run(inputs).stats;
-        if (!got.group.empty())
-            params.cache->storeRunStats(got.group, stats);
+        stats = Machine(*served).run(inputs).stats;
+        if (served->registers.valid)
+            held = {served, stats};
     }
+    rec.cost.compiles = 1;
+    const CompiledProgram &prog = *served;
     if (cores > 1) {
         // Multi-core axis: a `cores`-input batch, one run per core.
         // Every run counts the same events, and the batch's wall
@@ -171,7 +216,6 @@ evaluateWorkload(const DseGridPoint &point, const PreparedWorkload &w,
     if (rec.hasXfer)
         rec.xferNs = double(xfer) / double(stats.cycles) * e.seconds() *
                      1e9 / double(operations);
-    return got.prog;
 }
 
 /** The reduce: a point's per-workload means, its records added in
@@ -226,7 +270,8 @@ evaluateDesign(const ArchConfig &cfg,
     std::vector<WorkloadRecord> records(prepared.size());
     for (size_t w = 0; w < prepared.size(); ++w) {
         const WorkloadRecord &rec = records[w];
-        evaluateWorkload(point, prepared[w], params, records[w]);
+        CertifiedProgram none; // one point: nothing to derive from
+        evaluateWorkload(point, prepared[w], params, none, records[w]);
         if (cost) {
             cost->compiles += rec.cost.compiles;
             cost->cacheHits += rec.cost.cacheHits;
@@ -657,10 +702,7 @@ runDseSweep(const DseSweepOptions &options)
         auto prepare_start = std::chrono::steady_clock::now();
         prepared.clear(); // release the previous scale first
         prepared = prepareSuite(suite, scale, options.threads);
-        result.prepareSeconds +=
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - prepare_start)
-                .count();
+        result.prepareSeconds += secondsSince(prepare_start);
 
         // records[p * workloads + w]: workload w's share of todo[p].
         std::vector<WorkloadRecord> records(todo.size() * workloads);
@@ -671,23 +713,20 @@ runDseSweep(const DseSweepOptions &options)
 
         // One task per (group, workload), in grid order. No two tasks
         // share a program or fragment key, and a task walks its group's
-        // points in grid order (R, then cores, ascending), holding the
-        // last program it fetched so the group's certified entry stays
-        // whatever other tasks put in the LRU: its certificate
-        // derivations and fragment reuse are a serial sweep's.
+        // points in grid order (R, then cores, ascending), deriving
+        // every R its certified program admits: its derivations and
+        // fragment reuse are a serial sweep's.
         parallelFor(groups * workloads, options.threads, [&](size_t t) {
             const size_t g = t / workloads, w = t % workloads;
-            std::shared_ptr<const CompiledProgram> held;
+            CertifiedProgram held;
             for (size_t p = group_start[g]; p < group_start[g + 1]; ++p) {
                 if (infeasible[p].load())
                     continue; // another workload did not fit
                 WorkloadRecord &rec = records[p * workloads + w];
                 auto start = std::chrono::steady_clock::now();
-                held = evaluateWorkload(grid[todo[p]], prepared[w], params,
-                                        rec);
-                rec.seconds = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count();
+                evaluateWorkload(grid[todo[p]], prepared[w], params, held,
+                                 rec);
+                rec.seconds = secondsSince(start);
                 if (!rec.feasible)
                     infeasible[p].store(true);
             }

@@ -20,10 +20,12 @@
  *     boundary) x one suite workload. The tasks run in grid order on
  *     a work-stealing pool (support/parallel.hh), each compiling from
  *     the shared prepared DAGs through an optional ProgramCache. A
- *     task walks its group's points by ascending R (then cores), so
- *     the cache derives each further register count from the group's
- *     certified program (RegisterCertificate) and reuses its
- *     simulated stats, exactly as a serial sweep does; no two tasks
+ *     task walks its group's points by ascending R (then cores) and
+ *     holds the latest program it served that carries a register
+ *     certificate (RegisterCertificate), with its simulated stats:
+ *     every further R the certificate admits is derived from it
+ *     (deriveForRegisterCount) and reuses those stats, with or
+ *     without a cache, exactly as a serial sweep does. No two tasks
  *     share a program or fragment key, so no thread count compiles
  *     anything twice. A task writes one record per point; a point is
  *     the reduce of its records in suite order, so the returned
@@ -163,10 +165,10 @@ std::vector<DseShard> planDseShards(size_t points, uint32_t shards);
  *  byte-identical across runs). */
 struct DseEvalCost
 {
-    uint64_t compiles = 0;  ///< compile() calls issued.
-    uint64_t cacheHits = 0; ///< Of which served by the ProgramCache.
+    uint64_t compiles = 0;  ///< Point programs asked for.
+    uint64_t cacheHits = 0; ///< Of which served without a compile.
     uint64_t certified = 0; ///< Of those, derived from a certified
-                            ///  program (ProgramCache::Fetched).
+                            ///  program of another register count.
     double compileSeconds = 0;
 };
 
@@ -177,14 +179,16 @@ struct DseEvalCost
  * not depend on input values) and its latency is the batch's wall
  * cycles (batchWallCycles). Marks the point infeasible (instead of
  * throwing) when a workload fails to fit. `cache`, when given, serves
- * repeated compiles, derives programs whose register certificate
- * admits cfg's R, and keeps the simulated stats of certified
- * programs; `cost`, when given, accumulates compile/cache counters.
+ * repeated compiles; `cost`, when given, accumulates compile/cache
+ * counters.
  *
  * Builds and prepares the suite at `scale` itself, then runs the two
  * steps runDseSweep runs against its once-per-sweep suite — one
  * record per workload, then their reduce in suite order — serially,
- * so a sweep point equals evaluateDesign of its coordinates.
+ * so a sweep point equals evaluateDesign of its coordinates. One
+ * point has no other register count to derive from: every workload is
+ * compiled (or fetched) and simulated, which makes this the no-reuse
+ * reference for a sweep's derived points.
  */
 DsePoint evaluateDesign(const ArchConfig &cfg,
                         const std::vector<WorkloadSpec> &suite,
@@ -260,7 +264,8 @@ struct DseSweepOptions
 
     /** Program cache shared by every point compile (nullptr = plain
      *  compiles). Cache hits cannot change results — cached programs
-     *  are byte-identical to fresh compiles. */
+     *  are byte-identical to fresh compiles. The programs a task
+     *  derives go into it too (and so into its spill directory). */
     ProgramCache *cache = nullptr;
 
     /** Run the static verifier (compiler/verify.hh) on every point
@@ -280,7 +285,7 @@ struct DseShardReport
     size_t evaluated = 0; ///< Computed this run (rest resumed).
     uint64_t compiles = 0;
     uint64_t cacheHits = 0;
-    uint64_t certified = 0; ///< Cache hits derived from a certified
+    uint64_t certified = 0; ///< Of cacheHits, derived from a certified
                             ///  program of another register count.
     double compileSeconds = 0;
     /** Host seconds of the shard's points, summed over the threads
@@ -288,7 +293,7 @@ struct DseShardReport
      *  interleaved. */
     double seconds = 0;
 
-    /** Cache hit rate of this shard's compiles. */
+    /** Share of this shard's compiles served without a compile. */
     double
     hitRate() const
     {

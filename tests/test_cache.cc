@@ -382,6 +382,23 @@ TEST(ProgramCache, InsertSeedsLaterHits)
 
     ProgramCache fresh_instance(cc); // and the spill is shared too
     EXPECT_EQ(fresh_instance.compile(d, cfg).stats.cacheHits, 1u);
+
+    // A program made elsewhere (e.g. derived for another register
+    // count) goes in as it is: fetch() hands out that very program,
+    // under the same key as the Dag overload, and it spills too.
+    PreparedDag prepared = prepareDag(d);
+    ArchConfig other = cfgOf(2, 8, 64);
+    auto shared = std::make_shared<const CompiledProgram>(compile(d, other));
+    cache.insert(prepared, other, {}, shared);
+    ProgramCache::Fetched got = cache.fetch(prepared, other);
+    EXPECT_TRUE(got.hit);
+    EXPECT_EQ(got.prog, shared);
+    s = cache.stats();
+    EXPECT_EQ(s.misses, 0u);
+    EXPECT_EQ(s.diskWrites, 2u);
+    EXPECT_EQ(cache.compile(d, other).stats.cacheHits, 1u);
+    ProgramCache reader(cc);
+    EXPECT_EQ(reader.compile(d, other).stats.cacheHits, 1u);
 }
 
 TEST(ProgramCache, LruEvictsOldestEntry)
@@ -401,35 +418,6 @@ TEST(ProgramCache, LruEvictsOldestEntry)
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_EQ(cache.compile(c, cfg).stats.cacheHits, 1u);
     EXPECT_EQ(cache.compile(a, cfg).stats.cacheHits, 0u); // was evicted
-}
-
-TEST(ProgramCache, HeldCertifiedProgramOutlivesItsLruEntry)
-{
-    // A one-program LRU: while a caller holds a's certified program,
-    // evicting it keeps a's group, so a's next R still derives and the
-    // held program is served again as a memory hit.
-    ProgramCacheConfig cc;
-    cc.maxEntries = 1;
-    ProgramCache cache(cc);
-    PreparedDag pa = prepareDag(generateRandomDag(16, 400, 9));
-    PreparedDag pb = prepareDag(generateRandomDag(16, 400, 10));
-    ProgramCache::Fetched held = cache.fetch(pa, cfgOf(2, 16, 64));
-    ASSERT_TRUE(held.prog->registers.valid);
-    cache.fetch(pb, cfgOf(2, 16, 64)); // evicts a's program
-
-    ProgramCache::Fetched again = cache.fetch(pa, cfgOf(2, 16, 64));
-    EXPECT_TRUE(again.hit);
-    EXPECT_FALSE(again.certified);
-    EXPECT_EQ(again.prog, held.prog);
-    cache.fetch(pb, cfgOf(2, 16, 64)); // a miss; evicts it again
-    EXPECT_TRUE(cache.fetch(pa, cfgOf(2, 16, 128)).certified);
-    EXPECT_EQ(cache.stats().misses, 3u); // a once, b twice
-
-    // Once nobody holds it, eviction releases the group.
-    held = {};
-    again = {};
-    cache.fetch(pb, cfgOf(2, 16, 64));
-    EXPECT_FALSE(cache.fetch(pa, cfgOf(2, 16, 256)).certified);
 }
 
 TEST(ProgramCache, CachedProgramStillSimulatesCorrectly)
@@ -680,8 +668,8 @@ TEST(ProgramCache, StructuralHashIsPinned)
     ArchConfig cfg = cfgOf(3, 8, 16);
     CompileOptions opt;
     opt.partitionNodes = 100;
-    EXPECT_EQ(registerFreeCacheKey(dagStructuralHash(nary), cfg, opt),
-              "f4ca536444a6be72-D3.B8-n1-m4096-b0-a1-w300-p100-s1");
+    EXPECT_EQ(programCacheKey(dagStructuralHash(nary), cfg, opt),
+              "f4ca536444a6be72-D3.B8.R16-n1-m4096-b0-a1-w300-p100-s1");
 }
 
 } // namespace

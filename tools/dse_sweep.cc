@@ -320,24 +320,36 @@ main(int argc, char **argv)
         std::printf("\n");
         shard_table.print();
 
+        // Point compiles served without compiling (cache hits and
+        // programs derived from a certified one), from the shard
+        // reports: derived points are not cache lookups.
+        uint64_t compiles = 0, served = 0, derived = 0;
+        for (const DseShardReport &r : sweep.shardReports) {
+            compiles += r.compiles;
+            served += r.cacheHits;
+            derived += r.certified;
+        }
         if (args.noCache) {
             std::printf("\ndse_sweep: %zu points in %.3fs (%.3fs "
                         "preparing the suite; program cache "
-                        "disabled)\n",
-                        pts.size(), seconds, sweep.prepareSeconds);
+                        "disabled), %llu of %llu point compiles "
+                        "derived from certified programs\n",
+                        pts.size(), seconds, sweep.prepareSeconds,
+                        static_cast<unsigned long long>(derived),
+                        static_cast<unsigned long long>(compiles));
         } else {
             ProgramCache::Stats cs = cache.stats();
             std::printf("\ndse_sweep: %zu points in %.3fs (%.3fs "
                         "preparing the suite); program cache "
-                        "%llu/%llu lookups served (hit rate %.2f), "
-                        "%llu of them derived from certified "
+                        "%llu/%llu point compiles served (hit rate "
+                        "%.2f), %llu of them derived from certified "
                         "programs\n",
                         pts.size(), seconds, sweep.prepareSeconds,
-                        static_cast<unsigned long long>(
-                            cs.hits + cs.diskHits + cs.certHits),
-                        static_cast<unsigned long long>(cs.lookups()),
-                        cs.hitRate(),
-                        static_cast<unsigned long long>(cs.certHits));
+                        static_cast<unsigned long long>(served),
+                        static_cast<unsigned long long>(compiles),
+                        compiles ? double(served) / double(compiles)
+                                 : 0.0,
+                        static_cast<unsigned long long>(derived));
             std::printf("dse_sweep: fragment cache %llu hits / %llu "
                         "misses across partition sub-DAGs\n",
                         static_cast<unsigned long long>(cs.fragHits),
