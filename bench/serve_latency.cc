@@ -4,8 +4,9 @@
  * cores "execute different DAGs" rather than one benchmarking batch).
  * The first latency-oriented workload in the repo: requests arrive
  * individually at an AsyncBatchServer holding several resident
- * programs, coalesce while every worker is busy (work-conserving
- * cuts: an idle worker takes whatever is queued), and the report
+ * programs, coalesce while their batch could not start (work-
+ * conserving cuts: a batch that could start now is cut at once), and
+ * the report
  * carries p50/p95/p99 request latency plus throughput for two arrival
  * modes:
  *
@@ -498,11 +499,11 @@ reportMode(bench::Context &ctx, TablePrinter &t, const char *mode,
  * Fleet mode (--ranks > 1): replay a seeded million-request-capable
  * open loop in virtual cycle time over the modeled fleet (sim/fleet).
  * The live-thread modes above exercise the rank-aware server on host
- * time; this scenario scales to hundreds of ranks because no host
- * thread ever sleeps — every arrival, batch cut, batch completion,
- * host-link transfer and core grant is a deterministic event on the
- * device clock. The
- * per-rank utilization, transfer-overhead and latency-percentile
+ * time; this scenario drives the same batch scheduler on the device
+ * clock, so it scales to hundreds of ranks because no host thread
+ * ever sleeps — every arrival, batch cut, placement, core grant,
+ * host-link transfer and batch completion is a deterministic event.
+ * The per-rank utilization, transfer-overhead and latency-percentile
  * series are the report tools/run_benches validates in fleet runs.
  */
 void

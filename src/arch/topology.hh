@@ -105,8 +105,8 @@ struct HostTransferModel {
 
 /** How the serving layer places resident programs across ranks. */
 enum class Placement : uint8_t {
-    Replicate, ///< hot programs: resident on every rank, batches go
-               ///  to the least-loaded rank
+    Replicate, ///< hot programs: resident on every rank, a batch goes
+               ///  to the rank with the fewest busy cores when cut
     Affinity,  ///< cold programs: pinned to one home rank chosen by
                ///  registration order
 };

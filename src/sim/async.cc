@@ -1,8 +1,6 @@
 #include "sim/async.hh"
 
 #include <algorithm>
-#include <iterator>
-#include <limits>
 #include <string>
 
 #include "support/logging.hh"
@@ -24,6 +22,15 @@ ticks(Clock::time_point t)
     return t.time_since_epoch().count();
 }
 
+AsyncServerConfig
+normalized(AsyncServerConfig config)
+{
+    dpu_assert(config.cores >= 1, "need at least one model core");
+    config.workers = std::max<uint32_t>(config.workers, 1);
+    config.ranks = std::max<uint32_t>(config.ranks, 1);
+    return config;
+}
+
 } // namespace
 
 double
@@ -41,28 +48,13 @@ AsyncBatchServer::predictedServiceUsLocked(const Resident &r,
 }
 
 AsyncBatchServer::AsyncBatchServer(AsyncServerConfig config_)
-    : config(config_)
+    : config(normalized(config_)),
+      scheduler(config.ranks, config.cores,
+                CutPolicy{config.maxBatch,
+                          std::chrono::duration_cast<Clock::duration>(
+                              config.batchWindow)
+                              .count()})
 {
-    dpu_assert(config.cores >= 1, "need at least one model core");
-    if (config.maxBatch < 1)
-        config.maxBatch = 1;
-    if (config.workers < 1)
-        config.workers = 1;
-    if (config.hostThreadsPerBatch < 1)
-        config.hostThreadsPerBatch = 1;
-    if (config.ranks < 1)
-        config.ranks = 1;
-    cutPolicy.maxBatch = config.maxBatch;
-    cutPolicy.window =
-        std::chrono::duration_cast<Clock::duration>(config.batchWindow)
-            .count();
-    // Global core id = rank * config.cores + local core. Rank 0's
-    // slice is the whole array on a single-rank server, so every
-    // pre-fleet index computation is unchanged.
-    size_t total = (size_t)config.ranks * config.cores;
-    coreReservedBy.assign(total, -1);
-    coreBusy.assign(total, false);
-    reservedPerRank.assign(config.ranks, 0);
     counters.perRank.resize(config.ranks);
 
     try {
@@ -120,78 +112,19 @@ AsyncBatchServer::addProgram(CompiledProgram program, QosSpec qos,
     Machine machine(program);
 
     std::lock_guard<std::mutex> lock(mutex);
-    if (qos.minCores > config.cores)
-        dpu_fatal("addProgram: QosSpec::minCores " +
-                  std::to_string(qos.minCores) + " exceeds the " +
-                  std::to_string(config.cores) + " modeled cores");
-    if (qos.maxCores != 0 && qos.maxCores < qos.minCores)
-        dpu_fatal("addProgram: QosSpec::maxCores " +
-                  std::to_string(qos.maxCores) + " below minCores " +
-                  std::to_string(qos.minCores));
-
-    // Resolve placement: a replicated program is resident (and
-    // reserves cores) on every rank; a pinned one only at its home
-    // rank, chosen round-robin by registration order.
-    bool replicated =
-        qos.placement.value_or(config.placement) == Placement::Replicate;
-    uint32_t home =
-        static_cast<uint32_t>(programs.size()) % config.ranks;
-    auto places_on = [](bool repl, uint32_t home_rank, uint32_t rank) {
-        return repl || home_rank == rank;
-    };
-    for (uint32_t rank = 0; rank < config.ranks; ++rank) {
-        if (!places_on(replicated, home, rank))
-            continue;
-        if (reservedPerRank[rank] + qos.minCores > config.cores)
-            dpu_fatal("addProgram: core reservations exhausted (" +
-                      std::to_string(reservedPerRank[rank]) + " of " +
-                      std::to_string(config.cores) +
-                      " already reserved, requested " +
-                      std::to_string(qos.minCores) + " more)");
-        uint32_t shared_after =
-            config.cores - reservedPerRank[rank] - qos.minCores;
-        if (shared_after == 0) {
-            bool unreserved_resident = qos.minCores == 0;
-            for (const Resident &o : programs)
-                if (places_on(o.replicated, o.homeRank, rank))
-                    unreserved_resident |= o.qos.minCores == 0;
-            if (unreserved_resident)
-                dpu_fatal(
-                    "addProgram: reservation would leave no shared "
-                    "core for resident programs without one");
-        }
-    }
-
+    // Validates and grants the core reservation, or throws having
+    // changed nothing.
+    uint32_t index = scheduler.addProgram(
+        qos.minCores, qos.maxCores,
+        qos.placement.value_or(config.placement));
     programs.push_back(Resident{});
     Resident &r = programs.back();
     r.prog = std::move(program);
     r.machine.emplace(std::move(machine));
     r.qos = qos;
-    r.index = static_cast<uint32_t>(programs.size() - 1);
     r.operations = operations;
     r.numInputs = r.prog.inputLocation.size();
-    r.replicated = replicated;
-    r.homeRank = home;
-
-    // Grant the reservation on every rank the program is placed on:
-    // the lowest-numbered shared cores of each rank become this
-    // program's own. The partition is static for the server's
-    // lifetime (programs cannot be removed).
-    for (uint32_t rank = 0; rank < config.ranks; ++rank) {
-        if (!places_on(replicated, home, rank))
-            continue;
-        uint32_t granted = 0;
-        for (uint32_t c = 0;
-             c < config.cores && granted < qos.minCores; ++c) {
-            size_t g = (size_t)rank * config.cores + c;
-            if (coreReservedBy[g] == -1) {
-                coreReservedBy[g] = static_cast<int32_t>(r.index);
-                ++granted;
-            }
-        }
-        reservedPerRank[rank] += qos.minCores;
-    }
-    return static_cast<ProgramHandle>(r.index);
+    return static_cast<ProgramHandle>(index);
 }
 
 AsyncBatchServer::ProgramHandle
@@ -288,15 +221,13 @@ AsyncBatchServer::trySubmit(ProgramHandle handle,
             }
         }
 
-        Request rq;
-        rq.input = std::move(input);
-        rq.arrival = now;
-        rq.deadline = deadline;
+        Scheduler::Request rq;
+        rq.payload.input = std::move(input);
+        rq.arrival = ticks(now);
         rq.hasDeadline = has_deadline;
-        rq.priority = prio;
-        out.future = rq.promise.get_future();
-        r.pending[cls].push_back(std::move(rq));
-        ++queued;
+        rq.deadline = ticks(deadline);
+        out.future = rq.payload.promise.get_future();
+        scheduler.enqueue(handle, prio, std::move(rq));
         ++counters.requests;
         ++cs.submitted;
         ++outstanding;
@@ -321,7 +252,16 @@ AsyncBatchServer::Stats
 AsyncBatchServer::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex);
-    return counters;
+    Stats s = counters;
+    const auto &cuts = scheduler.cuts();
+    s.sizeDispatches = cuts[static_cast<size_t>(CutReason::Size)];
+    s.drainDispatches = cuts[static_cast<size_t>(CutReason::Drain)];
+    s.idleDispatches = cuts[static_cast<size_t>(CutReason::Idle)];
+    s.deadlineDispatches = cuts[static_cast<size_t>(CutReason::Deadline)];
+    s.windowDispatches = cuts[static_cast<size_t>(CutReason::Window)];
+    s.batches = scheduler.batches();
+    s.maxBatchObserved = scheduler.maxBatchObserved();
+    return s;
 }
 
 size_t
@@ -341,79 +281,6 @@ AsyncBatchServer::programQos(ProgramHandle handle) const
     return programs[handle].qos;
 }
 
-QueueState
-AsyncBatchServer::queueStateLocked(const Resident &r, size_t cls) const
-{
-    const std::vector<Request> &queue = r.pending[cls];
-    QueueState q;
-    q.size = queue.size();
-    q.oldestArrival = ticks(queue.front().arrival);
-    for (const Request &rq : queue) {
-        if (rq.hasDeadline &&
-            (!q.hasDeadline || ticks(rq.deadline) < q.earliestDeadline)) {
-            q.earliestDeadline = ticks(rq.deadline);
-            q.hasDeadline = true;
-        }
-    }
-    if (q.hasDeadline) {
-        // Deadline lead: the historical per-program EWMA, raised to
-        // the static prediction for the batch this queue would cut
-        // right now. The model covers what history cannot — a pending
-        // batch shaped unlike anything served yet.
-        double predicted = predictedServiceUsLocked(
-            r, queue.size(),
-            std::min<uint32_t>(config.cores,
-                               static_cast<uint32_t>(queue.size())));
-        int64_t lead_us =
-            std::max(r.ewmaBatchUs, static_cast<int64_t>(predicted));
-        q.deadlineLead = std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::microseconds(lead_us))
-                             .count();
-    }
-    // A parked worker is idle unless a batch already in `ready` is
-    // its next job.
-    q.idle = parkedWorkers > ready.size();
-    q.draining = drainers > 0;
-    return q;
-}
-
-void
-AsyncBatchServer::cutBatchLocked(Resident &r, size_t cls,
-                                 CutReason reason)
-{
-    std::vector<Request> &queue = r.pending[cls];
-    size_t n = std::min(queue.size(), config.maxBatch);
-    Batch b;
-    b.resident = &r;
-    b.priority = static_cast<Priority>(cls);
-    b.seq = nextBatchSeq++;
-    b.rank = chooseRankLocked(r);
-    b.requests.assign(std::make_move_iterator(queue.begin()),
-                      std::make_move_iterator(queue.begin() +
-                                              static_cast<ptrdiff_t>(n)));
-    queue.erase(queue.begin(),
-                queue.begin() + static_cast<ptrdiff_t>(n));
-    queued -= n;
-    for (const Request &rq : b.requests) {
-        if (rq.hasDeadline &&
-            (!b.hasDeadline || rq.deadline < b.deadline)) {
-            b.deadline = rq.deadline;
-            b.hasDeadline = true;
-        }
-    }
-    ready.push_back(std::move(b));
-    ++counters.batches;
-    switch (reason) {
-    case CutReason::Size: ++counters.sizeDispatches; break;
-    case CutReason::Drain: ++counters.drainDispatches; break;
-    case CutReason::Idle: ++counters.idleDispatches; break;
-    case CutReason::Deadline: ++counters.deadlineDispatches; break;
-    case CutReason::Window: ++counters.windowDispatches; break;
-    }
-    counters.maxBatchObserved =
-        std::max<uint64_t>(counters.maxBatchObserved, n);
-}
-
 void
 AsyncBatchServer::batcherMain()
 {
@@ -422,137 +289,32 @@ AsyncBatchServer::batcherMain()
         if (stopping)
             return;
 
-        int64_t now = ticks(Clock::now());
-        bool have_wake = false;
-        int64_t next_wake = 0;
-        bool dispatched = false;
-        for (Resident &r : programs) {
-            for (size_t cls = 0; cls < kNumPriorities; ++cls) {
-                if (r.pending[cls].empty())
-                    continue;
-                CutDecision d =
-                    decideCut(cutPolicy, queueStateLocked(r, cls), now);
-                if (d.cut) {
-                    cutBatchLocked(r, cls, d.reason);
-                    dispatched = true;
-                } else if (!have_wake || d.wakeAt < next_wake) {
-                    next_wake = d.wakeAt;
-                    have_wake = true;
-                }
-            }
-        }
-        if (dispatched) {
+        uint64_t cut_before = scheduler.batches();
+        // Deadline lead: the program's EWMA of observed batch service
+        // time, raised to the static prediction for the batch the
+        // queue would cut now — the model covers what history cannot,
+        // a batch shaped unlike anything served yet.
+        auto lead = [this](uint32_t program, size_t runs) {
+            const Resident &r = programs[program];
+            double predicted = predictedServiceUsLocked(
+                r, runs, std::min<uint32_t>(config.cores, (uint32_t)runs));
+            return std::chrono::duration_cast<Clock::duration>(
+                       std::chrono::microseconds(std::max(
+                           r.ewmaBatchUs, (int64_t)predicted)))
+                .count();
+        };
+        std::optional<int64_t> wake = scheduler.cut(
+            ticks(Clock::now()), parkedWorkers, drainers > 0, lead);
+        if (scheduler.batches() != cut_before)
             workerCv.notify_all();
-            continue; // re-scan: a cut may have left a remainder
-        }
         // Woken early by a submit, a drain, a completion or a worker
         // parking — anything that can bring a cut forward.
-        if (have_wake)
+        if (wake)
             batcherCv.wait_until(
-                lock, Clock::time_point(Clock::duration(next_wake)));
+                lock, Clock::time_point(Clock::duration(*wake)));
         else
             batcherCv.wait(lock);
     }
-}
-
-uint32_t
-AsyncBatchServer::chooseRankLocked(const Resident &r) const
-{
-    if (!r.replicated || config.ranks == 1)
-        return r.homeRank;
-    // Replicated (hot) program: send the batch to the rank with the
-    // fewest busy cores right now, ties to the lowest rank id. On an
-    // idle fleet this is rank 0, matching the single-rank server.
-    uint32_t best_rank = 0;
-    uint32_t best_busy = std::numeric_limits<uint32_t>::max();
-    for (uint32_t rank = 0; rank < config.ranks; ++rank) {
-        uint32_t busy = 0;
-        for (uint32_t c = 0; c < config.cores; ++c)
-            busy += coreBusy[(size_t)rank * config.cores + c];
-        if (busy < best_busy) {
-            best_busy = busy;
-            best_rank = rank;
-        }
-    }
-    return best_rank;
-}
-
-size_t
-AsyncBatchServer::pickRunnableLocked() const
-{
-    // EDF within priority bands over the cut batches, restricted to
-    // batches whose program can be granted a model core right now
-    // (its own free reserved cores, or a free shared core). A lower
-    // band never waits behind a higher one, but an un-runnable
-    // high-band batch does not block backfilling the cores it cannot
-    // use anyway.
-    size_t best = std::numeric_limits<size_t>::max();
-    for (size_t k = 0; k < ready.size(); ++k) {
-        const Batch &b = ready[k];
-        int32_t owner = static_cast<int32_t>(b.resident->index);
-        size_t base = (size_t)b.rank * config.cores;
-        bool runnable = false;
-        for (uint32_t c = 0; c < config.cores && !runnable; ++c)
-            runnable = !coreBusy[base + c] &&
-                       (coreReservedBy[base + c] == owner ||
-                        coreReservedBy[base + c] == -1);
-        if (!runnable)
-            continue;
-        if (best == std::numeric_limits<size_t>::max()) {
-            best = k;
-            continue;
-        }
-        const Batch &cur = ready[best];
-        bool better;
-        if (b.priority != cur.priority)
-            better = b.priority < cur.priority;
-        else if (b.hasDeadline != cur.hasDeadline)
-            better = b.hasDeadline;
-        else if (b.hasDeadline && b.deadline != cur.deadline)
-            better = b.deadline < cur.deadline;
-        else
-            better = b.seq < cur.seq;
-        if (better)
-            best = k;
-    }
-    return best;
-}
-
-CoreSet
-AsyncBatchServer::acquireCoresLocked(const Batch &b)
-{
-    const Resident &r = *b.resident;
-    size_t limit = r.qos.maxCores ? r.qos.maxCores : config.cores;
-    limit = std::min(limit, b.requests.size());
-    if (limit < 1)
-        limit = 1;
-
-    CoreSet granted;
-    int32_t owner = static_cast<int32_t>(r.index);
-    size_t base = (size_t)b.rank * config.cores;
-    // Own reserved cores first — they are useless to anyone else —
-    // then spread into the shared pool up to the cap. Only the
-    // target rank's slice is eligible; ids stay global.
-    for (uint32_t c = 0; c < config.cores && granted.count() < limit;
-         ++c)
-        if (!coreBusy[base + c] && coreReservedBy[base + c] == owner)
-            granted.ids.push_back(static_cast<uint32_t>(base + c));
-    for (uint32_t c = 0; c < config.cores && granted.count() < limit;
-         ++c)
-        if (!coreBusy[base + c] && coreReservedBy[base + c] == -1)
-            granted.ids.push_back(static_cast<uint32_t>(base + c));
-    dpu_assert(!granted.empty(),
-               "picked a batch with no acquirable model core");
-    for (uint32_t c : granted.ids)
-        coreBusy[c] = true;
-    return granted;
-}
-
-void
-AsyncBatchServer::releaseCoresLocked(const CoreSet &granted)
-{
-    for (uint32_t c : granted.ids)
-        coreBusy[c] = false;
 }
 
 void
@@ -560,9 +322,9 @@ AsyncBatchServer::workerMain()
 {
     std::unique_lock<std::mutex> lock(mutex);
     for (;;) {
-        size_t idx = pickRunnableLocked();
-        if (idx == std::numeric_limits<size_t>::max()) {
-            if (stopping && ready.empty())
+        std::optional<Scheduler::Batch> next = scheduler.start();
+        if (!next) {
+            if (stopping && !scheduler.hasReady())
                 return;
             // Woken by a new ready batch, a core release, or
             // stopping — all of which mutate under this mutex, so no
@@ -570,39 +332,35 @@ AsyncBatchServer::workerMain()
             // parking worker is idle capacity: the batcher may cut a
             // queue for it at once instead of waiting out a window.
             ++parkedWorkers;
-            if (queued > 0)
+            if (scheduler.queued() > 0)
                 batcherCv.notify_one();
             workerCv.wait(lock);
             --parkedWorkers;
             continue;
         }
-        Batch batch = std::move(ready[idx]);
-        ready.erase(ready.begin() + static_cast<ptrdiff_t>(idx));
-        CoreSet granted = acquireCoresLocked(batch);
-        Resident *resident = batch.resident;
-        const Machine &machine = *resident->machine;
-        uint64_t operations = resident->operations;
+        Scheduler::Batch &batch = *next;
+        Resident &resident = programs[batch.program];
         // Predict this batch's service time with the calibration as
         // of dispatch: the predicted-vs-actual pair is the
         // measurable record of admission-estimate error.
         double predicted_us = predictedServiceUsLocked(
-            *resident, batch.requests.size(),
-            static_cast<uint32_t>(granted.count()));
+            resident, batch.requests.size(),
+            static_cast<uint32_t>(batch.cores.size()));
         ++counters.servicePredictions;
         lock.unlock();
 
         std::vector<std::vector<double>> inputs;
         inputs.reserve(batch.requests.size());
-        for (Request &rq : batch.requests)
-            inputs.push_back(std::move(rq.input));
+        for (Scheduler::Request &rq : batch.requests)
+            inputs.push_back(std::move(rq.payload.input));
 
         Clock::time_point service_start = Clock::now();
         BatchResult br;
         std::exception_ptr error;
         try {
-            br = BatchMachine(machine, RankSet{batch.rank, granted},
-                              operations, config.hostThreadsPerBatch,
-                              config.transfer)
+            br = BatchMachine(*resident.machine,
+                              RankSet{batch.rank, CoreSet{batch.cores}},
+                              resident.operations, 1, config.transfer)
                      .run(inputs);
         } catch (...) {
             error = std::current_exception();
@@ -614,13 +372,13 @@ AsyncBatchServer::workerMain()
                 .count();
 
         lock.lock();
-        releaseCoresLocked(granted);
+        scheduler.release(batch.cores);
         if (!error) {
             // A failed batch's (often near-zero) duration must not
             // drag the service estimate toward 0 and erode the
             // deadline lead of healthy batches.
-            resident->ewmaBatchUs = resident->ewmaBatchUs
-                ? (3 * resident->ewmaBatchUs + service_us) / 4
+            resident.ewmaBatchUs = resident.ewmaBatchUs
+                ? (3 * resident.ewmaBatchUs + service_us) / 4
                 : service_us;
             counters.modeledWallCycles += br.wallCycles;
             counters.totalOperations += br.totalOperations;
@@ -649,9 +407,9 @@ AsyncBatchServer::workerMain()
                     {predicted_us, double(service_us), br.wallCycles,
                      batch.requests.size()});
         }
-        for (const Request &rq : batch.requests) {
-            ClassStats &cs =
-                counters.perClass[static_cast<size_t>(rq.priority)];
+        ClassStats &cs =
+            counters.perClass[static_cast<size_t>(batch.priority)];
+        for (const Scheduler::Request &rq : batch.requests) {
             ++cs.completed;
             cs.lastCompletionSeq = ++counters.completions;
             // The order observable is bounded (kMaxCompletionRecords)
@@ -659,9 +417,9 @@ AsyncBatchServer::workerMain()
             // limit; the seq counters above stay exact regardless.
             if (counters.completionOrder.size() < kMaxCompletionRecords)
                 counters.completionOrder.push_back(
-                    {cs.lastCompletionSeq, batch.rank, rq.priority});
+                    {cs.lastCompletionSeq, batch.rank, batch.priority});
             if (rq.hasDeadline) {
-                if (completion <= rq.deadline)
+                if (ticks(completion) <= rq.deadline)
                     ++cs.deadlineHits;
                 else
                     ++cs.deadlineMisses;
@@ -671,11 +429,11 @@ AsyncBatchServer::workerMain()
         // lock: a client returning from future.get() must find its
         // own completion in stats().
         if (error) {
-            for (Request &rq : batch.requests)
-                rq.promise.set_exception(error);
+            for (Scheduler::Request &rq : batch.requests)
+                rq.payload.promise.set_exception(error);
         } else {
             for (size_t k = 0; k < batch.requests.size(); ++k)
-                batch.requests[k].promise.set_value(
+                batch.requests[k].payload.promise.set_value(
                     std::move(br.runs[k]));
         }
         outstanding -= batch.requests.size();
@@ -686,9 +444,9 @@ AsyncBatchServer::workerMain()
         // deadline's cut time, so a sleeping batcher must recompute
         // its wake-up too. Wake neither for nothing: every wake-up
         // is a context switch on the serving path.
-        if (!ready.empty())
+        if (scheduler.hasReady())
             workerCv.notify_all();
-        if (queued > 0)
+        if (scheduler.queued() > 0)
             batcherCv.notify_all();
     }
 }

@@ -8,10 +8,10 @@
  * requests arrive one at a time (`submit(handle, input)` returns a
  * std::future<SimResult>), are coalesced per resident program up to a
  * max batch size, and each ready batch is dispatched onto the existing
- * BatchMachine/worker-pool machinery. Batching is work-conserving
- * (sim/batching.hh): a queue is cut at once while a worker is idle,
- * and the configurable batching window holds it only while every
- * worker is busy. Multiple programs can be resident at once (the
+ * BatchMachine/worker-pool machinery. Every serving policy — the cut,
+ * placement, start order and core grants — is the BatchScheduler's
+ * (sim/batching.hh); the server is its threads and clock. Multiple
+ * programs can be resident at once (the
  * "execute different DAGs" mode); a cold program can be registered
  * through the compiler's ProgramCache so the first submit pays a
  * cache fetch instead of a full compile when the artifact is already
@@ -23,15 +23,14 @@
  *     inherited from its program's QosSpec or overridden per submit)
  *     and an optional deadline. Requests of different classes never
  *     share a batch.
- *   - While every worker is busy, the dispatcher cuts a batch
+ *   - While a batch could not start, the dispatcher cuts it
  *     *early* — before its window expires — when waiting longer
  *     would make the earliest request deadline unmeetable (leading
  *     the deadline by a service-time estimate: the per-program EWMA
  *     of observed batch service time, raised to the static
  *     prediction).
- *   - Ready batches are scheduled earliest-deadline-first within
- *     priority bands: any runnable interactive batch is picked before
- *     any batch-class batch; ties fall back to cut order.
+ *   - Ready batches start earliest-deadline-first within priority
+ *     bands: a runnable interactive batch before any batch-class one.
  *   - Per-program core reservations partition the modeled cores: a
  *     program with QosSpec::minCores owns that many cores outright
  *     (no other program's batches can occupy them), and maxCores caps
@@ -45,12 +44,13 @@
  *
  * Fleet layer (rank-aware placement): with AsyncServerConfig::ranks
  * > 1 the server models a host driving N identical ranks of `cores`
- * cores each. Resident programs are either replicated (hot: batches
- * go to the least-loaded rank at cut time) or pinned to a home rank
- * (cold: affinity keeps one rank's caches warm), per
- * AsyncServerConfig::placement / QosSpec::placement. Every dispatch
- * is charged the HostTransferModel's serialization + dispatch cost,
- * accounted per rank in Stats (never touching per-request results).
+ * cores each. Resident programs are either replicated (hot: a batch
+ * goes to the rank with the fewest busy cores when it is cut) or
+ * pinned to a home rank (cold: affinity keeps one rank's caches
+ * warm), per AsyncServerConfig::placement / QosSpec::placement. Every
+ * dispatch is charged the HostTransferModel's serialization +
+ * dispatch cost, accounted per rank in Stats (never touching
+ * per-request results). simulateFleet drives the same scheduler.
  *
  * Determinism: a request's SimResult is produced by a Machine run of
  * the resident program on that request's input — nothing about
@@ -84,17 +84,6 @@
 #include "sim/batching.hh"
 
 namespace dpu {
-
-/** Priority class of a request or a resident program. Lower value =
- *  more urgent; the scheduler serves bands in this order. */
-enum class Priority : uint8_t
-{
-    Interactive = 0, ///< Latency-sensitive traffic.
-    Batch = 1,       ///< Throughput traffic; yields to Interactive.
-};
-
-/** Number of priority bands (array extents in the stats). */
-inline constexpr size_t kNumPriorities = 2;
 
 /** Bound on Stats::completionOrder records (same policy as the
  *  bounded ServiceSamples): recording stops at the cap so
@@ -190,19 +179,14 @@ struct AsyncServerConfig
     size_t maxBatch = 8;
 
     /** How long the oldest pending request may wait for company
-     *  while every worker is busy, before its batch is cut anyway.
-     *  A queue is cut at once whenever a worker is idle, so the
-     *  window only ever adds latency that the busy workers would
-     *  have added too. Zero = never wait for company. */
+     *  while its batch could not start — no parked worker, or no
+     *  free core the program may take on its rank — before it is cut
+     *  anyway. Zero = never wait for company. */
     std::chrono::microseconds batchWindow{200};
 
     /** Host worker threads executing ready batches; batches of
      *  different (or the same) program run concurrently. */
     uint32_t workers = 1;
-
-    /** Host threads *inside* one BatchMachine dispatch (its
-     *  byte-identical worker pool); 1 = sequential per batch. */
-    uint32_t hostThreadsPerBatch = 1;
 
     /** Bound on requests admitted but not yet completed; 0 =
      *  unbounded (the pre-QoS behavior). Beyond it, trySubmit()
@@ -223,7 +207,10 @@ struct AsyncServerConfig
 };
 
 /**
- * A multi-program serving front-end over BatchMachine.
+ * A multi-program serving front-end over BatchMachine: a batcher
+ * thread asks the BatchScheduler to cut on the steady clock, and each
+ * of `workers` threads starts its next runnable batch, runs it on the
+ * granted cores and releases them.
  *
  * Thread-safe: submit()/trySubmit()/drain()/stats() may be called
  * from any number of client threads. The destructor drains
@@ -328,10 +315,13 @@ class AsyncBatchServer
     struct Stats
     {
         uint64_t requests = 0;         ///< Submitted (accepted).
-        uint64_t batches = 0;          ///< Dispatched.
-        uint64_t maxBatchObserved = 0; ///< Largest dispatched batch.
+
+        /** Cut counts, copied from the scheduler's per-reason array
+         *  (sim/batching.hh) when the snapshot is taken. */
+        uint64_t batches = 0;          ///< Cut, by any reason.
+        uint64_t maxBatchObserved = 0; ///< Largest cut batch.
         uint64_t sizeDispatches = 0;   ///< Batches cut by maxBatch.
-        uint64_t idleDispatches = 0;   ///< Cut for an idle worker.
+        uint64_t idleDispatches = 0;   ///< Cut to start at once.
         uint64_t windowDispatches = 0; ///< Batches cut by the window.
         uint64_t drainDispatches = 0;  ///< Batches cut by drain().
         uint64_t deadlineDispatches = 0; ///< Cut early for a deadline.
@@ -420,20 +410,17 @@ class AsyncBatchServer
     QosSpec programQos(ProgramHandle handle) const;
 
   private:
-    struct Request
+    /** What the scheduler carries per request for the server. */
+    struct Payload
     {
         std::vector<double> input;
         std::promise<SimResult> promise;
-        Clock::time_point arrival;
-        Clock::time_point deadline{};
-        bool hasDeadline = false;
-        Priority priority = Priority::Batch;
     };
+    using Scheduler = BatchScheduler<Payload>;
 
-    /** One resident program, its QoS contract, and one coalescing
-     *  queue per priority class (classes never share a batch).
-     *  Requests are appended in arrival order, so front() is always
-     *  oldest. */
+    /** One resident program and its QoS contract; its queues, core
+     *  reservation and placement live in the scheduler under the same
+     *  index. */
     struct Resident
     {
         CompiledProgram prog;
@@ -441,56 +428,13 @@ class AsyncBatchServer
          *  program runs it (Machine::run is const and thread-safe). */
         std::optional<Machine> machine;
         QosSpec qos;
-        uint32_t index = 0;       ///< Position in `programs`.
         uint64_t operations = 0;
         size_t numInputs = 0;
         int64_t ewmaBatchUs = 0;  ///< Observed batch service time.
-        bool replicated = true;   ///< Resolved placement policy.
-        uint32_t homeRank = 0;    ///< Affinity home (index % ranks).
-        std::array<std::vector<Request>, kNumPriorities> pending;
-    };
-
-    /** A cut batch waiting for a worker and for model cores. */
-    struct Batch
-    {
-        Resident *resident = nullptr;
-        std::vector<Request> requests;
-        Priority priority = Priority::Batch;
-        Clock::time_point deadline{}; ///< Earliest request deadline.
-        bool hasDeadline = false;
-        uint64_t seq = 0; ///< Cut order (FIFO tiebreak within a band).
-        uint32_t rank = 0; ///< Target rank, chosen at cut time.
     };
 
     void batcherMain();
     void workerMain();
-
-    /** The cut policy's view of `r`'s non-empty class-`cls` queue,
-     *  in steady-clock ticks. Lock held. */
-    QueueState queueStateLocked(const Resident &r, size_t cls) const;
-
-    /** Move up to maxBatch requests of `r`'s class-`cls` queue onto
-     *  the ready queue, counting the cut under `reason`. Lock held. */
-    void cutBatchLocked(Resident &r, size_t cls, CutReason reason);
-
-    /** EDF-within-priority-bands pick over `ready`, restricted to
-     *  batches that can acquire at least one model core right now;
-     *  SIZE_MAX when none is runnable. Lock held. */
-    size_t pickRunnableLocked() const;
-
-    /** Rank a freshly cut batch of `r` targets: the home rank for a
-     *  pinned program, the rank with the fewest busy cores (ties to
-     *  the lowest id) for a replicated one. Lock held. */
-    uint32_t chooseRankLocked(const Resident &r) const;
-
-    /** Grant `b` its model cores on its target rank: the program's
-     *  free reserved cores first, then free shared cores, capped by
-     *  QosSpec::maxCores and the batch size. Core ids are global
-     *  (rank * cores + c). Marks them busy. Lock held. */
-    CoreSet acquireCoresLocked(const Batch &b);
-
-    /** Inverse of acquireCoresLocked(). Lock held. */
-    void releaseCoresLocked(const CoreSet &granted);
 
     /** Predicted service time (us) of a `runs` x `cores` batch of
      *  `r`'s program; 0 while uncalibrated. Lock held. */
@@ -498,7 +442,6 @@ class AsyncBatchServer
                                     uint32_t cores) const;
 
     AsyncServerConfig config;
-    CutPolicy cutPolicy; ///< maxBatch and batchWindow, in clock ticks.
 
     mutable std::mutex mutex;
     /** submit/drain/completion/parked worker -> batcher. */
@@ -509,26 +452,15 @@ class AsyncBatchServer
     /** Resident programs; deque keeps addresses stable while growing. */
     std::deque<Resident> programs;
 
-    /** Static core partition over all ranks' cores (global core id =
-     *  rank * config.cores + c): owning program index, or -1 =
-     *  shared. */
-    std::vector<int32_t> coreReservedBy;
-    /** Dynamic occupancy: true while a dispatched batch holds it. */
-    std::vector<bool> coreBusy;
-    /** Sum of granted minCores, per rank (a replicated program
-     *  reserves on every rank, a pinned one only at home). */
-    std::vector<uint32_t> reservedPerRank;
+    Scheduler scheduler; ///< In steady-clock ticks.
 
-    std::vector<Batch> ready;
-    uint64_t nextBatchSeq = 0;
     uint64_t outstanding = 0; ///< Accepted but not yet completed.
-    uint64_t queued = 0;      ///< Accepted but not yet cut.
     uint32_t drainers = 0;    ///< drain() calls in progress.
     /** Workers waiting for a runnable batch. The ones not spoken for
-     *  by a batch already in `ready` are idle. */
+     *  by a ready batch are available for a new cut. */
     uint32_t parkedWorkers = 0;
     bool stopping = false;    ///< Destructor: threads exit when idle.
-    Stats counters;
+    Stats counters; ///< All but the cut counts (see stats()).
 
     std::thread batcher;
     std::vector<std::thread> pool;

@@ -15,9 +15,9 @@ decideCut(const CutPolicy &policy, const QueueState &queue, int64_t now)
     if (queue.idle)
         return {true, CutReason::Idle, 0};
 
-    // Every worker is busy. The window says "wait for company"; a
-    // deadline says "stop waiting while it is still meetable". Cut at
-    // whichever comes first.
+    // The batch could not start now. The window says "wait for
+    // company"; a deadline says "stop waiting while it is still
+    // meetable". Cut at whichever comes first.
     int64_t cut_at = queue.oldestArrival + policy.window;
     CutReason reason = CutReason::Window;
     if (queue.hasDeadline &&

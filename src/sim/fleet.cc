@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
-#include <tuple>
+#include <map>
+#include <optional>
+#include <variant>
 #include <vector>
 
 #include "sim/batching.hh"
@@ -28,24 +29,6 @@ percentileCycles(std::vector<uint64_t> &lat, double q)
     return (double)lat[(size_t)k];
 }
 
-/** One (rank, workload) coalescing slot. */
-struct Slot
-{
-    std::vector<uint64_t> arrivals; ///< Arrival cycles, oldest first.
-    int64_t wakeAt = -1; ///< Cycle of its live wake event; -1 = none.
-};
-
-/** Event kinds, in same-cycle processing order. */
-enum EventKind : uint8_t
-{
-    /** A batch finished on `rank`: its freed cores may let every
-     *  pending slot of the rank cut now (the server's completion ->
-     *  batcher wake-up). */
-    Completion = 0,
-    /** Slot (rank, w) asked to be decided again at this cycle. */
-    Wake = 1,
-};
-
 } // namespace
 
 FleetSimReport
@@ -66,7 +49,6 @@ simulateFleet(const FleetSimOptions &options,
     mean_run /= total_weight;
     dpu_assert(options.load > 0, "fleet load must be > 0");
     dpu_assert(options.requests >= 1, "fleet needs >= 1 request");
-    size_t max_batch = options.maxBatch < 1 ? 1 : options.maxBatch;
 
     const uint32_t ranks = options.topology.ranks;
     const uint32_t cores = options.topology.coresPerRank;
@@ -76,121 +58,73 @@ simulateFleet(const FleetSimOptions &options,
         (double)options.topology.totalCores() / mean_run;
     double mean_gap = 1.0 / (options.load * capacity);
 
-    // Per-rank state: a serialized host link, per-core free times,
-    // and a running assigned-compute counter (the replicate policy's
-    // least-loaded signal — monotone, so placement is deterministic).
-    std::vector<uint64_t> link_free(ranks, 0);
-    std::vector<std::vector<uint64_t>> core_free(
-        ranks, std::vector<uint64_t>(cores, 0));
-    std::vector<uint64_t> assigned(ranks, 0);
+    // The serving core on the device clock. Workload w is program w;
+    // the fleet carries no payload, deadline or core reservation.
+    using Scheduler = BatchScheduler<std::monostate>;
+    Scheduler sched(
+        ranks, cores,
+        CutPolicy{options.maxBatch, (int64_t)std::min<uint64_t>(
+                                 options.windowCycles, uint64_t{1} << 62)});
+    for (size_t w = 0; w < mix.size(); ++w)
+        sched.addProgram(0, 0, options.placement);
 
     FleetSimReport rep;
     rep.perRank.resize(ranks);
     std::vector<std::vector<uint64_t>> latencies(ranks);
-
-    std::vector<Slot> slots((size_t)ranks * mix.size());
-    auto slot_at = [&](uint32_t rank, size_t w) -> Slot & {
-        return slots[(size_t)rank * mix.size() + w];
-    };
-
-    // Completions and wake-ups, processed in cycle order so the host
-    // link sees causally ordered dispatches. (cycle, kind, rank, w).
-    using Event = std::tuple<uint64_t, EventKind, uint32_t, size_t>;
-    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
-        events;
-
-    // The server's cut policy, on the device clock. A worker there is
-    // a core here: a rank is idle while one of its cores is free.
-    CutPolicy policy;
-    policy.maxBatch = max_batch;
-    policy.window = (int64_t)std::min<uint64_t>(options.windowCycles,
-                                                uint64_t{1} << 62);
-
+    std::vector<uint64_t> link_free(ranks, 0); ///< Serialized host link.
+    // Started batches' cores, by completion cycle (equal cycles in
+    // start order).
+    std::multimap<uint64_t, std::vector<uint32_t>> running;
+    std::optional<int64_t> wake; ///< The scheduler's next cut time.
     uint64_t horizon = 0;
 
-    // Dispatch a slot's batch at `cut`: the host link serializes the
-    // payload, then min(cores, runs) lockstep cores run
-    // ceil(runs/granted) programs back to back (BatchMachine's wall
-    // clock), and every request in the batch completes together.
-    auto dispatch = [&](uint32_t rank, size_t w, uint64_t cut,
-                        CutReason reason) {
-        Slot &slot = slot_at(rank, w);
-        const FleetWorkloadModel &wl = mix[w];
-        size_t runs = slot.arrivals.size();
+    // One tick: release what completes, cut, and start every batch
+    // that can get a core. The host link serializes a batch's
+    // payload, then its granted cores run ceil(runs/granted) programs
+    // back to back in lockstep (BatchMachine's wall clock), and every
+    // request in the batch completes together.
+    auto step = [&](uint64_t now) {
+        while (!running.empty() && running.begin()->first <= now) {
+            sched.release(running.begin()->second);
+            running.erase(running.begin());
+        }
+        // No host threads: a worker is always available.
+        wake = sched.cut((int64_t)now, UINT64_MAX, false,
+                         [](uint32_t, size_t) { return int64_t{0}; });
+        while (std::optional<Scheduler::Batch> b = sched.start()) {
+            const FleetWorkloadModel &wl = mix[b->program];
+            size_t runs = b->requests.size();
+            uint64_t xfer =
+                options.transfer.batchCycles(wl.hostBytes, runs);
+            uint64_t link_done = std::max(now, link_free[b->rank]) + xfer;
+            link_free[b->rank] = link_done;
+            size_t granted = b->cores.size();
+            uint64_t completion =
+                link_done + (runs + granted - 1) / granted * wl.runCycles;
+            running.emplace(completion, std::move(b->cores));
 
-        uint64_t xfer =
-            options.transfer.batchCycles(wl.hostBytes, runs);
-        uint64_t link_start = std::max(cut, link_free[rank]);
-        uint64_t link_done = link_start + xfer;
-        link_free[rank] = link_done;
-
-        size_t granted = std::min<size_t>(cores, runs);
-        // The `granted` earliest-free cores of the rank, ties to the
-        // lowest core id.
-        std::vector<uint32_t> order(cores);
-        for (uint32_t c = 0; c < cores; ++c)
-            order[c] = c;
-        std::partial_sort(
-            order.begin(), order.begin() + (ptrdiff_t)granted,
-            order.end(), [&](uint32_t a, uint32_t b) {
-                return std::tie(core_free[rank][a], a) <
-                       std::tie(core_free[rank][b], b);
-            });
-        uint64_t start = link_done;
-        for (size_t g = 0; g < granted; ++g)
-            start = std::max(start, core_free[rank][order[g]]);
-        uint64_t per_core = (runs + granted - 1) / granted;
-        uint64_t completion = start + per_core * wl.runCycles;
-        for (size_t g = 0; g < granted; ++g)
-            core_free[rank][order[g]] = completion;
-        events.emplace(completion, Completion, rank, 0);
-
-        FleetRankReport &rs = rep.perRank[rank];
-        ++rs.batches;
-        rs.requests += runs;
-        rs.computeCycles += runs * wl.runCycles;
-        rs.transferCycles += xfer;
-        for (uint64_t arrival : slot.arrivals)
-            latencies[rank].push_back(completion - arrival);
-        horizon = std::max(horizon, completion);
-        ++rep.cuts[(size_t)reason];
-
-        slot.arrivals.clear();
-        slot.wakeAt = -1;
-    };
-
-    // Ask the cut policy about slot (rank, w) at `now`: cut it, or
-    // schedule the wake-up it names.
-    auto decide = [&](uint32_t rank, size_t w, uint64_t now) {
-        Slot &slot = slot_at(rank, w);
-        if (slot.arrivals.empty())
-            return;
-        QueueState q;
-        q.size = slot.arrivals.size();
-        q.oldestArrival = (int64_t)slot.arrivals.front();
-        q.idle = std::any_of(core_free[rank].begin(),
-                             core_free[rank].end(),
-                             [&](uint64_t free) { return free <= now; });
-        CutDecision d = decideCut(policy, q, (int64_t)now);
-        if (d.cut) {
-            dispatch(rank, w, now, d.reason);
-        } else if (d.wakeAt != slot.wakeAt) {
-            slot.wakeAt = d.wakeAt;
-            events.emplace((uint64_t)d.wakeAt, Wake, rank, w);
+            FleetRankReport &rs = rep.perRank[b->rank];
+            ++rs.batches;
+            rs.requests += runs;
+            rs.computeCycles += runs * wl.runCycles;
+            rs.transferCycles += xfer;
+            for (const Scheduler::Request &rq : b->requests)
+                latencies[b->rank].push_back(completion -
+                                             (uint64_t)rq.arrival);
+            horizon = std::max(horizon, completion);
         }
     };
 
-    auto process_until = [&](uint64_t now) {
-        while (!events.empty() && std::get<0>(events.top()) <= now) {
-            auto [at, kind, rank, w] = events.top();
-            events.pop();
-            if (kind == Completion) {
-                for (size_t v = 0; v < mix.size(); ++v)
-                    decide(rank, v, at);
-            } else if (slot_at(rank, w).wakeAt == (int64_t)at) {
-                slot_at(rank, w).wakeAt = -1;
-                decide(rank, w, at);
-            } // else stale: the slot was cut before its wake-up
+    // Step through every completion and wake-up before `until`.
+    auto advance = [&](uint64_t until) {
+        for (;;) {
+            uint64_t next = running.empty() ? UINT64_MAX
+                                            : running.begin()->first;
+            if (wake)
+                next = std::min(next, (uint64_t)*wake);
+            if (next >= until)
+                return;
+            step(next);
         }
     };
 
@@ -210,29 +144,17 @@ simulateFleet(const FleetSimOptions &options,
                 break;
         }
 
-        process_until(now);
-
-        // Placement, as in AsyncBatchServer: affinity pins workload
-        // w to its home rank; replicate targets the rank with the
-        // least compute assigned so far (ties to the lowest id).
-        uint32_t rank;
-        if (options.placement == Placement::Affinity) {
-            rank = (uint32_t)(w % ranks);
-        } else {
-            rank = 0;
-            for (uint32_t r = 1; r < ranks; ++r)
-                if (assigned[r] < assigned[rank])
-                    rank = r;
-        }
-        assigned[rank] += mix[w].runCycles;
-
-        slot_at(rank, w).arrivals.push_back(now);
-        decide(rank, w, now);
+        advance(now);
+        Scheduler::Request rq;
+        rq.arrival = (int64_t)now;
+        sched.enqueue((uint32_t)w, Priority::Batch, rq);
+        step(now);
     }
 
-    // Run out the clock: every pending slot is cut by a completion
-    // or its window.
-    process_until(UINT64_MAX);
+    // Run out the clock: every queue is cut by a freed core or its
+    // window, and every batch completes.
+    advance(UINT64_MAX);
+    rep.cuts = sched.cuts();
 
     // Fold the report.
     std::vector<uint64_t> all;

@@ -4,19 +4,18 @@
  *
  * AsyncBatchServer serves *real* simulations on host threads, which
  * caps how much fleet a test machine can express (every request costs
- * a cycle-accurate Machine run). This model keeps the same serving
- * structure — per-(rank, program) coalescing queues cut by the
- * server's own work-conserving policy (sim/batching.hh: a queue is
- * cut at once while one of its rank's cores is free, and waits for
- * company only while every core is busy), placement policies, a
- * serialized host link per rank charged by the HostTransferModel,
- * lockstep cores — but replaces execution with the statically exact
- * per-run cycle counts (the schedule never stalls, so a run's cycles
- * are fixed at compile time). That turns a million-request open loop
- * over hundreds of ranks into arithmetic: seeded Poisson arrivals and
- * batch completions are replayed as events in virtual cycle time, and
- * the model reports transfer-inclusive latency percentiles, per-rank
- * utilization and transfer overhead.
+ * a cycle-accurate Machine run). This model drives the server's own
+ * BatchScheduler (sim/batching.hh) — the same per-program coalescing
+ * queues, cut rule, placement at cut time, start order and core
+ * grants — with a serialized host link per rank charged by the
+ * HostTransferModel and lockstep cores, but replaces execution with
+ * the statically exact per-run cycle counts (the schedule never
+ * stalls, so a run's cycles are fixed at compile time). That turns a
+ * million-request open loop over hundreds of ranks into arithmetic:
+ * seeded Poisson arrivals and batch completions are replayed as
+ * events in virtual cycle time, and the model reports
+ * transfer-inclusive latency percentiles, per-rank utilization and
+ * transfer overhead.
  *
  * Deterministic by construction: the report is a pure function of
  * (options, workloads) — no wall clock, no host threads.
@@ -54,7 +53,7 @@ struct FleetSimOptions
     size_t maxBatch = 8; ///< Cut a batch at this size.
 
     /** How long the oldest pending request may wait for company
-     *  while every core of its rank is busy (see CutPolicy). */
+     *  while its rank has no free core (see CutPolicy). */
     uint64_t windowCycles = 2048;
 
     /** Offered load as a fraction of the fleet's aggregate compute
@@ -110,10 +109,14 @@ struct FleetSimReport
 
 /**
  * Replay a seeded Poisson open loop against the modeled fleet.
- * Placement follows the serving policies: Replicate sends each
- * request to the least-loaded rank at arrival time, Affinity pins
- * workload k to rank k % ranks. Identical (options, workloads) always
- * produce an identical report.
+ * Workload k is resident program k of the BatchScheduler, with no
+ * core reservation: Replicate sends each batch, when it is cut, to
+ * the rank with the fewest busy cores; Affinity pins workload k to
+ * rank k % ranks. There are no host workers to wait for, so a queue
+ * is cut Idle whenever its rank has a free core. A started batch holds
+ * the cores free at its start (at most one per run) from then until
+ * its host transfer and ceil(runs / cores) back-to-back runs are done.
+ * Identical (options, workloads) always produce an identical report.
  */
 FleetSimReport simulateFleet(const FleetSimOptions &options,
                              const std::vector<FleetWorkloadModel> &mix);

@@ -116,12 +116,11 @@ TEST(AsyncServer, DeterministicAcrossArrivalOrdersAndConfigs)
         size_t maxBatch;
         std::chrono::microseconds window;
         uint32_t workers;
-        uint32_t perBatch;
     };
     const Shape shapes[] = {
-        {1, std::chrono::microseconds(0), 1, 1},   // no coalescing
-        {3, std::chrono::microseconds(50), 2, 1},  // tiny window
-        {16, std::chrono::microseconds(5000), 4, 4}, // big batches
+        {1, std::chrono::microseconds(0), 1},    // no coalescing
+        {3, std::chrono::microseconds(50), 2},   // tiny window
+        {16, std::chrono::microseconds(5000), 4}, // big batches
     };
 
     std::mt19937 gen(55);
@@ -135,7 +134,6 @@ TEST(AsyncServer, DeterministicAcrossArrivalOrdersAndConfigs)
             cfg.maxBatch = shape.maxBatch;
             cfg.batchWindow = shape.window;
             cfg.workers = shape.workers;
-            cfg.hostThreadsPerBatch = shape.perBatch;
             AsyncBatchServer server(cfg);
             auto h = server.addProgram(prog);
 
@@ -317,6 +315,61 @@ TEST(AsyncServer, FullBatchDispatchesWithoutDrain)
     auto s = server.stats();
     EXPECT_EQ(s.windowDispatches, 0u);
     EXPECT_EQ(s.sizeDispatches + s.idleDispatches, s.batches);
+}
+
+TEST(AsyncServer, IdleCutWaitsForAFreeCore)
+{
+    // One model core, two workers. While r1's batch holds the core the
+    // second worker is parked, but a batch cut for it could not start:
+    // r2 must wait for company, and r2..r5 leave as one batch when the
+    // core frees. Cutting r2 alone for the parked worker made three
+    // batches where two suffice. A lone run lasts ~0.2 ms here, so an
+    // attempt only counts when r1 still held the core after r5 was
+    // submitted (the scheduler's exact rule is pinned in
+    // BatchScheduler.IdleNeedsAFreeEligibleCore).
+    static const Dag d = generateRandomDag(16, 100000, 97);
+    static const CompiledProgram prog = compile(d, smallConfig());
+    auto inputs = makeInputs(d, 5, 98);
+    const Machine reference(prog);
+
+    AsyncServerConfig cfg;
+    cfg.cores = 1;
+    cfg.workers = 2;
+    cfg.maxBatch = 8;
+    cfg.batchWindow = std::chrono::seconds(30);
+    for (int attempt = 0; attempt < 50; ++attempt) {
+        AsyncBatchServer server(cfg);
+        auto h = server.addProgram(prog);
+        auto f1 = server.submit(h, inputs[0]);
+        // Bumped under the server lock as r1's batch takes the core.
+        while (server.stats().servicePredictions < 1)
+            std::this_thread::yield();
+        std::vector<std::future<SimResult>> rest;
+        rest.push_back(server.submit(h, inputs[1]));
+        // Time for the batcher to cut r2 alone, were it to.
+        auto until = AsyncBatchServer::Clock::now() +
+                     std::chrono::microseconds(50);
+        while (server.stats().batches < 2 &&
+               AsyncBatchServer::Clock::now() < until)
+            std::this_thread::yield();
+        for (size_t k = 2; k < inputs.size(); ++k)
+            rest.push_back(server.submit(h, inputs[k]));
+        bool held = f1.wait_for(std::chrono::seconds(0)) ==
+                    std::future_status::timeout;
+        // No drain(): it would cut r2..r5 at once. The freed core
+        // does, long before the window.
+        expectIdentical(f1.get(), reference.run(inputs[0]));
+        for (size_t k = 0; k < rest.size(); ++k)
+            expectIdentical(rest[k].get(), reference.run(inputs[k + 1]));
+        if (!held)
+            continue; // r1 finished before r5 arrived: retry
+        auto s = server.stats();
+        EXPECT_EQ(s.batches, 2u);
+        EXPECT_EQ(s.idleDispatches, 2u);
+        EXPECT_EQ(s.maxBatchObserved, 4u);
+        return;
+    }
+    FAIL() << "r1's batch never outlasted the four submits";
 }
 
 TEST(AsyncServer, SubmitValidatesHandleAndInputSize)

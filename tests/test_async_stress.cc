@@ -130,7 +130,6 @@ TEST_P(AsyncStress, ServedResultsMatchSerialReplay)
     const uint64_t window_us[] = {0, 100, 2000};
     cfg.batchWindow =
         std::chrono::microseconds(window_us[shape_rng.next() % 3]);
-    cfg.hostThreadsPerBatch = 1 + shape_rng.next() % 2;
     // Either unbounded or roomy-but-finite: small depths would turn
     // most of the load into (legitimate) rejections and starve the
     // determinism comparison of samples.

@@ -1,20 +1,26 @@
 /**
  * @file
- * Tests for the batch-cut policy core (sim/batching.hh), the one
- * decision AsyncBatchServer and simulateFleet share. The policy is a
- * pure function of integer ticks, so every batching rule the server's
- * threaded tests can only bound is pinned exactly here under a
- * virtual clock: the reason precedence (size > drain > idle >
+ * Tests for the batch scheduler (sim/batching.hh), the serving core
+ * AsyncBatchServer and simulateFleet share. It reads no clock and
+ * starts no thread, so every rule the server's threaded tests can
+ * only bound is pinned exactly here under scripted ticks. CutPolicy:
+ * the cut rule alone — the reason precedence (size > drain > idle >
  * deadline > window), the wake-up times, and the deadline lead.
+ * BatchScheduler: placement, core grants, the start order, and the
+ * idle rule over workers and free cores.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "sim/batching.hh"
+#include "support/logging.hh"
+#include "support/rng.hh"
 
 namespace dpu {
 namespace {
@@ -241,6 +247,352 @@ TEST(CutPolicy, DeadlineLeadBeatsTheWindow)
     // A longer estimate brings the cut forward by the same amount.
     q.deadlineLead = 3'000;
     EXPECT_EQ(decideCut(policy, q, 0).wakeAt, 2'000);
+}
+
+
+// ------------------------------------------------------------------ //
+// BatchScheduler: the policies around the cut, over scripted ticks.  //
+// ------------------------------------------------------------------ //
+
+/** Payload: the request's id, so batch compositions are visible. */
+using Sched = BatchScheduler<int>;
+
+constexpr uint64_t kAnyWorker = UINT64_MAX;
+
+int64_t
+noLead(uint32_t, size_t)
+{
+    return 0;
+}
+
+void
+enqueue(Sched &s, uint32_t program, int id, int64_t at,
+        Priority priority = Priority::Batch, int64_t deadline = -1)
+{
+    Sched::Request rq;
+    rq.payload = id;
+    rq.arrival = at;
+    rq.hasDeadline = deadline >= 0;
+    rq.deadline = deadline;
+    s.enqueue(program, priority, rq);
+}
+
+std::vector<int>
+ids(const Sched::Batch &b)
+{
+    std::vector<int> out;
+    for (const Sched::Request &rq : b.requests)
+        out.push_back(rq.payload);
+    return out;
+}
+
+uint64_t
+cutsFor(const Sched &s, CutReason reason)
+{
+    return s.cuts()[static_cast<size_t>(reason)];
+}
+
+TEST(BatchScheduler, ReplicatedBatchesGoToTheRankWithFewestBusyCores)
+{
+    // 3 ranks x 2 cores. Each lone request is cut at once and takes
+    // one core; the next goes to the rank with the fewest busy cores,
+    // ties to the lowest id.
+    Sched s(3, 2, CutPolicy{8, 1000});
+    s.addProgram(0, 0, Placement::Replicate);
+    const uint32_t expectRank[] = {0, 1, 2, 0, 1, 2};
+    const uint32_t expectCore[] = {0, 2, 4, 1, 3, 5};
+    std::vector<Sched::Batch> held;
+    for (int k = 0; k < 6; ++k) {
+        enqueue(s, 0, k, 10 * k);
+        EXPECT_FALSE(s.cut(10 * k, kAnyWorker, false, noLead));
+        std::optional<Sched::Batch> b = s.start();
+        ASSERT_TRUE(b);
+        EXPECT_EQ(b->rank, expectRank[k]) << "request " << k;
+        EXPECT_EQ(b->cores, std::vector<uint32_t>{expectCore[k]});
+        held.push_back(std::move(*b));
+    }
+    EXPECT_EQ(cutsFor(s, CutReason::Idle), 6u);
+    // Freeing rank 1 makes it the least busy again.
+    s.release(held[1].cores);
+    s.release(held[4].cores);
+    enqueue(s, 0, 6, 100);
+    s.cut(100, kAnyWorker, false, noLead);
+    std::optional<Sched::Batch> b = s.start();
+    ASSERT_TRUE(b);
+    EXPECT_EQ(b->rank, 1u);
+    EXPECT_EQ(b->cores, std::vector<uint32_t>{2});
+}
+
+TEST(BatchScheduler, AffinityPinsEachProgramToItsHomeRank)
+{
+    // Program k's home is rank k % 3, however busy it is.
+    Sched s(3, 2, CutPolicy{8, 1000});
+    for (int p = 0; p < 4; ++p)
+        s.addProgram(0, 0, Placement::Affinity);
+    const uint32_t home[] = {0, 1, 2, 0};
+    for (uint32_t p = 0; p < 4; ++p) {
+        enqueue(s, p, static_cast<int>(p), 0);
+        s.cut(0, kAnyWorker, false, noLead);
+        std::optional<Sched::Batch> b = s.start();
+        ASSERT_TRUE(b);
+        EXPECT_EQ(b->rank, home[p]) << "program " << p;
+    }
+    // Rank 0 now has both cores busy (programs 0 and 3): program 3's
+    // next request still targets it, and is not idle there.
+    enqueue(s, 3, 9, 5);
+    std::optional<int64_t> wake = s.cut(5, kAnyWorker, false, noLead);
+    ASSERT_TRUE(wake);
+    EXPECT_EQ(*wake, 1005);
+    EXPECT_FALSE(s.hasReady());
+}
+
+TEST(BatchScheduler, GrantsOwnReservedCoresFirstThenSharedOnes)
+{
+    // One rank of 4 cores. Program 0 reserves 1 core (core 0) and may
+    // spread to 3; program 1 has no reservation.
+    Sched s(1, 4, CutPolicy{8, 1000});
+    EXPECT_EQ(s.addProgram(1, 3, Placement::Replicate), 0u);
+    EXPECT_EQ(s.addProgram(0, 0, Placement::Replicate), 1u);
+
+    // Capped by the batch size: two runs, two cores, own one first.
+    for (int k = 0; k < 2; ++k)
+        enqueue(s, 0, k, 0);
+    s.cut(0, kAnyWorker, true, noLead);
+    std::optional<Sched::Batch> a = s.start();
+    ASSERT_TRUE(a);
+    EXPECT_EQ(a->cores, (std::vector<uint32_t>{0, 1}));
+
+    // Program 1 never takes program 0's core: only shared 2 and 3.
+    for (int k = 0; k < 8; ++k)
+        enqueue(s, 1, 10 + k, 0);
+    s.cut(0, kAnyWorker, false, noLead);
+    std::optional<Sched::Batch> b = s.start();
+    ASSERT_TRUE(b);
+    EXPECT_EQ(b->cores, (std::vector<uint32_t>{2, 3}));
+
+    // Only cores free now are granted: with 0 and 1 back, an 8-run
+    // batch of program 0 takes just those two.
+    s.release(a->cores);
+    for (int k = 0; k < 8; ++k)
+        enqueue(s, 0, 20 + k, 1);
+    s.cut(1, kAnyWorker, false, noLead);
+    std::optional<Sched::Batch> c = s.start();
+    ASSERT_TRUE(c);
+    EXPECT_EQ(c->cores, (std::vector<uint32_t>{0, 1}));
+
+    // Capped by maxCores: with every core free, 3 of 4.
+    s.release(b->cores);
+    s.release(c->cores);
+    for (int k = 0; k < 8; ++k)
+        enqueue(s, 0, 30 + k, 2);
+    s.cut(2, kAnyWorker, false, noLead);
+    std::optional<Sched::Batch> d = s.start();
+    ASSERT_TRUE(d);
+    EXPECT_EQ(d->cores, (std::vector<uint32_t>{0, 1, 2}));
+}
+
+TEST(BatchScheduler, ReservationsAreCheckedBeforeAnythingIsGranted)
+{
+    Sched s(2, 4, CutPolicy{8, 1000});
+    EXPECT_THROW(s.addProgram(5, 0, Placement::Replicate), FatalError);
+    EXPECT_THROW(s.addProgram(3, 2, Placement::Replicate), FatalError);
+    EXPECT_EQ(s.addProgram(0, 0, Placement::Replicate), 0u);
+    // Would leave the unreserved program 0 no core on either rank.
+    EXPECT_THROW(s.addProgram(4, 0, Placement::Replicate), FatalError);
+    EXPECT_EQ(s.addProgram(3, 0, Placement::Replicate), 1u);
+    EXPECT_THROW(s.addProgram(2, 0, Placement::Replicate), FatalError);
+    // The failed attempts registered nothing: the next index is 2.
+    EXPECT_EQ(s.addProgram(0, 0, Placement::Affinity), 2u);
+    // Index 3 is pinned to rank 1 (3 % 2), where its one core would
+    // be the last shared one.
+    EXPECT_THROW(s.addProgram(1, 0, Placement::Affinity), FatalError);
+}
+
+TEST(BatchScheduler, ABatchWithNoFreeCoreWaitsAndAnotherBackfills)
+{
+    // One rank of 2 cores: program 0 owns core 0, program 1 shares
+    // core 1. Program 1's interactive batch cannot start while its
+    // only core is busy; program 0's batch-class batch, cut later,
+    // starts on its own core past it.
+    Sched s(1, 2, CutPolicy{8, 1000});
+    s.addProgram(1, 0, Placement::Replicate);
+    s.addProgram(0, 0, Placement::Replicate);
+    enqueue(s, 1, 0, 0);
+    s.cut(0, kAnyWorker, false, noLead);
+    std::optional<Sched::Batch> running = s.start();
+    ASSERT_TRUE(running);
+    EXPECT_EQ(running->cores, std::vector<uint32_t>{1});
+
+    enqueue(s, 1, 1, 10, Priority::Interactive);
+    s.cut(10, kAnyWorker, true, noLead); // drain: cut regardless
+    enqueue(s, 0, 2, 20);
+    s.cut(20, kAnyWorker, false, noLead);
+    std::optional<Sched::Batch> backfill = s.start();
+    ASSERT_TRUE(backfill);
+    EXPECT_EQ(ids(*backfill), std::vector<int>{2});
+    EXPECT_EQ(backfill->cores, std::vector<uint32_t>{0});
+    EXPECT_FALSE(s.start()); // the interactive batch still waits
+    EXPECT_TRUE(s.hasReady());
+
+    s.release(running->cores);
+    std::optional<Sched::Batch> waited = s.start();
+    ASSERT_TRUE(waited);
+    EXPECT_EQ(ids(*waited), std::vector<int>{1});
+    EXPECT_EQ(waited->cores, std::vector<uint32_t>{1});
+}
+
+TEST(BatchScheduler, StartsEarliestDeadlineFirstWithinBands)
+{
+    // One core, held while five batches are drained into the ready
+    // list; they then start one at a time as it frees.
+    Sched s(1, 1, CutPolicy{8, 1000});
+    for (int p = 0; p < 6; ++p)
+        s.addProgram(0, 0, Placement::Replicate);
+    enqueue(s, 0, 0, 0);
+    s.cut(0, kAnyWorker, false, noLead);
+    std::optional<Sched::Batch> b = s.start();
+    ASSERT_TRUE(b);
+
+    enqueue(s, 1, 1, 1, Priority::Batch, 100);       // urgent, low band
+    enqueue(s, 2, 2, 2, Priority::Interactive);      // no deadline
+    enqueue(s, 3, 3, 3, Priority::Interactive, 500);
+    enqueue(s, 4, 4, 4, Priority::Interactive, 200);
+    enqueue(s, 5, 5, 5, Priority::Interactive);      // cut after 2
+    s.cut(6, kAnyWorker, true, noLead);
+    EXPECT_EQ(cutsFor(s, CutReason::Drain), 5u);
+
+    std::vector<int> order;
+    for (;;) {
+        s.release(b->cores);
+        b = s.start();
+        if (!b)
+            break;
+        order.push_back(ids(*b).front());
+    }
+    EXPECT_EQ(order, (std::vector<int>{4, 3, 2, 5, 1}));
+}
+
+TEST(BatchScheduler, IdleNeedsAFreeEligibleCore)
+{
+    // One rank of 2 cores; program 0 owns core 0, program 1 shares
+    // core 1. maxBatch 4, window 1000.
+    Sched s(1, 2, CutPolicy{4, 1000});
+    s.addProgram(1, 0, Placement::Replicate);
+    s.addProgram(0, 0, Placement::Replicate);
+    enqueue(s, 1, 0, 0);
+    s.cut(0, kAnyWorker, false, noLead);
+    EXPECT_EQ(cutsFor(s, CutReason::Idle), 1u);
+    std::optional<Sched::Batch> held = s.start();
+    ASSERT_TRUE(held);
+
+    // Core 0 is free but not program 1's: its queue coalesces. Two
+    // requests wait out the window of the oldest...
+    enqueue(s, 1, 1, 10);
+    EXPECT_EQ(s.cut(10, kAnyWorker, false, noLead), 1010);
+    enqueue(s, 1, 2, 20);
+    EXPECT_EQ(s.cut(20, kAnyWorker, false, noLead), 1010);
+    EXPECT_FALSE(s.cut(1010, kAnyWorker, false, noLead));
+    EXPECT_EQ(cutsFor(s, CutReason::Window), 1u);
+    std::optional<Sched::Batch> late = s.start();
+    EXPECT_FALSE(late); // and still wait for the core
+
+    // ...and four are cut by size at the fourth.
+    for (int k = 3; k < 7; ++k) {
+        enqueue(s, 1, k, 1100 + k);
+        s.cut(1100 + k, kAnyWorker, false, noLead);
+    }
+    EXPECT_EQ(cutsFor(s, CutReason::Size), 1u);
+    EXPECT_EQ(s.maxBatchObserved(), 4u);
+
+    // Program 0 may take core 0: its lone request is cut at once.
+    enqueue(s, 0, 7, 1200);
+    EXPECT_FALSE(s.cut(1200, kAnyWorker, false, noLead));
+    EXPECT_EQ(cutsFor(s, CutReason::Idle), 2u);
+
+    // With a free core, the worker half decides: no idle worker, or
+    // every one spoken for by a ready batch, is no idle cut.
+    Sched w(1, 1, CutPolicy{4, 1000});
+    w.addProgram(0, 0, Placement::Replicate);
+    enqueue(w, 0, 0, 0);
+    EXPECT_EQ(w.cut(0, 0, false, noLead), 1000);
+    EXPECT_FALSE(w.cut(0, 1, false, noLead));
+    EXPECT_EQ(cutsFor(w, CutReason::Idle), 1u);
+    enqueue(w, 0, 1, 1);
+    EXPECT_EQ(w.cut(1, 1, false, noLead), 1001); // one ready batch
+    EXPECT_FALSE(w.cut(1, 2, false, noLead));
+    EXPECT_EQ(cutsFor(w, CutReason::Idle), 2u);
+}
+
+TEST(BatchScheduler, DeadlineLeadIsAskedOfDeadlinedQueuesOnly)
+{
+    Sched s(1, 1, CutPolicy{8, 30'000});
+    s.addProgram(0, 0, Placement::Replicate);
+    s.addProgram(0, 0, Placement::Replicate);
+    enqueue(s, 0, 0, 0);
+    s.cut(0, kAnyWorker, false, noLead);
+    std::optional<Sched::Batch> held = s.start();
+    ASSERT_TRUE(held);
+
+    std::vector<std::pair<uint32_t, size_t>> asked;
+    auto lead = [&](uint32_t p, size_t n) {
+        asked.emplace_back(p, n);
+        return int64_t{300};
+    };
+    enqueue(s, 0, 1, 10);
+    enqueue(s, 1, 2, 10, Priority::Batch, 5'000);
+    enqueue(s, 1, 3, 20, Priority::Batch, 4'000);
+    // Program 1 is cut at 4000 - 300, before the window.
+    EXPECT_EQ(s.cut(20, kAnyWorker, false, lead), 3'700);
+    EXPECT_EQ(asked, (std::vector<std::pair<uint32_t, size_t>>{{1, 2}}));
+    s.cut(3'700, kAnyWorker, false, lead);
+    EXPECT_EQ(cutsFor(s, CutReason::Deadline), 1u);
+}
+
+TEST(BatchScheduler, SameCallsMakeTheSameDecisions)
+{
+    // A seeded script of arrivals, cuts, starts and releases over two
+    // ranks with a reservation; two schedulers fed it agree on every
+    // batch: composition, rank, cores and cut order.
+    auto replay = [](uint64_t seed) {
+        Sched s(2, 3, CutPolicy{4, 50});
+        s.addProgram(1, 2, Placement::Replicate);
+        s.addProgram(0, 0, Placement::Replicate);
+        s.addProgram(0, 1, Placement::Affinity);
+        Rng rng(seed);
+        std::vector<Sched::Batch> running;
+        std::ostringstream log;
+        int id = 0;
+        for (int64_t t = 0; t < 2000; t += 1 + (int64_t)(rng.next() % 7)) {
+            if (!running.empty() && rng.next() % 3 == 0) {
+                size_t k = rng.next() % running.size();
+                s.release(running[k].cores);
+                running.erase(running.begin() + (ptrdiff_t)k);
+            }
+            uint32_t p = (uint32_t)(rng.next() % 3);
+            Priority prio = rng.next() % 4 ? Priority::Batch
+                                           : Priority::Interactive;
+            enqueue(s, p, id++, t, prio,
+                    rng.next() % 2 ? t + 40 : int64_t{-1});
+            s.cut(t, 1 + rng.next() % 3, rng.next() % 50 == 0,
+                  [](uint32_t, size_t n) { return (int64_t)(5 * n); });
+            while (std::optional<Sched::Batch> b = s.start()) {
+                log << b->seq << '@' << b->rank << ':';
+                for (uint32_t c : b->cores)
+                    log << c << ',';
+                for (int r : ids(*b))
+                    log << ' ' << r;
+                log << '\n';
+                running.push_back(std::move(*b));
+            }
+        }
+        for (uint64_t n : s.cuts())
+            log << n << ' ';
+        return log.str();
+    };
+    std::string a = replay(11);
+    EXPECT_EQ(a, replay(11));
+    EXPECT_NE(a, replay(12));
+    EXPECT_GT(std::count(a.begin(), a.end(), '\n'), 50);
 }
 
 } // namespace

@@ -126,7 +126,6 @@ TEST_P(FleetStress, ServedResultsMatchSerialReplay)
     const uint64_t window_us[] = {0, 100, 2000};
     cfg.batchWindow =
         std::chrono::microseconds(window_us[shape_rng.next() % 3]);
-    cfg.hostThreadsPerBatch = 1 + shape_rng.next() % 2;
     // A finite link with a per-dispatch cost: the accounting under
     // test is never free in this suite.
     cfg.transfer = HostTransferModel::fromGbps(
