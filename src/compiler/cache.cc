@@ -89,9 +89,11 @@ struct Reader
     }
 };
 
-// Bumped to "DPUPROG2" when stats.verifySeconds joined the image;
-// older spill files deserialize as misses.
-constexpr uint64_t programMagic = 0x3247524f50555044ull; // "DPUPROG2"
+// Bumped to "DPUPROG3" when the image dropped stats.compileSeconds
+// and stats.verifySeconds: it holds the program's content only, so
+// two compiles of one program give the same bytes. Older spill files
+// deserialize as misses.
+constexpr uint64_t programMagic = 0x33474f5250555044ull; // "DPUPROG3"
 
 } // namespace
 
@@ -291,8 +293,6 @@ serializeProgram(const CompiledProgram &prog)
     w.u64(s.programBitsExplicitWrites);
     w.u64(s.csrBits);
     w.u64(s.dataBits);
-    w.f64(s.compileSeconds);
-    w.f64(s.verifySeconds);
     return std::move(w.buf);
 }
 
@@ -362,8 +362,6 @@ deserializeProgram(const std::vector<uint8_t> &image, CompiledProgram &out)
     s.programBitsExplicitWrites = r.u64();
     s.csrBits = r.u64();
     s.dataBits = r.u64();
-    s.compileSeconds = r.f64();
-    s.verifySeconds = r.f64();
     if (!r.ok || r.p != r.end)
         return false;
     out = std::move(prog);

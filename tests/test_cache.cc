@@ -164,17 +164,6 @@ TEST(ProgramCache, FragmentReusePartitionedCompile)
               encodeProgram(warm.cfg, warm.instructions));
 }
 
-/** Serialized program with the host timings and hit flag zeroed:
- *  what must match byte for byte between a warm and a cold compile. */
-std::vector<uint8_t>
-programBytes(CompiledProgram prog)
-{
-    prog.stats.compileSeconds = 0;
-    prog.stats.verifySeconds = 0;
-    prog.stats.cacheHits = 0;
-    return serializeProgram(prog);
-}
-
 /** Compile through `fn`; empty when the configuration cannot fit the
  *  DAG (FatalError), so infeasibility must agree too. */
 template <typename Fn>
@@ -182,7 +171,7 @@ std::vector<uint8_t>
 bytesOrInfeasible(Fn &&fn)
 {
     try {
-        return programBytes(fn());
+        return serializeProgram(fn());
     } catch (const FatalError &) {
         return {};
     }
@@ -207,8 +196,8 @@ TEST(ProgramCache, FetchHandsOutTheResidentProgram)
     EXPECT_EQ(warm.prog->stats.cacheHits, 0u); // the entry is unflagged
     CompiledProgram copy = cache.compile(d, cfg);
     EXPECT_EQ(copy.stats.cacheHits, 1u);
-    EXPECT_EQ(programBytes(copy), programBytes(*cold.prog));
-    EXPECT_EQ(programBytes(*cold.prog), programBytes(compile(d, cfg)));
+    EXPECT_EQ(serializeProgram(copy), serializeProgram(*cold.prog));
+    EXPECT_EQ(serializeProgram(*cold.prog), serializeProgram(compile(d, cfg)));
     EXPECT_EQ(cache.stats().hits, 2u);
     EXPECT_EQ(cache.stats().misses, 1u);
 }
@@ -235,7 +224,7 @@ TEST(ProgramCache, UnpartitionedFragmentKeepsItsCodegenContext)
     CompiledProgram warm = compile(d, cfgOf(2, 8, 48), opt);
     EXPECT_EQ(fragments.stats().hits, 2u); // the lookup above, and warm
     CompiledProgram cold = compile(d, cfgOf(2, 8, 48));
-    EXPECT_EQ(programBytes(warm), programBytes(cold));
+    EXPECT_EQ(serializeProgram(warm), serializeProgram(cold));
 
     opt.partitionNodes = 200;
     compile(d, cfgOf(2, 8, 32), opt);
@@ -476,7 +465,13 @@ TEST(ProgramCache, SerializationRoundTrip)
     }
     EXPECT_EQ(back.stats.spillStores, prog.stats.spillStores);
     EXPECT_EQ(back.stats.programBits, prog.stats.programBits);
-    EXPECT_DOUBLE_EQ(back.stats.verifySeconds, prog.stats.verifySeconds);
+    // The image is the program's content only: host times stay out.
+    CompiledProgram timed = prog;
+    timed.stats.compileSeconds += 1.0;
+    timed.stats.verifySeconds += 1.0;
+    EXPECT_EQ(serializeProgram(timed), image);
+    EXPECT_EQ(back.stats.compileSeconds, 0.0);
+    EXPECT_EQ(back.stats.verifySeconds, 0.0);
 
     // Corrupt images are rejected, not crashed on.
     CompiledProgram junk;

@@ -222,17 +222,6 @@ TEST(ParallelCompile, CompileStatsStillConsistent)
     EXPECT_EQ(prog.stats.cacheHits, 0u);
 }
 
-/** The serialized program with the wall-clock stats cleared: equal
- *  exactly when two compiles emitted the same program. */
-std::vector<uint8_t>
-programBytes(CompiledProgram prog)
-{
-    prog.stats.compileSeconds = 0;
-    prog.stats.verifySeconds = 0;
-    prog.stats.cacheHits = 0;
-    return serializeProgram(prog);
-}
-
 /** Compile through `fn`; empty when the configuration cannot fit the
  *  DAG (FatalError), so infeasibility must agree too. */
 template <typename Fn>
@@ -240,7 +229,7 @@ std::vector<uint8_t>
 bytesOrInfeasible(Fn &&fn)
 {
     try {
-        return programBytes(fn());
+        return serializeProgram(fn());
     } catch (const FatalError &) {
         return {};
     }
@@ -341,7 +330,7 @@ TEST(ParallelCompile, PreparedDagSharesProgramCacheKeys)
     auto warm = cache.compile(p, cfg, opt);
     EXPECT_EQ(cold.stats.cacheHits, 0u);
     EXPECT_EQ(warm.stats.cacheHits, 1u);
-    EXPECT_EQ(programBytes(cold), programBytes(warm));
+    EXPECT_EQ(serializeProgram(cold), serializeProgram(warm));
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().misses, 1u);
 }

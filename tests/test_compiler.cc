@@ -245,13 +245,10 @@ TEST(Compiler, RegisterFileTooSmallFails)
     EXPECT_THROW(compile(d, cfg), FatalError);
 }
 
-/** FNV-1a-64 of the serialized program, wall-clock stats zeroed so
- *  the digest covers exactly the deterministic bytes. */
+/** FNV-1a-64 of the serialized program. */
 std::string
-programDigest(CompiledProgram prog)
+programDigest(const CompiledProgram &prog)
 {
-    prog.stats.compileSeconds = 0.0;
-    prog.stats.verifySeconds = 0.0;
     uint64_t h = 0xcbf29ce484222325ull;
     for (uint8_t b : serializeProgram(prog)) {
         h ^= b;

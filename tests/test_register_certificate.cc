@@ -29,16 +29,6 @@
 namespace dpu {
 namespace {
 
-/** Serialized program with the host timings and hit flag zeroed. */
-std::vector<uint8_t>
-programBytes(CompiledProgram prog)
-{
-    prog.stats.compileSeconds = 0;
-    prog.stats.verifySeconds = 0;
-    prog.stats.cacheHits = 0;
-    return serializeProgram(prog);
-}
-
 /** Every SimStats field. */
 auto
 statsKey(const SimStats &s)
@@ -149,7 +139,7 @@ TEST(RegisterCertificate, DerivedEqualsDirectCompile)
                 ASSERT_TRUE(cold[j].has_value());
                 const CompiledProgram &direct = *cold[j];
                 CompiledProgram got = deriveForRegisterCount(from, regs[j]);
-                EXPECT_EQ(programBytes(got), programBytes(direct));
+                EXPECT_EQ(serializeProgram(got), serializeProgram(direct));
                 EXPECT_EQ(direct.registers.valid, true);
                 EXPECT_EQ(direct.registers.peakLive, cert.peakLive);
                 EXPECT_EQ(direct.registers.peakSlots, cert.peakSlots);
@@ -195,7 +185,7 @@ TEST(RegisterCertificate, DefaultAndDiskReadProgramsAdmitNothing)
     ASSERT_TRUE(deserializeProgram(serializeProgram(prog), read));
     EXPECT_FALSE(read.registers.valid);
     EXPECT_FALSE(read.registers.admits(cfgOf(2, 16, 128)));
-    EXPECT_EQ(programBytes(read), programBytes(prog));
+    EXPECT_EQ(serializeProgram(read), serializeProgram(prog));
 }
 
 std::string
