@@ -62,7 +62,6 @@ class BlockBuilder
     run()
     {
         initHeights();
-        RangeDecomposition dec;
         dec.range = {rangeLo, rangeHi};
         dec.blockOf.assign(extent(), RangeDecomposition::noBlock);
 
@@ -71,18 +70,18 @@ class BlockBuilder
             Block block = buildOneBlock();
             dpu_assert(!block.subgraphs.empty(),
                        "empty block with nodes remaining");
-            commitBlock(block, dec);
+            commitBlock(block);
             for (const Subgraph &sg : block.subgraphs)
                 remaining -= sg.nodes.size();
             unrollBlock(block);
             dec.blocks.push_back(std::move(block));
         }
-        finalizeIoMarks(dec);
-        return dec;
+        finalizeIoMarks();
+        return std::move(dec);
     }
 
   private:
-    static constexpr uint32_t probeLimit = 8;
+    static constexpr uint32_t probeLimit = 32;
 
     size_t extent() const { return rangeHi - rangeLo; }
 
@@ -170,10 +169,38 @@ class BlockBuilder
     }
 
     /**
+     * Blocks the block being built would still wait for the in-range
+     * values `cone` reads: an exec's result is readable
+     * pipelineStages() blocks later, so a value written k blocks back
+     * costs pipelineStages() - k. 0 when the cone reads nothing the
+     * last pipelineStages() - 1 blocks wrote. DAG inputs and the
+     * cone's own nodes have no block yet; values of earlier ranges
+     * are not counted.
+     */
+    uint32_t
+    stallOf(const std::vector<NodeId> &cone) const
+    {
+        const uint32_t current = static_cast<uint32_t>(dec.blocks.size());
+        const uint32_t stages = cfg.pipelineStages();
+        uint32_t stall = 0;
+        for (NodeId v : cone)
+            for (NodeId o : dag.node(v).operands) {
+                if (!inRange(o))
+                    continue;
+                const uint32_t b = dec.blockOf[idx(o)];
+                if (b != RangeDecomposition::noBlock && current - b < stages)
+                    stall = std::max(stall, stages - (current - b));
+            }
+        return stall;
+    }
+
+    /**
      * Pick the best schedulable candidate: deepest depth first
-     * (objective C — deeper cones hold more nodes), nearest to the
-     * anchor in DFS order within a depth (objective D). Returns
-     * invalidNode if nothing fits `dcap`.
+     * (objective C — deeper cones hold more nodes); within a depth,
+     * the nearest of its probeLimit candidates nearest the anchor in
+     * DFS order (objective D) whose cone waits on no recent block
+     * (stallOf() == 0), else the one with the smallest stall, nearer
+     * first. Returns invalidNode if nothing fits `dcap`.
      */
     NodeId
     pickCandidate(uint32_t dcap, uint64_t epoch, std::vector<NodeId> &cone,
@@ -187,6 +214,8 @@ class BlockBuilder
             const uint32_t anchor = dfsPos[nodeAtRank[anchorRank]];
             size_t fwd = bucket.next(anchorRank);
             size_t bwd = bucket.prev(anchorRank);
+            NodeId best = invalidNode;
+            uint32_t best_stall = 0;
             for (uint32_t probes = 0;
                  probes < probeLimit &&
                  (fwd != RankSet::npos || bwd != RankSet::npos);
@@ -212,10 +241,21 @@ class BlockBuilder
                 }
                 dpu_assert(!mapped[idx(v)] && h[idx(v)] == d,
                            "stale bucket entry");
-                if (materializeCone(v, epoch, cone)) {
-                    depth = d;
-                    return v;
+                if (!materializeCone(v, epoch, cone))
+                    continue;
+                const uint32_t stall = stallOf(cone);
+                if (best == invalidNode || stall < best_stall) {
+                    best = v;
+                    best_stall = stall;
+                    bestCone.swap(cone);
                 }
+                if (stall == 0)
+                    break;
+            }
+            if (best != invalidNode) {
+                cone.swap(bestCone);
+                depth = d;
+                return best;
             }
         }
         return invalidNode;
@@ -281,7 +321,7 @@ class BlockBuilder
 
     /** Mark the block's nodes mapped and ripple height updates. */
     void
-    commitBlock(const Block &block, RangeDecomposition &dec)
+    commitBlock(const Block &block)
     {
         uint32_t block_id = static_cast<uint32_t>(dec.blocks.size());
         std::vector<NodeId> worklist;
@@ -394,7 +434,7 @@ class BlockBuilder
     /** Mark io values: DAG inputs plus block outputs. A successor
      *  outside the range always lives in a different (later) block. */
     void
-    finalizeIoMarks(RangeDecomposition &dec)
+    finalizeIoMarks()
     {
         dec.isIo.assign(extent(), 0);
         for (NodeId v = rangeLo; v < rangeHi; ++v) {
@@ -429,6 +469,9 @@ class BlockBuilder
     std::vector<NodeId> nodeAtRank;   ///< inverse of rankOf
     std::vector<RankSet> buckets;     ///< per-depth candidate ranks
     std::vector<NodeId> dfsStack;
+    std::vector<NodeId> bestCone; ///< pickCandidate's pick so far
+    /** The result so far: blockOf of every committed node is final. */
+    RangeDecomposition dec;
     uint64_t blockEpoch = 0;
     uint64_t visitCounter = 0;
     /** DFS rank of the last picked sink (0 before the first pick:

@@ -13,15 +13,26 @@
  * ancestors ending at its sink has length <= D (fig. 9(c): non-tree
  * cones are handled by node replication when unrolled). Candidate
  * sinks are kept in per-depth buckets ordered by DFS preorder
- * position; picking the candidate nearest the block's anchor
- * implements the paper's DFS-distance fitness (objective D), and
- * preferring the deepest schedulable candidate implements "more nodes
- * is more fit" (objective C). A bucket is a RankSet (a two-level
- * bitset, support/bitvec.hh) over the range's DFS ranks, a node's
- * position when the range's nodes are sorted by DFS position: the
- * nearest candidates on either side of the anchor are a few
- * count-zero instructions away, and inserts and erases touch two
- * words.
+ * position. Picking a cone ranks, in order:
+ *  - objective C, "more nodes is more fit": the deepest depth with a
+ *    schedulable candidate;
+ *  - latency: among that depth's 32 candidates nearest the anchor, a
+ *    cone that reads no value written by the last pipelineStages() - 1
+ *    blocks, so the exec need not wait for the pipeline to drain; if
+ *    none qualifies, the cone with the fewest blocks left to wait;
+ *  - objective D, the paper's DFS-distance fitness: the candidate
+ *    nearest the block's anchor.
+ * The latency rank is an addition to algorithm 1: without it each
+ * block mostly reads the block just before it, and step 3 cannot hide
+ * the pipeline behind a dependence chain that long.
+ *
+ * A bucket is a RankSet (a two-level bitset, support/bitvec.hh) over
+ * the range's DFS ranks, a node's position when the range's nodes are
+ * sorted by DFS position: the nearest candidates on either side of
+ * the anchor are a few count-zero instructions away, and inserts and
+ * erases touch two words. While a range is decomposed, its blockOf
+ * table holds the block of every committed node, which is what the
+ * latency rank reads.
  */
 
 #ifndef DPU_COMPILER_BLOCKS_HH

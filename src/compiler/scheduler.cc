@@ -156,6 +156,25 @@ buildDeps(const IrFragment &frag, const ArchConfig &cfg)
     return g;
 }
 
+/** Issue slots the longest gap-weighted path of `g` spans. Edges
+ *  point forward in list order, so one pass in that order settles
+ *  every instruction's earliest slot. */
+uint64_t
+criticalPathOf(const DepGraph &g)
+{
+    const uint32_t n = static_cast<uint32_t>(g.ndeps.size());
+    std::vector<uint64_t> earliest(n, 0);
+    uint64_t path = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+        path = std::max(path, earliest[i] + 1);
+        for (uint32_t k = g.first[i]; k < g.first[i + 1]; ++k) {
+            const DepEdge &e = g.succ[k];
+            earliest[e.succ] = std::max(earliest[e.succ], earliest[i] + e.gap);
+        }
+    }
+    return path;
+}
+
 } // namespace
 
 ScheduleStats
@@ -199,6 +218,7 @@ reorderFragment(IrFragment &frag, const ArchConfig &cfg, uint32_t window)
     std::vector<IrInstr> out;
     out.reserve(n + n / 8);
     ScheduleStats stats;
+    stats.criticalPath = criticalPathOf(deps);
 
     uint32_t head = 0; // smallest unscheduled original index
     uint64_t now = 0;

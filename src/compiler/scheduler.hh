@@ -28,6 +28,9 @@ struct ScheduleStats
     /** Highest register-pressure estimate compared to the throttle's
      *  B·R/2 (RegisterCertificate::peakLive). */
     int64_t peakLive = 0;
+    /** Gap-weighted longest path of the fragment's dependence graph,
+     *  in issue slots: no schedule of the fragment is shorter. */
+    uint64_t criticalPath = 0;
 };
 
 /**

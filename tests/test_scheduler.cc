@@ -9,11 +9,13 @@
 
 #include "compiler/blocks.hh"
 #include "compiler/codegen.hh"
+#include "compiler/compiler.hh"
 #include "compiler/mapper.hh"
 #include "compiler/scheduler.hh"
 #include "compiler/verify.hh"
 #include "support/rng.hh"
 #include "workloads/pc_generator.hh"
+#include "workloads/suite.hh"
 
 namespace dpu {
 namespace {
@@ -113,6 +115,25 @@ TEST(Scheduler, WideDagNeedsFewNops)
     auto stats = reorderFragment(f, cfg);
     EXPECT_TRUE(verifyScheduled(f.ir, cfg).clean());
     EXPECT_LT(stats.nopsInserted, before / 10);
+}
+
+TEST(Scheduler, ReorderedFragmentIsNearItsLowerBound)
+{
+    // No schedule is shorter than the gap-weighted longest path of
+    // the dependence graph or than its instruction count. With blocks
+    // that rarely read the last few blocks, the count binds on mnist
+    // (549 instructions, path 446) and step 3 ends 11 % above it
+    // (610 slots); when step 1 chained every block to the one before,
+    // the path bound (1,364) and the schedule (1,385) were 1.5 % apart.
+    const PreparedDag p = prepareDag(buildWorkloadDag(findWorkload("mnist")));
+    const ArchConfig cfg = minEdpConfig();
+    IrFragment f = fragmentFor(p.dag, cfg);
+    const uint64_t count = f.ir.instrs.size();
+    const ScheduleStats stats = reorderFragment(f, cfg);
+    EXPECT_TRUE(verifyScheduled(f.ir, cfg).clean());
+    const uint64_t bound = std::max(stats.criticalPath, count);
+    EXPECT_GE(f.ir.instrs.size(), bound);
+    EXPECT_LE(f.ir.instrs.size() * 100, bound * 112);
 }
 
 TEST(Scheduler, HazardCheckerCatchesRawViolation)
