@@ -196,7 +196,7 @@ TEST(ParallelCompile, BoundaryAwareMapperReducesMergedConflicts)
     auto b = compile(d, cfg, aware);
     // Pinned baseline: the boundary-oblivious conflict count for this
     // workload. If a mapper change shifts it, re-pin deliberately.
-    EXPECT_EQ(a.stats.bankConflicts, 1033u);
+    EXPECT_EQ(a.stats.bankConflicts, 1055u);
     EXPECT_LT(b.stats.bankConflicts, a.stats.bankConflicts);
     // Fewer conflicts means fewer conflict-resolving copies, so the
     // aware program must not be longer.
