@@ -45,7 +45,8 @@
  * Fleet layer (rank-aware placement): with AsyncServerConfig::ranks
  * > 1 the server models a host driving N identical ranks of `cores`
  * cores each. Resident programs are either replicated (hot: a batch
- * goes to the rank with the fewest busy cores when it is cut) or
+ * goes to the rank with the fewest busy or waited-for cores when it
+ * is cut) or
  * pinned to a home rank (cold: affinity keeps one rank's caches
  * warm), per AsyncServerConfig::placement / QosSpec::placement. Every
  * dispatch is charged the HostTransferModel's serialization +

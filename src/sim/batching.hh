@@ -29,7 +29,8 @@
  *
  * Placement happens at cut time: a pinned (Affinity) program's batch
  * goes to its home rank, registration index % ranks; a replicated
- * one's to the rank with the fewest busy cores, ties to the lowest id.
+ * one's to the rank with the fewest cores busy or asked for by its
+ * waiting (cut, not started) batches, ties to the lowest id.
  * Ready batches start earliest deadline first within priority bands,
  * ties in cut order; one with no free core waits without blocking one
  * that can run. A grant takes only cores free now — the program's own
@@ -157,7 +158,8 @@ class BatchScheduler
         : policy(policy_), ranks(ranks_), coresPerRank(coresPerRank_),
           reservedBy((size_t)ranks * coresPerRank, -1),
           busy((size_t)ranks * coresPerRank, false),
-          busyPerRank(ranks, 0), reservedPerRank(ranks, 0)
+          busyPerRank(ranks, 0), waitingPerRank(ranks, 0),
+          reservedPerRank(ranks, 0)
     {
         dpu_assert(ranks >= 1 && coresPerRank >= 1,
                    "the scheduler needs a rank and a core");
@@ -305,6 +307,7 @@ class BatchScheduler
             return std::nullopt;
         Batch b = std::move(ready[best]);
         ready.erase(ready.begin() + static_cast<ptrdiff_t>(best));
+        waitingPerRank[b.rank] -= demand(b.program, b.requests.size());
         b.cores = grant(b.program, b.rank, b.requests.size());
         return b;
     }
@@ -359,15 +362,30 @@ class BatchScheduler
         return p.replicated || p.homeRank == rank;
     }
 
-    /** Rank a batch of `program` cut now goes to. */
+    /** Rank a batch of `program` cut now goes to: its home rank when
+     *  pinned, else the rank with the fewest cores busy or asked for
+     *  by batches placed there that have not started, ties to the
+     *  lowest id. */
     uint32_t
     placeRank(uint32_t program) const
     {
         if (!programs[program].replicated)
             return programs[program].homeRank;
-        return static_cast<uint32_t>(
-            std::min_element(busyPerRank.begin(), busyPerRank.end()) -
-            busyPerRank.begin());
+        uint32_t best = 0;
+        for (uint32_t r = 1; r < ranks; ++r)
+            if (busyPerRank[r] + waitingPerRank[r] <
+                busyPerRank[best] + waitingPerRank[best])
+                best = r;
+        return best;
+    }
+
+    /** Most cores a `runs`-request batch of `program` is granted. */
+    uint32_t
+    demand(uint32_t program, size_t runs) const
+    {
+        const Program &p = programs[program];
+        return static_cast<uint32_t>(std::min<size_t>(
+            p.maxCores ? p.maxCores : coresPerRank, runs));
     }
 
     /** Whether `rank` has a free core `program` may take. */
@@ -389,9 +407,7 @@ class BatchScheduler
     std::vector<uint32_t>
     grant(uint32_t program, uint32_t rank, size_t runs)
     {
-        const Program &p = programs[program];
-        size_t limit = std::min<size_t>(
-            p.maxCores ? p.maxCores : coresPerRank, runs);
+        const size_t limit = demand(program, runs);
         std::vector<uint32_t> granted;
         for (int32_t owner : {(int32_t)program, -1})
             for (uint32_t g = rank * coresPerRank;
@@ -446,6 +462,7 @@ class BatchScheduler
         queuedCount -= b.requests.size();
         ++cutCounts[static_cast<size_t>(reason)];
         largestBatch = std::max<uint64_t>(largestBatch, b.requests.size());
+        waitingPerRank[rank] += demand(p, b.requests.size());
         ready.push_back(std::move(b));
     }
 
@@ -458,6 +475,8 @@ class BatchScheduler
     std::vector<int32_t> reservedBy;
     std::vector<bool> busy;                ///< Held by a started batch.
     std::vector<uint32_t> busyPerRank;     ///< Busy cores, per rank.
+    /** Cores the ready batches placed on each rank ask for. */
+    std::vector<uint32_t> waitingPerRank;
     std::vector<uint32_t> reservedPerRank; ///< Summed minCores.
     std::array<uint64_t, kNumCutReasons> cutCounts{};
     uint64_t largestBatch = 0;

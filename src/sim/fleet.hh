@@ -111,9 +111,9 @@ struct FleetSimReport
  * Replay a seeded Poisson open loop against the modeled fleet.
  * Workload k is resident program k of the BatchScheduler, with no
  * core reservation: Replicate sends each batch, when it is cut, to
- * the rank with the fewest busy cores; Affinity pins workload k to
- * rank k % ranks. There are no host workers to wait for, so a queue
- * is cut Idle whenever its rank has a free core. A started batch holds
+ * the rank with the fewest busy or waited-for cores; Affinity pins
+ * workload k to rank k % ranks. There are no host workers to wait
+ * for, so a queue is cut Idle whenever its rank has a free core. A started batch holds
  * the cores free at its start (at most one per run) from then until
  * its host transfer and ceil(runs / cores) back-to-back runs are done.
  * Identical (options, workloads) always produce an identical report.

@@ -323,6 +323,37 @@ TEST(BatchScheduler, ReplicatedBatchesGoToTheRankWithFewestBusyCores)
     EXPECT_EQ(b->cores, std::vector<uint32_t>{2});
 }
 
+TEST(BatchScheduler, BatchesCutInOnePassSpreadOverIdleRanks)
+{
+    // 3 ranks x 2 cores, all idle. Six requests make three size cuts
+    // of two in one pass; each batch asks for two cores, so the ranks
+    // it waits on count as loaded and the next batch goes elsewhere.
+    Sched s(3, 2, CutPolicy{2, 1000});
+    s.addProgram(0, 0, Placement::Replicate);
+    for (int k = 0; k < 6; ++k)
+        enqueue(s, 0, k, 0);
+    EXPECT_FALSE(s.cut(0, 0, false, noLead));
+    EXPECT_EQ(cutsFor(s, CutReason::Size), 3u);
+    std::vector<Sched::Batch> held;
+    for (uint32_t rank = 0; rank < 3; ++rank) {
+        std::optional<Sched::Batch> b = s.start();
+        ASSERT_TRUE(b);
+        EXPECT_EQ(b->rank, rank);
+        EXPECT_EQ(b->cores,
+                  (std::vector<uint32_t>{2 * rank, 2 * rank + 1}));
+        held.push_back(std::move(*b));
+    }
+    // Once started, a batch counts as busy cores: the next cut goes
+    // to the rank released first.
+    s.release(held[2].cores);
+    enqueue(s, 0, 6, 10);
+    enqueue(s, 0, 7, 10);
+    s.cut(10, 0, false, noLead);
+    std::optional<Sched::Batch> b = s.start();
+    ASSERT_TRUE(b);
+    EXPECT_EQ(b->rank, 2u);
+}
+
 TEST(BatchScheduler, AffinityPinsEachProgramToItsHomeRank)
 {
     // Program k's home is rank k % 3, however busy it is.
