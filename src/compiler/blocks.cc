@@ -143,11 +143,27 @@ class BlockBuilder
         return std::min(best + 1, cfg.depth + 1);
     }
 
-    /** Gather the cone of `sink`; fail if it overlaps epoch-stamped
-     *  nodes (i.e. nodes already picked for the current block). */
-    bool
-    materializeCone(NodeId sink, uint64_t epoch, std::vector<NodeId> &cone)
+    static constexpr uint32_t noCone = static_cast<uint32_t>(-1);
+
+    /**
+     * Gather the cone of `sink` and return its stall: the blocks the
+     * block being built would still wait for the in-range values the
+     * cone reads. An exec's result is readable pipelineStages() blocks
+     * later, so a value written k blocks back costs
+     * pipelineStages() - k; 0 when the cone reads nothing the last
+     * pipelineStages() - 1 blocks wrote. DAG inputs and the cone's own
+     * nodes have no block yet, and values of earlier ranges are not
+     * counted. Returns noCone, and stops early, when the cone overlaps
+     * nodes already picked for the current block (epoch-stamped) or
+     * its stall reaches `cap`.
+     */
+    uint32_t
+    gatherCone(NodeId sink, uint64_t epoch, uint32_t cap,
+               std::vector<NodeId> &cone)
     {
+        const uint32_t current = static_cast<uint32_t>(dec.blocks.size());
+        const uint32_t stages = cfg.pipelineStages();
+        uint32_t stall = 0;
         cone.clear();
         dfsStack.clear();
         dfsStack.push_back(sink);
@@ -159,38 +175,22 @@ class BlockBuilder
                 continue;
             coneStamp[idx(v)] = visit_epoch;
             if (stamp[idx(v)] == epoch)
-                return false; // overlaps a cone already in this block
+                return noCone; // overlaps a cone already in this block
             cone.push_back(v);
-            for (NodeId o : dag.node(v).operands)
-                if (!isMapped(o))
-                    dfsStack.push_back(o);
-        }
-        return true;
-    }
-
-    /**
-     * Blocks the block being built would still wait for the in-range
-     * values `cone` reads: an exec's result is readable
-     * pipelineStages() blocks later, so a value written k blocks back
-     * costs pipelineStages() - k. 0 when the cone reads nothing the
-     * last pipelineStages() - 1 blocks wrote. DAG inputs and the
-     * cone's own nodes have no block yet; values of earlier ranges
-     * are not counted.
-     */
-    uint32_t
-    stallOf(const std::vector<NodeId> &cone) const
-    {
-        const uint32_t current = static_cast<uint32_t>(dec.blocks.size());
-        const uint32_t stages = cfg.pipelineStages();
-        uint32_t stall = 0;
-        for (NodeId v : cone)
             for (NodeId o : dag.node(v).operands) {
+                if (!isMapped(o)) {
+                    dfsStack.push_back(o);
+                    continue;
+                }
                 if (!inRange(o))
                     continue;
                 const uint32_t b = dec.blockOf[idx(o)];
                 if (b != RangeDecomposition::noBlock && current - b < stages)
                     stall = std::max(stall, stages - (current - b));
+                if (stall >= cap)
+                    return noCone;
             }
+        }
         return stall;
     }
 
@@ -199,8 +199,8 @@ class BlockBuilder
      * (objective C — deeper cones hold more nodes); within a depth,
      * the nearest of its probeLimit candidates nearest the anchor in
      * DFS order (objective D) whose cone waits on no recent block
-     * (stallOf() == 0), else the one with the smallest stall, nearer
-     * first. Returns invalidNode if nothing fits `dcap`.
+     * (stall 0, see gatherCone), else the one with the smallest stall,
+     * nearer first. Returns invalidNode if nothing fits `dcap`.
      */
     NodeId
     pickCandidate(uint32_t dcap, uint64_t epoch, std::vector<NodeId> &cone,
@@ -214,8 +214,10 @@ class BlockBuilder
             const uint32_t anchor = dfsPos[nodeAtRank[anchorRank]];
             size_t fwd = bucket.next(anchorRank);
             size_t bwd = bucket.prev(anchorRank);
+            // Only a cone with a smaller stall than the best so far
+            // can win, so gathering stops once a cone reaches it.
             NodeId best = invalidNode;
-            uint32_t best_stall = 0;
+            uint32_t best_stall = cfg.pipelineStages();
             for (uint32_t probes = 0;
                  probes < probeLimit &&
                  (fwd != RankSet::npos || bwd != RankSet::npos);
@@ -241,14 +243,12 @@ class BlockBuilder
                 }
                 dpu_assert(!mapped[idx(v)] && h[idx(v)] == d,
                            "stale bucket entry");
-                if (!materializeCone(v, epoch, cone))
+                const uint32_t stall = gatherCone(v, epoch, best_stall, cone);
+                if (stall == noCone)
                     continue;
-                const uint32_t stall = stallOf(cone);
-                if (best == invalidNode || stall < best_stall) {
-                    best = v;
-                    best_stall = stall;
-                    bestCone.swap(cone);
-                }
+                best = v;
+                best_stall = stall;
+                bestCone.swap(cone);
                 if (stall == 0)
                     break;
             }
