@@ -275,12 +275,15 @@ class FinalizerImpl
         }
     }
 
-    /** Reload spilled operands of `in`, then one covering nop — the
-     *  fallback for operands the prefetcher could not cover. */
+    /** Reload spilled operands of `in`, then covering nops until every
+     *  operand has landed — the fallback for operands the prefetcher
+     *  could not cover, or reloaded one slot early: at a chunk's first
+     *  instruction a value spilled in an earlier chunk has no known
+     *  next use, so the prefetch for the next instruction may bring
+     *  back an operand this one shares with it. */
     void
     reloadSpilledReads(const IrInstr &in)
     {
-        bool any = false;
         for (const IrRead &r : in.reads) {
             InstState &st = state[r.inst];
             if (st.addr != noAddr)
@@ -289,13 +292,10 @@ class FinalizerImpl
                        "non-resident instance without a memory copy");
             place(r.inst, InstrKind::Load, in);
             emitReload(r.inst);
-            any = true;
         }
-        if (any) {
-            // One nop gives the last reload its 2-cycle write latency
-            // before the consumer issues.
-            prog.instructions.appendNop();
-        }
+        for (const IrRead &r : in.reads)
+            while (state[r.inst].readableAt > now())
+                prog.instructions.appendNop();
     }
 
     void

@@ -233,6 +233,30 @@ TEST(EndToEndSeeds, RandomConfigsMatchReference)
     }
 }
 
+TEST(EndToEndSeeds, ChunkFirstReloadIsCovered)
+{
+    // RandomConfigsMatchReference's seed 538 generator draw, cut into
+    // ops/4 ranges. A value spilled in an earlier chunk has no known
+    // next use, so the prefetch for a chunk's second instruction
+    // reloads an operand the first one shares with it one slot early;
+    // the finalizer must wait for that reload with nops, not panic
+    // with an unresolved pipeline hazard.
+    ArchConfig cfg;
+    cfg.depth = 2;
+    cfg.banks = 8;
+    cfg.regsPerBank = 10;
+    cfg.outputNet = OutputInterconnect::PerLayerSubtree;
+    Dag d = generateRandomDag(16, 311, 538);
+    ASSERT_EQ(d.numOperations() / 4, 77u);
+    CompileOptions opt;
+    opt.verify = true;
+    opt.seed = 538;
+    opt.partitionNodes = 77;
+    auto prog = compile(d, cfg, opt);
+    EXPECT_GT(prog.stats.spillStores, 0u);
+    runAndCheck(prog, d, randomInputs(d, 539));
+}
+
 TEST(EndToEndWorkloads, SmallSuiteScaledDown)
 {
     // Every named workload (scaled to ~8%) through the whole stack.
