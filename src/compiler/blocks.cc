@@ -42,6 +42,8 @@ class BlockBuilder
           h(extent(), 0),
           stamp(extent(), 0),
           coneStamp(extent(), 0),
+          readFloor(extent(), 0),
+          overlapEpoch(extent(), 0),
           rankOf(extent()),
           nodeAtRank(extent()),
           buckets(cfg.depth + 1, RankSet(extent()))
@@ -155,7 +157,8 @@ class BlockBuilder
      * nodes have no block yet, and values of earlier ranges are not
      * counted. Returns noCone, and stops early, when the cone overlaps
      * nodes already picked for the current block (epoch-stamped) or
-     * its stall reaches `cap`.
+     * its stall reaches `cap`. Either way it leaves what it saw in the
+     * sink's readFloor and overlapEpoch (see knownNoCone).
      */
     uint32_t
     gatherCone(NodeId sink, uint64_t epoch, uint32_t cap,
@@ -163,6 +166,7 @@ class BlockBuilder
     {
         const uint32_t current = static_cast<uint32_t>(dec.blocks.size());
         const uint32_t stages = cfg.pipelineStages();
+        uint32_t &floor = readFloor[idx(sink)];
         uint32_t stall = 0;
         cone.clear();
         dfsStack.clear();
@@ -174,8 +178,10 @@ class BlockBuilder
             if (coneStamp[idx(v)] == visit_epoch)
                 continue;
             coneStamp[idx(v)] = visit_epoch;
-            if (stamp[idx(v)] == epoch)
+            if (stamp[idx(v)] == epoch) {
+                overlapEpoch[idx(sink)] = epoch;
                 return noCone; // overlaps a cone already in this block
+            }
             cone.push_back(v);
             for (NodeId o : dag.node(v).operands) {
                 if (!isMapped(o)) {
@@ -185,13 +191,40 @@ class BlockBuilder
                 if (!inRange(o))
                     continue;
                 const uint32_t b = dec.blockOf[idx(o)];
-                if (b != RangeDecomposition::noBlock && current - b < stages)
+                if (b == RangeDecomposition::noBlock)
+                    continue;
+                floor = std::max(floor, b + 1);
+                if (current - b < stages)
                     stall = std::max(stall, stages - (current - b));
                 if (stall >= cap)
                     return noCone;
             }
         }
         return stall;
+    }
+
+    /**
+     * True when gatherCone(sink, epoch, cap) is known to return noCone
+     * without walking: the cone overlapped the block being built in
+     * this epoch (cones do not change while a block is built, and its
+     * picks only grow), or the stall of the latest block it is known
+     * to read already reaches `cap`. That floor is a lower bound, as
+     * the latest block a cone reads only grows: a cone node that maps
+     * leaves the cone, and the node reading it now reads the newest
+     * block.
+     */
+    bool
+    knownNoCone(NodeId sink, uint64_t epoch, uint32_t cap) const
+    {
+        if (overlapEpoch[idx(sink)] == epoch)
+            return true;
+        const uint32_t floor = readFloor[idx(sink)];
+        if (floor == 0)
+            return false;
+        const uint32_t since = static_cast<uint32_t>(dec.blocks.size()) -
+                               (floor - 1);
+        const uint32_t stages = cfg.pipelineStages();
+        return since < stages && stages - since >= cap;
     }
 
     /**
@@ -243,6 +276,8 @@ class BlockBuilder
                 }
                 dpu_assert(!mapped[idx(v)] && h[idx(v)] == d,
                            "stale bucket entry");
+                if (knownNoCone(v, epoch, best_stall))
+                    continue;
                 const uint32_t stall = gatherCone(v, epoch, best_stall, cone);
                 if (stall == noCone)
                     continue;
@@ -465,6 +500,12 @@ class BlockBuilder
     std::vector<uint32_t> h;
     std::vector<uint64_t> stamp;     ///< block-epoch pick marks
     std::vector<uint64_t> coneStamp; ///< cone-DFS visit marks
+    /** Per candidate sink: 1 + the latest block its cone is known to
+     *  read (0: none known), a floor that only grows. */
+    std::vector<uint32_t> readFloor;
+    /** Per candidate sink: the block epoch in which its cone was seen
+     *  to overlap the block being built. */
+    std::vector<uint64_t> overlapEpoch;
     std::vector<uint32_t> rankOf;     ///< DFS rank of each range node
     std::vector<NodeId> nodeAtRank;   ///< inverse of rankOf
     std::vector<RankSet> buckets;     ///< per-depth candidate ranks

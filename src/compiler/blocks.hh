@@ -24,7 +24,11 @@
  *    nearest the block's anchor.
  * The latency rank is an addition to algorithm 1: without it each
  * block mostly reads the block just before it, and step 3 cannot hide
- * the pipeline behind a dependence chain that long.
+ * the pipeline behind a dependence chain that long. A probe whose
+ * answer is already known skips the cone walk: each candidate keeps
+ * the latest block its cone is known to read (a floor that only grows
+ * as ancestors map) and the block in which its cone overlapped the
+ * block being built.
  *
  * A bucket is a RankSet (a two-level bitset, support/bitvec.hh) over
  * the range's DFS ranks, a node's position when the range's nodes are
