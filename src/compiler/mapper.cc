@@ -62,12 +62,12 @@ class BankMapper
   public:
     BankMapper(const Dag &dag, const ArchConfig &cfg,
                const std::vector<Block> &blocks, NodeId lo, NodeId hi,
-               const uint32_t *block_of, RangeBankPrep &&prepared,
+               const uint32_t *block_of, const RangeBankPrep &prep,
                BankPolicy policy, uint64_t seed,
                const uint32_t *ext_bank_of = nullptr)
         : dag(dag), cfg(cfg), blocks(blocks), lo(lo), hi(hi),
-          blockOf(block_of), prep(std::move(prepared)), policy(policy),
-          rng(seed), extBankOf(ext_bank_of), contended(cfg.banks, 0)
+          blockOf(block_of), prep(prep), policy(policy), rng(seed),
+          extBankOf(ext_bank_of), contended(cfg.banks, 0)
     {
         dpu_assert(prep.readerStart.size() == extent() + 1 &&
                        prep.inputStart.size() == blocks.size() + 1,
@@ -80,10 +80,8 @@ class BankMapper
         out.bankOf.assign(extent(), BankAssignment::invalid);
         out.peOf.assign(extent(), BankAssignment::invalid);
         takenBy.assign(blocks.size(), 0);
-        pendingSize.resize(blocks.size());
-        for (uint32_t b = 0; b < blocks.size(); ++b)
-            pendingSize[b] = prep.inputStart[b + 1] - prep.inputStart[b];
         initCompatibility();
+        initHolders();
         if (policy == BankPolicy::Random)
             assignRandomly();
         else
@@ -102,6 +100,18 @@ class BankMapper
     {
         return {prep.readerList.data() + prep.readerStart[idx(v)],
                 prep.readerList.data() + prep.readerStart[idx(v) + 1]};
+    }
+
+    /** Reader entries of in-range value v: indexes into
+     *  prep.readerList and prep.readerSlot. */
+    uint32_t firstReader(NodeId v) const { return prep.readerStart[idx(v)]; }
+    uint32_t endReader(NodeId v) const { return prep.readerStart[idx(v) + 1]; }
+
+    /** Holder mask of (block or reader b, bank). */
+    static size_t
+    holdAt(uint32_t b, uint32_t bank, uint32_t banks)
+    {
+        return size_t(b) * banks + bank;
     }
 
     /** The PEs holding a replica of io compute value v, in placement
@@ -172,6 +182,41 @@ class BankMapper
         }
     }
 
+    /**
+     * Index which unassigned values still hold each bank, per block:
+     * bit k of outHold[(b, bank)] is output slot k of block b, bit k of
+     * inHold[(b, bank)] is in-range input slot k of reader block b.
+     * A commit then visits only the values that lose its bank.
+     */
+    void
+    initHolders()
+    {
+        const uint32_t banks = cfg.banks;
+        outSlot.assign(extent(), 0);
+        outHold.assign(blocks.size() * banks, 0);
+        inHold.assign(blocks.size() * banks, 0);
+        outDone.assign(blocks.size(), 0);
+        inDone.assign(blocks.size(), 0);
+        for (uint32_t b = 0; b < blocks.size(); ++b) {
+            const std::vector<NodeId> &outs = blocks[b].outputs;
+            dpu_assert(outs.size() <= 64, "more block outputs than banks");
+            for (uint32_t k = 0; k < outs.size(); ++k) {
+                outSlot[idx(outs[k])] = static_cast<uint8_t>(k);
+                for (BankMask m = sb[idx(outs[k])]; m; m &= m - 1)
+                    outHold[holdAt(b, std::countr_zero(m), banks)] |=
+                        BankMask(1) << k;
+            }
+            const uint32_t first = prep.inputStart[b];
+            const uint32_t n = prep.inputStart[b + 1] - first;
+            dpu_assert(n <= 64, "more block inputs than banks");
+            for (uint32_t k = 0; k < n; ++k)
+                for (BankMask m = sb[idx(prep.inputList[first + k])]; m;
+                     m &= m - 1)
+                    inHold[holdAt(b, std::countr_zero(m), banks)] |=
+                        BankMask(1) << k;
+        }
+    }
+
     void
     moveToBucket(NodeId v, uint32_t count)
     {
@@ -206,19 +251,20 @@ class BankMapper
         return invalidNode;
     }
 
-    /** Shrink a node's compatibility set after a neighbour's pick. */
+    /** Shrink an unassigned in-range value's compatibility set by a
+     *  bank it holds, after a neighbour's pick. */
     void
     removeBank(NodeId v, uint32_t bank)
     {
-        if (!inRange(v))
-            return; // owned (and already fixed) by another range
-        if (out.bankOf[idx(v)] != BankAssignment::invalid)
-            return;
-        BankMask bit = BankMask(1) << bank;
-        if (!(sb[idx(v)] & bit))
-            return;
-        sb[idx(v)] &= ~bit;
+        const uint32_t banks = cfg.banks;
+        sb[idx(v)] &= ~(BankMask(1) << bank);
         moveToBucket(v, popcount(sb[idx(v)]));
+        if (!dag.node(v).isInput())
+            outHold[holdAt(blockOf[idx(v)], bank, banks)] &=
+                ~(BankMask(1) << outSlot[idx(v)]);
+        for (uint32_t e = firstReader(v); e < endReader(v); ++e)
+            inHold[holdAt(prep.readerList[e], bank, banks)] &=
+                ~(BankMask(1) << prep.readerSlot[e]);
     }
 
     /** Outputs of v's block other than v (simul_wr of algorithm 2). */
@@ -331,43 +377,36 @@ class BankMapper
         dpu_panic("no replica PE writes the chosen bank");
     }
 
-    /** Objective I for block rb after `bank` went to a value it
-     *  reads: its still-unassigned inputs avoid that bank. Assigned
-     *  values leave the pending list here (a no-op for removeBank
-     *  anyway), keeping the survivors in input order. */
-    void
-    avoidInReader(uint32_t rb, uint32_t bank)
-    {
-        NodeId *pending = prep.inputList.data() + prep.inputStart[rb];
-        uint32_t kept = 0;
-        for (uint32_t i = 0; i < pendingSize[rb]; ++i) {
-            NodeId w = pending[i];
-            if (out.bankOf[idx(w)] != BankAssignment::invalid)
-                continue;
-            removeBank(w, bank);
-            pending[kept++] = w;
-        }
-        pendingSize[rb] = kept;
-    }
-
     /** Finalize v's bank: record it, pick the writer PE, propagate
-     *  the F/G compatibility updates. */
+     *  the F/G compatibility updates to the unassigned values that
+     *  still hold the bank, mates in output order, then each reader's
+     *  inputs in input order. */
     void
     commitBank(NodeId v, uint32_t bank)
     {
+        const uint32_t banks = cfg.banks;
         out.bankOf[idx(v)] = bank;
+        for (uint32_t e = firstReader(v); e < endReader(v); ++e)
+            inDone[prep.readerList[e]] |= BankMask(1) << prep.readerSlot[e];
         if (!dag.node(v).isInput()) {
+            const uint32_t b = blockOf[idx(v)];
             out.peOf[idx(v)] = pickWriterPe(v, bank);
-            takenBy[blockOf[idx(v)]] |= BankMask(1) << bank;
+            takenBy[b] |= BankMask(1) << bank;
+            outDone[b] |= BankMask(1) << outSlot[idx(v)];
+            // Constraint G (intra-block): block-mates may not share it.
+            const std::vector<NodeId> &outs = blocks[b].outputs;
+            for (BankMask m = outHold[holdAt(b, bank, banks)] & ~outDone[b];
+                 m; m &= m - 1)
+                removeBank(outs[std::countr_zero(m)], bank);
         }
-        // Constraint G (intra-block): block-mates may not share it.
-        for (NodeId w : blockOutputs(v))
-            if (w != v)
-                removeBank(w, bank);
         // Objective I (inter-block): values read together with v
         // should avoid v's bank.
-        for (uint32_t rb : readersOf(v))
-            avoidInReader(rb, bank);
+        for (uint32_t rb : readersOf(v)) {
+            const NodeId *inputs = prep.inputList.data() + prep.inputStart[rb];
+            for (BankMask m = inHold[holdAt(rb, bank, banks)] & ~inDone[rb];
+                 m; m &= m - 1)
+                removeBank(inputs[std::countr_zero(m)], bank);
+        }
     }
 
     void
@@ -432,19 +471,21 @@ class BankMapper
     NodeId lo;
     NodeId hi;
     const uint32_t *blockOf; ///< Range-local block ids (idx space).
-    /** Owned: each block's input list doubles as its pending list. */
-    RangeBankPrep prep;
+    const RangeBankPrep &prep;
     BankPolicy policy;
     Rng rng;
     const uint32_t *extBankOf; ///< Global bankOf of earlier ranges.
     BankAssignment out;
 
-    /** Per block: its in-range inputs not yet assigned, a prefix of
-     *  prep.inputList[prep.inputStart[b]..] of length pendingSize[b],
-     *  compacted in order as values are assigned, so a commit's
-     *  objective-I propagation only visits values whose compatibility
-     *  can still shrink. */
-    std::vector<uint32_t> pendingSize;
+    /** Per (block, bank), see initHolders: the unassigned output
+     *  slots and in-range input slots whose compatibility holds the
+     *  bank. Bits of assigned slots may linger; outDone/inDone mask
+     *  them. */
+    std::vector<BankMask> outHold;
+    std::vector<BankMask> inHold;
+    std::vector<BankMask> outDone; ///< Per block: assigned output slots.
+    std::vector<BankMask> inDone;  ///< Per block: assigned input slots.
+    std::vector<uint8_t> outSlot;  ///< Output slot of each io compute value.
     std::vector<BankMask> externalOf; ///< Per block: earlier-range banks read.
     std::vector<BankMask> takenBy;    ///< Per block: banks of assigned outputs.
     std::vector<uint32_t> contended;  ///< contention() scratch.
@@ -498,11 +539,19 @@ prepareBanksForRange(const Dag &dag, const ArchConfig &cfg,
                          if (in_range(v))
                              emit(b, v);
              });
-    buildCsr(extent, prep.readerStart, prep.readerList, [&](auto &&emit) {
-        for (uint32_t b = 0; b < blocks.size(); ++b)
+    auto each_read = [&](auto &&emit) {
+        for (uint32_t b = 0; b < blocks.size(); ++b) {
+            uint32_t slot = 0;
             for (NodeId v : blocks[b].inputs)
                 if (in_range(v))
-                    emit(v - lo, b);
+                    emit(v - lo, b, slot++);
+        }
+    };
+    buildCsr(extent, prep.readerStart, prep.readerList, [&](auto &&emit) {
+        each_read([&](size_t v, uint32_t b, uint32_t) { emit(v, b); });
+    });
+    buildCsr(extent, prep.readerStart, prep.readerSlot, [&](auto &&emit) {
+        each_read([&](size_t v, uint32_t, uint32_t slot) { emit(v, slot); });
     });
     // Io value -> replica PEs: a node is placed only in its own block,
     // so its list is in placement order.
@@ -527,8 +576,9 @@ prepareBanksForRange(const Dag &dag, const ArchConfig &cfg,
 
 BankAssignment
 assignBanksForRange(const Dag &dag, const ArchConfig &cfg,
-                    const RangeDecomposition &dec, RangeBankPrep prep,
-                    BankPolicy policy, uint64_t seed,
+                    const RangeDecomposition &dec,
+                    const RangeBankPrep &prep, BankPolicy policy,
+                    uint64_t seed,
                     const std::vector<uint32_t> *externalBanks)
 {
     const uint32_t *ext = nullptr;
@@ -538,7 +588,7 @@ assignBanksForRange(const Dag &dag, const ArchConfig &cfg,
         ext = externalBanks->data();
     }
     return BankMapper(dag, cfg, dec.blocks, dec.range.first,
-                      dec.range.second, dec.blockOf.data(), std::move(prep),
+                      dec.range.second, dec.blockOf.data(), prep,
                       policy, seed, ext)
         .run();
 }

@@ -92,9 +92,11 @@ struct RangeBankPrep
     /** The range's io values, ascending. */
     std::vector<NodeId> ioValues;
 
-    /** CSR: in-range value -> the blocks reading it, ascending. */
+    /** CSR: in-range value -> the blocks reading it, ascending, and
+     *  its slot in each one's in-range input list. */
     std::vector<uint32_t> readerStart;
     std::vector<uint32_t> readerList;
+    std::vector<uint32_t> readerSlot;
 
     /** CSR: block -> its in-range inputs, in input order. */
     std::vector<uint32_t> inputStart;
@@ -142,14 +144,13 @@ RangeBankPrep prepareBanksForRange(const Dag &dag, const ArchConfig &cfg,
  * boundary-oblivious behavior.
  *
  * `prep` must come from prepareBanksForRange(dag, cfg, dec); the
- * mapper consumes it (each block's input list becomes its list of
- * inputs still to assign). The returned bankOf/peOf are range-local
+ * mapper only reads it. The returned bankOf/peOf are range-local
  * (indexed v - range.first) and readConflicts is left at 0 — count it
  * globally after merging.
  */
 BankAssignment assignBanksForRange(const Dag &dag, const ArchConfig &cfg,
                                    const RangeDecomposition &dec,
-                                   RangeBankPrep prep,
+                                   const RangeBankPrep &prep,
                                    BankPolicy policy = BankPolicy::ConflictAware,
                                    uint64_t seed = 1,
                                    const std::vector<uint32_t> *externalBanks =
