@@ -244,21 +244,27 @@ BM_DecomposeRange(benchmark::State &state)
 }
 BENCHMARK(BM_DecomposeRange)->Unit(benchmark::kMillisecond);
 
-/** Step 2 alone: every range's preparation and boundary-aware bank
- *  assignment, chained in range order as compile() chains them. */
+/** Step 2 alone: every range's preparation (with its look-ahead
+ *  readers) and boundary-aware bank assignment, chained in range order
+ *  as compile() chains them. */
 void
 BM_AssignBanksRange(benchmark::State &state)
 {
     const LargePcRanges &f = largePcRanges();
+    std::vector<const RangeDecomposition *> all;
+    for (const RangeDecomposition &dec : f.decs)
+        all.push_back(&dec);
     std::vector<uint32_t> bank_of;
     for (auto _ : state) {
         bank_of.assign(f.dag.numNodes(), BankAssignment::invalid);
         for (size_t p = 0; p < f.decs.size(); ++p) {
             const RangeDecomposition &dec = f.decs[p];
+            const auto later =
+                std::span<const RangeDecomposition *const>(all).subspan(p + 1);
             BankAssignment banks = assignBanksForRange(
                 f.dag, largeConfig(), dec,
-                prepareBanksForRange(f.dag, largeConfig(), dec),
-                BankPolicy::ConflictAware, 1 + p, &bank_of);
+                prepareBanksForRange(f.dag, largeConfig(), dec, later),
+                BankPolicy::ConflictAware, 1 + p, &bank_of, later);
             std::copy(banks.bankOf.begin(), banks.bankOf.end(),
                       bank_of.begin() + dec.range.first);
         }

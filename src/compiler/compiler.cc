@@ -1,7 +1,6 @@
 #include "compiler/compiler.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <span>
 
@@ -151,63 +150,70 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
     }
 
     // Step 1, partition-parallel: each range's block decomposition
-    // depends only on (dag, cfg, range), so any thread count
-    // produces the same pieces. Codegen reads every range's blocks
-    // (CodegenShared, the global block ids), so whichever
-    // decomposition finishes last derives that context, while step 2
-    // of the ranges already decomposed carries on. An unpartitioned
-    // hit reads the context its entry stored instead: it depends only
-    // on the DAG and the entry's blocks. `decs[p]` is the range's
-    // decomposition: a cache entry's, or the one in `pieces[p]` that
-    // a miss computes. A miss also prepares its step 2 here, since
-    // that reads nothing of other ranges.
+    // depends only on (dag, cfg, range), so any thread count produces
+    // the same pieces. `decs[p]` is the range's decomposition: a cache
+    // entry's, or the one in `pieces[p]` that a miss computes. Step 2
+    // of a range reads the blocks of every later range (look-ahead),
+    // and codegen reads every range's blocks (CodegenShared, the
+    // global block ids), so both wait for the last decomposition. An
+    // unpartitioned hit reads the context its entry stored instead:
+    // it depends only on the DAG and the entry's blocks.
     std::vector<RangeDecomposition> pieces(num_parts);
-    std::vector<RangeBankPrep> preps(num_parts);
     std::vector<const RangeDecomposition *> decs(num_parts);
-    std::vector<std::span<const Block>> partBlocks(num_parts);
-    std::vector<size_t> blocksPerPart(num_parts);
-    std::vector<size_t> blockBase(num_parts + 1, 0);
-    CodegenShared computed;
-    const CodegenShared &shared =
-        num_parts == 1 && hit[0] && hit[0]->shared ? *hit[0]->shared
-                                                   : computed;
-    std::atomic<size_t> undecomposed{num_parts};
-    auto decompose = [&](size_t p) {
+    parallelFor(num_parts, options.threads, [&](size_t p) {
         if (hit[p]) {
             decs[p] = &hit[p]->dec;
         } else {
             pieces[p] = decomposeRangeIntoBlocks(dag, succ, cfg, parts[p],
                                                  dfs_positions);
-            preps[p] = prepareBanksForRange(dag, cfg, pieces[p]);
             decs[p] = &pieces[p];
         }
-        partBlocks[p] = std::span<const Block>(decs[p]->blocks);
-        blocksPerPart[p] = partBlocks[p].size();
-        if (undecomposed.fetch_sub(1) != 1)
-            return;
-        for (size_t q = 0; q < num_parts; ++q)
-            blockBase[q + 1] = blockBase[q] + blocksPerPart[q];
-        if (&shared == &computed)
-            computed = computeCodegenShared(dag, sinks, partBlocks);
-    };
+    });
+    std::vector<std::span<const Block>> partBlocks(num_parts);
+    std::vector<size_t> blockBase(num_parts + 1, 0);
+    for (size_t p = 0; p < num_parts; ++p) {
+        partBlocks[p] = decs[p]->blocks;
+        blockBase[p + 1] = blockBase[p] + partBlocks[p].size();
+    }
+    CodegenShared computed;
+    const CodegenShared &shared =
+        num_parts == 1 && hit[0] && hit[0]->shared ? *hit[0]->shared
+                                                   : computed;
+    if (&shared == &computed)
+        computed = computeCodegenShared(dag, sinks, partBlocks);
 
-    // The rest of step 2 for one range, and the merge of its bank map
-    // into the whole-DAG view codegen reads (a range reads values
-    // earlier ranges own). Boundary-aware mapping chains the ranges —
-    // each sees the merged banks of its predecessors — so ranges map
-    // in partition order, inside the pipeline below.
+    // Step 2. A miss prepares its range unordered (prepareBanksForRange
+    // reads decompositions only), then maps it in the ordered chain,
+    // and the merge copies its bank map into the whole-DAG view
+    // codegen reads (a range reads values earlier ranges own).
+    // Boundary-aware mapping chains the ranges — each sees the merged
+    // banks of its predecessors and the blocks of its successors — so
+    // ranges map in partition order.
+    std::vector<RangeBankPrep> preps(num_parts);
     std::vector<BankAssignment> pieceBanks(num_parts);
     BankAssignment banks;
     banks.bankOf.assign(dag.numNodes(), BankAssignment::invalid);
     banks.peOf.assign(dag.numNodes(), BankAssignment::invalid);
     const bool boundary_aware =
         options.boundaryAwareBanks && num_parts > 1;
-    auto map_range = [&](size_t p) {
+    auto later = [&](size_t p) {
+        return boundary_aware
+                   ? std::span<const RangeDecomposition *const>(decs)
+                         .subspan(p + 1)
+                   : std::span<const RangeDecomposition *const>();
+    };
+    auto prepare_range = [&](size_t p) {
         if (!hit[p])
+            preps[p] = prepareBanksForRange(dag, cfg, pieces[p], later(p));
+    };
+    auto map_range = [&](size_t p) {
+        if (!hit[p]) {
             pieceBanks[p] = assignBanksForRange(
-                dag, cfg, pieces[p], std::move(preps[p]),
-                options.bankPolicy, partitionSeed(options.seed, p),
-                boundary_aware ? &banks.bankOf : nullptr);
+                dag, cfg, pieces[p], preps[p], options.bankPolicy,
+                partitionSeed(options.seed, p),
+                boundary_aware ? &banks.bankOf : nullptr, later(p));
+            preps[p] = {};
+        }
         const BankAssignment &piece =
             hit[p] ? hit[p]->banks : pieceBanks[p];
         std::copy(piece.bankOf.begin(), piece.bankOf.end(),
@@ -216,21 +222,20 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
                   banks.peOf.begin() + decs[p]->range.first);
     };
 
-    // Pipelined steps 1-4 on one pool of workers:
-    // - pre: step 1 and step 2's preparation of every range,
-    //   unordered;
+    // Pipelined steps 2-4 on one pool of workers:
+    // - pre: step 2's preparation of every range, unordered;
     // - ordered: the rest of step 2 of partition p, once p is
-    //   prepared and p-1 is mapped, while other ranges are still in
-    //   step 1, codegen, reorder or finalize;
+    //   prepared and p-1 is mapped, while other ranges are still
+    //   being prepared, or in codegen, reorder or finalize;
     // - produce: codegen + per-fragment reorder, once every range is
-    //   decomposed;
+    //   prepared;
     // - consume: this thread merges and finalizes the fragments in
     //   strict partition order.
     // Step 2 sees exactly the banks the earlier ranges chose, and the
     // merge and the incremental finalizer are deterministic in the
     // consume order, so the program is byte-identical at every thread
     // count — threads = 1 (and an unpartitioned compile) degenerates
-    // to every decomposition, then the plain map/produce/consume
+    // to every preparation, then the plain map/produce/consume
     // interleave.
     auto block_at = [&](uint32_t id) -> const Block & {
         size_t p = static_cast<size_t>(std::upper_bound(blockBase.begin(),
@@ -254,8 +259,8 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
     size_t done_instances = 0;
     pipelineOrdered(
         num_parts, options.threads,
-        decompose, // pre: step 1 + step-2 prep, unordered
-        map_range, // ordered: range p sees ranges < p mapped
+        prepare_range, // pre: step-2 prep, unordered
+        map_range,     // ordered: range p sees ranges < p mapped
         [&](size_t p) { // produce: codegen + per-fragment reorder
             if (hit[p]) {
                 frags[p] = hit[p]->frag;
@@ -274,7 +279,7 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
                 reorderFragment(frags[p], cfg, options.reorderWindow);
         },
         [&](size_t p) { // consume: ordered merge + finalize chunk
-            merger.append(std::move(frags[p]), blocksPerPart[p]);
+            merger.append(std::move(frags[p]), partBlocks[p].size());
             finalizer.appendChunk(merger.ir(), done_instrs,
                                   done_instances);
             done_instrs = merger.ir().instrs.size();
@@ -292,7 +297,7 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
         // *unscheduled* fragments.
         ScheduledIrMerger unsched(dag, cfg, banks, shared);
         for (size_t p = 0; p < num_parts; ++p)
-            unsched.append(std::move(unscheduled[p]), blocksPerPart[p]);
+            unsched.append(std::move(unscheduled[p]), partBlocks[p].size());
         VerifyIrOptions vopt;
         vopt.numBlocks = blockBase[num_parts];
         timed_verify([&] {

@@ -52,10 +52,29 @@ buildCsr(size_t keys, std::vector<uint32_t> &start,
 }
 
 /**
+ * The block with look-ahead id `id`: blocks are numbered across the
+ * `later` decompositions in order, each one's blocks in its order.
+ */
+const Block &
+laterBlock(std::span<const RangeDecomposition *const> later, uint32_t id)
+{
+    for (const RangeDecomposition *dec : later) {
+        if (id < dec->blocks.size())
+            return dec->blocks[id];
+        id -= static_cast<uint32_t>(dec->blocks.size());
+    }
+    dpu_panic("look-ahead block id past the later ranges");
+}
+
+/**
  * The ordered half of step 2 over one contiguous id range, on its
  * prepared indexes. Per-node state is range-local (indexed v - lo);
- * block inputs coming from outside the range already have their banks
+ * block inputs coming from earlier ranges already have their banks
  * fixed by their owning range and only enter through `extBankOf`.
+ * A value's readers are the range's own blocks, then its look-ahead
+ * readers (prep.aheadBlocks, blocks of later ranges, which have no
+ * outputs here); inputs of later ranges are not mapped yet and count
+ * for nothing.
  */
 class BankMapper
 {
@@ -64,13 +83,19 @@ class BankMapper
                const std::vector<Block> &blocks, NodeId lo, NodeId hi,
                const uint32_t *block_of, const RangeBankPrep &prep,
                BankPolicy policy, uint64_t seed,
-               const uint32_t *ext_bank_of = nullptr)
+               const uint32_t *ext_bank_of,
+               std::span<const RangeDecomposition *const> later)
         : dag(dag), cfg(cfg), blocks(blocks), lo(lo), hi(hi),
           blockOf(block_of), prep(prep), policy(policy), rng(seed),
           extBankOf(ext_bank_of), contended(cfg.banks, 0)
     {
+        readerBlocks.reserve(blocks.size() + prep.aheadBlocks.size());
+        for (const Block &b : blocks)
+            readerBlocks.push_back(&b);
+        for (uint32_t id : prep.aheadBlocks)
+            readerBlocks.push_back(&laterBlock(later, id));
         dpu_assert(prep.readerStart.size() == extent() + 1 &&
-                       prep.inputStart.size() == blocks.size() + 1,
+                       prep.inputStart.size() == readerBlocks.size() + 1,
                    "bank-mapping prep of another range");
     }
 
@@ -94,7 +119,9 @@ class BankMapper
     bool inRange(NodeId v) const { return v >= lo && v < hi; }
     size_t idx(NodeId v) const { return v - lo; }
 
-    /** The blocks reading in-range value v, ascending. */
+    size_t numReaders() const { return readerBlocks.size(); }
+
+    /** The readers of in-range value v, ascending. */
     std::span<const uint32_t>
     readersOf(NodeId v) const
     {
@@ -143,7 +170,7 @@ class BankMapper
      * some block reads together with v (the boundary-aware extension
      * of objective I — without it, cross-partition co-reads land in
      * the same bank and each costs a copy instruction at codegen):
-     * the union of v's reader blocks' external masks.
+     * the union of v's readers' external masks.
      */
     BankMask
     externalConflictMask(NodeId v) const
@@ -157,14 +184,13 @@ class BankMapper
     void
     initCompatibility()
     {
-        // Per block: the banks of its inputs that earlier ranges own.
+        // Per reader: the banks of its inputs that earlier ranges own.
         if (extBankOf) {
-            externalOf.assign(blocks.size(), 0);
-            for (uint32_t b = 0; b < blocks.size(); ++b)
-                for (NodeId w : blocks[b].inputs)
-                    if (!inRange(w) &&
-                        extBankOf[w] != BankAssignment::invalid)
-                        externalOf[b] |= BankMask(1) << extBankOf[w];
+            externalOf.assign(numReaders(), 0);
+            for (uint32_t rb = 0; rb < numReaders(); ++rb)
+                for (NodeId w : readerBlocks[rb]->inputs)
+                    if (w < lo && extBankOf[w] != BankAssignment::invalid)
+                        externalOf[rb] |= BankMask(1) << extBankOf[w];
         }
         sb.assign(extent(), 0);
         bucketOf.assign(extent(), BankAssignment::invalid);
@@ -183,10 +209,10 @@ class BankMapper
     }
 
     /**
-     * Index which unassigned values still hold each bank, per block:
-     * bit k of outHold[(b, bank)] is output slot k of block b, bit k of
-     * inHold[(b, bank)] is in-range input slot k of reader block b.
-     * A commit then visits only the values that lose its bank.
+     * Index which unassigned values still hold each bank: bit k of
+     * outHold[(b, bank)] is output slot k of block b, bit k of
+     * inHold[(rb, bank)] is in-range input slot k of reader rb. A
+     * commit then visits only the values that lose its bank.
      */
     void
     initHolders()
@@ -194,9 +220,9 @@ class BankMapper
         const uint32_t banks = cfg.banks;
         outSlot.assign(extent(), 0);
         outHold.assign(blocks.size() * banks, 0);
-        inHold.assign(blocks.size() * banks, 0);
+        inHold.assign(numReaders() * banks, 0);
         outDone.assign(blocks.size(), 0);
-        inDone.assign(blocks.size(), 0);
+        inDone.assign(numReaders(), 0);
         for (uint32_t b = 0; b < blocks.size(); ++b) {
             const std::vector<NodeId> &outs = blocks[b].outputs;
             dpu_assert(outs.size() <= 64, "more block outputs than banks");
@@ -206,6 +232,8 @@ class BankMapper
                     outHold[holdAt(b, std::countr_zero(m), banks)] |=
                         BankMask(1) << k;
             }
+        }
+        for (uint32_t b = 0; b < numReaders(); ++b) {
             const uint32_t first = prep.inputStart[b];
             const uint32_t n = prep.inputStart[b + 1] - first;
             dpu_assert(n <= 64, "more block inputs than banks");
@@ -304,7 +332,7 @@ class BankMapper
             if (inRange(w)) {
                 if (out.bankOf[idx(w)] != BankAssignment::invalid)
                     ++c[out.bankOf[idx(w)]];
-            } else if (extBankOf &&
+            } else if (w < lo && extBankOf &&
                        extBankOf[w] != BankAssignment::invalid) {
                 ++c[extBankOf[w]]; // fixed by an earlier range
             }
@@ -312,7 +340,7 @@ class BankMapper
         for (NodeId w : blockOutputs(v))
             tally(w);
         for (uint32_t rb : readersOf(v))
-            for (NodeId w : blocks[rb].inputs)
+            for (NodeId w : readerBlocks[rb]->inputs)
                 tally(w);
         return c;
     }
@@ -468,6 +496,8 @@ class BankMapper
     const Dag &dag;
     const ArchConfig &cfg;
     const std::vector<Block> &blocks;
+    /** Per reader: its block, the range's own blocks first. */
+    std::vector<const Block *> readerBlocks;
     NodeId lo;
     NodeId hi;
     const uint32_t *blockOf; ///< Range-local block ids (idx space).
@@ -484,9 +514,9 @@ class BankMapper
     std::vector<BankMask> outHold;
     std::vector<BankMask> inHold;
     std::vector<BankMask> outDone; ///< Per block: assigned output slots.
-    std::vector<BankMask> inDone;  ///< Per block: assigned input slots.
+    std::vector<BankMask> inDone;  ///< Per reader: assigned input slots.
     std::vector<uint8_t> outSlot;  ///< Output slot of each io compute value.
-    std::vector<BankMask> externalOf; ///< Per block: earlier-range banks read.
+    std::vector<BankMask> externalOf; ///< Per reader: earlier-range banks read.
     std::vector<BankMask> takenBy;    ///< Per block: banks of assigned outputs.
     std::vector<uint32_t> contended;  ///< contention() scratch.
     std::vector<BankMask> sb;   ///< Current compatibility (shrinks).
@@ -511,7 +541,8 @@ assignBanks(const Dag &dag, const ArchConfig &cfg,
 
 RangeBankPrep
 prepareBanksForRange(const Dag &dag, const ArchConfig &cfg,
-                     const RangeDecomposition &dec)
+                     const RangeDecomposition &dec,
+                     std::span<const RangeDecomposition *const> later)
 {
     dpu_assert(cfg.banks <= 64, "bank masks are 64-bit");
     const NodeId lo = dec.range.first;
@@ -531,22 +562,40 @@ prepareBanksForRange(const Dag &dag, const ArchConfig &cfg,
         prep.peWritable.push_back(m);
     }
 
-    // Block -> in-range inputs, and its transpose, value -> readers.
-    buildCsr(blocks.size(), prep.inputStart, prep.inputList,
-             [&](auto &&emit) {
-                 for (uint32_t b = 0; b < blocks.size(); ++b)
-                     for (NodeId v : blocks[b].inputs)
-                         if (in_range(v))
-                             emit(b, v);
-             });
+    // Readers: the range's blocks, then the later blocks that read
+    // one of its values (block inputs ascend, so the first input at or
+    // past lo tells).
+    std::vector<const Block *> readers;
+    readers.reserve(blocks.size());
+    for (const Block &block : blocks)
+        readers.push_back(&block);
+    uint32_t id = 0;
+    for (const RangeDecomposition *d : later)
+        for (const Block &block : d->blocks) {
+            auto it = std::lower_bound(block.inputs.begin(),
+                                       block.inputs.end(), lo);
+            if (it != block.inputs.end() && *it < hi) {
+                prep.aheadBlocks.push_back(id);
+                readers.push_back(&block);
+            }
+            ++id;
+        }
+
+    // Reader -> in-range inputs, and its transpose, value -> readers.
     auto each_read = [&](auto &&emit) {
-        for (uint32_t b = 0; b < blocks.size(); ++b) {
+        for (uint32_t rb = 0; rb < readers.size(); ++rb) {
             uint32_t slot = 0;
-            for (NodeId v : blocks[b].inputs)
+            for (NodeId v : readers[rb]->inputs)
                 if (in_range(v))
-                    emit(v - lo, b, slot++);
+                    emit(v - lo, rb, slot++);
         }
     };
+    buildCsr(readers.size(), prep.inputStart, prep.inputList,
+             [&](auto &&emit) {
+                 each_read([&](size_t v, uint32_t rb, uint32_t) {
+                     emit(rb, static_cast<NodeId>(v + lo));
+                 });
+             });
     buildCsr(extent, prep.readerStart, prep.readerList, [&](auto &&emit) {
         each_read([&](size_t v, uint32_t b, uint32_t) { emit(v, b); });
     });
@@ -579,7 +628,8 @@ assignBanksForRange(const Dag &dag, const ArchConfig &cfg,
                     const RangeDecomposition &dec,
                     const RangeBankPrep &prep, BankPolicy policy,
                     uint64_t seed,
-                    const std::vector<uint32_t> *externalBanks)
+                    const std::vector<uint32_t> *externalBanks,
+                    std::span<const RangeDecomposition *const> later)
 {
     const uint32_t *ext = nullptr;
     if (externalBanks) {
@@ -589,7 +639,7 @@ assignBanksForRange(const Dag &dag, const ArchConfig &cfg,
     }
     return BankMapper(dag, cfg, dec.blocks, dec.range.first,
                       dec.range.second, dec.blockOf.data(), prep,
-                      policy, seed, ext)
+                      policy, seed, ext, later)
         .run();
 }
 

@@ -23,20 +23,30 @@
  * searched PE/bank space.
  *
  * A partition range maps in two halves. The *prepare* half
- * (prepareBanksForRange) reads only the range's own decomposition: it
- * indexes the io values, each value's reader blocks, each block's
- * in-range inputs and each value's replica PEs. The *assign* half
+ * (prepareBanksForRange) reads decompositions only: it indexes the
+ * range's io values, each value's readers, each reader's in-range
+ * inputs and each value's replica PEs. The *assign* half
  * (assignBanksForRange) reads the banks earlier ranges chose, so a
  * boundary-aware compile runs it in range order: it ORs those banks
- * into one mask per block, fills the Mnodes buckets from the replicas'
- * physical masks and runs the greedy. compile() prepares a range
- * right after decomposing it, so only the assign half is in the
- * ordered chain.
+ * into one mask per reader, fills the Mnodes buckets from the
+ * replicas' physical masks and runs the greedy.
+ *
+ * Boundary-aware mapping looks ahead: a block of a later range that
+ * reads values of this range is one of their readers too, so two
+ * values a later block reads together avoid sharing a bank (objective
+ * I) although no block of their own range reads both. Its inputs of
+ * earlier ranges fold into its external mask like a local block's; its
+ * inputs of later ranges are not mapped yet and count for nothing; it
+ * has no outputs here, so constraint G is untouched. Preparing a range
+ * therefore needs every later range decomposed: compile() decomposes
+ * every range first, then prepares the ranges in parallel, and only
+ * the assign half is in the ordered chain.
  */
 
 #ifndef DPU_COMPILER_MAPPER_HH
 #define DPU_COMPILER_MAPPER_HH
 
+#include <span>
 #include <vector>
 
 #include "arch/config.hh"
@@ -83,22 +93,29 @@ BankAssignment assignBanks(const Dag &dag, const ArchConfig &cfg,
                            uint64_t seed = 1);
 
 /**
- * The range-local half of step 2 for one partition range, prepared
- * from its decomposition alone (prepareBanksForRange). Value-indexed
- * tables are range-local (indexed v - range.first).
+ * The decomposition-only half of step 2 for one partition range
+ * (prepareBanksForRange). Value-indexed tables are range-local
+ * (indexed v - range.first). Readers are numbered: the range's own
+ * blocks first, then its look-ahead readers in aheadBlocks order.
  */
 struct RangeBankPrep
 {
     /** The range's io values, ascending. */
     std::vector<NodeId> ioValues;
 
-    /** CSR: in-range value -> the blocks reading it, ascending, and
-     *  its slot in each one's in-range input list. */
+    /** Look-ahead readers: the blocks of later ranges that read a
+     *  value of this range, ascending, as ids numbered across the
+     *  later decompositions in order (reader blocks.size() + i is
+     *  aheadBlocks[i]). No Block is copied. */
+    std::vector<uint32_t> aheadBlocks;
+
+    /** CSR: in-range value -> its readers, ascending, and its slot in
+     *  each one's in-range input list. */
     std::vector<uint32_t> readerStart;
     std::vector<uint32_t> readerList;
     std::vector<uint32_t> readerSlot;
 
-    /** CSR: block -> its in-range inputs, in input order. */
+    /** CSR: reader -> its in-range inputs, in input order. */
     std::vector<uint32_t> inputStart;
     std::vector<NodeId> inputList;
 
@@ -112,22 +129,25 @@ struct RangeBankPrep
 
 /**
  * Prepare step 2 for one partition range: index its io values, their
- * reader blocks, each block's in-range inputs and each value's replica
- * PEs. Depends only on (dag, cfg, dec), so compile() runs it right
- * after the range's decomposition, outside the ordered chain.
+ * readers, each reader's in-range inputs and each value's replica
+ * PEs. `later` holds the decompositions of the ranges after dec's, in
+ * order (empty: no look-ahead readers). Depends on decompositions
+ * only, so compile() runs it outside the ordered chain.
  */
-RangeBankPrep prepareBanksForRange(const Dag &dag, const ArchConfig &cfg,
-                                   const RangeDecomposition &dec);
+RangeBankPrep prepareBanksForRange(
+    const Dag &dag, const ArchConfig &cfg, const RangeDecomposition &dec,
+    std::span<const RangeDecomposition *const> later = {});
 
 /**
- * Run the rest of step 2 on one prepared partition range, in
- * isolation: assigns home banks to the io values the range owns (its
- * DAG inputs and its blocks' outputs), considering only intra-range
- * reader blocks for the conflict objectives. Values read from
- * earlier partitions keep the banks their owners chose, so ranges can
- * be mapped concurrently and merged deterministically; the price is
- * that conflicts between values first read together across a
- * partition boundary are not optimized (they are still resolved
+ * Run the rest of step 2 on one prepared partition range: assigns
+ * home banks to the io values the range owns (its DAG inputs and its
+ * blocks' outputs). Values read from earlier partitions keep the
+ * banks their owners chose.
+ *
+ * Without `externalBanks` the mapper sees only the range's own
+ * blocks, so ranges can be mapped concurrently (the boundary-oblivious
+ * mapper); conflicts between values first read together across a
+ * partition boundary are then not optimized (they are still resolved
  * correctly by copies later).
  *
  * `externalBanks` makes the mapper *boundary-aware*: a whole-DAG
@@ -140,21 +160,19 @@ RangeBankPrep prepareBanksForRange(const Dag &dag, const ArchConfig &cfg,
  * ranges are read, so other threads may fill in later ranges
  * meanwhile — compile() maps each range in the ordered step of its
  * codegen pipeline, overlapping the codegen, reorder and finalize of
- * the earlier partitions. Pass nullptr for the historical
- * boundary-oblivious behavior.
+ * the earlier partitions.
  *
- * `prep` must come from prepareBanksForRange(dag, cfg, dec); the
+ * `prep` must come from prepareBanksForRange(dag, cfg, dec, later)
+ * with the same `later`, which resolves its look-ahead readers; the
  * mapper only reads it. The returned bankOf/peOf are range-local
  * (indexed v - range.first) and readConflicts is left at 0 — count it
  * globally after merging.
  */
-BankAssignment assignBanksForRange(const Dag &dag, const ArchConfig &cfg,
-                                   const RangeDecomposition &dec,
-                                   const RangeBankPrep &prep,
-                                   BankPolicy policy = BankPolicy::ConflictAware,
-                                   uint64_t seed = 1,
-                                   const std::vector<uint32_t> *externalBanks =
-                                       nullptr);
+BankAssignment assignBanksForRange(
+    const Dag &dag, const ArchConfig &cfg, const RangeDecomposition &dec,
+    const RangeBankPrep &prep, BankPolicy policy = BankPolicy::ConflictAware,
+    uint64_t seed = 1, const std::vector<uint32_t> *externalBanks = nullptr,
+    std::span<const RangeDecomposition *const> later = {});
 
 /** Recount read conflicts of an assignment over dec's blocks
  *  (test/diagnostic helper). `assignment.bankOf` is indexed by global
