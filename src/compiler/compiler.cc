@@ -1,6 +1,7 @@
 #include "compiler/compiler.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <span>
 
@@ -155,9 +156,7 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
     // entry's, or the one in `pieces[p]` that a miss computes. Step 2
     // of a range reads the blocks of every later range (look-ahead),
     // and codegen reads every range's blocks (CodegenShared, the
-    // global block ids), so both wait for the last decomposition. An
-    // unpartitioned hit reads the context its entry stored instead:
-    // it depends only on the DAG and the entry's blocks.
+    // global block ids), so both wait for the last decomposition.
     std::vector<RangeDecomposition> pieces(num_parts);
     std::vector<const RangeDecomposition *> decs(num_parts);
     parallelFor(num_parts, options.threads, [&](size_t p) {
@@ -175,12 +174,12 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
         partBlocks[p] = decs[p]->blocks;
         blockBase[p + 1] = blockBase[p] + partBlocks[p].size();
     }
+    // An unpartitioned hit reads the codegen context its entry
+    // stored: it depends only on the DAG and the entry's blocks.
     CodegenShared computed;
     const CodegenShared &shared =
         num_parts == 1 && hit[0] && hit[0]->shared ? *hit[0]->shared
                                                    : computed;
-    if (&shared == &computed)
-        computed = computeCodegenShared(dag, sinks, partBlocks);
 
     // Step 2. A miss prepares its range unordered (prepareBanksForRange
     // reads decompositions only), then maps it in the ordered chain,
@@ -202,9 +201,14 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
                          .subspan(p + 1)
                    : std::span<const RangeDecomposition *const>();
     };
+    // The last preparation to finish also derives the codegen
+    // context, while the ordered chain already maps.
+    std::atomic<size_t> unprepared{num_parts};
     auto prepare_range = [&](size_t p) {
         if (!hit[p])
             preps[p] = prepareBanksForRange(dag, cfg, pieces[p], later(p));
+        if (unprepared.fetch_sub(1) == 1 && &shared == &computed)
+            computed = computeCodegenShared(dag, sinks, partBlocks);
     };
     auto map_range = [&](size_t p) {
         if (!hit[p]) {
@@ -228,7 +232,7 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
     //   prepared and p-1 is mapped, while other ranges are still
     //   being prepared, or in codegen, reorder or finalize;
     // - produce: codegen + per-fragment reorder, once every range is
-    //   prepared;
+    //   prepared and the codegen context derived;
     // - consume: this thread merges and finalizes the fragments in
     //   strict partition order.
     // Step 2 sees exactly the banks the earlier ranges chose, and the
