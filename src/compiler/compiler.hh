@@ -8,13 +8,16 @@
  * IR codegen -> step 3 pipeline-aware reordering ->
  * step 4 spilling + address resolution -> executable program.
  *
- * Every compile streams these stages through one pipelineOrdered
- * pool of CompileOptions::threads workers: every partition's step 1
- * runs unordered; step 2 maps partition p in partition order once p is
- * decomposed; codegen and step 3 run per partition once every range
- * is decomposed, and the last partition's fragment also holds the
- * final stores; the caller merges and runs step 4 in partition order.
- * An unpartitioned compile is the one-range case, a plain loop.
+ * Every compile runs step 1 of every partition in parallel on
+ * CompileOptions::threads workers, then streams the rest through one
+ * pipelineOrdered pool of as many: step 2's preparation of every
+ * partition runs unordered (it reads the blocks of every later
+ * partition, step 2's look-ahead); step 2 maps partition p in
+ * partition order once p is prepared; codegen and step 3 run per
+ * partition once every range is prepared, and the last partition's
+ * fragment also holds the final stores; the caller merges and runs
+ * step 4 in partition order. An unpartitioned compile is the
+ * one-range case, a plain loop.
  */
 
 #ifndef DPU_COMPILER_COMPILER_HH
@@ -36,13 +39,13 @@ struct CompileOptions
     BankPolicy bankPolicy = BankPolicy::ConflictAware;
 
     /** Boundary-aware step 2 on partitioned compiles: each range's
-     *  mapper sees the bank occupancy of earlier ranges, so values
-     *  co-read across a partition boundary avoid each other's banks
-     *  (fewer read conflicts, fewer copy instructions). Ranges are
-     *  then mapped one at a time in partition order, inside the
-     *  codegen pipeline: range p maps while earlier partitions are in
-     *  codegen, reorder and finalize. No effect on unpartitioned
-     *  compiles. */
+     *  mapper sees the bank occupancy of earlier ranges and, looking
+     *  ahead, the later blocks that read its values, so values co-read
+     *  across a partition boundary avoid each other's banks (fewer
+     *  read conflicts, fewer copy instructions). Ranges are then
+     *  mapped one at a time in partition order, inside the codegen
+     *  pipeline: range p maps while earlier partitions are in codegen,
+     *  reorder and finalize. No effect on unpartitioned compiles. */
     bool boundaryAwareBanks = true;
 
     /** Step-3 look-ahead window (paper: 300). */
@@ -70,9 +73,9 @@ struct CompileOptions
 
     /** Host worker threads for partition-parallel compilation. Each
      *  partition's block decomposition, bank mapping, IR codegen,
-     *  pipeline reorder and finalize run concurrently (steps 1-4 are
-     *  pipelined per partition on one pool of this many workers);
-     *  the merged program
+     *  pipeline reorder and finalize run concurrently (step 1 on a
+     *  pool of this many workers, then steps 2-4 pipelined per
+     *  partition on another); the merged program
      *  is byte-identical for every thread count (and to threads = 1).
      *  Only effective when partitionNodes yields more than one
      *  partition. */

@@ -86,8 +86,8 @@ parallelFor(size_t n, uint32_t threads, Fn &&fn)
  *
  * - pre(i) runs unordered and may only touch state private to index i,
  *   unless it synchronizes itself (the compiler's last pre(), found by
- *   an atomic countdown, derives shared state from every pre()'s
- *   output).
+ *   an atomic countdown, derives shared state that only produce()
+ *   reads).
  * - ordered(i) starts once pre(i) and ordered(i-1) have finished (a
  *   turnstile on the index), so it may read and write what lower
  *   indices' ordered steps left, while other pre() and produce()
