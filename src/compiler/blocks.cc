@@ -17,6 +17,36 @@ struct FreeSlot
 };
 
 /**
+ * The nodes of [lo, hi) in (DFS position, id) order: a least-digit-
+ * first radix sort on the positions, 11 bits a pass. Each pass is
+ * stable and the ids start ascending, so equal positions keep id
+ * order.
+ */
+std::vector<NodeId>
+sortByDfsPosition(NodeId lo, NodeId hi, const std::vector<uint32_t> &dfs_pos)
+{
+    constexpr uint32_t bits = 11;
+    constexpr uint32_t digits = 1u << bits;
+    std::vector<NodeId> nodes(hi - lo), scratch(hi - lo);
+    uint32_t top = 0;
+    for (NodeId v = lo; v < hi; ++v) {
+        nodes[v - lo] = v;
+        top = std::max(top, dfs_pos[v]);
+    }
+    for (uint32_t shift = 0; shift < 32 && top >> shift; shift += bits) {
+        std::vector<uint32_t> start(digits + 1, 0);
+        for (NodeId v : nodes)
+            ++start[(dfs_pos[v] >> shift & (digits - 1)) + 1];
+        for (uint32_t d = 0; d < digits; ++d)
+            start[d + 1] += start[d];
+        for (NodeId v : nodes)
+            scratch[start[dfs_pos[v] >> shift & (digits - 1)]++] = v;
+        nodes.swap(scratch);
+    }
+    return nodes;
+}
+
+/**
  * Step-1 engine for one contiguous id range. All per-node state is
  * range-local; nodes outside the range count as mapped (inputs live
  * in registers, earlier partitions were fully mapped before this one
@@ -45,17 +75,11 @@ class BlockBuilder
           readFloor(extent(), 0),
           overlapEpoch(extent(), 0),
           rankOf(extent()),
-          nodeAtRank(extent()),
           buckets(cfg.depth + 1, RankSet(extent()))
     {
         dpu_assert(rangeLo <= rangeHi && rangeHi <= dag.numNodes(),
                    "bad partition range");
-        for (NodeId v = rangeLo; v < rangeHi; ++v)
-            nodeAtRank[idx(v)] = v;
-        std::sort(nodeAtRank.begin(), nodeAtRank.end(),
-                  [&](NodeId a, NodeId b) {
-                      return std::pair(dfsPos[a], a) < std::pair(dfsPos[b], b);
-                  });
+        nodeAtRank = sortByDfsPosition(rangeLo, rangeHi, dfsPos);
         for (uint32_t r = 0; r < nodeAtRank.size(); ++r)
             rankOf[idx(nodeAtRank[r])] = r;
     }
