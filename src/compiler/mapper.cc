@@ -551,7 +551,6 @@ prepareBanksForRange(const Dag &dag, const ArchConfig &cfg,
     const std::vector<uint8_t> &is_io = dec.isIo;
     dpu_assert(lo <= hi && hi <= dag.numNodes(), "bad mapper range");
     const size_t extent = hi - lo;
-    auto in_range = [&](NodeId v) { return v >= lo && v < hi; };
     RangeBankPrep prep;
 
     prep.peWritable.reserve(cfg.numPes());
@@ -584,10 +583,11 @@ prepareBanksForRange(const Dag &dag, const ArchConfig &cfg,
     // Reader -> in-range inputs, and its transpose, value -> readers.
     auto each_read = [&](auto &&emit) {
         for (uint32_t rb = 0; rb < readers.size(); ++rb) {
+            const std::vector<NodeId> &inputs = readers[rb]->inputs;
             uint32_t slot = 0;
-            for (NodeId v : readers[rb]->inputs)
-                if (in_range(v))
-                    emit(v - lo, rb, slot++);
+            for (auto it = std::lower_bound(inputs.begin(), inputs.end(), lo);
+                 it != inputs.end() && *it < hi; ++it)
+                emit(*it - lo, rb, slot++);
         }
     };
     buildCsr(readers.size(), prep.inputStart, prep.inputList,
