@@ -270,7 +270,7 @@ statsDigest(const SimStats &s)
        << " memWrites=" << s.memWrites << " bits=" << s.instrBitsFetched
        << " peak=" << s.peakLiveRegisters << " stride=" << s.traceStride
        << " trace=" << s.occupancyTrace.size() << "/" << std::hex
-       << trace_hash << std::dec << " transfer=" << s.transferCycles;
+       << trace_hash << std::dec;
     return os.str();
 }
 
@@ -323,44 +323,45 @@ goldenConfig(const std::string &name)
  * configurations that cover one and several 64-bit register-mask
  * words per bank (R=32, R=256), a partial word (R=20), and the
  * crossbar and one-per-PE output nets. Tracing is on with a small
- * sample cap so stride-doubling decimation runs, and a non-free
- * transfer model makes transferCycles non-zero. Any change to the
+ * sample cap so stride-doubling decimation runs. Any change to the
  * simulator's semantics or event accounting shows up here. Last
- * re-pinned when step 1 became latency-aware: the programs changed,
- * and mnist's and bp_200's results come back in a different store
- * order, each equal to the reference evaluator's bit for bit.
+ * re-pinned when the host-link charge left SimStats: each digest lost
+ * its transfer token and nothing else. Before that, when step 1
+ * became latency-aware: the programs changed, and mnist's and
+ * bp_200's results come back in a different store order, each equal
+ * to the reference evaluator's bit for bit.
  */
 const std::vector<GoldenCase> kGolden = {
     {"tretail", "minEdp",
-     "cycles=352 kinds=113,26,2,1,49,157 bankReads=5514 bankWrites=3538 peOps=4512 passes=3398 xbar=5850 memReads=26 memWrites=3 bits=197136 peak=272 stride=96 trace=4/5b6c6fe5358c3067 transfer=3803 outputs=387/9146ba69d6bd3f5b"},
+     "cycles=352 kinds=113,26,2,1,49,157 bankReads=5514 bankWrites=3538 peOps=4512 passes=3398 xbar=5850 memReads=26 memWrites=3 bits=197136 peak=272 stride=96 trace=4/5b6c6fe5358c3067 outputs=387/9146ba69d6bd3f5b"},
     {"tretail", "large",
-     "cycles=352 kinds=113,26,2,1,49,157 bankReads=5514 bankWrites=3538 peOps=4512 passes=3398 xbar=5850 memReads=26 memWrites=3 bits=228264 peak=272 stride=96 trace=4/5b6c6fe5358c3067 transfer=3803 outputs=387/9146ba69d6bd3f5b"},
+     "cycles=352 kinds=113,26,2,1,49,157 bankReads=5514 bankWrites=3538 peOps=4512 passes=3398 xbar=5850 memReads=26 memWrites=3 bits=228264 peak=272 stride=96 trace=4/5b6c6fe5358c3067 outputs=387/9146ba69d6bd3f5b"},
     {"tretail", "R20",
-     "cycles=352 kinds=113,26,2,1,49,157 bankReads=5514 bankWrites=3538 peOps=4512 passes=3398 xbar=5850 memReads=26 memWrites=3 bits=197136 peak=272 stride=96 trace=4/5b6c6fe5358c3067 transfer=3803 outputs=387/9146ba69d6bd3f5b"},
+     "cycles=352 kinds=113,26,2,1,49,157 bankReads=5514 bankWrites=3538 peOps=4512 passes=3398 xbar=5850 memReads=26 memWrites=3 bits=197136 peak=272 stride=96 trace=4/5b6c6fe5358c3067 outputs=387/9146ba69d6bd3f5b"},
     {"tretail", "xbar",
-     "cycles=3226 kinds=28,1101,6,1043,0,1045 bankReads=7441 bankWrites=4823 peOps=4500 passes=1753 xbar=6603 memReads=1101 memWrites=1049 bits=228656 peak=127 stride=768 trace=5/9b206ffa3491e964 transfer=3803 outputs=387/9146ba69d6bd3f5b"},
+     "cycles=3226 kinds=28,1101,6,1043,0,1045 bankReads=7441 bankWrites=4823 peOps=4500 passes=1753 xbar=6603 memReads=1101 memWrites=1049 bits=228656 peak=127 stride=768 trace=5/9b206ffa3491e964 outputs=387/9146ba69d6bd3f5b"},
     {"tretail", "onePerPe",
-     "cycles=4333 kinds=11,1225,6,1165,878,1045 bankReads=8779 bankWrites=6161 peOps=4500 passes=1753 xbar=7817 memReads=1225 memWrites=1171 bits=268836 peak=126 stride=768 trace=6/49237039425f7924 transfer=3803 outputs=387/9146ba69d6bd3f5b"},
+     "cycles=4333 kinds=11,1225,6,1165,878,1045 bankReads=8779 bankWrites=6161 peOps=4500 passes=1753 xbar=7817 memReads=1225 memWrites=1171 bits=268836 peak=126 stride=768 trace=6/49237039425f7924 outputs=387/9146ba69d6bd3f5b"},
     {"mnist", "minEdp",
-     "cycles=320 kinds=37,33,3,3,73,167 bankReads=6308 bankWrites=4116 peOps=5003 passes=3504 xbar=6504 memReads=33 memWrites=6 bits=213224 peak=510 stride=48 trace=7/381c124b96f293af transfer=3723 outputs=304/7c09c085f9bf32d6"},
+     "cycles=320 kinds=37,33,3,3,73,167 bankReads=6308 bankWrites=4116 peOps=5003 passes=3504 xbar=6504 memReads=33 memWrites=6 bits=213224 peak=510 stride=48 trace=7/381c124b96f293af outputs=304/7c09c085f9bf32d6"},
     {"mnist", "large",
-     "cycles=320 kinds=37,33,3,3,73,167 bankReads=6308 bankWrites=4116 peOps=5003 passes=3504 xbar=6504 memReads=33 memWrites=6 bits=246776 peak=510 stride=48 trace=7/381c124b96f293af transfer=3723 outputs=304/7c09c085f9bf32d6"},
+     "cycles=320 kinds=37,33,3,3,73,167 bankReads=6308 bankWrites=4116 peOps=5003 passes=3504 xbar=6504 memReads=33 memWrites=6 bits=246776 peak=510 stride=48 trace=7/381c124b96f293af outputs=304/7c09c085f9bf32d6"},
     {"mnist", "R20",
-     "cycles=320 kinds=37,33,3,3,73,167 bankReads=6308 bankWrites=4116 peOps=5003 passes=3504 xbar=6504 memReads=33 memWrites=6 bits=213224 peak=510 stride=48 trace=7/381c124b96f293af transfer=3723 outputs=304/7c09c085f9bf32d6"},
+     "cycles=320 kinds=37,33,3,3,73,167 bankReads=6308 bankWrites=4116 peOps=5003 passes=3504 xbar=6504 memReads=33 memWrites=6 bits=213224 peak=510 stride=48 trace=7/381c124b96f293af outputs=304/7c09c085f9bf32d6"},
     {"mnist", "xbar",
-     "cycles=6329 kinds=11,2630,14,2522,2,1147 bankReads=9722 bankWrites=6884 peOps=5000 passes=1858 xbar=7320 memReads=2630 memWrites=2536 bits=380216 peak=128 stride=1536 trace=5/4ac726486c54c75b transfer=3723 outputs=304/3a7148c9a97d4baa"},
+     "cycles=6329 kinds=11,2630,14,2522,2,1147 bankReads=9722 bankWrites=6884 peOps=5000 passes=1858 xbar=7320 memReads=2630 memWrites=2536 bits=380216 peak=128 stride=1536 trace=5/4ac726486c54c75b outputs=304/3a7148c9a97d4baa"},
     {"mnist", "onePerPe",
-     "cycles=7462 kinds=3,2711,12,2606,980,1147 bankReads=11163 bankWrites=8325 peOps=5000 passes=1858 xbar=8680 memReads=2711 memWrites=2618 bits=420132 peak=128 stride=1536 trace=5/7ea54f2536327ba7 transfer=3723 outputs=304/5d3a46f79acc6d22"},
+     "cycles=7462 kinds=3,2711,12,2606,980,1147 bankReads=11163 bankWrites=8325 peOps=5000 passes=1858 xbar=8680 memReads=2711 memWrites=2618 bits=420132 peak=128 stride=1536 trace=5/7ea54f2536327ba7 outputs=304/5d3a46f79acc6d22"},
     {"bp_200", "minEdp",
-     "cycles=443 kinds=213,112,2,0,0,112 bankReads=4591 bankWrites=3781 peOps=4018 passes=1842 xbar=4928 memReads=112 memWrites=2 bits=145948 peak=1048 stride=96 trace=5/78031c89549cc73a transfer=10507 outputs=35/3cda0f27b3820fc5"},
+     "cycles=443 kinds=213,112,2,0,0,112 bankReads=4591 bankWrites=3781 peOps=4018 passes=1842 xbar=4928 memReads=112 memWrites=2 bits=145948 peak=1048 stride=96 trace=5/78031c89549cc73a outputs=35/3cda0f27b3820fc5"},
     {"bp_200", "large",
-     "cycles=443 kinds=213,112,2,0,0,112 bankReads=4591 bankWrites=3781 peOps=4018 passes=1842 xbar=4928 memReads=112 memWrites=2 bits=167836 peak=1728 stride=96 trace=5/c5081b903ec93cbd transfer=10507 outputs=35/3cda0f27b3820fc5"},
+     "cycles=443 kinds=213,112,2,0,0,112 bankReads=4591 bankWrites=3781 peOps=4018 passes=1842 xbar=4928 memReads=112 memWrites=2 bits=167836 peak=1728 stride=96 trace=5/c5081b903ec93cbd outputs=35/3cda0f27b3820fc5"},
     {"bp_200", "R20",
-     "cycles=443 kinds=213,112,2,0,0,112 bankReads=4591 bankWrites=3781 peOps=4018 passes=1842 xbar=4928 memReads=112 memWrites=2 bits=145948 peak=666 stride=96 trace=5/18d972e6a9142a93 transfer=10507 outputs=35/3cda0f27b3820fc5"},
+     "cycles=443 kinds=213,112,2,0,0,112 bankReads=4591 bankWrites=3781 peOps=4018 passes=1842 xbar=4928 memReads=112 memWrites=2 bits=145948 peak=666 stride=96 trace=5/18d972e6a9142a93 outputs=35/3cda0f27b3820fc5"},
     {"bp_200", "xbar",
-     "cycles=1808 kinds=3,897,4,78,0,823 bankReads=5464 bankWrites=4484 peOps=4018 passes=910 xbar=5672 memReads=897 memWrites=82 bits=145580 peak=114 stride=384 trace=5/ad3cfe51a9bf352a transfer=10507 outputs=35/7ae7cfd5f19b051"},
+     "cycles=1808 kinds=3,897,4,78,0,823 bankReads=5464 bankWrites=4484 peOps=4018 passes=910 xbar=5672 memReads=897 memWrites=82 bits=145580 peak=114 stride=384 trace=5/ad3cfe51a9bf352a outputs=35/7ae7cfd5f19b051"},
     {"bp_200", "onePerPe",
-     "cycles=2370 kinds=4,1023,4,205,308,823 bankReads=5967 bankWrites=4987 peOps=4018 passes=910 xbar=6049 memReads=1023 memWrites=209 bits=160072 peak=79 stride=384 trace=7/156202a2eee140a1 transfer=10507 outputs=35/41ecea827cf0ff0d"},
+     "cycles=2370 kinds=4,1023,4,205,308,823 bankReads=5967 bankWrites=4987 peOps=4018 passes=910 xbar=6049 memReads=1023 memWrites=209 bits=160072 peak=79 stride=384 trace=7/156202a2eee140a1 outputs=35/41ecea827cf0ff0d"},
 };
 
 TEST(SimGolden, StatsAndOutputsArePinned)
@@ -383,8 +384,6 @@ TEST(SimGolden, StatsAndOutputsArePinned)
             opts.traceOccupancy = true;
             opts.traceInterval = 3;
             opts.maxTraceSamples = 8;
-            opts.transfer.cyclesPerByte = 0.5;
-            opts.transfer.dispatchCycles = 7;
             std::string got = goldenDigest(Machine(prog, opts).run(in));
             if (next >= kGolden.size()) {
                 ADD_FAILURE() << "missing golden:\n    {\"" << w
