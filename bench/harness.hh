@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "arch/topology.hh"
 #include "compiler/cache.hh"
 #include "compiler/compiler.hh"
 #include "model/energy.hh"

@@ -5,16 +5,20 @@
  * The UPMEM-style stacks the paper targets organize hardware as ranks
  * of accelerators driven by a host CPU, and the host-side serialization
  * of inputs/outputs over the memory link often dominates end-to-end
- * latency. This header makes both first-class: a FleetTopology (how
- * many ranks, how many cores each) and a HostTransferModel charged on
+ * latency. This header describes both: a FleetTopology (how many
+ * ranks, how many cores each) and a HostTransferModel that prices
  * every byte and every dispatch crossing the host↔rank boundary.
  *
- * The transfer model is expressed in *cycles* (cycles per byte plus a
- * fixed per-dispatch cost) so the simulator layer stays clock-free;
- * drivers convert a GB/s link rate with fromGbps() using the clock
- * frequency of their technology model. The default-constructed model
- * is free (charges exactly zero cycles), which keeps every pre-fleet
- * result byte-identical.
+ * The simulator (Machine, BatchMachine) models one rank's cores and
+ * no link. The cost of a dispatch is static, batchCycles() of the
+ * program's hostTransferBytes(), so the drivers that model a link
+ * (AsyncBatchServer, simulateFleet, the DSE) charge it themselves.
+ * The model is expressed in *cycles* (cycles per byte plus a fixed
+ * per-dispatch cost) so it stays clock-free; drivers convert a GB/s
+ * link rate with fromGbps() using the clock frequency of their
+ * technology model. The default-constructed model is free (charges
+ * exactly zero cycles), which keeps every pre-fleet result
+ * byte-identical.
  */
 
 #ifndef DPU_ARCH_TOPOLOGY_HH

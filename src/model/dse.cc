@@ -201,7 +201,6 @@ evaluateWorkload(const DseGridPoint &point, const PreparedWorkload &w,
     // wall clock (the cost is static — see HostTransferModel).
     uint64_t xfer =
         params.transfer.batchCycles(hostTransferBytes(prog), runs);
-    stats.transferCycles = xfer;
     stats.cycles += xfer;
 
     EnergyBreakdown e = energyOf(cfg, stats, operations);

@@ -347,6 +347,10 @@ AsyncBatchServer::workerMain()
             resident, batch.requests.size(),
             static_cast<uint32_t>(batch.cores.size()));
         ++counters.servicePredictions;
+        // The host link serializes the batch's inputs and outputs
+        // before the cores compute; its cost is static.
+        const uint64_t xfer = config.transfer.batchCycles(
+            hostTransferBytes(resident.prog), batch.requests.size());
         lock.unlock();
 
         std::vector<std::vector<double>> inputs;
@@ -358,9 +362,8 @@ AsyncBatchServer::workerMain()
         BatchResult br;
         std::exception_ptr error;
         try {
-            br = BatchMachine(*resident.machine,
-                              RankSet{batch.rank, CoreSet{batch.cores}},
-                              resident.operations, 1, config.transfer)
+            br = BatchMachine(*resident.machine, CoreSet{batch.cores},
+                              resident.operations)
                      .run(inputs);
         } catch (...) {
             error = std::current_exception();
@@ -382,21 +385,22 @@ AsyncBatchServer::workerMain()
                 : service_us;
             counters.modeledWallCycles += br.wallCycles;
             counters.totalOperations += br.totalOperations;
-            counters.transferCycles += br.transferCycles;
+            counters.transferCycles += xfer;
             Stats::RankStats &rs = counters.perRank[batch.rank];
             ++rs.batches;
             rs.requests += batch.requests.size();
             rs.wallCycles += br.wallCycles;
-            rs.transferCycles += br.transferCycles;
-            if (br.totalWallCycles() > 0) {
+            rs.transferCycles += xfer;
+            const uint64_t wall = br.wallCycles + xfer;
+            if (wall > 0) {
                 // Calibrate the model-cycle -> wall-microsecond rate
                 // that turns static cycle counts into time
                 // predictions. Server-wide: the rate is a property of
                 // the host, not of any one resident program.
                 // Transfer-inclusive, matching the prediction side
                 // (identical to compute-only under a free model).
-                double ratio = double(service_us)
-                    / (double(br.totalWallCycles()) / 1000.0);
+                double ratio =
+                    double(service_us) / (double(wall) / 1000.0);
                 counters.usPerKilocycle = counters.usPerKilocycle > 0
                     ? (3.0 * counters.usPerKilocycle + ratio) / 4.0
                     : ratio;

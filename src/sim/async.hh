@@ -48,10 +48,11 @@
  * goes to the rank with the fewest busy or waited-for cores when it
  * is cut) or
  * pinned to a home rank (cold: affinity keeps one rank's caches
- * warm), per AsyncServerConfig::placement / QosSpec::placement. Every
- * dispatch is charged the HostTransferModel's serialization +
- * dispatch cost, accounted per rank in Stats (never touching
- * per-request results). simulateFleet drives the same scheduler.
+ * warm), per AsyncServerConfig::placement / QosSpec::placement. The
+ * server charges every dispatch the HostTransferModel's static
+ * serialization + dispatch cost itself (BatchMachine models no link),
+ * accounted per rank in Stats (never touching per-request results).
+ * simulateFleet drives the same scheduler.
  *
  * Determinism: a request's SimResult is produced by a Machine run of
  * the resident program on that request's input — nothing about

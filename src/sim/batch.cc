@@ -10,32 +10,13 @@ namespace dpu {
 
 BatchMachine::BatchMachine(const CompiledProgram &program, uint32_t n,
                            uint64_t ops, uint32_t host_threads)
-    : BatchMachine(program, CoreSet::firstN(n), ops, host_threads)
+    : BatchMachine(Machine(program), CoreSet::firstN(n), ops, host_threads)
 {
 }
 
-BatchMachine::BatchMachine(const CompiledProgram &program,
-                           CoreSet core_set, uint64_t ops,
-                           uint32_t host_threads)
-    : BatchMachine(Machine(program), RankSet{0, std::move(core_set)}, ops,
-                   host_threads)
-{
-}
-
-BatchMachine::BatchMachine(const CompiledProgram &program,
-                           RankSet rank_set, uint64_t ops,
-                           uint32_t host_threads,
-                           HostTransferModel transfer_model)
-    : BatchMachine(Machine(program), std::move(rank_set), ops,
-                   host_threads, transfer_model)
-{
-}
-
-BatchMachine::BatchMachine(const Machine &decoded, RankSet rank_set,
-                           uint64_t ops, uint32_t host_threads,
-                           HostTransferModel transfer_model)
-    : machine(decoded), cores(std::move(rank_set.cores)),
-      rank(rank_set.rank), transfer(transfer_model), operations(ops),
+BatchMachine::BatchMachine(const Machine &decoded, CoreSet core_set,
+                           uint64_t ops, uint32_t host_threads)
+    : machine(decoded), cores(std::move(core_set)), operations(ops),
       threads(host_threads < 1 ? 1 : host_threads)
 {
     dpu_assert(!cores.empty(), "need at least one core");
@@ -70,17 +51,6 @@ BatchMachine::run(const std::vector<std::vector<double>> &inputs)
         ? 0
         : *std::max_element(out.perCoreCycles.begin(),
                             out.perCoreCycles.end());
-
-    // Host↔rank transfer: one dispatch carries the whole batch, so
-    // the fixed cost is paid once and the per-run payloads serialize
-    // over the link. Statically determined by (program, batch size) —
-    // never by the simulated values. 0 under the default free
-    // model.
-    out.rank = rank;
-    if (!out.runs.empty())
-        out.transferCycles =
-            transfer.batchCycles(machine.transferBytes(),
-                                 out.runs.size());
     return out;
 }
 

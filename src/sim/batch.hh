@@ -47,24 +47,6 @@ struct BatchResult
     std::vector<uint32_t> coreIds;
     std::vector<uint64_t> perCoreCycles;
 
-    /** Rank the batch was dispatched to (0 unless a RankSet was
-     *  used). */
-    uint32_t rank = 0;
-
-    /** Host↔rank transfer cycles of this dispatch: one fixed
-     *  dispatch cost plus the serialized input/output payload of
-     *  every run. Accounted separately from the compute wallCycles;
-     *  0 under the default free transfer model. */
-    uint64_t transferCycles = 0;
-
-    /** Transfer-inclusive wall clock of the dispatch: the host link
-     *  serializes before the cores compute. */
-    uint64_t
-    totalWallCycles() const
-    {
-        return wallCycles + transferCycles;
-    }
-
     /** Aggregate throughput at a clock frequency. */
     double
     throughputGops(double frequency_hz) const
@@ -95,37 +77,16 @@ class BatchMachine
                  uint64_t operations, uint32_t threads = 1);
 
     /**
-     * Core-subset dispatch: run on an explicit set of model cores
-     * (per-program core partitioning on the serving side). The set's
-     * size plays the role of `cores` above; the ids only label the
-     * wall-clock accounting. Per-input SimResults are identical for
-     * any core set of the same program.
+     * Core-subset dispatch of an already-built Machine (cheap: the
+     * simulated schedule is shared), so a caller that runs one program
+     * many times (the serving side keeps one Machine per resident
+     * program) simulates its schedule once. The set's size plays the
+     * role of `cores` above; the ids only label the wall-clock
+     * accounting. The BatchResult is byte-identical to the count
+     * form's for a Machine built with the default SimOptions.
      */
-    BatchMachine(const CompiledProgram &program, CoreSet core_set,
+    BatchMachine(const Machine &machine, CoreSet core_set,
                  uint64_t operations, uint32_t threads = 1);
-
-    /**
-     * Fleet dispatch: run on a (rank, cores) target, charging the
-     * host↔rank transfer model for the dispatch. Per-input
-     * SimResults stay byte-identical to the single-machine path —
-     * the transfer cost is batch-level accounting only
-     * (BatchResult::transferCycles / totalWallCycles()).
-     */
-    BatchMachine(const CompiledProgram &program, RankSet rank_set,
-                 uint64_t operations, uint32_t threads = 1,
-                 HostTransferModel transfer_model = {});
-
-    /**
-     * Pre-decoded fleet dispatch: run a copy of an already-decoded
-     * Machine (cheap: the decoded code is shared), so a caller that
-     * runs one program many times (the serving side keeps one Machine
-     * per resident program) decodes it once. The BatchResult is
-     * byte-identical to the CompiledProgram form's for a Machine built
-     * with the default SimOptions.
-     */
-    BatchMachine(const Machine &machine, RankSet rank_set,
-                 uint64_t operations, uint32_t threads = 1,
-                 HostTransferModel transfer_model = {});
 
     /** Run every input vector; inputs are dealt round-robin. */
     BatchResult run(const std::vector<std::vector<double>> &inputs);
@@ -133,8 +94,6 @@ class BatchMachine
   private:
     Machine machine;
     CoreSet cores;
-    uint32_t rank = 0;
-    HostTransferModel transfer{};
     uint64_t operations;
     uint32_t threads;
 };

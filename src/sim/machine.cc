@@ -37,7 +37,6 @@ Machine::Machine(const CompiledProgram &program, SimOptions options)
     program.cfg.check();
     auto p = std::make_shared<detail::DecodedProgram>();
     p->numInputs = program.inputLocation.size();
-    p->transferBytes = hostTransferBytes(program);
     try {
         detail::replaySchedule(program, detail::FirstFault{options, *p});
     } catch (const PanicError &e) {
@@ -76,12 +75,6 @@ Machine::run(const std::vector<double> &input_values) const
         res.outputs.push_back(v[id]);
     res.stats = p.stats;
     return res;
-}
-
-uint64_t
-Machine::transferBytes() const
-{
-    return code->transferBytes;
 }
 
 SimResult

@@ -48,13 +48,14 @@
 
 #include "arch/config.hh"
 #include "arch/isa.hh"
-#include "arch/topology.hh"
 #include "compiler/program.hh"
 
 namespace dpu {
 
 /** Bytes one run moves across the host↔rank boundary: the input
- *  vector down plus the output vector back, 8 bytes per value. */
+ *  vector down plus the output vector back, 8 bytes per value. The
+ *  simulator models no link; the drivers that do price these bytes
+ *  with a HostTransferModel (arch/topology.hh). */
 inline uint64_t
 hostTransferBytes(const CompiledProgram &prog)
 {
@@ -90,11 +91,6 @@ struct SimStats
      *  decimation. 0 when tracing was off. Sample i was taken at
      *  cycle i * traceStride. */
     uint64_t traceStride = 0;
-
-    /** Modeled host↔rank transfer cycles (SimOptions::transfer),
-     *  accounted separately from the compute `cycles` above. 0 under
-     *  the default free transfer model. */
-    uint64_t transferCycles = 0;
 };
 
 /** Simulation options. */
@@ -108,11 +104,6 @@ struct SimOptions
      *  so arbitrarily long runs keep a whole-run trace in bounded
      *  memory. 0 = unbounded (the historical behavior). */
     uint32_t maxTraceSamples = 4096;
-
-    /** Host↔rank transfer cost charged per run (one dispatch moving
-     *  one input/output vector pair). The default model is free, so
-     *  stats stay byte-identical to the pre-fleet simulator. */
-    HostTransferModel transfer{};
 };
 
 /** Result of a run: per-node output values, in program.outputs order. */
@@ -148,33 +139,6 @@ struct CoreSet
     void validate() const;
 };
 
-/**
- * A dispatch target in a fleet: a rank plus a set of that rank's
- * cores. Generalizes CoreSet — a RankSet on rank 0 with the same
- * cores behaves exactly like the bare CoreSet. Rank identity, like
- * core identity, never reaches the per-input simulation; it selects
- * which host link the transfer model charges and labels the
- * accounting.
- */
-struct RankSet
-{
-    uint32_t rank = 0; ///< owning rank id
-    CoreSet cores;     ///< cores of that rank
-
-    /** The conventional single-rank set: rank 0, cores 0..n-1. */
-    static RankSet
-    firstN(uint32_t n)
-    {
-        return RankSet{0, CoreSet::firstN(n)};
-    }
-
-    size_t count() const { return cores.count(); }
-    bool empty() const { return cores.empty(); }
-
-    /** Panic on duplicate core ids within the rank. */
-    void validate() const { cores.validate(); }
-};
-
 namespace detail {
 struct DecodedProgram;
 } // namespace detail
@@ -194,9 +158,6 @@ class Machine
      * Safe to call concurrently on one Machine.
      */
     SimResult run(const std::vector<double> &input_values) const;
-
-    /** hostTransferBytes() of the decoded program. */
-    uint64_t transferBytes() const;
 
   private:
     std::shared_ptr<const detail::DecodedProgram> code;

@@ -587,9 +587,6 @@ class Replay
     finish()
     {
         DecodedProgram &out = policy.out;
-        // One dispatch moving the input vector down and the outputs back.
-        stats.transferCycles =
-            policy.options.transfer.batchCycles(out.transferBytes, 1);
         out.ops.resize(numOps);
         out.ops.shrink_to_fit();
         for (const auto &o : prog.outputs)

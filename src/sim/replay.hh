@@ -64,7 +64,6 @@ struct DecodedProgram
     std::vector<ValueOp> ops;
     std::vector<uint32_t> outputs; ///< value id of each output
     SimStats stats;
-    uint64_t transferBytes = 0;
     /** what() of the first check the program fails; empty if none. */
     std::string fault;
 };

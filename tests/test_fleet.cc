@@ -1,16 +1,14 @@
 /**
  * @file
  * Fleet topology + host↔device transfer model tests: the
- * HostTransferModel arithmetic, the RankSet dispatch form, transfer
- * accounting through Machine/BatchMachine, static transfer and
- * wall-cycle counts, the virtual-time fleet simulator,
- * the rank-aware AsyncBatchServer, and the DSE fleet axes. The pinned
+ * HostTransferModel arithmetic, the virtual-time fleet simulator, the
+ * rank-aware AsyncBatchServer, and the DSE fleet axes. The pinned
  * contracts:
  *
  *   - the default (free) transfer model charges exactly 0 everywhere,
  *     so every pre-fleet result is byte-identical;
- *   - transfer cost is statically computable: the static counts
- *     equal what the simulated machines charge;
+ *   - transfer cost is static: the drivers that model a host link
+ *     charge HostTransferModel::batchCycles of hostTransferBytes;
  *   - per-request SimResults never depend on ranks, placement, or the
  *     transfer model — fleet accounting is batch-level only.
  */
@@ -23,7 +21,6 @@
 #include "compiler/compiler.hh"
 #include "model/dse.hh"
 #include "sim/async.hh"
-#include "sim/batch.hh"
 #include "sim/fleet.hh"
 #include "sim/machine.hh"
 #include "support/rng.hh"
@@ -104,7 +101,7 @@ TEST(Fleet, TransferModelFromGbps)
     EXPECT_EQ(disp.batchCycles(1000, 3), 7u);
 }
 
-TEST(Fleet, TopologyAndRankSet)
+TEST(Fleet, Topology)
 {
     FleetTopology t;
     EXPECT_EQ(t.ranks, 1u);
@@ -112,12 +109,6 @@ TEST(Fleet, TopologyAndRankSet)
     t.ranks = 32;
     t.coresPerRank = 4;
     EXPECT_EQ(t.totalCores(), 128u);
-
-    RankSet rs = RankSet::firstN(4);
-    EXPECT_EQ(rs.rank, 0u);
-    EXPECT_EQ(rs.count(), 4u);
-    EXPECT_FALSE(rs.empty());
-    EXPECT_EQ(rs.cores.ids, CoreSet::firstN(4).ids);
 }
 
 TEST(Fleet, PlacementNames)
@@ -132,96 +123,6 @@ TEST(Fleet, PlacementNames)
     EXPECT_FALSE(parsePlacementName("bogus", p));
     EXPECT_STREQ(placementName(Placement::Replicate), "replicate");
     EXPECT_STREQ(placementName(Placement::Affinity), "affinity");
-}
-
-TEST(Fleet, MachineChargesTransferSeparately)
-{
-    const CompiledProgram &prog = testProgram();
-    auto inputs = testInputs(1, 31);
-
-    SimResult base = Machine(prog).run(inputs[0]);
-    EXPECT_EQ(base.stats.transferCycles, 0u);
-
-    SimOptions opts;
-    opts.transfer = HostTransferModel::fromGbps(2.0, 300e6, 500.0);
-    SimResult fleet = Machine(prog, opts).run(inputs[0]);
-
-    uint64_t expected =
-        opts.transfer.batchCycles(hostTransferBytes(prog), 1);
-    EXPECT_GT(expected, 0u);
-    EXPECT_EQ(fleet.stats.transferCycles, expected);
-
-    // Transfer is accounting only: outputs and compute stats are
-    // byte-identical to the transfer-free run.
-    EXPECT_EQ(fleet.outputs, base.outputs);
-    EXPECT_EQ(fleet.stats.cycles, base.stats.cycles);
-    EXPECT_EQ(fleet.stats.kindCount, base.stats.kindCount);
-    EXPECT_EQ(fleet.stats.bankReads, base.stats.bankReads);
-    EXPECT_EQ(fleet.stats.peOperations, base.stats.peOperations);
-}
-
-TEST(Fleet, BatchMachineRankSetAccounting)
-{
-    const CompiledProgram &prog = testProgram();
-    auto inputs = testInputs(6, 47);
-    HostTransferModel xfer =
-        HostTransferModel::fromGbps(4.0, 300e6, 100.0);
-
-    BatchResult base =
-        BatchMachine(prog, CoreSet::firstN(2), 100).run(inputs);
-    EXPECT_EQ(base.rank, 0u);
-    EXPECT_EQ(base.transferCycles, 0u);
-    EXPECT_EQ(base.totalWallCycles(), base.wallCycles);
-
-    RankSet target{3, CoreSet::firstN(2)};
-    BatchResult fleet =
-        BatchMachine(prog, target, 100, 1, xfer).run(inputs);
-    EXPECT_EQ(fleet.rank, 3u);
-    EXPECT_EQ(fleet.transferCycles,
-              xfer.batchCycles(hostTransferBytes(prog),
-                               inputs.size()));
-    EXPECT_GT(fleet.transferCycles, 0u);
-    EXPECT_EQ(fleet.wallCycles, base.wallCycles);
-    EXPECT_EQ(fleet.totalWallCycles(),
-              fleet.wallCycles + fleet.transferCycles);
-
-    // Per-input results are identical to the rank-less dispatch.
-    ASSERT_EQ(fleet.runs.size(), base.runs.size());
-    for (size_t i = 0; i < base.runs.size(); ++i)
-        EXPECT_EQ(fleet.runs[i].outputs, base.runs[i].outputs);
-}
-
-TEST(Fleet, StaticTransferMatchesBatchMachine)
-{
-    const CompiledProgram &prog = testProgram();
-    auto inputs = testInputs(1, 53);
-    HostTransferModel xfer =
-        HostTransferModel::fromGbps(1.5, 300e6, 250.0);
-
-    // One run: the machine charges exactly the static cost of one
-    // dispatch.
-    SimOptions opts;
-    opts.transfer = xfer;
-    SimStats measured = Machine(prog, opts).run(inputs[0]).stats;
-    EXPECT_EQ(measured.transferCycles,
-              xfer.batchCycles(hostTransferBytes(prog), 1));
-
-    // Batch dispatch: the static transfer and wall-cycle counts match
-    // the simulated BatchMachine exactly, for several shapes.
-    for (uint64_t runs : {1u, 3u, 6u}) {
-        for (uint32_t cores : {1u, 2u, 4u}) {
-            auto batch_inputs = testInputs(runs, 1000 + runs);
-            BatchResult br =
-                BatchMachine(prog, RankSet{0, CoreSet::firstN(cores)},
-                             100, 1, xfer)
-                    .run(batch_inputs);
-            uint64_t transfer =
-                xfer.batchCycles(hostTransferBytes(prog), runs);
-            EXPECT_EQ(transfer, br.transferCycles);
-            EXPECT_EQ(batchWallCycles(prog, runs, cores) + transfer,
-                      br.totalWallCycles());
-        }
-    }
 }
 
 TEST(Fleet, FleetSimDeterministicAndConserving)
@@ -402,14 +303,19 @@ TEST(Fleet, AsyncServerMultiRankMatchesSerialReplay)
         const SimResult &ref = reference[k % inputs.size()];
         EXPECT_EQ(r.outputs, ref.outputs) << "request " << k;
         EXPECT_EQ(r.stats.cycles, ref.stats.cycles);
-        // Per-request results carry no fleet accounting.
-        EXPECT_EQ(r.stats.transferCycles, 0u);
     }
 
     auto st = server.stats();
     ASSERT_EQ(st.perRank.size(), 3u);
+    // Both handles serve one program, so every dispatch pays the link
+    // once and every request moves the same bytes.
+    const uint64_t request_cycles =
+        cfg.transfer.bytesCycles(hostTransferBytes(prog));
     uint64_t rank_batches = 0, rank_requests = 0, rank_transfer = 0;
     for (const auto &rs : st.perRank) {
+        EXPECT_EQ(rs.transferCycles,
+                  rs.batches * cfg.transfer.dispatchCycles +
+                      rs.requests * request_cycles);
         rank_batches += rs.batches;
         rank_requests += rs.requests;
         rank_transfer += rs.transferCycles;

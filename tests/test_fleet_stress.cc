@@ -97,8 +97,6 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.stats.memWrites, b.stats.memWrites);
     EXPECT_EQ(a.stats.instrBitsFetched, b.stats.instrBitsFetched);
     EXPECT_EQ(a.stats.peakLiveRegisters, b.stats.peakLiveRegisters);
-    // Fleet accounting never reaches per-request results.
-    EXPECT_EQ(a.stats.transferCycles, b.stats.transferCycles);
 }
 
 /** (seed, workers, ranks, placement) sweep. */

@@ -36,8 +36,7 @@ statsKey(const SimStats &s)
     return std::tie(s.cycles, s.kindCount, s.bankReads, s.bankWrites,
                     s.peOperations, s.pePassThroughs, s.crossbarTransfers,
                     s.memReads, s.memWrites, s.instrBitsFetched,
-                    s.peakLiveRegisters, s.occupancyTrace, s.traceStride,
-                    s.transferCycles);
+                    s.peakLiveRegisters, s.occupancyTrace, s.traceStride);
 }
 
 SimStats
