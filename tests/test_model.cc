@@ -64,18 +64,20 @@ TEST(AreaModel, GrowsWithEveryParameter)
 
 TEST(EnergyModel, PowerMatchesTableTwoOnSuite)
 {
-    // Average power over the (scaled) suite at min-EDP should land
-    // near the paper's 108.9 mW.
+    // The tech28 event energies are fitted so that the min-EDP design
+    // running the paper-size suite draws Table II's 108.9 mW. Check
+    // that fit where it was made, at scale 1.0, within 1 mW: the
+    // suite at scale 0.2 has other activity and reads 132.8 mW.
     ArchConfig cfg = minEdpConfig();
     double pj = 0, sec = 0;
     for (const auto &spec : smallSuite()) {
-        auto [stats, ops] = simulate(spec, cfg, 0.2);
+        auto [stats, ops] = simulate(spec, cfg, 1.0);
         auto e = energyOf(cfg, stats, ops);
         pj += e.totalPj;
         sec += e.seconds();
     }
     double watts = pj * 1e-12 / sec;
-    EXPECT_NEAR(watts, 0.1089, 0.025);
+    EXPECT_NEAR(watts, 0.1089, 0.001);
 }
 
 TEST(EnergyModel, DerivedMetricsConsistent)
