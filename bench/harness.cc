@@ -89,9 +89,6 @@ benchRegistry()
         {"ablation_blocks", "ablation E16 (block packing)", 1.0},
         {"ablation_mapper", "ablation E17 (mapper/reorder)", 0.5},
         {"serve_latency", "§V-C2 serving mode (multi-DAG)", 0.2},
-        {"serve_latency_fleet", "§V-C2 fleet mode (ranks + link)",
-         0.2, "--ranks=8 --xfer-gbps=4 --placement=replicate",
-         "serve_latency"},
     };
     return registry;
 }
@@ -145,30 +142,6 @@ parseOptions(int argc, char **argv, double default_scale)
             o.cacheDir = a + 12;
         } else if (std::strcmp(a, "--no-cache") == 0) {
             o.noCache = true;
-        } else if (std::strncmp(a, "--ranks=", 8) == 0) {
-            if (!parseUint32Arg(a + 8, o.ranks) || o.ranks < 1) {
-                std::fprintf(stderr,
-                             "invalid value '%s' for --ranks "
-                             "(expected an integer >= 1)\n",
-                             a + 8);
-                std::exit(2);
-            }
-        } else if (std::strncmp(a, "--xfer-gbps=", 12) == 0) {
-            if (!parseGbpsArg(a + 12, o.xferGbps)) {
-                std::fprintf(stderr,
-                             "invalid value '%s' for --xfer-gbps "
-                             "(expected a number > 0, or 'inf')\n",
-                             a + 12);
-                std::exit(2);
-            }
-        } else if (std::strncmp(a, "--placement=", 12) == 0) {
-            if (!parsePlacementName(a + 12, o.placement)) {
-                std::fprintf(stderr,
-                             "invalid value '%s' for --placement "
-                             "(expected %s)\n",
-                             a + 12, kPlacementChoicesHelp);
-                std::exit(2);
-            }
         } else if (std::strncmp(a, "--matrix=", 9) == 0) {
             const char *path = a + 9;
             if (path[0] == '\0' || !std::ifstream(path).good()) {
@@ -198,9 +171,6 @@ parseOptions(int argc, char **argv, double default_scale)
                          "usage: bench [--scale=<f>] [--full] "
                          "[--quick] [--json=<file>] [--threads=N] "
                          "[--cache-dir=<dir>] [--no-cache] "
-                         "[--ranks=N] "
-                         "[--xfer-gbps=<v|inf>] "
-                         "[--placement=<policy>] "
                          "[--matrix=<file.mtx>] "
                          "[--matrix-dir=<dir>]\n",
                          a);

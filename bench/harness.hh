@@ -23,13 +23,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "arch/topology.hh"
 #include "compiler/cache.hh"
 #include "compiler/compiler.hh"
 #include "model/energy.hh"
@@ -68,17 +66,13 @@ RunResult runWorkload(const Dag &dag, const ArchConfig &cfg,
 // Registry.                                                        //
 // ---------------------------------------------------------------- //
 
-/** Static description of one bench scenario. Most entries are one
- *  binary run with the uniform flags; a scenario entry reuses another
- *  entry's binary with extra flags (e.g. the fleet serve_latency
- *  sweep). */
+/** Static description of one bench binary, run with the uniform
+ *  flags. */
 struct BenchInfo
 {
-    const char *name;         ///< Scenario name and JSON file stem.
+    const char *name;         ///< Binary name and JSON file stem.
     const char *paperElement; ///< Figure/table it regenerates.
     double defaultScale;      ///< Workload scale with no flags.
-    const char *extraFlags = ""; ///< Space-separated scenario flags.
-    const char *binary = nullptr; ///< Binary name; nullptr = `name`.
 };
 
 /** Every harness-driven bench binary, in paper order. */
@@ -102,16 +96,6 @@ struct Options
     std::string cacheDir;  ///< --cache-dir=<dir>: on-disk spill.
     bool noCache = false;  ///< --no-cache: disable the program cache.
 
-    /** Fleet flags, honored by the benches that model a fleet
-     *  (serve_latency); others accept and ignore them. The defaults
-     *  (--ranks=1 --xfer-gbps=inf) reproduce pre-fleet behavior
-     *  byte-identically. */
-    uint32_t ranks = 1;        ///< --ranks=N: modeled ranks.
-    double xferGbps =          ///< --xfer-gbps=<v|inf>: host link.
-        std::numeric_limits<double>::infinity();
-    Placement placement =      ///< --placement=<replicate|affinity>.
-        Placement::Replicate;
-
     /** Real-matrix flags: each --matrix=<file.mtx> appends one path
      *  (must be readable at parse time, exit 2 otherwise) and
      *  --matrix-dir=<dir> appends every `*.mtx` directly under the
@@ -123,13 +107,12 @@ struct Options
 
 /**
  * Parse `--scale=<f> --full --quick --json=<file> --threads=N
- * --cache-dir=<dir> --no-cache --ranks=N --xfer-gbps=<v|inf>
- * --placement=<policy>`. `--quick` divides the default scale by 10
+ * --cache-dir=<dir> --no-cache --matrix=<file.mtx>
+ * --matrix-dir=<dir>`. `--quick` divides the default scale by 10
  * unless an explicit `--scale`/`--full` overrides it. Unknown flags
  * are fatal (exit 1) so CI catches typos; invalid values
- * (`--threads=0`, `--threads=abc`, `--scale=x`, `--ranks=0`,
- * `--xfer-gbps=junk`, `--placement=bogus`) are rejected with exit 2
- * instead of being silently clamped.
+ * (`--threads=0`, `--threads=abc`, `--scale=x`) are rejected with
+ * exit 2 instead of being silently clamped.
  */
 Options parseOptions(int argc, char **argv, double default_scale);
 

@@ -47,7 +47,6 @@
 #include "harness.hh"
 #include "model/tech28.hh"
 #include "sim/async.hh"
-#include "sim/fleet.hh"
 #include "support/cli.hh"
 #include "support/rng.hh"
 
@@ -91,29 +90,15 @@ struct ResidentWorkload
     std::vector<std::vector<double>> inputs; ///< Rotating pool.
 };
 
-/** The fleet flags (--ranks/--xfer-gbps/--placement), resolved once
- *  in main(). The defaults keep every server byte-identical to the
- *  pre-fleet single-rank configuration. */
-struct FleetSettings
-{
-    uint32_t ranks = 1;
-    HostTransferModel transfer{};
-    Placement placement = Placement::Replicate;
-};
-FleetSettings fleetSettings;
-
 AsyncServerConfig
 serverConfig(uint32_t workers, size_t queue_depth = 0)
 {
     AsyncServerConfig cfg;
-    cfg.cores = 4; // the paper's deployed system (per rank)
+    cfg.cores = 4; // the paper's deployed system
     cfg.maxBatch = 8;
     cfg.batchWindow = std::chrono::microseconds(200);
     cfg.workers = workers;
     cfg.queueDepth = queue_depth;
-    cfg.ranks = fleetSettings.ranks;
-    cfg.transfer = fleetSettings.transfer;
-    cfg.placement = fleetSettings.placement;
     return cfg;
 }
 
@@ -495,113 +480,6 @@ reportMode(bench::Context &ctx, TablePrinter &t, const char *mode,
     ctx.metric(prefix + "_modeled_gops", modeled_gops);
 }
 
-/**
- * Fleet mode (--ranks > 1): replay a seeded million-request-capable
- * open loop in virtual cycle time over the modeled fleet (sim/fleet).
- * The live-thread modes above exercise the rank-aware server on host
- * time; this scenario drives the same batch scheduler on the device
- * clock, so it scales to hundreds of ranks because no host thread
- * ever sleeps — every arrival, batch cut, placement, core grant,
- * host-link transfer and batch completion is a deterministic event.
- * The per-rank utilization, transfer-overhead and latency-percentile
- * series are the report tools/run_benches validates in fleet runs.
- */
-void
-runFleetScenario(bench::Context &ctx,
-                 const std::vector<ResidentWorkload> &wl)
-{
-    const bench::Options &opts = ctx.options();
-    FleetSimOptions fopts;
-    fopts.topology.ranks = opts.ranks;
-    fopts.topology.coresPerRank = 4; // matches serverConfig()
-    fopts.transfer = fleetSettings.transfer;
-    fopts.placement = opts.placement;
-    fopts.maxBatch = 8;
-    // The live server's 200 us batching window, on the device clock.
-    fopts.windowCycles =
-        static_cast<uint64_t>(200e-6 * tech28::frequencyHz);
-    fopts.load = 0.7;
-    fopts.seed = 2401;
-    // Scale the open loop with the fleet: ~20k requests per run at
-    // the default scale, growing with ranks up to the million-request
-    // ceiling (virtual time keeps even that run in seconds).
-    uint64_t base = std::max<uint64_t>(
-        2000, static_cast<uint64_t>(100000.0 * ctx.scale()));
-    fopts.requests =
-        std::min<uint64_t>(1000000, base * opts.ranks);
-
-    std::vector<FleetWorkloadModel> mix;
-    for (const ResidentWorkload &w : wl) {
-        FleetWorkloadModel m;
-        m.runCycles = w.prog.stats.cycles;
-        m.hostBytes = hostTransferBytes(w.prog);
-        m.weight = 1.0;
-        mix.push_back(m);
-    }
-
-    FleetSimReport rep = simulateFleet(fopts, mix);
-
-    const double us_per_cycle = 1e6 / tech28::frequencyHz;
-    std::vector<double> util, xfer_ovh, p50_us, p95_us, p99_us;
-    for (const FleetRankReport &rs : rep.perRank) {
-        util.push_back(rs.utilization);
-        xfer_ovh.push_back(rs.transferOverhead);
-        p50_us.push_back(rs.p50Cycles * us_per_cycle);
-        p95_us.push_back(rs.p95Cycles * us_per_cycle);
-        p99_us.push_back(rs.p99Cycles * us_per_cycle);
-    }
-    ctx.series("fleet_rank_utilization", util);
-    ctx.series("fleet_rank_transfer_overhead", xfer_ovh);
-    ctx.series("fleet_rank_p50_us", p50_us);
-    ctx.series("fleet_rank_p95_us", p95_us);
-    ctx.series("fleet_rank_p99_us", p99_us);
-
-    ctx.metric("fleet_ranks", static_cast<double>(opts.ranks));
-    ctx.metric("fleet_requests", static_cast<double>(rep.requests));
-    ctx.metric("fleet_batches", static_cast<double>(rep.batches));
-    ctx.metric("fleet_mean_batch", rep.meanBatch);
-    ctx.metric("fleet_transfer_overhead", rep.transferOverhead);
-    ctx.metric("fleet_p50_us", rep.p50Cycles * us_per_cycle);
-    ctx.metric("fleet_p95_us", rep.p95Cycles * us_per_cycle);
-    ctx.metric("fleet_p99_us", rep.p99Cycles * us_per_cycle);
-    ctx.note("fleet_placement", placementName(opts.placement));
-
-    TablePrinter ft({"rank", "requests", "batches", "util",
-                     "xfer ovh", "p50 us", "p95 us", "p99 us"});
-    size_t shown = std::min<size_t>(rep.perRank.size(), 16);
-    for (size_t r = 0; r < shown; ++r) {
-        const FleetRankReport &rs = rep.perRank[r];
-        ft.row()
-            .num(static_cast<double>(r), 0)
-            .num(static_cast<double>(rs.requests), 0)
-            .num(static_cast<double>(rs.batches), 0)
-            .num(rs.utilization, 3)
-            .num(rs.transferOverhead, 3)
-            .num(p50_us[r], 1)
-            .num(p95_us[r], 1)
-            .num(p99_us[r], 1);
-    }
-    std::printf("\nFleet mode: %u ranks x %u cores, %s placement, "
-                "%llu modeled requests (%llu batches).\n",
-                opts.ranks, fopts.topology.coresPerRank,
-                placementName(opts.placement),
-                static_cast<unsigned long long>(rep.requests),
-                static_cast<unsigned long long>(rep.batches));
-    ft.print();
-    ctx.table(ft, "fleet");
-    if (shown < rep.perRank.size())
-        std::printf("(table truncated to %zu of %zu ranks; the full "
-                    "per-rank data is in the JSON series)\n",
-                    shown, rep.perRank.size());
-    std::printf("Fleet latency: p50 %.1f us, p95 %.1f us, p99 %.1f us "
-                "(transfer-inclusive); transfer overhead %.1f%% of "
-                "busy cycles.\n",
-                rep.p50Cycles * us_per_cycle,
-                rep.p95Cycles * us_per_cycle,
-                rep.p99Cycles * us_per_cycle,
-                100.0 * rep.transferOverhead);
-}
-
 } // namespace
 
 int
@@ -616,15 +494,6 @@ main(int argc, char **argv)
                        "batching, QoS classes, multiple resident "
                        "DAGs.");
     uint32_t workers = ctx.threads();
-
-    // Resolve the fleet flags once; every server built below (open,
-    // closed, qos, fifo) runs rank-aware with the same settings. The
-    // defaults (--ranks=1 --xfer-gbps=inf) are a free transfer model
-    // on a single rank — byte-identical to the pre-fleet bench.
-    fleetSettings.ranks = ctx.options().ranks;
-    fleetSettings.transfer = HostTransferModel::fromGbps(
-        ctx.options().xferGbps, tech28::frequencyHz);
-    fleetSettings.placement = ctx.options().placement;
 
     // Three resident programs — a mixed multi-DAG population, like
     // the paper's deployed cores executing different DAGs.
@@ -777,23 +646,5 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     mixed_fifo.rejected[0] + mixed_fifo.rejected[1]));
 
-    if (fleetSettings.ranks > 1) {
-        // The live server's own per-rank accounting (open loop), then
-        // the virtual-time fleet scenario that scales past what host
-        // threads can replay.
-        std::vector<double> srv_batches, srv_requests, srv_xfer;
-        for (const auto &rs : open.stats.perRank) {
-            srv_batches.push_back(static_cast<double>(rs.batches));
-            srv_requests.push_back(static_cast<double>(rs.requests));
-            srv_xfer.push_back(
-                static_cast<double>(rs.transferCycles));
-        }
-        ctx.series("server_rank_batches", srv_batches);
-        ctx.series("server_rank_requests", srv_requests);
-        ctx.series("server_rank_transfer_cycles", srv_xfer);
-        ctx.metric("server_transfer_cycles",
-                   static_cast<double>(open.stats.transferCycles));
-        runFleetScenario(ctx, wl);
-    }
     return ctx.finish();
 }

@@ -58,8 +58,6 @@ struct EvalParams
 {
     uint64_t seed = 1;
     ProgramCache *cache = nullptr;
-    uint32_t fleetRanks = 1;
-    HostTransferModel transfer;
     bool verify = false;
 };
 
@@ -69,8 +67,7 @@ struct EvalParams
 struct WorkloadRecord
 {
     bool feasible = false;
-    double lat = 0, epo = 0, gops = 0, watts = 0, xferNs = 0;
-    bool hasXfer = false; ///< The run took cycles (xferNs is a summand).
+    double lat = 0, epo = 0, gops = 0, watts = 0;
     DseEvalCost cost;
     double seconds = 0; ///< Host time of the step (the sweep sets it).
 };
@@ -196,58 +193,41 @@ evaluateWorkload(const DseGridPoint &point, const PreparedWorkload &w,
     const uint64_t runs = cores > 1 ? cores : 1;
     const uint64_t operations = prog.stats.numOperations * runs;
 
-    // Host↔rank transfer: the link serializes the dispatch's
-    // input/output payload before the cores compute, extending the
-    // wall clock (the cost is static — see HostTransferModel).
-    uint64_t xfer =
-        params.transfer.batchCycles(hostTransferBytes(prog), runs);
-    stats.cycles += xfer;
-
     EnergyBreakdown e = energyOf(cfg, stats, operations);
     rec.feasible = true;
     rec.lat = e.latencyPerOpNs();
     rec.epo = e.energyPerOpPj();
-    // A fleet replicates the design: throughput and wall power scale
-    // with the rank count; per-op latency/energy do not.
-    rec.gops = params.fleetRanks * double(operations) / e.seconds() * 1e-9;
-    rec.watts = params.fleetRanks * e.wallPowerWatts();
-    rec.hasXfer = stats.cycles > 0;
-    if (rec.hasXfer)
-        rec.xferNs = double(xfer) / double(stats.cycles) * e.seconds() *
-                     1e9 / double(operations);
+    rec.gops = double(operations) / e.seconds() * 1e-9;
+    rec.watts = e.wallPowerWatts();
 }
 
 /** The reduce: a point's per-workload means, its records added in
  *  suite order. Infeasible when any workload is. */
 DsePoint
 reducePoint(const DseGridPoint &coords,
-            std::span<const WorkloadRecord> records, uint32_t fleet_ranks)
+            std::span<const WorkloadRecord> records)
 {
     DsePoint point;
     point.cfg = coords.cfg;
     point.workloadScale = coords.scale;
     point.cores = coords.cores;
     point.areaMm2 = areaOf(point.cfg).total;
-    point.fleetRanks = fleet_ranks;
     for (const WorkloadRecord &rec : records)
         point.feasible = point.feasible && rec.feasible;
     if (!point.feasible)
         return point;
-    Summary lat, epo, gops, watts, xfer_ns;
+    Summary lat, epo, gops, watts;
     for (const WorkloadRecord &rec : records) {
         lat.add(rec.lat);
         epo.add(rec.epo);
         gops.add(rec.gops);
         watts.add(rec.watts);
-        if (rec.hasXfer)
-            xfer_ns.add(rec.xferNs);
     }
     point.latencyPerOpNs = lat.mean();
     point.energyPerOpPj = epo.mean();
     point.edpPjNs = point.latencyPerOpNs * point.energyPerOpPj;
     point.throughputGops = gops.mean();
     point.powerWatts = watts.mean();
-    point.transferPerOpNs = xfer_ns.mean();
     return point;
 }
 
@@ -257,13 +237,10 @@ DsePoint
 evaluateDesign(const ArchConfig &cfg,
                const std::vector<WorkloadSpec> &suite, double scale,
                uint64_t seed, uint32_t cores, ProgramCache *cache,
-               DseEvalCost *cost, uint32_t fleet_ranks,
-               const HostTransferModel &transfer, bool verify)
+               DseEvalCost *cost, bool verify)
 {
-    if (fleet_ranks < 1)
-        fleet_ranks = 1;
     const DseGridPoint point{cfg, scale, cores};
-    const EvalParams params{seed, cache, fleet_ranks, transfer, verify};
+    const EvalParams params{seed, cache, verify};
     const std::vector<PreparedWorkload> prepared =
         prepareSuite(suite, scale, 1);
     std::vector<WorkloadRecord> records(prepared.size());
@@ -280,7 +257,7 @@ evaluateDesign(const ArchConfig &cfg,
         if (!rec.feasible)
             break; // the rest stay infeasible records
     }
-    return reducePoint(point, records, fleet_ranks);
+    return reducePoint(point, records);
 }
 
 // ---------------------------------------------------------------- //
@@ -388,12 +365,6 @@ dseSpaceSignature(const DseOptions &options)
         options.suite.empty() ? smallSuite() : options.suite;
     for (size_t i = 0; i < suite.size(); ++i)
         os << (i ? "," : "") << suite[i].name;
-    // Fleet terms only when non-default, so pre-fleet journals keep
-    // validating (and staying byte-identical) against the same space.
-    if (options.fleetRanks != 1 || !options.transfer.free())
-        os << "|fleet=" << options.fleetRanks
-           << ";xfer_cpb=" << jsonDouble(options.transfer.cyclesPerByte)
-           << ";xfer_dc=" << options.transfer.dispatchCycles;
     return os.str();
 }
 
@@ -446,15 +417,7 @@ dseJournalPointLine(size_t index, const DsePoint &p)
        << ", \"area_mm2\": " << jsonDouble(p.areaMm2)
        << ", \"power_watts\": " << jsonDouble(p.powerWatts)
        << ", \"throughput_gops\": " << jsonDouble(p.throughputGops)
-       << ", \"fidelity\": \"cycle\"";
-    // Fleet fields only when non-default: pre-fleet sweeps keep
-    // emitting byte-identical lines (golden-pinned in test_dse.cc).
-    if (p.fleetRanks != 1)
-        os << ", \"ranks\": " << p.fleetRanks;
-    if (p.transferPerOpNs != 0)
-        os << ", \"transfer_per_op_ns\": "
-           << jsonDouble(p.transferPerOpNs);
-    os << "}";
+       << ", \"fidelity\": \"cycle\"}";
     return os.str();
 }
 
@@ -489,19 +452,6 @@ parseDseJournalPointLine(const std::string &line, size_t &index,
         if (!obj.getString("fidelity", tag) || tag != "cycle")
             return false;
     }
-    // Fleet fields are optional (emitted only when non-default);
-    // their absence reads as the pre-fleet single-rank free-link
-    // defaults.
-    uint64_t ranks = 1;
-    if (obj.has("ranks")) {
-        if (!obj.getU64("ranks", ranks) || ranks == 0 ||
-            ranks > UINT32_MAX)
-            return false;
-    }
-    p.fleetRanks = static_cast<uint32_t>(ranks);
-    if (obj.has("transfer_per_op_ns") &&
-        !obj.getDouble("transfer_per_op_ns", p.transferPerOpNs))
-        return false;
     if (depth == 0 || depth > 6 || banks == 0 || regs == 0 ||
         cores == 0 || banks > UINT32_MAX ||
         regs > ArchConfig::maxRegsPerBank ||
@@ -673,9 +623,7 @@ runDseSweep(const DseSweepOptions &options)
         for (size_t i = shards[s].begin; i < shards[s].end; ++i)
             shard_of[i] = s;
     }
-    const EvalParams params{space.seed, options.cache,
-                            std::max<uint32_t>(space.fleetRanks, 1),
-                            space.transfer, options.verify};
+    const EvalParams params{space.seed, options.cache, options.verify};
     const size_t workloads = suite.size();
     std::mutex journal_mutex;
 
@@ -736,8 +684,7 @@ runDseSweep(const DseSweepOptions &options)
             // written by this task alone. Checkpoint the group.
             for (size_t p = group_start[g]; p < group_start[g + 1]; ++p)
                 result.points[todo[p]] = reducePoint(
-                    grid[todo[p]], {&records[p * workloads], workloads},
-                    params.fleetRanks);
+                    grid[todo[p]], {&records[p * workloads], workloads});
             if (!journaling)
                 return;
             std::lock_guard<std::mutex> lock(journal_mutex);

@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "arch/config.hh"
-#include "arch/topology.hh"
 #include "compiler/cache.hh"
 #include "model/energy.hh"
 #include "workloads/suite.hh"
@@ -74,13 +73,6 @@ struct DsePoint
     double powerWatts = 0;
     double throughputGops = 0;
     bool feasible = true; ///< False if some workload failed to fit.
-
-    /** Fleet shape the point was evaluated under (DseOptions::
-     *  fleetRanks) and the host-transfer share of latencyPerOpNs.
-     *  1 / 0.0 for a pre-fleet sweep; journal lines carry them only
-     *  when non-default, keeping pre-fleet journals byte-identical. */
-    uint32_t fleetRanks = 1;
-    double transferPerOpNs = 0;
 };
 
 /** Sweep options: the axis grid plus the evaluation parameters. */
@@ -102,17 +94,6 @@ struct DseOptions
 
     /** Workloads to evaluate; empty = the Table I (a)+(b) suite. */
     std::vector<WorkloadSpec> suite;
-
-    /** Fleet evaluation: each design is replicated over this many
-     *  host-driven ranks (throughput and wall power scale by the
-     *  rank count; per-op latency does not). 1 = the pre-fleet
-     *  single-machine sweep, byte-identical journals included. */
-    uint32_t fleetRanks = 1;
-
-    /** Host↔rank transfer model charged per dispatch; its cycles
-     *  extend the latency (the cost is static). The default free
-     *  model reproduces pre-fleet metrics. */
-    HostTransferModel transfer{};
 };
 
 /** One unevaluated grid coordinate, in grid order. */
@@ -196,8 +177,6 @@ DsePoint evaluateDesign(const ArchConfig &cfg,
                         uint32_t cores = 1,
                         ProgramCache *cache = nullptr,
                         DseEvalCost *cost = nullptr,
-                        uint32_t fleet_ranks = 1,
-                        const HostTransferModel &transfer = {},
                         bool verify = false);
 
 // ---------------------------------------------------------------- //

@@ -27,7 +27,6 @@ normalized(AsyncServerConfig config)
 {
     dpu_assert(config.cores >= 1, "need at least one model core");
     config.workers = std::max<uint32_t>(config.workers, 1);
-    config.ranks = std::max<uint32_t>(config.ranks, 1);
     return config;
 }
 
@@ -41,22 +40,17 @@ AsyncBatchServer::predictedServiceUsLocked(const Resident &r,
     if (counters.usPerKilocycle <= 0 || runs == 0 || cores == 0)
         return 0; // Uncalibrated (or degenerate): predictions inert.
     uint64_t wall = batchWallCycles(r.prog, runs, cores);
-    // The host link serializes before the cores compute, and its
-    // cost is statically exact too (see HostTransferModel).
-    wall += config.transfer.batchCycles(hostTransferBytes(r.prog), runs);
     return counters.usPerKilocycle * (double(wall) / 1000.0);
 }
 
 AsyncBatchServer::AsyncBatchServer(AsyncServerConfig config_)
     : config(normalized(config_)),
-      scheduler(config.ranks, config.cores,
+      scheduler(config.cores,
                 CutPolicy{config.maxBatch,
                           std::chrono::duration_cast<Clock::duration>(
                               config.batchWindow)
                               .count()})
 {
-    counters.perRank.resize(config.ranks);
-
     try {
         batcher = std::thread([this] { batcherMain(); });
         pool.reserve(config.workers);
@@ -114,9 +108,7 @@ AsyncBatchServer::addProgram(CompiledProgram program, QosSpec qos,
     std::lock_guard<std::mutex> lock(mutex);
     // Validates and grants the core reservation, or throws having
     // changed nothing.
-    uint32_t index = scheduler.addProgram(
-        qos.minCores, qos.maxCores,
-        qos.placement.value_or(config.placement));
+    uint32_t index = scheduler.addProgram(qos.minCores, qos.maxCores);
     programs.push_back(Resident{});
     Resident &r = programs.back();
     r.prog = std::move(program);
@@ -347,10 +339,6 @@ AsyncBatchServer::workerMain()
             resident, batch.requests.size(),
             static_cast<uint32_t>(batch.cores.size()));
         ++counters.servicePredictions;
-        // The host link serializes the batch's inputs and outputs
-        // before the cores compute; its cost is static.
-        const uint64_t xfer = config.transfer.batchCycles(
-            hostTransferBytes(resident.prog), batch.requests.size());
         lock.unlock();
 
         std::vector<std::vector<double>> inputs;
@@ -385,22 +373,13 @@ AsyncBatchServer::workerMain()
                 : service_us;
             counters.modeledWallCycles += br.wallCycles;
             counters.totalOperations += br.totalOperations;
-            counters.transferCycles += xfer;
-            Stats::RankStats &rs = counters.perRank[batch.rank];
-            ++rs.batches;
-            rs.requests += batch.requests.size();
-            rs.wallCycles += br.wallCycles;
-            rs.transferCycles += xfer;
-            const uint64_t wall = br.wallCycles + xfer;
-            if (wall > 0) {
+            if (br.wallCycles > 0) {
                 // Calibrate the model-cycle -> wall-microsecond rate
                 // that turns static cycle counts into time
                 // predictions. Server-wide: the rate is a property of
                 // the host, not of any one resident program.
-                // Transfer-inclusive, matching the prediction side
-                // (identical to compute-only under a free model).
                 double ratio =
-                    double(service_us) / (double(wall) / 1000.0);
+                    double(service_us) / (double(br.wallCycles) / 1000.0);
                 counters.usPerKilocycle = counters.usPerKilocycle > 0
                     ? (3.0 * counters.usPerKilocycle + ratio) / 4.0
                     : ratio;
@@ -417,11 +396,11 @@ AsyncBatchServer::workerMain()
             ++cs.completed;
             cs.lastCompletionSeq = ++counters.completions;
             // The order observable is bounded (kMaxCompletionRecords)
-            // so fleet-scale open loops don't grow the stats without
-            // limit; the seq counters above stay exact regardless.
+            // so long open loops don't grow the stats without limit;
+            // the seq counters above stay exact regardless.
             if (counters.completionOrder.size() < kMaxCompletionRecords)
                 counters.completionOrder.push_back(
-                    {cs.lastCompletionSeq, batch.rank, batch.priority});
+                    {cs.lastCompletionSeq, batch.priority});
             if (rq.hasDeadline) {
                 if (ticks(completion) <= rq.deadline)
                     ++cs.deadlineHits;

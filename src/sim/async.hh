@@ -9,13 +9,13 @@
  * std::future<SimResult>), are coalesced per resident program up to a
  * max batch size, and each ready batch is dispatched onto the existing
  * BatchMachine/worker-pool machinery. Every serving policy — the cut,
- * placement, start order and core grants — is the BatchScheduler's
+ * the start order and core grants — is the BatchScheduler's
  * (sim/batching.hh); the server is its threads and clock. Multiple
- * programs can be resident at once (the
- * "execute different DAGs" mode); a cold program can be registered
- * through the compiler's ProgramCache so the first submit pays a
- * cache fetch instead of a full compile when the artifact is already
- * known.
+ * programs can be resident at once (the "execute different DAGs"
+ * mode) and share one machine of `cores` model cores; a cold program
+ * can be registered through the compiler's ProgramCache so the first
+ * submit pays a cache fetch instead of a full compile when the
+ * artifact is already known.
  *
  * QoS layer (SLO-aware serving on top of the submission API):
  *
@@ -41,18 +41,6 @@
  *     deadline-already-missed check) rejects requests up front with
  *     an Admission result instead of letting the backlog grow without
  *     bound — the server's backpressure signal.
- *
- * Fleet layer (rank-aware placement): with AsyncServerConfig::ranks
- * > 1 the server models a host driving N identical ranks of `cores`
- * cores each. Resident programs are either replicated (hot: a batch
- * goes to the rank with the fewest busy or waited-for cores when it
- * is cut) or
- * pinned to a home rank (cold: affinity keeps one rank's caches
- * warm), per AsyncServerConfig::placement / QosSpec::placement. The
- * server charges every dispatch the HostTransferModel's static
- * serialization + dispatch cost itself (BatchMachine models no link),
- * accounted per rank in Stats (never touching per-request results).
- * simulateFleet drives the same scheduler.
  *
  * Determinism: a request's SimResult is produced by a Machine run of
  * the resident program on that request's input — nothing about
@@ -112,13 +100,6 @@ struct QosSpec
     /** Default per-request deadline, relative to submission (0 =
      *  none). A submit may override it per request. */
     std::chrono::microseconds deadline{0};
-
-    /** Rank placement override for this program: nullopt = follow
-     *  AsyncServerConfig::placement. Replicate makes the program
-     *  resident on every rank (hot); Affinity pins it to one home
-     *  rank chosen by registration order (cold). Irrelevant on a
-     *  single-rank server. */
-    std::optional<Placement> placement;
 };
 
 /** Admission outcome of a trySubmit(). */
@@ -157,24 +138,10 @@ struct SubmitResult
 /** Serving-side knobs. Simulation results never depend on these. */
 struct AsyncServerConfig
 {
-    /** Model cores *per rank* (the paper's large system deploys 4);
-     *  feeds the modeled wall-cycle accounting and is the pool that
-     *  per-program reservations partition on each rank. */
+    /** Model cores (the paper's large system deploys 4); feeds the
+     *  modeled wall-cycle accounting and is the pool that per-program
+     *  reservations partition. */
     uint32_t cores = 4;
-
-    /** Host-driven ranks in the modeled fleet. 1 (the default)
-     *  reproduces the pre-fleet single-machine server exactly. */
-    uint32_t ranks = 1;
-
-    /** Host↔rank transfer cost charged per dispatched batch. The
-     *  default free model charges 0 cycles, keeping the modeled
-     *  wall-cycle accounting byte-identical to pre-fleet behavior.
-     *  Never affects per-request SimResults. */
-    HostTransferModel transfer{};
-
-    /** Default rank placement of resident programs (a program's
-     *  QosSpec::placement overrides it). */
-    Placement placement = Placement::Replicate;
 
     /** Dispatch a program's pending requests once this many have
      *  coalesced, without waiting out the window. */
@@ -182,8 +149,8 @@ struct AsyncServerConfig
 
     /** How long the oldest pending request may wait for company
      *  while its batch could not start — no parked worker, or no
-     *  free core the program may take on its rank — before it is cut
-     *  anyway. Zero = never wait for company. */
+     *  free core the program may take — before it is cut anyway.
+     *  Zero = never wait for company. */
     std::chrono::microseconds batchWindow{200};
 
     /** Host worker threads executing ready batches; batches of
@@ -199,9 +166,9 @@ struct AsyncServerConfig
      * Reject a deadlined request at admission when the predicted
      * service time already exceeds its deadline slack
      * (RejectedDeadline before any queueing). A prediction is the
-     * batch's static wall-cycle count (batchWallCycles plus the host
-     * transfer) times a us-per-kilocycle EWMA calibrated against
-     * observed batch service times. Off by default: the calibration
+     * batch's static wall-cycle count (batchWallCycles) times a
+     * us-per-kilocycle EWMA calibrated against observed batch
+     * service times. Off by default: the calibration
      * is an estimate, and rejecting on it is a policy the caller must
      * opt into. No effect until the calibration has seen a batch.
      */
@@ -332,26 +299,10 @@ class AsyncBatchServer
         uint64_t modeledWallCycles = 0; ///< Summed over batches.
         uint64_t totalOperations = 0;   ///< Summed over batches.
 
-        /** Modeled host↔rank transfer cycles, summed over batches
-         *  (0 under the default free transfer model). Accounted
-         *  separately from modeledWallCycles. */
-        uint64_t transferCycles = 0;
-
-        /** Per-rank dispatch accounting (size = config.ranks). */
-        struct RankStats
-        {
-            uint64_t batches = 0;        ///< Dispatched to this rank.
-            uint64_t requests = 0;       ///< Summed batch sizes.
-            uint64_t wallCycles = 0;     ///< Modeled compute cycles.
-            uint64_t transferCycles = 0; ///< Modeled link cycles.
-        };
-        std::vector<RankStats> perRank;
-
         /** One completion, as recorded under the server lock. */
         struct CompletionRecord
         {
-            uint64_t seq = 0;  ///< 1-based global completion order.
-            uint32_t rank = 0; ///< Rank the batch ran on.
+            uint64_t seq = 0; ///< 1-based global completion order.
             Priority priority = Priority::Batch;
         };
 
@@ -420,9 +371,8 @@ class AsyncBatchServer
     };
     using Scheduler = BatchScheduler<Payload>;
 
-    /** One resident program and its QoS contract; its queues, core
-     *  reservation and placement live in the scheduler under the same
-     *  index. */
+    /** One resident program and its QoS contract; its queues and core
+     *  reservation live in the scheduler under the same index. */
     struct Resident
     {
         CompiledProgram prog;

@@ -1,11 +1,11 @@
 /**
  * @file
- * The batch scheduler both serving models share: AsyncBatchServer
- * drives it on the host's steady clock, simulateFleet on virtual
- * device cycles, so the fleet model cannot drift from the server. A
- * tick is whatever unit the caller counts in; the scheduler never
- * reads a clock. It owns one coalescing queue per (program, priority
- * class), the cut, rank placement, the start order and core grants.
+ * The batch scheduler of AsyncBatchServer: the clock-free core the
+ * server drives on the host's steady clock and the tests drive on
+ * scripted ticks. A tick is whatever unit the caller counts in; the
+ * scheduler never reads a clock. It owns one coalescing queue per
+ * (program, priority class), the cut, the start order and the grants
+ * of one machine's `cores` model cores.
  *
  * Cutting is work-conserving, like the dynamic batching of Clipper
  * (Crankshaw et al., NSDI 2017): a batch that could start now is cut
@@ -16,9 +16,9 @@
  *   1. Size     — the queue holds maxBatch requests.
  *   2. Drain    — the caller is flushing every queue.
  *   3. Idle     — the batch could start now: a worker is available
- *                 (the caller counts them), and the rank it would be
- *                 placed on has a free core the program may take —
- *                 its own reserved core or a shared one.
+ *                 (the caller counts them), and a core the program may
+ *                 take — its own reserved core or a shared one — is
+ *                 free.
  *   4. Deadline — waiting longer would miss the earliest deadline,
  *                 led by the caller's service-time estimate.
  *   5. Window   — the oldest request has waited out the window.
@@ -27,10 +27,6 @@
  * will; a free worker, a freed core or a drain can only bring that
  * forward, so the caller must ask again when one appears.
  *
- * Placement happens at cut time: a pinned (Affinity) program's batch
- * goes to its home rank, registration index % ranks; a replicated
- * one's to the rank with the fewest cores busy or asked for by its
- * waiting (cut, not started) batches, ties to the lowest id.
  * Ready batches start earliest deadline first within priority bands,
  * ties in cut order; one with no free core waits without blocking one
  * that can run. A grant takes only cores free now — the program's own
@@ -51,7 +47,6 @@
 #include <string>
 #include <vector>
 
-#include "arch/topology.hh"
 #include "support/logging.hh"
 
 namespace dpu {
@@ -123,11 +118,9 @@ CutDecision decideCut(const CutPolicy &policy, const QueueState &queue,
 
 /**
  * The serving core over a caller-defined per-request Payload (the
- * server's input and promise; nothing for the fleet model). It owns
- * the queues, the ready batches and the model cores of every rank —
- * their static reservation partition and which are busy. Core ids are
- * global: rank * coresPerRank + local core. Not thread-safe: the
- * caller serializes every call.
+ * server's input and promise). It owns the queues, the ready batches
+ * and the model cores — their static reservation partition and which
+ * are busy. Not thread-safe: the caller serializes every call.
  */
 template <typename Payload>
 class BatchScheduler
@@ -149,82 +142,62 @@ class BatchScheduler
         bool hasDeadline = false;      ///< Any request has one.
         int64_t deadline = 0;          ///< Earliest request deadline.
         uint64_t seq = 0;              ///< Cut order.
-        uint32_t rank = 0;             ///< Chosen at cut time.
         std::vector<uint32_t> cores;   ///< Granted by start().
     };
 
-    BatchScheduler(uint32_t ranks_, uint32_t coresPerRank_,
-                   CutPolicy policy_)
-        : policy(policy_), ranks(ranks_), coresPerRank(coresPerRank_),
-          reservedBy((size_t)ranks * coresPerRank, -1),
-          busy((size_t)ranks * coresPerRank, false),
-          busyPerRank(ranks, 0), waitingPerRank(ranks, 0),
-          reservedPerRank(ranks, 0)
+    BatchScheduler(uint32_t cores_, CutPolicy policy_)
+        : policy(policy_), cores(cores_), reservedBy(cores, -1),
+          busy(cores, false)
     {
-        dpu_assert(ranks >= 1 && coresPerRank >= 1,
-                   "the scheduler needs a rank and a core");
+        dpu_assert(cores >= 1, "the scheduler needs a core");
         policy.maxBatch = std::max<size_t>(policy.maxBatch, 1);
     }
 
     /**
      * Register a resident program; returns its index (0, 1, ...).
-     * `minCores` cores are reserved for it alone on every rank it is
-     * placed on (all ranks when replicated, its home rank when
-     * pinned); `maxCores` caps one batch's cores (0 = no cap).
+     * `minCores` cores are reserved for it alone; `maxCores` caps one
+     * batch's cores (0 = no cap).
      *
-     * Throws FatalError, changing nothing, when minCores exceeds a
-     * rank, maxCores < minCores, the reservation no longer fits next
+     * Throws FatalError, changing nothing, when minCores exceeds the
+     * machine, maxCores < minCores, the reservation no longer fits next
      * to the ones already granted, or it would leave a program
      * without a reservation no core to run on.
      */
     uint32_t
-    addProgram(uint32_t minCores, uint32_t maxCores, Placement placement)
+    addProgram(uint32_t minCores, uint32_t maxCores)
     {
-        if (minCores > coresPerRank)
+        if (minCores > cores)
             dpu_fatal("addProgram: QosSpec::minCores " +
                       std::to_string(minCores) + " exceeds the " +
-                      std::to_string(coresPerRank) + " modeled cores");
+                      std::to_string(cores) + " modeled cores");
         if (maxCores != 0 && maxCores < minCores)
             dpu_fatal("addProgram: QosSpec::maxCores " +
                       std::to_string(maxCores) + " below minCores " +
                       std::to_string(minCores));
-        Program prog{minCores, maxCores,
-                     placement == Placement::Replicate,
-                     static_cast<uint32_t>(programs.size()) % ranks};
-        for (uint32_t rank = 0; rank < ranks; ++rank) {
-            if (!placedOn(prog, rank))
-                continue;
-            if (reservedPerRank[rank] + minCores > coresPerRank)
-                dpu_fatal("addProgram: core reservations exhausted (" +
-                          std::to_string(reservedPerRank[rank]) + " of " +
-                          std::to_string(coresPerRank) +
-                          " already reserved, requested " +
-                          std::to_string(minCores) + " more)");
-            bool unreserved_resident = minCores == 0;
-            for (const Program &o : programs)
-                unreserved_resident |= placedOn(o, rank) && o.minCores == 0;
-            if (reservedPerRank[rank] + minCores == coresPerRank &&
-                unreserved_resident)
-                dpu_fatal("addProgram: reservation would leave no shared "
-                          "core for resident programs without one");
-        }
-        // The lowest-numbered shared cores of each rank the program is
-        // placed on become its own, for good (programs stay resident).
+        if (reserved + minCores > cores)
+            dpu_fatal("addProgram: core reservations exhausted (" +
+                      std::to_string(reserved) + " of " +
+                      std::to_string(cores) +
+                      " already reserved, requested " +
+                      std::to_string(minCores) + " more)");
+        bool unreserved_resident = minCores == 0;
+        for (const Program &o : programs)
+            unreserved_resident |= o.minCores == 0;
+        if (reserved + minCores == cores && unreserved_resident)
+            dpu_fatal("addProgram: reservation would leave no shared "
+                      "core for resident programs without one");
+        // The lowest-numbered shared cores become the program's own,
+        // for good (programs stay resident).
         int32_t index = static_cast<int32_t>(programs.size());
-        for (uint32_t rank = 0; rank < ranks; ++rank) {
-            if (!placedOn(prog, rank))
-                continue;
-            uint32_t granted = 0;
-            for (uint32_t c = 0; c < coresPerRank && granted < minCores;
-                 ++c) {
-                if (reservedBy[rank * coresPerRank + c] == -1) {
-                    reservedBy[rank * coresPerRank + c] = index;
-                    ++granted;
-                }
+        uint32_t granted = 0;
+        for (uint32_t c = 0; c < cores && granted < minCores; ++c) {
+            if (reservedBy[c] == -1) {
+                reservedBy[c] = index;
+                ++granted;
             }
-            reservedPerRank[rank] += minCores;
         }
-        programs.push_back(std::move(prog));
+        reserved += minCores;
+        programs.push_back(Program{minCores, maxCores, {}});
         return static_cast<uint32_t>(index);
     }
 
@@ -273,13 +246,11 @@ class BatchScheduler
                     }
                     if (q.hasDeadline)
                         q.deadlineLead = deadlineLead(p, queue.size());
-                    uint32_t rank = placeRank(p);
-                    q.idle = freeWorkers > ready.size() &&
-                             hasFreeCore(p, rank);
+                    q.idle = freeWorkers > ready.size() && hasFreeCore(p);
                     q.draining = draining;
                     CutDecision d = decideCut(policy, q, now);
                     if (d.cut) {
-                        cutQueue(p, cls, rank, d.reason);
+                        cutQueue(p, cls, d.reason);
                         cutAny = true;
                     } else if (!wake || d.wakeAt < *wake) {
                         wake = d.wakeAt;
@@ -300,26 +271,23 @@ class BatchScheduler
     {
         size_t best = ready.size();
         for (size_t k = 0; k < ready.size(); ++k)
-            if (hasFreeCore(ready[k].program, ready[k].rank) &&
+            if (hasFreeCore(ready[k].program) &&
                 (best == ready.size() || runsBefore(ready[k], ready[best])))
                 best = k;
         if (best == ready.size())
             return std::nullopt;
         Batch b = std::move(ready[best]);
         ready.erase(ready.begin() + static_cast<ptrdiff_t>(best));
-        waitingPerRank[b.rank] -= demand(b.program, b.requests.size());
-        b.cores = grant(b.program, b.rank, b.requests.size());
+        b.cores = grant(b.program, b.requests.size());
         return b;
     }
 
     /** Give back the cores a started batch was granted. */
     void
-    release(const std::vector<uint32_t> &cores)
+    release(const std::vector<uint32_t> &granted)
     {
-        for (uint32_t c : cores) {
+        for (uint32_t c : granted)
             busy[c] = false;
-            --busyPerRank[c / coresPerRank];
-        }
     }
 
     /** Batches cut so far, by reason (index: CutReason). */
@@ -350,75 +318,39 @@ class BatchScheduler
     {
         uint32_t minCores = 0;
         uint32_t maxCores = 0;
-        bool replicated = true;
-        uint32_t homeRank = 0;
         /** One queue per priority class, oldest first. */
         std::array<std::vector<Request>, kNumPriorities> pending{};
     };
 
-    static bool
-    placedOn(const Program &p, uint32_t rank)
-    {
-        return p.replicated || p.homeRank == rank;
-    }
-
-    /** Rank a batch of `program` cut now goes to: its home rank when
-     *  pinned, else the rank with the fewest cores busy or asked for
-     *  by batches placed there that have not started, ties to the
-     *  lowest id. */
-    uint32_t
-    placeRank(uint32_t program) const
-    {
-        if (!programs[program].replicated)
-            return programs[program].homeRank;
-        uint32_t best = 0;
-        for (uint32_t r = 1; r < ranks; ++r)
-            if (busyPerRank[r] + waitingPerRank[r] <
-                busyPerRank[best] + waitingPerRank[best])
-                best = r;
-        return best;
-    }
-
-    /** Most cores a `runs`-request batch of `program` is granted. */
-    uint32_t
-    demand(uint32_t program, size_t runs) const
-    {
-        const Program &p = programs[program];
-        return static_cast<uint32_t>(std::min<size_t>(
-            p.maxCores ? p.maxCores : coresPerRank, runs));
-    }
-
-    /** Whether `rank` has a free core `program` may take. */
+    /** Whether a core `program` may take is free. */
     bool
-    hasFreeCore(uint32_t program, uint32_t rank) const
+    hasFreeCore(uint32_t program) const
     {
-        for (uint32_t g = rank * coresPerRank;
-             g < (rank + 1) * coresPerRank; ++g)
-            if (!busy[g] && (reservedBy[g] == (int32_t)program ||
-                             reservedBy[g] == -1))
+        for (uint32_t c = 0; c < cores; ++c)
+            if (!busy[c] && (reservedBy[c] == (int32_t)program ||
+                             reservedBy[c] == -1))
                 return true;
         return false;
     }
 
     /** Mark busy and return the cores a `runs`-request batch of
-     *  `program` on `rank` is granted: its own free reserved cores
-     *  first — useless to anyone else — then free shared ones, up to
-     *  its maxCores and the batch size. */
+     *  `program` is granted: its own free reserved cores first —
+     *  useless to anyone else — then free shared ones, up to its
+     *  maxCores and the batch size. */
     std::vector<uint32_t>
-    grant(uint32_t program, uint32_t rank, size_t runs)
+    grant(uint32_t program, size_t runs)
     {
-        const size_t limit = demand(program, runs);
+        const Program &p = programs[program];
+        const size_t limit =
+            std::min<size_t>(p.maxCores ? p.maxCores : cores, runs);
         std::vector<uint32_t> granted;
         for (int32_t owner : {(int32_t)program, -1})
-            for (uint32_t g = rank * coresPerRank;
-                 g < (rank + 1) * coresPerRank && granted.size() < limit;
-                 ++g)
-                if (!busy[g] && reservedBy[g] == owner)
-                    granted.push_back(g);
+            for (uint32_t c = 0; c < cores && granted.size() < limit; ++c)
+                if (!busy[c] && reservedBy[c] == owner)
+                    granted.push_back(c);
         dpu_assert(!granted.empty(), "started a batch with no free core");
-        for (uint32_t g : granted)
-            busy[g] = true;
-        busyPerRank[rank] += static_cast<uint32_t>(granted.size());
+        for (uint32_t c : granted)
+            busy[c] = true;
         return granted;
     }
 
@@ -439,7 +371,7 @@ class BatchScheduler
 
     /** Move up to maxBatch requests of queue (p, cls) onto `ready`. */
     void
-    cutQueue(uint32_t p, size_t cls, uint32_t rank, CutReason reason)
+    cutQueue(uint32_t p, size_t cls, CutReason reason)
     {
         std::vector<Request> &queue = programs[p].pending[cls];
         auto end = queue.begin() + static_cast<ptrdiff_t>(
@@ -448,7 +380,6 @@ class BatchScheduler
         b.program = p;
         b.priority = static_cast<Priority>(cls);
         b.seq = nextSeq++;
-        b.rank = rank;
         b.requests.assign(std::make_move_iterator(queue.begin()),
                           std::make_move_iterator(end));
         queue.erase(queue.begin(), end);
@@ -462,22 +393,17 @@ class BatchScheduler
         queuedCount -= b.requests.size();
         ++cutCounts[static_cast<size_t>(reason)];
         largestBatch = std::max<uint64_t>(largestBatch, b.requests.size());
-        waitingPerRank[rank] += demand(p, b.requests.size());
         ready.push_back(std::move(b));
     }
 
     CutPolicy policy;
-    uint32_t ranks;
-    uint32_t coresPerRank;
+    uint32_t cores;
     std::vector<Program> programs;
     std::vector<Batch> ready;
     /** Owning program index per core, or -1 = shared. */
     std::vector<int32_t> reservedBy;
-    std::vector<bool> busy;                ///< Held by a started batch.
-    std::vector<uint32_t> busyPerRank;     ///< Busy cores, per rank.
-    /** Cores the ready batches placed on each rank ask for. */
-    std::vector<uint32_t> waitingPerRank;
-    std::vector<uint32_t> reservedPerRank; ///< Summed minCores.
+    std::vector<bool> busy; ///< Held by a started batch.
+    uint32_t reserved = 0;  ///< Summed minCores.
     std::array<uint64_t, kNumCutReasons> cutCounts{};
     uint64_t largestBatch = 0;
     uint64_t queuedCount = 0;

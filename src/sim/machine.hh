@@ -36,6 +36,11 @@
  * the program, so construction does not throw it. Every run() throws
  * it instead, as a PanicError with the same what(), after checking
  * the input count.
+ *
+ * A Machine is one DPU-v2 core; BatchMachine (sim/batch.hh) runs N of
+ * them in lockstep, as the paper's §V-C2 batch mode does. Like the
+ * paper, the model stops at the data memory: nothing here, in the
+ * server or in the DSE prices moving inputs and outputs to a host.
  */
 
 #ifndef DPU_SIM_MACHINE_HH
@@ -51,17 +56,6 @@
 #include "compiler/program.hh"
 
 namespace dpu {
-
-/** Bytes one run moves across the host↔rank boundary: the input
- *  vector down plus the output vector back, 8 bytes per value. The
- *  simulator models no link; the drivers that do price these bytes
- *  with a HostTransferModel (arch/topology.hh). */
-inline uint64_t
-hostTransferBytes(const CompiledProgram &prog)
-{
-    return 8ull *
-           ((uint64_t)prog.inputLocation.size() + prog.outputs.size());
-}
 
 /** Event counts accumulated during simulation (feed the energy model). */
 struct SimStats

@@ -84,27 +84,6 @@ parseFractionArg(const char *s, double &out)
     return true;
 }
 
-/** Parse a link transfer rate in GB/s: a positive finite decimal, or
- *  the literal "inf" for a free (infinitely fast) link — the fleet
- *  flags' default. Zero, negative, non-numeric and trailing-junk
- *  values are parse failures (a 0 GB/s link would deadlock every
- *  transfer, so it is rejected rather than modeled). */
-inline bool
-parseGbpsArg(const char *s, double &out)
-{
-    if (!s)
-        return false;
-    if (std::string(s) == "inf") {
-        out = std::numeric_limits<double>::infinity();
-        return true;
-    }
-    double v = 0.0;
-    if (!parseDoubleArg(s, v) || v <= 0.0)
-        return false;
-    out = v;
-    return true;
-}
-
 namespace detail {
 
 /** Split on ',' and parse every element with `parse_one`. Rejects

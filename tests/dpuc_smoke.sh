@@ -3,21 +3,23 @@
 #   0 = success, 1 = user error, 2 = invalid option value.
 # Usage: dpuc_smoke.sh <path-to-dpuc> [path-to-dse_sweep] \
 #                      [path-to-dpulint] [path-to-serve_latency] \
-#                      [path-to-micro_benchmarks]
+#                      [path-to-run_benches] [path-to-micro_benchmarks]
 # The optional second binary gets the DSE driver checks (strict
 # --axes/--shards/--threads validation, journal + resume round); the
 # optional third gets the verifier-CLI checks (clean program -> 0,
 # corrupt file -> 1, bad flag -> 2); the optional fourth gets the
 # serving-bench QoS flag checks (--priority-mix/--deadline-us/
 # --queue-depth strict validation); the optional fifth gets the
+# run_benches unknown-option check; the optional sixth gets the
 # micro_benchmarks --threads checks.
 set -u
 
-DPUC="${1:?usage: dpuc_smoke.sh <path-to-dpuc> [path-to-dse_sweep] [path-to-dpulint] [path-to-serve_latency] [path-to-micro_benchmarks]}"
+DPUC="${1:?usage: dpuc_smoke.sh <path-to-dpuc> [path-to-dse_sweep] [path-to-dpulint] [path-to-serve_latency] [path-to-run_benches] [path-to-micro_benchmarks]}"
 DSE="${2:-}"
 DPULINT="${3:-}"
 SERVE="${4:-}"
-MICRO="${5:-}"
+RUN_BENCHES="${5:-}"
+MICRO="${6:-}"
 TMP=$(mktemp -d) || exit 125
 trap 'rm -rf "$TMP"' EXIT
 fails=0
@@ -178,21 +180,11 @@ if [ -n "$DSE" ]; then
     check 1 "dse_sweep --table is unknown" \
         "$DSE" --quick --axes="$AXES" --table=x
 
-    # Fleet axes: --ranks/--xfer-gbps follow the same strict contract.
-    check 0 "dse_sweep fleet axes --quick" \
-        "$DSE" --quick --axes="$AXES" --ranks=2 --xfer-gbps=4
-    check 0 "dse_sweep --xfer-gbps=inf (free link)" \
-        "$DSE" --quick --axes="$AXES" --ranks=2 --xfer-gbps=inf
-    check 2 "dse_sweep --ranks=0" "$DSE" --quick --ranks=0
-    check 2 "dse_sweep --ranks non-numeric" \
-        "$DSE" --quick --ranks=many
-    check 2 "dse_sweep --ranks trailing junk" \
-        "$DSE" --quick --ranks=4x
-    check 2 "dse_sweep --xfer-gbps=0" "$DSE" --quick --xfer-gbps=0
-    check 2 "dse_sweep --xfer-gbps negative" \
-        "$DSE" --quick --xfer-gbps=-2
-    check 2 "dse_sweep --xfer-gbps non-numeric" \
-        "$DSE" --quick --xfer-gbps=junk
+    # A design point is one processor with no host link: fleet flags
+    # are unknown options, so a script passing them fails loudly.
+    check 1 "dse_sweep fleet flags are unknown" \
+        "$DSE" --quick --axes="$AXES" --ranks=2 --xfer-gbps=4 \
+        --placement=affinity
 
     check 1 "dse_sweep --resume without --journal" \
         "$DSE" --quick --resume
@@ -267,22 +259,18 @@ if [ -n "$SERVE" ]; then
     check 1 "serve unknown flag still exit 1" \
         "$SERVE" --quick --no-such-flag
 
-    # Fleet flags: strict validation plus one real multi-rank quick
-    # run exercising placement + finite-link accounting end to end.
-    check 0 "serve fleet quick run" \
-        "$SERVE" --quick --ranks=2 --xfer-gbps=8 --placement=affinity
-    check 2 "serve --ranks=0" "$SERVE" --quick --ranks=0
-    check 2 "serve --ranks non-numeric" "$SERVE" --quick --ranks=lots
-    check 2 "serve --ranks trailing junk" "$SERVE" --quick --ranks=2x
-    check 2 "serve --xfer-gbps=0" "$SERVE" --quick --xfer-gbps=0
-    check 2 "serve --xfer-gbps negative" \
-        "$SERVE" --quick --xfer-gbps=-3
-    check 2 "serve --xfer-gbps non-numeric" \
-        "$SERVE" --quick --xfer-gbps=fast
-    check 2 "serve --placement unknown policy" \
-        "$SERVE" --quick --placement=bogus
-    check 2 "serve --placement empty" \
-        "$SERVE" --quick --placement=
+    # The server models one machine with no host link: fleet flags
+    # are unknown options, never silently ignored.
+    check 1 "serve fleet flags are unknown" \
+        "$SERVE" --quick --ranks=2 --xfer-gbps=4 --placement=affinity
+fi
+
+# run_benches refuses an unknown option with 125 before it runs any
+# bench, fleet flags included.
+if [ -n "$RUN_BENCHES" ]; then
+    check 125 "run_benches fleet flags are unknown" \
+        "$RUN_BENCHES" --quick --ranks=2 --xfer-gbps=4 \
+        --placement=affinity --outdir="$TMP/benches"
 fi
 
 if [ -n "$MICRO" ]; then

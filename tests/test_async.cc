@@ -530,7 +530,7 @@ TEST(AsyncServer, PastDeadlineSubmissionRejected)
 TEST(AsyncServer, StatsIncludeEveryCompletionAClientObserved)
 {
     // Regression: promises used to be fulfilled before the per-class
-    // and per-rank counters were updated, so a client returning from
+    // and per-batch counters were updated, so a client returning from
     // get() could read stats() without its own completion. Widen that
     // window with concurrent submitters: every completion any client
     // has observed must already be counted when it reads stats().
@@ -565,8 +565,8 @@ TEST(AsyncServer, StatsIncludeEveryCompletionAClientObserved)
                 auto st = server.stats();
                 const auto &cs = st.forClass(Priority::Batch);
                 if (cs.completed < seen || cs.deadlineHits < seen ||
-                    st.completions < seen || st.perRank.empty() ||
-                    st.perRank[0].requests < seen)
+                    st.completions < seen ||
+                    st.totalOperations < seen * prog.stats.numOperations)
                     ++stale;
             }
         });

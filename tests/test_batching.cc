@@ -1,13 +1,13 @@
 /**
  * @file
  * Tests for the batch scheduler (sim/batching.hh), the serving core
- * AsyncBatchServer and simulateFleet share. It reads no clock and
- * starts no thread, so every rule the server's threaded tests can
- * only bound is pinned exactly here under scripted ticks. CutPolicy:
- * the cut rule alone — the reason precedence (size > drain > idle >
- * deadline > window), the wake-up times, and the deadline lead.
- * BatchScheduler: placement, core grants, the start order, and the
- * idle rule over workers and free cores.
+ * AsyncBatchServer drives. It reads no clock and starts no thread, so
+ * every rule the server's threaded tests can only bound is pinned
+ * exactly here under scripted ticks. CutPolicy: the cut rule alone —
+ * the reason precedence (size > drain > idle > deadline > window),
+ * the wake-up times, and the deadline lead. BatchScheduler:
+ * reservations, core grants, the start order, and the idle rule over
+ * workers and free cores.
  */
 
 #include <gtest/gtest.h>
@@ -292,98 +292,13 @@ cutsFor(const Sched &s, CutReason reason)
     return s.cuts()[static_cast<size_t>(reason)];
 }
 
-TEST(BatchScheduler, ReplicatedBatchesGoToTheRankWithFewestBusyCores)
-{
-    // 3 ranks x 2 cores. Each lone request is cut at once and takes
-    // one core; the next goes to the rank with the fewest busy cores,
-    // ties to the lowest id.
-    Sched s(3, 2, CutPolicy{8, 1000});
-    s.addProgram(0, 0, Placement::Replicate);
-    const uint32_t expectRank[] = {0, 1, 2, 0, 1, 2};
-    const uint32_t expectCore[] = {0, 2, 4, 1, 3, 5};
-    std::vector<Sched::Batch> held;
-    for (int k = 0; k < 6; ++k) {
-        enqueue(s, 0, k, 10 * k);
-        EXPECT_FALSE(s.cut(10 * k, kAnyWorker, false, noLead));
-        std::optional<Sched::Batch> b = s.start();
-        ASSERT_TRUE(b);
-        EXPECT_EQ(b->rank, expectRank[k]) << "request " << k;
-        EXPECT_EQ(b->cores, std::vector<uint32_t>{expectCore[k]});
-        held.push_back(std::move(*b));
-    }
-    EXPECT_EQ(cutsFor(s, CutReason::Idle), 6u);
-    // Freeing rank 1 makes it the least busy again.
-    s.release(held[1].cores);
-    s.release(held[4].cores);
-    enqueue(s, 0, 6, 100);
-    s.cut(100, kAnyWorker, false, noLead);
-    std::optional<Sched::Batch> b = s.start();
-    ASSERT_TRUE(b);
-    EXPECT_EQ(b->rank, 1u);
-    EXPECT_EQ(b->cores, std::vector<uint32_t>{2});
-}
-
-TEST(BatchScheduler, BatchesCutInOnePassSpreadOverIdleRanks)
-{
-    // 3 ranks x 2 cores, all idle. Six requests make three size cuts
-    // of two in one pass; each batch asks for two cores, so the ranks
-    // it waits on count as loaded and the next batch goes elsewhere.
-    Sched s(3, 2, CutPolicy{2, 1000});
-    s.addProgram(0, 0, Placement::Replicate);
-    for (int k = 0; k < 6; ++k)
-        enqueue(s, 0, k, 0);
-    EXPECT_FALSE(s.cut(0, 0, false, noLead));
-    EXPECT_EQ(cutsFor(s, CutReason::Size), 3u);
-    std::vector<Sched::Batch> held;
-    for (uint32_t rank = 0; rank < 3; ++rank) {
-        std::optional<Sched::Batch> b = s.start();
-        ASSERT_TRUE(b);
-        EXPECT_EQ(b->rank, rank);
-        EXPECT_EQ(b->cores,
-                  (std::vector<uint32_t>{2 * rank, 2 * rank + 1}));
-        held.push_back(std::move(*b));
-    }
-    // Once started, a batch counts as busy cores: the next cut goes
-    // to the rank released first.
-    s.release(held[2].cores);
-    enqueue(s, 0, 6, 10);
-    enqueue(s, 0, 7, 10);
-    s.cut(10, 0, false, noLead);
-    std::optional<Sched::Batch> b = s.start();
-    ASSERT_TRUE(b);
-    EXPECT_EQ(b->rank, 2u);
-}
-
-TEST(BatchScheduler, AffinityPinsEachProgramToItsHomeRank)
-{
-    // Program k's home is rank k % 3, however busy it is.
-    Sched s(3, 2, CutPolicy{8, 1000});
-    for (int p = 0; p < 4; ++p)
-        s.addProgram(0, 0, Placement::Affinity);
-    const uint32_t home[] = {0, 1, 2, 0};
-    for (uint32_t p = 0; p < 4; ++p) {
-        enqueue(s, p, static_cast<int>(p), 0);
-        s.cut(0, kAnyWorker, false, noLead);
-        std::optional<Sched::Batch> b = s.start();
-        ASSERT_TRUE(b);
-        EXPECT_EQ(b->rank, home[p]) << "program " << p;
-    }
-    // Rank 0 now has both cores busy (programs 0 and 3): program 3's
-    // next request still targets it, and is not idle there.
-    enqueue(s, 3, 9, 5);
-    std::optional<int64_t> wake = s.cut(5, kAnyWorker, false, noLead);
-    ASSERT_TRUE(wake);
-    EXPECT_EQ(*wake, 1005);
-    EXPECT_FALSE(s.hasReady());
-}
-
 TEST(BatchScheduler, GrantsOwnReservedCoresFirstThenSharedOnes)
 {
-    // One rank of 4 cores. Program 0 reserves 1 core (core 0) and may
+    // 4 cores. Program 0 reserves 1 core (core 0) and may
     // spread to 3; program 1 has no reservation.
-    Sched s(1, 4, CutPolicy{8, 1000});
-    EXPECT_EQ(s.addProgram(1, 3, Placement::Replicate), 0u);
-    EXPECT_EQ(s.addProgram(0, 0, Placement::Replicate), 1u);
+    Sched s(4, CutPolicy{8, 1000});
+    EXPECT_EQ(s.addProgram(1, 3), 0u);
+    EXPECT_EQ(s.addProgram(0, 0), 1u);
 
     // Capped by the batch size: two runs, two cores, own one first.
     for (int k = 0; k < 2; ++k)
@@ -424,30 +339,29 @@ TEST(BatchScheduler, GrantsOwnReservedCoresFirstThenSharedOnes)
 
 TEST(BatchScheduler, ReservationsAreCheckedBeforeAnythingIsGranted)
 {
-    Sched s(2, 4, CutPolicy{8, 1000});
-    EXPECT_THROW(s.addProgram(5, 0, Placement::Replicate), FatalError);
-    EXPECT_THROW(s.addProgram(3, 2, Placement::Replicate), FatalError);
-    EXPECT_EQ(s.addProgram(0, 0, Placement::Replicate), 0u);
-    // Would leave the unreserved program 0 no core on either rank.
-    EXPECT_THROW(s.addProgram(4, 0, Placement::Replicate), FatalError);
-    EXPECT_EQ(s.addProgram(3, 0, Placement::Replicate), 1u);
-    EXPECT_THROW(s.addProgram(2, 0, Placement::Replicate), FatalError);
+    Sched s(4, CutPolicy{8, 1000});
+    EXPECT_THROW(s.addProgram(5, 0), FatalError);
+    EXPECT_THROW(s.addProgram(3, 2), FatalError);
+    EXPECT_EQ(s.addProgram(0, 0), 0u);
+    // Would leave the unreserved program 0 no core.
+    EXPECT_THROW(s.addProgram(4, 0), FatalError);
+    EXPECT_EQ(s.addProgram(3, 0), 1u);
+    EXPECT_THROW(s.addProgram(2, 0), FatalError);
     // The failed attempts registered nothing: the next index is 2.
-    EXPECT_EQ(s.addProgram(0, 0, Placement::Affinity), 2u);
-    // Index 3 is pinned to rank 1 (3 % 2), where its one core would
-    // be the last shared one.
-    EXPECT_THROW(s.addProgram(1, 0, Placement::Affinity), FatalError);
+    EXPECT_EQ(s.addProgram(0, 0), 2u);
+    // One more reserved core would be the last shared one.
+    EXPECT_THROW(s.addProgram(1, 0), FatalError);
 }
 
 TEST(BatchScheduler, ABatchWithNoFreeCoreWaitsAndAnotherBackfills)
 {
-    // One rank of 2 cores: program 0 owns core 0, program 1 shares
-    // core 1. Program 1's interactive batch cannot start while its
+    // 2 cores: program 0 owns core 0, program 1 shares core 1.
+    // Program 1's interactive batch cannot start while its
     // only core is busy; program 0's batch-class batch, cut later,
     // starts on its own core past it.
-    Sched s(1, 2, CutPolicy{8, 1000});
-    s.addProgram(1, 0, Placement::Replicate);
-    s.addProgram(0, 0, Placement::Replicate);
+    Sched s(2, CutPolicy{8, 1000});
+    s.addProgram(1, 0);
+    s.addProgram(0, 0);
     enqueue(s, 1, 0, 0);
     s.cut(0, kAnyWorker, false, noLead);
     std::optional<Sched::Batch> running = s.start();
@@ -476,9 +390,9 @@ TEST(BatchScheduler, StartsEarliestDeadlineFirstWithinBands)
 {
     // One core, held while five batches are drained into the ready
     // list; they then start one at a time as it frees.
-    Sched s(1, 1, CutPolicy{8, 1000});
+    Sched s(1, CutPolicy{8, 1000});
     for (int p = 0; p < 6; ++p)
-        s.addProgram(0, 0, Placement::Replicate);
+        s.addProgram(0, 0);
     enqueue(s, 0, 0, 0);
     s.cut(0, kAnyWorker, false, noLead);
     std::optional<Sched::Batch> b = s.start();
@@ -505,11 +419,11 @@ TEST(BatchScheduler, StartsEarliestDeadlineFirstWithinBands)
 
 TEST(BatchScheduler, IdleNeedsAFreeEligibleCore)
 {
-    // One rank of 2 cores; program 0 owns core 0, program 1 shares
-    // core 1. maxBatch 4, window 1000.
-    Sched s(1, 2, CutPolicy{4, 1000});
-    s.addProgram(1, 0, Placement::Replicate);
-    s.addProgram(0, 0, Placement::Replicate);
+    // 2 cores; program 0 owns core 0, program 1 shares core 1.
+    // maxBatch 4, window 1000.
+    Sched s(2, CutPolicy{4, 1000});
+    s.addProgram(1, 0);
+    s.addProgram(0, 0);
     enqueue(s, 1, 0, 0);
     s.cut(0, kAnyWorker, false, noLead);
     EXPECT_EQ(cutsFor(s, CutReason::Idle), 1u);
@@ -542,8 +456,8 @@ TEST(BatchScheduler, IdleNeedsAFreeEligibleCore)
 
     // With a free core, the worker half decides: no idle worker, or
     // every one spoken for by a ready batch, is no idle cut.
-    Sched w(1, 1, CutPolicy{4, 1000});
-    w.addProgram(0, 0, Placement::Replicate);
+    Sched w(1, CutPolicy{4, 1000});
+    w.addProgram(0, 0);
     enqueue(w, 0, 0, 0);
     EXPECT_EQ(w.cut(0, 0, false, noLead), 1000);
     EXPECT_FALSE(w.cut(0, 1, false, noLead));
@@ -556,9 +470,9 @@ TEST(BatchScheduler, IdleNeedsAFreeEligibleCore)
 
 TEST(BatchScheduler, DeadlineLeadIsAskedOfDeadlinedQueuesOnly)
 {
-    Sched s(1, 1, CutPolicy{8, 30'000});
-    s.addProgram(0, 0, Placement::Replicate);
-    s.addProgram(0, 0, Placement::Replicate);
+    Sched s(1, CutPolicy{8, 30'000});
+    s.addProgram(0, 0);
+    s.addProgram(0, 0);
     enqueue(s, 0, 0, 0);
     s.cut(0, kAnyWorker, false, noLead);
     std::optional<Sched::Batch> held = s.start();
@@ -581,14 +495,14 @@ TEST(BatchScheduler, DeadlineLeadIsAskedOfDeadlinedQueuesOnly)
 
 TEST(BatchScheduler, SameCallsMakeTheSameDecisions)
 {
-    // A seeded script of arrivals, cuts, starts and releases over two
-    // ranks with a reservation; two schedulers fed it agree on every
-    // batch: composition, rank, cores and cut order.
+    // A seeded script of arrivals, cuts, starts and releases over
+    // three cores with a reservation; two schedulers fed it agree on
+    // every batch: composition, cores and cut order.
     auto replay = [](uint64_t seed) {
-        Sched s(2, 3, CutPolicy{4, 50});
-        s.addProgram(1, 2, Placement::Replicate);
-        s.addProgram(0, 0, Placement::Replicate);
-        s.addProgram(0, 1, Placement::Affinity);
+        Sched s(3, CutPolicy{4, 50});
+        s.addProgram(1, 2);
+        s.addProgram(0, 0);
+        s.addProgram(0, 1);
         Rng rng(seed);
         std::vector<Sched::Batch> running;
         std::ostringstream log;
@@ -607,7 +521,7 @@ TEST(BatchScheduler, SameCallsMakeTheSameDecisions)
             s.cut(t, 1 + rng.next() % 3, rng.next() % 50 == 0,
                   [](uint32_t, size_t n) { return (int64_t)(5 * n); });
             while (std::optional<Sched::Batch> b = s.start()) {
-                log << b->seq << '@' << b->rank << ':';
+                log << b->seq << ':';
                 for (uint32_t c : b->cores)
                     log << c << ',';
                 for (int r : ids(*b))

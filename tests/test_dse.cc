@@ -62,8 +62,6 @@ expectIdentical(const DsePoint &a, const DsePoint &b)
     EXPECT_EQ(a.powerWatts, b.powerWatts);
     EXPECT_EQ(a.throughputGops, b.throughputGops);
     EXPECT_EQ(a.feasible, b.feasible);
-    EXPECT_EQ(a.fleetRanks, b.fleetRanks);
-    EXPECT_EQ(a.transferPerOpNs, b.transferPerOpNs);
 }
 
 std::vector<DsePoint>
@@ -443,40 +441,6 @@ TEST(DseJournal, EstimatedPointLinesAreRejected)
     }
 }
 
-TEST(DseJournal, FleetFieldsRoundTrip)
-{
-    // Fleet axes journal as optional trailing fields, present only
-    // when non-default — a ranks=1 zero-transfer point serializes to
-    // the exact pre-fleet bytes (pinned by GoldenPointLine above).
-    DsePoint base = goldenPoint();
-    std::string base_line = dseJournalPointLine(5, base);
-    EXPECT_EQ(base_line.find("\"ranks\""), std::string::npos);
-    EXPECT_EQ(base_line.find("\"transfer_per_op_ns\""),
-              std::string::npos);
-
-    DsePoint p = goldenPoint();
-    p.fleetRanks = 8;
-    p.transferPerOpNs = 1.0 / 3.0;
-    std::string line = dseJournalPointLine(5, p);
-    EXPECT_NE(line.find("\"ranks\": 8"), std::string::npos);
-    EXPECT_NE(line.find("\"transfer_per_op_ns\": "),
-              std::string::npos);
-
-    size_t index = 0;
-    DsePoint parsed;
-    ASSERT_TRUE(parseDseJournalPointLine(line, index, parsed));
-    EXPECT_EQ(index, 5u);
-    expectIdentical(parsed, p);
-    EXPECT_EQ(dseJournalPointLine(5, parsed), line);
-
-    // A zero-rank count is a torn or foreign line, never a point.
-    std::string bad = line;
-    size_t at = bad.find("\"ranks\": 8");
-    ASSERT_NE(at, std::string::npos);
-    bad.replace(at, 10, "\"ranks\": 0");
-    EXPECT_FALSE(parseDseJournalPointLine(bad, index, parsed));
-}
-
 TEST(DseJournal, OldFormatLineWithoutFidelityReadsAsCycle)
 {
     // Journals written before the fidelity tag existed carry no such
@@ -612,12 +576,14 @@ TEST(DseJournal, MutatedInputNeverThrowsOrCrashes)
     // throw (a PanicError included) or crash. Sanitizer builds run
     // this through the full ctest.
     Rng rng(20261016);
-    DsePoint fleet = goldenPoint();
-    fleet.fleetRanks = 4;
-    fleet.transferPerOpNs = 0.25;
+    DsePoint other = goldenPoint();
+    other.cfg.depth = 3;
+    other.cfg.banks = 64;
+    other.cores = 4;
+    other.latencyPerOpNs = 0.25;
     const std::vector<std::string> lines = {
         dseJournalPointLine(3, goldenPoint()),
-        dseJournalPointLine(9, fleet)};
+        dseJournalPointLine(9, other)};
     size_t parsed = 0;
     for (int k = 0; k < 4000; ++k) {
         std::string line = mutate(lines[k % lines.size()], rng);
@@ -633,7 +599,6 @@ TEST(DseJournal, MutatedInputNeverThrowsOrCrashes)
             EXPECT_GE(p.cfg.depth, 1u) << line;
             EXPECT_LE(p.cfg.depth, 6u) << line;
             EXPECT_GE(p.cores, 1u) << line;
-            EXPECT_GE(p.fleetRanks, 1u) << line;
         }
     }
     // Some mutations (a duplicated field, a flipped digit) still

@@ -402,38 +402,5 @@ TEST(Cli, ParseFractionRestrictsToUnitInterval)
     EXPECT_DOUBLE_EQ(v, 0.5); // failures must not clobber the output
 }
 
-TEST(Cli, ParseGbpsAcceptsPositiveRatesAndInf)
-{
-    // The fleet flags' --xfer-gbps: a positive link rate, or the
-    // literal "inf" for the free-link default.
-    double v = -1;
-    EXPECT_TRUE(parseGbpsArg("4", v));
-    EXPECT_DOUBLE_EQ(v, 4.0);
-    EXPECT_TRUE(parseGbpsArg("0.5", v));
-    EXPECT_DOUBLE_EQ(v, 0.5);
-    EXPECT_TRUE(parseGbpsArg("2e1", v));
-    EXPECT_DOUBLE_EQ(v, 20.0);
-    EXPECT_TRUE(parseGbpsArg("inf", v));
-    EXPECT_TRUE(std::isinf(v));
-    EXPECT_GT(v, 0.0);
-}
-
-TEST(Cli, ParseGbpsRejectsZeroNegativeAndJunk)
-{
-    double v = 3.0;
-    // A 0 GB/s link would deadlock every transfer: strict failure,
-    // not a model.
-    EXPECT_FALSE(parseGbpsArg("0", v));
-    EXPECT_FALSE(parseGbpsArg("-2", v));
-    EXPECT_FALSE(parseGbpsArg("junk", v));
-    EXPECT_FALSE(parseGbpsArg("4x", v));
-    EXPECT_FALSE(parseGbpsArg("Inf", v));   // exact spelling only
-    EXPECT_FALSE(parseGbpsArg("inf0", v));  // trailing junk
-    EXPECT_FALSE(parseGbpsArg("nan", v));
-    EXPECT_FALSE(parseGbpsArg("", v));
-    EXPECT_FALSE(parseGbpsArg(nullptr, v));
-    EXPECT_DOUBLE_EQ(v, 3.0); // untouched on failure
-}
-
 } // namespace
 } // namespace dpu

@@ -20,12 +20,6 @@
  *     --no-cache          disable the program cache
  *     --verify            statically verify every point compile
  *                         (compiler/verify.hh; failures abort)
- *     --ranks=N           fleet ranks per design point (default 1;
- *                         throughput/power scale, per-op latency and
- *                         energy do not)
- *     --xfer-gbps=<v|inf> host link rate; finite values charge
- *                         transfer cycles on every evaluated batch
- *                         (default inf = free link)
  *     --quick             smoke-test grid (8 points at scale 0.05)
  *     --csv               print the point table as CSV
  *
@@ -47,7 +41,6 @@
 #include <vector>
 
 #include "model/dse.hh"
-#include "model/tech28.hh"
 #include "support/cli.hh"
 #include "support/table.hh"
 
@@ -159,19 +152,6 @@ parseArgs(int argc, char **argv, Args &args)
             args.cacheDir = a + 12;
         } else if (std::strcmp(a, "--no-cache") == 0) {
             args.noCache = true;
-        } else if (std::strncmp(a, "--ranks=", 8) == 0) {
-            if (!parseUint32Arg(a + 8, args.sweep.space.fleetRanks) ||
-                args.sweep.space.fleetRanks < 1)
-                reject("--ranks", a + 8, "an integer >= 1");
-        } else if (std::strncmp(a, "--xfer-gbps=", 12) == 0) {
-            double gbps = 0;
-            if (!parseGbpsArg(a + 12, gbps))
-                reject("--xfer-gbps", a + 12,
-                       "a number > 0, or 'inf'");
-            else
-                args.sweep.space.transfer =
-                    HostTransferModel::fromGbps(gbps,
-                                                tech28::frequencyHz);
         } else if (std::strcmp(a, "--verify") == 0) {
             args.sweep.verify = true;
         } else if (std::strcmp(a, "--quick") == 0) {
@@ -185,8 +165,7 @@ parseArgs(int argc, char **argv, Args &args)
                 "usage: dse_sweep [--axes=<spec>] [--scale=<f>] "
                 "[--seed=N] [--threads=N] [--shards=N] "
                 "[--journal=<file>] [--resume] [--cache-dir=<dir>] "
-                "[--no-cache] [--ranks=N] [--xfer-gbps=<v|inf>] "
-                "[--verify] [--quick] [--csv]\n",
+                "[--no-cache] [--verify] [--quick] [--csv]\n",
                 a);
             return 1;
         }

@@ -7,8 +7,6 @@
  *     run_benches [--quick|--full] [--threads=N] [--only=<substr>]
  *                 [--outdir=<dir>] [--bindir=<dir>]
  *                 [--cache-dir=<dir>] [--no-cache] [--list]
- *                 [--ranks=N] [--xfer-gbps=<v|inf>]
- *                 [--placement=<replicate|affinity>]
  *                 [--matrix=<file.mtx>] [--matrix-dir=<dir>]
  *
  * For each bench `foo` it runs `<bindir>/foo [flags] --json=
@@ -17,15 +15,6 @@
  * --cache-dir=<outdir>/progcache (or the --cache-dir override), so
  * identical compiles are shared across the whole sweep instead of
  * being redone once per bench binary.
- *
- * Scenario entries in the registry (e.g. serve_latency_fleet) reuse
- * another entry's binary with extra flags; their JSON report is named
- * after the scenario. The fleet flags pass through to every bench
- * (after the scenario's own flags, so an explicit driver flag wins),
- * and any serve_latency run modeling more than one rank must report
- * the per-rank fleet series — a report missing the
- * fleet_rank_utilization / fleet_rank_transfer_overhead keys fails
- * validation.
  *
  * The google-benchmark `micro_benchmarks` binary is not
  * harness-driven; when it was built, the driver appends it to the
@@ -79,15 +68,6 @@ struct DriverArgs
     std::string bindir;
     std::string cacheDir; ///< Default: <outdir>/progcache.
 
-    // Fleet passthrough flags; only forwarded when given, so default
-    // sweeps run the exact pre-fleet commands.
-    bool ranksGiven = false;
-    bool xferGiven = false;
-    bool placementGiven = false;
-    uint32_t ranks = 1;
-    std::string xferGbps;
-    Placement placement = Placement::Replicate;
-
     // Real-matrix passthrough: validated here (readable file /
     // directory with .mtx files), forwarded to every bench; the
     // matrix-aware benches must then report the real-matrix series.
@@ -124,38 +104,7 @@ parseDriverArgs(int argc, char **argv, DriverArgs &args)
             args.cacheDir = a + 12;
         else if (std::strcmp(a, "--no-cache") == 0)
             args.noCache = true;
-        else if (std::strncmp(a, "--ranks=", 8) == 0) {
-            if (!parseUint32Arg(a + 8, args.ranks) ||
-                args.ranks < 1) {
-                std::fprintf(stderr,
-                             "run_benches: invalid value '%s' for "
-                             "--ranks (expected an integer >= 1)\n",
-                             a + 8);
-                return false;
-            }
-            args.ranksGiven = true;
-        } else if (std::strncmp(a, "--xfer-gbps=", 12) == 0) {
-            double gbps = 0;
-            if (!parseGbpsArg(a + 12, gbps)) {
-                std::fprintf(stderr,
-                             "run_benches: invalid value '%s' for "
-                             "--xfer-gbps (expected a number > 0, or "
-                             "'inf')\n",
-                             a + 12);
-                return false;
-            }
-            args.xferGbps = a + 12; // forwarded verbatim
-            args.xferGiven = true;
-        } else if (std::strncmp(a, "--placement=", 12) == 0) {
-            if (!parsePlacementName(a + 12, args.placement)) {
-                std::fprintf(stderr,
-                             "run_benches: invalid value '%s' for "
-                             "--placement (expected %s)\n",
-                             a + 12, kPlacementChoicesHelp);
-                return false;
-            }
-            args.placementGiven = true;
-        } else if (std::strncmp(a, "--matrix=", 9) == 0) {
+        else if (std::strncmp(a, "--matrix=", 9) == 0) {
             if (a[9] == '\0' || !std::ifstream(a + 9).good()) {
                 std::fprintf(stderr,
                              "run_benches: invalid value '%s' for "
@@ -185,8 +134,6 @@ parseDriverArgs(int argc, char **argv, DriverArgs &args)
                          "[--threads=N] [--only=<substr>] "
                          "[--outdir=<dir>] [--bindir=<dir>] "
                          "[--cache-dir=<dir>] [--no-cache] "
-                         "[--ranks=N] [--xfer-gbps=<v|inf>] "
-                         "[--placement=<policy>] "
                          "[--matrix=<file.mtx>] [--matrix-dir=<dir>] "
                          "[--list]\n",
                          a);
@@ -339,10 +286,9 @@ main(int argc, char **argv)
             std::string(b.name).find(args.only) == std::string::npos)
             continue;
         ++ran;
-        const char *binary = b.binary ? b.binary : b.name;
         std::string report =
             args.outdir + "/BENCH_" + b.name + ".json";
-        std::string cmd = shellQuote(args.bindir + "/" + binary);
+        std::string cmd = shellQuote(args.bindir + "/" + b.name);
         if (args.quick)
             cmd += " --quick";
         if (args.full)
@@ -353,71 +299,35 @@ main(int argc, char **argv)
             cmd += " --no-cache"; // also disables in-process caches
         else if (!cache_dir.empty()) // empty: unwritable, in-memory
             cmd += " --cache-dir=" + shellQuote(cache_dir);
-        // Scenario flags, then the driver's own fleet flags — the
-        // harness CLI is last-wins, so an explicit driver flag
-        // overrides the scenario default.
-        if (b.extraFlags && b.extraFlags[0]) {
-            cmd += " ";
-            cmd += b.extraFlags;
-        }
-        if (args.ranksGiven)
-            cmd += " --ranks=" + std::to_string(args.ranks);
-        if (args.xferGiven)
-            cmd += " --xfer-gbps=" + args.xferGbps;
-        if (args.placementGiven)
-            cmd += std::string(" --placement=") +
-                   placementName(args.placement);
         for (const std::string &m : args.matrixPaths)
             cmd += " --matrix=" + shellQuote(m);
         cmd += " --json=" + shellQuote(report);
 
-        // The rank count this command actually models: the scenario's
-        // --ranks= unless the driver overrode it.
-        uint32_t eff_ranks = 1;
-        if (const char *p = std::strstr(b.extraFlags, "--ranks="))
-            (void)std::sscanf(p + 8, "%u", &eff_ranks);
-        if (args.ranksGiven)
-            eff_ranks = args.ranks;
-        bool require_fleet_series =
-            eff_ranks > 1 &&
-            std::strcmp(binary, "serve_latency") == 0;
         bool require_mapper_series =
-            std::strcmp(binary, "ablation_mapper") == 0;
+            std::strcmp(b.name, "ablation_mapper") == 0;
         // Real-matrix runs must carry the typed real-matrix series in
         // the matrix-aware benches: the workload-table node counts,
         // the batched multi-RHS throughput, and the measured CPU
         // sparse baseline.
         const char *matrix_series = nullptr;
         if (!args.matrixPaths.empty()) {
-            if (std::strcmp(binary, "table1_workloads") == 0)
+            if (std::strcmp(b.name, "table1_workloads") == 0)
                 matrix_series = "\"real_matrix_nodes\"";
-            else if (std::strcmp(binary, "fig14a_throughput") == 0)
+            else if (std::strcmp(b.name, "fig14a_throughput") == 0)
                 matrix_series = "\"real_matrix_multi_rhs_gops\"";
-            else if (std::strcmp(binary, "table3_comparison") == 0)
+            else if (std::strcmp(b.name, "table3_comparison") == 0)
                 matrix_series = "\"real_cpu_sparse_gops\"";
         }
 
         auto validate = [&](const std::string &rep) {
             std::string status = validate_harness_json(rep);
             if (status != "ok" ||
-                (!require_fleet_series && !require_mapper_series &&
-                 !matrix_series))
+                (!require_mapper_series && !matrix_series))
                 return status;
             std::ifstream in(rep);
             std::ostringstream buf;
             buf << in.rdbuf();
             std::string text = buf.str();
-            // A multi-rank serving report without the per-rank fleet
-            // series is a broken fleet run, not a pass.
-            if (require_fleet_series &&
-                (text.find("\"fleet_rank_utilization\"") ==
-                     std::string::npos ||
-                 text.find("\"fleet_rank_transfer_overhead\"") ==
-                     std::string::npos))
-                return std::string(
-                    "BAD JSON (fleet run missing "
-                    "fleet_rank_utilization / "
-                    "fleet_rank_transfer_overhead series)");
             // The mapper ablation must carry the boundary-mapping
             // and compile-pipeline series the trend tooling tracks.
             if (require_mapper_series &&
