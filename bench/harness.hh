@@ -166,9 +166,9 @@ class Context
      * the JSON report. Unlike table(), which carries formatted
      * strings, series land as real JSON number arrays under a
      * top-level "series" object — the machine-readable form trend
-     * tooling consumes (e.g. serve_latency's per-class latency
-     * percentiles). The "series" object is always emitted, possibly
-     * empty, so tools/run_benches can require its presence.
+     * tooling consumes (e.g. serve_latency's latency percentiles).
+     * The "series" object is always emitted, possibly empty, so
+     * tools/run_benches can require its presence.
      */
     void series(const std::string &name,
                 const std::vector<double> &values);

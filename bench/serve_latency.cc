@@ -6,28 +6,14 @@
  * individually at an AsyncBatchServer holding several resident
  * programs, coalesce while their batch could not start (work-
  * conserving cuts: a batch that could start now is cut at once), and
- * the report
- * carries p50/p95/p99 request latency plus throughput for two arrival
- * modes:
+ * the report carries p50/p95/p99 request latency plus throughput for
+ * two arrival modes:
  *
  *   - open loop: exponential inter-arrival times at a rate calibrated
  *     to a fraction of measured service capacity (arrival times do
  *     not depend on completions — queueing shows up as tail latency),
  *   - closed loop: a fixed set of concurrent clients, each submitting
- *     its next request only when the previous one completed,
- *   - mixed-priority open loop: the same Poisson arrival schedule
- *     driven twice — once against the QoS scheduler (interactive
- *     band + deadline + a reserved core for the interactive program)
- *     and once against the plain FIFO coalescer — reporting
- *     per-class p50/p95/p99, deadline-hit rate and rejection rate as
- *     typed numeric series. The headline comparison is
- *     qos_interactive_p99_us vs fifo_interactive_p99_us: the QoS
- *     path must shield interactive tails from the batch backlog.
- *
- * QoS knobs (strictly validated, exit 2 on bad values):
- *   --priority-mix=<f>  fraction of interactive requests, in [0, 1]
- *   --deadline-us=<n>   interactive deadline, microseconds
- *   --queue-depth=<n>   admission bound (0 = unbounded)
+ *     its next request only when the previous one completed.
  *
  * Per-request *results* are batching-invariant (see sim/async.hh);
  * only the latency numbers depend on timing, so this report is a host
@@ -35,11 +21,9 @@
  * folded from the server's batch accounting.
  */
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -47,7 +31,6 @@
 #include "harness.hh"
 #include "model/tech28.hh"
 #include "sim/async.hh"
-#include "support/cli.hh"
 #include "support/rng.hh"
 
 using namespace dpu;
@@ -91,78 +74,27 @@ struct ResidentWorkload
 };
 
 AsyncServerConfig
-serverConfig(uint32_t workers, size_t queue_depth = 0)
+serverConfig(uint32_t workers)
 {
     AsyncServerConfig cfg;
     cfg.cores = 4; // the paper's deployed system
     cfg.maxBatch = 8;
     cfg.batchWindow = std::chrono::microseconds(200);
     cfg.workers = workers;
-    cfg.queueDepth = queue_depth;
     return cfg;
-}
-
-/** serve_latency's own strictly-validated QoS flags; everything else
- *  passes through to the uniform harness CLI. */
-struct QosFlags
-{
-    double priorityMix = 0.25; ///< Interactive fraction of arrivals.
-    uint64_t deadlineUs = 20000; ///< Interactive deadline.
-    uint32_t queueDepth = 0;     ///< Admission bound (0 = unbounded).
-};
-
-/** Split our flags out of argv (keeping argv[0]); exit 2 on invalid
- *  values, consistent with the harness's strict-validation contract. */
-QosFlags
-extractQosFlags(int argc, char **argv, std::vector<char *> &rest)
-{
-    QosFlags flags;
-    rest.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        char *a = argv[i];
-        if (std::strncmp(a, "--priority-mix=", 15) == 0) {
-            if (!parseFractionArg(a + 15, flags.priorityMix)) {
-                std::fprintf(stderr,
-                             "invalid value '%s' for --priority-mix "
-                             "(expected a number in [0, 1])\n",
-                             a + 15);
-                std::exit(2);
-            }
-        } else if (std::strncmp(a, "--deadline-us=", 14) == 0) {
-            if (!parseUint64Arg(a + 14, flags.deadlineUs) ||
-                flags.deadlineUs == 0) {
-                std::fprintf(stderr,
-                             "invalid value '%s' for --deadline-us "
-                             "(expected an integer >= 1)\n",
-                             a + 14);
-                std::exit(2);
-            }
-        } else if (std::strncmp(a, "--queue-depth=", 14) == 0) {
-            if (!parseUint32Arg(a + 14, flags.queueDepth)) {
-                std::fprintf(stderr,
-                             "invalid value '%s' for --queue-depth "
-                             "(expected an integer >= 0)\n",
-                             a + 14);
-                std::exit(2);
-            }
-        } else {
-            rest.push_back(a);
-        }
-    }
-    return flags;
 }
 
 /**
  * Drive a seeded Poisson open-loop arrival schedule: `submit(k)` is
  * called at each scheduled arrival on the submitter thread and
- * returns the request's future (an invalid future = rejected by
- * admission). Completion is observed by sweeping the outstanding
+ * returns the request's future. Completion is observed by sweeping
+ * the outstanding
  * futures (~tens of µs resolution), so tails are honest even when
  * requests finish out of submission order across programs; a failed
  * batch rethrows via get(), so an errored request can never pass as
- * a clean latency sample. Returns per-request latency in seconds,
- * -2.0 for rejected requests; `wall_seconds` covers the first
- * arrival through the last completion.
+ * a clean latency sample. Returns per-request latency in seconds;
+ * `wall_seconds` covers the first arrival through the last
+ * completion.
  */
 std::vector<double>
 openLoopDrive(size_t n_requests, double arrival_rate_hz, uint64_t seed,
@@ -171,7 +103,7 @@ openLoopDrive(size_t n_requests, double arrival_rate_hz, uint64_t seed,
 {
     std::vector<std::future<SimResult>> futures(n_requests);
     std::vector<Clock::time_point> submitted(n_requests);
-    // -1 = in flight, -2 = rejected, >= 0 = latency in seconds.
+    // -1 = in flight, >= 0 = latency in seconds.
     std::vector<double> latency(n_requests, -1.0);
     std::atomic<size_t> n_submitted{0};
 
@@ -190,16 +122,12 @@ openLoopDrive(size_t n_requests, double arrival_rate_hz, uint64_t seed,
                     std::chrono::duration<double>(dt));
             }
             submitted[k] = Clock::now();
-            std::future<SimResult> f = submit(k);
-            if (f.valid())
-                futures[k] = std::move(f);
-            else
-                latency[k] = -2.0;
+            futures[k] = submit(k);
             n_submitted.store(k + 1, std::memory_order_release);
         }
     });
 
-    // Completion sweep over the accepted, unrecorded futures.
+    // Completion sweep over the unrecorded futures.
     for (;;) {
         size_t hi = n_submitted.load(std::memory_order_acquire);
         bool progressed = false;
@@ -228,8 +156,8 @@ openLoopDrive(size_t n_requests, double arrival_rate_hz, uint64_t seed,
     return latency;
 }
 
-/** Open loop: uniform program rotation, no QoS, every request
- *  accepted (unbounded queue). */
+/** Open loop: uniform program rotation, every request accepted
+ *  (unbounded queue). */
 ModeResult
 runOpenLoop(std::vector<ResidentWorkload> &wl, uint32_t workers,
             size_t n_requests, double arrival_rate_hz)
@@ -298,149 +226,6 @@ runClosedLoop(std::vector<ResidentWorkload> &wl, uint32_t workers,
     return out;
 }
 
-/** Outcome of one mixed-priority open-loop run, split by class.
- *  Index 0 = interactive, 1 = batch (matches Priority). */
-struct MixedResult
-{
-    std::array<std::vector<double>, 2> latencies; ///< Seconds.
-    std::array<uint64_t, 2> offered{};  ///< Arrivals per class.
-    std::array<uint64_t, 2> rejected{}; ///< Admission rejections.
-    double wallSeconds = 0;
-    AsyncBatchServer::Stats stats;
-};
-
-/**
- * Mixed-priority open loop: the same seeded Poisson arrival schedule
- * and class assignment, served either by the QoS scheduler (`qos` =
- * true: interactive band with a deadline and a reserved core for the
- * interactive program, bounded queue) or by the plain FIFO coalescer
- * (`qos` = false: every request default class, no deadlines — but the
- * same queue bound, so admission pressure is comparable). Interactive
- * requests go to wl[0]; batch requests rotate over the rest.
- */
-MixedResult
-runMixedOpenLoop(std::vector<ResidentWorkload> &wl, uint32_t workers,
-                 size_t n_requests, double arrival_rate_hz,
-                 const QosFlags &flags, bool qos)
-{
-    MixedResult out;
-    AsyncServerConfig scfg = serverConfig(workers, flags.queueDepth);
-    // The QoS run also gates admission on the model's service-time
-    // prediction (reject what cannot make its deadline even on an
-    // empty server).
-    scfg.predictiveAdmission = qos;
-    AsyncBatchServer server(scfg);
-    for (size_t i = 0; i < wl.size(); ++i) {
-        QosSpec spec; // default: batch class, shared cores
-        if (qos && i == 0) {
-            spec.priority = Priority::Interactive;
-            spec.minCores = 1; // the interactive program's own core
-            spec.deadline =
-                std::chrono::microseconds(flags.deadlineUs);
-        }
-        wl[i].handle = server.addProgram(wl[i].prog, spec);
-    }
-
-    // Class assignment drawn up front from its own seed, so the qos
-    // and fifo runs see the identical request mix and (via the drive
-    // seed) the identical arrival schedule.
-    std::vector<uint8_t> interactive(n_requests, 0);
-    {
-        Rng rng(1789);
-        for (size_t k = 0; k < n_requests; ++k)
-            interactive[k] = rng.uniform() < flags.priorityMix;
-    }
-
-    // Class and deadline come from the program QosSpecs set above;
-    // the per-request override form is exercised by the unit tests.
-    std::vector<double> latency = openLoopDrive(
-        n_requests, arrival_rate_hz, 2301,
-        [&](size_t k) {
-            ResidentWorkload &w = interactive[k]
-                ? wl[0]
-                : wl[1 + k % (wl.size() - 1)];
-            const auto &input = w.inputs[(k / wl.size()) %
-                                         w.inputs.size()];
-            return server.trySubmit(w.handle, input).future;
-        },
-        out.wallSeconds);
-    server.drain();
-    for (size_t k = 0; k < n_requests; ++k) {
-        size_t cls = interactive[k] ? 0 : 1;
-        ++out.offered[cls];
-        if (latency[k] == -2.0)
-            ++out.rejected[cls];
-        else
-            out.latencies[cls].push_back(latency[k]);
-    }
-    out.stats = server.stats();
-    return out;
-}
-
-/** Percentile triple in microseconds; zeros when the class saw no
- *  completed requests (e.g. --priority-mix=0 or 1). */
-std::vector<double>
-latencyPcts(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return {0.0, 0.0, 0.0};
-    return {percentile(xs, 0.50) * 1e6, percentile(xs, 0.95) * 1e6,
-            percentile(xs, 0.99) * 1e6};
-}
-
-/** Report one mixed run ("qos"/"fifo") as table rows, typed series
- *  and headline metrics. The deadline-hit rate is computed the same
- *  way for both runs — completion latency vs the interactive
- *  deadline — so the FIFO baseline is directly comparable even
- *  though it never told the server about deadlines. */
-void
-reportMixed(bench::Context &ctx, TablePrinter &t, const char *mode,
-            const MixedResult &r, const QosFlags &flags)
-{
-    const char *cls_name[2] = {"interactive", "batch"};
-    double deadline_s = static_cast<double>(flags.deadlineUs) * 1e-6;
-    std::vector<double> hit_rate(2, 1.0);
-    std::vector<double> rej_rate(2, 0.0);
-    for (size_t cls = 0; cls < 2; ++cls) {
-        const std::vector<double> &lat = r.latencies[cls];
-        std::vector<double> pcts = latencyPcts(lat);
-        if (cls == 0 && !lat.empty()) {
-            size_t hits = 0;
-            for (double s : lat)
-                hits += s <= deadline_s;
-            hit_rate[cls] = static_cast<double>(hits) /
-                static_cast<double>(lat.size());
-        }
-        if (r.offered[cls])
-            rej_rate[cls] = static_cast<double>(r.rejected[cls]) /
-                static_cast<double>(r.offered[cls]);
-
-        std::string prefix =
-            std::string(mode) + "_" + cls_name[cls];
-        t.row()
-            .cell(prefix)
-            .num(static_cast<double>(lat.size()), 0)
-            .num(r.wallSeconds > 0
-                     ? static_cast<double>(lat.size()) / r.wallSeconds
-                     : 0.0,
-                 1)
-            .num(pcts[0], 1)
-            .num(pcts[1], 1)
-            .num(pcts[2], 1)
-            .num(r.stats.meanBatch(), 2);
-        ctx.series(prefix + "_latency_pcts_us", pcts);
-        ctx.metric(prefix + "_p99_us", pcts[2]);
-        ctx.metric(prefix + "_requests",
-                   static_cast<double>(lat.size()));
-    }
-    ctx.series(std::string(mode) + "_deadline_hit_rate", hit_rate);
-    ctx.series(std::string(mode) + "_rejection_rate", rej_rate);
-    ctx.metric(std::string(mode) + "_interactive_deadline_hit_rate",
-               hit_rate[0]);
-    ctx.metric(std::string(mode) + "_interactive_rejection_rate",
-               rej_rate[0]);
-}
-
 void
 reportMode(bench::Context &ctx, TablePrinter &t, const char *mode,
            const ModeResult &r)
@@ -485,14 +270,10 @@ reportMode(bench::Context &ctx, TablePrinter &t, const char *mode,
 int
 main(int argc, char **argv)
 {
-    std::vector<char *> harness_argv;
-    QosFlags qflags = extractQosFlags(argc, argv, harness_argv);
-    bench::Context ctx(static_cast<int>(harness_argv.size()),
-                       harness_argv.data(), "serve_latency",
+    bench::Context ctx(argc, argv, "serve_latency",
                        "§V-C2 serving mode (multi-DAG)", 0.2,
                        "Latency-oriented: individual requests, async "
-                       "batching, QoS classes, multiple resident "
-                       "DAGs.");
+                       "batching, multiple resident DAGs.");
     uint32_t workers = ctx.threads();
 
     // Three resident programs — a mixed multi-DAG population, like
@@ -545,74 +326,15 @@ main(int argc, char **argv)
     ModeResult closed =
         runClosedLoop(wl, workers, n_requests, clients);
 
-    // Mixed-priority comparison: identical arrival schedule, QoS
-    // scheduler vs plain FIFO coalescing. Unlike the plain open loop
-    // (kept below saturation to measure clean service latency), this
-    // one is deliberately offered *above* capacity: only under a
-    // standing backlog is there anything for the priority band and
-    // the reserved core to shield interactive requests from.
-    // 2x capacity builds a backlog that grows for the whole run; the
-    // request count floor keeps enough interactive samples for a
-    // stable p99 even at --quick (the run stays service-bound, so
-    // this costs tens of milliseconds, not seconds).
-    double mixed_rate = 2.0 * capacity_rps;
-    size_t mixed_requests = std::max<size_t>(n_requests, 400);
-    MixedResult mixed_qos = runMixedOpenLoop(
-        wl, workers, mixed_requests, mixed_rate, qflags, true);
-    MixedResult mixed_fifo = runMixedOpenLoop(
-        wl, workers, mixed_requests, mixed_rate, qflags, false);
-
     TablePrinter t({"mode", "requests", "req/s", "p50 us", "p95 us",
                     "p99 us", "mean batch"});
     reportMode(ctx, t, "open", open);
     reportMode(ctx, t, "closed", closed);
-    reportMixed(ctx, t, "qos", mixed_qos, qflags);
-    reportMixed(ctx, t, "fifo", mixed_fifo, qflags);
     t.print();
     ctx.table(t);
     ctx.metric("resident_programs", static_cast<double>(wl.size()));
     ctx.metric("closed_clients", static_cast<double>(clients));
     ctx.metric("server_workers", workers);
-    ctx.metric("priority_mix", qflags.priorityMix);
-    ctx.metric("deadline_us", static_cast<double>(qflags.deadlineUs));
-    ctx.metric("queue_depth", static_cast<double>(qflags.queueDepth));
-    ctx.metric("qos_deadline_dispatches",
-               static_cast<double>(mixed_qos.stats.deadlineDispatches));
-
-    // Admission-estimate error: static predicted vs actual batch
-    // service time, from the open-loop run (the clean, unsaturated
-    // service measurement). Predictions start once the server has
-    // calibrated its cycle->microsecond rate on the first batch.
-    {
-        std::vector<double> predicted_us, actual_us, rel_err;
-        for (const auto &s : open.stats.serviceSamples) {
-            predicted_us.push_back(s.predictedUs);
-            actual_us.push_back(s.actualUs);
-            if (s.actualUs > 0)
-                rel_err.push_back(
-                    std::abs(s.predictedUs - s.actualUs) / s.actualUs);
-        }
-        ctx.series("admission_predicted_service_us", predicted_us);
-        ctx.series("admission_actual_service_us", actual_us);
-        ctx.series("admission_estimate_rel_error", rel_err);
-        double mean_err = 0;
-        for (double e : rel_err)
-            mean_err += e;
-        if (!rel_err.empty())
-            mean_err /= static_cast<double>(rel_err.size());
-        ctx.metric("admission_estimate_mean_rel_error", mean_err);
-        ctx.metric("admission_predictions",
-                   static_cast<double>(open.stats.servicePredictions));
-        ctx.metric("qos_predicted_deadline_rejections",
-                   static_cast<double>(
-                       mixed_qos.stats.predictedDeadlineRejections));
-        std::printf("\nAdmission estimates: %zu samples, "
-                    "mean |rel error| %.3f; predictive rejections "
-                    "%llu.\n",
-                    rel_err.size(), mean_err,
-                    static_cast<unsigned long long>(
-                        mixed_qos.stats.predictedDeadlineRejections));
-    }
 
     std::printf("\nOpen loop: %.0f rps offered; batches cut by "
                 "size/idle/window/drain = %llu/%llu/%llu/%llu.\n",
@@ -628,23 +350,6 @@ main(int argc, char **argv)
     std::printf("Closed loop: %zu clients; mean batch %.2f (batching "
                 "only helps when clients outnumber workers).\n",
                 clients, closed.stats.meanBatch());
-
-    auto p99_of = [](const MixedResult &m) {
-        return latencyPcts(m.latencies[0])[2];
-    };
-    std::printf("Mixed priority (%.0f%% interactive, %llu us "
-                "deadline): interactive p99 %.1f us under QoS vs "
-                "%.1f us under FIFO; deadline cuts %llu, "
-                "rejections %llu/%llu.\n",
-                100.0 * qflags.priorityMix,
-                static_cast<unsigned long long>(qflags.deadlineUs),
-                p99_of(mixed_qos), p99_of(mixed_fifo),
-                static_cast<unsigned long long>(
-                    mixed_qos.stats.deadlineDispatches),
-                static_cast<unsigned long long>(
-                    mixed_qos.rejected[0] + mixed_qos.rejected[1]),
-                static_cast<unsigned long long>(
-                    mixed_fifo.rejected[0] + mixed_fifo.rejected[1]));
 
     return ctx.finish();
 }

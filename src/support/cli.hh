@@ -70,10 +70,9 @@ parseDoubleArg(const char *s, double &out)
     return true;
 }
 
-/** parseDoubleArg() restricted to [0, 1]: probability-style mix
- *  fractions (e.g. the serving benches' --priority-mix). Negative
- *  values and values above 1 are parse failures, like any other
- *  out-of-domain flag value. */
+/** parseDoubleArg() restricted to [0, 1]: probability-style
+ *  fractions. Negative values and values above 1 are parse failures,
+ *  like any other out-of-domain flag value. */
 inline bool
 parseFractionArg(const char *s, double &out)
 {

@@ -8,10 +8,10 @@
 # --axes/--shards/--threads validation, journal + resume round); the
 # optional third gets the verifier-CLI checks (clean program -> 0,
 # corrupt file -> 1, bad flag -> 2); the optional fourth gets the
-# serving-bench QoS flag checks (--priority-mix/--deadline-us/
-# --queue-depth strict validation); the optional fifth gets the
-# run_benches unknown-option check; the optional sixth gets the
-# micro_benchmarks --threads checks.
+# serving-bench unknown-option checks (the removed QoS and fleet
+# flags); the optional fifth gets the run_benches unknown-option
+# check; the optional sixth gets the micro_benchmarks --threads
+# checks.
 set -u
 
 DPUC="${1:?usage: dpuc_smoke.sh <path-to-dpuc> [path-to-dse_sweep] [path-to-dpulint] [path-to-serve_latency] [path-to-run_benches] [path-to-micro_benchmarks]}"
@@ -232,28 +232,18 @@ if [ -n "$DPULINT" ]; then
         "$DPULINT" --max-diags=lots "$TMP/lint.dpuprog"
 fi
 
-# Serving-bench QoS flags: same strict-validation contract (exit 2 on
-# negative/non-numeric/out-of-range values). Rejection happens at flag
-# parse time, before any workload is compiled, so these are instant.
+# Serving bench: the server keeps one FIFO queue per program, with no
+# priorities or deadlines, and the bench sets no queue bound, so the
+# removed QoS flags are unknown options (exit 1), never silently
+# ignored. They are refused at flag parse time, before any workload
+# is compiled, so these checks are instant.
 if [ -n "$SERVE" ]; then
-    check 2 "serve --priority-mix negative" \
-        "$SERVE" --quick --priority-mix=-0.1
-    check 2 "serve --priority-mix > 1" \
-        "$SERVE" --quick --priority-mix=1.5
-    check 2 "serve --priority-mix non-numeric" \
-        "$SERVE" --quick --priority-mix=abc
-    check 2 "serve --deadline-us negative" \
-        "$SERVE" --quick --deadline-us=-5
-    check 2 "serve --deadline-us zero" \
-        "$SERVE" --quick --deadline-us=0
-    check 2 "serve --deadline-us non-numeric" \
-        "$SERVE" --quick --deadline-us=soon
-    check 2 "serve --queue-depth negative" \
-        "$SERVE" --quick --queue-depth=-1
-    check 2 "serve --queue-depth non-numeric" \
-        "$SERVE" --quick --queue-depth=deep
-    check 2 "serve --queue-depth trailing junk" \
-        "$SERVE" --quick --queue-depth=64x
+    check 1 "serve --priority-mix is unknown" \
+        "$SERVE" --quick --priority-mix=0.5
+    check 1 "serve --deadline-us is unknown" \
+        "$SERVE" --quick --deadline-us=20000
+    check 1 "serve --queue-depth is unknown" \
+        "$SERVE" --quick --queue-depth=256
     check 1 "serve --fidelity=cycle is unknown" \
         "$SERVE" --quick --fidelity=cycle
     check 1 "serve unknown flag still exit 1" \

@@ -95,7 +95,7 @@ TEST(AsyncServer, ResultsMatchStandaloneMachine)
     EXPECT_GE(s.batches, 1u);
     EXPECT_LE(s.maxBatchObserved, cfg.maxBatch);
     EXPECT_EQ(s.sizeDispatches + s.idleDispatches + s.windowDispatches +
-                  s.drainDispatches + s.deadlineDispatches,
+                  s.drainDispatches,
               s.batches);
 }
 
@@ -342,7 +342,7 @@ TEST(AsyncServer, IdleCutWaitsForAFreeCore)
         auto h = server.addProgram(prog);
         auto f1 = server.submit(h, inputs[0]);
         // Bumped under the server lock as r1's batch takes the core.
-        while (server.stats().servicePredictions < 1)
+        while (server.stats().batchesStarted < 1)
             std::this_thread::yield();
         std::vector<std::future<SimResult>> rest;
         rest.push_back(server.submit(h, inputs[1]));
@@ -365,6 +365,7 @@ TEST(AsyncServer, IdleCutWaitsForAFreeCore)
             continue; // r1 finished before r5 arrived: retry
         auto s = server.stats();
         EXPECT_EQ(s.batches, 2u);
+        EXPECT_EQ(s.batchesStarted, 2u);
         EXPECT_EQ(s.idleDispatches, 2u);
         EXPECT_EQ(s.maxBatchObserved, 4u);
         return;
@@ -415,11 +416,6 @@ TEST(AsyncServer, ModeledCyclesAccumulate)
     EXPECT_EQ(s.modeledWallCycles, 8 * prog.stats.cycles);
     EXPECT_EQ(s.totalOperations, 8 * prog.stats.numOperations);
 }
-
-// ---------------------------------------------------------------- //
-// QoS layer: admission control, spec validation, priority bands,   //
-// core reservations, deadline-aware dispatch.                      //
-// ---------------------------------------------------------------- //
 
 TEST(AsyncServer, QueueFullRejectsWithBackpressure)
 {
@@ -473,7 +469,7 @@ TEST(AsyncServer, QueueFullRejectsWithBackpressure)
 
     auto s = server.stats();
     EXPECT_EQ(s.requests, 2 + admitted.size());
-    EXPECT_EQ(s.forClass(Priority::Batch).rejectedQueueFull, 2u);
+    EXPECT_EQ(s.rejectedQueueFull, 2u);
 
     // Draining frees the queue; admission recovers.
     server.drain();
@@ -488,49 +484,10 @@ TEST(AsyncServer, QueueFullRejectsWithBackpressure)
         expectIdentical(f.get(), reference);
 }
 
-TEST(AsyncServer, PastDeadlineSubmissionRejected)
-{
-    Dag d = generateRandomDag(10, 200, 72);
-    auto prog = compile(d, smallConfig());
-    auto in = makeInputs(d, 1, 73)[0];
-
-    AsyncBatchServer server;
-    auto h = server.addProgram(prog);
-
-    // A negative relative deadline is dead on arrival.
-    SubmitOptions late;
-    late.deadline = std::chrono::microseconds(-10);
-    auto r1 = server.trySubmit(h, in, late);
-    EXPECT_EQ(r1.admission, Admission::RejectedDeadline);
-    EXPECT_FALSE(r1.future.valid());
-
-    // So is an absolute deadline already in the past.
-    SubmitOptions past;
-    past.deadlineAt = AsyncBatchServer::Clock::now() -
-        std::chrono::milliseconds(5);
-    auto r2 = server.trySubmit(h, in, past);
-    EXPECT_EQ(r2.admission, Admission::RejectedDeadline);
-
-    EXPECT_EQ(server.stats().forClass(Priority::Batch).rejectedDeadline,
-              2u);
-    EXPECT_EQ(server.stats().requests, 0u);
-
-    // A meetable deadline is admitted and served normally.
-    SubmitOptions fine;
-    fine.deadline = std::chrono::seconds(10);
-    auto r3 = server.trySubmit(h, in, fine);
-    ASSERT_TRUE(r3.accepted());
-    expectIdentical(r3.future.get(), Machine(prog).run(in));
-    auto cs = server.stats().forClass(Priority::Batch);
-    EXPECT_EQ(cs.deadlineHits, 1u);
-    EXPECT_EQ(cs.deadlineMisses, 0u);
-    EXPECT_DOUBLE_EQ(cs.deadlineHitRate(), 1.0);
-}
-
 TEST(AsyncServer, StatsIncludeEveryCompletionAClientObserved)
 {
-    // Regression: promises used to be fulfilled before the per-class
-    // and per-batch counters were updated, so a client returning from
+    // Regression: promises used to be fulfilled before the per-batch
+    // counters were updated, so a client returning from
     // get() could read stats() without its own completion. Widen that
     // window with concurrent submitters: every completion any client
     // has observed must already be counted when it reads stats().
@@ -551,11 +508,8 @@ TEST(AsyncServer, StatsIncludeEveryCompletionAClientObserved)
     std::vector<std::thread> submitters;
     for (size_t t = 0; t < kSubmitters; ++t) {
         submitters.emplace_back([&, t] {
-            SubmitOptions opts;
-            opts.deadline = std::chrono::seconds(10);
             for (size_t i = t; i < kIterations; i += kSubmitters) {
-                auto r = server.trySubmit(h, inputs[i % inputs.size()],
-                                          opts);
+                auto r = server.trySubmit(h, inputs[i % inputs.size()]);
                 if (!r.accepted()) {
                     ++stale;
                     continue;
@@ -563,9 +517,7 @@ TEST(AsyncServer, StatsIncludeEveryCompletionAClientObserved)
                 r.future.get();
                 uint64_t seen = ++observed;
                 auto st = server.stats();
-                const auto &cs = st.forClass(Priority::Batch);
-                if (cs.completed < seen || cs.deadlineHits < seen ||
-                    st.completions < seen ||
+                if (st.completions < seen ||
                     st.totalOperations < seen * prog.stats.numOperations)
                     ++stale;
             }
@@ -576,208 +528,7 @@ TEST(AsyncServer, StatsIncludeEveryCompletionAClientObserved)
     EXPECT_EQ(stale.load(), 0u);
     EXPECT_EQ(observed.load(), kIterations);
     server.drain();
-    EXPECT_EQ(server.stats().forClass(Priority::Batch).completed,
-              kIterations);
-}
-
-TEST(AsyncServer, QosSpecValidatesCoreBounds)
-{
-    Dag d = generateRandomDag(10, 200, 74);
-    auto prog = compile(d, smallConfig());
-
-    AsyncServerConfig cfg;
-    cfg.cores = 4;
-    AsyncBatchServer server(cfg);
-
-    QosSpec too_many;
-    too_many.minCores = 5; // > cfg.cores
-    EXPECT_THROW(server.addProgram(prog, too_many), FatalError);
-
-    QosSpec inverted;
-    inverted.minCores = 3;
-    inverted.maxCores = 2; // cap below the reservation
-    EXPECT_THROW(server.addProgram(prog, inverted), FatalError);
-
-    // An unreserved program plus a reservation that would eat every
-    // core: the unreserved program could never run.
-    auto h0 = server.addProgram(prog); // minCores = 0
-    QosSpec greedy;
-    greedy.minCores = 4;
-    EXPECT_THROW(server.addProgram(prog, greedy), FatalError);
-
-    // A fitting reservation is granted, and the failed attempts did
-    // not leak partial state.
-    QosSpec fair;
-    fair.minCores = 2;
-    fair.maxCores = 2;
-    auto h1 = server.addProgram(prog, fair);
-    EXPECT_EQ(server.numPrograms(), 2u);
-    EXPECT_EQ(server.programQos(h1).minCores, 2u);
-    EXPECT_EQ(server.programQos(h0).minCores, 0u);
-
-    auto in = makeInputs(d, 1, 75)[0];
-    expectIdentical(server.submit(h1, in).get(), Machine(prog).run(in));
-}
-
-TEST(AsyncServer, CoreReservationBoundsModeledBatchCores)
-{
-    Dag d = generateRandomDag(10, 200, 76);
-    auto prog = compile(d, smallConfig());
-    auto inputs = makeInputs(d, 8, 77);
-
-    AsyncServerConfig cfg;
-    cfg.cores = 4;
-    cfg.maxBatch = 8;
-    cfg.batchWindow = std::chrono::seconds(5);
-    AsyncBatchServer server(cfg);
-
-    // Pinned to 2 of the 4 modeled cores: a batch of n runs as
-    // ceil(n/2) back-to-back programs per core, never fewer — visible
-    // in the deterministic modeled wall clock. How the 8 requests
-    // split into batches depends on when the worker frees up, so
-    // check the cap per batch and in total.
-    QosSpec pinned;
-    pinned.minCores = 2;
-    pinned.maxCores = 2;
-    auto h = server.addProgram(prog, pinned);
-    // A lone first request calibrates the service-time model, so
-    // every later batch leaves a (size, wall cycles) sample.
-    server.submit(h, inputs[0]).get();
-    for (size_t k = 1; k < inputs.size(); ++k)
-        server.submit(h, inputs[k]);
-    server.drain();
-
-    auto s = server.stats();
-    const uint64_t cycles = prog.stats.cycles;
-    EXPECT_EQ(s.totalOperations, 8 * prog.stats.numOperations);
-    // 8 runs on at most 2 cores: at least 4 runs' worth of wall
-    // clock (4 cores would allow 2), at most 8 (every run alone).
-    EXPECT_GE(s.modeledWallCycles, 4 * cycles);
-    EXPECT_LE(s.modeledWallCycles, 8 * cycles);
-    EXPECT_EQ(s.modeledWallCycles % cycles, 0u);
-    for (const auto &sample : s.serviceSamples)
-        EXPECT_EQ(sample.wallCycles, (sample.batchSize + 1) / 2 * cycles)
-            << "batch of " << sample.batchSize;
-}
-
-TEST(AsyncServer, InteractiveBandBypassesBatchBacklog)
-{
-    Dag d = generateRandomDag(12, 300, 78);
-    auto prog = compile(d, smallConfig());
-    const size_t backlog = 16;
-    auto inputs = makeInputs(d, backlog + 1, 79);
-
-    AsyncServerConfig cfg;
-    cfg.workers = 1; // serialize dispatch so band order is observable
-    cfg.maxBatch = 64;
-    // A window long enough that the backlog never expires on its own:
-    // every cut is made for an idle worker or by drain().
-    cfg.batchWindow = std::chrono::milliseconds(250);
-    AsyncBatchServer server(cfg);
-    auto h = server.addProgram(prog); // Batch class by default
-
-    // One interactive request first, then a batch-class backlog. The
-    // batcher scans the interactive queue first, and it is non-empty
-    // before any backlog request exists, so the one idle worker's cut
-    // goes to it: no backlog batch is cut until that worker parks
-    // again, and the scheduler would pick the interactive band first
-    // anyway. So the interactive future resolves first, under any
-    // interleaving.
-    SubmitOptions urgent;
-    urgent.priority = Priority::Interactive;
-    auto fast = server.trySubmit(h, inputs[backlog], urgent);
-    ASSERT_TRUE(fast.accepted());
-    std::vector<std::future<SimResult>> backlog_futures;
-    for (size_t k = 0; k < backlog; ++k)
-        backlog_futures.push_back(server.submit(h, inputs[k]));
-
-    expectIdentical(fast.future.get(),
-                    Machine(prog).run(inputs[backlog]));
-    server.drain();
-    for (size_t k = 0; k < backlog; ++k)
-        expectIdentical(backlog_futures[k].get(),
-                        Machine(prog).run(inputs[k]));
-
-    // The completion-order observable (recorded under the server
-    // lock) pins the band order without racing the worker: the
-    // interactive request finished first, before any of the backlog
-    // — a FIFO scheduler would have finished it last.
-    auto s = server.stats();
-    EXPECT_EQ(s.forClass(Priority::Interactive).submitted, 1u);
-    EXPECT_EQ(s.forClass(Priority::Interactive).lastCompletionSeq, 1u);
-    EXPECT_EQ(s.forClass(Priority::Batch).completed, backlog);
-    EXPECT_EQ(s.forClass(Priority::Batch).lastCompletionSeq,
-              backlog + 1);
-    EXPECT_EQ(s.completions, backlog + 1);
-}
-
-TEST(AsyncServer, CompletionOrderBoundedWhileCountersStayExact)
-{
-    // Regression: Stats::completionOrder used to grow one record per
-    // completion without bound — a million-request open loop carried
-    // a million-entry observable in every stats() copy. It is now
-    // capped like the ServiceSamples; the completions counter and the
-    // per-class lastCompletionSeq must stay exact past the cap.
-    Dag d = generateRandomDag(8, 60, 90);
-    auto prog = compile(d, smallConfig());
-    auto in = makeInputs(d, 1, 91)[0];
-
-    const size_t total = kMaxCompletionRecords + 200;
-    AsyncServerConfig cfg;
-    cfg.maxBatch = 64;
-    cfg.batchWindow = std::chrono::microseconds(100);
-    AsyncBatchServer server(cfg);
-    auto h = server.addProgram(prog);
-
-    std::vector<std::future<SimResult>> futures;
-    for (size_t k = 0; k < total; ++k)
-        futures.push_back(server.submit(h, in));
-    server.drain();
-    for (auto &f : futures)
-        (void)f.get();
-
-    auto s = server.stats();
-    EXPECT_EQ(s.completions, total);
-    EXPECT_EQ(s.completionOrder.size(), kMaxCompletionRecords);
-    // The recorded prefix is the first kMaxCompletionRecords
-    // completions, in order.
-    for (size_t i = 0; i < s.completionOrder.size(); ++i)
-        EXPECT_EQ(s.completionOrder[i].seq, i + 1);
-    // lastCompletionSeq tracks the true completion count, not the
-    // bounded record.
-    EXPECT_EQ(s.forClass(Priority::Batch).lastCompletionSeq, total);
-    EXPECT_EQ(s.forClass(Priority::Batch).completed, total);
-}
-
-TEST(AsyncServer, DeadlineCutsBatchBeforeWindowExpires)
-{
-    // The lone request is cut at once if the worker has parked, or
-    // for its deadline if the worker thread has not started yet; the
-    // exact lead-beats-window arithmetic is pinned on the policy core
-    // (CutPolicy.DeadlineLeadBeatsTheWindow). Either way it is never
-    // left to the 30s window.
-    Dag d = generateRandomDag(10, 200, 80);
-    auto prog = compile(d, smallConfig());
-    auto in = makeInputs(d, 1, 81)[0];
-
-    AsyncServerConfig cfg;
-    cfg.maxBatch = 64;
-    cfg.batchWindow = std::chrono::seconds(30); // would stall alone
-    AsyncBatchServer server(cfg);
-    auto h = server.addProgram(prog);
-
-    auto start = AsyncBatchServer::Clock::now();
-    SubmitOptions opts;
-    opts.deadline = std::chrono::milliseconds(5);
-    auto r = server.trySubmit(h, in, opts);
-    ASSERT_TRUE(r.accepted());
-    expectIdentical(r.future.get(), Machine(prog).run(in));
-    EXPECT_LT(AsyncBatchServer::Clock::now() - start,
-              std::chrono::seconds(10));
-    auto s = server.stats();
-    EXPECT_EQ(s.batches, 1u);
-    EXPECT_EQ(s.idleDispatches + s.deadlineDispatches, 1u);
-    EXPECT_EQ(s.windowDispatches, 0u);
+    EXPECT_EQ(server.stats().completions, kIterations);
 }
 
 TEST(AsyncServer, DestructorResolvesPendingFutures)
@@ -803,127 +554,6 @@ TEST(AsyncServer, DestructorResolvesPendingFutures)
     }
     for (size_t k = 0; k < inputs.size(); ++k)
         expectIdentical(futures[k].get(), Machine(prog).run(inputs[k]));
-}
-
-TEST(AsyncServer, PerRequestDeadlineDefaultsFromProgramQos)
-{
-    Dag d = generateRandomDag(10, 200, 84);
-    auto prog = compile(d, smallConfig());
-    auto in = makeInputs(d, 1, 85)[0];
-
-    AsyncServerConfig cfg;
-    cfg.maxBatch = 64;
-    cfg.batchWindow = std::chrono::seconds(30);
-    AsyncBatchServer server(cfg);
-
-    QosSpec spec;
-    spec.priority = Priority::Interactive;
-    spec.deadline = std::chrono::milliseconds(5);
-    auto h = server.addProgram(prog, spec);
-
-    // No per-request options: the program's QoS supplies class and
-    // deadline, so the request is counted interactive and carries a
-    // deadline. (Whether it is cut for that deadline or for the idle
-    // worker is timing; see DeadlineCutsBatchBeforeWindowExpires.)
-    auto fut = server.submit(h, in);
-    expectIdentical(fut.get(), Machine(prog).run(in));
-    auto s = server.stats();
-    EXPECT_EQ(s.forClass(Priority::Interactive).submitted, 1u);
-    EXPECT_EQ(s.forClass(Priority::Batch).submitted, 0u);
-    EXPECT_EQ(s.forClass(Priority::Interactive).deadlineHits +
-                  s.forClass(Priority::Interactive).deadlineMisses,
-              1u);
-    EXPECT_EQ(s.idleDispatches + s.deadlineDispatches, 1u);
-    EXPECT_EQ(s.windowDispatches, 0u);
-}
-
-TEST(AsyncServer, ServicePredictionsCalibrateOnObservedBatches)
-{
-    // Every dispatched batch makes a static wall-cycle prediction,
-    // and observed service times feed the server-wide
-    // us-per-kilocycle EWMA. The first batch runs uncalibrated
-    // (prediction 0, not recorded); later batches record
-    // predicted-vs-actual samples.
-    Dag d = generateRandomDag(12, 300, 95);
-    auto prog = compile(d, smallConfig());
-    auto inputs = makeInputs(d, 6, 96);
-
-    AsyncServerConfig cfg;
-    cfg.maxBatch = 2;
-    cfg.batchWindow = std::chrono::microseconds(50);
-    AsyncBatchServer server(cfg);
-    auto h = server.addProgram(prog);
-
-    // Serialize the batches so calibration from batch k is visible
-    // at batch k+1's dispatch.
-    for (size_t k = 0; k + 1 < inputs.size(); k += 2) {
-        auto f0 = server.submit(h, inputs[k]);
-        auto f1 = server.submit(h, inputs[k + 1]);
-        f0.get();
-        f1.get();
-    }
-
-    auto s = server.stats();
-    EXPECT_GE(s.batches, 3u);
-    EXPECT_EQ(s.servicePredictions, s.batches);
-    EXPECT_GT(s.usPerKilocycle, 0.0);
-    // All but the uncalibrated first dispatch leave a sample.
-    ASSERT_GE(s.serviceSamples.size(), 1u);
-    EXPECT_LE(s.serviceSamples.size(), s.batches - 1);
-    for (const auto &sample : s.serviceSamples) {
-        EXPECT_GT(sample.predictedUs, 0.0);
-        EXPECT_GT(sample.wallCycles, 0u);
-        EXPECT_GE(sample.batchSize, 1u);
-        EXPECT_LE(sample.batchSize, cfg.maxBatch);
-    }
-}
-
-TEST(AsyncServer, PredictiveAdmissionRejectsDoomedDeadlines)
-{
-    // Once calibrated, a deadlined request whose predicted lone-run
-    // service time already exceeds its slack is rejected at
-    // admission (RejectedDeadline before any queueing) — but only
-    // under predictiveAdmission, and never while uncalibrated.
-    Dag d = generateRandomDag(14, 600, 99);
-    auto prog = compile(d, smallConfig());
-    auto inputs = makeInputs(d, 3, 100);
-
-    AsyncServerConfig cfg;
-    cfg.maxBatch = 1;
-    cfg.predictiveAdmission = true;
-    AsyncBatchServer server(cfg);
-    auto h = server.addProgram(prog);
-
-    // Uncalibrated: even an absurd 1us deadline passes the
-    // predictive gate (prediction 0 = "no idea"), so admission falls
-    // through to the plain past-deadline check, which it meets.
-    SubmitOptions tight;
-    tight.deadline = std::chrono::microseconds(1);
-    auto r0 = server.trySubmit(h, inputs[0], tight);
-    EXPECT_EQ(server.stats().predictedDeadlineRejections, 0u);
-    if (r0.accepted())
-        r0.future.get();
-
-    // Calibrate with a couple of normal runs.
-    for (size_t k = 1; k < inputs.size(); ++k)
-        server.submit(h, inputs[k]).get();
-    ASSERT_GT(server.stats().usPerKilocycle, 0.0);
-
-    // Now the same hopeless deadline is rejected by prediction.
-    auto r1 = server.trySubmit(h, inputs[0], tight);
-    EXPECT_EQ(r1.admission, Admission::RejectedDeadline);
-    EXPECT_FALSE(r1.future.valid());
-    auto s = server.stats();
-    EXPECT_EQ(s.predictedDeadlineRejections, 1u);
-    EXPECT_GE(s.admissionPredictions, 1u);
-
-    // A generous deadline sails through the same gate.
-    SubmitOptions fine;
-    fine.deadline = std::chrono::seconds(10);
-    auto r2 = server.trySubmit(h, inputs[0], fine);
-    ASSERT_TRUE(r2.accepted());
-    expectIdentical(r2.future.get(), Machine(prog).run(inputs[0]));
-    EXPECT_EQ(server.stats().predictedDeadlineRejections, 1u);
 }
 
 } // namespace

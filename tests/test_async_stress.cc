@@ -2,9 +2,8 @@
  * @file
  * Seeded randomized stress suite for the async serving subsystem: N
  * resident programs x M concurrent submitter threads firing requests
- * with random priorities, deadlines and inter-arrival jitter, against
- * server configurations with random batching windows and queue
- * depths. The pinned property is the serving determinism guarantee:
+ * with random inter-arrival jitter, against server configurations
+ * with random batch sizes, batching windows and queue depths. The pinned property is the serving determinism guarantee:
  * every request the server *accepts* must resolve to a SimResult
  * byte-identical to a serial single-threaded replay of the same input
  * — across seeds and 1/4/8-worker configurations. Admission outcomes
@@ -13,8 +12,7 @@
  *
  * This suite also runs under ThreadSanitizer in CI (see
  * .github/workflows/ci.yml), where the random interleavings double as
- * a data-race probe for the QoS scheduler's core allocator and
- * priority bands.
+ * a data-race probe for the batch scheduler's cuts and core grants.
  */
 
 #include <gtest/gtest.h>
@@ -120,8 +118,8 @@ TEST_P(AsyncStress, ServedResultsMatchSerialReplay)
     const uint32_t workers = std::get<1>(GetParam());
     const auto &population = stressPrograms();
 
-    // Server shape drawn from the seed: window, batch size, queue
-    // bound, and one program pinned to a core reservation.
+    // Server shape drawn from the seed: window, batch size and queue
+    // bound.
     Rng shape_rng(seed);
     AsyncServerConfig cfg;
     cfg.cores = 4;
@@ -137,16 +135,8 @@ TEST_P(AsyncStress, ServedResultsMatchSerialReplay)
     AsyncBatchServer server(cfg);
 
     std::vector<AsyncBatchServer::ProgramHandle> handles;
-    for (size_t p = 0; p < population.size(); ++p) {
-        QosSpec qos;
-        qos.priority = p == 0 ? Priority::Interactive : Priority::Batch;
-        if (p == 0) {
-            qos.minCores = 1; // partitioned: one core is p0's alone
-            qos.deadline = std::chrono::milliseconds(20);
-        }
-        handles.push_back(
-            server.addProgram(population[p].prog, qos));
-    }
+    for (const StressProgram &p : population)
+        handles.push_back(server.addProgram(p.prog));
 
     struct Submitted
     {
@@ -165,21 +155,8 @@ TEST_P(AsyncStress, ServedResultsMatchSerialReplay)
             for (size_t k = 0; k < kRequestsPerSubmitter; ++k) {
                 size_t p = rng.next() % population.size();
                 size_t i = rng.next() % kInputsPerProgram;
-                SubmitOptions opts;
-                switch (rng.next() % 3) {
-                case 0: // class/deadline from the program's QosSpec
-                    break;
-                case 1:
-                    opts.priority = Priority::Interactive;
-                    opts.deadline = std::chrono::milliseconds(
-                        1 + rng.next() % 50);
-                    break;
-                case 2:
-                    opts.priority = Priority::Batch;
-                    break;
-                }
-                SubmitResult r = server.trySubmit(
-                    handles[p], population[p].inputs[i], opts);
+                SubmitResult r =
+                    server.trySubmit(handles[p], population[p].inputs[i]);
                 per_thread[t].push_back(
                     {p, i, std::move(r.future)});
                 if (rng.next() % 4 == 0)
@@ -211,12 +188,12 @@ TEST_P(AsyncStress, ServedResultsMatchSerialReplay)
 
     auto st = server.stats();
     EXPECT_EQ(st.requests, served);
-    EXPECT_EQ(st.forClass(Priority::Interactive).completed +
-                  st.forClass(Priority::Batch).completed,
-              served);
+    EXPECT_EQ(st.completions, served);
+    EXPECT_EQ(st.rejectedQueueFull,
+              kSubmitters * kRequestsPerSubmitter - served);
+    EXPECT_EQ(st.batchesStarted, st.batches);
     EXPECT_EQ(st.sizeDispatches + st.idleDispatches +
-                  st.windowDispatches + st.drainDispatches +
-                  st.deadlineDispatches,
+                  st.windowDispatches + st.drainDispatches,
               st.batches);
 }
 

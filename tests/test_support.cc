@@ -380,9 +380,8 @@ TEST(Cli, ParseDoubleAcceptsNumbersRejectsJunk)
 
 TEST(Cli, ParseFractionRestrictsToUnitInterval)
 {
-    // The serving benches' --priority-mix flag: a probability, so
-    // anything outside [0, 1] (or non-numeric) is a strict-validation
-    // failure, not a clamp.
+    // A probability: anything outside [0, 1] (or non-numeric) is a
+    // strict-validation failure, not a clamp.
     double v = -1;
     EXPECT_TRUE(parseFractionArg("0", v));
     EXPECT_DOUBLE_EQ(v, 0.0);
