@@ -312,6 +312,52 @@ TEST(BatchScheduler, StartsTheOldestReadyBatchFirst)
     EXPECT_FALSE(s.hasReady());
 }
 
+TEST(BatchScheduler, ABatchWithNoFreeCoreWaits)
+{
+    // Three cores, all held by two started batches: a ready batch
+    // waits, and starts on the first core given back, without waiting
+    // for as many cores as it has requests.
+    Sched s(3, CutPolicy{8, 1000});
+    s.addProgram();
+    s.addProgram();
+    for (int k = 0; k < 2; ++k)
+        enqueue(s, 0, k, 0);
+    s.cut(0, kAnyWorker, true);
+    std::optional<Sched::Batch> a = s.start();
+    ASSERT_TRUE(a);
+    EXPECT_EQ(a->cores, (std::vector<uint32_t>{0, 1}));
+    enqueue(s, 1, 2, 1);
+    s.cut(1, kAnyWorker, true);
+    std::optional<Sched::Batch> b = s.start();
+    ASSERT_TRUE(b);
+    EXPECT_EQ(b->cores, (std::vector<uint32_t>{2}));
+
+    for (int k = 0; k < 3; ++k)
+        enqueue(s, 0, 10 + k, 2);
+    s.cut(2, kAnyWorker, true);
+    EXPECT_TRUE(s.hasReady());
+    EXPECT_FALSE(s.start());
+    EXPECT_FALSE(s.start()); // asking again grants nothing either
+    EXPECT_TRUE(s.hasReady());
+
+    s.release(b->cores);
+    std::optional<Sched::Batch> c = s.start();
+    ASSERT_TRUE(c);
+    EXPECT_EQ(c->cores, (std::vector<uint32_t>{2}));
+    EXPECT_EQ(ids(*c), (std::vector<int>{10, 11, 12}));
+    EXPECT_FALSE(s.hasReady());
+
+    // Cores 0 and 1 are still held by the first batch.
+    EXPECT_FALSE(s.start());
+    s.release(a->cores);
+    s.release(c->cores);
+    enqueue(s, 1, 20, 3);
+    s.cut(3, kAnyWorker, true);
+    std::optional<Sched::Batch> d = s.start();
+    ASSERT_TRUE(d);
+    EXPECT_EQ(d->cores, (std::vector<uint32_t>{0}));
+}
+
 TEST(BatchScheduler, IdleNeedsAFreeEligibleCore)
 {
     // Every core is eligible for every program: 1 core, two programs,
