@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -786,6 +787,45 @@ TEST(DseSweep, ResumeRecomputesEstimatedPointsOfAnOldJournal)
         expectIdentical(resumed.points[i], fresh.points[i]);
     EXPECT_EQ(readFile(path), fresh_bytes);
     std::remove(path.c_str());
+}
+
+/** 64-bit FNV-1a of a journal file's bytes. */
+uint64_t
+fnv1a(const std::string &text)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(DseSweep, SmallSweepJournalIsPinned)
+{
+    // The journal's bytes are its format: the header's space
+    // signature, every point line's fields and their order, and the
+    // simulated values. The digest was taken from the engine that
+    // still had the workload-scale and model-core-count axes, so a
+    // sweep at one scale on one core writes what it wrote.
+    DseSweepOptions o;
+    o.space.depths = {1, 2};
+    o.space.banks = {8};
+    o.space.regs = {16, 32};
+    o.space.workloadScale = 0.03;
+    o.space.suite = {pcSuite()[0]};
+    o.threads = 2;
+    o.shards = 3;
+    const std::string path = ::testing::TempDir() + "dse_pinned.jsonl";
+    std::remove(path.c_str());
+    o.journalPath = path;
+    DseSweepResult res = runDseSweep(o);
+    const std::string journal = readFile(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(res.points.size(), 4u);
+    EXPECT_EQ(std::count(journal.begin(), journal.end(), '\n'), 5);
+    EXPECT_NE(journal.find("scales=0.03|cores=1|"), std::string::npos);
+    EXPECT_EQ(fnv1a(journal), 0xd97323b309672439ull) << journal;
 }
 
 TEST(DseSweep, CoresAxisScalesThroughputAndStaysFeasible)
