@@ -16,7 +16,6 @@
 
 #include "compiler/compiler.hh"
 #include "compiler/verify.hh"
-#include "sim/batch.hh"
 #include "sim/machine.hh"
 #include "support/flatjson.hh"
 #include "support/parallel.hh"
@@ -31,8 +30,9 @@ namespace dpu {
 
 namespace {
 
-/** One suite workload at one scale, through the compiler front end:
- *  the configuration-independent part of every point's compile. */
+/** One suite workload at the sweep's scale, through the compiler
+ *  front end: the configuration-independent part of every point's
+ *  compile. */
 struct PreparedWorkload
 {
     uint64_t seed = 0; ///< WorkloadSpec::seed (input generation).
@@ -75,7 +75,7 @@ struct WorkloadRecord
 /**
  * Register-count reuse within one (D, B) group of one workload: the
  * latest program served there that carries a valid RegisterCertificate,
- * and the 1-core SimStats of a run of it. Event counts depend neither
+ * and the SimStats of a run of it. Event counts depend neither
  * on input values (Sim.StatsDoNotDependOnInputValues) nor, between
  * programs a certificate relates, on R apart from instrBitsFetched, so
  * every register count the certificate admits is served from it
@@ -97,23 +97,20 @@ secondsSince(std::chrono::steady_clock::time_point start)
 
 /**
  * The one-workload step behind evaluateDesign and runDseSweep: serve
- * `point`'s program for one prepared workload — from `held` when it is
- * the held program's point (another core count) or its certificate
- * admits the point's R, else compiled (or fetched) and simulated — and
- * write the workload's summands to `rec`. `held` is the caller's reuse
- * state for the point's (D, B) group, whose other fields `point`
- * shares; a fresh one derives nothing. A workload that fails to fit
- * leaves the record infeasible instead of throwing.
+ * `cfg`'s program for one prepared workload — derived from `held` when
+ * its certificate admits the point's R, else compiled (or fetched) and
+ * simulated — and write the workload's summands to `rec`. `held` is the
+ * caller's reuse state for the point's (D, B) group; a fresh one
+ * derives nothing. A workload that fails to fit leaves the record
+ * infeasible instead of throwing.
  */
 void
-evaluateWorkload(const DseGridPoint &point, const PreparedWorkload &w,
+evaluateWorkload(const ArchConfig &cfg, const PreparedWorkload &w,
                  const EvalParams &params, CertifiedProgram &held,
                  WorkloadRecord &rec)
 {
     rec = WorkloadRecord{};
     const PreparedDag &dag = w.prepared;
-    const ArchConfig &cfg = point.cfg;
-    const uint32_t cores = point.cores;
     CompileOptions opt;
     opt.seed = params.seed;
     if (params.verify) // explicit opt-in only; keep the default build-set
@@ -121,12 +118,7 @@ evaluateWorkload(const DseGridPoint &point, const PreparedWorkload &w,
     const auto start = std::chrono::steady_clock::now();
     std::shared_ptr<const CompiledProgram> served;
     SimStats stats;
-    if (held.prog && held.prog->cfg.regsPerBank == cfg.regsPerBank) {
-        served = held.prog;
-        stats = held.stats;
-        rec.cost.cacheHits = 1;
-        rec.cost.compileSeconds = secondsSince(start);
-    } else if (held.prog && held.prog->registers.admits(cfg)) {
+    if (held.prog && held.prog->registers.admits(cfg)) {
         // The held program at this R but for its register-address
         // footprints: derive it instead of running steps 3-4 again.
         CompiledProgram derived =
@@ -173,25 +165,7 @@ evaluateWorkload(const DseGridPoint &point, const PreparedWorkload &w,
             held = {served, stats};
     }
     rec.cost.compiles = 1;
-    const CompiledProgram &prog = *served;
-    if (cores > 1) {
-        // Multi-core axis: a `cores`-input batch, one run per core.
-        // Every run counts the same events, and the batch's wall
-        // cycles set the latency.
-        stats.cycles = batchWallCycles(prog, cores, cores);
-        for (uint64_t &n : stats.kindCount)
-            n *= cores;
-        stats.bankReads *= cores;
-        stats.bankWrites *= cores;
-        stats.peOperations *= cores;
-        stats.pePassThroughs *= cores;
-        stats.crossbarTransfers *= cores;
-        stats.memReads *= cores;
-        stats.memWrites *= cores;
-        stats.instrBitsFetched *= cores;
-    }
-    const uint64_t runs = cores > 1 ? cores : 1;
-    const uint64_t operations = prog.stats.numOperations * runs;
+    const uint64_t operations = served->stats.numOperations;
 
     EnergyBreakdown e = energyOf(cfg, stats, operations);
     rec.feasible = true;
@@ -204,13 +178,12 @@ evaluateWorkload(const DseGridPoint &point, const PreparedWorkload &w,
 /** The reduce: a point's per-workload means, its records added in
  *  suite order. Infeasible when any workload is. */
 DsePoint
-reducePoint(const DseGridPoint &coords,
+reducePoint(const ArchConfig &cfg, double scale,
             std::span<const WorkloadRecord> records)
 {
     DsePoint point;
-    point.cfg = coords.cfg;
-    point.workloadScale = coords.scale;
-    point.cores = coords.cores;
+    point.cfg = cfg;
+    point.workloadScale = scale;
     point.areaMm2 = areaOf(point.cfg).total;
     for (const WorkloadRecord &rec : records)
         point.feasible = point.feasible && rec.feasible;
@@ -236,10 +209,9 @@ reducePoint(const DseGridPoint &coords,
 DsePoint
 evaluateDesign(const ArchConfig &cfg,
                const std::vector<WorkloadSpec> &suite, double scale,
-               uint64_t seed, uint32_t cores, ProgramCache *cache,
-               DseEvalCost *cost, bool verify)
+               uint64_t seed, ProgramCache *cache, DseEvalCost *cost,
+               bool verify)
 {
-    const DseGridPoint point{cfg, scale, cores};
     const EvalParams params{seed, cache, verify};
     const std::vector<PreparedWorkload> prepared =
         prepareSuite(suite, scale, 1);
@@ -247,7 +219,7 @@ evaluateDesign(const ArchConfig &cfg,
     for (size_t w = 0; w < prepared.size(); ++w) {
         const WorkloadRecord &rec = records[w];
         CertifiedProgram none; // one point: nothing to derive from
-        evaluateWorkload(point, prepared[w], params, none, records[w]);
+        evaluateWorkload(cfg, prepared[w], params, none, records[w]);
         if (cost) {
             cost->compiles += rec.cost.compiles;
             cost->cacheHits += rec.cost.cacheHits;
@@ -257,30 +229,12 @@ evaluateDesign(const ArchConfig &cfg,
         if (!rec.feasible)
             break; // the rest stay infeasible records
     }
-    return reducePoint(point, records);
+    return reducePoint(cfg, scale, records);
 }
 
 // ---------------------------------------------------------------- //
 // Grid expansion + shard planning.                                 //
 // ---------------------------------------------------------------- //
-
-namespace {
-
-/** Effective optional-axis values (empty axis = its default). */
-std::vector<double>
-effectiveScales(const DseOptions &o)
-{
-    return o.scales.empty() ? std::vector<double>{o.workloadScale}
-                            : o.scales;
-}
-
-std::vector<uint32_t>
-effectiveCores(const DseOptions &o)
-{
-    return o.cores.empty() ? std::vector<uint32_t>{1} : o.cores;
-}
-
-} // namespace
 
 bool
 validateDseAxes(const DseOptions &options, std::string *error)
@@ -304,41 +258,31 @@ validateDseAxes(const DseOptions &options, std::string *error)
                         " outside the supported range [2, " +
                         std::to_string(ArchConfig::maxRegsPerBank) +
                         "]");
-    for (double s : effectiveScales(options))
-        if (!(s > 0))
-            return fail("DSE workload scale " + jsonDouble(s) +
-                        " must be > 0");
-    for (uint32_t c : effectiveCores(options))
-        if (c < 1)
-            return fail("DSE cores axis value must be >= 1");
+    if (!(options.workloadScale > 0))
+        return fail("DSE workload scale " +
+                    jsonDouble(options.workloadScale) + " must be > 0");
     return true;
 }
 
-std::vector<DseGridPoint>
+std::vector<ArchConfig>
 expandDseGrid(const DseOptions &options)
 {
     std::string error;
     if (!validateDseAxes(options, &error))
         dpu_fatal(error);
-    std::vector<double> scales = effectiveScales(options);
-    std::vector<uint32_t> cores = effectiveCores(options);
 
-    std::vector<DseGridPoint> grid;
+    std::vector<ArchConfig> grid;
     for (uint32_t d : options.depths)
         for (uint32_t b : options.banks) {
             if (b < (1u << d))
                 continue; // needs at least one full tree
-            for (uint32_t r : options.regs)
-                for (double s : scales)
-                    for (uint32_t c : cores) {
-                        DseGridPoint p;
-                        p.cfg.depth = d;
-                        p.cfg.banks = b;
-                        p.cfg.regsPerBank = r;
-                        p.scale = s;
-                        p.cores = c;
-                        grid.push_back(p);
-                    }
+            for (uint32_t r : options.regs) {
+                ArchConfig cfg;
+                cfg.depth = d;
+                cfg.banks = b;
+                cfg.regsPerBank = r;
+                grid.push_back(cfg);
+            }
         }
     return grid;
 }
@@ -347,19 +291,19 @@ std::string
 dseSpaceSignature(const DseOptions &options)
 {
     std::ostringstream os;
-    auto list = [&os](const char *name, const auto &values,
-                      auto format) {
+    auto list = [&os](const char *name,
+                      const std::vector<uint32_t> &values) {
         os << name << "=";
         for (size_t i = 0; i < values.size(); ++i)
-            os << (i ? "," : "") << format(values[i]);
+            os << (i ? "," : "") << values[i];
         os << "|";
     };
-    auto u32 = [](uint32_t v) { return std::to_string(v); };
-    list("depths", options.depths, u32);
-    list("banks", options.banks, u32);
-    list("regs", options.regs, u32);
-    list("scales", effectiveScales(options), jsonDouble);
-    list("cores", effectiveCores(options), u32);
+    list("depths", options.depths);
+    list("banks", options.banks);
+    list("regs", options.regs);
+    // The scale and core-count terms of the engine that swept those
+    // axes, so its journals still resume.
+    os << "scales=" << jsonDouble(options.workloadScale) << "|cores=1|";
     os << "seed=" << options.seed << "|suite=";
     const std::vector<WorkloadSpec> suite =
         options.suite.empty() ? smallSuite() : options.suite;
@@ -409,7 +353,7 @@ dseJournalPointLine(size_t index, const DsePoint &p)
        << ", \"banks\": " << p.cfg.banks
        << ", \"regs\": " << p.cfg.regsPerBank
        << ", \"scale\": " << jsonDouble(p.workloadScale)
-       << ", \"cores\": " << p.cores
+       << ", \"cores\": 1"
        << ", \"feasible\": " << (p.feasible ? "true" : "false")
        << ", \"latency_per_op_ns\": " << jsonDouble(p.latencyPerOpNs)
        << ", \"energy_per_op_pj\": " << jsonDouble(p.energyPerOpPj)
@@ -442,6 +386,10 @@ parseDseJournalPointLine(const std::string &line, size_t &index,
         !obj.getDouble("power_watts", p.powerWatts) ||
         !obj.getDouble("throughput_gops", p.throughputGops))
         return false;
+    // Every point runs on one core; a line from an older sweep's
+    // multi-core axis is recomputed.
+    if (cores != 1)
+        return false;
     // Every point is simulated, and its line says so with "cycle".
     // Journals from before the tag existed carry none; their points
     // were simulated too. Any other tag (the estimated "table" and
@@ -453,14 +401,11 @@ parseDseJournalPointLine(const std::string &line, size_t &index,
             return false;
     }
     if (depth == 0 || depth > 6 || banks == 0 || regs == 0 ||
-        cores == 0 || banks > UINT32_MAX ||
-        regs > ArchConfig::maxRegsPerBank ||
-        cores > UINT32_MAX)
+        banks > UINT32_MAX || regs > ArchConfig::maxRegsPerBank)
         return false;
     p.cfg.depth = static_cast<uint32_t>(depth);
     p.cfg.banks = static_cast<uint32_t>(banks);
     p.cfg.regsPerBank = static_cast<uint32_t>(regs);
-    p.cores = static_cast<uint32_t>(cores);
     index = static_cast<size_t>(idx);
     point = p;
     return true;
@@ -507,11 +452,11 @@ namespace {
  *  grid slot; a mismatch means a corrupted line, and recomputing is
  *  always safe. */
 bool
-matchesGridPoint(const DsePoint &p, const DseGridPoint &g)
+matchesGridPoint(const DsePoint &p, const ArchConfig &cfg, double scale)
 {
-    return p.cfg.depth == g.cfg.depth && p.cfg.banks == g.cfg.banks &&
-           p.cfg.regsPerBank == g.cfg.regsPerBank &&
-           p.workloadScale == g.scale && p.cores == g.cores;
+    return p.cfg.depth == cfg.depth && p.cfg.banks == cfg.banks &&
+           p.cfg.regsPerBank == cfg.regsPerBank &&
+           p.workloadScale == scale;
 }
 
 /** Write `text` to `path` atomically (tmp file + rename), so a kill
@@ -542,7 +487,7 @@ runDseSweep(const DseSweepOptions &options)
     const DseOptions &space = options.space;
     const std::vector<WorkloadSpec> suite =
         space.suite.empty() ? smallSuite() : space.suite;
-    const std::vector<DseGridPoint> grid = expandDseGrid(space);
+    const std::vector<ArchConfig> grid = expandDseGrid(space);
     const std::string signature = dseSpaceSignature(space);
 
     DseSweepResult result;
@@ -563,7 +508,7 @@ runDseSweep(const DseSweepOptions &options)
                           "(space signature mismatch)");
             for (const auto &[index, p] : journal.entries) {
                 if (index >= grid.size() ||
-                    !matchesGridPoint(p, grid[index]))
+                    !matchesGridPoint(p, grid[index], space.workloadScale))
                     continue;
                 if (!have[index])
                     ++result.resumedPoints;
@@ -599,19 +544,6 @@ runDseSweep(const DseSweepOptions &options)
                       options.journalPath + "'");
     }
 
-    // Front end, once per sweep: each scale's suite is built and run
-    // through prepareDag, in parallel, right before the points at that
-    // scale are evaluated, and every point there compiles from those
-    // read-only DAGs. Points are evaluated one scale at a time, so
-    // only one scale's DAGs are resident; a scale with nothing left to
-    // evaluate (a resumed sweep) is never prepared.
-    // Distinct values only: a repeated scale must not evaluate its
-    // points twice.
-    std::vector<double> scales = effectiveScales(space);
-    std::sort(scales.begin(), scales.end());
-    scales.erase(std::unique(scales.begin(), scales.end()), scales.end());
-    std::vector<PreparedWorkload> prepared; // the current scale's suite
-
     // Shards only partition the report: each point's compile/cache
     // counters and host seconds go to the shard that holds it.
     const std::vector<DseShard> shards =
@@ -627,29 +559,30 @@ runDseSweep(const DseSweepOptions &options)
     const size_t workloads = suite.size();
     std::mutex journal_mutex;
 
-    for (double scale : scales) {
-        // The scale's pending points in grid order, cut into (D, B)
-        // groups over the whole grid: group g is points
-        // todo[group_start[g] .. group_start[g + 1]).
-        std::vector<size_t> todo, group_start;
-        for (size_t i = 0; i < grid.size(); ++i) {
-            if (have[i] || grid[i].scale != scale)
-                continue;
-            if (todo.empty() ||
-                grid[todo.back()].cfg.depth != grid[i].cfg.depth ||
-                grid[todo.back()].cfg.banks != grid[i].cfg.banks)
-                group_start.push_back(todo.size());
-            todo.push_back(i);
-        }
-        if (todo.empty())
+    // The pending points in grid order, cut into (D, B) groups over
+    // the whole grid: group g is points
+    // todo[group_start[g] .. group_start[g + 1]).
+    std::vector<size_t> todo, group_start;
+    for (size_t i = 0; i < grid.size(); ++i) {
+        if (have[i])
             continue;
+        if (todo.empty() || grid[todo.back()].depth != grid[i].depth ||
+            grid[todo.back()].banks != grid[i].banks)
+            group_start.push_back(todo.size());
+        todo.push_back(i);
+    }
+
+    if (!todo.empty()) {
         group_start.push_back(todo.size());
         const size_t groups = group_start.size() - 1;
 
+        // Front end, once per sweep: the suite is built and run through
+        // prepareDag, in parallel, and every point compiles from those
+        // read-only DAGs. A fully resumed sweep prepares nothing.
         auto prepare_start = std::chrono::steady_clock::now();
-        prepared.clear(); // release the previous scale first
-        prepared = prepareSuite(suite, scale, options.threads);
-        result.prepareSeconds += secondsSince(prepare_start);
+        const std::vector<PreparedWorkload> prepared =
+            prepareSuite(suite, space.workloadScale, options.threads);
+        result.prepareSeconds = secondsSince(prepare_start);
 
         // records[p * workloads + w]: workload w's share of todo[p].
         std::vector<WorkloadRecord> records(todo.size() * workloads);
@@ -660,9 +593,9 @@ runDseSweep(const DseSweepOptions &options)
 
         // One task per (group, workload), in grid order. No two tasks
         // share a program or fragment key, and a task walks its group's
-        // points in grid order (R, then cores, ascending), deriving
-        // every R its certified program admits: its derivations and
-        // fragment reuse are a serial sweep's.
+        // points in grid order (ascending R), deriving every R its
+        // certified program admits: its derivations and fragment reuse
+        // are a serial sweep's.
         parallelFor(groups * workloads, options.threads, [&](size_t t) {
             const size_t g = t / workloads, w = t % workloads;
             CertifiedProgram held;
@@ -683,8 +616,9 @@ runDseSweep(const DseSweepOptions &options)
             // task's records before this reduce, and each point slot is
             // written by this task alone. Checkpoint the group.
             for (size_t p = group_start[g]; p < group_start[g + 1]; ++p)
-                result.points[todo[p]] = reducePoint(
-                    grid[todo[p]], {&records[p * workloads], workloads});
+                result.points[todo[p]] =
+                    reducePoint(grid[todo[p]], space.workloadScale,
+                                {&records[p * workloads], workloads});
             if (!journaling)
                 return;
             std::lock_guard<std::mutex> lock(journal_mutex);
@@ -726,14 +660,6 @@ runDseSweep(const DseSweepOptions &options)
         writeFileAtomically(options.journalPath, os.str());
     }
     return result;
-}
-
-std::vector<DsePoint>
-exploreDesignSpace(const DseOptions &options)
-{
-    DseSweepOptions sweep;
-    sweep.space = options;
-    return runDseSweep(sweep).points;
 }
 
 // ---------------------------------------------------------------- //

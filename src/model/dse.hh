@@ -8,29 +8,27 @@
  * and EDP. This header grows that into a sharded sweep engine:
  *
  *   - expandDseGrid() turns an arbitrary axis grid (depths x banks x
- *     regs, plus optional workload-scale and model-core-count axes)
- *     into a deterministic, grid-ordered point list;
+ *     regs) into a deterministic, grid-ordered configuration list;
  *   - planDseShards() cuts the grid into contiguous, near-equal
  *     shards, the partition a sweep reports its cost by;
- *   - runDseSweep() works one workload scale at a time: it builds the
- *     suite at that scale once and runs the configuration-independent
- *     compiler front end on it (prepareDag), in parallel. Its unit of
- *     work is then one task: one (D, B) group of the scale's pending
- *     points (taken over the whole grid, never cut at a shard
- *     boundary) x one suite workload. The tasks run in grid order on
- *     a work-stealing pool (support/parallel.hh), each compiling from
- *     the shared prepared DAGs through an optional ProgramCache. A
- *     task walks its group's points by ascending R (then cores) and
- *     holds the latest program it served that carries a register
- *     certificate (RegisterCertificate), with its simulated stats:
- *     every further R the certificate admits is derived from it
- *     (deriveForRegisterCount) and reuses those stats, with or
- *     without a cache, exactly as a serial sweep does. No two tasks
- *     share a program or fragment key, so no thread count compiles
- *     anything twice. A task writes one record per point; a point is
- *     the reduce of its records in suite order, so the returned
- *     point vector is byte-identical for every thread/shard count
- *     (pinned by the DseStress suite);
+ *   - runDseSweep() builds the suite at the sweep's workload scale
+ *     once and runs the configuration-independent compiler front end
+ *     on it (prepareDag), in parallel. Its unit of work is then one
+ *     task: one (D, B) group of the pending points (taken over the
+ *     whole grid, never cut at a shard boundary) x one suite
+ *     workload. The tasks run in grid order on a work-stealing pool
+ *     (support/parallel.hh), each compiling from the shared prepared
+ *     DAGs through an optional ProgramCache. A task walks its group's
+ *     points by ascending R and holds the latest program it served
+ *     that carries a register certificate (RegisterCertificate), with
+ *     its simulated stats: every further R the certificate admits is
+ *     derived from it (deriveForRegisterCount) and reuses those stats,
+ *     with or without a cache, exactly as a serial sweep does. No two
+ *     tasks share a program or fragment key, so no thread count
+ *     compiles anything twice. A task writes one record per point; a
+ *     point is the reduce of its records in suite order, so the
+ *     returned point vector is byte-identical for every thread/shard
+ *     count (pinned by the DseStress suite);
  *   - completed points are checkpointed to a JSON-lines journal so a
  *     killed sweep can be resumed (`resume`) without recomputing: a
  *     group's points are appended and flushed when its last task
@@ -64,8 +62,7 @@ inline constexpr size_t kDseNpos = static_cast<size_t>(-1);
 struct DsePoint
 {
     ArchConfig cfg;
-    double workloadScale = 1.0; ///< Workload-scale axis value.
-    uint32_t cores = 1;         ///< Model-core-count axis value.
+    double workloadScale = 1.0; ///< The sweep's workload scale.
     double latencyPerOpNs = 0;
     double energyPerOpPj = 0;
     double edpPjNs = 0;
@@ -82,33 +79,17 @@ struct DseOptions
     std::vector<uint32_t> banks{8, 16, 32, 64};
     std::vector<uint32_t> regs{16, 32, 64, 128};
 
-    /** Optional workload-scale axis; empty = {workloadScale}. */
-    std::vector<double> scales;
-
-    /** Optional model-core-count axis (multi-core batch execution,
-     *  §V-C2); empty = {1}. */
-    std::vector<uint32_t> cores;
-
-    double workloadScale = 1.0; ///< Scale when `scales` is empty.
+    double workloadScale = 1.0; ///< Every point's workload scale.
     uint64_t seed = 1;
 
     /** Workloads to evaluate; empty = the Table I (a)+(b) suite. */
     std::vector<WorkloadSpec> suite;
 };
 
-/** One unevaluated grid coordinate, in grid order. */
-struct DseGridPoint
-{
-    ArchConfig cfg;
-    double scale = 1.0;
-    uint32_t cores = 1;
-};
-
 /**
  * Validate the axis values: depth in [1,6], banks a power of two
- * >= 2, regs in [2, ArchConfig::maxRegsPerBank], every (effective)
- * scale > 0, cores >= 1. False sets `error` (when given) to the
- * first violation. The single
+ * >= 2, regs in [2, ArchConfig::maxRegsPerBank], workloadScale > 0.
+ * False sets `error` (when given) to the first violation. The single
  * source of the axis rules: expandDseGrid throws FatalError on the
  * same check, and the dse_sweep CLI uses it to reject junk --axes
  * values with exit 2 at flag-parse time.
@@ -118,15 +99,17 @@ bool validateDseAxes(const DseOptions &options,
 
 /**
  * Expand the axis grid in deterministic grid order: depth-major,
- * then banks, then regs, then scale, then cores. Combinations with
- * banks < 2^depth (no full tree) are skipped, matching the classic
- * sweep. Throws FatalError when validateDseAxes() fails.
+ * then banks, then regs. Combinations with banks < 2^depth (no full
+ * tree) are skipped, matching the classic sweep. Throws FatalError
+ * when validateDseAxes() fails.
  */
-std::vector<DseGridPoint> expandDseGrid(const DseOptions &options);
+std::vector<ArchConfig> expandDseGrid(const DseOptions &options);
 
-/** Printable signature of the swept space (axes + seed + suite);
- *  stored in the journal header so a resume against a journal from a
- *  different sweep is rejected instead of silently mixing results. */
+/** Printable signature of the swept space (axes + scale + seed +
+ *  suite); stored in the journal header so a resume against a journal
+ *  from a different sweep is rejected instead of silently mixing
+ *  results. It keeps the `scales=<s>|cores=1|` terms of the engine
+ *  that had those axes, so older journals still resume. */
 std::string dseSpaceSignature(const DseOptions &options);
 
 /** One contiguous shard of the grid: points [begin, end). */
@@ -155,13 +138,10 @@ struct DseEvalCost
 
 /**
  * Evaluate one configuration over the suite (averaged), simulating
- * one run of each workload. With cores > 1 each workload counts as a
- * `cores`-input batch: its event counters scale by `cores` (they do
- * not depend on input values) and its latency is the batch's wall
- * cycles (batchWallCycles). Marks the point infeasible (instead of
- * throwing) when a workload fails to fit. `cache`, when given, serves
- * repeated compiles; `cost`, when given, accumulates compile/cache
- * counters.
+ * one run of each workload on one core. Marks the point infeasible
+ * (instead of throwing) when a workload fails to fit. `cache`, when
+ * given, serves repeated compiles; `cost`, when given, accumulates
+ * compile/cache counters.
  *
  * Builds and prepares the suite at `scale` itself, then runs the two
  * steps runDseSweep runs against its once-per-sweep suite — one
@@ -174,7 +154,6 @@ struct DseEvalCost
 DsePoint evaluateDesign(const ArchConfig &cfg,
                         const std::vector<WorkloadSpec> &suite,
                         double scale, uint64_t seed,
-                        uint32_t cores = 1,
                         ProgramCache *cache = nullptr,
                         DseEvalCost *cost = nullptr,
                         bool verify = false);
@@ -190,15 +169,16 @@ std::string dseJournalHeaderLine(const std::string &space,
 /** One completed point as a flat JSON object on a single line.
  *  Doubles are printed shortest-round-trip, so a parsed point
  *  re-serializes byte-identically. Every line carries a constant
- *  `"fidelity": "cycle"` field, which keeps the format stable for
- *  existing readers. */
+ *  `"cores": 1` and `"fidelity": "cycle"`, which keep the format
+ *  stable for existing readers. */
 std::string dseJournalPointLine(size_t index, const DsePoint &point);
 
 /** Inverse of dseJournalPointLine(); false on a malformed line
  *  (e.g. a torn tail from a killed sweep). A `fidelity` tag other
  *  than "cycle" (the estimated "table"/"analytic" points of older
- *  journals) is false as well, so a resume recomputes that point; an
- *  absent tag reads as "cycle". Never throws. */
+ *  journals) is false as well, and so is a `cores` other than 1 (the
+ *  multi-core points of older journals), so a resume recomputes that
+ *  point; an absent tag reads as "cycle". Never throws. */
 bool parseDseJournalPointLine(const std::string &line, size_t &index,
                               DsePoint &point);
 
@@ -292,10 +272,10 @@ struct DseSweepResult
     /** One report per planned shard. */
     std::vector<DseShardReport> shardReports;
 
-    /** Wall time of the front end: building and preparing the suite
-     *  at each scale, once per sweep, before that scale's points are
-     *  evaluated. Not part of any shard's seconds. 0 when a fully
-     *  resumed sweep had nothing to prepare. */
+    /** Wall time of the front end: building and preparing the suite,
+     *  once per sweep, before any point is evaluated. Not part of any
+     *  shard's seconds. 0 when a fully resumed sweep had nothing to
+     *  prepare. */
     double prepareSeconds = 0;
 
     /** Points loaded from the journal instead of recomputed. */
@@ -304,10 +284,6 @@ struct DseSweepResult
 
 /** Run a sharded sweep (see the file header for the contract). */
 DseSweepResult runDseSweep(const DseSweepOptions &options);
-
-/** Classic entry point: serial sweep over the Table I (a)+(b)
- *  suite, no journal. Equivalent to runDseSweep({options}).points. */
-std::vector<DsePoint> exploreDesignSpace(const DseOptions &options = {});
 
 // ---------------------------------------------------------------- //
 // Frontier + optima.                                               //

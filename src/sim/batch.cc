@@ -54,16 +54,4 @@ BatchMachine::run(const std::vector<std::vector<double>> &inputs)
     return out;
 }
 
-uint64_t
-batchWallCycles(const CompiledProgram &prog, uint64_t runs,
-                uint32_t cores)
-{
-    if (!cores)
-        dpu_fatal("batchWallCycles: cores must be >= 1");
-    if (!runs)
-        return 0;
-    uint64_t per_core = (runs + cores - 1) / cores;
-    return per_core * prog.stats.cycles;
-}
-
 } // namespace dpu

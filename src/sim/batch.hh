@@ -98,16 +98,6 @@ class BatchMachine
     uint32_t threads;
 };
 
-/**
- * The wall cycles BatchMachine reports for `runs` executions of `prog`
- * dealt round-robin over `cores` model cores, without running them:
- * the busiest core runs ceil(runs/cores) programs back to back, and a
- * run's cycle count is fixed at compile time. FatalError when cores is
- * 0; 0 when runs is 0.
- */
-uint64_t batchWallCycles(const CompiledProgram &prog, uint64_t runs,
-                         uint32_t cores);
-
 } // namespace dpu
 
 #endif // DPU_SIM_BATCH_HH

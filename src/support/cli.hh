@@ -70,40 +70,25 @@ parseDoubleArg(const char *s, double &out)
     return true;
 }
 
-/** parseDoubleArg() restricted to [0, 1]: probability-style
- *  fractions. Negative values and values above 1 are parse failures,
- *  like any other out-of-domain flag value. */
-inline bool
-parseFractionArg(const char *s, double &out)
-{
-    double v = 0.0;
-    if (!parseDoubleArg(s, v) || v < 0.0 || v > 1.0)
-        return false;
-    out = v;
-    return true;
-}
-
-namespace detail {
-
-/** Split on ',' and parse every element with `parse_one`. Rejects
- *  empty input, empty elements ("1,,2", trailing commas) and any
- *  element the element parser rejects. `out` is only written on
+/** Parse a comma-separated list of strict uint32 values ("1,2,3").
+ *  The axis-list form of the sweep CLIs (e.g. dse_sweep --axes).
+ *  Rejects empty input, empty elements ("1,,2", trailing commas) and
+ *  any element parseUint32Arg() rejects. `out` is only written on
  *  success. */
-template <typename T, typename ParseOne>
 inline bool
-parseListArg(const char *s, std::vector<T> &out, ParseOne parse_one)
+parseUint32ListArg(const char *s, std::vector<uint32_t> &out)
 {
     if (!s || s[0] == '\0')
         return false;
-    std::vector<T> values;
+    std::vector<uint32_t> values;
     std::string elem;
     for (const char *p = s;; ++p) {
         if (*p != ',' && *p != '\0') {
             elem += *p;
             continue;
         }
-        T v{};
-        if (elem.empty() || !parse_one(elem.c_str(), v))
+        uint32_t v = 0;
+        if (elem.empty() || !parseUint32Arg(elem.c_str(), v))
             return false;
         values.push_back(v);
         elem.clear();
@@ -112,23 +97,6 @@ parseListArg(const char *s, std::vector<T> &out, ParseOne parse_one)
     }
     out = std::move(values);
     return true;
-}
-
-} // namespace detail
-
-/** Parse a comma-separated list of strict uint32 values ("1,2,3").
- *  The axis-list form of the sweep CLIs (e.g. dse_sweep --axes). */
-inline bool
-parseUint32ListArg(const char *s, std::vector<uint32_t> &out)
-{
-    return detail::parseListArg<uint32_t>(s, out, parseUint32Arg);
-}
-
-/** Parse a comma-separated list of strict finite doubles. */
-inline bool
-parseDoubleListArg(const char *s, std::vector<double> &out)
-{
-    return detail::parseListArg<double>(s, out, parseDoubleArg);
 }
 
 /** Match `s` against a closed set of choice names (exact,

@@ -170,6 +170,18 @@ if [ -n "$DSE" ]; then
     check 2 "dse_sweep --threads=0" "$DSE" --quick --threads=0
     check 2 "dse_sweep --scale junk" "$DSE" --quick --scale=big
 
+    # The sweep is the paper's D x B x R grid at one workload scale on
+    # one core: the old scale and core-count axes are unknown axis
+    # names, and --scale sets the one scale.
+    check 2 "dse_sweep cores axis is unknown" \
+        "$DSE" --quick --axes='cores=1'
+    check 2 "dse_sweep scale axis is unknown" \
+        "$DSE" --quick --axes='scale=0.1'
+    check 2 "dse_sweep scales axis is unknown" \
+        "$DSE" --quick --axes='scales=0.1'
+    check 0 "dse_sweep --scale sets the sweep's scale" \
+        "$DSE" --quick --axes="$AXES" --scale=0.1
+
     # Every point is simulated: the old evaluation-tier flags are
     # unknown options (exit 1), so a script still passing them fails
     # loudly instead of being silently ignored.

@@ -348,25 +348,5 @@ TEST(BatchMachine, ThreadCountDoesNotChangeModelClock)
     EXPECT_EQ(r.wallCycles, 2 * prog.stats.cycles);
 }
 
-TEST(BatchMachine, BatchWallCyclesMatchesBatchMachine)
-{
-    Dag d = buildWorkloadDag(findWorkload("nltcs"), 0.3);
-    ArchConfig cfg;
-    cfg.depth = 1;
-    cfg.banks = 8;
-    cfg.regsPerBank = 64;
-    auto prog = compile(d, cfg);
-    auto batch = makeBatch(d, 5, 20);
-    for (uint32_t cores : {1u, 2u, 3u}) {
-        BatchResult br =
-            BatchMachine(prog, cores, /*operations=*/1).run(batch);
-        EXPECT_EQ(batchWallCycles(prog, batch.size(), cores),
-                  br.wallCycles)
-            << cores << " cores";
-    }
-    EXPECT_EQ(batchWallCycles(prog, 0, 4), 0u);
-    EXPECT_THROW(batchWallCycles(prog, 1, 0), FatalError);
-}
-
 } // namespace
 } // namespace dpu

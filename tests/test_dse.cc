@@ -55,7 +55,6 @@ expectIdentical(const DsePoint &a, const DsePoint &b)
     EXPECT_EQ(a.cfg.banks, b.cfg.banks);
     EXPECT_EQ(a.cfg.regsPerBank, b.cfg.regsPerBank);
     EXPECT_EQ(a.workloadScale, b.workloadScale);
-    EXPECT_EQ(a.cores, b.cores);
     EXPECT_EQ(a.latencyPerOpNs, b.latencyPerOpNs);
     EXPECT_EQ(a.energyPerOpPj, b.energyPerOpPj);
     EXPECT_EQ(a.edpPjNs, b.edpPjNs);
@@ -210,12 +209,12 @@ TEST(DseNpos, AllInfeasibleSweepEndToEnd)
     // The real thing: a register file no workload fits. The sweep
     // marks every point infeasible and the scans report kDseNpos
     // instead of asserting.
-    DseOptions o;
-    o.depths = {3};
-    o.banks = {8};
-    o.regs = {2};
-    o.workloadScale = 0.05;
-    auto pts = exploreDesignSpace(o);
+    DseSweepOptions o;
+    o.space.depths = {3};
+    o.space.banks = {8};
+    o.space.regs = {2};
+    o.space.workloadScale = 0.05;
+    auto pts = runDseSweep(o).points;
     ASSERT_EQ(pts.size(), 1u);
     EXPECT_FALSE(pts[0].feasible);
     EXPECT_EQ(minEdpIndex(pts), kDseNpos);
@@ -232,30 +231,10 @@ TEST(DseGrid, DefaultGridHas48PointsInGridOrder)
 {
     auto grid = expandDseGrid({});
     ASSERT_EQ(grid.size(), 48u);
-    EXPECT_EQ(grid.front().cfg.label(), "D1.B8.R16");
-    EXPECT_EQ(grid.back().cfg.label(), "D3.B64.R128");
-    EXPECT_EQ(grid.front().scale, 1.0);
-    EXPECT_EQ(grid.front().cores, 1u);
-}
-
-TEST(DseGrid, OptionalAxesExpandInnermost)
-{
-    DseOptions o;
-    o.depths = {1};
-    o.banks = {8};
-    o.regs = {16};
-    o.scales = {0.1, 0.2};
-    o.cores = {1, 2};
-    auto grid = expandDseGrid(o);
-    ASSERT_EQ(grid.size(), 4u);
-    EXPECT_EQ(grid[0].scale, 0.1);
-    EXPECT_EQ(grid[0].cores, 1u);
-    EXPECT_EQ(grid[1].scale, 0.1);
-    EXPECT_EQ(grid[1].cores, 2u);
-    EXPECT_EQ(grid[2].scale, 0.2);
-    EXPECT_EQ(grid[2].cores, 1u);
-    EXPECT_EQ(grid[3].scale, 0.2);
-    EXPECT_EQ(grid[3].cores, 2u);
+    EXPECT_EQ(grid.front().label(), "D1.B8.R16");
+    EXPECT_EQ(grid[1].label(), "D1.B8.R32");
+    EXPECT_EQ(grid[4].label(), "D1.B16.R16");
+    EXPECT_EQ(grid.back().label(), "D3.B64.R128");
 }
 
 TEST(DseGrid, SkipsBanksSmallerThanOneTree)
@@ -282,12 +261,10 @@ TEST(DseGrid, RejectsInvalidAxisValues)
     EXPECT_THROW(expandDseGrid(bad_regs), FatalError);
 
     DseOptions bad_scale;
-    bad_scale.scales = {-0.5};
+    bad_scale.workloadScale = -0.5;
     EXPECT_THROW(expandDseGrid(bad_scale), FatalError);
-
-    DseOptions bad_cores;
-    bad_cores.cores = {0};
-    EXPECT_THROW(expandDseGrid(bad_cores), FatalError);
+    bad_scale.workloadScale = 0;
+    EXPECT_THROW(expandDseGrid(bad_scale), FatalError);
 }
 
 TEST(DseGrid, RegsAxisStopsAtSixteenBitAddresses)
@@ -342,7 +319,6 @@ goldenPoint()
     p.cfg.banks = 8;
     p.cfg.regsPerBank = 16;
     p.workloadScale = 0.25;
-    p.cores = 2;
     p.latencyPerOpNs = 1.5;
     p.energyPerOpPj = 2.5;
     p.edpPjNs = 3.75;
@@ -358,7 +334,7 @@ TEST(DseJournal, GoldenPointLine)
     // deliberate, reviewed change (cf. test_harness_json.cc).
     const char *golden =
         "{\"index\": 3, \"design\": \"D1.B8.R16\", \"depth\": 1, "
-        "\"banks\": 8, \"regs\": 16, \"scale\": 0.25, \"cores\": 2, "
+        "\"banks\": 8, \"regs\": 16, \"scale\": 0.25, \"cores\": 1, "
         "\"feasible\": true, \"latency_per_op_ns\": 1.5, "
         "\"energy_per_op_pj\": 2.5, \"edp_pj_ns\": 3.75, "
         "\"area_mm2\": 0.5, \"power_watts\": 0.125, "
@@ -391,16 +367,15 @@ TEST(DseJournal, GoldenHeaderLineAndSpaceSignature)
     o.depths = {1};
     o.banks = {8};
     o.regs = {16};
-    o.scales = {0.25};
-    o.cores = {2};
+    o.workloadScale = 0.25;
     o.seed = 7;
     o.suite = {pcSuite()[0]};
     EXPECT_EQ(dseSpaceSignature(o),
-              "depths=1|banks=8|regs=16|scales=0.25|cores=2|seed=7|"
+              "depths=1|banks=8|regs=16|scales=0.25|cores=1|seed=7|"
               "suite=tretail");
     EXPECT_EQ(dseJournalHeaderLine(dseSpaceSignature(o), 1),
               "{\"dse_journal\": 1, \"space\": "
-              "\"depths=1|banks=8|regs=16|scales=0.25|cores=2|seed=7|"
+              "\"depths=1|banks=8|regs=16|scales=0.25|cores=1|seed=7|"
               "suite=tretail\", \"points\": 1}");
 }
 
@@ -491,6 +466,13 @@ TEST(DseJournal, ParserRejectsTornAndForeignLines)
     EXPECT_FALSE(parseDseJournalPointLine("not json", index, p));
     EXPECT_FALSE(parseDseJournalPointLine("{\"index\": 1}", index, p));
     EXPECT_FALSE(parseDseJournalPointLine(full + "x", index, p));
+    // Every point runs on one core: a point an older sweep evaluated as
+    // a multi-core batch is recomputed.
+    for (const char *cores : {"0", "2", "4"}) {
+        std::string multi = full;
+        multi.replace(multi.find("\"cores\": 1") + 9, 1, cores);
+        EXPECT_FALSE(parseDseJournalPointLine(multi, index, p)) << multi;
+    }
     EXPECT_TRUE(parseDseJournalPointLine(full, index, p));
 }
 
@@ -580,7 +562,6 @@ TEST(DseJournal, MutatedInputNeverThrowsOrCrashes)
     DsePoint other = goldenPoint();
     other.cfg.depth = 3;
     other.cfg.banks = 64;
-    other.cores = 4;
     other.latencyPerOpNs = 0.25;
     const std::vector<std::string> lines = {
         dseJournalPointLine(3, goldenPoint()),
@@ -599,7 +580,7 @@ TEST(DseJournal, MutatedInputNeverThrowsOrCrashes)
             ++parsed;
             EXPECT_GE(p.cfg.depth, 1u) << line;
             EXPECT_LE(p.cfg.depth, 6u) << line;
-            EXPECT_GE(p.cores, 1u) << line;
+            EXPECT_GE(p.cfg.regsPerBank, 1u) << line;
         }
     }
     // Some mutations (a duplicated field, a flipped digit) still
@@ -672,9 +653,9 @@ TEST(DseSweep, EvaluateSingleDesignTracksCost)
     ProgramCache cache;
     DseEvalCost cold, warm;
     DsePoint a =
-        evaluateDesign(cfg, suite, 0.05, 1, 1, &cache, &cold);
+        evaluateDesign(cfg, suite, 0.05, 1, &cache, &cold);
     DsePoint b =
-        evaluateDesign(cfg, suite, 0.05, 1, 1, &cache, &warm);
+        evaluateDesign(cfg, suite, 0.05, 1, &cache, &warm);
     EXPECT_EQ(cold.compiles, 1u);
     EXPECT_EQ(cold.cacheHits, 0u);
     EXPECT_EQ(warm.compiles, 1u);
@@ -685,15 +666,14 @@ TEST(DseSweep, EvaluateSingleDesignTracksCost)
 
 TEST(DseSweep, SweepPointsEqualPerPointEvaluation)
 {
-    // runDseSweep prepares each (workload, scale) pair once, one scale
-    // at a time; every point must still equal evaluateDesign of its
-    // coordinates, which prepares on its own. Two scales cover the
-    // per-scale preparation.
+    // runDseSweep prepares each workload once per sweep; every point
+    // must still equal evaluateDesign of its coordinates, which
+    // prepares on its own.
     DseSweepOptions o;
     o.space.depths = {1, 2};
     o.space.banks = {8};
     o.space.regs = {16, 32};
-    o.space.scales = {0.03, 0.05};
+    o.space.workloadScale = 0.05;
     o.space.suite = {pcSuite()[0], sptrsvSuite()[0]};
     o.threads = 2;
     o.shards = 3;
@@ -704,15 +684,15 @@ TEST(DseSweep, SweepPointsEqualPerPointEvaluation)
     o.journalPath = path;
 
     DseSweepResult swept = runDseSweep(o);
-    std::vector<DseGridPoint> grid = expandDseGrid(o.space);
-    ASSERT_EQ(swept.points.size(), 8u);
+    std::vector<ArchConfig> grid = expandDseGrid(o.space);
+    ASSERT_EQ(swept.points.size(), 4u);
     EXPECT_GT(swept.prepareSeconds, 0.0);
     size_t feasible = 0;
     for (size_t i = 0; i < grid.size(); ++i) {
         SCOPED_TRACE(i);
-        DsePoint single =
-            evaluateDesign(grid[i].cfg, o.space.suite, grid[i].scale,
-                           o.space.seed, grid[i].cores);
+        DsePoint single = evaluateDesign(grid[i], o.space.suite,
+                                         o.space.workloadScale,
+                                         o.space.seed);
         expectIdentical(swept.points[i], single);
         feasible += single.feasible;
     }
@@ -739,9 +719,10 @@ readFile(const std::string &path)
 TEST(DseSweep, ResumeRecomputesEstimatedPointsOfAnOldJournal)
 {
     // A journal from an older sweep can hold "table" estimates next to
-    // simulated "cycle" lines for the same index, in either order.
-    // Resuming reuses exactly the cycle lines, recomputes every other
-    // point, and ends with the bytes of a fresh sweep.
+    // simulated "cycle" lines for the same index, in either order, and
+    // multi-core points. Resuming reuses exactly the one-core cycle
+    // lines, recomputes every other point, and ends with the bytes of a
+    // fresh sweep.
     DseSweepOptions o;
     o.space.depths = {1, 2};
     o.space.banks = {8};
@@ -761,6 +742,11 @@ TEST(DseSweep, ResumeRecomputesEstimatedPointsOfAnOldJournal)
         line.replace(line.find("\"cycle\""), 7, "\"table\"");
         return line;
     };
+    auto multiCore = [](size_t i, const DsePoint &p) {
+        std::string line = dseJournalPointLine(i, p);
+        line.replace(line.find("\"cores\": 1"), 10, "\"cores\": 4");
+        return line;
+    };
     {
         std::ofstream out(path, std::ios::trunc);
         out << dseJournalHeaderLine(dseSpaceSignature(o.space), 4)
@@ -773,8 +759,8 @@ TEST(DseSweep, ResumeRecomputesEstimatedPointsOfAnOldJournal)
             // 2: simulated line, then a later estimate.
             << dseJournalPointLine(2, fresh.points[2]) << "\n"
             << estimated(2, fresh.points[2]) << "\n"
-            // 3: estimate only.
-            << estimated(3, fresh.points[3]) << "\n";
+            // 3: a multi-core point only.
+            << multiCore(3, fresh.points[3]) << "\n";
     }
     o.resume = true;
     DseSweepResult resumed = runDseSweep(o);
@@ -826,24 +812,6 @@ TEST(DseSweep, SmallSweepJournalIsPinned)
     EXPECT_EQ(std::count(journal.begin(), journal.end(), '\n'), 5);
     EXPECT_NE(journal.find("scales=0.03|cores=1|"), std::string::npos);
     EXPECT_EQ(fnv1a(journal), 0xd97323b309672439ull) << journal;
-}
-
-TEST(DseSweep, CoresAxisScalesThroughputAndStaysFeasible)
-{
-    std::vector<WorkloadSpec> suite = {pcSuite()[0]};
-    ArchConfig cfg;
-    cfg.depth = 2;
-    cfg.banks = 8;
-    cfg.regsPerBank = 32;
-    DsePoint one = evaluateDesign(cfg, suite, 0.05, 1, 1);
-    DsePoint four = evaluateDesign(cfg, suite, 0.05, 1, 4);
-    ASSERT_TRUE(one.feasible);
-    ASSERT_TRUE(four.feasible);
-    // Four cores run a 4-input batch in roughly one program's wall
-    // cycles: latency/op (and EDP) must drop, throughput must rise.
-    EXPECT_LT(four.latencyPerOpNs, one.latencyPerOpNs);
-    EXPECT_GT(four.throughputGops, one.throughputGops);
-    EXPECT_EQ(four.cores, 4u);
 }
 
 } // namespace

@@ -30,18 +30,18 @@
 namespace dpu {
 namespace {
 
-/** Small but multi-axis space: 4 configs x 2 scales x 2 core counts
- *  = 16 points over a 2-workload suite — enough shards/points to
- *  interleave, small enough for TSAN. */
+/** Small space: 4 (D, B) groups x 4 register counts = 16 points over
+ *  a 2-workload suite — enough shards/points to interleave, each task
+ *  walks four R and derives the ones its certified program admits,
+ *  and small enough for TSAN. */
 DseOptions
 stressSpace(uint64_t seed)
 {
     DseOptions o;
     o.depths = {1, 2};
     o.banks = {8, 16};
-    o.regs = {32};
-    o.scales = {0.03, 0.05};
-    o.cores = {1, 2};
+    o.regs = {16, 32, 64, 128};
+    o.workloadScale = 0.03;
     o.seed = seed;
     o.suite = {pcSuite()[0], sptrsvSuite()[0]};
     return o;
@@ -54,7 +54,6 @@ expectIdentical(const DsePoint &a, const DsePoint &b)
     EXPECT_EQ(a.cfg.banks, b.cfg.banks);
     EXPECT_EQ(a.cfg.regsPerBank, b.cfg.regsPerBank);
     EXPECT_EQ(a.workloadScale, b.workloadScale);
-    EXPECT_EQ(a.cores, b.cores);
     EXPECT_EQ(a.latencyPerOpNs, b.latencyPerOpNs);
     EXPECT_EQ(a.energyPerOpPj, b.energyPerOpPj);
     EXPECT_EQ(a.edpPjNs, b.edpPjNs);
@@ -114,9 +113,9 @@ TEST_P(DseStress, ShardedSweepMatchesSerialByteForByte)
     o.space = stressSpace(seed);
     o.threads = threads;
     o.shards = shards;
-    // A shared program cache must not perturb results either: cores
-    // axis points share compile keys, so whichever shard compiles
-    // first seeds hits for the others.
+    // A shared program cache must not perturb results either: every
+    // task fetches its compiles through it and inserts the programs it
+    // derives.
     ProgramCache cache;
     o.cache = &cache;
 
@@ -126,13 +125,16 @@ TEST_P(DseStress, ShardedSweepMatchesSerialByteForByte)
     ASSERT_EQ(sweep.shardReports.size(),
               std::min<size_t>(shards, sweep.points.size()));
     size_t covered = 0, evaluated = 0;
+    uint64_t derived = 0;
     for (const DseShardReport &r : sweep.shardReports) {
         covered += r.points;
         evaluated += r.evaluated;
+        derived += r.certified;
     }
     EXPECT_EQ(covered, sweep.points.size());
     EXPECT_EQ(evaluated, sweep.points.size()); // nothing resumed
     EXPECT_EQ(sweep.resumedPoints, 0u);
+    EXPECT_GT(derived, 0u); // the tasks crossed R derivation
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -106,12 +106,12 @@ TEST(EnergyModel, MoreBanksMorePowerButFaster)
 
 TEST(Dse, SmallSweepFindsSaneOptima)
 {
-    DseOptions o;
-    o.depths = {1, 3};
-    o.banks = {8, 64};
-    o.regs = {32};
-    o.workloadScale = 0.08;
-    auto pts = exploreDesignSpace(o);
+    DseSweepOptions o;
+    o.space.depths = {1, 3};
+    o.space.banks = {8, 64};
+    o.space.regs = {32};
+    o.space.workloadScale = 0.08;
+    auto pts = runDseSweep(o).points;
     ASSERT_EQ(pts.size(), 4u);
     // Deeper trees + more banks = fastest.
     auto &fastest = pts[minLatencyIndex(pts)];
@@ -126,12 +126,12 @@ TEST(Dse, SmallSweepFindsSaneOptima)
 
 TEST(Dse, InfeasiblePointsMarked)
 {
-    DseOptions o;
-    o.depths = {3};
-    o.banks = {8};
-    o.regs = {2}; // hopeless register file
-    o.workloadScale = 0.05;
-    auto pts = exploreDesignSpace(o);
+    DseSweepOptions o;
+    o.space.depths = {3};
+    o.space.banks = {8};
+    o.space.regs = {2}; // hopeless register file
+    o.space.workloadScale = 0.05;
+    auto pts = runDseSweep(o).points;
     ASSERT_EQ(pts.size(), 1u);
     EXPECT_FALSE(pts[0].feasible);
 }

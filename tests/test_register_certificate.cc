@@ -213,14 +213,13 @@ smallSweep()
 std::string
 perPointJournal(const DseOptions &space)
 {
-    const std::vector<DseGridPoint> grid = expandDseGrid(space);
+    const std::vector<ArchConfig> grid = expandDseGrid(space);
     std::string out =
         dseJournalHeaderLine(dseSpaceSignature(space), grid.size()) + "\n";
     for (size_t i = 0; i < grid.size(); ++i)
         out += dseJournalPointLine(
-                   i, evaluateDesign(grid[i].cfg, space.suite,
-                                     grid[i].scale, space.seed,
-                                     grid[i].cores)) +
+                   i, evaluateDesign(grid[i], space.suite,
+                                     space.workloadScale, space.seed)) +
                "\n";
     return out;
 }
@@ -236,11 +235,10 @@ derivedPoints(const DseSweepResult &res)
 
 TEST(RegisterCertificate, DerivedPointsEqualPerPointEvaluation)
 {
-    // A sweep task derives every R its held certificate admits, and
-    // reuses the held program for another core count; each point must
-    // still be evaluateDesign of its coordinates, verified or not.
+    // A sweep task derives every R its held certificate admits; each
+    // point must still be evaluateDesign of its coordinates, verified
+    // or not.
     DseSweepOptions o = smallSweep();
-    o.space.cores = {1, 2};
     o.verify = true;
     const std::string path = ::testing::TempDir() + "dse_derived.jsonl";
     std::remove(path.c_str());

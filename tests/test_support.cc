@@ -338,19 +338,6 @@ TEST(Cli, ParseUint32ListRejectsJunkWithoutClobbering)
     EXPECT_EQ(v, (std::vector<uint32_t>{42})); // untouched on failure
 }
 
-TEST(Cli, ParseDoubleListParsesAndRejects)
-{
-    std::vector<double> v;
-    EXPECT_TRUE(parseDoubleListArg("0.1,0.25,1e-3", v));
-    ASSERT_EQ(v.size(), 3u);
-    EXPECT_DOUBLE_EQ(v[0], 0.1);
-    EXPECT_DOUBLE_EQ(v[1], 0.25);
-    EXPECT_DOUBLE_EQ(v[2], 1e-3);
-    EXPECT_FALSE(parseDoubleListArg("0.1,x", v));
-    EXPECT_FALSE(parseDoubleListArg("0.1,", v));
-    EXPECT_FALSE(parseDoubleListArg("", v));
-}
-
 TEST(Cli, ParseUint64CoversTheFullRange)
 {
     uint64_t v = 0;
@@ -376,29 +363,6 @@ TEST(Cli, ParseDoubleAcceptsNumbersRejectsJunk)
     EXPECT_FALSE(parseDoubleArg("inf", v));
     EXPECT_FALSE(parseDoubleArg(" 1", v));
     EXPECT_FALSE(parseDoubleArg(nullptr, v));
-}
-
-TEST(Cli, ParseFractionRestrictsToUnitInterval)
-{
-    // A probability: anything outside [0, 1] (or non-numeric) is a
-    // strict-validation failure, not a clamp.
-    double v = -1;
-    EXPECT_TRUE(parseFractionArg("0", v));
-    EXPECT_DOUBLE_EQ(v, 0.0);
-    EXPECT_TRUE(parseFractionArg("0.25", v));
-    EXPECT_DOUBLE_EQ(v, 0.25);
-    EXPECT_TRUE(parseFractionArg("1", v));
-    EXPECT_DOUBLE_EQ(v, 1.0);
-    EXPECT_TRUE(parseFractionArg("5e-1", v));
-    EXPECT_DOUBLE_EQ(v, 0.5);
-
-    EXPECT_FALSE(parseFractionArg("-0.1", v));
-    EXPECT_FALSE(parseFractionArg("1.01", v));
-    EXPECT_FALSE(parseFractionArg("abc", v));
-    EXPECT_FALSE(parseFractionArg("0.5junk", v));
-    EXPECT_FALSE(parseFractionArg("", v));
-    EXPECT_FALSE(parseFractionArg(nullptr, v));
-    EXPECT_DOUBLE_EQ(v, 0.5); // failures must not clobber the output
 }
 
 } // namespace

@@ -4,11 +4,11 @@
  *
  *     dse_sweep [options]
  *
- *     --axes=<spec>       axis grid, e.g.
- *                         "depth=1,2,3;banks=8,16;regs=32;scale=0.1;cores=1,4"
+ *     --axes=<spec>       the D x B x R grid, e.g.
+ *                         "depth=1,2,3;banks=8,16;regs=32"
  *                         (axes omitted from the spec keep their
  *                         defaults; unknown axis names are rejected)
- *     --scale=<f>         workload scale when no scale axis is given
+ *     --scale=<f>         workload scale of every point
  *     --seed=N            evaluation seed
  *     --threads=N         host worker threads (work-stealing tasks,
  *                         one per (D, B) group x workload)
@@ -52,7 +52,6 @@ struct Args
 {
     DseSweepOptions sweep;
     double scale = 0.3; ///< Default mirrors the fig11 bench.
-    bool scaleAxisGiven = false;
     bool threadsGiven = false;
     bool shardsGiven = false;
     bool quick = false;
@@ -63,29 +62,19 @@ struct Args
 
 /** Parse one "name=v1,v2,..." axis assignment into the space. */
 bool
-parseAxis(const std::string &axis, Args &args)
+parseAxis(const std::string &axis, DseOptions &space)
 {
     size_t eq = axis.find('=');
     if (eq == std::string::npos || eq == 0)
         return false;
     std::string name = axis.substr(0, eq);
     const char *values = axis.c_str() + eq + 1;
-    DseOptions &space = args.sweep.space;
     if (name == "depth" || name == "depths")
         return parseUint32ListArg(values, space.depths);
     if (name == "banks")
         return parseUint32ListArg(values, space.banks);
     if (name == "regs")
         return parseUint32ListArg(values, space.regs);
-    if (name == "cores")
-        return parseUint32ListArg(values, space.cores);
-    if (name == "scale" || name == "scales") {
-        // Range checking (scale > 0) is validateDseAxes's job.
-        if (!parseDoubleListArg(values, space.scales))
-            return false;
-        args.scaleAxisGiven = true;
-        return true;
-    }
     return false; // unknown axis name
 }
 
@@ -116,7 +105,8 @@ parseArgs(int argc, char **argv, Args &args)
                 size_t semi = spec.find(';', at);
                 if (semi == std::string::npos)
                     semi = spec.size();
-                ok = parseAxis(spec.substr(at, semi - at), args);
+                ok = parseAxis(spec.substr(at, semi - at),
+                               args.sweep.space);
                 at = semi + 1;
             }
             // Semantic range rules come from the engine's own
@@ -124,9 +114,9 @@ parseArgs(int argc, char **argv, Args &args)
             // what expandDseGrid would reject mid-run.
             if (!ok || !validateDseAxes(args.sweep.space)) {
                 reject("--axes", a + 7,
-                       "name=v1,v2;... with names depth/banks/regs/"
-                       "scale/cores, banks a power of two, depth in "
-                       "[1,6], regs in [2,65536], scale > 0, cores >= 1");
+                       "name=v1,v2;... with names depth/banks/regs, "
+                       "banks a power of two, depth in [1,6], regs in "
+                       "[2,65536]");
             }
         } else if (std::strncmp(a, "--scale=", 8) == 0) {
             if (!parseDoubleArg(a + 8, args.scale) || args.scale <= 0)
@@ -197,8 +187,7 @@ main(int argc, char **argv)
         }
     if (int rc = parseArgs(argc, argv, args))
         return rc;
-    if (!args.scaleAxisGiven)
-        args.sweep.space.workloadScale = args.scale;
+    args.sweep.space.workloadScale = args.scale;
     if (!args.shardsGiven)
         args.sweep.shards = args.sweep.threads;
 
@@ -213,9 +202,10 @@ main(int argc, char **argv)
             args.sweep.cache = &cache;
 
         size_t grid_points = expandDseGrid(args.sweep.space).size();
-        std::printf("dse_sweep: %zu design points, %u shard(s), %u "
-                    "thread(s)%s%s\n",
-                    grid_points, args.sweep.shards, args.sweep.threads,
+        std::printf("dse_sweep: %zu design points at scale %g, %u "
+                    "shard(s), %u thread(s)%s%s\n",
+                    grid_points, args.scale, args.sweep.shards,
+                    args.sweep.threads,
                     args.sweep.journalPath.empty()
                         ? ""
                         : (", journal " + args.sweep.journalPath)
@@ -238,8 +228,7 @@ main(int argc, char **argv)
         size_t min_energy = minEnergyIndex(pts);
         size_t min_latency = minLatencyIndex(pts);
 
-        TablePrinter t({"design", "scale", "cores",
-                        "latency/op (ns)", "energy/op (pJ)",
+        TablePrinter t({"design", "latency/op (ns)", "energy/op (pJ)",
                         "EDP (pJ*ns)", "area (mm2)", "mark"});
         for (size_t i = 0; i < pts.size(); ++i) {
             const DsePoint &p = pts[i];
@@ -249,9 +238,7 @@ main(int argc, char **argv)
             else if (std::find(frontier.begin(), frontier.end(), i) !=
                      frontier.end())
                 mark = "o frontier";
-            auto &row = t.row().cell(p.cfg.label())
-                            .num(p.workloadScale, 3)
-                            .cell(std::to_string(p.cores));
+            auto &row = t.row().cell(p.cfg.label());
             if (p.feasible)
                 row.num(p.latencyPerOpNs, 3)
                     .num(p.energyPerOpPj, 1)
