@@ -81,6 +81,31 @@ TEST(Rng, BelowCoversDomain)
     EXPECT_EQ(seen.size(), 8u);
 }
 
+TEST(Rng, BelowSequenceIsPinned)
+{
+    // FNV-1a-64 over below()'s results for small bounds, bounds next
+    // to 2^32 and 2^63 + 1, which rejects about half its draws, then
+    // one raw draw so the number of draws consumed is pinned too. A
+    // rewrite of below() must keep every result and every rejection.
+    Rng rng(20261020);
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (uint64_t bound = 1; bound <= 4096; ++bound)
+        for (int i = 0; i < 4; ++i)
+            mix(rng.below(bound));
+    for (uint64_t bound : {(uint64_t(1) << 32) - 1, (uint64_t(1) << 32) + 1,
+                           (uint64_t(1) << 63) + 1})
+        for (int i = 0; i < 256; ++i)
+            mix(rng.below(bound));
+    mix(rng.next());
+    EXPECT_EQ(h, 0xe4f26fd71ec6f045ull);
+}
+
 TEST(Rng, RangeInclusive)
 {
     Rng rng(3);
