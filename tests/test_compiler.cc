@@ -385,5 +385,81 @@ TEST(CompileGolden, ProgramBytesArePinned)
     EXPECT_EQ(got.size(), kProgramGolden.size());
 }
 
+// One digest per (D, B) group of the DSE's classic grid at R = 32: the
+// FNV-1a-64 of the small suite's serialized programs at scale 0.05,
+// in suite order, a program that does not fit counting as "fatal".
+const std::vector<ProgramGolden> kDseGridGolden = {
+    {"D1.B8", "038ab8414e7e8c72"},
+    {"D1.B16", "6ba80c5412a9df8e"},
+    {"D1.B32", "acdab43046ca5180"},
+    {"D1.B64", "2795bb5445288ea1"},
+    {"D2.B8", "9a30c926ad8693a1"},
+    {"D2.B16", "77084fc44263372b"},
+    {"D2.B32", "12eeb3c98eab1dd0"},
+    {"D2.B64", "323d57f6b9712cce"},
+    {"D3.B8", "e5d4c70d3ad7f1f9"},
+    {"D3.B16", "e47517c4ee3141e6"},
+    {"D3.B32", "17974768b965d450"},
+    {"D3.B64", "f184e503448b14eb"},
+};
+
+TEST(CompileGolden, DseGridProgramsArePinned)
+{
+    // The DSE compiles every group through fragment-cache hits: each
+    // group is compiled without a cache, then twice through one shared
+    // FragmentCache, a pass of misses and a pass of hits, and all
+    // three give the pinned bytes.
+    std::vector<PreparedDag> suite;
+    for (const WorkloadSpec &spec : smallSuite())
+        suite.push_back(prepareDag(buildWorkloadDag(spec, 0.05)));
+    FragmentCache fragments(suite.size());
+    size_t row = 0;
+    for (uint32_t depth : {1u, 2u, 3u})
+        for (uint32_t banks : {8u, 16u, 32u, 64u}) {
+            const ArchConfig cfg = cfgOf(depth, banks, 32);
+            const std::string name =
+                "D" + std::to_string(depth) + ".B" + std::to_string(banks);
+            SCOPED_TRACE(name);
+            auto group_digest = [&](FragmentCache *cache) {
+                CompileOptions opt;
+                opt.fragmentCache = cache;
+                std::string all;
+                for (const PreparedDag &dag : suite) {
+                    try {
+                        all += programDigest(compile(dag, cfg, opt));
+                    } catch (const FatalError &) {
+                        all += "fatal";
+                    }
+                }
+                uint64_t h = 0xcbf29ce484222325ull;
+                for (char c : all) {
+                    h ^= static_cast<uint8_t>(c);
+                    h *= 0x100000001b3ull;
+                }
+                char hex[17];
+                std::snprintf(hex, sizeof(hex), "%016llx",
+                              static_cast<unsigned long long>(h));
+                return std::string(hex);
+            };
+            const std::string cold = group_digest(nullptr);
+            const FragmentCache::Stats before = fragments.stats();
+            const std::string missed = group_digest(&fragments);
+            const FragmentCache::Stats mid = fragments.stats();
+            const std::string hit = group_digest(&fragments);
+            const FragmentCache::Stats after = fragments.stats();
+            EXPECT_EQ(mid.misses - before.misses, suite.size());
+            EXPECT_EQ(mid.hits, before.hits);
+            EXPECT_EQ(after.hits - mid.hits, suite.size());
+            EXPECT_EQ(after.misses, mid.misses);
+            EXPECT_EQ(missed, cold);
+            EXPECT_EQ(hit, cold);
+            ASSERT_LT(row, kDseGridGolden.size());
+            EXPECT_EQ(name, kDseGridGolden[row].name);
+            EXPECT_EQ(cold, kDseGridGolden[row].digest);
+            ++row;
+        }
+    EXPECT_EQ(row, kDseGridGolden.size());
+}
+
 } // namespace
 } // namespace dpu
