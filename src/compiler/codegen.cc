@@ -1,7 +1,6 @@
 #include "compiler/codegen.hh"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 
 #include "support/rng.hh"
@@ -148,23 +147,23 @@ class CodeGen
         // per-bank fill level, then advance those banks' levels. Rows
         // are fragment-local here; ScheduledIrMerger::append() replays
         // them against the global counters.
-        std::vector<NodeId> batch;
+        loadBatch.clear();
         for (NodeId v : blk.inputs) {
             if (!dag.node(v).isInput() ||
                 instanceOf(v) != invalidInstance) // already loaded here
                 continue;
             if (shared.firstLoaderPart[v] != part)
                 continue; // an earlier partition's fragment loads it
-            batch.push_back(v);
+            loadBatch.push_back(v);
         }
-        std::map<uint32_t, std::vector<NodeId>> by_row;
-        while (!batch.empty()) {
+        loadSlots.clear();
+        while (!loadBatch.empty()) {
             // One aligned row per round; duplicate banks spill into
             // the next round.
             uint64_t used = 0;
             uint32_t row = 0;
-            std::vector<NodeId> round;
-            for (auto it = batch.begin(); it != batch.end();) {
+            const size_t first = loadSlots.size();
+            for (auto it = loadBatch.begin(); it != loadBatch.end();) {
                 uint32_t bank = banks.bankOf[*it];
                 if (used >> bank & 1) {
                     ++it;
@@ -172,20 +171,28 @@ class CodeGen
                 }
                 used |= uint64_t(1) << bank;
                 row = std::max(row, rowCounter[bank]);
-                round.push_back(*it);
-                it = batch.erase(it);
+                loadSlots.push_back(
+                    {0, static_cast<uint32_t>(loadSlots.size()), *it});
+                it = loadBatch.erase(it);
             }
-            for (NodeId v : round) {
-                uint32_t bank = banks.bankOf[v];
-                rowCounter[bank] = row + 1;
-                by_row[row].push_back(v);
+            for (size_t i = first; i < loadSlots.size(); ++i) {
+                loadSlots[i].row = row;
+                rowCounter[banks.bankOf[loadSlots[i].value]] = row + 1;
             }
         }
-        for (auto &[row, values] : by_row) {
+        // One load per row, rows ascending; a row keeps its values in
+        // the order the rounds placed them (a stable sort by row).
+        std::sort(loadSlots.begin(), loadSlots.end(),
+                  [](const LoadSlot &a, const LoadSlot &b) {
+                      return a.row != b.row ? a.row < b.row : a.seq < b.seq;
+                  });
+        for (size_t i = 0; i < loadSlots.size();) {
             IrInstr load;
             load.kind = InstrKind::Load;
-            load.memRow = row;
-            for (NodeId v : values) {
+            load.memRow = loadSlots[i].row;
+            for (; i < loadSlots.size() && loadSlots[i].row == load.memRow;
+                 ++i) {
+                const NodeId v = loadSlots[i].value;
                 InstanceId id = newInstance(v, banks.bankOf[v],
                                             BankAssignment::invalid);
                 setInstance(v, id);
@@ -197,42 +204,36 @@ class CodeGen
     }
 
     /**
-     * Resolve read conflicts with copies; returns the per-value
-     * instance each read of this block should use.
+     * Resolve read conflicts with copies. Leaves in useOf, per input
+     * of blk.inputs, the instance each read of this block should use.
      */
-    std::map<NodeId, InstanceId>
+    void
     emitConflictCopies(const Block &blk)
     {
-        std::map<NodeId, InstanceId> use;
-        uint64_t used_banks = 0;
-        std::vector<NodeId> displaced;
+        useOf.clear();
+        displaced.clear();
         // First pass: one value may keep each home bank.
-        std::map<uint32_t, NodeId> keeper;
-        for (NodeId v : blk.inputs) {
-            uint32_t bank = banks.bankOf[v];
-            auto [it, fresh] = keeper.try_emplace(bank, v);
-            if (fresh) {
-                use[v] = primaryIdOf(v);
-                used_banks |= uint64_t(1) << bank;
+        uint64_t used_banks = 0;
+        for (uint32_t i = 0; i < blk.inputs.size(); ++i) {
+            const NodeId v = blk.inputs[i];
+            const uint64_t bit = uint64_t(1) << banks.bankOf[v];
+            if (used_banks & bit) {
+                useOf.push_back(invalidInstance);
+                displaced.push_back(i);
             } else {
-                displaced.push_back(v);
+                useOf.push_back(primaryIdOf(v));
+                used_banks |= bit;
             }
         }
         if (displaced.empty())
-            return use;
+            return;
 
         ir().copyResolvedConflicts += displaced.size();
 
         // Pick a fresh bank per displaced value and batch the copies
         // into copy_4s with distinct source and destination banks.
-        struct PendingCopy
-        {
-            NodeId value;
-            uint32_t srcBank;
-            uint32_t dstBank;
-        };
-        std::vector<PendingCopy> pending;
-        for (NodeId v : displaced) {
+        pending.clear();
+        for (uint32_t i : displaced) {
             uint64_t free = ~used_banks;
             if (cfg.banks < 64)
                 free &= (uint64_t(1) << cfg.banks) - 1;
@@ -250,7 +251,7 @@ class CodeGen
                 }
             }
             used_banks |= uint64_t(1) << dst;
-            pending.push_back({v, banks.bankOf[v], dst});
+            pending.push_back({i, banks.bankOf[blk.inputs[i]], dst});
         }
         while (!pending.empty()) {
             IrInstr copy;
@@ -266,18 +267,17 @@ class CodeGen
                 }
                 src_used |= sbit;
                 dst_used |= dbit;
-                NodeId v = it->value;
+                NodeId v = blk.inputs[it->input];
                 copy.reads.push_back({primaryIdOf(v), consumeRead(v)});
                 InstanceId tmp = newInstance(v, it->dstBank,
                                              BankAssignment::invalid);
                 copy.writes.push_back({tmp});
-                use[v] = tmp;
+                useOf[it->input] = tmp;
                 it = pending.erase(it);
             }
             dpu_assert(!copy.reads.empty(), "copy packing stuck");
             ir().instrs.push_back(std::move(copy));
         }
-        return use;
     }
 
     void
@@ -285,21 +285,29 @@ class CodeGen
     {
         const Block &blk = blocks[block_id];
         emitLoads(blk);
-        auto use = emitConflictCopies(blk);
+        emitConflictCopies(blk);
 
         IrInstr exec;
         exec.kind = InstrKind::Exec;
         exec.blockId = block_id; // fragment-local; merge offsets it
         exec.inputSel.assign(cfg.banks, 0);
-        for (NodeId v : blk.inputs) {
-            InstanceId inst = use.at(v);
+        for (uint32_t i = 0; i < blk.inputs.size(); ++i) {
+            const NodeId v = blk.inputs[i];
+            InstanceId inst = useOf[i];
             bool is_temp = inst != primaryIdOf(v);
             bool last = is_temp ? true : consumeRead(v);
             exec.reads.push_back({inst, last});
         }
-        for (const PortRead &r : blk.reads)
+        // blk.inputs is ascending, so a read finds its input by
+        // binary search.
+        for (const PortRead &r : blk.reads) {
+            auto at = std::lower_bound(blk.inputs.begin(),
+                                       blk.inputs.end(), r.value);
+            dpu_assert(at != blk.inputs.end() && *at == r.value,
+                       "port read of a value that is not a block input");
             exec.inputSel[r.port] = static_cast<uint16_t>(
-                bankOfId(r.value, use.at(r.value)));
+                bankOfId(r.value, useOf[at - blk.inputs.begin()]));
+        }
         for (NodeId v : blk.outputs) {
             InstanceId id = newInstance(v, banks.bankOf[v], banks.peOf[v]);
             setInstance(v, id);
@@ -380,6 +388,25 @@ class CodeGen
     std::vector<InstanceId> instLocal;    ///< idx space: v - lo.
     std::unordered_map<NodeId, InstanceId> instExt;
     std::vector<uint32_t> rowCounter;
+
+    // Per-block scratch, cleared by the block that uses it.
+    struct LoadSlot
+    {
+        uint32_t row;
+        uint32_t seq; ///< Order placed, which a row keeps.
+        NodeId value;
+    };
+    struct PendingCopy
+    {
+        uint32_t input; ///< Index into blk.inputs.
+        uint32_t srcBank;
+        uint32_t dstBank;
+    };
+    std::vector<NodeId> loadBatch;
+    std::vector<LoadSlot> loadSlots;
+    std::vector<InstanceId> useOf; ///< Per input of the block.
+    std::vector<uint32_t> displaced;
+    std::vector<PendingCopy> pending;
 };
 
 } // namespace
