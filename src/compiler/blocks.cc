@@ -75,7 +75,8 @@ class BlockBuilder
           readFloor(extent(), 0),
           overlapEpoch(extent(), 0),
           rankOf(extent()),
-          buckets(cfg.depth + 1, RankSet(extent()))
+          buckets(cfg.depth + 1, RankSet(extent())),
+          freeSlots(cfg.depth + 1)
     {
         dpu_assert(rangeLo <= rangeHi && rangeHi <= dag.numNodes(),
                    "bad partition range");
@@ -172,12 +173,12 @@ class BlockBuilder
     static constexpr uint32_t noCone = static_cast<uint32_t>(-1);
 
     /**
-     * Gather the cone of `sink` and return its stall: the blocks the
-     * block being built would still wait for the in-range values the
-     * cone reads. An exec's result is readable pipelineStages() blocks
-     * later, so a value written k blocks back costs
-     * pipelineStages() - k; 0 when the cone reads nothing the last
-     * pipelineStages() - 1 blocks wrote. DAG inputs and the cone's own
+     * Gather the cone of `sink` into `cone` and return its stall: the
+     * blocks the block being built would still wait for the in-range
+     * values the cone reads. An exec's result is readable
+     * pipelineStages() blocks later, so a value written k blocks back
+     * costs pipelineStages() - k; 0 when the cone reads nothing the
+     * last pipelineStages() - 1 blocks wrote. DAG inputs and the cone's own
      * nodes have no block yet, and values of earlier ranges are not
      * counted. Returns noCone, and stops early, when the cone overlaps
      * nodes already picked for the current block (epoch-stamped) or
@@ -185,8 +186,7 @@ class BlockBuilder
      * sink's readFloor and overlapEpoch (see knownNoCone).
      */
     uint32_t
-    gatherCone(NodeId sink, uint64_t epoch, uint32_t cap,
-               std::vector<NodeId> &cone)
+    gatherCone(NodeId sink, uint64_t epoch, uint32_t cap)
     {
         const uint32_t current = static_cast<uint32_t>(dec.blocks.size());
         const uint32_t stages = cfg.pipelineStages();
@@ -257,11 +257,11 @@ class BlockBuilder
      * the nearest of its probeLimit candidates nearest the anchor in
      * DFS order (objective D) whose cone waits on no recent block
      * (stall 0, see gatherCone), else the one with the smallest stall,
-     * nearer first. Returns invalidNode if nothing fits `dcap`.
+     * nearer first. Leaves the pick's cone in `cone`; returns
+     * invalidNode if nothing fits `dcap`.
      */
     NodeId
-    pickCandidate(uint32_t dcap, uint64_t epoch, std::vector<NodeId> &cone,
-                  uint32_t &depth)
+    pickCandidate(uint32_t dcap, uint64_t epoch, uint32_t &depth)
     {
         for (uint32_t d = std::min(cfg.depth, dcap); d >= 1; --d) {
             const RankSet &bucket = buckets[d];
@@ -302,7 +302,7 @@ class BlockBuilder
                            "stale bucket entry");
                 if (knownNoCone(v, epoch, best_stall))
                     continue;
-                const uint32_t stall = gatherCone(v, epoch, best_stall, cone);
+                const uint32_t stall = gatherCone(v, epoch, best_stall);
                 if (stall == noCone)
                     continue;
                 best = v;
@@ -328,15 +328,15 @@ class BlockBuilder
         ++blockEpoch;
 
         // Buddy slot pool: one full-depth slot per tree.
-        std::vector<std::vector<FreeSlot>> free(cfg.depth + 1);
+        for (std::vector<FreeSlot> &slots : freeSlots)
+            slots.clear();
         for (uint32_t t = 0; t < cfg.trees(); ++t)
-            free[cfg.depth].push_back({t, 0});
+            freeSlots[cfg.depth].push_back({t, 0});
 
-        std::vector<NodeId> cone;
         for (;;) {
             uint32_t dcap = 0;
             for (uint32_t d = cfg.depth; d >= 1; --d) {
-                if (!free[d].empty()) {
+                if (!freeSlots[d].empty()) {
                     dcap = d;
                     break;
                 }
@@ -345,7 +345,7 @@ class BlockBuilder
                 break; // datapath full
 
             uint32_t depth = 0;
-            NodeId sink = pickCandidate(dcap, blockEpoch, cone, depth);
+            NodeId sink = pickCandidate(dcap, blockEpoch, depth);
             if (sink == invalidNode)
                 break; // nothing schedulable fits the leftover slots
 
@@ -353,13 +353,13 @@ class BlockBuilder
             // down buddy-style (this is what yields fig. 9(d)'s depth
             // combinations).
             uint32_t at = depth;
-            while (free[at].empty())
+            while (freeSlots[at].empty())
                 ++at;
-            FreeSlot slot = free[at].back();
-            free[at].pop_back();
+            FreeSlot slot = freeSlots[at].back();
+            freeSlots[at].pop_back();
             while (at > depth) {
                 --at;
-                free[at].push_back({slot.tree, slot.index * 2 + 1});
+                freeSlots[at].push_back({slot.tree, slot.index * 2 + 1});
                 slot.index = slot.index * 2;
             }
 
@@ -383,7 +383,7 @@ class BlockBuilder
     commitBlock(const Block &block)
     {
         uint32_t block_id = static_cast<uint32_t>(dec.blocks.size());
-        std::vector<NodeId> worklist;
+        worklist.clear();
         for (const Subgraph &sg : block.subgraphs) {
             for (NodeId v : sg.nodes) {
                 dpu_assert(!mapped[idx(v)], "node mapped twice");
@@ -533,8 +533,12 @@ class BlockBuilder
     std::vector<uint32_t> rankOf;     ///< DFS rank of each range node
     std::vector<NodeId> nodeAtRank;   ///< inverse of rankOf
     std::vector<RankSet> buckets;     ///< per-depth candidate ranks
-    std::vector<NodeId> dfsStack;
+    // Per-block scratch, cleared by the block that uses it.
+    std::vector<std::vector<FreeSlot>> freeSlots; ///< buddy pool by depth
+    std::vector<NodeId> cone;     ///< the cone of the last pick
     std::vector<NodeId> bestCone; ///< pickCandidate's pick so far
+    std::vector<NodeId> worklist; ///< commitBlock's height updates
+    std::vector<NodeId> dfsStack;
     /** The result so far: blockOf of every committed node is final. */
     RangeDecomposition dec;
     uint64_t blockEpoch = 0;
