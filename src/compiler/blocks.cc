@@ -104,6 +104,7 @@ class BlockBuilder
             dec.blocks.push_back(std::move(block));
         }
         finalizeIoMarks();
+        dec.blocks.shrink_to_fit(); // a fragment-cache entry keeps it
         return std::move(dec);
     }
 
@@ -431,8 +432,7 @@ class BlockBuilder
         dpu_assert(block.peOps[pe] == PeOp::Nop, "PE double-booked");
         block.peOps[pe] = PeOp::PassA;
         if (at.layer == 1) {
-            block.reads.push_back(
-                {cfg.portBank(at.tree, at.index * 2), value});
+            portReads.push_back({cfg.portBank(at.tree, at.index * 2), value});
             return;
         }
         passDown(block, {at.tree, at.layer - 1, at.index * 2}, value);
@@ -446,13 +446,13 @@ class BlockBuilder
         dpu_assert(block.peOps[pe] == PeOp::Nop, "PE double-booked");
         const Node &n = dag.node(v);
         block.peOps[pe] = n.op == OpType::Add ? PeOp::Add : PeOp::Mul;
-        block.placements.push_back({v, pe});
+        placements.push_back({v, pe});
         dpu_assert(n.operands.size() == 2, "DAG must be binarized");
         if (at.layer == 1) {
             for (uint32_t i = 0; i < 2; ++i) {
                 NodeId o = n.operands[i];
                 dpu_assert(!inCone(o), "cone node below layer 1");
-                block.reads.push_back(
+                portReads.push_back(
                     {cfg.portBank(at.tree, at.index * 2 + i), o});
             }
             return;
@@ -467,11 +467,14 @@ class BlockBuilder
         }
     }
 
-    /** Fill peOps / reads / placements for a finished block. */
+    /** Fill peOps / reads / placements / inputs for a finished
+     *  block. */
     void
     unrollBlock(Block &block)
     {
         block.peOps.assign(cfg.numPes(), PeOp::Nop);
+        portReads.clear();
+        placements.clear();
         for (const Subgraph &sg : block.subgraphs) {
             // Re-stamp the cone so inCone() answers for this subgraph.
             ++visitCounter;
@@ -480,14 +483,15 @@ class BlockBuilder
             placeNode(block, sg.sink,
                       {sg.tree, sg.rootLayer, sg.rootIndex});
         }
+        block.reads.assign(portReads.begin(), portReads.end());
+        block.placements.assign(placements.begin(), placements.end());
         // Distinct input values, ascending.
-        block.inputs.clear();
-        for (const PortRead &r : block.reads)
-            block.inputs.push_back(r.value);
-        std::sort(block.inputs.begin(), block.inputs.end());
-        block.inputs.erase(
-            std::unique(block.inputs.begin(), block.inputs.end()),
-            block.inputs.end());
+        inputs.clear();
+        for (const PortRead &r : portReads)
+            inputs.push_back(r.value);
+        std::sort(inputs.begin(), inputs.end());
+        block.inputs.assign(inputs.begin(),
+                            std::unique(inputs.begin(), inputs.end()));
     }
 
     /** Mark io values: DAG inputs plus block outputs. A successor
@@ -538,6 +542,11 @@ class BlockBuilder
     std::vector<NodeId> cone;     ///< the cone of the last pick
     std::vector<NodeId> bestCone; ///< pickCandidate's pick so far
     std::vector<NodeId> worklist; ///< commitBlock's height updates
+    /** unrollBlock's reads, placements and input values, copied into
+     *  the block at their exact sizes. */
+    std::vector<PortRead> portReads;
+    std::vector<std::pair<NodeId, uint32_t>> placements;
+    std::vector<NodeId> inputs;
     std::vector<NodeId> dfsStack;
     /** The result so far: blockOf of every committed node is final. */
     RangeDecomposition dec;

@@ -206,17 +206,9 @@ FragmentCache::lookup(const std::string &key)
 }
 
 void
-FragmentCache::store(const std::string &key, const RangeDecomposition &dec,
-                     const BankAssignment &banks, const IrFragment &frag,
-                     const CodegenShared *shared)
+FragmentCache::store(const std::string &key,
+                     std::shared_ptr<const CompiledFragment> entry)
 {
-    auto entry = std::make_shared<CompiledFragment>(
-        CompiledFragment{dec, banks, frag, std::nullopt, {}});
-    if (shared) {
-        entry->sinks.assign(shared->sinks.begin(), shared->sinks.end());
-        entry->shared = *shared;
-        entry->shared->sinks = entry->sinks;
-    }
     std::lock_guard<std::mutex> lock(mutex);
     auto it = index.find(key);
     if (it != index.end()) {

@@ -79,7 +79,8 @@ std::string fragmentCacheKey(uint64_t dagHash,
  * Per-partition compile artifacts (steps 1-2 + codegen output) that a
  * later compile of the same sub-DAG under a compatible configuration
  * can reuse instead of recomputing — see fragmentCacheKey for what
- * "compatible" means.
+ * "compatible" means. A compile that misses builds the entry in place
+ * and reads it as a hit would.
  */
 struct CompiledFragment
 {
@@ -116,13 +117,10 @@ class FragmentCache
     std::shared_ptr<const CompiledFragment>
     lookup(const std::string &key);
 
-    /** Remember a fragment, and an unpartitioned compile's codegen
-     *  context when `shared` is given. Copies the artifacts, so an
-     *  entry holds exact-size vectors and no growth slack of the
-     *  caller's. */
-    void store(const std::string &key, const RangeDecomposition &dec,
-               const BankAssignment &banks, const IrFragment &frag,
-               const CodegenShared *shared = nullptr);
+    /** Remember a fragment: keeps `entry` itself, which the caller
+     *  must no longer change. */
+    void store(const std::string &key,
+               std::shared_ptr<const CompiledFragment> entry);
 
     struct Stats
     {

@@ -50,6 +50,10 @@ class CodeGen
         if (frag.last)
             emitStores();
         checkBalance();
+        // A fragment-cache entry keeps the fragment as it is.
+        ir().instrs.shrink_to_fit();
+        ir().instances.shrink_to_fit();
+        frag.defs.shrink_to_fit();
         return std::move(frag);
     }
 
@@ -190,8 +194,11 @@ class CodeGen
             IrInstr load;
             load.kind = InstrKind::Load;
             load.memRow = loadSlots[i].row;
-            for (; i < loadSlots.size() && loadSlots[i].row == load.memRow;
-                 ++i) {
+            size_t end = i;
+            while (end < loadSlots.size() && loadSlots[end].row == load.memRow)
+                ++end;
+            load.writes.reserve(end - i);
+            for (; i < end; ++i) {
                 const NodeId v = loadSlots[i].value;
                 InstanceId id = newInstance(v, banks.bankOf[v],
                                             BankAssignment::invalid);
@@ -291,6 +298,8 @@ class CodeGen
         exec.kind = InstrKind::Exec;
         exec.blockId = block_id; // fragment-local; merge offsets it
         exec.inputSel.assign(cfg.banks, 0);
+        exec.reads.reserve(blk.inputs.size());
+        exec.writes.reserve(blk.outputs.size());
         for (uint32_t i = 0; i < blk.inputs.size(); ++i) {
             const NodeId v = blk.inputs[i];
             InstanceId inst = useOf[i];

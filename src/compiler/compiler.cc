@@ -134,52 +134,65 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
 
     // Fragment-cache probe: a partition's steps 1-2 + codegen depend
     // only on what fragmentCacheKey captures, so a hit skips all
-    // three for that range. Every stage reads a hit's artifacts in
-    // place through `hit[p]`, which keeps the entry alive even if the
-    // cache evicts it meanwhile; only its IR fragment, which merge and
-    // reorder rewrite, is copied.
+    // three for that range. A miss builds, in `fresh[p]`, the entry
+    // the cache will keep. Every stage reads a range's artifacts in
+    // place through `entry[p]`, the hit or the fresh entry, which
+    // keeps it alive even if the cache evicts it meanwhile; only its
+    // IR fragment, which merge and reorder rewrite, is copied.
     FragmentCache *fcache = options.fragmentCache;
-    std::vector<std::shared_ptr<const CompiledFragment>> hit(num_parts);
+    std::vector<std::shared_ptr<const CompiledFragment>> entry(num_parts);
+    std::vector<std::shared_ptr<CompiledFragment>> fresh(num_parts);
     std::vector<std::string> fkeys(num_parts);
-    if (fcache) {
-        for (size_t p = 0; p < num_parts; ++p) {
+    for (size_t p = 0; p < num_parts; ++p) {
+        if (fcache) {
             fkeys[p] = fragmentCacheKey(binarized_hash, parts[p],
                                         static_cast<uint32_t>(p), cfg,
                                         options);
-            hit[p] = fcache->lookup(fkeys[p]);
+            entry[p] = fcache->lookup(fkeys[p]);
         }
+        if (!entry[p])
+            entry[p] = fresh[p] = std::make_shared<CompiledFragment>();
     }
 
     // Step 1, partition-parallel: each range's block decomposition
     // depends only on (dag, cfg, range), so any thread count produces
-    // the same pieces. `decs[p]` is the range's decomposition: a cache
-    // entry's, or the one in `pieces[p]` that a miss computes. Step 2
-    // of a range reads the blocks of every later range (look-ahead),
-    // and codegen reads every range's blocks (CodegenShared, the
-    // global block ids), so both wait for the last decomposition.
-    std::vector<RangeDecomposition> pieces(num_parts);
-    std::vector<const RangeDecomposition *> decs(num_parts);
+    // the same pieces. Step 2 of a range reads the blocks of every
+    // later range (look-ahead), and codegen reads every range's blocks
+    // (CodegenShared, the global block ids), so both wait for the last
+    // decomposition.
     parallelFor(num_parts, options.threads, [&](size_t p) {
-        if (hit[p]) {
-            decs[p] = &hit[p]->dec;
-        } else {
-            pieces[p] = decomposeRangeIntoBlocks(dag, succ, cfg, parts[p],
-                                                 dfs_positions);
-            decs[p] = &pieces[p];
-        }
+        if (fresh[p])
+            fresh[p]->dec = decomposeRangeIntoBlocks(dag, succ, cfg,
+                                                     parts[p],
+                                                     dfs_positions);
     });
+    std::vector<const RangeDecomposition *> decs(num_parts);
     std::vector<std::span<const Block>> partBlocks(num_parts);
     std::vector<size_t> blockBase(num_parts + 1, 0);
     for (size_t p = 0; p < num_parts; ++p) {
+        decs[p] = &entry[p]->dec;
         partBlocks[p] = decs[p]->blocks;
         blockBase[p + 1] = blockBase[p] + partBlocks[p].size();
     }
-    // An unpartitioned hit reads the codegen context its entry
-    // stored: it depends only on the DAG and the entry's blocks.
+    // The codegen context depends only on the DAG and every range's
+    // blocks. An unpartitioned entry keeps its own, viewing the entry's
+    // copy of the sinks, and a hit reads it; a miss derives it into
+    // the entry and a partitioned compile into `computed`. `derive` is
+    // where it is still to be derived, if anywhere.
     CodegenShared computed;
+    CodegenShared *derive = nullptr;
+    std::span<const NodeId> derive_sinks = sinks;
+    if (num_parts > 1) {
+        derive = &computed;
+    } else if (fresh[0]) {
+        fresh[0]->sinks = sinks;
+        derive_sinks = fresh[0]->sinks;
+        derive = &fresh[0]->shared.emplace();
+    }
+    dpu_assert(num_parts > 1 || entry[0]->shared,
+               "an unpartitioned fragment entry keeps its codegen context");
     const CodegenShared &shared =
-        num_parts == 1 && hit[0] && hit[0]->shared ? *hit[0]->shared
-                                                   : computed;
+        num_parts > 1 ? computed : *entry[0]->shared;
 
     // Step 2. A miss prepares its range unordered (prepareBanksForRange
     // reads decompositions only), then maps it in the ordered chain,
@@ -189,7 +202,6 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
     // banks of its predecessors and the blocks of its successors — so
     // ranges map in partition order.
     std::vector<RangeBankPrep> preps(num_parts);
-    std::vector<BankAssignment> pieceBanks(num_parts);
     BankAssignment banks;
     banks.bankOf.assign(dag.numNodes(), BankAssignment::invalid);
     banks.peOf.assign(dag.numNodes(), BankAssignment::invalid);
@@ -205,21 +217,21 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
     // context, while the ordered chain already maps.
     std::atomic<size_t> unprepared{num_parts};
     auto prepare_range = [&](size_t p) {
-        if (!hit[p])
-            preps[p] = prepareBanksForRange(dag, cfg, pieces[p], later(p));
-        if (unprepared.fetch_sub(1) == 1 && &shared == &computed)
-            computed = computeCodegenShared(dag, sinks, partBlocks);
+        if (fresh[p])
+            preps[p] = prepareBanksForRange(dag, cfg, fresh[p]->dec,
+                                            later(p));
+        if (unprepared.fetch_sub(1) == 1 && derive)
+            *derive = computeCodegenShared(dag, derive_sinks, partBlocks);
     };
     auto map_range = [&](size_t p) {
-        if (!hit[p]) {
-            pieceBanks[p] = assignBanksForRange(
-                dag, cfg, pieces[p], preps[p], options.bankPolicy,
+        if (fresh[p]) {
+            fresh[p]->banks = assignBanksForRange(
+                dag, cfg, fresh[p]->dec, preps[p], options.bankPolicy,
                 partitionSeed(options.seed, p),
                 boundary_aware ? &banks.bankOf : nullptr, later(p));
             preps[p] = {};
         }
-        const BankAssignment &piece =
-            hit[p] ? hit[p]->banks : pieceBanks[p];
+        const BankAssignment &piece = entry[p]->banks;
         std::copy(piece.bankOf.begin(), piece.bankOf.end(),
                   banks.bankOf.begin() + decs[p]->range.first);
         std::copy(piece.peOf.begin(), piece.peOf.end(),
@@ -266,17 +278,18 @@ compileBinary(const Dag &dag, const SuccessorIndex &succ,
         prepare_range, // pre: step-2 prep, unordered
         map_range,     // ordered: range p sees ranges < p mapped
         [&](size_t p) { // produce: codegen + per-fragment reorder
-            if (hit[p]) {
-                frags[p] = hit[p]->frag;
-            } else {
-                frags[p] = generateIrForRange(
+            if (fresh[p]) {
+                fresh[p]->frag = generateIrForRange(
                     dag, cfg, partBlocks[p], parts[p], banks, shared,
                     static_cast<uint32_t>(p));
                 if (fcache)
-                    fcache->store(fkeys[p], pieces[p], pieceBanks[p],
-                                  frags[p],
-                                  num_parts == 1 ? &computed : nullptr);
+                    fcache->store(fkeys[p], fresh[p]);
             }
+            // An entry the cache holds stays unscheduled: copy it.
+            if (fcache)
+                frags[p] = entry[p]->frag;
+            else
+                frags[p] = std::move(fresh[p]->frag);
             if (options.verify)
                 unscheduled[p] = frags[p];
             schedules[p] =
