@@ -43,11 +43,13 @@ class Rng
     below(uint64_t bound)
     {
         dpu_assert(bound > 0, "Rng::below needs a positive bound");
-        // Rejection sampling to avoid modulo bias.
-        uint64_t threshold = (0 - bound) % bound;
+        // Rejection sampling to avoid modulo bias: draws below
+        // (2^64 - bound) % bound are rejected. That threshold is below
+        // `bound`, so a draw at or past `bound` is accepted without
+        // computing it.
         for (;;) {
             uint64_t r = next();
-            if (r >= threshold)
+            if (r >= bound || r >= (0 - bound) % bound)
                 return r % bound;
         }
     }
