@@ -244,6 +244,18 @@ validateDseAxes(const DseOptions &options, std::string *error)
             *error = msg;
         return false;
     };
+    // A repeated value would evaluate its grid points twice.
+    for (auto [name, values] :
+         {std::pair{"depth", &options.depths},
+          std::pair{"banks", &options.banks},
+          std::pair{"regs", &options.regs}})
+        for (size_t i = 0; i < values->size(); ++i)
+            for (size_t j = 0; j < i; ++j)
+                if ((*values)[j] == (*values)[i])
+                    return fail(std::string("DSE ") + name +
+                                " axis value " +
+                                std::to_string((*values)[i]) +
+                                " is repeated");
     for (uint32_t d : options.depths)
         if (d < 1 || d > 6)
             return fail("DSE depth axis value " + std::to_string(d) +

@@ -87,8 +87,9 @@ struct DseOptions
 };
 
 /**
- * Validate the axis values: depth in [1,6], banks a power of two
- * >= 2, regs in [2, ArchConfig::maxRegsPerBank], workloadScale > 0.
+ * Validate the axis values: no value repeated within an axis, depth
+ * in [1,6], banks a power of two >= 2, regs in
+ * [2, ArchConfig::maxRegsPerBank], workloadScale > 0.
  * False sets `error` (when given) to the first violation. The single
  * source of the axis rules: expandDseGrid throws FatalError on the
  * same check, and the dse_sweep CLI uses it to reject junk --axes

@@ -164,6 +164,8 @@ if [ -n "$DSE" ]; then
         "$DSE" --quick --axes='banks=12'
     check 2 "dse_sweep depth out of range" \
         "$DSE" --quick --axes='depth=9'
+    check 2 "dse_sweep repeated axis value" \
+        "$DSE" --quick --axes='depth=1;banks=8;regs=16,16'
     check 2 "dse_sweep --shards=0" "$DSE" --quick --shards=0
     check 2 "dse_sweep --shards non-numeric" \
         "$DSE" --quick --shards=many

@@ -267,6 +267,33 @@ TEST(DseGrid, RejectsInvalidAxisValues)
     EXPECT_THROW(expandDseGrid(bad_scale), FatalError);
 }
 
+TEST(DseGrid, RejectsRepeatedAxisValues)
+{
+    // A repeated value would make repeated grid points, each evaluated
+    // again; the error names the axis and the value.
+    DseOptions o;
+    o.depths = {1};
+    o.banks = {8};
+    o.regs = {16, 16};
+    std::string error;
+    EXPECT_FALSE(validateDseAxes(o, &error));
+    EXPECT_NE(error.find("regs axis value 16 is repeated"),
+              std::string::npos)
+        << error;
+    EXPECT_THROW(expandDseGrid(o), FatalError);
+
+    o.regs = {16};
+    o.depths = {2, 1, 2};
+    EXPECT_FALSE(validateDseAxes(o, &error));
+    EXPECT_NE(error.find("depth axis value 2"), std::string::npos) << error;
+    o.depths = {1};
+    o.banks = {8, 16, 8};
+    EXPECT_FALSE(validateDseAxes(o, &error));
+    EXPECT_NE(error.find("banks axis value 8"), std::string::npos) << error;
+    o.banks = {16, 8};
+    EXPECT_TRUE(validateDseAxes(o)); // distinct, in any order
+}
+
 TEST(DseGrid, RegsAxisStopsAtSixteenBitAddresses)
 {
     // The axis shares ArchConfig's bound, so `dse_sweep --axes` exits 2

@@ -112,11 +112,14 @@ parseArgs(int argc, char **argv, Args &args)
             // Semantic range rules come from the engine's own
             // validator, so the exit-2 contract cannot drift from
             // what expandDseGrid would reject mid-run.
-            if (!ok || !validateDseAxes(args.sweep.space)) {
+            std::string why;
+            if (!ok || !validateDseAxes(args.sweep.space, &why)) {
                 reject("--axes", a + 7,
                        "name=v1,v2;... with names depth/banks/regs, "
-                       "banks a power of two, depth in [1,6], regs in "
-                       "[2,65536]");
+                       "distinct values, banks a power of two, depth "
+                       "in [1,6], regs in [2,65536]");
+                if (!why.empty())
+                    std::fprintf(stderr, "dse_sweep: %s\n", why.c_str());
             }
         } else if (std::strncmp(a, "--scale=", 8) == 0) {
             if (!parseDoubleArg(a + 8, args.scale) || args.scale <= 0)
