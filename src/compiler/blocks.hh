@@ -84,7 +84,7 @@ struct Block
      *  a replicated node appears once per replica. */
     std::vector<std::pair<NodeId, uint32_t>> placements;
 
-    /** Distinct values read (block inputs). */
+    /** Distinct values read (block inputs), ascending. */
     std::vector<NodeId> inputs;
 
     /** Nodes whose value must be written to the register file. */
