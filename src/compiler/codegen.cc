@@ -160,13 +160,14 @@ class CodeGen
                 continue; // an earlier partition's fragment loads it
             loadBatch.push_back(v);
         }
-        loadSlots.clear();
+        // One aligned row, and one load, per round; a value whose bank
+        // the round already uses waits for the next round. So every
+        // later round holds a bank an earlier round advanced past its
+        // row, and rows ascend round by round.
         while (!loadBatch.empty()) {
-            // One aligned row per round; duplicate banks spill into
-            // the next round.
             uint64_t used = 0;
             uint32_t row = 0;
-            const size_t first = loadSlots.size();
+            loadRound.clear();
             for (auto it = loadBatch.begin(); it != loadBatch.end();) {
                 uint32_t bank = banks.bankOf[*it];
                 if (used >> bank & 1) {
@@ -175,31 +176,15 @@ class CodeGen
                 }
                 used |= uint64_t(1) << bank;
                 row = std::max(row, rowCounter[bank]);
-                loadSlots.push_back(
-                    {0, static_cast<uint32_t>(loadSlots.size()), *it});
+                loadRound.push_back(*it);
                 it = loadBatch.erase(it);
             }
-            for (size_t i = first; i < loadSlots.size(); ++i) {
-                loadSlots[i].row = row;
-                rowCounter[banks.bankOf[loadSlots[i].value]] = row + 1;
-            }
-        }
-        // One load per row, rows ascending; a row keeps its values in
-        // the order the rounds placed them (a stable sort by row).
-        std::sort(loadSlots.begin(), loadSlots.end(),
-                  [](const LoadSlot &a, const LoadSlot &b) {
-                      return a.row != b.row ? a.row < b.row : a.seq < b.seq;
-                  });
-        for (size_t i = 0; i < loadSlots.size();) {
             IrInstr load;
             load.kind = InstrKind::Load;
-            load.memRow = loadSlots[i].row;
-            size_t end = i;
-            while (end < loadSlots.size() && loadSlots[end].row == load.memRow)
-                ++end;
-            load.writes.reserve(end - i);
-            for (; i < end; ++i) {
-                const NodeId v = loadSlots[i].value;
+            load.memRow = row;
+            load.writes.reserve(loadRound.size());
+            for (NodeId v : loadRound) {
+                rowCounter[banks.bankOf[v]] = row + 1;
                 InstanceId id = newInstance(v, banks.bankOf[v],
                                             BankAssignment::invalid);
                 setInstance(v, id);
@@ -399,12 +384,6 @@ class CodeGen
     std::vector<uint32_t> rowCounter;
 
     // Per-block scratch, cleared by the block that uses it.
-    struct LoadSlot
-    {
-        uint32_t row;
-        uint32_t seq; ///< Order placed, which a row keeps.
-        NodeId value;
-    };
     struct PendingCopy
     {
         uint32_t input; ///< Index into blk.inputs.
@@ -412,7 +391,7 @@ class CodeGen
         uint32_t dstBank;
     };
     std::vector<NodeId> loadBatch;
-    std::vector<LoadSlot> loadSlots;
+    std::vector<NodeId> loadRound;
     std::vector<InstanceId> useOf; ///< Per input of the block.
     std::vector<uint32_t> displaced;
     std::vector<PendingCopy> pending;
