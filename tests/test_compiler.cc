@@ -257,19 +257,27 @@ TEST(Compiler, RegisterFileTooSmallFails)
     EXPECT_THROW(compile(d, cfg), FatalError);
 }
 
-/** FNV-1a-64 of the serialized program. */
+/** FNV-1a-64 of a byte sequence, as 16 hex digits. */
+template <typename Bytes>
 std::string
-programDigest(const CompiledProgram &prog)
+fnvDigest(const Bytes &bytes)
 {
     uint64_t h = 0xcbf29ce484222325ull;
-    for (uint8_t b : serializeProgram(prog)) {
-        h ^= b;
+    for (auto b : bytes) {
+        h ^= static_cast<uint8_t>(b);
         h *= 0x100000001b3ull;
     }
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(h));
     return hex;
+}
+
+/** FNV-1a-64 of the serialized program. */
+std::string
+programDigest(const CompiledProgram &prog)
+{
+    return fnvDigest(serializeProgram(prog));
 }
 
 struct ProgramGolden
@@ -431,15 +439,7 @@ TEST(CompileGolden, DseGridProgramsArePinned)
                         all += "fatal";
                     }
                 }
-                uint64_t h = 0xcbf29ce484222325ull;
-                for (char c : all) {
-                    h ^= static_cast<uint8_t>(c);
-                    h *= 0x100000001b3ull;
-                }
-                char hex[17];
-                std::snprintf(hex, sizeof(hex), "%016llx",
-                              static_cast<unsigned long long>(h));
-                return std::string(hex);
+                return fnvDigest(all);
             };
             const std::string cold = group_digest(nullptr);
             const FragmentCache::Stats before = fragments.stats();
