@@ -324,16 +324,20 @@ class FinalizerImpl
             uint64_t rst = 0;
             dpu_assert(in.reads.size() == in.writes.size() &&
                        in.reads.size() <= 4, "malformed copy");
+            // Every read (and valid_rst free) before any write, as the
+            // machine issues a copy_4: a later slot may free the
+            // register an earlier slot's write then takes.
             for (size_t k = 0; k < in.reads.size(); ++k) {
                 auto [src_bank, src_addr] = resolveRead(in.reads[k]);
                 if (in.reads[k].lastRead)
                     rst |= bankBit(src_bank);
-                place(in.writes[k].inst, InstrKind::Copy4, in);
                 slots[k] = {true, static_cast<uint16_t>(src_bank),
                             static_cast<uint16_t>(src_addr),
                             static_cast<uint16_t>(
                                 instances[in.writes[k].inst].bank)};
             }
+            for (const IrWrite &w : in.writes)
+                place(w.inst, InstrKind::Copy4, in);
             code.appendCopy4(slots, rst);
             fixWriteTimes(in);
             return;

@@ -11,6 +11,8 @@
 
 #include "compiler/cache.hh"
 #include "compiler/compiler.hh"
+#include "compiler/finalize.hh"
+#include "compiler/verify.hh"
 #include "dag/algorithms.hh"
 #include "dag/binarize.hh"
 #include "sim/machine.hh"
@@ -255,6 +257,52 @@ TEST(Compiler, RegisterFileTooSmallFails)
     Dag d = generateRandomDag(64, 2000, 53);
     ArchConfig cfg = cfgOf(3, 8, 2);
     EXPECT_THROW(compile(d, cfg), FatalError);
+}
+
+TEST(Finalizer, Copy4FreesBeforeItWrites)
+{
+    // Two inputs load into banks 0 and 1 (address 0 each). One copy_4
+    // moves a: bank 0 -> 1 and b: bank 1 -> 2, both slots freeing
+    // their source. The machine frees b's register before any slot
+    // writes, so a's copy lands at bank 1 address 0, where b was; a
+    // finalizer that placed slot 0's write before slot 1's read
+    // resolved it to address 1, which the machine never writes.
+    Dag d;
+    const NodeId a = d.addInput();
+    const NodeId b = d.addInput();
+    const ArchConfig cfg = cfgOf(1, 4, 2);
+    IrProgram ir;
+    ir.inputRows = 1;
+    ir.outputRows = 1;
+    ir.inputLocation = {{0, 0}, {0, 1}};
+    ir.instances = {{a, 0}, {b, 1}, {a, 1}, {b, 2}};
+    IrInstr load;
+    load.kind = InstrKind::Load;
+    load.writes = {{0}, {1}};
+    IrInstr copy;
+    copy.kind = InstrKind::Copy4;
+    copy.reads = {{0, true}, {1, true}};
+    copy.writes = {{2}, {3}};
+    IrInstr store;
+    store.kind = InstrKind::Store;
+    store.memRow = 1;
+    store.reads = {{2, true}, {3, true}};
+    ir.instrs = {load, IrInstr{}, copy, IrInstr{}, store};
+    ir.outputs = {{a, 1, 1}, {b, 1, 2}};
+
+    ProgramFinalizer fin(cfg, [](uint32_t) -> const Block & {
+        dpu_panic("no exec in this program");
+    });
+    fin.appendChunk(ir, 0, 0);
+    CompiledProgram prog = fin.finish(ir, 0);
+    prog.stats.programBits = programSizeBits(cfg, prog.instructions);
+    prog.stats.dataBits = uint64_t(prog.numRows) * cfg.banks * 32;
+    ASSERT_EQ(prog.instructions.size(), 5u);
+    ASSERT_EQ(prog.instructions[4].kind, InstrKind::Store);
+    EXPECT_EQ(prog.instructions.readAddr(4)[1], 0u);
+    const VerifyReport report = verifyProgram(prog);
+    EXPECT_TRUE(report.clean()) << report.toString();
+    runAndCheck(prog, d, randomInputs(d, 7));
 }
 
 /** FNV-1a-64 of a byte sequence, as 16 hex digits. */
