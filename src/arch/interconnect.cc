@@ -33,6 +33,17 @@ writableBanks(const ArchConfig &cfg, uint32_t pe)
     return out;
 }
 
+std::vector<uint64_t>
+writableBankMasks(const ArchConfig &cfg)
+{
+    dpu_assert(cfg.banks <= 64, "bank masks are 64-bit");
+    std::vector<uint64_t> out(cfg.numPes(), 0);
+    for (uint32_t pe = 0; pe < cfg.numPes(); ++pe)
+        for (uint32_t bank : writableBanks(cfg, pe))
+            out[pe] |= uint64_t(1) << bank;
+    return out;
+}
+
 std::vector<uint32_t>
 writingPes(const ArchConfig &cfg, uint32_t bank)
 {

@@ -33,6 +33,10 @@ namespace dpu {
  */
 std::vector<uint32_t> writableBanks(const ArchConfig &cfg, uint32_t pe);
 
+/** writableBanks of every PE as a bank mask (bit b: the PE can write
+ *  bank b), indexed by PE id. Needs B <= 64. */
+std::vector<uint64_t> writableBankMasks(const ArchConfig &cfg);
+
 /** PEs that can write bank `bank` (inverse of writableBanks). */
 std::vector<uint32_t> writingPes(const ArchConfig &cfg, uint32_t bank);
 

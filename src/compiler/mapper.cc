@@ -553,13 +553,7 @@ prepareBanksForRange(const Dag &dag, const ArchConfig &cfg,
     const size_t extent = hi - lo;
     RangeBankPrep prep;
 
-    prep.peWritable.reserve(cfg.numPes());
-    for (uint32_t pe = 0; pe < cfg.numPes(); ++pe) {
-        BankMask m = 0;
-        for (uint32_t bank : writableBanks(cfg, pe))
-            m |= BankMask(1) << bank;
-        prep.peWritable.push_back(m);
-    }
+    prep.peWritable = writableBankMasks(cfg);
 
     // Readers: the range's blocks, then the later blocks that read
     // one of its values (block inputs ascend, so the first input at or

@@ -19,7 +19,8 @@ class IrVerifier
   public:
     IrVerifier(const IrProgram &ir, const ArchConfig &cfg,
                const VerifyIrOptions &options, VerifyReport &report)
-        : ir(ir), cfg(cfg), opt(options), sink{report}
+        : ir(ir), cfg(cfg), opt(options), sink{report},
+          peWritable(writableBankMasks(cfg))
     {}
 
     void
@@ -172,9 +173,7 @@ class IrVerifier
                                  std::to_string(pe) + " of " +
                                  std::to_string(cfg.numPes()));
                 } else {
-                    auto writable = writableBanks(cfg, pe);
-                    if (std::find(writable.begin(), writable.end(),
-                                  bank) == writable.end())
+                    if (!(peWritable[pe] & bankBit(bank)))
                         sink.add(VerifyCode::SelectOutOfBounds, t,
                                  "PE " + std::to_string(pe) +
                                      " cannot write bank " +
@@ -271,6 +270,7 @@ class IrVerifier
     const ArchConfig &cfg;
     const VerifyIrOptions &opt;
     detail::CollectFaults sink;
+    const std::vector<uint64_t> peWritable; ///< Bank mask per PE.
 
     std::vector<bool> written;
     std::vector<bool> freed;

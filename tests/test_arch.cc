@@ -135,6 +135,27 @@ TEST(Interconnect, PerLayerInverseConsistent)
     }
 }
 
+TEST(Interconnect, BankMasksMatchWritableBanks)
+{
+    for (OutputInterconnect net : {OutputInterconnect::Crossbar,
+                                   OutputInterconnect::PerLayerSubtree,
+                                   OutputInterconnect::OnePerPe}) {
+        ArchConfig c;
+        c.depth = 3;
+        c.banks = 64;
+        c.outputNet = net;
+        c.check();
+        const std::vector<uint64_t> masks = writableBankMasks(c);
+        ASSERT_EQ(masks.size(), c.numPes());
+        for (uint32_t pe = 0; pe < c.numPes(); ++pe) {
+            uint64_t want = 0;
+            for (uint32_t b : writableBanks(c, pe))
+                want |= uint64_t(1) << b;
+            EXPECT_EQ(masks[pe], want) << "pe " << pe;
+        }
+    }
+}
+
 TEST(Interconnect, OnePerPeIsNearlyOneToOne)
 {
     ArchConfig c;
