@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 #include "compiler/blocks.hh"
 #include "compiler/codegen.hh"
@@ -152,25 +153,51 @@ TEST(Scheduler, HazardCheckerAcceptsPaddedVersion)
     EXPECT_TRUE(report.clean()) << report.toString();
 }
 
+/** One copy_4 slot: the instance it reads, whether that read frees
+ *  it, and the instance it writes. */
+using CopySlot = std::tuple<InstanceId, bool, InstanceId>;
+
+/** Every copy_4 slot of an IR list, sorted. */
+std::vector<CopySlot>
+copySlotsOf(const IrProgram &ir)
+{
+    std::vector<CopySlot> slots;
+    for (const IrInstr &in : ir.instrs)
+        if (in.kind == InstrKind::Copy4)
+            for (size_t k = 0; k < in.reads.size(); ++k)
+                slots.emplace_back(in.reads[k].inst, in.reads[k].lastRead,
+                                   in.writes[k].inst);
+    std::sort(slots.begin(), slots.end());
+    return slots;
+}
+
 TEST(Scheduler, PreservesInstructionMultiset)
 {
+    // Step 3 reorders, adds nops and may issue several ready copies
+    // as one copy_4. So every other kind keeps its count, nops only
+    // grow, copy_4s never do, and the copy slots (read instance,
+    // valid_rst, written instance) are the same multiset.
     Dag d = generateRandomDag(16, 400, 33);
     ArchConfig cfg = cfgOf(2, 16);
     IrFragment f = fragmentFor(d, cfg);
     std::array<size_t, 6> before{};
     for (const auto &in : f.ir.instrs)
         ++before[static_cast<size_t>(in.kind)];
+    const std::vector<CopySlot> slots = copySlotsOf(f.ir);
+    ASSERT_FALSE(slots.empty());
     reorderFragment(f, cfg);
     std::array<size_t, 6> after{};
     for (const auto &in : f.ir.instrs)
         ++after[static_cast<size_t>(in.kind)];
-    // Only nops may be added.
     for (size_t k = 0; k < 6; ++k) {
         if (k == static_cast<size_t>(InstrKind::Nop))
             EXPECT_GE(after[k], before[k]);
+        else if (k == static_cast<size_t>(InstrKind::Copy4))
+            EXPECT_LE(after[k], before[k]);
         else
             EXPECT_EQ(after[k], before[k]) << "kind " << k;
     }
+    EXPECT_EQ(copySlotsOf(f.ir), slots);
 }
 
 TEST(Scheduler, TightWindowInsertsMoreNops)
