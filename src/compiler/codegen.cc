@@ -125,19 +125,11 @@ class CodeGen
             return id;
         auto [it, fresh] = externalIndexOf.try_emplace(
             v, static_cast<uint32_t>(frag.externals.size()));
-        if (fresh)
+        if (fresh) {
             frag.externals.push_back(v);
+            frag.externalBanks.push_back(banks.bankOf[v]);
+        }
         return IrFragment::externalFlag | it->second;
-    }
-
-    /** Home bank of the instance behind `id` (externals keep the
-     *  home bank their owner chose). */
-    uint32_t
-    bankOfId(NodeId value, InstanceId id) const
-    {
-        if (IrFragment::isExternal(id))
-            return banks.bankOf[value];
-        return frag.ir.instances[id].bank;
     }
 
     /** Emit loads for the block's DAG inputs this fragment owns. */
@@ -300,7 +292,7 @@ class CodeGen
             dpu_assert(at != blk.inputs.end() && *at == r.value,
                        "port read of a value that is not a block input");
             exec.inputSel[r.port] = static_cast<uint16_t>(
-                bankOfId(r.value, useOf[at - blk.inputs.begin()]));
+                frag.bankOf(useOf[at - blk.inputs.begin()]));
         }
         for (NodeId v : blk.outputs) {
             InstanceId id = newInstance(v, banks.bankOf[v], banks.peOf[v]);

@@ -87,12 +87,23 @@ struct IrFragment
      *  of reads whose externalFlag is set. */
     std::vector<NodeId> externals;
 
+    /** Home bank of each external value, indexed like externals. */
+    std::vector<uint32_t> externalBanks;
+
     /** Primary instance created here per value (loads, exec outputs;
      *  conflict-copy temporaries are not listed). */
     std::vector<std::pair<NodeId, InstanceId>> defs;
 
     static constexpr InstanceId externalFlag = 1u << 31;
     static bool isExternal(InstanceId id) { return id & externalFlag; }
+
+    /** Bank of the register a read of `id` reads. */
+    uint32_t
+    bankOf(InstanceId id) const
+    {
+        return isExternal(id) ? externalBanks[id & ~externalFlag]
+                              : ir.instances[id].bank;
+    }
 };
 
 /**

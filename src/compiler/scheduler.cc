@@ -175,6 +175,24 @@ criticalPathOf(const DepGraph &g)
     return path;
 }
 
+/** The banks a copy_4's slots read and write. */
+struct CopyBanks
+{
+    uint64_t src = 0;
+    uint64_t dst = 0;
+};
+
+CopyBanks
+copyBanks(const IrInstr &copy, const IrFragment &frag)
+{
+    CopyBanks b;
+    for (size_t k = 0; k < copy.reads.size(); ++k) {
+        b.src |= bankBit(frag.bankOf(copy.reads[k].inst));
+        b.dst |= bankBit(frag.bankOf(copy.writes[k].inst));
+    }
+    return b;
+}
+
 } // namespace
 
 ScheduleStats
@@ -193,16 +211,27 @@ reorderFragment(IrFragment &frag, const ArchConfig &cfg, uint32_t window)
     // are kept apart and issued lazily (only when nothing else can
     // go): hoisting a load early only inflates register pressure —
     // its consumers cannot run sooner anyway — so eager loads would
-    // turn straight into spill traffic in step 4.
+    // turn straight into spill traffic in step 4. Ready copies are
+    // kept apart too, ascending by index: a copy_4 issues with the
+    // other ready copies of the window folded into its free slots.
     using MinHeap = std::priority_queue<uint32_t, std::vector<uint32_t>,
                                         std::greater<uint32_t>>;
     MinHeap readyOthers;
     MinHeap readyLoads;
+    std::vector<uint32_t> readyCopies;
     auto push_ready = [&](uint32_t i) {
-        if (ir.instrs[i].kind == InstrKind::Load)
+        switch (ir.instrs[i].kind) {
+          case InstrKind::Load:
             readyLoads.push(i);
-        else
+            break;
+          case InstrKind::Copy4:
+            readyCopies.insert(std::upper_bound(readyCopies.begin(),
+                                                readyCopies.end(), i),
+                               i);
+            break;
+          default:
             readyOthers.push(i);
+        }
     };
     // Instructions whose deps are all scheduled but whose gap has not
     // elapsed yet, by release time. Release order among them does not
@@ -221,6 +250,7 @@ reorderFragment(IrFragment &frag, const ArchConfig &cfg, uint32_t window)
     stats.criticalPath = criticalPathOf(deps);
 
     uint32_t head = 0; // smallest unscheduled original index
+    std::vector<uint32_t> group; // the instructions issued in one slot
     uint64_t now = 0;
     uint32_t done = 0;
 
@@ -255,42 +285,82 @@ reorderFragment(IrFragment &frag, const ArchConfig &cfg, uint32_t window)
 
         // Issue the earliest ready non-load inside the window; fall
         // back to the earliest ready load, then to a nop.
-        uint32_t pick = static_cast<uint32_t>(-1);
-        if (!readyOthers.empty() && readyOthers.top() < head + eff_window)
+        const uint64_t limit = uint64_t(head) + eff_window;
+        uint32_t pick = none;
+        if (!readyOthers.empty())
             pick = readyOthers.top();
-        else if (!readyLoads.empty() &&
-                 readyLoads.top() < head + eff_window)
-            pick = readyLoads.top();
+        if (!readyCopies.empty())
+            pick = std::min(pick, readyCopies.front());
+        if (pick >= limit)
+            pick = !readyLoads.empty() && readyLoads.top() < limit
+                       ? readyLoads.top()
+                       : none;
 
-        if (pick == static_cast<uint32_t>(-1)) {
+        if (pick == none) {
             // Nothing issueable: a hazard the window could not hide.
             out.push_back(IrInstr{}); // nop
             ++stats.nopsInserted;
             ++now;
             continue;
         }
-        if (!readyOthers.empty() && pick == readyOthers.top())
-            readyOthers.pop();
-        else
+        IrInstr &in = ir.instrs[pick];
+        group.assign(1, pick);
+        if (in.kind == InstrKind::Load) {
             readyLoads.pop();
-        scheduled[pick] = true;
-        live += static_cast<int64_t>(ir.instrs[pick].writes.size());
-        for (const IrRead &r : ir.instrs[pick].reads)
-            if (r.lastRead)
-                --live;
-        if (pick != head)
-            ++stats.movedInstructions;
-        out.push_back(std::move(ir.instrs[pick]));
-        ++done;
-        for (uint32_t k = deps.first[pick]; k < deps.first[pick + 1];
-             ++k) {
-            const DepEdge &e = deps.succ[k];
-            ready_at[e.succ] = std::max(ready_at[e.succ], now + e.gap);
-            if (--remaining[e.succ] == 0) {
-                if (ready_at[e.succ] <= now + 1)
-                    push_ready(e.succ);
-                else
-                    pending.push({ready_at[e.succ], e.succ});
+        } else if (in.kind != InstrKind::Copy4) {
+            readyOthers.pop();
+        } else {
+            readyCopies.erase(readyCopies.begin());
+            // Fold the window's other ready copies into the free
+            // slots: at most four slots, no two reading one bank and
+            // no two writing one.
+            CopyBanks used = copyBanks(in, frag);
+            size_t slots = in.reads.size();
+            for (auto it = readyCopies.begin();
+                 slots < 4 && it != readyCopies.end() && *it < limit;) {
+                const IrInstr &c = ir.instrs[*it];
+                const CopyBanks b = copyBanks(c, frag);
+                if (slots + c.reads.size() > 4 || (used.src & b.src) ||
+                    (used.dst & b.dst)) {
+                    ++it;
+                    continue;
+                }
+                used.src |= b.src;
+                used.dst |= b.dst;
+                slots += c.reads.size();
+                group.push_back(*it);
+                it = readyCopies.erase(it);
+            }
+        }
+        for (uint32_t i : group) {
+            // Count the writes and frees before the slots move out.
+            scheduled[i] = true;
+            live += static_cast<int64_t>(ir.instrs[i].writes.size());
+            for (const IrRead &r : ir.instrs[i].reads)
+                if (r.lastRead)
+                    --live;
+            if (i != head)
+                ++stats.movedInstructions;
+            ++done;
+        }
+        for (size_t g = 1; g < group.size(); ++g) {
+            IrInstr &member = ir.instrs[group[g]];
+            in.reads.insert(in.reads.end(), member.reads.begin(),
+                            member.reads.end());
+            in.writes.insert(in.writes.end(), member.writes.begin(),
+                             member.writes.end());
+        }
+        out.push_back(std::move(in));
+        for (uint32_t i : group) {
+            for (uint32_t k = deps.first[i]; k < deps.first[i + 1]; ++k) {
+                const DepEdge &e = deps.succ[k];
+                ready_at[e.succ] = std::max(ready_at[e.succ], now + e.gap);
+                if (--remaining[e.succ] == 0) {
+                    if (ready_at[e.succ] <= now + 1)
+                        push_ready(e.succ);
+                    else
+                        pending.push({ready_at[e.succ], e.succ});
+                }
             }
         }
         ++now;

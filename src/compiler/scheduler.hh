@@ -8,6 +8,13 @@
  * behind independent instructions, searching only a fixed-size window
  * of succeeding instructions (300, like the paper) so runtime stays
  * linear, and inserts nops for hazards it cannot hide.
+ *
+ * Codegen gives each block's conflict copies their own copy_4s. When
+ * the scheduler issues a copy_4 with free slots, it folds in the
+ * window's other ready copy_4s, in index order, while the merged
+ * copy_4 keeps at most four slots, no two reading one bank and no two
+ * writing one (a slot may read a bank another slot writes: the
+ * machine does every read before any write).
  */
 
 #ifndef DPU_COMPILER_SCHEDULER_HH

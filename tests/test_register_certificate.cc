@@ -156,6 +156,46 @@ TEST(RegisterCertificate, DerivedEqualsDirectCompile)
     EXPECT_GT(fragments.stats().hits, 0u);
 }
 
+TEST(RegisterCertificate, DerivedEqualsDirectWhenCopiesCoIssue)
+{
+    // Step 3 issues ready conflict copies of different blocks as one
+    // copy_4. That co-issue stays inside the scheduler's window, so R
+    // still enters steps 3-4 only through the throttle and spills: a
+    // program derived for an admitted R' equals a compile at R'. A
+    // one-instruction window folds no copies, so fewer copy_4s than
+    // there shows co-issue fired.
+    const uint32_t regs[] = {16, 32, 64, 128};
+    size_t derived = 0;
+    for (const char *name : {"mnist", "tretail", "jagmesh4"}) {
+        const Dag d = buildWorkloadDag(findWorkload(name), 0.5);
+        ArchConfig cfg = cfgOf(2, 32, 0);
+        CompileOptions inOrder;
+        inOrder.reorderWindow = 1;
+        for (uint32_t r : regs) {
+            cfg.regsPerBank = r;
+            const CompiledProgram from = compile(d, cfg);
+            if (!from.registers.valid)
+                continue;
+            const size_t copy4 = static_cast<size_t>(InstrKind::Copy4);
+            EXPECT_LT(from.stats.kindCount[copy4],
+                      compile(d, cfg, inOrder).stats.kindCount[copy4])
+                << name << " " << cfg.label();
+            for (uint32_t r2 : regs) {
+                cfg.regsPerBank = r2;
+                if (r2 == r || !from.registers.admits(cfg))
+                    continue;
+                SCOPED_TRACE(std::string(name) + " " + cfg.label() +
+                             " from R" + std::to_string(r));
+                EXPECT_EQ(serializeProgram(deriveForRegisterCount(from, r2)),
+                          serializeProgram(compile(d, cfg)));
+                ++derived;
+            }
+            cfg.regsPerBank = r;
+        }
+    }
+    EXPECT_GT(derived, 3u);
+}
+
 TEST(RegisterCertificate, SpilledCompileAdmitsNothing)
 {
     // Four registers a bank cannot hold this DAG's working set: the

@@ -200,6 +200,92 @@ TEST(Scheduler, PreservesInstructionMultiset)
     EXPECT_EQ(copySlotsOf(f.ir), slots);
 }
 
+/**
+ * A fragment in which two blocks each copy a loaded value out of a
+ * conflicting bank: load a (bank 0) and b (`bBank`), then per block a
+ * copy_4 of one value (a -> bank 2, b -> `bDst`) and the exec reading
+ * the copy. Both copies become ready when the load lands.
+ */
+IrFragment
+twoBlockCopies(uint32_t bBank, uint32_t bDst, const ArchConfig &cfg)
+{
+    IrFragment f;
+    f.last = true;
+    IrProgram &ir = f.ir;
+    ir.inputRows = 2;
+    ir.instances = {{0, 0}, {1, bBank}, {0, 2}, {1, bDst}};
+    auto instr = [&](InstrKind kind, std::vector<IrRead> reads,
+                     std::vector<IrWrite> writes, uint32_t row = 0) {
+        IrInstr in;
+        in.kind = kind;
+        in.memRow = row;
+        in.reads = std::move(reads);
+        in.writes = std::move(writes);
+        if (kind == InstrKind::Exec) {
+            in.blockId = 0;
+            in.inputSel.assign(cfg.banks, 0);
+        }
+        ir.instrs.push_back(std::move(in));
+    };
+    if (bBank == 0) { // one load writes a bank once
+        instr(InstrKind::Load, {}, {{0}}, 0);
+        instr(InstrKind::Load, {}, {{1}}, 1);
+    } else {
+        instr(InstrKind::Load, {}, {{0}, {1}}, 0);
+    }
+    instr(InstrKind::Copy4, {{0, true}}, {{2}});
+    instr(InstrKind::Exec, {{2, true}}, {});
+    instr(InstrKind::Copy4, {{1, true}}, {{3}});
+    instr(InstrKind::Exec, {{3, true}}, {});
+    return f;
+}
+
+size_t
+copy4Count(const IrProgram &ir)
+{
+    return std::count_if(ir.instrs.begin(), ir.instrs.end(),
+                         [](const IrInstr &in) {
+                             return in.kind == InstrKind::Copy4;
+                         });
+}
+
+TEST(Scheduler, CoIssuesReadyCopies)
+{
+    const ArchConfig cfg = cfgOf(1, 8);
+    IrFragment f = twoBlockCopies(1, 3, cfg);
+    const std::vector<CopySlot> slots = copySlotsOf(f.ir);
+    reorderFragment(f, cfg);
+    EXPECT_TRUE(verifyScheduled(f.ir, cfg).clean());
+    ASSERT_EQ(copy4Count(f.ir), 1u);
+    auto copy = std::find_if(f.ir.instrs.begin(), f.ir.instrs.end(),
+                             [](const IrInstr &in) {
+                                 return in.kind == InstrKind::Copy4;
+                             });
+    EXPECT_EQ(copy->reads.size(), 2u);
+    EXPECT_EQ(copySlotsOf(f.ir), slots);
+}
+
+TEST(Scheduler, NeverCoIssuesCopiesSharingABank)
+{
+    // The two copies read one bank, or write one: each keeps its own
+    // copy_4 (one read port and one write per bank per cycle).
+    const ArchConfig cfg = cfgOf(1, 8);
+    for (auto [bBank, bDst] : {std::pair{0u, 3u}, std::pair{1u, 2u}}) {
+        IrFragment f = twoBlockCopies(bBank, bDst, cfg);
+        reorderFragment(f, cfg);
+        EXPECT_TRUE(verifyScheduled(f.ir, cfg).clean());
+        EXPECT_EQ(copy4Count(f.ir), 2u) << bBank << " " << bDst;
+    }
+    // Codegen's copies on a random DAG: wherever step 3 merges them,
+    // no two slots of a copy_4 read one bank or write one (V003).
+    Dag d = generateRandomDag(16, 600, 37);
+    IrFragment f = fragmentFor(d, cfgOf(2, 16));
+    const size_t before = copy4Count(f.ir);
+    reorderFragment(f, cfgOf(2, 16));
+    EXPECT_LT(copy4Count(f.ir), before);
+    EXPECT_TRUE(verifyScheduled(f.ir, cfgOf(2, 16)).clean());
+}
+
 TEST(Scheduler, TightWindowInsertsMoreNops)
 {
     Dag d = generateRandomDag(16, 800, 34);
