@@ -4,6 +4,7 @@
 #include <queue>
 
 #include "compiler/codegen.hh"
+#include "support/bitvec.hh"
 #include "support/logging.hh"
 
 namespace dpu {
@@ -212,22 +213,21 @@ reorderFragment(IrFragment &frag, const ArchConfig &cfg, uint32_t window)
     // go): hoisting a load early only inflates register pressure —
     // its consumers cannot run sooner anyway — so eager loads would
     // turn straight into spill traffic in step 4. Ready copies are
-    // kept apart too, ascending by index: a copy_4 issues with the
-    // other ready copies of the window folded into its free slots.
+    // kept apart too, as an ordered set of indices: a copy_4 issues
+    // with the other ready copies of the window folded into its free
+    // slots.
     using MinHeap = std::priority_queue<uint32_t, std::vector<uint32_t>,
                                         std::greater<uint32_t>>;
     MinHeap readyOthers;
     MinHeap readyLoads;
-    std::vector<uint32_t> readyCopies;
+    RankSet readyCopies(n);
     auto push_ready = [&](uint32_t i) {
         switch (ir.instrs[i].kind) {
           case InstrKind::Load:
             readyLoads.push(i);
             break;
           case InstrKind::Copy4:
-            readyCopies.insert(std::upper_bound(readyCopies.begin(),
-                                                readyCopies.end(), i),
-                               i);
+            readyCopies.insert(i);
             break;
           default:
             readyOthers.push(i);
@@ -289,8 +289,9 @@ reorderFragment(IrFragment &frag, const ArchConfig &cfg, uint32_t window)
         uint32_t pick = none;
         if (!readyOthers.empty())
             pick = readyOthers.top();
-        if (!readyCopies.empty())
-            pick = std::min(pick, readyCopies.front());
+        // Every ready instruction is at or past head.
+        pick = static_cast<uint32_t>(
+            std::min<size_t>(pick, readyCopies.next(head)));
         if (pick >= limit)
             pick = !readyLoads.empty() && readyLoads.top() < limit
                        ? readyLoads.top()
@@ -310,27 +311,27 @@ reorderFragment(IrFragment &frag, const ArchConfig &cfg, uint32_t window)
         } else if (in.kind != InstrKind::Copy4) {
             readyOthers.pop();
         } else {
-            readyCopies.erase(readyCopies.begin());
             // Fold the window's other ready copies into the free
             // slots: at most four slots, no two reading one bank and
             // no two writing one.
+            readyCopies.erase(pick);
             CopyBanks used = copyBanks(in, frag);
             size_t slots = in.reads.size();
-            for (auto it = readyCopies.begin();
-                 slots < 4 && it != readyCopies.end() && *it < limit;) {
-                const IrInstr &c = ir.instrs[*it];
-                const CopyBanks b = copyBanks(c, frag);
-                if (slots + c.reads.size() > 4 || (used.src & b.src) ||
-                    (used.dst & b.dst)) {
-                    ++it;
+            for (size_t c = readyCopies.next(pick + 1);
+                 slots < 4 && c < limit; c = readyCopies.next(c + 1)) {
+                const IrInstr &copy = ir.instrs[c];
+                const CopyBanks b = copyBanks(copy, frag);
+                if (slots + copy.reads.size() > 4 || (used.src & b.src) ||
+                    (used.dst & b.dst))
                     continue;
-                }
                 used.src |= b.src;
                 used.dst |= b.dst;
-                slots += c.reads.size();
-                group.push_back(*it);
-                it = readyCopies.erase(it);
+                slots += copy.reads.size();
+                group.push_back(static_cast<uint32_t>(c));
+                readyCopies.erase(c);
             }
+            in.reads.reserve(slots);
+            in.writes.reserve(slots);
         }
         for (uint32_t i : group) {
             // Count the writes and frees before the slots move out.
